@@ -591,7 +591,13 @@ def ef_commutator_analysis(cat: Catalog, tolerance: float = 1e-8,
     for rho, holders in sorted(pole_map.items(), key=lambda kv: repr(kv[0])):
         w_exact = 1j * complex(rho) * hbar
         key, ta, tb, rot = holders[0]
-        w_num = _newton_pole(rot, w_exact * (1 + 1e-2) + 1e-3 * hbar, hbar)
+        # the start's perturbation w/100 + hbar/1000 vanishes at the pole
+        # w = -hbar/10 (rho = i/10, level k = 1/5); perturb the other way there
+        if rho == GR(Fraction(0), Fraction(1, 10)):
+            start = w_exact * (1 + 1e-2) - 1e-3 * hbar
+        else:
+            start = w_exact * (1 + 1e-2) + 1e-3 * hbar
+        w_num = _newton_pole(rot, start, hbar)
         err = abs(w_num - w_exact)
         report.poles.append({
             "w_exact": w_exact, "w_numeric": w_num, "abs_err": err,

@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
-from .exact import (GR, GR_I, GR_ONE, GR_ZERO, ExactConst, LaurentPoly,
-                    LaurentRational, as_fraction, _poly_divmod)
+from .exact import (GR, GR_I, GR_ONE, GR_ZERO, ExactConst, LaurentRational,
+                    as_fraction)
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, _lcm
 from .specfun import log_gamma
 
@@ -477,10 +477,13 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams,
 def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunction:
     """Exact structure function with exp(closed_form) = exp(quad_eval).
 
-    Pure exponential families reduce by Frullani to linear factors; a single
-    cyclotomic denominator reduces to Gamma factors with the exact
-    regularization constant D^{sum d_j x_j}.  Denominators with repeated
-    roots do not telescope and raise NonTelescoping.
+    Pure exponential families reduce by Frullani to linear factors.  A
+    squarefree cyclotomic denominator divides zeta^{2M} - 1 for the family
+    order M; the quotient, found by exact integer division, turns the
+    integrand into families over the single factor 1 - zeta^{-2M}, which
+    reduce to Gamma factors with the exact regularization constant
+    D^{sum d_j x_j}.  Denominators with repeated roots do not telescope and
+    raise NonTelescoping.
     """
     if I.is_zero():
         return StructureFunction.one()
@@ -499,16 +502,13 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
         return sf
 
     # denominator must divide zeta^{2M} - 1 for the family order M
-    M = _family_order(den, L)
+    M = _family_order(I.rational, L)
     if M is None:
         raise NonTelescoping(
-            "denominator has repeated roots; families do not reduce to Gamma factors")
-    tm = [GR.of(-1)] + [GR_ZERO] * (2 * M - 1) + [GR_ONE]  # zeta^{2M} - 1
-    dd = den.to_dense(0)
-    q, r = _poly_divmod(tm, dd)
-    if any(v for v in r):
+            "family order exceeds the cap; families do not reduce to Gamma factors")
+    qpoly = I.rational.cofactor(2 * M)
+    if qpoly is None:
         raise NonTelescoping("denominator does not divide the cyclotomic target")
-    qpoly = LaurentPoly({i: v for i, v in enumerate(q) if v})
     # R = N q zeta^{-2M} / (1 - zeta^{-2M})
     pnum = num * qpoly
     scale = Fraction(M, L)
@@ -541,16 +541,19 @@ def _as_int(v: GR, what: str) -> int:
     return int(v.re)
 
 
-def _family_order(den: LaurentPoly, L: int) -> int | None:
-    """Smallest M with den | (zeta^{2M} - 1), or None."""
-    deg = den.max_exp() - den.min_exp()
-    # all roots are roots of unity of bounded order for lattice slopes
-    for M in range(max(1, (deg + 1) // 2), 8 * L * max(1, deg) + 1):
-        tm = [GR.of(-1)] + [GR_ZERO] * (2 * M - 1) + [GR_ONE]
-        _, r = _poly_divmod(tm, den.to_dense(0))
-        if not any(v for v in r):
-            return M
-    return None
+def _family_order(R: LaurentRational, L: int) -> int | None:
+    """Smallest M with den | (zeta^{2M} - 1), read off the cyclotomic factors
+    of the denominator: a repeated factor raises NonTelescoping at once;
+    otherwise M is the least M with lcm(d) | 2M over the factor orders d.
+    None if M exceeds the cap 8*L*deg(den)."""
+    for key, m in R.factors.items():
+        if m > 1:
+            raise NonTelescoping(
+                f"denominator has repeated roots (cyclotomic factor of order "
+                f"{abs(key)}, multiplicity {m}); families do not reduce to Gamma factors")
+    order = _lcm(*(abs(key) for key in R.factors))
+    M = order if order % 2 else order // 2
+    return M if M <= 8 * L * max(1, R.den.max_exp()) else None
 
 
 # ---------------------------------------------------------------------------

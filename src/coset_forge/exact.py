@@ -9,9 +9,13 @@ evaluation time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import NonCyclotomicDenominator
+
 
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -135,11 +139,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.c.items()))
 
-    def copy(self) -> "LaurentPoly":
-        p = LaurentPoly()
-        p.c = dict(self.c)
-        return p
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.c)
         for e, v in other.c.items():
@@ -188,12 +187,6 @@ class LaurentPoly:
         """zeta -> 1/zeta."""
         return LaurentPoly({-e: v for e, v in self.c.items()})
 
-    def eval_at_one(self) -> GR:
-        s = GR_ZERO
-        for v in self.c.values():
-            s = s + v
-        return s
-
     def taylor_at_one(self, order: int) -> list[GR]:
         """Coefficients of sum_m c_m e^{m s} expanded in s up to s^order.
 
@@ -210,27 +203,6 @@ class LaurentPoly:
                 acc = acc + v * (e ** r)
             out.append(acc / fact)
         return out
-
-    def factor_zeta_minus_one(self) -> tuple["LaurentPoly", int]:
-        """Write self = (zeta - 1)^m * q with q(1) != 0; return (q, m)."""
-        if self.is_zero():
-            return LaurentPoly(), 0
-        p = self.copy()
-        m = 0
-        while not p.eval_at_one():
-            # synthetic division by (zeta - 1) on the ordinary-poly part
-            lo = p.min_exp()
-            dense = p.to_dense(lo)
-            # divide dense polynomial (in zeta) by (zeta - 1)
-            n = len(dense)
-            out = [GR_ZERO] * (n - 1)
-            acc = GR_ZERO
-            for i in range(n - 1, 0, -1):
-                acc = acc + dense[i]
-                out[i - 1] = acc
-            p = LaurentPoly({lo + i: v for i, v in enumerate(out) if v})
-            m += 1
-        return p, m
 
     def to_dense(self, lo: int | None = None) -> list[GR]:
         """Dense coefficient list starting at exponent lo (default min_exp)."""
@@ -296,114 +268,469 @@ def poly_gcd(a: list[GR], b: list[GR]) -> list[GR]:
     return a
 
 
-class LaurentRational:
-    """Quotient of Laurent polynomials, kept reduced.
+# ---------------------------------------------------------------------------
+# Cyclotomic denominators.
+#
+# Every denominator in the engine is a product of sinh binomials
+# zeta^{-n} (zeta^{2n} - 1) / 2, so up to a unit and a power of zeta it is a
+# product of cyclotomic polynomials Phi_d.  Over Q(i), Phi_d is irreducible
+# when 4 does not divide d; when 4 | d it splits into the conjugate halves
+# g_d = gcd(Phi_d, zeta^{d/4} - i) and conj(g_d).  A factor is named by an
+# integer key: d for Phi_d (4 not dividing d), +d for g_d and -d for
+# conj(g_d) (4 | d).  All factors are monic with Gaussian-integer
+# coefficients, so cancellation is exact integer division.
 
-    Normalization: gcd of numerator and denominator removed, denominator
-    shifted to minimum exponent 0 with leading (highest) coefficient 1.
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _totient(n: int) -> int:
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
+def _conv(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    nz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nz:
+                out[i + j] += x * y
+    return out
+
+
+def _div_monic(r: list[int], f: list[int]) -> list[int] | None:
+    """Exact quotient of ascending integer coefficient lists by a monic f,
+    or None if f does not divide r."""
+    m = len(f) - 1
+    if len(r) <= m:
+        return None
+    r = list(r)
+    low = [(j, a) for j, a in enumerate(f[:m]) if a]
+    for i in range(len(r) - 1, m - 1, -1):
+        c = r[i]
+        if c:
+            b = i - m
+            for j, a in low:
+                r[b + j] -= c * a
+    # entries at and above m are never touched once passed: the quotient
+    if any(r[:m]):
+        return None
+    return r[m:]
+
+
+def _div_monic_gauss(rr: list[int], ri: list[int] | None, fr: list[int],
+                     fi: list[int]) -> tuple[list[int], list[int]] | None:
+    """_div_monic over the Gaussian integers (real parts, imaginary parts)."""
+    m = len(fr) - 1
+    if len(rr) <= m:
+        return None
+    rr = list(rr)
+    ri = list(ri) if ri is not None else [0] * len(rr)
+    low = [(j, a, b) for j, (a, b) in enumerate(zip(fr[:m], fi[:m])) if a or b]
+    for i in range(len(rr) - 1, m - 1, -1):
+        cr, ci = rr[i], ri[i]
+        if cr or ci:
+            base = i - m
+            for j, a, b in low:
+                rr[base + j] -= cr * a - ci * b
+                ri[base + j] -= cr * b + ci * a
+    if any(rr[:m]) or any(ri[:m]):
+        return None
+    return rr[m:], ri[m:]
+
+
+class _ZiPoly:
+    """Laurent polynomial with Gaussian-rational coefficients held as
+    Gaussian integers over one denominator: (re[j] + i*im[j]) / q at
+    exponent lo + j.
+
+    Always normalized (see make): nonzero end coefficients, q > 0 coprime to
+    the coefficients, im None when every imaginary part vanishes, so equal
+    polynomials have equal fields.  The zero polynomial has re == [].
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("lo", "re", "im", "q")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None, reduce: bool = True):
-        if den is None:
-            den = LaurentPoly.one()
-        if den.is_zero():
-            raise ZeroDivisionError("LaurentRational with zero denominator")
-        if num.is_zero():
-            self.num = LaurentPoly()
-            self.den = LaurentPoly.one()
-            return
-        if reduce:
-            num, den = self._reduce(num, den)
-        self.num, self.den = num, den
+    def __init__(self, lo: int, re: list[int], im: list[int] | None, q: int):
+        self.lo, self.re, self.im, self.q = lo, re, im, q
 
     @staticmethod
-    def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-        # shift both to ordinary polynomials
-        nlo, dlo = num.min_exp(), den.min_exp()
-        ndense = num.to_dense(nlo)
-        ddense = den.to_dense(dlo)
-        g = poly_gcd(ndense, ddense)
-        if len(g) > 1:
-            ndense, _ = _poly_divmod(ndense, g)
-            ddense, _ = _poly_divmod(ddense, g)
-        # rebuild, normalizing: denominator min exponent 0, top coeff 1
-        num2 = LaurentPoly({nlo + i: v for i, v in enumerate(ndense) if v})
-        den2 = LaurentPoly({dlo + i: v for i, v in enumerate(ddense) if v})
-        shift = den2.min_exp()
-        den2 = LaurentPoly({e - shift: v for e, v in den2.c.items()})
-        num2 = LaurentPoly({e - shift: v for e, v in num2.c.items()})
-        lead = den2.c[den2.max_exp()]
-        den2 = den2.scale(GR_ONE / lead)
-        num2 = num2.scale(GR_ONE / lead)
-        # keep numerator exponents honest (no further shift)
-        return num2, den2
+    def make(lo: int, re: list[int], im: list[int] | None, q: int) -> "_ZiPoly":
+        if im is not None and not any(im):
+            im = None
+        a, b = 0, len(re)
+        if im is None:
+            while a < b and not re[a]:
+                a += 1
+            while b > a and not re[b - 1]:
+                b -= 1
+        else:
+            while a < b and not (re[a] or im[a]):
+                a += 1
+            while b > a and not (re[b - 1] or im[b - 1]):
+                b -= 1
+        if a == b:
+            return _ZERO
+        if a or b < len(re):
+            re = re[a:b]
+            im = None if im is None else im[a:b]
+        g = math.gcd(q, *re) if im is None else math.gcd(q, *re, *im)
+        if g > 1:
+            re = [x // g for x in re]
+            im = None if im is None else [x // g for x in im]
+            q //= g
+        return _ZiPoly(lo + a, re, im, q)
+
+    @staticmethod
+    def of(p: LaurentPoly) -> "_ZiPoly":
+        if not p.c:
+            return _ZERO
+        lo = p.min_exp()
+        q = math.lcm(*(v.re.denominator for v in p.c.values()),
+                     *(v.im.denominator for v in p.c.values()))
+        re = [0] * (p.max_exp() - lo + 1)
+        im = [0] * len(re)
+        for e, v in p.c.items():
+            re[e - lo] = v.re.numerator * (q // v.re.denominator)
+            im[e - lo] = v.im.numerator * (q // v.im.denominator)
+        return _ZiPoly.make(lo, re, im, q)
+
+    def poly(self) -> LaurentPoly:
+        """As a LaurentPoly, exponents ascending."""
+        q, zero = self.q, Fraction(0)
+        im = self.im or [0] * len(self.re)
+        p = LaurentPoly()
+        p.c = {self.lo + j: GR(Fraction(a, q) if a else zero,
+                               Fraction(b, q) if b else zero)
+               for j, (a, b) in enumerate(zip(self.re, im)) if a or b}
+        return p
+
+    def is_zero(self) -> bool:
+        return not self.re
+
+    def degree(self) -> int:
+        return len(self.re) - 1
+
+    def __eq__(self, other):
+        return (self.lo == other.lo and self.q == other.q
+                and self.re == other.re and self.im == other.im)
+
+    def __hash__(self):
+        return hash((self.lo, self.q, tuple(self.re),
+                     None if self.im is None else tuple(self.im)))
+
+    def __add__(self, other: "_ZiPoly") -> "_ZiPoly":
+        if not self.re:
+            return other
+        if not other.re:
+            return self
+        q = math.lcm(self.q, other.q)
+        lo = min(self.lo, other.lo)
+        n = max(self.lo + len(self.re), other.lo + len(other.re)) - lo
+        re = [0] * n
+        im = None if self.im is None and other.im is None else [0] * n
+        for p in (self, other):
+            s, off = q // p.q, p.lo - lo
+            for j, x in enumerate(p.re):
+                re[off + j] += x * s
+            if p.im is not None:
+                for j, x in enumerate(p.im):
+                    im[off + j] += x * s
+        return _ZiPoly.make(lo, re, im, q)
+
+    def __mul__(self, other: "_ZiPoly") -> "_ZiPoly":
+        if not self.re or not other.re:
+            return _ZERO
+        re = _conv(self.re, other.re)
+        im = None
+        if self.im is not None and other.im is not None:
+            for j, x in enumerate(_conv(self.im, other.im)):
+                re[j] -= x
+        if self.im is not None or other.im is not None:
+            im = [0] * len(re)
+            for a, b in ((self.re, other.im), (self.im, other.re)):
+                if a is not None and b is not None:
+                    for j, x in enumerate(_conv(a, b)):
+                        im[j] += x
+        return _ZiPoly.make(self.lo + other.lo, re, im, self.q * other.q)
+
+    def scale(self, k: GR) -> "_ZiPoly":
+        c = math.lcm(k.re.denominator, k.im.denominator)
+        a, b = int(k.re * c), int(k.im * c)
+        # (x + iy)(a + ib) = (xa - yb) + i(xb + ya)
+        y = self.im or [0] * len(self.re)
+        re = [x * a - v * b for x, v in zip(self.re, y)]
+        im = [x * b + v * a for x, v in zip(self.re, y)]
+        return _ZiPoly.make(self.lo, re, im, self.q * c)
+
+    def shifted(self, s: int) -> "_ZiPoly":
+        """zeta^s times self."""
+        return _ZiPoly(self.lo + s, self.re, self.im, self.q)
+
+    def reflected(self, s: int) -> "_ZiPoly":
+        """zeta^s times self(1/zeta)."""
+        return _ZiPoly(s - self.lo - self.degree(), self.re[::-1],
+                       None if self.im is None else self.im[::-1], self.q)
+
+    def divide(self, f: "_ZiPoly") -> "_ZiPoly | None":
+        """Exact quotient by a monic Gaussian-integer polynomial f with
+        f.lo == 0 and f(0) != 0, or None if f does not divide self."""
+        if f.im is None:
+            re = _div_monic(self.re, f.re)
+            if re is None:
+                return None
+            im = None
+            if self.im is not None:
+                im = _div_monic(self.im, f.re)
+                if im is None:
+                    return None
+        else:
+            out = _div_monic_gauss(self.re, self.im, f.re, f.im)
+            if out is None:
+                return None
+            re, im = out
+        return _ZiPoly.make(self.lo, re, im, self.q)
+
+
+_ZERO = _ZiPoly(0, [], None, 1)
+_ONE = _ZiPoly(0, [1], None, 1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _cyclotomic(d: int) -> list[int]:
+    """Phi_d as ascending integer coefficients."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in _divisors(d)[:-1]:
+        p = _div_monic(p, _cyclotomic(e))
+    return p
+
+
+@functools.lru_cache(maxsize=1024)
+def _factor(key: int) -> _ZiPoly:
+    """The monic irreducible factor named by key (see above)."""
+    if key % 4:
+        return _ZiPoly(0, _cyclotomic(key), None, 1)
+    if key < 0:
+        g = _factor(-key)
+        return _ZiPoly(0, g.re, [-y for y in g.im], 1)
+    target = [GR_ZERO] * (key // 4 + 1)
+    target[0], target[-1] = -GR_I, GR_ONE          # zeta^{d/4} - i
+    g = poly_gcd([GR.of(c) for c in _cyclotomic(key)], target)
+    return _ZiPoly(0, [int(v.re) for v in g], [int(v.im) for v in g], 1)
+
+
+@functools.lru_cache(maxsize=1024)
+def cyclotomic_factors(n: int) -> tuple[int, ...]:
+    """Factor keys of zeta^n - 1 = prod_{d | n} Phi_d over Q(i)."""
+    out: list[int] = []
+    for d in _divisors(n):
+        out += [d, -d] if d % 4 == 0 else [d]
+    return tuple(out)
+
+
+def _key(factors: dict[int, int]) -> tuple:
+    """Hashable form of a multiset; factors of multiplicity 0 drop out."""
+    return tuple(sorted((k, m) for k, m in factors.items() if m))
+
+
+@functools.lru_cache(maxsize=1024)
+def _product(key: tuple) -> _ZiPoly:
+    """Product of the factors of a multiset given by _key."""
+    p = _ONE
+    for f, m in key:
+        for _ in range(m):
+            p = p * _factor(f)
+    return p
+
+
+@functools.lru_cache(maxsize=1024)
+def _den_poly(key: tuple) -> LaurentPoly:
+    return _product(key).poly()
+
+
+def _split_cyclotomic(num: _ZiPoly, den: LaurentPoly) -> tuple[_ZiPoly, dict[int, int]]:
+    """Rewrite num/den as num'/prod(factors), factoring den by trial
+    division; den must be a unit times a power of zeta times factors."""
+    s = den.min_exp()
+    lead = den.c[den.max_exp()]
+    rest = _ZiPoly.of(LaurentPoly({e - s: v / lead for e, v in den.c.items()}))
+    if rest.q != 1:
+        raise NonCyclotomicDenominator(
+            f"denominator {den!r} is not a monic Gaussian-integer polynomial")
+    factors: dict[int, int] = {}
+    # a factor has degree phi(d) or phi(d)/2, and phi(d) >= sqrt(d/2)
+    bound = 8 * rest.degree() ** 2 + 2
+    d = 0
+    while rest.degree() > 0 and d < bound:
+        d += 1
+        keys = (d, -d) if d % 4 == 0 else (d,)
+        if _totient(d) // len(keys) > rest.degree():
+            continue
+        for key in keys:
+            while (q := rest.divide(_factor(key))) is not None:
+                rest = q
+                factors[key] = factors.get(key, 0) + 1
+    if rest.degree() > 0:
+        raise NonCyclotomicDenominator(
+            f"denominator {den!r} has a non-cyclotomic factor")
+    return num.shifted(-s).scale(GR_ONE / lead), factors
+
+
+class LaurentRational:
+    """Quotient of a Laurent polynomial by a product of cyclotomic factors,
+    kept reduced.
+
+    The denominator is carried as the multiset `factors`, {factor key:
+    multiplicity}; reduction is exact division of the numerator by each
+    factor while it divides.  Normal form: no factor of the denominator
+    divides the numerator, and the denominator (the product of the factors)
+    has minimum exponent 0 and leading coefficient 1.  `num` and `den` give
+    both as Laurent polynomials.
+
+    A denominator is given either as the multiset (`factors`) or as a
+    Laurent polynomial (`den`), which is factored by trial division and must
+    be a unit times a power of zeta times such factors; anything else raises
+    NonCyclotomicDenominator.
+    """
+
+    __slots__ = ("_n", "factors", "_num", "_den")
+
+    def __init__(self, num: LaurentPoly | _ZiPoly, den: LaurentPoly | None = None,
+                 factors: dict[int, int] | None = None):
+        if den is not None and den.is_zero():
+            raise ZeroDivisionError("LaurentRational with zero denominator")
+        n = num if isinstance(num, _ZiPoly) else _ZiPoly.of(num)
+        if n.is_zero():
+            factors = {}
+        else:
+            if den is not None:
+                n, factors = _split_cyclotomic(n, den)
+            n, factors = self._reduce(n, factors or {})
+        self._n, self.factors = n, factors
+        self._num = self._den = None
+
+    @staticmethod
+    def _reduce(n: _ZiPoly, factors: dict[int, int]) -> tuple[_ZiPoly, dict[int, int]]:
+        left = {}
+        for key, m in factors.items():
+            f = _factor(key)
+            while m:
+                q = n.divide(f)
+                if q is None:
+                    break
+                n, m = q, m - 1
+            if m:
+                left[key] = m
+        return n, left
+
+    @staticmethod
+    def _make(n: _ZiPoly, factors: dict[int, int]) -> "LaurentRational":
+        """An already reduced quotient."""
+        r = object.__new__(LaurentRational)
+        r._n, r.factors = n, factors if not n.is_zero() else {}
+        r._num = r._den = None
+        return r
+
+    @property
+    def num(self) -> LaurentPoly:
+        if self._num is None:
+            self._num = self._n.poly()
+        return self._num
+
+    @property
+    def den(self) -> LaurentPoly:
+        if self._den is None:
+            self._den = _den_poly(_key(self.factors))
+        return self._den
 
     @staticmethod
     def zero() -> "LaurentRational":
-        return LaurentRational(LaurentPoly())
+        return LaurentRational._make(_ZERO, {})
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._n.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, LaurentRational):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.factors == other.factors and self._n == other._n
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, _key(self.factors)))
 
     def __add__(self, other: "LaurentRational") -> "LaurentRational":
-        return LaurentRational(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        fa, fb = self.factors, other.factors
+        if fa == fb:
+            return LaurentRational(self._n + other._n, factors=fa)
+        lcm = {k: max(fa.get(k, 0), fb.get(k, 0)) for k in fa.keys() | fb.keys()}
+        na = self._n * _product(_key({k: m - fa.get(k, 0) for k, m in lcm.items()}))
+        nb = other._n * _product(_key({k: m - fb.get(k, 0) for k, m in lcm.items()}))
+        return LaurentRational(na + nb, factors=lcm)
 
     def __neg__(self):
-        r = LaurentRational.zero()
-        r.num, r.den = -self.num, self.den
-        return r
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other: "LaurentRational") -> "LaurentRational":
-        return LaurentRational(self.num * other.num, self.den * other.den)
+        factors = dict(self.factors)
+        for key, m in other.factors.items():
+            factors[key] = factors.get(key, 0) + m
+        return LaurentRational(self._n * other._n, factors=factors)
 
     def scale(self, k) -> "LaurentRational":
-        r = LaurentRational.zero()
-        r.num, r.den = self.num.scale(k), self.den
-        if r.num.is_zero():
-            r.den = LaurentPoly.one()
-        return r
+        return LaurentRational._make(self._n.scale(GR.of(k)), self.factors)
 
     def substitute_inverse(self) -> "LaurentRational":
-        return LaurentRational(self.num.substitute_inverse(),
-                               self.den.substitute_inverse())
+        """zeta -> 1/zeta.  With D = den of degree m, zeta^m D(1/zeta) is
+        D(0) times the monic D* whose factors are those of D with g_d and
+        conj(g_d) swapped, and D(0) is a unit, so the image stays reduced."""
+        if self.is_zero():
+            return self
+        d = _product(_key(self.factors))
+        unit = GR(Fraction(d.re[0]), Fraction(d.im[0] if d.im is not None else 0))
+        n = self._n.reflected(d.degree()).scale(unit.conj())   # 1/unit
+        return LaurentRational._make(
+            n, {(-k if k % 4 == 0 else k): m for k, m in self.factors.items()})
 
-    def rescale_lattice(self, m: int) -> "LaurentRational":
-        """Refine the lattice: zeta -> zeta^m (m positive integer)."""
-        return LaurentRational(
-            LaurentPoly({e * m: v for e, v in self.num.c.items()}),
-            LaurentPoly({e * m: v for e, v in self.den.c.items()}),
-            reduce=False,
-        )
+    def cofactor(self, n: int) -> LaurentPoly | None:
+        """(zeta^n - 1) / den by exact integer division, or None if den does
+        not divide zeta^n - 1."""
+        target = _ZiPoly(0, [-1] + [0] * (n - 1) + [1], None, 1)
+        q = target.divide(_product(_key(self.factors)))
+        return None if q is None else q.poly()
 
     def limit_at_one(self) -> GR:
-        """lim_{zeta->1} of the rational function; raises if it diverges."""
-        n, mn = self.num.factor_zeta_minus_one()
-        d, md = self.den.factor_zeta_minus_one()
-        if mn < md:
+        """lim_{zeta->1} of the rational function; raises if it diverges.
+
+        Only Phi_1 = zeta - 1 vanishes at 1, and a reduced numerator is not
+        divisible by it when the denominator holds it."""
+        if self.factors.get(1):
             raise ZeroDivisionError("pole at zeta = 1")
-        if mn > md:
-            return GR_ZERO
-        return n.eval_at_one() / d.eval_at_one()
+        n, d = self._n, _product(_key(self.factors))
+        return (GR(Fraction(sum(n.re), n.q), Fraction(sum(n.im or ()), n.q))
+                / GR(Fraction(sum(d.re)), Fraction(sum(d.im or ()))))
 
     def eval_numeric(self, logz: complex) -> complex:
         return self.num.eval_numeric(logz) / self.den.eval_numeric(logz)
 
     def __repr__(self):
-        if self.den == LaurentPoly.one():
+        if not self.factors:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 

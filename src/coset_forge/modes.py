@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExcludedLevel, MixedSpectralArguments, NonMeromorphicProduct
-from .exact import GR, LaurentPoly, LaurentRational, as_fraction
+from .exact import GR, LaurentPoly, LaurentRational, as_fraction, cyclotomic_factors
 
 __all__ = [
     "AlgebraParams", "Kernel", "ExpTrigTerm", "ModeFunction",
@@ -108,12 +108,18 @@ def _lcm(*xs: int) -> int:
     return out
 
 
-def _sinh_laurent(beta: Fraction, lattice: int, power: int = 1) -> LaurentPoly:
-    """sinh(beta*hbar*t) as a Laurent polynomial in zeta = e^{hbar t/(2 lattice)}."""
+def _sinh_exponent(beta: Fraction, lattice: int) -> int:
+    """n with sinh(beta*hbar*t) = (zeta^n - zeta^-n)/2, zeta = e^{hbar t/(2 lattice)}."""
     e = beta * 2 * lattice
     if e.denominator != 1:
         raise NonMeromorphicProduct(f"slope {beta} not on lattice 1/{lattice}")
-    base = LaurentPoly({int(e): GR(Fraction(1, 2)), -int(e): GR(Fraction(-1, 2))})
+    return int(e)
+
+
+def _sinh_laurent(beta: Fraction, lattice: int, power: int = 1) -> LaurentPoly:
+    """sinh(beta*hbar*t) as a Laurent polynomial in zeta = e^{hbar t/(2 lattice)}."""
+    e = _sinh_exponent(beta, lattice)
+    base = LaurentPoly({e: GR(Fraction(1, 2)), -e: GR(Fraction(-1, 2))})
     out = LaurentPoly.one()
     for _ in range(abs(power)):
         out = out * base
@@ -183,14 +189,17 @@ class ExpTrigTerm:
         if e.denominator != 1:
             raise NonMeromorphicProduct(f"tilt {self.tilt()} not on lattice 1/{lattice}")
         num = LaurentPoly.monomial(self.coeff, int(e))
-        den = LaurentPoly.one()
+        factors: dict[int, int] = {}
         for beta, p in self.sinh_factors:
-            block = _sinh_laurent(beta, lattice, p)
             if p > 0:
-                num = num * block
-            else:
-                den = den * block
-        return LaurentRational(num, den)
+                num = num * _sinh_laurent(beta, lattice, p)
+                continue
+            # sinh^p = (2 zeta^n)^-p / (zeta^{2n} - 1)^-p
+            n = _sinh_exponent(beta, lattice)
+            num = num * LaurentPoly.monomial(2 ** -p, -n * p)
+            for key in cyclotomic_factors(2 * n):
+                factors[key] = factors.get(key, 0) - p
+        return LaurentRational(num, factors=factors)
 
     def reflected(self) -> "ExpTrigTerm":
         """The term evaluated at -t, re-expressed for t > 0."""

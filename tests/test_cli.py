@@ -129,3 +129,12 @@ def test_single_relation_flag():
     out = run_cli("verify", "--relation", "E_E")
     assert out.returncode == 0
     assert "PASS E_E" in out.stdout
+
+
+def test_verify_level_one_fifth_exits_zero():
+    # at k = 1/5 the pole w = -hbar/10 is where the default Newton start
+    # w*(1 + 1e-2) + 1e-3*hbar would land
+    for hbar in ("1", "1/2"):
+        out = run_cli("verify", "--k", "1/5", "--hbar", hbar)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "all relations hold" in out.stdout

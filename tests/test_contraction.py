@@ -261,6 +261,21 @@ def test_non_telescoping_quadrature_fallback():
     assert abs(v) > 0  # converged to something finite
 
 
+def test_non_telescoping_repeated_factor_found_without_search():
+    # the integrand of test_non_telescoping_quadrature_fallback: its reduced
+    # denominator (zeta^4 + 1)^2 holds both halves of Phi_8 twice, and the
+    # family order raises on that multiplicity before computing any order
+    k = Fraction(1)
+    params = AlgebraParams(k)
+    f = _mode(pos=[ExpTrigTerm(GR.of(1), 1, 0, 0, ((HALF, 2), (ONE, -2)))])
+    g = _mode(neg=[ExpTrigTerm(GR.of(1), 1, 0, 0, ((HALF, 1), (ONE, -1)))])
+    I = contract(f, g, kernel_c(k), params)
+    assert I.rational.factors == {8: 2, -8: 2}
+    with pytest.raises(NonTelescoping, match="multiplicity 2") as exc:
+        closed_form(I, params)
+    assert exc.traceback[-1].name == "_family_order"
+
+
 def test_unbalanced_hbar_power_rejected():
     k = Fraction(2)
     f = _mode(pos=[ExpTrigTerm(GR.of(1), 0, 0, 0, ())])

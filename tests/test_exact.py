@@ -1,11 +1,14 @@
 """Exact arithmetic layer: Gaussian rationals, Laurent rationals, constants."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coset_forge.errors import NonCyclotomicDenominator
 from coset_forge.exact import (GR, GR_I, GR_ONE, ExactConst, KRat, LaurentPoly,
-                               LaurentRational, poly_gcd)
+                               LaurentRational, _poly_divmod, poly_gcd)
 
 
 def test_gr_field_ops():
@@ -91,3 +94,107 @@ def test_krat_arithmetic_and_bind():
     assert quot.bind(Fraction(3)) == Fraction(4)
     with pytest.raises(ZeroDivisionError):
         quot.bind(Fraction(1))
+
+
+# -- cyclotomic reduction against the dense gcd reference --------------------
+
+@functools.cache
+def _cyclotomic(d):
+    """Phi_d as a dense GR list, by division over the Gaussian rationals."""
+    p = [GR.of(-1)] + [GR()] * (d - 1) + [GR_ONE]
+    for e in range(1, d):
+        if d % e == 0:
+            p, _ = _poly_divmod(p, _cyclotomic(e))
+    return p
+
+
+def _factor_poly(key):
+    """Phi_d for 4 not dividing d; g_d = gcd(Phi_d, z^{d/4} - i) for key d and
+    its conjugate for key -d when 4 | d."""
+    d = abs(key)
+    if d % 4:
+        dense = _cyclotomic(d)
+    else:
+        dense = poly_gcd(_cyclotomic(d), [-GR_I] + [GR()] * (d // 4 - 1) + [GR_ONE])
+        if key < 0:
+            dense = [v.conj() for v in dense]
+    return LaurentPoly(dict(enumerate(dense)))
+
+
+def _gcd_normal_form(num, den):
+    """The dense-gcd reduction: cancel gcd(num, den), then shift den to
+    minimum exponent 0 and scale it to leading coefficient 1."""
+    nlo, dlo = num.min_exp(), den.min_exp()
+    ndense, ddense = num.to_dense(nlo), den.to_dense(dlo)
+    g = poly_gcd(ndense, ddense)
+    if len(g) > 1:
+        ndense, _ = _poly_divmod(ndense, g)
+        ddense, _ = _poly_divmod(ddense, g)
+    lead = ddense[-1]
+    num2 = LaurentPoly({nlo - dlo + i: v / lead for i, v in enumerate(ndense) if v})
+    den2 = LaurentPoly({i: v / lead for i, v in enumerate(ddense) if v})
+    return num2, den2
+
+
+def _product(keys):
+    p = LaurentPoly.one()
+    for key in keys:
+        p = p * _factor_poly(key)
+    return p
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_gaussian = st.builds(GR, _fractions, _fractions).filter(bool)
+_numerators = st.dictionaries(st.integers(-4, 4), _gaussian, min_size=1,
+                              max_size=4).map(LaurentPoly)
+# factor keys of orders up to 12: d for Phi_d, +-d for the halves when 4 | d
+_keys = st.sampled_from([1, 2, 3, 5, 6, 7, 9, 10, 11, 4, -4, 8, -8, 12, -12])
+_units = st.sampled_from([GR_ONE, GR.of(-2), GR_I, GR(Fraction(1, 3), Fraction(1))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_numerators, st.lists(_keys, max_size=4), st.lists(_keys, max_size=3),
+       _units, st.integers(-3, 3))
+def test_cyclotomic_reduction_matches_gcd_reference(num, den_keys, extra_keys,
+                                                    unit, shift):
+    num = num * _product(extra_keys)
+    den = _product(den_keys) * LaurentPoly.monomial(unit, shift)
+    r = LaurentRational(num, den)
+    assert (r.num, r.den) == _gcd_normal_form(num, den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_numerators, st.lists(_keys, max_size=3), _numerators,
+       st.lists(_keys, max_size=3), _units)
+def test_cyclotomic_arithmetic_matches_gcd_reference(na, ka, nb, kb, unit):
+    da, db = _product(ka), _product(kb)
+    a, b = LaurentRational(na, da), LaurentRational(nb, db)
+    for got, (num, den) in (
+            (a + b, (na * db + nb * da, da * db)),
+            (a - b, (na * db - nb * da, da * db)),
+            (a * b, (na * nb, da * db)),
+            (a.scale(unit), (na.scale(unit), da)),
+            (a.substitute_inverse(), (na.substitute_inverse(), da.substitute_inverse()))):
+        want = (LaurentPoly(), LaurentPoly.one()) if num.is_zero() else _gcd_normal_form(num, den)
+        assert (got.num, got.den) == want
+
+
+def test_reduction_cancels_one_half_of_a_split_factor():
+    # (z - i) / (z^2 + 1) == 1 / (z + i): only g_4 = z - i cancels
+    r = LaurentRational(LaurentPoly({1: GR_ONE, 0: -GR_I}),
+                        LaurentPoly({2: GR_ONE, 0: GR_ONE}))
+    assert r.factors == {-4: 1}
+    assert r.den == LaurentPoly({1: GR_ONE, 0: GR_I})
+    assert r.num == LaurentPoly.one()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_keys, max_size=3), st.integers(2, 5) | st.integers(-5, -2))
+def test_non_cyclotomic_denominator_raises(keys, root):
+    # a root z = root off the unit circle is no root of unity
+    den = _product(keys) * LaurentPoly({1: GR_ONE, 0: GR.of(-root)})
+    with pytest.raises(NonCyclotomicDenominator):
+        LaurentRational(LaurentPoly.one(), den)
+    # 2z + 1 is z + 1/2 up to a unit: not monic over the Gaussian integers
+    with pytest.raises(NonCyclotomicDenominator):
+        LaurentRational(LaurentPoly.one(), LaurentPoly({1: GR.of(2), 0: GR_ONE}) * den)
