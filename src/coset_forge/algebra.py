@@ -92,6 +92,9 @@ class Catalog:
         self.currents: dict[str, Current] = {}
         self.rotation_sector = "c"
         self._cf_cache: dict = {}
+        # log Gamma values by complex argument, shared by the grid
+        # evaluations of every relation checked on this catalog
+        self._lg_memo: dict[complex, complex] = {}
 
     def kernel(self, family: str) -> Kernel:
         return self.kernels[family]
@@ -360,12 +363,13 @@ def default_grid(params: AlgebraParams, n: int = 25,
 
 
 def _grid_residual(lhs: StructureFunction, rhs: StructureFunction,
-                   grid: list[complex], hbar: float) -> tuple[list[float], float]:
+                   grid: list[complex], hbar: float,
+                   memo: dict) -> tuple[list[float], float]:
     res = []
     for w in grid:
         try:
-            a = lhs.eval(w, hbar)
-            b = rhs.eval(w, hbar)
+            a = lhs.eval(w, hbar, memo)
+            b = rhs.eval(w, hbar, memo)
         except Exception:
             res.append(float("nan"))
             continue
@@ -407,7 +411,7 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
         sym = all((sf * target.inverse()).normalize().is_one() for sf in factors)
         residuals, worst = [], 0.0
         for sf in factors:
-            res, mx = _grid_residual(sf, target, grid, hbar)
+            res, mx = _grid_residual(sf, target, grid, hbar, cat._lg_memo)
             residuals = res if not residuals else [max(x, y) for x, y in zip(residuals, res)]
             worst = max(worst, mx)
         report.symbolic_pass = sym
@@ -420,7 +424,7 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
         sym = all((sf * base.inverse()).normalize().is_one() for sf in factors[1:])
         residuals, worst = [], 0.0
         for sf in factors[1:]:
-            res, mx = _grid_residual(sf, base, grid, hbar)
+            res, mx = _grid_residual(sf, base, grid, hbar, cat._lg_memo)
             residuals = res if not residuals else [max(x, y) for x, y in zip(residuals, res)]
             worst = max(worst, mx)
         if not residuals:

@@ -6,6 +6,9 @@
         [--relation NAME] [--all] [--at RE,IM] [--pair A,B] [--workers N]
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
+``--workers`` is accepted and ignored: relations run one after another.
+With ``--json -`` the report is the only thing written to stdout; the
+human-readable lines go to stderr.
 JSON reports are deterministic: keys sorted, every float rendered with 17
 significant digits (lowercase exponent) as a decimal string, grids built
 from fixed rules rather than random draws.
@@ -17,16 +20,16 @@ import argparse
 import cmath
 import importlib.resources
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .algebra import (ClassicalBraid, Relation, VerificationReport,
+from .algebra import (ClassicalBraid, VerificationReport,
                       classical_limit, default_grid, ef_commutator_analysis,
                       verify_relation)
 from .contraction import closed_form, contract, quad_eval
 from .dsl import parse_definitions
-from .errors import CosetForgeError, NonConvergent, ParseError
+from .errors import CosetForgeError, InvalidOption, NonConvergent, ParseError
 
 SCHEMA_VERSION = "1"
 
@@ -51,7 +54,30 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
     return [Fraction(part) for part in text.split(",")]
 
 
+def _check_numeric_flags(args) -> None:
+    """Reject a tolerance no residual can meet and grid flags under which no
+    point, or no finite point, would be checked."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InvalidOption(f"--tol must be finite and non-negative, got {args.tol}")
+    if args.grid_n < 1:
+        raise InvalidOption(f"--grid-n must be at least 1, got {args.grid_n}")
+    if args.grid_range:
+        lo, hi = _parse_grid_range(args.grid_range)
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
+            raise InvalidOption(
+                f"--grid-range bounds must be finite and positive, got {args.grid_range}")
+        if lo > hi:
+            raise InvalidOption(
+                f"--grid-range lower bound exceeds upper bound: {args.grid_range}")
+
+
+def _parse_grid_range(text: str) -> tuple[float, float]:
+    lo, hi = (float(x) for x in text.split(","))
+    return lo, hi
+
+
 def _bind_session(args):
+    _check_numeric_flags(args)
     text = _load(args.file)
     df = parse_definitions(text)
     k = Fraction(args.k) if args.k else None
@@ -60,7 +86,7 @@ def _bind_session(args):
     if args.rotate:
         for rel in rels:
             rel.rotate = args.rotate
-    if args.tol:
+    if args.tol is not None:
         for rel in rels:
             rel.tolerance = args.tol
     return df, params, cat, rels, comms, hbars
@@ -69,7 +95,7 @@ def _bind_session(args):
 def _session_grid(args, params, avoid=None):
     lo, hi = 0.1, 10.0
     if args.grid_range:
-        lo, hi = (float(x) for x in args.grid_range.split(","))
+        lo, hi = _parse_grid_range(args.grid_range)
     return default_grid(params, n=args.grid_n, lo=lo, hi=hi, avoid=avoid)
 
 
@@ -105,17 +131,9 @@ def _report_to_dict(rep: VerificationReport) -> dict:
     }
 
 
-def _run_relations(cat, rels, args, workers=4) -> list[VerificationReport]:
+def _run_relations(cat, rels, args) -> list[VerificationReport]:
     grid = _session_grid(args, cat.params)
-
-    def one(rel: Relation) -> VerificationReport:
-        return verify_relation(cat, rel, grid=grid)
-
-    if workers > 1 and len(rels) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, rels))
-    else:
-        reports = [one(r) for r in rels]
+    reports = [verify_relation(cat, rel, grid=grid) for rel in rels]
     return sorted(reports, key=lambda r: r.rel_id)
 
 
@@ -153,16 +171,22 @@ def _emit_json(path: str, payload: dict) -> None:
             fh.write(blob + "\n")
 
 
-def _print_report_lines(reports):
+def _text_stream(args):
+    """Where the human-readable lines go: stderr when the JSON report takes
+    stdout, so that stdout parses as JSON."""
+    return sys.stderr if args.json == "-" else sys.stdout
+
+
+def _print_report_lines(reports, out):
     for rep in reports:
         mark = "PASS" if rep.passed else "FAIL"
         extra = ""
         if rep.kind == "classical-limit" and rep.limit_fit:
             extra = f" order={_fmt(rep.limit_fit['order'])}"
         print(f"{mark} {rep.rel_id} kind={rep.kind} "
-              f"max_rel_err={_fmt(rep.max_rel_err)}{extra}")
+              f"max_rel_err={_fmt(rep.max_rel_err)}{extra}", file=out)
         for note in rep.notes:
-            print(f"     note: {note}")
+            print(f"     note: {note}", file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +258,16 @@ def cmd_verify(args) -> int:
         if not rels:
             raise CosetForgeError(f"no relation named {args.relation!r}")
         comms = []
-    reports = _run_relations(cat, rels, args, workers=args.workers)
+    reports = _run_relations(cat, rels, args)
     if not args.relation:
         reports += _run_commutators(cat, comms, args)
-    _print_report_lines(reports)
+    out = _text_stream(args)
+    _print_report_lines(reports, out)
     ok = all(r.passed for r in reports)
     if args.json:
         payload = _payload(params, hbars, reports)
         _emit_json(args.json, payload)
-    print(("all relations hold" if ok else "verification FAILED"))
+    print(("all relations hold" if ok else "verification FAILED"), file=out)
     return 0 if ok else 1
 
 
@@ -251,14 +276,16 @@ def cmd_poles(args) -> int:
     if not comms:
         raise CosetForgeError("no commutator_delta declaration in the file")
     reports = _run_commutators(cat, comms, args)
+    out = _text_stream(args)
     for rep in reports:
-        _print_report_lines([rep])
+        _print_report_lines([rep], out)
         for p in rep.poles:
-            print(f"  pole at w = {p['w_exact']}; numeric |err| = {_fmt(p['abs_err'])}")
+            print(f"  pole at w = {p['w_exact']}; numeric |err| = {_fmt(p['abs_err'])}",
+                  file=out)
         for r in rep.residue_ops:
             print(f"  residue at w = {r['pole_w']}: scalar {r['scalar_gr']} "
                   f"* hbar^{r['scalar_hbar_power']}, matches {r['matches']}, "
-                  f"derived shift {r['derived_u1_shift']}")
+                  f"derived shift {r['derived_u1_shift']}", file=out)
     ok = all(r.passed for r in reports)
     if args.json:
         _emit_json(args.json, _payload(params, hbars, reports))
@@ -276,7 +303,7 @@ def cmd_limit(args) -> int:
         pairs = [(r.left_pair[0], r.left_pair[1])
                  for r in rels if r.kind == "shape"]
     reports = _run_limits(cat, seq, pairs)
-    _print_report_lines(reports)
+    _print_report_lines(reports, _text_stream(args))
     ok = all(r.passed for r in reports)
     if args.json:
         _emit_json(args.json, _payload(params, seq, reports))
@@ -285,7 +312,7 @@ def cmd_limit(args) -> int:
 
 def cmd_report(args) -> int:
     df, params, cat, rels, comms, hbars = _bind_session(args)
-    reports = _run_relations(cat, rels, args, workers=args.workers)
+    reports = _run_relations(cat, rels, args)
     reports += _run_commutators(cat, comms, args)
     shape_pairs = [(r.left_pair[0], r.left_pair[1])
                    for r in rels if r.kind == "shape"]
@@ -338,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rotate", default=None,
                        choices=["none", "c-sector", "global"],
                        help="force a rotation mode on every relation")
-        p.add_argument("--workers", type=int, default=4)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility and ignored; relations "
+                            "run one after another")
 
     p = sub.add_parser("catalog", help="print the bound current catalog")
     common(p)

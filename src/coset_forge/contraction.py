@@ -69,7 +69,7 @@ class StructureFunction:
     """Product of integer powers of linear factors (iw + rho*hbar), Gamma
     factors, an optional exponential-linear term, and an exact constant."""
 
-    __slots__ = ("gammas", "linears", "const", "exp_linear")
+    __slots__ = ("gammas", "linears", "const", "exp_linear", "_plan")
 
     def __init__(self, gammas=None, linears=None, const=None, exp_linear=Fraction(0)):
         # gammas: {(scale GR, shift Fraction): int exponent}
@@ -78,6 +78,8 @@ class StructureFunction:
         self.linears: dict[GR, int] = dict(linears or {})
         self.const: ExactConst = const if const is not None else ExactConst.one()
         self.exp_linear = as_fraction(exp_linear)
+        # float lowering for the last hbar evaluated at (see _float_plan)
+        self._plan = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -187,18 +189,45 @@ class StructureFunction:
         return (self * other.inverse()).is_one()
 
     # -- evaluation ----------------------------------------------------------
-    def log_eval(self, w: complex, hbar: float) -> complex:
-        s = cmath.log(self.const.eval(hbar))
-        for (sc, a), e in self.gammas.items():
-            s += e * log_gamma(1j * w / (complex(sc) * hbar) + float(a))
-        for rho, e in self.linears.items():
-            s += e * cmath.log(1j * w + complex(rho) * hbar)
-        if self.exp_linear:
-            s += float(self.exp_linear) * 1j * w / hbar
+    def _float_plan(self, hbar: float) -> tuple:
+        """The exact data lowered to floats at one hbar, kept until the next
+        hbar: (hbar, log const, ((e, scale*hbar, shift), ...),
+        ((e, rho*hbar), ...), exp_linear).  Factors are only changed while a
+        function is being built (normalize), never after it is evaluated, so
+        the plan does not go stale."""
+        plan = self._plan
+        if plan is None or plan[0] != hbar:
+            plan = self._plan = (
+                hbar, cmath.log(self.const.eval(hbar)),
+                tuple((e, complex(sc) * hbar, float(a))
+                      for (sc, a), e in self.gammas.items()),
+                tuple((e, complex(rho) * hbar) for rho, e in self.linears.items()),
+                float(self.exp_linear))
+        return plan
+
+    def log_eval(self, w: complex, hbar: float, memo: dict | None = None) -> complex:
+        """log S(w) at hbar, with the float operations of a direct evaluation
+        in the same order.  A memo maps Gamma arguments to their log Gamma
+        values; any number of functions may share one, and the result is
+        bit-identical with or without it."""
+        _, s, gammas, linears, exp_linear = self._float_plan(hbar)
+        for e, d, a in gammas:
+            x = 1j * w / d + a
+            if memo is None:
+                s += e * log_gamma(x)
+                continue
+            lg = memo.get(x)
+            if lg is None:
+                lg = memo[x] = log_gamma(x)
+            s += e * lg
+        for e, r in linears:
+            s += e * cmath.log(1j * w + r)
+        if exp_linear:
+            s += exp_linear * 1j * w / hbar
         return s
 
-    def eval(self, w: complex, hbar: float) -> complex:
-        return cmath.exp(self.log_eval(w, hbar))
+    def eval(self, w: complex, hbar: float, memo: dict | None = None) -> complex:
+        return cmath.exp(self.log_eval(w, hbar, memo))
 
     # -- pole bookkeeping ----------------------------------------------------
     def rational_poles(self, hbar: float) -> list[tuple[complex, int]]:
@@ -207,23 +236,6 @@ class StructureFunction:
         for rho, e in self.normalize().linears.items():
             if e < 0:
                 out.append((1j * complex(rho) * hbar, -e))
-        return out
-
-    def gamma_poles_in_disk(self, hbar: float, radius: float) -> list[complex]:
-        out = []
-        for (sc, a), e in self.normalize().gammas.items():
-            if e <= 0:
-                continue
-            n = 0
-            while True:
-                w0 = 1j * (float(n) + float(a)) * complex(sc) * hbar
-                if abs(w0) > radius and n > 0:
-                    break
-                if abs(w0) <= radius:
-                    out.append(w0)
-                n += 1
-                if n > 10000:
-                    break
         return out
 
     def residue_at_simple_pole(self, rho0: GR) -> tuple[GR, int]:

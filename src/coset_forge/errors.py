@@ -64,6 +64,11 @@ class ExcludedLevel(CosetForgeError):
     pass
 
 
+class InvalidOption(CosetForgeError):
+    """A command-line value under which no relation could pass or the grid
+    would check nothing."""
+
+
 class NonConvergent(CosetForgeError):
     """Classical-limit fit did not reach the required convergence order."""
 

@@ -42,6 +42,15 @@ class GR:
             raise TypeError("build GR from exact values, not floats")
         return GR(as_fraction(x), Fraction(0))
 
+    def __hash__(self):
+        # computed once: GRs key the Gamma and linear-factor dicts and are
+        # hashed on every merge; equal to hash((re, im)) like the default
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.re, self.im))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __add__(self, other):
         o = GR.of(other)
         return GR(self.re + o.re, self.im + o.im)
@@ -58,7 +67,12 @@ class GR:
         return GR.of(other) + (-self)
 
     def __mul__(self, other):
-        o = GR.of(other)
+        o = other if type(other) is GR else GR.of(other)
+        # one side is 1 in most products of exact constants
+        if o.im == 0 and o.re == 1:
+            return self
+        if self.im == 0 and self.re == 1:
+            return o
         return GR(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__

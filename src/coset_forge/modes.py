@@ -162,10 +162,14 @@ class ExpTrigTerm:
         object.__setattr__(self, "spectral_shift", as_fraction(self.spectral_shift))
         object.__setattr__(self, "sinh_factors", factors)
 
-    def validate_grammar(self) -> None:
-        for _, e in self.sinh_factors:
-            if e not in (-2, -1, 1, 2):
-                raise ValueError(f"sinh exponent {e} outside grammar range")
+    def __hash__(self):
+        # computed once: terms key the closed-form cache of a catalog
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.coeff, self.hbar_power, self.shift,
+                      self.spectral_shift, self.sinh_factors))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def tilt(self) -> Fraction:
         """Net exponential tilt (shift + spectral shift), in hbar*t units."""

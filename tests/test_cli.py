@@ -5,6 +5,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from coset_forge import algebra, cli
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -138,3 +142,61 @@ def test_verify_level_one_fifth_exits_zero():
         out = run_cli("verify", "--k", "1/5", "--hbar", hbar)
         assert out.returncode == 0, out.stdout + out.stderr
         assert "all relations hold" in out.stdout
+
+
+def test_workers_flag_runs_one_derivation_per_cache_key(monkeypatch, capsys):
+    # --workers is a no-op: relations run in turn, so no two of them derive
+    # the same closed form concurrently
+    calls, keys = [], set()
+    closed_form = algebra.closed_form
+    lookup = algebra.Catalog._single_pair_closed
+
+    def counting_closed_form(*args):
+        calls.append(1)
+        return closed_form(*args)
+
+    def recording_lookup(self, fam, tf, tg):
+        keys.add((id(self), fam, tf, tg))
+        return lookup(self, fam, tf, tg)
+
+    monkeypatch.setattr(algebra, "closed_form", counting_closed_form)
+    monkeypatch.setattr(algebra.Catalog, "_single_pair_closed", recording_lookup)
+    assert cli.run(["verify", "--k", "2/7", "--workers", "4"]) == 0
+    assert "all relations hold" in capsys.readouterr().out
+    assert keys and len(calls) == len(keys)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol=-1e-8"], ["--tol", "nan"],
+    ["--grid-n", "0"], ["--grid-n", "-3"],
+    ["--grid-range", "0,0"], ["--grid-range", "0,5"], ["--grid-range=-1,2"],
+    ["--grid-range", "5,1"], ["--grid-range", "nan,1"], ["--grid-range", "1,inf"],
+])
+def test_numeric_flags_that_check_nothing_are_rejected(flags, capsys):
+    assert cli.run(["verify", *flags, "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"]["kind"] == "InvalidOption"
+    assert "all relations hold" not in out + err
+    assert err.startswith("error: " + flags[0].split("=")[0])
+
+
+def test_tol_zero_is_honoured(capsys):
+    # C_p_C_p agrees to ~1e-14 on the grid, E_E exactly
+    assert cli.run(["verify", "--relation", "C_p_C_p"]) == 0
+    assert cli.run(["verify", "--relation", "C_p_C_p", "--tol", "0"]) == 1
+    assert "FAIL C_p_C_p" in capsys.readouterr().out
+    assert cli.run(["verify", "--relation", "E_E", "--tol", "0"]) == 0
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["verify"], "all relations hold"),
+    (["poles"], "residue at"),
+    (["limit"], "PASS limit[psi,psi"),
+])
+def test_json_to_stdout_keeps_stdout_pure(argv, line, capsys):
+    assert cli.run([*argv, "--json", "-"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert line in err and line not in out

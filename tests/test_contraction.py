@@ -1,17 +1,23 @@
 """Contraction integrals: quadrature vs exact closed forms, exchange factors."""
 
 import cmath
+import importlib.resources
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coset_forge.algebra import Catalog, verify_relation
 from coset_forge.contraction import (StructureFunction, closed_form, contract,
                                      exchange_factor, quad_eval)
+from coset_forge.dsl import parse_definitions
 from coset_forge.errors import (DivergenceMismatch, IllPosedContraction,
-                                NonTelescoping, OutsideConvergenceStrip)
-from coset_forge.exact import GR
+                                NonTelescoping, OutsideConvergenceStrip,
+                                PoleAtNonPositiveInteger)
+from coset_forge.exact import GR, ExactConst
 from coset_forge.modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
+from coset_forge.specfun import log_gamma
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -310,3 +316,93 @@ def test_structure_function_negate_and_rotate():
     assert rr.symbolic_eq(neg)
     # involution on identity
     assert StructureFunction.one().wick_rotate().is_one()
+
+
+# ---------------------------------------------------------------------------
+# float plans and the log Gamma memo
+
+def _reference_log_eval(sf, w, hbar):
+    """The direct evaluation from the exact data, kept here as the oracle for
+    the float plan: same operations in the same order."""
+    s = cmath.log(sf.const.eval(hbar))
+    for (sc, a), e in sf.gammas.items():
+        s += e * log_gamma(1j * w / (complex(sc) * hbar) + float(a))
+    for rho, e in sf.linears.items():
+        s += e * cmath.log(1j * w + complex(rho) * hbar)
+    if sf.exp_linear:
+        s += float(sf.exp_linear) * 1j * w / hbar
+    return s
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the same failure must surface on both routes
+        return type(exc)
+
+
+def _same(a, b):
+    if isinstance(a, complex) and isinstance(b, complex):
+        return a == b or (cmath.isnan(a) and cmath.isnan(b))
+    return a == b
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_scales = st.builds(GR, _small, _small).filter(bool)
+_units = st.sampled_from([GR.of(2), GR.of(Fraction(1, 3)), GR(Fraction(0), Fraction(2)),
+                          GR(Fraction(0), Fraction(-1, 2)), GR.of(-5)])
+_consts = st.builds(
+    lambda g, base, e: ExactConst.one().times_gr(g).times_base(base, 1, e),
+    _scales, _units, _small)
+_functions = st.builds(
+    StructureFunction,
+    st.dictionaries(st.tuples(_scales, _small), st.integers(-3, 3), max_size=5),
+    st.dictionaries(_scales, st.integers(-2, 2), max_size=3),
+    _consts, _small)
+_points = st.builds(complex, st.floats(-6, 6), st.floats(-6, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_functions, min_size=1, max_size=3),
+       st.lists(_points, min_size=1, max_size=4), st.sampled_from([1.0, 0.5]))
+def test_float_plan_and_memo_bit_identical_to_direct_evaluation(sfs, points, hbar):
+    memo = {}
+    sfs = sfs + [sfs[0] * sfs[-1]]  # shares Gamma arguments with the others
+    for w in points + [-w for w in points] + [w.conjugate() for w in points]:
+        for sf in sfs:
+            ref = _outcome(lambda: _reference_log_eval(sf, w, hbar))
+            assert _same(_outcome(lambda: sf.log_eval(w, hbar)), ref)
+            for _ in range(2):  # a miss that fills the memo, then a hit
+                assert _same(_outcome(lambda: sf.log_eval(w, hbar, memo)), ref)
+            if isinstance(ref, complex):
+                assert _same(_outcome(lambda: sf.eval(w, hbar, memo)),
+                             _outcome(lambda: cmath.exp(ref)))
+    # the plan follows a change of hbar
+    sf = sfs[0]
+    other = 1.5 - hbar
+    w = points[0]
+    assert _same(_outcome(lambda: sf.log_eval(w, other, memo)),
+                 _outcome(lambda: _reference_log_eval(sf, w, other)))
+
+
+def test_gamma_pole_raises_and_is_not_memoised():
+    sf = StructureFunction.from_gamma(2, -1, 1)     # Gamma(iw/(2h) - 1)
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(PoleAtNonPositiveInteger):
+            sf.eval(0.0, 1.0, memo)
+    assert memo == {}
+    w = 0.3 - 1.1j
+    assert sf.eval(w, 1.0, memo) == sf.eval(w, 1.0)
+    assert list(memo) == [1j * w / (2 + 0j) - 1.0]
+
+
+def test_fresh_catalog_starts_with_empty_memo():
+    text = (importlib.resources.files("coset_forge") / "data" / "paper.alg").read_text()
+    _, cat, rels, _, _ = parse_definitions(text).bind(Fraction(2), [Fraction(1)])
+    assert cat._lg_memo == {}
+    rep = verify_relation(cat, next(r for r in rels if r.rel_id == "C_p_C_p"))
+    assert rep.passed and cat._lg_memo
+    _, again, _, _, _ = parse_definitions(text).bind(Fraction(2), [Fraction(1)])
+    assert again._lg_memo == {}
+    assert Catalog(P1)._lg_memo == {}

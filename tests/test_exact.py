@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coset_forge.errors import NonCyclotomicDenominator
 from coset_forge.exact import (GR, GR_I, GR_ONE, ExactConst, KRat, LaurentPoly,
                                LaurentRational, _poly_divmod, poly_gcd)
+from coset_forge.modes import ExpTrigTerm
 
 
 def test_gr_field_ops():
@@ -198,3 +199,44 @@ def test_non_cyclotomic_denominator_raises(keys, root):
     # 2z + 1 is z + 1/2 up to a unit: not monic over the Gaussian integers
     with pytest.raises(NonCyclotomicDenominator):
         LaurentRational(LaurentPoly.one(), LaurentPoly({1: GR.of(2), 0: GR_ONE}) * den)
+
+
+# ---------------------------------------------------------------------------
+# cached hashes and the multiplicative identity
+
+@settings(max_examples=60, deadline=None)
+@given(_fractions, _fractions)
+def test_gr_hash_is_the_hash_of_its_components(a, b):
+    g = GR(a, b)
+    assert hash(g) == hash((a, b))
+    assert hash(g) == hash(g)               # the cached value
+    assert hash(GR(a, b)) == hash(g) and GR(a, b) == g
+    assert {g: 1}[GR(a, b)] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fractions, _fractions, _fractions, _fractions)
+def test_gr_product_with_one_returns_the_other_operand(a, b, c, d):
+    g, h = GR(a, b), GR(c, d)
+    assert g * GR_ONE is g and g * GR(Fraction(1)) is g
+    assert GR_ONE * g == g and GR.of(1) * g == g
+    if g != GR_ONE:
+        assert GR_ONE * g is g and GR.of(1) * g is g
+    assert g * h == GR(a * c - b * d, a * d + b * c)
+    assert g * 3 == GR(3 * a, 3 * b) and 3 * g == g * 3
+
+
+def test_exp_trig_term_hash_equal_for_equal_terms():
+    half = Fraction(1, 2)
+    # a negative slope with odd exponent moves its sign into the coefficient;
+    # repeated slopes merge
+    a = ExpTrigTerm(GR.of(-1), 1, half, 0, ((-half, 1), (Fraction(1), -1)))
+    b = ExpTrigTerm(GR.of(1), 1, "1/2", Fraction(0), ((Fraction(1), -1), (half, 1)))
+    c = ExpTrigTerm(GR.of(2), 1, 0, 0, ((half, 1), (half, 1)))
+    d = ExpTrigTerm(GR(Fraction(2)), 1, Fraction(0), 0, ((half, 2),))
+    for x, y in ((a, b), (c, d)):
+        assert x == y and x is not y
+        assert hash(x) == hash(y)
+        assert hash(x) == hash((x.coeff, x.hbar_power, x.shift,
+                                x.spectral_shift, x.sinh_factors))
+    assert len({a: 0, b: 1, c: 2, d: 3}) == 2
