@@ -20,11 +20,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .contraction import StructureFunction, closed_form, contract, quad_eval
-from .errors import (DivergenceMismatch, ExcludedLevel, NonConvergent,
-                     NonTelescoping,
+from .errors import (CosetForgeError, DivergenceMismatch, ExcludedLevel,
+                     NonConvergent, NonTelescoping,
                      ResidueMismatch, UnexpectedPole)
 from .exact import GR, GR_I, GR_ONE, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
@@ -362,20 +360,28 @@ def default_grid(params: AlgebraParams, n: int = 25,
     return pts
 
 
-def _grid_residual(lhs: StructureFunction, rhs: StructureFunction,
-                   grid: list[complex], hbar: float,
-                   memo: dict) -> tuple[list[float], float]:
-    res = []
-    for w in grid:
-        try:
-            a = lhs.eval(w, hbar, memo)
-            b = rhs.eval(w, hbar, memo)
-        except Exception:
-            res.append(float("nan"))
-            continue
-        res.append(abs(a - b) / max(abs(b), 1e-300))
-    finite = [r for r in res if not math.isnan(r)]
-    return res, (max(finite) if finite else float("nan"))
+def _grid_check(factors: list[StructureFunction], target: StructureFunction,
+                grid: list[complex], hbar: float, memo: dict
+                ) -> tuple[list[float], float, int]:
+    """Worst |sf - target| / |target| over `factors` at each grid point, the
+    largest finite one, and the number of points where some factor or the
+    target failed to evaluate.  A failed point stays NaN in the per-point
+    list and is counted, so it cannot drop out of the maximum unnoticed."""
+    worst_at = [0.0] * len(grid)
+    for sf in factors:
+        for j, w in enumerate(grid):
+            try:
+                a = sf.eval(w, hbar, memo)
+                b = target.eval(w, hbar, memo)
+            except (CosetForgeError, ArithmeticError, ValueError):
+                worst_at[j] = float("nan")
+                continue
+            r = abs(a - b) / max(abs(b), 1e-300)
+            if r > worst_at[j]:     # False once the point is NaN
+                worst_at[j] = r
+    failed = sum(1 for r in worst_at if math.isnan(r))
+    worst = max((r for r in worst_at if not math.isnan(r)), default=0.0)
+    return worst_at, worst, failed
 
 
 def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = None,
@@ -409,30 +415,22 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
         report.expected_factor = target.normalize().describe()
         report.derived_factor = factors[0].describe()
         sym = all((sf * target.inverse()).normalize().is_one() for sf in factors)
-        residuals, worst = [], 0.0
-        for sf in factors:
-            res, mx = _grid_residual(sf, target, grid, hbar, cat._lg_memo)
-            residuals = res if not residuals else [max(x, y) for x, y in zip(residuals, res)]
-            worst = max(worst, mx)
+        residuals, worst, failed = _grid_check(factors, target, grid, hbar,
+                                               cat._lg_memo)
         report.symbolic_pass = sym
         report.residuals = residuals
         report.max_rel_err = worst
-        report.passed = sym and worst <= tol
+        report.passed = sym and worst <= tol and not failed
     elif rel.kind == "shape":
         base = factors[0]
         report.derived_factor = base.describe()
         sym = all((sf * base.inverse()).normalize().is_one() for sf in factors[1:])
-        residuals, worst = [], 0.0
-        for sf in factors[1:]:
-            res, mx = _grid_residual(sf, base, grid, hbar, cat._lg_memo)
-            residuals = res if not residuals else [max(x, y) for x, y in zip(residuals, res)]
-            worst = max(worst, mx)
-        if not residuals:
-            residuals = [0.0 for _ in grid]
+        residuals, worst, failed = _grid_check(factors[1:], base, grid, hbar,
+                                               cat._lg_memo)
         report.symbolic_pass = sym
         report.residuals = residuals
         report.max_rel_err = worst
-        report.passed = sym and worst <= tol
+        report.passed = sym and worst <= tol and not failed
         if rel.right_factor is not None and not rel.right_factor.is_one():
             ok = (base * rel.right_factor.inverse()).normalize().is_one()
             report.expected_factor = rel.right_factor.describe()
@@ -441,6 +439,8 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
                 report.notes.append("derived shared factor differs from declared one")
     else:
         raise ValueError(f"verify_relation cannot handle kind {rel.kind!r}")
+    if failed:
+        report.notes.append(f"{failed} of {len(grid)} grid points failed to evaluate")
     return report
 
 
@@ -773,6 +773,7 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
         report.passed = True
         report.notes.append("factor already at its classical value; order fit skipped")
         return report
+    import numpy as np  # here, not at module level: only this fit needs it
     xs = np.log([float(h) for h in hbar_sequence])
     ys = np.log([max(e, 1e-300) for e in errs])
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -8,7 +8,8 @@
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
 ``--workers`` is accepted and ignored: relations run one after another.
 With ``--json -`` the report is the only thing written to stdout; the
-human-readable lines go to stderr.
+human-readable lines go to stderr.  ``catalog`` writes no report and
+rejects ``--json``.
 JSON reports are deterministic: keys sorted, every float rendered with 17
 significant digits (lowercase exponent) as a decimal string, grids built
 from fixed rules rather than random draws.
@@ -62,7 +63,7 @@ def _check_numeric_flags(args) -> None:
     if args.grid_n < 1:
         raise InvalidOption(f"--grid-n must be at least 1, got {args.grid_n}")
     if args.grid_range:
-        lo, hi = _parse_grid_range(args.grid_range)
+        lo, hi = _parse_two_floats("--grid-range", args.grid_range)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
             raise InvalidOption(
                 f"--grid-range bounds must be finite and positive, got {args.grid_range}")
@@ -71,9 +72,30 @@ def _check_numeric_flags(args) -> None:
                 f"--grid-range lower bound exceeds upper bound: {args.grid_range}")
 
 
-def _parse_grid_range(text: str) -> tuple[float, float]:
-    lo, hi = (float(x) for x in text.split(","))
-    return lo, hi
+def _parse_two_floats(flag: str, text: str) -> tuple[float, float]:
+    try:
+        a, b = (float(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidOption(
+            f"{flag} must be two comma-separated numbers, got {text!r}") from None
+    return a, b
+
+
+def _parse_at(text: str) -> complex:
+    re, im = _parse_two_floats("--at", text)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise InvalidOption(f"--at must be finite, got {text}")
+    return complex(re, im)
+
+
+def _parse_pair(text: str, currents) -> tuple[str, str]:
+    names = [x.strip() for x in text.split(",")]
+    if len(names) != 2 or not all(names):
+        raise InvalidOption(f"--pair must be two current names A,B, got {text!r}")
+    unknown = [n for n in names if n not in currents]
+    if unknown:
+        raise InvalidOption(f"--pair names unknown currents: {', '.join(unknown)}")
+    return names[0], names[1]
 
 
 def _bind_session(args):
@@ -95,7 +117,7 @@ def _bind_session(args):
 def _session_grid(args, params, avoid=None):
     lo, hi = 0.1, 10.0
     if args.grid_range:
-        lo, hi = _parse_grid_range(args.grid_range)
+        lo, hi = _parse_two_floats("--grid-range", args.grid_range)
     return default_grid(params, n=args.grid_n, lo=lo, hi=hi, avoid=avoid)
 
 
@@ -193,6 +215,8 @@ def _print_report_lines(reports, out):
 # subcommands
 
 def cmd_catalog(args) -> int:
+    if args.json:
+        raise InvalidOption("--json: catalog writes no JSON report")
     df, params, cat, rels, comms, hbars = _bind_session(args)
     print(f"level k = {params.k}, hbar = {', '.join(str(h) for h in hbars)}")
     for name in sorted(cat.currents):
@@ -213,19 +237,16 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_contract(args) -> int:
+    w = _parse_at(args.at) if args.at else None
     df, params, cat, rels, comms, hbars = _bind_session(args)
     a, b = args.currents
     if a not in cat.currents or b not in cat.currents:
         raise CosetForgeError(f"unknown currents {a!r}, {b!r}")
-    if args.at:
-        re, im = (float(x) for x in args.at.split(","))
-        w = complex(re, im)
-    else:
-        w = None
     ca, cb = cat[a], cat[b]
     if len(ca.terms) != 1 or len(cb.terms) != 1:
         raise CosetForgeError("contract expects primitive currents")
-    printed = False
+    out = _text_stream(args)
+    families = []
     for fam in cat.kernels:
         fa = ca.terms[0].exponents.get(fam)
         fb = cb.terms[0].exponents.get(fam)
@@ -233,21 +254,33 @@ def cmd_contract(args) -> int:
             continue
         I = contract(fa, fb, cat.kernels[fam], params)
         if I.is_zero():
-            print(f"family {fam}: zero contraction")
+            print(f"family {fam}: zero contraction", file=out)
+            families.append({"family": fam, "zero": True})
             continue
         sf = closed_form(I, params)
         bound = I.strip_bound(params.hbar_float)
         wv = w if w is not None else complex(0.7, -(max(bound, 0.0) + 1.0))
-        q = quad_eval(I, wv, params)
-        c = sf.log_eval(wv, params.hbar_float)
-        print(f"family {fam}: strip Im w < {_fmt(-bound)}; at w = {wv}")
-        print(f"  log divergence coeff a = {I.log_divergence_coeff}")
-        print(f"  quadrature   exp(I) = {cmath.exp(q)}")
-        print(f"  closed form  value  = {cmath.exp(c)}")
-        print(f"  closed form  = {sf.describe()}")
-        printed = True
-    if not printed:
-        print("currents share no kernel family; all contractions vanish")
+        q = cmath.exp(quad_eval(I, wv, params))
+        c = cmath.exp(sf.log_eval(wv, params.hbar_float))
+        print(f"family {fam}: strip Im w < {_fmt(-bound)}; at w = {wv}", file=out)
+        print(f"  log divergence coeff a = {I.log_divergence_coeff}", file=out)
+        print(f"  quadrature   exp(I) = {q}", file=out)
+        print(f"  closed form  value  = {c}", file=out)
+        desc = sf.describe()
+        print(f"  closed form  = {desc}", file=out)
+        families.append({
+            "family": fam, "zero": False, "strip_im_w_below": _fmt(-bound),
+            "w": _fmt_c(wv), "log_divergence_coeff": str(I.log_divergence_coeff),
+            "quadrature": _fmt_c(q), "closed_form_value": _fmt_c(c),
+            "closed_form": desc})
+    if all(f["zero"] for f in families):
+        print("currents share no kernel family; all contractions vanish", file=out)
+    if args.json:
+        _emit_json(args.json, {
+            "schema_version": SCHEMA_VERSION,
+            "params": {"k": str(params.k), "hbar": [str(params.hbar)]},
+            "currents": [a, b],
+            "families": families})
     return 0
 
 
@@ -297,8 +330,7 @@ def cmd_limit(args) -> int:
     seq = (_parse_fraction_list(args.hbar) if args.hbar
            else [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)])
     if args.pair:
-        a, b = args.pair.split(",")
-        pairs = [(a.strip(), b.strip())]
+        pairs = [_parse_pair(args.pair, cat.currents)]
     else:
         pairs = [(r.left_pair[0], r.left_pair[1])
                  for r in rels if r.kind == "shape"]

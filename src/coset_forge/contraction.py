@@ -33,14 +33,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, GR_ZERO, ExactConst, LaurentRational,
                     as_fraction)
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, _lcm
 from .specfun import log_gamma
+
+# numpy is imported inside quad_eval and _IntegrandEvaluator, its only users
+# here: its import is about half of start-up, and the verify path never runs
+# quadrature.
 
 __all__ = [
     "GammaFactor", "StructureFunction", "ContractionIntegrand",
@@ -323,6 +325,7 @@ class _IntegrandEvaluator:
     SERIES_ORDER = 10
 
     def __init__(self, I: ContractionIntegrand, hbar: float):
+        import numpy as np
         self.hbar = hbar
         self.a = float(I.log_divergence_coeff)
         self.eta = hbar / (2.0 * I.lattice)
@@ -343,6 +346,7 @@ class _IntegrandEvaluator:
         return m * self.eta
 
     def __call__(self, t: np.ndarray, w: complex) -> np.ndarray:
+        import numpy as np
         t = np.asarray(t, dtype=float)
         small = t * (abs(w) + self.scale_hint() + 1.0) < 0.01
         out = np.empty(t.shape, dtype=complex)
@@ -360,6 +364,7 @@ class _IntegrandEvaluator:
 
     def _series_eval(self, t: np.ndarray, w: complex) -> np.ndarray:
         # h(t) = [R(zeta(t)) e^{-iwt} - a e^{-t}]/t as an exact-coefficient series
+        import numpy as np
         n = self.SERIES_ORDER
         g = [complex(c) * self.eta ** r for r, c in enumerate(self.series)]
         coeffs = np.zeros(n + 1, dtype=complex)
@@ -440,6 +445,7 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams,
 
     Requires w inside the absolute-convergence strip Im w < -sigma*hbar.
     """
+    import numpy as np
     if I.is_zero():
         return 0.0
     hbar = params.hbar_float

@@ -200,3 +200,61 @@ def test_json_to_stdout_keeps_stdout_pure(argv, line, capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert line in err and line not in out
+
+
+def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
+    dest = tmp_path / "contract.json"
+    argv = ["contract", "Lambda_plus", "Lambda_minus", "--at", "0,-5"]
+    assert cli.run(argv) == 0
+    text = capsys.readouterr().out
+    assert cli.run([*argv, "--json", str(dest)]) == 0
+    assert capsys.readouterr().out == text
+    payload = json.loads(dest.read_text())
+    assert payload["schema_version"] == "1"
+    assert payload["params"] == {"k": "2", "hbar": ["1"]}
+    assert payload["currents"] == ["Lambda_plus", "Lambda_minus"]
+    [row] = payload["families"]
+    assert row["family"] == "lhat" and row["zero"] is False
+    assert row["strip_im_w_below"] == "-2"
+    assert row["w"] == {"re": "0", "im": "-5"}
+    assert row["log_divergence_coeff"] == "0"
+    q, c = (complex(float(row[key]["re"]), float(row[key]["im"]))
+            for key in ("quadrature", "closed_form_value"))
+    assert abs(q - c) < 1e-12 * abs(c)
+    assert row["closed_form"] in text
+
+
+def test_contract_json_to_stdout_keeps_stdout_pure(capsys):
+    assert cli.run(["contract", "H_plus", "C_plus", "--json", "-"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert [r["family"] for r in payload["families"]] == ["chat"]
+    assert "family chat:" in err and "quadrature" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--json", "-"],
+    ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--at", "nan,-5"],
+    ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--at", "0,inf"],
+    ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--at", "1"],
+    ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--at", "1,2,3"],
+    ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--at", "a,b"],
+    ["limit", "--json", "-", "--pair", "psi"],
+    ["limit", "--json", "-", "--pair", "psi,"],
+    ["limit", "--json", "-", "--pair", "psi,nope"],
+    ["verify", "--json", "-", "--grid-range", "1"],
+])
+def test_malformed_option_values_are_rejected(argv, capsys):
+    # the offending flag is the second-last argument; the error names it
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["kind"] == "InvalidOption"
+    assert err.startswith("error: " + argv[-2])
+
+
+def test_catalog_json_path_is_rejected(tmp_path):
+    dest = tmp_path / "catalog.json"
+    out = run_cli("catalog", "--json", str(dest))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert json.loads(dest.read_text())["error"]["kind"] == "InvalidOption"

@@ -406,3 +406,19 @@ def test_fresh_catalog_starts_with_empty_memo():
     _, again, _, _, _ = parse_definitions(text).bind(Fraction(2), [Fraction(1)])
     assert again._lg_memo == {}
     assert Catalog(P1)._lg_memo == {}
+
+
+def test_grid_point_on_gamma_pole_fails_the_relation():
+    # at k = 3, C_p_C_p carries Gamma(iw/(3h) + 1/3) and Gamma(iw/(3h) + 2/3):
+    # w = 4i and w = 5i put their arguments exactly on -1
+    text = (importlib.resources.files("coset_forge") / "data" / "paper.alg").read_text()
+    _, cat, rels, _, _ = parse_definitions(text).bind(Fraction(3), [Fraction(1)])
+    grid = [0.5 + 0.5j, 4j, 5j, 1.5 - 0.2j]
+    for rel_id in ("C_p_C_p", "psi_psi"):       # exchange, shape
+        rel = next(r for r in rels if r.rel_id == rel_id)
+        rep = verify_relation(cat, rel, grid=grid)
+        assert rep.symbolic_pass and not rep.passed
+        assert [math.isnan(r) for r in rep.residuals] == [False, True, True, False]
+        assert rep.max_rel_err < 1e-12
+        assert rep.notes[-1] == "2 of 4 grid points failed to evaluate"
+        assert verify_relation(cat, rel, grid=grid[::3]).passed

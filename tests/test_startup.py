@@ -1,0 +1,59 @@
+"""Start-up cost: numpy is imported only by the commands that use it."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+VERIFY_WITHOUT_NUMPY = """\
+import importlib.resources, sys
+from fractions import Fraction
+import coset_forge.cli as cli
+from coset_forge.dsl import parse_definitions
+text = (importlib.resources.files("coset_forge") / "data" / "paper.alg").read_text()
+parse_definitions(text).bind(Fraction(2), [Fraction(1)])
+assert "numpy" not in sys.modules, "numpy imported by import and bind"
+assert cli.run(["verify", "--k", "2", "--hbar", "1", "--json", sys.argv[1]]) == 0
+assert "numpy" not in sys.modules, "numpy imported by verify"
+"""
+
+CONTRACT_WITH_NUMPY = """\
+import sys
+import coset_forge.cli as cli
+rc = cli.run(["contract", "Lambda_plus", "Lambda_minus", "--k", "2",
+              "--hbar", "1", "--at", "0,-5"])
+assert rc == 0, rc
+assert "numpy" in sys.modules, "quadrature ran without numpy"
+"""
+
+
+def _python(script, *args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+
+
+def test_verify_never_imports_numpy(tmp_path):
+    out = _python(VERIFY_WITHOUT_NUMPY, str(tmp_path / "report.json"))
+    assert out.returncode == 0, out.stderr
+    assert "all relations hold" in out.stdout
+    assert (tmp_path / "report.json").read_text().startswith("{")
+
+
+def test_contract_imports_numpy_and_keeps_its_output():
+    out = _python(CONTRACT_WITH_NUMPY)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:2] == [
+        "family lhat: strip Im w < -2; at w = -5j",
+        "  log divergence coeff a = 0"]
+    # the last digit of a quadrature sum may differ between numpy builds
+    label, value = lines[2].split(" = ")
+    assert label == "  quadrature   exp(I)"
+    assert abs(complex(value) - 0.9114583333333333) < 1e-14
+    assert lines[3:] == [
+        "  closed form  value  = (0.9114583333333334+0j)",
+        "  closed form  = (iw+-1h)^-2 * (iw+-2h)^1 * (iw+0h)^2 * (iw+1h)^-2 "
+        "* (iw+2h)^1"]
