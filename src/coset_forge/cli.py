@@ -10,7 +10,8 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report and
 rejects ``--json``.
-JSON reports are deterministic: keys sorted, every float rendered with 17
+JSON reports are deterministic: the bytes of json.dumps(payload,
+sort_keys=True, indent=1) plus a newline, every float rendered with 17
 significant digits (lowercase exponent) as a decimal string, grids built
 from fixed rules rather than random draws.
 """
@@ -20,10 +21,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import importlib.resources
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (ClassicalBraid, VerificationReport,
                       classical_limit, default_grid, ef_commutator_analysis,
@@ -184,8 +185,73 @@ def _run_limits(cat, hbars_seq, pairs) -> list[VerificationReport]:
     return out
 
 
+def _to_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1), byte for byte.
+
+    An indent sends the stdlib to its pure-Python encoder; this walk does
+    the same work in fewer calls, emitting a string leaf together with its
+    key.  Dict keys must be strings."""
+    chunks: list[str] = []
+    _write_json(obj, chunks.append, "\n")
+    return "".join(chunks)
+
+
+def _write_json(obj, emit, nl: str) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = nl + " "
+        sep, lead = "," + inner, "{" + inner
+        for key in sorted(obj):
+            value = obj[key]
+            if type(value) is str:
+                emit(f"{lead}{_quote(key)}: {_quote(value)}")
+            else:
+                emit(f"{lead}{_quote(key)}: ")
+                _write_json(value, emit, inner)
+            lead = sep
+        emit(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = nl + " "
+        sep, lead = "," + inner, "[" + inner
+        for value in obj:
+            if type(value) is str:
+                emit(lead + _quote(value))
+            else:
+                emit(lead)
+                _write_json(value, emit, inner)
+            lead = sep
+        emit(nl + "]")
+    elif isinstance(obj, str):
+        emit(_quote(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            emit("NaN")
+        elif obj == math.inf:
+            emit("Infinity")
+        elif obj == -math.inf:
+            emit("-Infinity")
+        else:
+            emit(float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
+
+
 def _emit_json(path: str, payload: dict) -> None:
-    blob = json.dumps(payload, sort_keys=True, indent=1)
+    blob = _to_json(payload)
     if path == "-":
         sys.stdout.write(blob + "\n")
     else:
@@ -359,11 +425,9 @@ def cmd_report(args) -> int:
 def _payload(params, hbars, reports) -> dict:
     rel_dicts = [_report_to_dict(r) for r in
                  sorted(reports, key=lambda r: (r.kind, r.rel_id))]
-    flat = []
-    for r in sorted(reports, key=lambda r: (r.kind, r.rel_id)):
-        for w, res in zip(r.grid, r.residuals):
-            flat.append({"relation": r.rel_id, "w": _fmt_c(w),
-                         "residual": _fmt(res)})
+    # the flat list shares the grid points and residuals formatted above
+    flat = [{"relation": d["id"], "w": w, "residual": res}
+            for d in rel_dicts for w, res in zip(d["grid"], d["residuals"])]
     return {
         "schema_version": SCHEMA_VERSION,
         "params": {"k": str(params.k),

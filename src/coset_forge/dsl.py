@@ -15,13 +15,16 @@ render() and reparsing gives an equal DefinitionFile.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Catalog, Current, NormalOrderedTerm, Relation
 from .contraction import StructureFunction
 from .errors import DuplicateName, ParseError, UndeclaredName
-from .exact import GR, GR_I, KRat
+from .exact import GR, GR_I, GR_ONE, ExactConst, KRat
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, shift_argument
 
 __all__ = ["parse_definitions", "DefinitionFile"]
@@ -32,12 +35,24 @@ _KEYWORDS = {
     "exp", "sinh", "Gamma", "iw", "w", "x", "with", "rotate", "tol", "shape",
     "poles", "residues", "rotate_sector",
 }
-_PUNCT = ("==", "^", "@", "{", "}", "(", ")", "=", ";", ":", ",", "*", "/",
-          "+", "-")
+
+# One token per match, after optional blanks; the most frequent kinds come
+# first.  The grammar is ASCII: any other character, a non-ASCII digit or
+# letter included, lands in the last group and is rejected with its
+# position.  A float has a fraction part ("2." counts) or an exponent; "1e"
+# is the number 1 followed by the name e.
+_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
+      (==|[\^@{}()=;:,*/+\-])                                  # 1 punct
+    | ([A-Za-z_][A-Za-z0-9_]*)                                 # 2 name
+    | ([0-9]+(?:\.[0-9]*(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))  # 3 float
+    | ([0-9]+)                                                 # 4 number
+    | (\#.*)                                                   # 5 comment
+    | ([^ \t\r]))                                              # 6 error
+    """, re.VERBOSE)
+_KIND = (None, "punct", None, "float", "number")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # "ident", "keyword", "number", "float", "punct", "eof"
     text: str
     line: int
@@ -46,71 +61,85 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("==", i):
-            toks.append(Token("punct", "==", line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            isfloat = False
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                isfloat = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE" and (
-                    j + 1 < n and (text[j + 1].isdigit()
-                                   or (text[j + 1] in "+-" and j + 2 < n
-                                       and text[j + 2].isdigit()))):
-                isfloat = True
-                j += 1
-                if text[j] in "+-":
-                    j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            word = text[i:j]
-            toks.append(Token("float" if isfloat else "number", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c in "^@{}()=;:,*/+-":
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, {"token"}, c)
-    toks.append(Token("eof", "", line, col))
+    append = toks.append
+    new = tuple.__new__     # a Token without the Python-level constructor
+    for line, src in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(src):
+            g = m.lastindex
+            word = m.group(g)
+            if g == 2:
+                kind = "keyword" if word in _KEYWORDS else "ident"
+            elif g == 5:
+                break
+            elif g == 6:
+                raise ParseError(line, m.start(g) + 1, {"token"}, word)
+            else:
+                kind = _KIND[g]
+            append(new(Token, (kind, word, line, m.start(g) + 1)))
+    # the end sits after the last line, short of a trailing comment
+    hash_at = src.find("#")
+    append(Token("eof", "", line, (len(src) if hash_at < 0 else hash_at) + 1))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# k-expression values
+
+# A k-expression stays a Fraction while it is constant, as most are, and
+# becomes a KRat once it involves k: constants fold with Fraction arithmetic
+# alone, and binding a constant costs nothing.
+KVal = Fraction | KRat
+
+_ARITH = {"+": operator.add, "-": operator.sub,
+          "*": operator.mul, "/": operator.truediv}
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_I = GR(_ZERO, Fraction(-1))
+_K = KRat.k()   # shared: KRat arithmetic never changes its operands
+
+
+def _lift(x: KVal) -> KRat:
+    return x if isinstance(x, KRat) else KRat.const(x)
+
+
+def _kop(op, a: KVal, b: KVal) -> KVal:
+    """a op b.  A KRat meets a constant by scaling or shifting its numerator
+    rather than by a product of coefficient dicts."""
+    if isinstance(a, Fraction):
+        if isinstance(b, Fraction):
+            return op(a, b)
+        if op is operator.add:
+            return _shift(b, a)
+        if op is operator.sub:
+            return _shift(-b, a)
+        if op is operator.mul:
+            return _scale(b, operator.mul, a)
+        return _lift(a) / b
+    if isinstance(b, Fraction):
+        if op is operator.add:
+            return _shift(a, b)
+        if op is operator.sub:
+            return _shift(a, -b)
+        return _scale(a, op, b)
+    return op(a, b)
+
+
+def _shift(x: KRat, c: Fraction) -> KRat:
+    """x + c"""
+    num = dict(x.num)
+    for e, v in x.den.items():
+        num[e] = num.get(e, _ZERO) + c * v
+    return KRat(num, x.den)
+
+
+def _scale(x: KRat, op, c: Fraction) -> KRat:
+    """x * c or x / c"""
+    return KRat({e: op(v, c) for e, v in x.num.items()}, x.den)
+
+
+def _at(x: KVal, k: Fraction) -> Fraction:
+    """The value of a k-expression at level k."""
+    return x if isinstance(x, Fraction) else x.bind(k)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +147,10 @@ def _tokenize(text: str) -> list[Token]:
 
 @dataclass
 class TermDecl:
-    coeff: KRat
+    coeff: KVal
     hbar_power: int
-    shift: KRat
-    sinh: list[tuple[KRat, int]]
+    shift: KVal
+    sinh: list[tuple[KVal, int]]
 
     def __eq__(self, other):
         return (isinstance(other, TermDecl)
@@ -137,7 +166,7 @@ class TermDecl:
 class CompositeRef:
     name: str
     inverse: bool = False
-    shift: KRat | None = None
+    shift: KVal | None = None
 
     def __eq__(self, other):
         return (isinstance(other, CompositeRef) and self.name == other.name
@@ -147,7 +176,7 @@ class CompositeRef:
 
 @dataclass
 class CompositeTerm:
-    coeff: KRat
+    coeff: KVal
     hbar_power: int
     refs: list[CompositeRef]
 
@@ -171,7 +200,7 @@ class CurrentDecl:
 class KernelDecl:
     name: str
     sign: int
-    slope: KRat
+    slope: KVal
 
     def __eq__(self, other):
         return (isinstance(other, KernelDecl) and self.name == other.name
@@ -181,12 +210,12 @@ class KernelDecl:
 @dataclass
 class FactorDecl:
     kind: str                      # "w", "iw", "gamma", "scalar"
-    offset: KRat | None = None     # w/iw: (w + offset*hbar)
-    scale: KRat | None = None      # gamma: x@scale, sign folded in
+    offset: KVal | None = None     # w/iw: (w + offset*hbar)
+    scale: KVal | None = None      # gamma: x@scale, sign folded in
     scale_sign: int = 1
-    shift: KRat | None = None
+    shift: KVal | None = None
     exponent: int = 1
-    scalar: KRat | None = None
+    scalar: KVal | None = None
 
     def __eq__(self, other):
         return (isinstance(other, FactorDecl) and self.kind == other.kind
@@ -214,8 +243,8 @@ class RelationDecl:
 class CommutatorDecl:
     name_a: str
     name_b: str
-    poles: list[KRat]
-    residues: list[tuple[str, KRat]]
+    poles: list[KVal]
+    residues: list[tuple[str, KVal]]
 
     def __eq__(self, other):
         return (isinstance(other, CommutatorDecl)
@@ -227,7 +256,10 @@ class CommutatorDecl:
                         in zip(self.residues, other.residues)))
 
 
-def _krat_eq(a: KRat, b: KRat) -> bool:
+def _krat_eq(a: KVal, b: KVal) -> bool:
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    a, b = _lift(a), _lift(b)
     return KRat._mul_poly(a.num, b.den) == KRat._mul_poly(b.num, a.den)
 
 
@@ -300,7 +332,7 @@ class DefinitionFile:
         algebra parameters, the catalog, the relation list and the
         commutator-delta specifications."""
         # the declared k must be a constant; bind at 0 evaluates it
-        kval = k_override if k_override is not None else self.k.bind(Fraction(0))
+        kval = k_override if k_override is not None else self.k.bind(_ZERO)
         hbars = (hbar_override if hbar_override is not None
                  else [h.bind(kval) for h in self.hbars])
         if not hbars:
@@ -310,7 +342,7 @@ class DefinitionFile:
         if self.rotation_sector:
             cat.rotation_sector = self.rotation_sector
         for kd in self.kernels:
-            cat.kernels[kd.name] = Kernel(kd.name, kd.sign, kd.slope.bind(kval))
+            cat.kernels[kd.name] = Kernel(kd.name, kd.sign, _at(kd.slope, kval))
         for cd in self.currents:
             if cd.composite is None:
                 mf = ModeFunction(
@@ -325,8 +357,8 @@ class DefinitionFile:
         relations = [_bind_relation(rd, kval) for rd in self.relations]
         commutators = [
             {"pair": (cm.name_a, cm.name_b),
-             "poles": [p.bind(kval) for p in cm.poles],
-             "residues": [(n, s.bind(kval)) for n, s in cm.residues]}
+             "poles": [_at(p, kval) for p in cm.poles],
+             "residues": [(n, _at(s, kval)) for n, s in cm.residues]}
             for cm in self.commutators]
         return params, cat, relations, commutators, hbars
 
@@ -361,7 +393,10 @@ def _relations_eq(a: list[RelationDecl], b: list[RelationDecl]) -> bool:
 
 # rendering helpers ----------------------------------------------------------
 
-def _krat_str(x: KRat) -> str:
+def _krat_str(x: KVal) -> str:
+    if isinstance(x, Fraction):
+        return str(x)
+
     def poly(p):
         bits = []
         for e in sorted(p, reverse=True):
@@ -385,7 +420,7 @@ def _term_str(t: TermDecl) -> str:
         bits.append("hbar")
     elif t.hbar_power != 0:
         bits.append(f"hbar^{t.hbar_power}")
-    if not _krat_eq(t.shift, KRat.const(0)):
+    if not _krat_eq(t.shift, _ZERO):
         bits.append(f"exp({_krat_str(t.shift)}*h*t)")
     bits.append("exp(-i*u*t)")
     num = " * ".join(bits)
@@ -416,7 +451,7 @@ def _factor_str(f: FactorDecl) -> str:
         return _krat_str(f.scalar)
     if f.kind in ("w", "iw"):
         off = ""
-        if f.offset is not None and not _krat_eq(f.offset, KRat.const(0)):
+        if f.offset is not None and not _krat_eq(f.offset, _ZERO):
             off = f" + {_krat_str(f.offset)}*hbar"
         body = f"({f.kind}{off})"
     else:
@@ -452,16 +487,15 @@ def _relation_str(rd: RelationDecl) -> str:
 # binding helpers -------------------------------------------------------------
 
 def _bind_term(t: TermDecl, k: Fraction) -> ExpTrigTerm:
-    return ExpTrigTerm(GR(t.coeff.bind(k)), t.hbar_power, t.shift.bind(k),
-                       Fraction(0),
-                       tuple((b.bind(k), e) for b, e in t.sinh))
+    return ExpTrigTerm(GR(_at(t.coeff, k)), t.hbar_power, _at(t.shift, k),
+                       _ZERO, tuple((_at(b, k), e) for b, e in t.sinh))
 
 
 def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
     out_terms: list[NormalOrderedTerm] = []
     for term in cd.composite:
         # expand the reference product bilinearly over referenced terms
-        partial = [(GR(term.coeff.bind(k)), term.hbar_power, {})]
+        partial = [(GR(_at(term.coeff, k)), term.hbar_power, {})]
         for ref in term.refs:
             if ref.name not in cat.currents:
                 raise UndeclaredName(f"current {ref.name!r} not declared before use")
@@ -475,7 +509,7 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
                         if ref.inverse:
                             g = -g
                         if ref.shift is not None:
-                            g = shift_argument(g, ref.shift.bind(k))
+                            g = shift_argument(g, _at(ref.shift, k))
                         merged[fam] = g if fam not in merged else merged[fam] + g
                     if ref.inverse and len(sub.terms) > 1:
                         raise UndeclaredName(
@@ -488,34 +522,42 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
     return Current(cd.name, tuple(out_terms))
 
 
-def _bind_factor(f: FactorDecl, k: Fraction) -> StructureFunction:
-    if f.kind == "scalar":
-        return StructureFunction.from_const_gr(GR(f.scalar.bind(k)))
-    if f.kind == "iw":
-        off = f.offset.bind(k) if f.offset is not None else Fraction(0)
-        return StructureFunction.from_linear(GR(off), f.exponent)
-    if f.kind == "w":
-        off = f.offset.bind(k) if f.offset is not None else Fraction(0)
-        one = (StructureFunction.from_linear(GR_I * GR(off), 1)
-               * StructureFunction.from_const_gr(GR(Fraction(0), Fraction(-1))))
-        out = StructureFunction.one()
-        inv = one.inverse()
-        for _ in range(abs(f.exponent)):
-            out = out * (one if f.exponent > 0 else inv)
-        return out
-    scale = f.scale.bind(k) * f.scale_sign
-    return StructureFunction.from_gamma(GR(scale), f.shift.bind(k), f.exponent)
+def _bind_side(factors: list[FactorDecl], k: Fraction) -> StructureFunction:
+    """The product of one side's factors, gathered as a chain of
+    StructureFunction products would gather it: each Gamma or linear factor
+    adds its exponent under its key, in first-seen order, and a key whose
+    exponent cancels is dropped; the scalars, and (-i)^n from each
+    (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant."""
+    gammas: dict[tuple[GR, Fraction], int] = {}
+    linears: dict[GR, int] = {}
+    mult = GR_ONE
+    for f in factors:
+        e = f.exponent
+        if f.kind == "scalar":
+            mult = mult * GR(_at(f.scalar, k))
+            continue
+        if f.kind == "gamma":
+            exps = gammas
+            key = (GR(_at(f.scale, k) * f.scale_sign), _at(f.shift, k))
+        else:
+            exps = linears
+            key = GR(_at(f.offset, k) if f.offset is not None else _ZERO)
+            if f.kind == "w":
+                key = GR_I * key
+                for _ in range(abs(e)):
+                    mult = mult * (_MINUS_I if e > 0 else GR_I)
+        exps[key] = exps.get(key, 0) + e
+        if not exps[key]:
+            del exps[key]
+    return StructureFunction(gammas, linears,
+                             ExactConst(mult, _ZERO, {}, _ZERO))
 
 
 def _bind_relation(rd: RelationDecl, k: Fraction) -> Relation:
-    lf = StructureFunction.one()
-    for f in rd.left_factors:
-        lf = lf * _bind_factor(f, k)
-    rf = StructureFunction.one()
-    for f in rd.right_factors:
-        rf = rf * _bind_factor(f, k)
     rel = Relation(rd.name, rd.kind, rd.left_pair, rd.right_pair,
-                   left_factor=lf, right_factor=rf, rotate=rd.rotate)
+                   left_factor=_bind_side(rd.left_factors, k),
+                   right_factor=_bind_side(rd.right_factors, k),
+                   rotate=rd.rotate)
     if rd.tol is not None:
         rel.tolerance = rd.tol
     return rel
@@ -526,7 +568,11 @@ def _bind_relation(rd: RelationDecl, k: Fraction) -> Relation:
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.toks = toks = _tokenize(text)
+        # what accept/expect match: the text of a punctuation mark or a
+        # keyword, None for any other token
+        self.keys = [t.text if t.kind in ("punct", "keyword") else None
+                     for t in toks]
         self.i = 0
 
     @property
@@ -538,60 +584,54 @@ class _Parser:
         raise ParseError(t.line, t.col, expected, t.text or "end of input")
 
     def accept(self, text: str) -> bool:
-        if self.cur.text == text and self.cur.kind in ("punct", "keyword"):
+        if self.keys[self.i] == text:
             self.i += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if self.cur.text == text and self.cur.kind in ("punct", "keyword"):
-            t = self.cur
-            self.i += 1
-            return t
-        self.error({repr(text)})
+    def expect(self, text: str) -> None:
+        if self.keys[self.i] != text:
+            self.error({repr(text)})
+        self.i += 1
 
     def expect_ident(self) -> str:
-        if self.cur.kind == "ident":
-            t = self.cur
-            self.i += 1
-            return t.text
-        self.error({"identifier"})
+        t = self.toks[self.i]
+        if t.kind != "ident":
+            self.error({"identifier"})
+        self.i += 1
+        return t.text
 
     def expect_number(self) -> Fraction:
-        if self.cur.kind == "number":
-            t = self.cur
-            self.i += 1
-            return Fraction(int(t.text))
-        self.error({"number"})
+        t = self.toks[self.i]
+        if t.kind != "number":
+            self.error({"number"})
+        self.i += 1
+        return Fraction(int(t.text))
 
     # -- k-rational expressions -------------------------------------------
-    def kexpr(self) -> KRat:
+    def kexpr(self) -> KVal:
         val = self.kterm()
-        while self.cur.text in ("+", "-") and self.cur.kind == "punct":
-            op = self.cur.text
+        while (op := self.keys[self.i]) in ("+", "-"):
             self.i += 1
-            rhs = self.kterm()
-            val = val + rhs if op == "+" else val - rhs
+            val = _kop(_ARITH[op], val, self.kterm())
         return val
 
-    def kterm(self) -> KRat:
+    def kterm(self) -> KVal:
         val = self.kfactor()
-        while self.cur.text in ("*", "/") and self.cur.kind == "punct":
-            op = self.cur.text
+        while (op := self.keys[self.i]) in ("*", "/"):
             self.i += 1
-            rhs = self.kfactor()
-            val = val * rhs if op == "*" else val / rhs
+            val = _kop(_ARITH[op], val, self.kfactor())
         return val
 
-    def kfactor(self) -> KRat:
+    def kfactor(self) -> KVal:
         if self.accept("-"):
             return -self.kfactor()
         if self.accept("+"):
             return self.kfactor()
         if self.cur.kind == "number":
-            return KRat.const(self.expect_number())
+            return self.expect_number()
         if self.accept("k"):
-            return KRat.k()
+            return _K
         if self.accept("("):
             v = self.kexpr()
             self.expect(")")
@@ -600,8 +640,8 @@ class _Parser:
 
     # -- top level -----------------------------------------------------------
     def file(self) -> DefinitionFile:
-        k = KRat.const(2)
-        hbars: list[KRat] = []
+        k: KVal = Fraction(2)
+        hbars: list[KVal] = []
         sector = None
         kernels, currents, relations, commutators = [], [], [], []
         names = set()
@@ -635,8 +675,8 @@ class _Parser:
             else:
                 self.error({"'params'", "'kernel'", "'current'", "'relation'",
                             "'commutator_delta'", "'rotate_sector'"})
-        return DefinitionFile(k, hbars, sector, kernels, currents,
-                              relations, commutators)
+        return DefinitionFile(_lift(k), [_lift(h) for h in hbars], sector,
+                              kernels, currents, relations, commutators)
 
     def params_block(self, k, hbars):
         self.expect("{")
@@ -707,17 +747,16 @@ class _Parser:
         if sign > 0:
             self.accept("+")
         terms.append(self.exponent_term(sign))
-        while self.cur.text in ("+", "-") and self.cur.kind == "punct":
-            sgn = 1 if self.cur.text == "+" else -1
+        while (op := self.keys[self.i]) in ("+", "-"):
             self.i += 1
-            terms.append(self.exponent_term(sgn))
+            terms.append(self.exponent_term(1 if op == "+" else -1))
         return terms
 
     def exponent_term(self, sign: int) -> TermDecl:
-        coeff = KRat.const(sign)
+        coeff: KVal = Fraction(sign)
         hpow = 0
-        shift = KRat.const(0)
-        sinh: list[tuple[KRat, int]] = []
+        shift: KVal = _ZERO
+        sinh: list[tuple[KVal, int]] = []
         invert = False
 
         def add_factor():
@@ -726,12 +765,9 @@ class _Parser:
             if self.accept("hbar"):
                 hpow += mul
                 return
-            if self.cur.kind == "number" or self.cur.text == "(":
-                val = self.kfactor()
-                if invert:
-                    coeff = coeff / val
-                else:
-                    coeff = coeff * val
+            if self.cur.kind == "number" or self.keys[self.i] == "(":
+                coeff = _kop(operator.truediv if invert else operator.mul,
+                             coeff, self.kfactor())
                 return
             if self.accept("exp"):
                 self.expect("(")
@@ -752,7 +788,8 @@ class _Parser:
                 self.expect("*")
                 self.expect("t")
                 self.expect(")")
-                shift = shift + inner if mul > 0 else shift - inner
+                shift = _kop(operator.add if mul > 0 else operator.sub,
+                             shift, inner)
                 return
             if self.accept("sinh"):
                 self.expect("(")
@@ -773,32 +810,28 @@ class _Parser:
             self.error({"number", "'hbar'", "'exp'", "'sinh'", "'('"})
 
         add_factor()
-        while self.cur.text in ("*", "/") and self.cur.kind == "punct":
-            invert = self.cur.text == "/"
+        while (op := self.keys[self.i]) in ("*", "/"):
+            invert = op == "/"
             self.i += 1
             add_factor()
         return TermDecl(coeff, hpow, shift, sinh)
 
-    def kexpr_stop(self, stop: str) -> KRat:
+    def kexpr_stop(self, stop: str) -> KVal:
         """kexpr for contexts terminated by `* <stop>` (stop = 'h' or 'hbar');
         multiplicative chains halt when the next factor would be the stop word."""
         val = self.kterm_stop(stop)
-        while self.cur.text in ("+", "-") and self.cur.kind == "punct":
-            op = self.cur.text
+        while (op := self.keys[self.i]) in ("+", "-"):
             self.i += 1
-            rhs = self.kterm_stop(stop)
-            val = val + rhs if op == "+" else val - rhs
+            val = _kop(_ARITH[op], val, self.kterm_stop(stop))
         return val
 
-    def kterm_stop(self, stop: str) -> KRat:
+    def kterm_stop(self, stop: str) -> KVal:
         val = self.kfactor()
-        while self.cur.text in ("*", "/") and self.cur.kind == "punct":
+        while (op := self.keys[self.i]) in ("*", "/"):
             if self.toks[self.i + 1].text == stop:
                 break
-            op = self.cur.text
             self.i += 1
-            rhs = self.kfactor()
-            val = val * rhs if op == "*" else val / rhs
+            val = _kop(_ARITH[op], val, self.kfactor())
         return val
 
     # -- composite expressions -------------------------------------------------
@@ -806,10 +839,10 @@ class _Parser:
         terms: list[CompositeTerm] = []
         sign = -1 if self.accept("-") else 1
         terms.extend(self.composite_term(sign, current_names))
-        while self.cur.text in ("+", "-") and self.cur.kind == "punct":
-            sgn = 1 if self.cur.text == "+" else -1
+        while (op := self.keys[self.i]) in ("+", "-"):
             self.i += 1
-            terms.extend(self.composite_term(sgn, current_names))
+            terms.extend(self.composite_term(1 if op == "+" else -1,
+                                             current_names))
         return terms
 
     def composite_term(self, sign: int, current_names) -> list[CompositeTerm]:
@@ -819,11 +852,11 @@ class _Parser:
 
         def atom() -> list[CompositeTerm]:
             if self.cur.kind == "number":
-                return [CompositeTerm(KRat.const(self.expect_number()), 0, [])]
+                return [CompositeTerm(self.expect_number(), 0, [])]
             if self.accept("k"):
-                return [CompositeTerm(KRat.k(), 0, [])]
+                return [CompositeTerm(_K, 0, [])]
             if self.accept("hbar"):
-                return [CompositeTerm(KRat.const(1), 1, [])]
+                return [CompositeTerm(_ONE, 1, [])]
             if self.cur.kind == "ident":
                 nm = self.expect_ident()
                 if nm not in current_names:
@@ -839,8 +872,7 @@ class _Parser:
                     self.expect("(")
                     shift = self.kexpr()
                     self.expect(")")
-                return [CompositeTerm(KRat.const(1), 0,
-                                      [CompositeRef(nm, inverse, shift)])]
+                return [CompositeTerm(_ONE, 0, [CompositeRef(nm, inverse, shift)])]
             if self.accept("("):
                 inner = self.composite_expr(current_names)
                 self.expect(")")
@@ -848,23 +880,24 @@ class _Parser:
             self.error({"number", "'k'", "'hbar'", "identifier", "'('"})
 
         factors.append(atom())
-        while self.cur.text in ("*", "/") and self.cur.kind == "punct":
-            div = self.cur.text == "/"
+        while (op := self.keys[self.i]) in ("*", "/"):
             self.i += 1
             nxt = atom()
-            if div:
+            if op == "/":
                 if len(nxt) != 1 or nxt[0].refs:
                     self.error({"scalar divisor"})
                 d = nxt[0]
-                nxt = [CompositeTerm(KRat.const(1) / d.coeff, -d.hbar_power, [])]
+                nxt = [CompositeTerm(_kop(operator.truediv, _ONE, d.coeff),
+                                     -d.hbar_power, [])]
             factors.append(nxt)
 
-        out = [CompositeTerm(KRat.const(sign), 0, [])]
+        out = [CompositeTerm(Fraction(sign), 0, [])]
         for fac in factors:
             nxt = []
             for left in out:
                 for right in fac:
-                    nxt.append(CompositeTerm(left.coeff * right.coeff,
+                    nxt.append(CompositeTerm(_kop(operator.mul, left.coeff,
+                                                  right.coeff),
                                              left.hbar_power + right.hbar_power,
                                              left.refs + right.refs))
             out = nxt
@@ -924,7 +957,7 @@ class _Parser:
 
     def relation_factor(self) -> FactorDecl:
         if self.cur.kind == "number":
-            return FactorDecl("scalar", scalar=KRat.const(self.expect_number()))
+            return FactorDecl("scalar", scalar=self.expect_number())
         if self.accept("Gamma"):
             self.expect("(")
             ssign = -1 if self.accept("-") else 1
@@ -936,7 +969,7 @@ class _Parser:
             elif self.accept("-"):
                 shift = -self.kexpr()
             else:
-                shift = KRat.const(0)
+                shift = _ZERO
             self.expect(")")
             e = 1
             if self.accept("^"):
@@ -947,10 +980,10 @@ class _Parser:
             return FactorDecl("gamma", scale=scale, scale_sign=ssign,
                               shift=shift, exponent=e)
         if self.accept("("):
-            if self.cur.text in ("w", "iw") and self.cur.kind == "keyword":
-                kind = self.cur.text
+            kind = self.keys[self.i]
+            if kind in ("w", "iw"):
                 self.i += 1
-                offset = KRat.const(0)
+                offset: KVal = _ZERO
                 if self.accept("+"):
                     offset = self.kexpr_until_hbar()
                 elif self.accept("-"):
@@ -968,7 +1001,7 @@ class _Parser:
             return FactorDecl("scalar", scalar=scalar)
         self.error({"'('", "'Gamma'", "number", "identifier"})
 
-    def kexpr_until_hbar(self) -> KRat:
+    def kexpr_until_hbar(self) -> KVal:
         """Parse `<kexpr> * hbar`, returning the kexpr."""
         val = self.kexpr_stop("hbar")
         self.expect("*")

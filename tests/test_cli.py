@@ -52,6 +52,21 @@ def test_parse_error_exits_two(tmp_path):
     assert "parse error" in out.stderr
 
 
+@pytest.mark.parametrize("literal, col, char", [
+    ("2\u00b2", 15, "\u00b2"),   # superscript two: str.isdigit() holds
+    ("\u0663", 14, "\u0663"),    # Arabic-Indic three: int() reads it as 3
+])
+def test_non_ascii_digit_is_a_parse_error(tmp_path, literal, col, char):
+    bad = tmp_path / "digit.alg"
+    bad.write_text(f"params {{ k = {literal}; hbar = 1; }}\n", encoding="utf-8")
+    dest = tmp_path / "err.json"
+    out = run_cli("verify", str(bad), "--json", str(dest))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: parse error at 1:{col}: expected token, found {char!r}\n"
+    assert json.loads(dest.read_text())["error"]["kind"] == "parse"
+
+
 def test_json_error_object(tmp_path):
     bad = tmp_path / "broken.alg"
     bad.write_text("params { k = 2; hbar = 1;\n")
@@ -70,6 +85,10 @@ def test_report_byte_identical_across_runs(tmp_path):
     out2 = run_cli("report", "--json", str(b))
     assert out1.returncode == 0 and out2.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+    # the format contract: sorted keys, one-space indent, ASCII escapes and
+    # a trailing newline, i.e. the stdlib's canonical form of the same data
+    text = a.read_text(encoding="ascii")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
 
 
 def test_report_schema_and_roundtrip(tmp_path):

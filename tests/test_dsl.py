@@ -4,9 +4,14 @@ import importlib.resources
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from coset_forge import dsl
 from coset_forge.algebra import build_catalog
-from coset_forge.dsl import parse_definitions
+from coset_forge.contraction import StructureFunction
+from coset_forge.dsl import _tokenize, parse_definitions
+from coset_forge.exact import GR, GR_I
 from coset_forge.errors import DuplicateName, ParseError, UndeclaredName
 from coset_forge.modes import equals as modes_equal
 
@@ -104,3 +109,178 @@ def test_hbar_list_parsed():
     df = parse_definitions(shipped_text())
     _, _, _, _, hbars = df.bind()
     assert hbars == [Fraction(1), Fraction(1, 2)]
+
+
+# Diagnostics recorded from the character-by-character tokenizer and the
+# original parser: a rewrite must reproduce every position and message.
+_K = "params { k = 2; hbar = 1; }\n"
+_KA = _K + "kernel a { sign = +1; slope = 1; }\n"
+_KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
+
+
+@pytest.mark.parametrize("text, line, col, expected, found", [
+    ("params {\tk = 2;\t$ hbar = 1; }\n",
+     1, 17, ["token"], "$"),
+    ("# note\nparams { k = 2; } # trailing\n\t ? \n",
+     3, 3, ["token"], "?"),
+    ("params { k = 2; hbar = 1;\n",
+     2, 1, ["'hbar'", "'k'", "'}'"], "end of input"),
+    (_K + "kernel a { sign = +1; slope = 1e; }\n",
+     2, 32, ["';'"], "e"),
+    ("params { k = 2.; hbar = 1; }\n",
+     1, 14, ["'('", "'-'", "'k'", "number"], "2."),
+    ("params { k == 2; hbar = 1; }\n",
+     1, 12, ["'='"], "=="),
+    (_K + "kernel a { sign = +1; slope = k/2;",
+     2, 35, ["'}'"], "end of input"),
+    ("params { k = 2 # unclosed",
+     1, 16, ["';'"], "end of input"),
+    (_K + "kernel x { sign = +1; slope = 1; }\n",
+     2, 8, ["identifier"], "x"),
+    (_KA + "current X on a { pos: 1 * hbar * sinh(; }\n",
+     3, 39, ["'('", "'-'", "'k'", "number"], ";"),
+    (_KAX + "current Y = X / X;\n",
+     4, 18, ["scalar divisor"], ";"),
+    (_KAX + "relation r : X(u) X(v) == X(v) X(u) with tol = k;\n",
+     4, 48, ["tolerance value"], "k"),
+    ("params {\r\n k = 2;\r\n\t@ }\r\n",
+     3, 2, ["'hbar'", "'k'", "'}'"], "@"),
+    (_K + "kernel a { sign = +2; slope = 1; }\n",
+     2, 21, ["'1'"], ";"),
+])
+def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(text)
+    err = exc.value
+    assert (err.line, err.col, sorted(err.expected), err.found) == \
+        (line, col, expected, found)
+
+
+def test_token_stream_is_pinned():
+    text = ("params {\tk = 2; # c\n  hbar = 1.5e-3, 2., 3E2;\n}\r\n"
+            "relation r_1 : (w + 1*hbar) * A(u) B(v)==B(v) A(u) "
+            "with tol = 1e-9; # end")
+    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == [
+        ("keyword", "params", 1, 1), ("punct", "{", 1, 8),
+        ("keyword", "k", 1, 10), ("punct", "=", 1, 12),
+        ("number", "2", 1, 14), ("punct", ";", 1, 15),
+        ("keyword", "hbar", 2, 3), ("punct", "=", 2, 8),
+        ("float", "1.5e-3", 2, 10), ("punct", ",", 2, 16),
+        ("float", "2.", 2, 18), ("punct", ",", 2, 20),
+        ("float", "3E2", 2, 22), ("punct", ";", 2, 25),
+        ("punct", "}", 3, 1),
+        ("keyword", "relation", 4, 1), ("ident", "r_1", 4, 10),
+        ("punct", ":", 4, 14), ("punct", "(", 4, 16),
+        ("keyword", "w", 4, 17), ("punct", "+", 4, 19),
+        ("number", "1", 4, 21), ("punct", "*", 4, 22),
+        ("keyword", "hbar", 4, 23), ("punct", ")", 4, 27),
+        ("punct", "*", 4, 29), ("ident", "A", 4, 31),
+        ("punct", "(", 4, 32), ("keyword", "u", 4, 33),
+        ("punct", ")", 4, 34), ("ident", "B", 4, 36),
+        ("punct", "(", 4, 37), ("keyword", "v", 4, 38),
+        ("punct", ")", 4, 39), ("punct", "==", 4, 40),
+        ("ident", "B", 4, 42), ("punct", "(", 4, 43),
+        ("keyword", "v", 4, 44), ("punct", ")", 4, 45),
+        ("ident", "A", 4, 47), ("punct", "(", 4, 48),
+        ("keyword", "u", 4, 49), ("punct", ")", 4, 50),
+        ("keyword", "with", 4, 52), ("keyword", "tol", 4, 57),
+        ("punct", "=", 4, 61), ("float", "1e-9", 4, 63),
+        ("punct", ";", 4, 67), ("eof", "", 4, 69)]
+
+
+@pytest.mark.parametrize("text, col, char", [
+    ("params { k = 2\u00b2; }", 15, "\u00b2"),
+    ("params { k = \u0663; }", 14, "\u0663"),
+    ("params { k = 2; }\nkernel \u00e9 { sign = +1; slope = 1; }", 8, "\u00e9"),
+    ("params { k = 2; }\nkernel a\u00e9 { sign = +1; slope = 1; }", 9, "\u00e9"),
+])
+def test_grammar_is_ascii(text, col, char):
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(text)
+    assert (exc.value.col, exc.value.found, exc.value.expected) == \
+        (col, char, {"token"})
+
+
+# k-expressions as (text, value at k); every binary operation is
+# parenthesised, so each text is one factor and means what the tree says
+_kleaf = (st.integers(0, 9).map(lambda n: (str(n), lambda k: Fraction(n)))
+          | st.just(("k", lambda k: k)))
+
+
+def _kbinary(a, op, b):
+    fns = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+    return (f"({a[0]} {op} {b[0]})",
+            lambda k: fns[op](a[1](k), b[1](k)))
+
+
+_kexprs = st.recursive(
+    _kleaf,
+    lambda inner: (st.builds(_kbinary, inner, st.sampled_from("+-*/"), inner)
+                   | inner.map(lambda a: ("-" + a[0], lambda k: -a[1](k)))),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kexprs, st.sampled_from([Fraction(1), Fraction(2), Fraction(5, 2),
+                                 Fraction(3, 7), Fraction(1, 10)]))
+def test_k_expressions_bind_to_their_value(expr, k):
+    # constants fold as Fractions and k-dependent parts as KRat; either way
+    # the bound value is the exact value of the expression at k
+    text, value = expr
+    try:
+        expected = value(k)
+    except ZeroDivisionError:
+        assume(False)
+    df = parse_definitions(_KAX + f"commutator_delta X X {{ poles: {text}; "
+                                  "residues: X @ (0); }\n")
+    _, _, _, [comm], _ = df.bind(k, [Fraction(1)])
+    assert comm["poles"] == [expected]
+
+
+def _factor_product(factors, k):
+    """A relation side as the chain of StructureFunction products it
+    stands for, one factor at a time."""
+    out = StructureFunction.one()
+    for f in factors:
+        if f.kind == "scalar":
+            sf = StructureFunction.from_const_gr(GR(dsl._at(f.scalar, k)))
+        elif f.kind == "gamma":
+            sf = StructureFunction.from_gamma(
+                GR(dsl._at(f.scale, k) * f.scale_sign), dsl._at(f.shift, k),
+                f.exponent)
+        else:
+            off = GR(dsl._at(f.offset, k))
+            if f.kind == "iw":
+                sf = StructureFunction.from_linear(off, f.exponent)
+            else:
+                # (w + a*hbar) = (iw + i*a*hbar) * -i
+                one = (StructureFunction.from_linear(GR_I * off, 1)
+                       * StructureFunction.from_const_gr(GR(0, -1)))
+                sf = StructureFunction.one()
+                for _ in range(abs(f.exponent)):
+                    sf = sf * (one if f.exponent > 0 else one.inverse())
+        out = out * sf
+    return out
+
+
+@pytest.mark.parametrize("k", [Fraction(2), Fraction(5, 2), Fraction(2, 9)])
+def test_bound_sides_equal_the_factor_products(k):
+    # same factors, same key order, same exact constant: the float plans
+    # and hence every residual are those of the product chain
+    text = shipped_text() + (
+        "relation extra : 3 * (w + 2*hbar)^-2 * (iw - k*hbar)^3"
+        " * Gamma(x@2 + 1)^2 * Gamma(-x@k + 1/2) * Gamma(x@2 + 1)^-2"
+        " * (w)^0 * (w - 1/2*hbar)^3 * E(u) F(v)"
+        " == (2/3) * (w - 1*hbar)^3 * (iw)^-1 * F(v) E(u);\n")
+    df = parse_definitions(text)
+    _, _, rels, _, _ = df.bind(k, [Fraction(1)])
+    assert len(rels) == len(df.relations)
+    for rd, rel in zip(df.relations, rels):
+        for factors, got in ((rd.left_factors, rel.left_factor),
+                             (rd.right_factors, rel.right_factor)):
+            want = _factor_product(factors, k)
+            assert list(got.gammas.items()) == list(want.gammas.items())
+            assert list(got.linears.items()) == list(want.linears.items())
+            assert got.const == want.const
+            assert got.exp_linear == want.exp_linear
