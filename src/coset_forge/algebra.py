@@ -1,12 +1,12 @@
 """Current catalog and relation verification.
 
-Builds the named currents from their integral definitions, derives every
-pairwise exchange structure function from the Heisenberg kernels, and checks
-the full relation set: Gamma-product exchange relations of the intermediate
-fields, the rational relations of the current algebra with center (after a
-global Wick rotation hbar -> -i hbar of the derived structure functions),
-the pole/residue structure of the E-F commutator, and the hbar -> 0
-degeneration to fractional-power braiding.
+Holds the named currents of a bound definition file (the `.alg` format, see
+dsl), derives every pairwise exchange structure function from the Heisenberg
+kernels, and checks the declared relation set: Gamma-product exchange
+relations of the intermediate fields, the rational relations of the current
+algebra with center (after a global Wick rotation hbar -> -i hbar of the
+derived structure functions), the pole/residue structure of the E-F
+commutator, and the hbar -> 0 degeneration to fractional-power braiding.
 
 Everything is derived in the hyperbolic regime, where all contraction
 integrals converge absolutely; rotated statements are obtained by rotating
@@ -21,18 +21,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .contraction import StructureFunction, closed_form, contract, quad_eval
-from .errors import (CosetForgeError, DivergenceMismatch, ExcludedLevel,
-                     NonConvergent, NonTelescoping,
-                     ResidueMismatch, UnexpectedPole)
-from .exact import GR, GR_I, GR_ONE, as_fraction
+from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
+                     NonTelescoping, ResidueMismatch, UnexpectedPole)
+from .exact import GR, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     equals as modes_equal, shift_argument)
 
 __all__ = [
     "Current", "Catalog", "NormalOrderedTerm", "Relation", "ClassicalBraid",
-    "VerificationReport", "build_catalog", "wick_rotate", "verify_relation",
-    "ef_commutator_analysis", "classical_limit", "default_grid",
-    "builtin_relations", "catalog_contraction_pairs",
+    "VerificationReport", "verify_relation", "ef_commutator_analysis",
+    "classical_limit", "default_grid",
 ]
 
 
@@ -53,7 +51,6 @@ class NormalOrderedTerm:
 class Current:
     name: str
     terms: tuple[NormalOrderedTerm, ...]
-    rotation_counts: dict[str, int] = field(default_factory=dict, hash=False)
 
     def exponent(self, family: str) -> ModeFunction:
         """Single-term convenience accessor."""
@@ -62,26 +59,8 @@ class Current:
         return self.terms[0].exponents[family]
 
 
-def wick_rotate(obj, sector: str = "c"):
-    """hbar -> -i hbar on the designated sector.
-
-    For a StructureFunction the substitution is applied directly.  For a
-    Current the rotation is recorded as a counter per kernel family and is
-    applied to the structure functions derived from it; rotating twice gives
-    the formal hbar -> -hbar, which the engine absorbs through the evenness
-    of the kernel sinh-product (checked in the test suite).
-    """
-    if isinstance(obj, StructureFunction):
-        return obj.wick_rotate()
-    if isinstance(obj, Current):
-        rc = dict(obj.rotation_counts)
-        rc[sector] = rc.get(sector, 0) + 1
-        return Current(obj.name, obj.terms, rc)
-    raise TypeError(f"cannot Wick-rotate {type(obj)!r}")
-
-
 # ---------------------------------------------------------------------------
-# catalog construction
+# the catalog
 
 class Catalog:
     def __init__(self, params: AlgebraParams):
@@ -155,8 +134,7 @@ class Catalog:
         for ta in a.terms:
             for tb in b.terms:
                 fac = self.term_pair_factors(ta, tb)
-                out.append(_apply_rotation(fac, rotate, a, b,
-                                           sector=self.rotation_sector))
+                out.append(_apply_rotation(fac, rotate, self.rotation_sector))
         return out
 
     def forward_structure(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm
@@ -183,110 +161,18 @@ class Catalog:
 
 
 def _apply_rotation(factors: dict[str, StructureFunction], mode: str,
-                    a: Current | None = None, b: Current | None = None,
-                    sector: str = "c") -> StructureFunction:
+                    sector: str) -> StructureFunction:
+    """Product of the per-family factors, each Wick-rotated where the mode
+    asks: every family under "global", the designated sector under
+    "c-sector", none under "none"."""
+    if mode not in ("none", "global", "c-sector"):
+        raise ValueError(f"unknown rotation mode {mode!r}")
     total = StructureFunction.one()
     for fam, sf in factors.items():
-        n = 0
-        if mode == "global":
-            n = 1
-        elif mode == "c-sector":
-            n = 1 if fam == sector else 0
-        elif mode != "none":
-            raise ValueError(f"unknown rotation mode {mode!r}")
-        for cur in (a, b):
-            if cur is not None:
-                n += cur.rotation_counts.get(fam, 0)
-        for _ in range(n % 4):
+        if mode == "global" or (mode == "c-sector" and fam == sector):
             sf = sf.wick_rotate()
         total = total * sf
     return total
-
-
-def build_catalog(params: AlgebraParams) -> Catalog:
-    """All named currents with exponents matching the integral definitions."""
-    k = params.k
-    if k == 0 or k == -2:
-        raise ExcludedLevel(f"k={k}")
-    cat = Catalog(params)
-    cat.kernels = {
-        "c": Kernel("c", +1, k / 2),
-        "b": Kernel("b", -1, k / 2),
-        "lambda": Kernel("lambda", +1, (k + 2) / 2),
-    }
-
-    half = Fraction(1, 2)
-
-    def screened(sign: int, fam: str) -> Current:
-        # exp{ sign*hbar [int_{t<0} e^{-sign(k/4)h t} + int_{t>0} e^{sign(k/4)h t}]
-        #      e^{-iut}/sinh(k h t/2) a(t) }; sign -1 is the "+" current.
-        pos = ExpTrigTerm(GR.of(sign), 1, sign * k / 4, 0, ((k / 2, -1),))
-        neg = ExpTrigTerm(GR.of(sign), 1, -sign * k / 4, 0, ((k / 2, -1),))
-        name = {("c", -1): "C_plus", ("c", 1): "C_minus",
-                ("b", -1): "B_plus", ("b", 1): "B_minus"}[(fam, sign)]
-        mf = ModeFunction([pos], [neg])
-        return Current(name, (NormalOrderedTerm(GR_ONE, 0, {fam: mf}),))
-
-    def half_tone(sign: int, fam: str, name: str) -> Current:
-        # exp{ -sign*2*hbar int_{sign t>0} sinh(h t/2)/sinh(h t) e^{-iut} a(t) }
-        term = ExpTrigTerm(GR.of(-2 * sign), 1, 0, 0, ((half, 1), (Fraction(1), -1)))
-        mf = (ModeFunction([term], []) if sign > 0 else ModeFunction([], [term]))
-        # sign<0 current carries +2hbar on the negative branch
-        return Current(name, (NormalOrderedTerm(GR_ONE, 0, {fam: mf}),))
-
-    def u1(sign: int) -> Current:
-        term = ExpTrigTerm(GR.of(2 * sign), 1, 0, 0, ())
-        mf = ModeFunction([term], []) if sign > 0 else ModeFunction([], [term])
-        return Current("H_plus" if sign > 0 else "H_minus",
-                       (NormalOrderedTerm(GR_ONE, 0, {"c": mf}),))
-
-    for cur in (screened(-1, "c"), screened(+1, "c"),
-                screened(-1, "b"), screened(+1, "b")):
-        cat.currents[cur.name] = cur
-    cat.currents["Lambda_plus"] = half_tone(+1, "lambda", "Lambda_plus")
-    cat.currents["Lambda_minus"] = half_tone(-1, "lambda", "Lambda_minus")
-    cat.currents["beta_plus"] = half_tone(+1, "b", "beta_plus")
-    cat.currents["beta_minus"] = half_tone(-1, "b", "beta_minus")
-    cat.currents["H_plus"] = u1(+1)
-    cat.currents["H_minus"] = u1(-1)
-
-    g1 = (k + 2) / 4
-    g2 = k / 4
-    bp = cat.currents["beta_plus"].exponent("b")
-    bm = cat.currents["beta_minus"].exponent("b")
-    lp = cat.currents["Lambda_plus"].exponent("lambda")
-    lm = cat.currents["Lambda_minus"].exponent("lambda")
-    Bp = cat.currents["B_plus"].exponent("b")
-    Bm = cat.currents["B_minus"].exponent("b")
-
-    psi = Current("psi", (
-        NormalOrderedTerm(GR_ONE, -1, {
-            "b": shift_argument(bp, g1) + Bp,
-            "lambda": shift_argument(lp, g2)}),
-        NormalOrderedTerm(-GR_ONE, -1, {
-            "b": shift_argument(bm, -g1) + Bp,
-            "lambda": shift_argument(lm, -g2)}),
-    ))
-    psi_dag = Current("psi_dag", (
-        NormalOrderedTerm(-GR_ONE, -1, {
-            "b": shift_argument(bp, -g1) + Bm,
-            "lambda": -shift_argument(lp, -g2)}),
-        NormalOrderedTerm(GR_ONE, -1, {
-            "b": shift_argument(bm, g1) + Bm,
-            "lambda": -shift_argument(lm, g2)}),
-    ))
-    cat.currents["psi"] = psi
-    cat.currents["psi_dag"] = psi_dag
-
-    cp = cat.currents["C_plus"].exponent("c")
-    cm = cat.currents["C_minus"].exponent("c")
-    cat.currents["E"] = Current("E", tuple(
-        NormalOrderedTerm(t.coeff, t.hbar_power, {**t.exponents, "c": cp})
-        for t in psi.terms))
-    cat.currents["F"] = Current("F", tuple(
-        NormalOrderedTerm(t.coeff, t.hbar_power, {**t.exponents, "c": cm})
-        for t in psi_dag.terms))
-    return cat
 
 
 # ---------------------------------------------------------------------------
@@ -785,150 +671,3 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
         raise NonConvergent(
             f"fitted convergence order {slope:.3f} below {min_order}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# the shipped relation set and the contraction-pair catalog
-
-def _w_linear(c: Fraction | GR) -> StructureFunction:
-    """(w + c*hbar) as a structure function: -i * (iw + i c hbar)."""
-    rho = GR_I * GR.of(c)
-    return StructureFunction.from_linear(rho, 1) * StructureFunction.from_const_gr(
-        GR(Fraction(0), Fraction(-1)))
-
-
-def _iw_linear(c) -> StructureFunction:
-    return StructureFunction.from_linear(GR.of(c), 1)
-
-
-def builtin_relations(k: Fraction) -> list[Relation]:
-    """The full printed/derived relation table at level k."""
-    g = StructureFunction.from_gamma
-    one = StructureFunction.one()
-    half = Fraction(1, 2)
-    rels: list[Relation] = []
-
-    # intermediate-field rational relations (hyperbolic, as printed)
-    for rel_id, pair, sgn in (
-            ("beta_p.B_p", ("beta_plus", "B_plus"), +1),
-            ("beta_p.B_m", ("beta_plus", "B_minus"), -1),
-            ("B_p.beta_m", ("B_plus", "beta_minus"), +1),
-            ("B_m.beta_m", ("B_minus", "beta_minus"), -1)):
-        num = _iw_linear(sgn * (k / 4) + half * sgn)
-        den = _iw_linear(sgn * (k / 4) - half * sgn)
-        rels.append(Relation(rel_id, "exchange", pair, pair[::-1],
-                             left_factor=den, right_factor=num))
-
-    # golden Gamma-product relations (hyperbolic, as printed)
-    lam = (g(2, (k + 2) / 4, 1) * g(2, (k + 6) / 4, 1) * g(2, -k / 4, 2)
-           * g(2, -(k + 2) / 4, -1) * g(2, -(k - 2) / 4, -1) * g(2, (k + 4) / 4, -2))
-    bet = (g(2, -k / 4, 1) * g(2, -(k - 4) / 4, 1) * g(2, (k + 2) / 4, 2)
-           * g(2, k / 4, -1) * g(2, (k + 4) / 4, -1) * g(2, -(k - 2) / 4, -2))
-    rels.append(Relation("Lambda_p.Lambda_m", "exchange",
-                         ("Lambda_plus", "Lambda_minus"),
-                         ("Lambda_minus", "Lambda_plus"), right_factor=lam))
-    rels.append(Relation("beta_p.beta_m", "exchange",
-                         ("beta_plus", "beta_minus"),
-                         ("beta_minus", "beta_plus"), right_factor=bet))
-
-    # screened-current Gamma relations, derived forms at native scale k
-    def cc(scale_sign, sh_p, e1):
-        return (g(scale_sign * k, sh_p, e1))
-
-    s_cpcp = (g(k, 1 + 1 / k, 1) * g(k, 1 - 1 / k, -1)
-              * g(-k, 1 - 1 / k, 1) * g(-k, 1 + 1 / k, -1))
-    s_cmcm = (g(k, Fraction(0) + 1 / k, 1) * g(k, Fraction(0) - 1 / k, -1)
-              * g(-k, Fraction(0) - 1 / k, 1) * g(-k, Fraction(0) + 1 / k, -1))
-    s_cpcm = (g(k, half - 1 / k, 1) * g(k, half + 1 / k, -1)
-              * g(-k, half + 1 / k, 1) * g(-k, half - 1 / k, -1))
-    rels += [
-        Relation("C_p.C_p", "exchange", ("C_plus", "C_plus"),
-                 ("C_plus", "C_plus"), right_factor=s_cpcp,
-                 note="derived form; the printed Gamma shifts use unexpanded notation"),
-        Relation("C_m.C_m", "exchange", ("C_minus", "C_minus"),
-                 ("C_minus", "C_minus"), right_factor=s_cmcm),
-        Relation("C_p.C_m", "exchange", ("C_plus", "C_minus"),
-                 ("C_minus", "C_plus"), right_factor=s_cpcm),
-        Relation("B_p.B_p", "exchange", ("B_plus", "B_plus"),
-                 ("B_plus", "B_plus"), right_factor=s_cpcp.inverse()),
-        Relation("B_m.B_m", "exchange", ("B_minus", "B_minus"),
-                 ("B_minus", "B_minus"), right_factor=s_cmcm.inverse()),
-        Relation("B_p.B_m", "exchange", ("B_plus", "B_minus"),
-                 ("B_minus", "B_plus"), right_factor=s_cpcm.inverse()),
-    ]
-
-    # Drinfeld rational relations (rotated closed forms, printed factors)
-    def wl(c):
-        return _w_linear(as_fraction(c))
-
-    rels += [
-        Relation("H_p.H_p", "exchange", ("H_plus", "H_plus"),
-                 ("H_plus", "H_plus"), rotate="global"),
-        Relation("H_m.H_m", "exchange", ("H_minus", "H_minus"),
-                 ("H_minus", "H_minus"), rotate="global"),
-        Relation("H_p.H_m", "exchange", ("H_plus", "H_minus"),
-                 ("H_minus", "H_plus"),
-                 left_factor=wl(1 - k / 2) * wl(k / 2 - 1),
-                 right_factor=wl(-1 - k / 2) * wl(k / 2 + 1),
-                 rotate="global",
-                 note="factor derived from the contraction; the printed relation "
-                      "carries a malformed term"),
-        Relation("H_m.H_p", "exchange", ("H_minus", "H_plus"),
-                 ("H_plus", "H_minus"),
-                 left_factor=wl(1 + k / 2) * wl(-k / 2 - 1),
-                 right_factor=wl(k / 2 - 1) * wl(1 - k / 2),
-                 rotate="global"),
-        Relation("H_p.E", "exchange", ("H_plus", "E"), ("E", "H_plus"),
-                 left_factor=wl(1 - k / 4), right_factor=wl(-1 - k / 4),
-                 rotate="global"),
-        Relation("H_m.E", "exchange", ("H_minus", "E"), ("E", "H_minus"),
-                 left_factor=wl(1 + k / 4), right_factor=wl(-1 + k / 4),
-                 rotate="global"),
-        Relation("H_p.F", "exchange", ("H_plus", "F"), ("F", "H_plus"),
-                 left_factor=wl(-1 + k / 4), right_factor=wl(1 + k / 4),
-                 rotate="global"),
-        Relation("H_m.F", "exchange", ("H_minus", "F"), ("F", "H_minus"),
-                 left_factor=wl(-1 - k / 4), right_factor=wl(1 - k / 4),
-                 rotate="global"),
-        Relation("E.E", "exchange", ("E", "E"), ("E", "E"),
-                 left_factor=wl(1), right_factor=wl(-1), rotate="global"),
-        Relation("F.F", "exchange", ("F", "F"), ("F", "F"),
-                 left_factor=wl(-1), right_factor=wl(1), rotate="global"),
-    ]
-
-    # nonlocal-current shape relations
-    rels += [
-        Relation("psi.psi", "shape", ("psi", "psi"), ("psi", "psi")),
-        Relation("psi.psi_dag", "shape", ("psi", "psi_dag"), ("psi_dag", "psi")),
-        Relation("psi_dag.psi_dag", "shape", ("psi_dag", "psi_dag"),
-                 ("psi_dag", "psi_dag")),
-    ]
-    return rels
-
-
-def catalog_contraction_pairs(cat: Catalog) -> list[tuple[str, str, ModeFunction, ModeFunction, Kernel]]:
-    """All nonzero contraction integrand sources: primitive pairs plus the
-    composite per-family exponents of the nonlocal currents."""
-    out = []
-    prim = {
-        "c": (["C_plus", "C_minus", "H_plus"], ["C_plus", "C_minus", "H_minus"]),
-        "b": (["B_plus", "B_minus", "beta_plus"], ["B_plus", "B_minus", "beta_minus"]),
-        "lambda": (["Lambda_plus"], ["Lambda_minus"]),
-    }
-    for fam, (lefts, rights) in prim.items():
-        for ln in lefts:
-            for rn in rights:
-                f = cat[ln].exponent(fam)
-                g = cat[rn].exponent(fam)
-                out.append((f"{ln}.{rn}", fam, f, g, cat.kernels[fam]))
-    for ia, ta in enumerate(cat["E"].terms):
-        for ib, tb in enumerate(cat["F"].terms):
-            for fam in ("b", "lambda", "c"):
-                f = ta.exponents.get(fam)
-                g = tb.exponents.get(fam)
-                if f is None or g is None:
-                    continue
-                I = contract(f, g, cat.kernels[fam], cat.params)
-                if not I.is_zero():
-                    out.append((f"E{ia + 1}.F{ib + 1}", fam, f, g, cat.kernels[fam]))
-    return out

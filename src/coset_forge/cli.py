@@ -3,10 +3,10 @@
     coset-forge <catalog|contract|verify|poles|limit|report> [file]
         [--k R] [--hbar R[,R...]] [--grid-n N] [--grid-range A,B]
         [--tol X] [--json PATH] [--rotate <c-sector|global|none>]
-        [--relation NAME] [--all] [--at RE,IM] [--pair A,B] [--workers N]
+        [--relation NAME] [--all] [--at RE,IM] [--pair A,B]
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
-``--workers`` is accepted and ignored: relations run one after another.
+``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report and
 rejects ``--json``.
@@ -31,7 +31,8 @@ from .algebra import (ClassicalBraid, VerificationReport,
                       verify_relation)
 from .contraction import closed_form, contract, quad_eval
 from .dsl import parse_definitions
-from .errors import CosetForgeError, InvalidOption, NonConvergent, ParseError
+from .errors import (CosetForgeError, InvalidOption, NonConvergent,
+                     NothingToVerify, ParseError)
 
 SCHEMA_VERSION = "1"
 
@@ -113,6 +114,13 @@ def _bind_session(args):
         for rel in rels:
             rel.tolerance = args.tol
     return df, params, cat, rels, comms, hbars
+
+
+def _require_checks(rels, comms) -> None:
+    """Refuse a run that would pass without checking anything."""
+    if not rels and not comms:
+        raise NothingToVerify(
+            "the definition file declares no relation and no commutator_delta")
 
 
 def _session_grid(args, params, avoid=None):
@@ -352,6 +360,7 @@ def cmd_contract(args) -> int:
 
 def cmd_verify(args) -> int:
     df, params, cat, rels, comms, hbars = _bind_session(args)
+    _require_checks(rels, comms)
     if args.relation:
         rels = [r for r in rels if r.rel_id == args.relation]
         if not rels:
@@ -400,6 +409,10 @@ def cmd_limit(args) -> int:
     else:
         pairs = [(r.left_pair[0], r.left_pair[1])
                  for r in rels if r.kind == "shape"]
+        if not pairs:
+            raise NothingToVerify(
+                "the definition file declares no shape relation; name a pair "
+                "with --pair")
     reports = _run_limits(cat, seq, pairs)
     _print_report_lines(reports, _text_stream(args))
     ok = all(r.passed for r in reports)
@@ -410,6 +423,7 @@ def cmd_limit(args) -> int:
 
 def cmd_report(args) -> int:
     df, params, cat, rels, comms, hbars = _bind_session(args)
+    _require_checks(rels, comms)
     reports = _run_relations(cat, rels, args)
     reports += _run_commutators(cat, comms, args)
     shape_pairs = [(r.left_pair[0], r.left_pair[1])
@@ -461,9 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rotate", default=None,
                        choices=["none", "c-sector", "global"],
                        help="force a rotation mode on every relation")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility and ignored; relations "
-                            "run one after another")
 
     p = sub.add_parser("catalog", help="print the bound current catalog")
     common(p)
@@ -471,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="quadrature vs closed form for a pair")
     common(p)
-    p.add_argument("currents", nargs=2, metavar=("A", "B"))
+    # a tuple metavar breaks argparse's usage message for a missing pair
+    p.add_argument("currents", nargs=2, metavar="CURRENT")
     p.add_argument("--at", default=None, metavar="RE,IM")
     p.set_defaults(fn=cmd_contract)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
@@ -45,26 +44,9 @@ from .specfun import log_gamma
 # quadrature.
 
 __all__ = [
-    "GammaFactor", "StructureFunction", "ContractionIntegrand",
-    "contract", "quad_eval", "closed_form", "exchange_factor",
+    "StructureFunction", "ContractionIntegrand", "contract", "quad_eval",
+    "closed_form", "exchange_factor",
 ]
-
-
-@dataclass(frozen=True)
-class GammaFactor:
-    """Gamma(iw/(scale*hbar) + shift)^exponent.
-
-    The scale is a Gaussian rational so that reversed (w -> -w) and
-    Wick-rotated factors stay in the same representation; the default
-    presentation scale is 2, matching x = i(u-v)/(2 hbar).
-    """
-
-    scale: GR
-    shift: Fraction
-    exponent: int
-
-    def argument(self, w: complex, hbar: float) -> complex:
-        return 1j * w / (complex(self.scale) * hbar) + float(self.shift)
 
 
 class StructureFunction:
@@ -178,9 +160,6 @@ class StructureFunction:
         out.linears = {k: v for k, v in out.linears.items() if v}
         out.gammas = {k: v for k, v in out.gammas.items() if v}
         return out
-
-    def is_gamma_free(self) -> bool:
-        return not self.normalize().gammas
 
     def is_one(self) -> bool:
         n = self.normalize()

@@ -137,6 +137,10 @@ def _scale(x: KRat, op, c: Fraction) -> KRat:
     return KRat({e: op(v, c) for e, v in x.num.items()}, x.den)
 
 
+def _is_zero(x: KVal) -> bool:
+    return not (x.num if isinstance(x, KRat) else x)
+
+
 def _at(x: KVal, k: Fraction) -> Fraction:
     """The value of a k-expression at level k."""
     return x if isinstance(x, Fraction) else x.bind(k)
@@ -403,10 +407,10 @@ def _krat_str(x: KVal) -> str:
             v = p[e]
             if e == 0:
                 bits.append(str(v))
-            elif e == 1:
-                bits.append("k" if v == 1 else f"{v}*k")
             else:
-                bits.append(f"{v}*k^{e}")
+                # a power as a product: the grammar has no '^' on k
+                power = "*".join(["k"] * e)
+                bits.append(power if v == 1 else f"{v}*{power}")
         return " + ".join(bits) if bits else "0"
     if x.den == {0: Fraction(1)}:
         body = poly(x.num)
@@ -620,7 +624,17 @@ class _Parser:
         val = self.kfactor()
         while (op := self.keys[self.i]) in ("*", "/"):
             self.i += 1
-            val = _kop(_ARITH[op], val, self.kfactor())
+            val = _kop(_ARITH[op], val,
+                       self.divisor() if op == "/" else self.kfactor())
+        return val
+
+    def divisor(self) -> KVal:
+        """A k-factor that divides; one that is identically zero is an
+        error at its first token."""
+        t = self.toks[self.i]
+        val = self.kfactor()
+        if _is_zero(val):
+            raise ParseError(t.line, t.col, {"nonzero divisor"}, t.text)
         return val
 
     def kfactor(self) -> KVal:
@@ -766,8 +780,10 @@ class _Parser:
                 hpow += mul
                 return
             if self.cur.kind == "number" or self.keys[self.i] == "(":
-                coeff = _kop(operator.truediv if invert else operator.mul,
-                             coeff, self.kfactor())
+                if invert:
+                    coeff = _kop(operator.truediv, coeff, self.divisor())
+                else:
+                    coeff = _kop(operator.mul, coeff, self.kfactor())
                 return
             if self.accept("exp"):
                 self.expect("(")
@@ -831,7 +847,8 @@ class _Parser:
             if self.toks[self.i + 1].text == stop:
                 break
             self.i += 1
-            val = _kop(_ARITH[op], val, self.kfactor())
+            val = _kop(_ARITH[op], val,
+                       self.divisor() if op == "/" else self.kfactor())
         return val
 
     # -- composite expressions -------------------------------------------------
@@ -882,11 +899,14 @@ class _Parser:
         factors.append(atom())
         while (op := self.keys[self.i]) in ("*", "/"):
             self.i += 1
+            t = self.toks[self.i]
             nxt = atom()
             if op == "/":
                 if len(nxt) != 1 or nxt[0].refs:
                     self.error({"scalar divisor"})
                 d = nxt[0]
+                if _is_zero(d.coeff):
+                    raise ParseError(t.line, t.col, {"nonzero divisor"}, t.text)
                 nxt = [CompositeTerm(_kop(operator.truediv, _ONE, d.coeff),
                                      -d.hbar_power, [])]
             factors.append(nxt)

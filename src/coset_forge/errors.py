@@ -11,10 +11,6 @@ class PoleAtNonPositiveInteger(CosetForgeError):
         self.z = z
 
 
-class ArgumentTooSmall(CosetForgeError):
-    pass
-
-
 class NonFiniteValue(CosetForgeError):
     pass
 
@@ -67,6 +63,15 @@ class ExcludedLevel(CosetForgeError):
 class InvalidOption(CosetForgeError):
     """A command-line value under which no relation could pass or the grid
     would check nothing."""
+
+
+class NothingToVerify(CosetForgeError):
+    """A definition file declares no relation and no commutator_delta, so a
+    verification run would pass without checking anything."""
+
+
+class VanishingDenominator(CosetForgeError, ZeroDivisionError):
+    """A k-expression's denominator vanishes at the level it is bound at."""
 
 
 class NonConvergent(CosetForgeError):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonCyclotomicDenominator
+from .errors import NonCyclotomicDenominator, VanishingDenominator
 
 
 def as_fraction(x) -> Fraction:
@@ -218,17 +218,6 @@ class LaurentPoly:
             out.append(acc / fact)
         return out
 
-    def to_dense(self, lo: int | None = None) -> list[GR]:
-        """Dense coefficient list starting at exponent lo (default min_exp)."""
-        if self.is_zero():
-            return [GR_ZERO]
-        if lo is None:
-            lo = self.min_exp()
-        out = [GR_ZERO] * (self.max_exp() - lo + 1)
-        for e, v in self.c.items():
-            out[e - lo] = v
-        return out
-
     def eval_numeric(self, logz: complex) -> complex:
         """Evaluate at zeta = exp(logz), numerically."""
         s = 0j
@@ -250,38 +239,6 @@ def _cexp(z: complex) -> complex:
                    math.exp(z.real) * math.sin(z.imag))
 
 
-def _poly_divmod(num: list[GR], den: list[GR]) -> tuple[list[GR], list[GR]]:
-    """Ordinary dense polynomial division, coefficients ascending."""
-    num = list(num)
-    dn = len(den) - 1
-    while den[dn].is_zero():
-        dn -= 1
-    q = [GR_ZERO] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        coeff = num[i] / den[dn]
-        if coeff:
-            q[i - dn] = coeff
-            for j in range(dn + 1):
-                num[i - dn + j] = num[i - dn + j] - coeff * den[j]
-    while len(num) > 1 and num[-1].is_zero():
-        num.pop()
-    return q, num
-
-
-def poly_gcd(a: list[GR], b: list[GR]) -> list[GR]:
-    """Monic gcd of dense ordinary polynomials over the Gaussian rationals."""
-    a = [v for v in a]
-    b = [v for v in b]
-    while any(v for v in b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    # normalize monic
-    lead = a[-1]
-    for i, v in enumerate(a):
-        a[i] = v / lead
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Cyclotomic denominators.
 #
@@ -293,6 +250,12 @@ def poly_gcd(a: list[GR], b: list[GR]) -> list[GR]:
 # integer key: d for Phi_d (4 not dividing d), +d for g_d and -d for
 # conj(g_d) (4 | d).  All factors are monic with Gaussian-integer
 # coefficients, so cancellation is exact integer division.
+#
+# The halves need no gcd.  With m = d/4, a root of zeta^m - i has order d/e
+# for an odd e | m, and zeta^{m/e} is i or -i as e is 1 or 3 mod 4.  So
+# zeta^m - i is the product over odd e | m of g_{d/e} (e = 1 mod 4) or
+# conj(g_{d/e}) (e = 3 mod 4), and g_d is zeta^m - i divided by the factors
+# with e > 1, all of lower order.
 
 def _divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -537,10 +500,12 @@ def _factor(key: int) -> _ZiPoly:
     if key < 0:
         g = _factor(-key)
         return _ZiPoly(0, g.re, [-y for y in g.im], 1)
-    target = [GR_ZERO] * (key // 4 + 1)
-    target[0], target[-1] = -GR_I, GR_ONE          # zeta^{d/4} - i
-    g = poly_gcd([GR.of(c) for c in _cyclotomic(key)], target)
-    return _ZiPoly(0, [int(v.re) for v in g], [int(v.im) for v in g], 1)
+    m = key // 4
+    g = _ZiPoly(0, [0] * m + [1], [-1] + [0] * m, 1)     # zeta^m - i
+    for e in _divisors(m)[1:]:
+        if e % 2:
+            g = g.divide(_factor(key // e if e % 4 == 1 else -(key // e)))
+    return g
 
 
 @functools.lru_cache(maxsize=1024)
@@ -809,7 +774,8 @@ class KRat:
         n = sum((v * k ** e for e, v in self.num.items()), Fraction(0))
         d = sum((v * k ** e for e, v in self.den.items()), Fraction(0))
         if d == 0:
-            raise ZeroDivisionError(f"KRat denominator vanishes at k={k}")
+            raise VanishingDenominator(
+                f"k-expression {self!r} has a vanishing denominator at k={k}")
         return n / d
 
     def __repr__(self):

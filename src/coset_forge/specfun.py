@@ -1,5 +1,4 @@
-"""Complex special functions: principal-branch log-Gamma, digamma, Gamma
-ratios and their large-argument asymptotics.
+"""Complex special functions: principal-branch log-Gamma and Gamma ratios.
 
 The implementation is Stirling's series after a recurrence shift into the
 region Re z >= 10, with the reflection formula handling Re z < 0.  For
@@ -18,9 +17,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import ArgumentTooSmall, NonFiniteValue, PoleAtNonPositiveInteger
+from .errors import NonFiniteValue, PoleAtNonPositiveInteger
 
-__all__ = ["log_gamma", "digamma", "gamma_ratio", "gamma_ratio_asymptotic"]
+__all__ = ["log_gamma", "gamma_ratio"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12
@@ -42,22 +41,6 @@ _STIRLING = [
     657931.0 / 300.0,
     -3392780147.0 / 93960.0,
     1723168255201.0 / 2492028.0,
-]
-
-# B_{2n} / (2n) for n = 1..12, used by the digamma asymptotic series.
-_DIGAMMA = [
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-    43867.0 / 14364.0,
-    -174611.0 / 6600.0,
-    77683.0 / 276.0,
-    -236364091.0 / 65520.0,
 ]
 
 _SHIFT_RE = 10.0
@@ -118,53 +101,9 @@ def log_gamma(z: complex) -> complex:
     return math.log(math.pi) - log_sin - _log_gamma_shifted(w)
 
 
-def digamma(z: complex) -> complex:
-    """psi(z) = d/dz log Gamma(z), principal conventions matching log_gamma."""
-    z = _check_finite(z)
-    _check_pole(z)
-    if z.imag < 0.0:
-        return digamma(z.conjugate()).conjugate()
-    if z.real < 0.0 and z.imag <= 1.0:
-        # psi(z) = psi(1-z) - pi cot(pi z), with
-        # cot(pi z) = -i (1 + e^{2 pi i z}) / (1 - e^{2 pi i z}) for Im z >= 0
-        e = cmath.exp(2j * math.pi * z)
-        cot = -1j * (1.0 + e) / (1.0 - e)
-        return digamma(1.0 - z) - math.pi * cot
-    acc = 0.0 + 0.0j
-    while z.real < _SHIFT_RE:
-        acc += 1.0 / z
-        z += 1.0
-    zi = 1.0 / z
-    z2 = zi * zi
-    out = cmath.log(z) - 0.5 * zi
-    term = z2
-    for c in _DIGAMMA:
-        out -= c * term
-        term *= z2
-    return out - acc
-
-
 def gamma_ratio(x: complex, a: complex, b: complex) -> complex:
     """Gamma(x+a) / Gamma(x+b) via the log-Gamma difference."""
     x = _check_finite(x)
     a = _check_finite(a)
     b = _check_finite(b)
     return cmath.exp(log_gamma(x + a) - log_gamma(x + b))
-
-
-def gamma_ratio_asymptotic(a: complex, b: complex, x: complex) -> complex:
-    """First-order large-x expansion of Gamma(x+a)/Gamma(x+b).
-
-    Returns x^(a-b) * (1 + (a-b)(a+b-1)/(2x)) on the principal branch.
-    Truncation error is O(|x|^-2).  Requires |x| >= 10.
-    """
-    a = _check_finite(a)
-    b = _check_finite(b)
-    x = _check_finite(x)
-    if abs(x) < 10.0:
-        raise ArgumentTooSmall(f"|x| = {abs(x):.3g} < 10")
-    d = a - b
-    if d == 0:
-        return 1.0 + 0.0j
-    lead = cmath.exp(d * cmath.log(x))
-    return lead * (1.0 + d * (a + b - 1.0) / (2.0 * x))

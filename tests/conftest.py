@@ -1,0 +1,52 @@
+"""Shared helpers: the shipped `paper.alg` bound once per (k, hbar), and
+the contraction pairs of a bound catalog.
+
+Import them with `from conftest import ...`; pytest puts this directory on
+the import path."""
+
+import functools
+import importlib.resources
+from fractions import Fraction
+
+from coset_forge.dsl import parse_definitions
+
+
+def shipped_text() -> str:
+    res = importlib.resources.files("coset_forge") / "data" / "paper.alg"
+    return res.read_text()
+
+
+@functools.cache
+def _shipped_definitions():
+    return parse_definitions(shipped_text())
+
+
+@functools.cache
+def bind_shipped(k, hbar=1):
+    """(params, catalog, {relation id: relation}, commutators) of the
+    shipped file bound at level k and deformation hbar.  The result is
+    shared between tests: build a Relation of your own rather than change
+    one, and bind a fresh copy to mutate a catalog."""
+    params, cat, rels, comms, _ = _shipped_definitions().bind(
+        Fraction(k), [Fraction(hbar)])
+    return params, cat, {r.rel_id: r for r in rels}, comms
+
+
+def contraction_pairs(cat):
+    """(label, family, f, g, kernel) for every ordered term pair of a bound
+    catalog that shares a kernel family, with the left exponent carrying a
+    t>0 branch and the right one a t<0 branch; the label reads
+    `A[i].B[j].family` for term i of current A and term j of current B."""
+    out = []
+    for a, ca in cat.currents.items():
+        for b, cb in cat.currents.items():
+            for ia, ta in enumerate(ca.terms):
+                for ib, tb in enumerate(cb.terms):
+                    for fam, K in cat.kernels.items():
+                        f, g = ta.exponents.get(fam), tb.exponents.get(fam)
+                        if f is None or g is None:
+                            continue
+                        if not (f.positive_branch and g.negative_branch):
+                            continue
+                        out.append((f"{a}[{ia}].{b}[{ib}].{fam}", fam, f, g, K))
+    return out

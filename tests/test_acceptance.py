@@ -15,12 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from coset_forge.algebra import (ClassicalBraid, build_catalog,
-                                 catalog_contraction_pairs, classical_limit,
-                                 ef_commutator_analysis, builtin_relations,
-                                 verify_relation)
+from conftest import bind_shipped, contraction_pairs
+from coset_forge.algebra import (ClassicalBraid, classical_limit,
+                                 ef_commutator_analysis, verify_relation)
 from coset_forge.contraction import StructureFunction, closed_form, contract, quad_eval
-from coset_forge.modes import AlgebraParams, equals as modes_equal, shift_argument
+from coset_forge.modes import equals as modes_equal, shift_argument
 from test_specfun import oracle_grid, oracle_log_gamma, rel_err
 
 KLIST = [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)]
@@ -61,13 +60,12 @@ def test_criterion_2_printed_factor_reproduction():
         return sf
 
     for k in KLIST:
-        params = AlgebraParams(k)
-        cat = build_catalog(params)
-        bp = cat["beta_plus"].exponent("b")
-        bm = cat["beta_minus"].exponent("b")
-        lp = cat["Lambda_plus"].exponent("lambda")
-        lm = cat["Lambda_minus"].exponent("lambda")
-        Kb, Kl = cat.kernels["b"], cat.kernels["lambda"]
+        params, cat, _, _ = bind_shipped(k)
+        bp = cat["beta_plus"].exponent("bhat")
+        bm = cat["beta_minus"].exponent("bhat")
+        lp = cat["Lambda_plus"].exponent("lhat")
+        lm = cat["Lambda_minus"].exponent("lhat")
+        Kb, Kl = cat.kernels["bhat"], cat.kernels["lhat"]
 
         lam_pairs = [((k + 2) / 4, 1), ((k + 6) / 4, 1), (-k / 4, 2),
                      (-(k + 2) / 4, -1), (-(k - 2) / 4, -1), ((k + 4) / 4, -2)]
@@ -87,8 +85,8 @@ def test_criterion_2_printed_factor_reproduction():
             assert not S_b.linears and S_b.const.is_one()
 
         # rational beta/screened factors, symbolically
-        Bp = cat["B_plus"].exponent("b")
-        Bm = cat["B_minus"].exponent("b")
+        Bp = cat["B_plus"].exponent("bhat")
+        Bm = cat["B_minus"].exponent("bhat")
 
         def lin(r, e=1):
             return StructureFunction.from_linear(GR.of(r), e)
@@ -112,15 +110,15 @@ def test_criterion_3_oracle_agreement_full_catalog():
     t0 = time.time()
     for k in KLIST:
         for hbar in (Fraction(1), Fraction(1, 2)):
-            params = AlgebraParams(k, hbar)
-            cat = build_catalog(params)
-            pairs = catalog_contraction_pairs(cat)
-            assert len(pairs) >= 20
+            params, cat, _, _ = bind_shipped(k, hbar)
             hf = params.hbar_float
-            for label, fam, f, g, K in pairs:
+            # each distinct integrand once: many term pairs share one
+            seen = set()
+            for label, fam, f, g, K in contraction_pairs(cat):
                 I = contract(f, g, K, params)
-                if I.is_zero():
+                if I.is_zero() or (I.lattice, I.rational) in seen:
                     continue
+                seen.add((I.lattice, I.rational))
                 sf = closed_form(I, params)
                 base = max(0.0, I.strip_bound(hf))
                 for j in range(20):
@@ -130,13 +128,14 @@ def test_criterion_3_oracle_agreement_full_catalog():
                     q = cmath.exp(quad_eval(I, w, params))
                     c = sf.eval(w, hf)
                     assert abs(q - c) <= 1e-8 * abs(c), (label, k, hbar, w)
+            assert len(seen) >= 20
     _stamp("criterion 3 (quadrature vs closed form, full catalog)", t0, 60.0)
 
 
 def test_criterion_4_nonlocal_shape_relations():
     t0 = time.time()
     for k in KLIST:
-        cat = build_catalog(AlgebraParams(k))
+        _, cat, _, _ = bind_shipped(k)
         for pair in (("psi", "psi"), ("psi", "psi_dag"), ("psi_dag", "psi_dag")):
             facs = cat.pair_exchange(cat[pair[0]], cat[pair[1]], rotate="none")
             base = facs[0]
@@ -155,11 +154,10 @@ def test_criterion_5_rational_relations_gamma_emptiness():
     t0 = time.time()
     recorded_hh = {}
     for k in KLIST:
-        cat = build_catalog(AlgebraParams(k))
-        rels = {r.rel_id: r for r in builtin_relations(k)}
+        _, cat, rels, _ = bind_shipped(k)
         for rid in ("H_p_H_p", "H_m_H_m", "H_p_H_m", "H_m_H_p", "H_p_E",
                     "H_m_E", "H_p_F", "H_m_F", "E_E", "F_F"):
-            rel = rels[_relid_map(rid)]
+            rel = rels[rid]
             # exact Gamma-multiset emptiness on every term pair
             a, b = rel.left_pair
             for sf in cat.pair_exchange(cat[a], cat[b], rotate="none"):
@@ -175,19 +173,10 @@ def test_criterion_5_rational_relations_gamma_emptiness():
     _stamp("criterion 5 (rational relations, exact Gamma cancellation)", t0, 60.0)
 
 
-def _relid_map(rid: str) -> str:
-    return {
-        "H_p_H_p": "H_p.H_p", "H_m_H_m": "H_m.H_m", "H_p_H_m": "H_p.H_m",
-        "H_m_H_p": "H_m.H_p", "H_p_E": "H_p.E", "H_m_E": "H_m.E",
-        "H_p_F": "H_p.F", "H_m_F": "H_m.F", "E_E": "E.E", "F_F": "F.F",
-    }[rid]
-
-
 def test_criterion_6_ordering_difference_structure():
     t0 = time.time()
     for k in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        params = AlgebraParams(k)
-        cat = build_catalog(params)
+        params, cat, _, _ = bind_shipped(k)
         rep = ef_commutator_analysis(cat)
         assert rep.passed, (k, rep.notes)
         hbar = params.hbar_float
@@ -207,8 +196,8 @@ def test_criterion_6_ordering_difference_structure():
         shifts = sorted(r["derived_u1_shift"] for r in rep.residue_ops)
         assert shifts == sorted([str(k / 4), str(-k / 4)])
         # independent exact identity behind the match
-        cp, cm = cat["C_plus"].exponent("c"), cat["C_minus"].exponent("c")
-        hp = cat["H_plus"].exponent("c")
+        cp, cm = cat["C_plus"].exponent("chat"), cat["C_minus"].exponent("chat")
+        hp = cat["H_plus"].exponent("chat")
         assert modes_equal(cp + shift_argument(cm, k / 2),
                            shift_argument(hp, k / 4))
     _stamp("criterion 6 (ordering-difference poles and residues)", t0, 30.0)
@@ -218,7 +207,7 @@ def test_criterion_7_classical_limit():
     t0 = time.time()
     seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
     for k in (Fraction(2), Fraction(3)):
-        cat = build_catalog(AlgebraParams(k))
+        _, cat, _, _ = bind_shipped(k)
         for pair, ab in ((("psi", "psi"), 1), (("psi", "psi_dag"), -1)):
             braid = ClassicalBraid(1, ab, k)
             rep = classical_limit(cat, pair, braid, seq, w=1.0 + 0.002j)

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from coset_forge.algebra import (ClassicalBraid, Relation, build_catalog,
-                                 catalog_contraction_pairs, classical_limit,
+from conftest import bind_shipped, contraction_pairs
+from coset_forge.algebra import (ClassicalBraid, Relation, classical_limit,
                                  default_grid, ef_commutator_analysis,
-                                 builtin_relations, verify_relation, wick_rotate)
+                                 verify_relation)
 from coset_forge.contraction import StructureFunction
 from coset_forge.errors import ExcludedLevel, NonConvergent
 from coset_forge.exact import GR
@@ -20,8 +20,12 @@ K2 = AlgebraParams(Fraction(2))
 HALF = Fraction(1, 2)
 
 
+def catalog(k):
+    return bind_shipped(k)[1]
+
+
 def test_catalog_shape():
-    cat = build_catalog(K2)
+    cat = catalog(2)
     assert len(cat.currents) == 14
     for name in ("psi", "psi_dag", "E", "F"):
         assert len(cat[name].terms) == 2
@@ -29,46 +33,38 @@ def test_catalog_shape():
                  "Lambda_minus", "beta_plus", "beta_minus", "H_plus", "H_minus"):
         assert len(cat[name].terms) == 1
     with pytest.raises(ExcludedLevel):
-        build_catalog(AlgebraParams(Fraction(0)))
+        bind_shipped(0)
 
 
 def test_catalog_printed_exponents():
     # C+ positive branch: -hbar e^{-(k/4) h t} e^{-iut}/sinh(k h t/2);
     # H+ : 2 hbar e^{-iut} on t>0 only
     k = Fraction(5, 2)
-    cat = build_catalog(AlgebraParams(k))
-    cp = cat["C_plus"].exponent("c")
+    cat = catalog(k)
+    cp = cat["C_plus"].exponent("chat")
     expect = ModeFunction(
         [ExpTrigTerm(GR.of(-1), 1, -k / 4, 0, ((k / 2, -1),))],
         [ExpTrigTerm(GR.of(-1), 1, k / 4, 0, ((k / 2, -1),))])
     assert modes_equal(cp, expect)
-    hp = cat["H_plus"].exponent("c")
+    hp = cat["H_plus"].exponent("chat")
     assert modes_equal(hp, ModeFunction([ExpTrigTerm(GR.of(2), 1, 0, 0, ())], []))
-    assert not cat["H_minus"].exponent("c").positive_branch
+    assert not cat["H_minus"].exponent("chat").positive_branch
 
 
 def test_wick_rotate_structure_function_example():
     sf = (StructureFunction.from_linear(GR.of(HALF), 1)
           * StructureFunction.from_linear(GR.of(-HALF), -1))
-    rot = wick_rotate(sf)
+    rot = sf.wick_rotate()
     for w in (1.4 - 0.3j,):
         assert abs(rot.eval(w, 1.0) - (w - 0.5) / (w + 0.5)) < 1e-13
-    assert wick_rotate(StructureFunction.one()).is_one()
-
-
-def test_wick_rotate_current_marks_sector():
-    cat = build_catalog(K2)
-    rotated = wick_rotate(cat["C_plus"])
-    assert rotated.rotation_counts == {"c": 1}
-    again = wick_rotate(rotated)
-    assert again.rotation_counts == {"c": 2}
+    assert StructureFunction.one().wick_rotate().is_one()
 
 
 def test_rotated_screened_exchange_matches_u1_sector_factor():
     # the rotated C+C- exchange factor coincides with the rational factor the
     # U(1) relations produce at the same arguments
     k = Fraction(2)
-    cat = build_catalog(AlgebraParams(k))
+    cat = catalog(k)
     facs = cat.pair_exchange(cat["C_plus"], cat["C_minus"], rotate="global")
     s = facs[0].normalize()
     # at k=2 the exchange collapses to -(iw+h)/(iw-h) rotated: -(w-h)/(w+h)... :
@@ -84,10 +80,10 @@ def test_rotated_screened_exchange_matches_u1_sector_factor():
 
 
 @pytest.mark.parametrize("k", [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)])
-def test_builtin_relations_all_levels(k):
-    params = AlgebraParams(k)
-    cat = build_catalog(params)
-    for rel in builtin_relations(k):
+def test_shipped_relations_all_levels(k):
+    _, cat, rels, _ = bind_shipped(k)
+    assert len(rels) == 25
+    for rel in rels.values():
         rep = verify_relation(cat, rel)
         assert rep.passed, (k, rel.rel_id, rep.symbolic_pass, rep.max_rel_err)
         assert rep.symbolic_pass
@@ -98,7 +94,7 @@ def test_drinfeld_gamma_cancellation_is_exact():
     # kernel-family factorization: all Gamma factors cancel between the
     # auxiliary and U(1) sectors in every E/F term pair
     for k in (Fraction(2), Fraction(5, 2)):
-        cat = build_catalog(AlgebraParams(k))
+        cat = catalog(k)
         for a, b in (("E", "E"), ("F", "F"), ("H_plus", "E"), ("H_minus", "F")):
             for sf in cat.pair_exchange(cat[a], cat[b], rotate="none"):
                 assert not sf.normalize().gammas
@@ -106,7 +102,7 @@ def test_drinfeld_gamma_cancellation_is_exact():
 
 def test_verify_relation_rejects_perturbed_factor():
     k = Fraction(2)
-    cat = build_catalog(AlgebraParams(k))
+    cat = catalog(k)
     bad = Relation("ee_bad", "exchange", ("E", "E"), ("E", "E"),
                    left_factor=StructureFunction.from_linear(GR(Fraction(0), Fraction(1)), 1),
                    right_factor=StructureFunction.from_linear(GR(Fraction(0), Fraction(-2)), 1),
@@ -120,7 +116,7 @@ def test_verify_relation_rejects_perturbed_factor():
 def test_relation_asymptotic_normalization():
     # any exchange relation at |w| -> large: both sides' ratio -> 1
     k = Fraction(3)
-    cat = build_catalog(AlgebraParams(k))
+    cat = catalog(k)
     facs = cat.pair_exchange(cat["beta_plus"], cat["beta_minus"], rotate="none")
     for r in (50.0, 400.0):
         w = r * cmath.exp(-0.6j)
@@ -129,7 +125,7 @@ def test_relation_asymptotic_normalization():
 
 def test_hh_commutation_factor_is_one():
     for k in (Fraction(2), Fraction(5, 2)):
-        cat = build_catalog(AlgebraParams(k))
+        cat = catalog(k)
         for pair in (("H_plus", "H_plus"), ("H_minus", "H_minus")):
             for sf in cat.pair_exchange(cat[pair[0]], cat[pair[1]]):
                 assert sf.is_one()
@@ -137,7 +133,7 @@ def test_hh_commutation_factor_is_one():
 
 @pytest.mark.parametrize("k", [Fraction(2), Fraction(3), Fraction(5, 2)])
 def test_ef_commutator_analysis(k):
-    cat = build_catalog(AlgebraParams(k))
+    cat = catalog(k)
     rep = ef_commutator_analysis(cat)
     assert rep.passed
     hbar = 1.0
@@ -155,7 +151,7 @@ def test_ef_commutator_analysis(k):
 
 def test_hh_pair_has_empty_pole_set():
     # the same ordering-difference analysis on a commuting pair: no poles
-    cat = build_catalog(K2)
+    cat = catalog(2)
     rep = ef_commutator_analysis(cat, e_name="H_plus", f_name="H_plus",
                                  expected_poles=[],
                                  residue_targets=[("H_plus", Fraction(0))])
@@ -164,7 +160,7 @@ def test_hh_pair_has_empty_pole_set():
 
 
 def test_residue_scalar_pattern():
-    cat = build_catalog(K2)
+    cat = catalog(2)
     rep = ef_commutator_analysis(cat)
     by_pole = {round(r["pole_w"].real, 9): r for r in rep.residue_ops}
     minus = by_pole[-1.0]
@@ -175,7 +171,7 @@ def test_residue_scalar_pattern():
 
 @pytest.mark.parametrize("k", [Fraction(2), Fraction(3)])
 def test_classical_limit_psi_pairs(k):
-    cat = build_catalog(AlgebraParams(k))
+    cat = catalog(k)
     seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
     for pair, ab in ((("psi", "psi"), 1), (("psi", "psi_dag"), -1)):
         braid = ClassicalBraid(1, ab, k)
@@ -189,14 +185,14 @@ def test_classical_limit_psi_pairs(k):
 
 
 def test_classical_limit_requires_decreasing_sequence():
-    cat = build_catalog(K2)
+    cat = catalog(2)
     braid = ClassicalBraid(1, 1, Fraction(2))
     with pytest.raises(ValueError):
         classical_limit(cat, ("psi", "psi"), braid, [Fraction(1, 10)] * 3)
 
 
 def test_classical_limit_nonconvergent_raises():
-    cat = build_catalog(AlgebraParams(Fraction(3)))
+    cat = catalog(3)
     braid = ClassicalBraid(1, 1, Fraction(3))
     # wrong braiding exponent: the factor approaches a different phase, the
     # error saturates and the fitted order collapses
@@ -208,11 +204,13 @@ def test_classical_limit_nonconvergent_raises():
 
 
 def test_catalog_contraction_pair_count():
-    cat = build_catalog(K2)
-    pairs = catalog_contraction_pairs(cat)
+    pairs = contraction_pairs(catalog(2))
     assert len(pairs) >= 20
     labels = {p[0] for p in pairs}
-    assert "C_plus.C_minus" in labels and "Lambda_plus.Lambda_minus" in labels
+    assert "C_plus[0].C_minus[0].chat" in labels
+    assert "Lambda_plus[0].Lambda_minus[0].lhat" in labels
+    # a t<0-only current never stands on the left
+    assert not any(label.startswith("H_minus[") for label in labels)
 
 
 def test_default_grid_properties():
@@ -226,7 +224,7 @@ def test_bilinearity_consistency():
     # verifying the composite relation gives the same verdict as checking the
     # shared factor on each term pair separately
     k = Fraction(5, 2)
-    cat = build_catalog(AlgebraParams(k))
+    cat = catalog(k)
     facs = cat.pair_exchange(cat["psi"], cat["psi_dag"], rotate="none")
     base = facs[0]
     for sf in facs[1:]:

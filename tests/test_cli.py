@@ -124,7 +124,7 @@ def test_contract_subcommand_quadrature_vs_closed():
 
 
 def test_k_override_flag():
-    out = run_cli("verify", "--all", "--k", "5/2", "--workers", "2")
+    out = run_cli("verify", "--all", "--k", "5/2")
     assert out.returncode == 0, out.stdout
 
 
@@ -163,9 +163,9 @@ def test_verify_level_one_fifth_exits_zero():
         assert "all relations hold" in out.stdout
 
 
-def test_workers_flag_runs_one_derivation_per_cache_key(monkeypatch, capsys):
-    # --workers is a no-op: relations run in turn, so no two of them derive
-    # the same closed form concurrently
+def test_verify_runs_one_derivation_per_cache_key(monkeypatch, capsys):
+    # relations run in turn and share the catalog's closed-form cache, so
+    # each closed form is derived once
     calls, keys = [], set()
     closed_form = algebra.closed_form
     lookup = algebra.Catalog._single_pair_closed
@@ -180,7 +180,7 @@ def test_workers_flag_runs_one_derivation_per_cache_key(monkeypatch, capsys):
 
     monkeypatch.setattr(algebra, "closed_form", counting_closed_form)
     monkeypatch.setattr(algebra.Catalog, "_single_pair_closed", recording_lookup)
-    assert cli.run(["verify", "--k", "2/7", "--workers", "4"]) == 0
+    assert cli.run(["verify", "--k", "2/7"]) == 0
     assert "all relations hold" in capsys.readouterr().out
     assert keys and len(calls) == len(keys)
 
@@ -277,3 +277,70 @@ def test_catalog_json_path_is_rejected(tmp_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert json.loads(dest.read_text())["error"]["kind"] == "InvalidOption"
+
+
+@pytest.mark.parametrize("argv", [
+    ["contract", "--k", "2"],
+    ["contract", "psi"],
+    ["verify", "--workers", "2"],
+    ["report", "--workers=4"],
+])
+def test_usage_errors_exit_two(argv, capsys):
+    # argparse prints the usage and exits 2; a missing contract pair once
+    # crashed while formatting that usage
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: coset-forge")
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("text", [
+    "",
+    "params { k = 2; hbar = 1; }\nkernel a { sign = +1; slope = 1; }\n"
+    "current X on a { pos: 1 * hbar; }\n",
+])
+def test_file_with_nothing_to_check_is_refused(tmp_path, capsys, command, text):
+    src = tmp_path / "nothing.alg"
+    src.write_text(text)
+    assert cli.run([command, str(src), "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["kind"] == "NothingToVerify"
+    assert "all relations hold" not in err
+    # the catalog of such a file is still readable
+    assert cli.run(["catalog", str(src)]) == 0
+
+
+def test_limit_without_a_pair_to_fit_is_refused(tmp_path, capsys):
+    # the shipped relations minus the shape ones: verify runs, limit has
+    # nothing to fit unless --pair names a pair
+    text = "\n".join(line for line in shipped_text().split("\n")
+                     if ": shape " not in line)
+    src = tmp_path / "no_shape.alg"
+    src.write_text(text)
+    assert cli.run(["limit", str(src), "--json", "-"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "NothingToVerify"
+    assert cli.run(["limit", str(src), "--pair", "psi,psi", "--json", "-"]) == 0
+
+
+@pytest.mark.parametrize("old, new, kind, message", [
+    # a constant divisor that is zero: a parse error where it stands
+    ("hbar = 1, 1/2;", "hbar = 1, 1/0;", "parse",
+     "parse error at 11:15: expected nonzero divisor, found '0'"),
+    # a k-dependent one that vanishes at the bound level: a bind error
+    ("slope = (k+2)/2;", "slope = (k+2)/(k-2);", "VanishingDenominator",
+     "k-expression (2 + 1*k)/(-2 + 1*k) has a vanishing denominator at k=2"),
+])
+def test_division_by_zero_is_a_typed_error(tmp_path, capsys, old, new, kind, message):
+    text = shipped_text()
+    assert old in text
+    src = tmp_path / "zero.alg"
+    src.write_text(text.replace(old, new, 1))
+    dest = tmp_path / "err.json"
+    out = run_cli("verify", str(src), "--json", str(dest))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: {message}\n"
+    assert json.loads(dest.read_text())["error"] == {"kind": kind, "message": message}

@@ -11,14 +11,12 @@ Regenerate (only after reviewing why a closed form changed) with
     PYTHONPATH=src python tests/test_closed_form_fixture.py
 """
 
-import importlib.resources
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coset_forge import dsl
+from conftest import bind_shipped, contraction_pairs
 from coset_forge.contraction import closed_form, contract
 from coset_forge.errors import CosetForgeError
 
@@ -27,24 +25,13 @@ LEVELS = ("1", "2", "3", "5/2", "1/10")
 
 
 def closed_forms(k: str) -> dict[str, str]:
-    text = (importlib.resources.files("coset_forge") / "data" / "paper.alg").read_text()
-    params, cat, _, _, _ = dsl.parse_definitions(text).bind(Fraction(k), [Fraction(1)])
+    params, cat, _, _ = bind_shipped(k)
     out = {}
-    for a, ca in cat.currents.items():
-        for b, cb in cat.currents.items():
-            for ia, ta in enumerate(ca.terms):
-                for ib, tb in enumerate(cb.terms):
-                    for fam, K in cat.kernels.items():
-                        f, g = ta.exponents.get(fam), tb.exponents.get(fam)
-                        if f is None or g is None:
-                            continue
-                        if not (f.positive_branch and g.negative_branch):
-                            continue
-                        try:
-                            got = closed_form(contract(f, g, K, params), params).describe()
-                        except CosetForgeError as exc:
-                            got = type(exc).__name__
-                        out[f"{a}[{ia}].{b}[{ib}].{fam}"] = got
+    for label, fam, f, g, K in contraction_pairs(cat):
+        try:
+            out[label] = closed_form(contract(f, g, K, params), params).describe()
+        except CosetForgeError as exc:
+            out[label] = type(exc).__name__
     return out
 
 

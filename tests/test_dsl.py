@@ -1,24 +1,22 @@
 """Definition-file parsing, diagnostics, round-trip, and binding."""
 
-import importlib.resources
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import shipped_text
 from coset_forge import dsl
-from coset_forge.algebra import build_catalog
 from coset_forge.contraction import StructureFunction
 from coset_forge.dsl import _tokenize, parse_definitions
-from coset_forge.exact import GR, GR_I
-from coset_forge.errors import DuplicateName, ParseError, UndeclaredName
-from coset_forge.modes import equals as modes_equal
+from coset_forge.exact import GR, GR_I, KRat
+from coset_forge.errors import (DuplicateName, ParseError, UndeclaredName,
+                                VanishingDenominator)
 
-
-def shipped_text() -> str:
-    res = importlib.resources.files("coset_forge") / "data" / "paper.alg"
-    return res.read_text()
+REFERENCE = Path(__file__).parent / "data" / "reference_catalog.json"
 
 
 def test_shipped_file_counts():
@@ -31,12 +29,15 @@ def test_shipped_file_counts():
 
 
 def test_shipped_file_round_trip():
-    df = parse_definitions(shipped_text())
-    rendered = df.render()
-    df2 = parse_definitions(rendered)
-    assert df == df2
-    # second render is byte-stable
-    assert df2.render() == rendered
+    # the shipped file, and one more kernel whose slope is quadratic in k
+    for text in (shipped_text(),
+                 shipped_text() + "kernel q { sign = -1; slope = k*k - 3*k/2; }\n"):
+        df = parse_definitions(text)
+        rendered = df.render()
+        df2 = parse_definitions(rendered)
+        assert df == df2
+        # second render is byte-stable
+        assert df2.render() == rendered
 
 
 def test_empty_relations_block_is_valid():
@@ -80,20 +81,88 @@ def test_undeclared_and_duplicate_names():
                           "relation r : X(u) Y(v) == Y(v) X(u);\n")
 
 
-def test_bound_catalog_matches_engine_catalog():
+# The reference catalog was frozen from an independent Python construction
+# of the currents and relations, before that construction was retired in
+# favour of paper.alg.  Per level: each current's terms (coefficient, hbar
+# power, and per kernel family the canonical exponent form: lattice and the
+# reduced Laurent rational of each hbar power on each branch), and each
+# relation's kind, pairs, rotation and normalized target factor
+# right_factor / left_factor.
+
+def _mode_form(mf) -> dict:
+    lat, pos, neg = mf.canonical()
+    return {"lattice": lat,
+            "pos": {str(p): repr(lr) for p, lr in pos.items()},
+            "neg": {str(p): repr(lr) for p, lr in neg.items()}}
+
+
+def reference_mismatches(k: str, cat, rels) -> list[str]:
+    """The currents and relations of a bound catalog that differ from the
+    frozen reference at level k, as "currents/NAME" or "relations/ID"."""
+    frozen = json.loads(REFERENCE.read_text())[k]
+    got = {
+        "currents": {
+            name: [{"coeff": repr(t.coeff), "hbar_power": t.hbar_power,
+                    "exponents": {fam: _mode_form(mf)
+                                  for fam, mf in t.exponents.items()}}
+                   for t in cur.terms]
+            for name, cur in cat.currents.items()},
+        "relations": {
+            r.rel_id: {"kind": r.kind, "left_pair": list(r.left_pair),
+                       "right_pair": list(r.right_pair), "rotate": r.rotate,
+                       "factor": (r.right_factor * r.left_factor.inverse())
+                       .normalize().describe()}
+            for r in rels},
+    }
+    return sorted(f"{part}/{name}" for part in ("currents", "relations")
+                  for name in frozen[part].keys() | got[part].keys()
+                  if frozen[part].get(name) != got[part].get(name))
+
+
+@pytest.mark.parametrize("k", ["1", "2", "3", "5/2"])
+def test_bound_catalog_matches_reference(k):
+    _, cat, rels, _, _ = parse_definitions(shipped_text()).bind(Fraction(k))
+    assert len(cat.currents) == 14 and len(rels) == 25
+    assert reference_mismatches(k, cat, rels) == []
+
+
+def _mutate_current_coefficient(df):
+    # C_plus's t>0 coefficient -1 -> -2; E is built on C_plus
+    [cd] = [c for c in df.currents if c.name == "C_plus"]
+    cd.pos[0].coeff = Fraction(-2)
+    return ["currents/C_plus", "currents/E"]
+
+
+def _mutate_composite_coefficient(df):
+    # the 1/hbar prefactor of psi's first term -> 2/hbar; E is built on psi
+    [cd] = [c for c in df.currents if c.name == "psi"]
+    cd.composite[0].coeff = Fraction(2)
+    return ["currents/E", "currents/psi"]
+
+
+def _mutate_relation_constant(df):
+    # E_E: (w + 1*hbar) -> (w + 2*hbar) on the left side
+    [rd] = [r for r in df.relations if r.name == "E_E"]
+    rd.left_factors[0].offset = Fraction(2)
+    return ["relations/E_E"]
+
+
+def _mutate_gamma_shift(df):
+    # one Gamma shift constant of C_p_C_p: 1 + 1/k -> 1 + 2/k
+    [rd] = [r for r in df.relations if r.name == "C_p_C_p"]
+    rd.right_factors[0].shift = KRat.const(1) + KRat.const(2) / KRat.k()
+    return ["relations/C_p_C_p"]
+
+
+@pytest.mark.parametrize("mutate", [
+    _mutate_current_coefficient, _mutate_composite_coefficient,
+    _mutate_relation_constant, _mutate_gamma_shift])
+def test_reference_comparison_catches_a_mutation(mutate):
     df = parse_definitions(shipped_text())
-    params, cat, rels, comms, hbars = df.bind()
-    eng = build_catalog(params)
-    fam_map = {"chat": "c", "bhat": "b", "lhat": "lambda"}
-    assert set(cat.currents) == set(eng.currents)
-    for name, cur in cat.currents.items():
-        ref = eng[name]
-        assert len(cur.terms) == len(ref.terms)
-        for td, tr in zip(cur.terms, ref.terms):
-            assert td.coeff == tr.coeff
-            assert td.hbar_power == tr.hbar_power
-            for fam, mf in td.exponents.items():
-                assert modes_equal(mf, tr.exponents[fam_map[fam]])
+    expected = mutate(df)
+    for k in ("2", "5/2"):
+        _, cat, rels, _, _ = df.bind(Fraction(k))
+        assert reference_mismatches(k, cat, rels) == expected, k
 
 
 def test_bind_overrides():
@@ -147,6 +216,17 @@ _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
      3, 2, ["'hbar'", "'k'", "'}'"], "@"),
     (_K + "kernel a { sign = +2; slope = 1; }\n",
      2, 21, ["'1'"], ";"),
+    # a divisor that is zero whatever k is: refused at its first token
+    ("params { k = 2; hbar = 1, 1/0; }\n",
+     1, 29, ["nonzero divisor"], "0"),
+    (_K + "kernel a { sign = +1; slope = 1/(k-k); }\n",
+     2, 33, ["nonzero divisor"], "("),
+    (_KA + "current X on a { pos: 1 / (3-3) * hbar; }\n",
+     3, 27, ["nonzero divisor"], "("),
+    (_KA + "current X on a { pos: 1 * hbar * exp(1/0*h*t); }\n",
+     3, 40, ["nonzero divisor"], "0"),
+    (_KAX + "current Y = X / 0;\n",
+     4, 17, ["nonzero divisor"], "0"),
 ])
 def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
     with pytest.raises(ParseError) as exc:
@@ -154,6 +234,14 @@ def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
     err = exc.value
     assert (err.line, err.col, sorted(err.expected), err.found) == \
         (line, col, expected, found)
+
+
+def test_denominator_vanishing_at_the_bound_level():
+    df = parse_definitions(_K + "kernel a { sign = +1; slope = 1/(k-2); }\n")
+    with pytest.raises(VanishingDenominator, match="at k=2"):
+        df.bind()
+    params, cat, _, _, _ = df.bind(Fraction(3))
+    assert cat.kernels["a"].slope_b == 1
 
 
 def test_token_stream_is_pinned():

@@ -6,10 +6,48 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coset_forge import exact
 from coset_forge.errors import NonCyclotomicDenominator
 from coset_forge.exact import (GR, GR_I, GR_ONE, ExactConst, KRat, LaurentPoly,
-                               LaurentRational, _poly_divmod, poly_gcd)
+                               LaurentRational)
 from coset_forge.modes import ExpTrigTerm
+
+
+# -- the dense gcd over the Gaussian rationals, the reference the cyclotomic
+# reduction is checked against -------------------------------------------------
+
+def _poly_divmod(num: list[GR], den: list[GR]) -> tuple[list[GR], list[GR]]:
+    """Ordinary dense polynomial division, coefficients ascending."""
+    num = list(num)
+    dn = len(den) - 1
+    while den[dn].is_zero():
+        dn -= 1
+    q = [GR()] * max(len(num) - dn, 1)
+    for i in range(len(num) - 1, dn - 1, -1):
+        coeff = num[i] / den[dn]
+        if coeff:
+            q[i - dn] = coeff
+            for j in range(dn + 1):
+                num[i - dn + j] = num[i - dn + j] - coeff * den[j]
+    while len(num) > 1 and num[-1].is_zero():
+        num.pop()
+    return q, num
+
+
+def poly_gcd(a: list[GR], b: list[GR]) -> list[GR]:
+    """Monic gcd of dense ordinary polynomials over the Gaussian rationals."""
+    while any(v for v in b):
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    return [v / a[-1] for v in a]
+
+
+def _dense(p: LaurentPoly, lo: int) -> list[GR]:
+    """Coefficients of p from exponent lo up, ascending."""
+    out = [GR()] * (p.max_exp() - lo + 1)
+    for e, v in p.c.items():
+        out[e - lo] = v
+    return out
 
 
 def test_gr_field_ops():
@@ -126,7 +164,7 @@ def _gcd_normal_form(num, den):
     """The dense-gcd reduction: cancel gcd(num, den), then shift den to
     minimum exponent 0 and scale it to leading coefficient 1."""
     nlo, dlo = num.min_exp(), den.min_exp()
-    ndense, ddense = num.to_dense(nlo), den.to_dense(dlo)
+    ndense, ddense = _dense(num, nlo), _dense(den, dlo)
     g = poly_gcd(ndense, ddense)
     if len(g) > 1:
         ndense, _ = _poly_divmod(ndense, g)
@@ -178,6 +216,24 @@ def test_cyclotomic_arithmetic_matches_gcd_reference(na, ka, nb, kb, unit):
             (a.substitute_inverse(), (na.substitute_inverse(), da.substitute_inverse()))):
         want = (LaurentPoly(), LaurentPoly.one()) if num.is_zero() else _gcd_normal_form(num, den)
         assert (got.num, got.den) == want
+
+
+def test_split_cyclotomic_halves_by_the_integer_route():
+    # g_d comes from zeta^{d/4} - i by exact division; check it is the half
+    # the gcd definition names: g_d * conj(g_d) = Phi_d, g_d | zeta^{d/4} - i
+    for d in range(4, 401, 4):
+        g, gc = exact._factor(d), exact._factor(-d)
+        assert g.lo == 0 and g.q == 1 and g.re[-1] == 1 and g.im[-1] == 0
+        assert (g.re, [-y for y in g.im]) == (gc.re, gc.im)
+        assert g * gc == exact._ZiPoly(0, exact._cyclotomic(d), None, 1), d
+        m = d // 4
+        target = exact._ZiPoly(0, [0] * m + [1], [-1] + [0] * m, 1)
+        assert target.divide(g) is not None, d
+    # and agrees with the dense gcd where that is quick
+    for d in range(4, 65, 4):
+        phi = [GR.of(c) for c in exact._cyclotomic(d)]
+        ref = poly_gcd(phi, [-GR_I] + [GR()] * (d // 4 - 1) + [GR_ONE])
+        assert exact._factor(d).poly() == LaurentPoly(dict(enumerate(ref))), d
 
 
 def test_reduction_cancels_one_half_of_a_split_factor():

@@ -170,12 +170,12 @@ def test_pointwise_soundness_random_sweep():
 def test_screened_plus_screened_equals_u1_exponents():
     # the pair identity behind the ordering-difference residues:
     # C+(u) + C-(u + i(k/2)h) == H+(u + i(k/4)h) and the mirrored one
-    from coset_forge.algebra import build_catalog
+    from conftest import bind_shipped
     for k in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        cat = build_catalog(AlgebraParams(k))
-        cp = cat["C_plus"].exponent("c")
-        cm = cat["C_minus"].exponent("c")
-        hp = cat["H_plus"].exponent("c")
-        hm = cat["H_minus"].exponent("c")
+        _, cat, _, _ = bind_shipped(k)
+        cp = cat["C_plus"].exponent("chat")
+        cm = cat["C_minus"].exponent("chat")
+        hp = cat["H_plus"].exponent("chat")
+        hm = cat["H_minus"].exponent("chat")
         assert equals(cp + shift_argument(cm, k / 2), shift_argument(hp, k / 4))
         assert equals(cp + shift_argument(cm, -k / 2), shift_argument(hm, -k / 4))

@@ -1,5 +1,5 @@
 """Cross-route and off-nominal checks: quadrature residues, rotation-mode
-semantics, unusual levels, worker determinism."""
+semantics, unusual levels, report determinism."""
 
 import cmath
 import json
@@ -9,10 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from coset_forge.algebra import (Relation, build_catalog, builtin_relations,
-                                 ef_commutator_analysis, verify_relation)
+from conftest import bind_shipped
+from coset_forge.algebra import Relation, ef_commutator_analysis, verify_relation
 from coset_forge.contraction import contract, quad_eval
-from coset_forge.modes import AlgebraParams
 
 
 def _first_pair_quad(cat, term_a, term_b):
@@ -41,7 +40,7 @@ def test_ef_pole_residue_from_in_strip_quadrature():
     # inside the strip and continuing: expected a = k/2, b = 1, i.e. pole
     # w0 = -i(k/2) hbar with residue i b hbar
     k = Fraction(2)
-    cat = build_catalog(AlgebraParams(k))
+    _, cat, _, _ = bind_shipped(k)
     G, strip = _first_pair_quad(cat, cat["E"].terms[0], cat["F"].terms[0])
     pts = [complex(0.4, -(strip + 0.8)), complex(-0.7, -(strip + 1.3))]
     ys = [1.0 / (1.0 - G(w)) for w in pts]
@@ -59,8 +58,7 @@ def test_ef_pole_residue_from_in_strip_quadrature():
 
 
 def test_ef_cross_pair_has_no_pole_by_quadrature():
-    k = Fraction(2)
-    cat = build_catalog(AlgebraParams(k))
+    _, cat, _, _ = bind_shipped(2)
     G, strip = _first_pair_quad(cat, cat["E"].terms[0], cat["F"].terms[1])
     # the cross-pair ordering product is identically one
     for w in (complex(0.0, -(strip + 0.6)), complex(0.8, -(strip + 1.2)),
@@ -73,16 +71,14 @@ def test_c_sector_rotation_semantics():
     # global rotation; mixed-sector relations verify only under global.
     # (k = 2 would hide the difference: the auxiliary sector of the E-E
     # factor collapses to a constant there, so a generic level is used.)
-    k = Fraction(5, 2)
-    cat = build_catalog(AlgebraParams(k))
-    rels = {r.rel_id: r for r in builtin_relations(k)}
+    _, cat, rels, _ = bind_shipped(Fraction(5, 2))
 
-    hh = rels["H_p.H_m"]
+    hh = rels["H_p_H_m"]
     hh_c = Relation(hh.rel_id, hh.kind, hh.left_pair, hh.right_pair,
                     hh.left_factor, hh.right_factor, rotate="c-sector")
     assert verify_relation(cat, hh_c).passed
 
-    ee = rels["E.E"]
+    ee = rels["E_E"]
     ee_c = Relation(ee.rel_id, ee.kind, ee.left_pair, ee.right_pair,
                     ee.left_factor, ee.right_factor, rotate="c-sector")
     rep = verify_relation(cat, ee_c)
@@ -96,24 +92,24 @@ def test_c_sector_rotation_semantics():
 
 @pytest.mark.parametrize("k", [Fraction(4), Fraction(7, 3), Fraction(1, 2)])
 def test_relation_table_at_unusual_levels(k):
-    cat = build_catalog(AlgebraParams(k))
-    for rel in builtin_relations(k):
+    _, cat, rels, _ = bind_shipped(k)
+    for rel in rels.values():
         rep = verify_relation(cat, rel)
         assert rep.passed, (k, rel.rel_id, rep.max_rel_err)
     rep = ef_commutator_analysis(cat)
     assert rep.passed, (k, rep.notes)
 
 
-def test_worker_count_does_not_change_report(tmp_path):
-    def run(workers, dest):
+def test_report_is_byte_identical_across_runs(tmp_path):
+    def run(dest):
         return subprocess.run(
             [sys.executable, "-m", "coset_forge.cli", "report",
-             "--workers", str(workers), "--json", str(dest)],
+             "--json", str(dest)],
             capture_output=True, text=True)
 
-    a, b = tmp_path / "w1.json", tmp_path / "w8.json"
-    assert run(1, a).returncode == 0
-    assert run(8, b).returncode == 0
+    a, b = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert run(a).returncode == 0
+    assert run(b).returncode == 0
     assert a.read_bytes() == b.read_bytes()
 
 
