@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .contraction import StructureFunction, closed_form, contract, quad_eval
 from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
-                     NonTelescoping, ResidueMismatch, UnexpectedPole)
+                     NonTelescoping, NoRotationSector, ResidueMismatch,
+                     UnexpectedPole)
 from .exact import GR, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     equals as modes_equal, shift_argument)
@@ -67,7 +68,8 @@ class Catalog:
         self.params = params
         self.kernels: dict[str, Kernel] = {}
         self.currents: dict[str, Current] = {}
-        self.rotation_sector = "c"
+        # the kernel family the "c-sector" rotation mode rotates
+        self.rotation_sector: str | None = None
         self._cf_cache: dict = {}
         # log Gamma values by complex argument, shared by the grid
         # evaluations of every relation checked on this catalog
@@ -130,6 +132,10 @@ class Catalog:
                       ) -> list[StructureFunction]:
         """Exchange factors of every term pair of two (possibly composite)
         currents, rotation mode applied."""
+        if rotate == "c-sector" and self.rotation_sector is None:
+            raise NoRotationSector(
+                "c-sector rotation needs a rotation sector; the definition "
+                "file has no 'rotate_sector' line")
         out = []
         for ta in a.terms:
             for tb in b.terms:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, GR_ZERO, ExactConst, LaurentRational,
-                    as_fraction)
+                    as_fraction, merge)
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, _lcm
 from .specfun import log_gamma
 
@@ -47,6 +47,9 @@ __all__ = [
     "StructureFunction", "ContractionIntegrand", "contract", "quad_eval",
     "closed_form", "exchange_factor",
 ]
+
+_MINUS_ONE = GR(-1)
+_MINUS_I = GR(0, -1)
 
 
 class StructureFunction:
@@ -86,21 +89,20 @@ class StructureFunction:
     def __mul__(self, other: "StructureFunction") -> "StructureFunction":
         g = dict(self.gammas)
         for key, e in other.gammas.items():
-            g[key] = g.get(key, 0) + e
-            if not g[key]:
-                del g[key]
+            merge(g, key, e)
         l = dict(self.linears)
         for key, e in other.linears.items():
-            l[key] = l.get(key, 0) + e
-            if not l[key]:
-                del l[key]
+            merge(l, key, e)
+        x, y = self.exp_linear, other.exp_linear
+        # Fraction arithmetic only when both terms are there
         return StructureFunction(g, l, self.const.times(other.const),
-                                 self.exp_linear + other.exp_linear)
+                                 x + y if x and y else x or y)
 
     def inverse(self) -> "StructureFunction":
+        x = self.exp_linear
         return StructureFunction({k: -e for k, e in self.gammas.items()},
                                  {k: -e for k, e in self.linears.items()},
-                                 self.const.inverse(), -self.exp_linear)
+                                 self.const.inverse(), -x if x else x)
 
     def negate_w(self) -> "StructureFunction":
         """Re-express the same function with w replaced by -w."""
@@ -109,25 +111,25 @@ class StructureFunction:
             key = (-s, a)
             g[key] = g.get(key, 0) + e
         l = {}
-        c = self.const.copy()
+        odd = 0
         for rho, e in self.linears.items():
             # (i(-w) + rho*hbar) = -(iw - rho*hbar)
             key = -rho
             l[key] = l.get(key, 0) + e
-            if e % 2:
-                c = c.times_gr(GR.of(-1))
-        return StructureFunction(g, l, c, -self.exp_linear)
+            odd += e % 2
+        c = self.const.times_gr(_MINUS_ONE) if odd % 2 else self.const
+        x = self.exp_linear
+        return StructureFunction(g, l, c, -x if x else x)
 
     def wick_rotate(self) -> "StructureFunction":
         """Substitute hbar -> -i hbar."""
-        mi = GR(Fraction(0), Fraction(-1))
         g = {}
         for (s, a), e in self.gammas.items():
-            key = (s * mi, a)
+            key = (s * _MINUS_I, a)
             g[key] = g.get(key, 0) + e
         l = {}
         for rho, e in self.linears.items():
-            key = rho * mi
+            key = rho * _MINUS_I
             l[key] = l.get(key, 0) + e
         return StructureFunction(g, l, self.const.wick_rotate(), self.exp_linear)
 
@@ -139,27 +141,24 @@ class StructureFunction:
         representative shift in [0,1); integer offsets are emitted as linear
         factors (iw + q*scale*hbar) with exact constants (scale*hbar)^{-1}.
         """
-        out = StructureFunction(linears=self.linears, const=self.const,
-                                exp_linear=self.exp_linear)
+        gammas: dict[tuple[GR, Fraction], int] = {}
+        linears = dict(self.linears)
+        const = self.const
         for (s, a), e in self.gammas.items():
-            r = a - math.floor(a)
-            n = int(a - r)
-            key = (s, r)
-            out.gammas[key] = out.gammas.get(key, 0) + e
-            if not out.gammas[key]:
-                del out.gammas[key]
+            d = a.denominator
+            n = a.numerator // d
+            # a = n + r with r in [0, 1), on the lattice 1/d
+            merge(gammas, (s, a - n) if n else (s, a), e)
+            if not n:
+                continue
+            rn = a.numerator - n * d
             js = range(0, n) if n > 0 else range(n, 0)
             sign = 1 if n > 0 else -1
             for j in js:
-                q = r + j
-                rho = s * GR.of(q)
-                out.linears[rho] = out.linears.get(rho, 0) + sign * e
-                if not out.linears[rho]:
-                    del out.linears[rho]
-                out.const = out.const.times_base(s, 1, Fraction(-sign * e))
-        out.linears = {k: v for k, v in out.linears.items() if v}
-        out.gammas = {k: v for k, v in out.gammas.items() if v}
-        return out
+                merge(linears, s.times_ratio(rn + j * d, d), sign * e)
+                const = const.times_base(s, 1, -sign * e)
+        return StructureFunction(gammas, {k: v for k, v in linears.items() if v},
+                                 const, self.exp_linear)
 
     def is_one(self) -> bool:
         n = self.normalize()
@@ -490,13 +489,11 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
         # monomial denominator: purely exponential families
         h = den.min_exp()
         c = den.c[h]
-        sf = StructureFunction.one()
+        linears: dict[GR, int] = {}
         for m, v in num.c.items():
-            cm = v / c
-            e = _as_int(cm, "Frullani family coefficient")
-            rho = Fraction(-(m - h), 2 * L)
-            sf = sf * StructureFunction.from_linear(GR.of(rho), -e)
-        return sf
+            e = _as_int(v / c, "Frullani family coefficient")
+            merge(linears, GR(Fraction(-(m - h), 2 * L)), -e)
+        return StructureFunction(linears=linears)
 
     # denominator must divide zeta^{2M} - 1 for the family order M
     M = _family_order(I.rational, L)
@@ -508,23 +505,21 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
         raise NonTelescoping("denominator does not divide the cyclotomic target")
     # R = N q zeta^{-2M} / (1 - zeta^{-2M})
     pnum = num * qpoly
-    scale = Fraction(M, L)
-    sf = StructureFunction.one()
-    dsum = GR_ZERO
-    s1 = Fraction(0)
+    scale = GR(Fraction(M, L))
+    gammas: dict[tuple[GR, Fraction], int] = {}
+    dsum = 0
+    s1n = 0          # S1 = s1n / (2M)
     for m, v in pnum.c.items():
         d = _as_int(v, "Gamma family coefficient")
         # term d zeta^{m-2M} = d e^{(m-2M) eta t}: x = iw/D - (m-2M)/(2M)
-        shift = Fraction(-(m - 2 * M), 2 * M)
-        sf = sf * StructureFunction.from_gamma(GR.of(scale), shift, d)
-        dsum = dsum + v
-        s1 += d * shift
+        merge(gammas, (scale, Fraction(-(m - 2 * M), 2 * M)), d)
+        dsum += d
+        s1n -= d * (m - 2 * M)
     if dsum:
         raise IllPosedContraction("family coefficients do not sum to zero")
     # regularization constant D^{S1} with D = scale * hbar
-    out = StructureFunction(sf.gammas, sf.linears,
-                            sf.const.times_base(GR.of(scale), 1, s1),
-                            sf.exp_linear)
+    s1 = Fraction(s1n, 2 * M)
+    out = StructureFunction(gammas, const=ExactConst.one().times_base(scale, 1, s1))
     # internal consistency: -S1 must equal the 1/t coefficient
     if -s1 != I.log_divergence_coeff:
         raise IllPosedContraction(
@@ -533,9 +528,9 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
 
 
 def _as_int(v: GR, what: str) -> int:
-    if not v.is_real() or v.re.denominator != 1:
+    if v.b or v.q != 1:
         raise NonTelescoping(f"{what} {v!r} is not an integer")
-    return int(v.re)
+    return v.a
 
 
 def _family_order(R: LaurentRational, L: int) -> int | None:

@@ -343,8 +343,7 @@ class DefinitionFile:
             hbars = [Fraction(1)]
         params = AlgebraParams(kval, hbars[0])
         cat = Catalog(params)
-        if self.rotation_sector:
-            cat.rotation_sector = self.rotation_sector
+        cat.rotation_sector = self.rotation_sector
         for kd in self.kernels:
             cat.kernels[kd.name] = Kernel(kd.name, kd.sign, _at(kd.slope, kval))
         for cd in self.currents:
@@ -554,7 +553,7 @@ def _bind_side(factors: list[FactorDecl], k: Fraction) -> StructureFunction:
         if not exps[key]:
             del exps[key]
     return StructureFunction(gammas, linears,
-                             ExactConst(mult, _ZERO, {}, _ZERO))
+                             ExactConst(mult))
 
 
 def _bind_relation(rd: RelationDecl, k: Fraction) -> Relation:
@@ -689,6 +688,8 @@ class _Parser:
             else:
                 self.error({"'params'", "'kernel'", "'current'", "'relation'",
                             "'commutator_delta'", "'rotate_sector'"})
+        if sector is not None and sector not in {kd.name for kd in kernels}:
+            raise UndeclaredName(f"rotate_sector {sector!r} names no declared kernel")
         return DefinitionFile(_lift(k), [_lift(h) for h in hbars], sector,
                               kernels, currents, relations, commutators)
 

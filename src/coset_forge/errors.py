@@ -65,6 +65,11 @@ class InvalidOption(CosetForgeError):
     would check nothing."""
 
 
+class NoRotationSector(CosetForgeError):
+    """c-sector rotation was asked for, but the definition file names no
+    rotation sector (`rotate_sector NAME;`)."""
+
+
 class NothingToVerify(CosetForgeError):
     """A definition file declares no relation and no commutator_delta, so a
     verification run would pass without checking anything."""

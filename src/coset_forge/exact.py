@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 
 from .errors import NonCyclotomicDenominator, VanishingDenominator
@@ -27,12 +27,56 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to Fraction")
 
 
-@dataclass(frozen=True)
-class GR:
-    """Gaussian rational a + b*i with exact Fraction components."""
+_P = sys.hash_info.modulus
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction (or a string)."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    f = as_fraction(x)
+    return f.numerator, f.denominator
+
+
+def _qstr(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _qhash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, by the numeric hash of the language
+    reference; n/d need not be in lowest terms."""
+    if d == 1:
+        return hash(n)
+    try:
+        h = abs(n) % _P * pow(d, -1, _P) % _P
+    except ValueError:                  # P divides d
+        return hash(Fraction(n, d))
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
+class GR:
+    """Gaussian rational (a + b*i)/q with integers a, b, q: q > 0 and
+    gcd(a, b, q) = 1, so equal values have equal fields.
+
+    GR(re, im) takes ints or Fractions; `re` and `im` read the parts back as
+    Fractions, and the hash is hash((re, im)).
+    """
+
+    __slots__ = ("a", "b", "q", "_hash")
+
+    def __init__(self, re=0, im=0):
+        rn, rd = _ratio(re)
+        jn, jd = _ratio(im)
+        # lcm of coprime-reduced denominators leaves gcd(a, b, q) = 1
+        q = rd * jd // math.gcd(rd, jd)
+        self.a, self.b, self.q = rn * (q // rd), jn * (q // jd), q
+        self._hash = None
 
     @staticmethod
     def of(x) -> "GR":
@@ -40,25 +84,43 @@ class GR:
             return x
         if isinstance(x, complex):
             raise TypeError("build GR from exact values, not floats")
-        return GR(as_fraction(x), Fraction(0))
+        n, d = _ratio(x)
+        return _raw(n, 0, d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.q)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.q)
+
+    def __eq__(self, other):
+        if type(other) is not GR:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.q == other.q
 
     def __hash__(self):
         # computed once: GRs key the Gamma and linear-factor dicts and are
-        # hashed on every merge; equal to hash((re, im)) like the default
-        h = self.__dict__.get("_hash")
+        # hashed on every merge.  A tuple's hash depends only on the hashes
+        # of its items, and an int below the modulus hashes to itself.
+        h = self._hash
         if h is None:
-            h = hash((self.re, self.im))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((_qhash(self.a, self.q), _qhash(self.b, self.q)))
         return h
 
     def __add__(self, other):
-        o = GR.of(other)
-        return GR(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GR else GR.of(other)
+        q = self.q
+        if q == o.q:
+            return _gr(self.a + o.a, self.b + o.b, q)
+        p = o.q
+        return _gr(self.a * p + o.a * q, self.b * p + o.b * q, q * p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GR(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.q)
 
     def __sub__(self, other):
         return self + (-GR.of(other))
@@ -69,52 +131,76 @@ class GR:
     def __mul__(self, other):
         o = other if type(other) is GR else GR.of(other)
         # one side is 1 in most products of exact constants
-        if o.im == 0 and o.re == 1:
+        if o.a == 1 and o.q == 1 and not o.b:
             return self
-        if self.im == 0 and self.re == 1:
+        a, b = self.a, self.b
+        if a == 1 and self.q == 1 and not b:
             return o
-        return GR(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        c, d = o.a, o.b
+        return _gr(a * c - b * d, a * d + b * c, self.q * o.q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = GR.of(other)
-        n = o.re * o.re + o.im * o.im
+        c, d = o.a, o.b
+        n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("division by zero GR")
-        return GR((self.re * o.re + self.im * o.im) / n,
-                  (self.im * o.re - self.re * o.im) / n)
+        a, b, p = self.a, self.b, o.q
+        return _gr(p * (a * c + b * d), p * (b * c - a * d), self.q * n)
 
     def __rtruediv__(self, other):
         return GR.of(other) / self
 
+    def times_ratio(self, n: int, d: int) -> "GR":
+        """self * n/d for integers n and d > 0."""
+        return _gr(self.a * n, self.b * n, self.q * d)
+
     def conj(self) -> "GR":
-        return GR(self.re, -self.im)
+        return _raw(self.a, -self.b, self.q)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self.a / self.q, self.b / self.q)
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        a, b, q = self.a, self.b, self.q
+        if not b:
+            return _qstr(a, q)
+        if not a:
+            return f"{_qstr(b, q)}*i"
+        sign = "+" if b > 0 else "-"
+        return f"({_qstr(a, q)}{sign}{_qstr(abs(b), q)}*i)"
 
 
-GR_ZERO = GR()
-GR_ONE = GR(Fraction(1))
-GR_I = GR(Fraction(0), Fraction(1))
+def _raw(a: int, b: int, q: int) -> GR:
+    """(a + b*i)/q from fields already in lowest terms."""
+    g = object.__new__(GR)
+    g.a, g.b, g.q, g._hash = a, b, q, None
+    return g
+
+
+def _gr(a: int, b: int, q: int) -> GR:
+    """(a + b*i)/q for q > 0, brought to lowest terms."""
+    g = math.gcd(a, b, q)
+    if g != 1:
+        a, b, q = a // g, b // g, q // g
+    return _raw(a, b, q)
+
+
+GR_ZERO = _raw(0, 0, 1)
+GR_ONE = _raw(1, 0, 1)
+GR_I = _raw(0, 1, 1)
 
 
 class LaurentPoly:
@@ -373,22 +459,21 @@ class _ZiPoly:
         if not p.c:
             return _ZERO
         lo = p.min_exp()
-        q = math.lcm(*(v.re.denominator for v in p.c.values()),
-                     *(v.im.denominator for v in p.c.values()))
+        q = math.lcm(*(v.q for v in p.c.values()))
         re = [0] * (p.max_exp() - lo + 1)
         im = [0] * len(re)
         for e, v in p.c.items():
-            re[e - lo] = v.re.numerator * (q // v.re.denominator)
-            im[e - lo] = v.im.numerator * (q // v.im.denominator)
+            s = q // v.q
+            re[e - lo] = v.a * s
+            im[e - lo] = v.b * s
         return _ZiPoly.make(lo, re, im, q)
 
     def poly(self) -> LaurentPoly:
         """As a LaurentPoly, exponents ascending."""
-        q, zero = self.q, Fraction(0)
+        q = self.q
         im = self.im or [0] * len(self.re)
         p = LaurentPoly()
-        p.c = {self.lo + j: GR(Fraction(a, q) if a else zero,
-                               Fraction(b, q) if b else zero)
+        p.c = {self.lo + j: _gr(a, b, q)
                for j, (a, b) in enumerate(zip(self.re, im)) if a or b}
         return p
 
@@ -442,13 +527,12 @@ class _ZiPoly:
         return _ZiPoly.make(self.lo + other.lo, re, im, self.q * other.q)
 
     def scale(self, k: GR) -> "_ZiPoly":
-        c = math.lcm(k.re.denominator, k.im.denominator)
-        a, b = int(k.re * c), int(k.im * c)
+        a, b = k.a, k.b
         # (x + iy)(a + ib) = (xa - yb) + i(xb + ya)
         y = self.im or [0] * len(self.re)
         re = [x * a - v * b for x, v in zip(self.re, y)]
         im = [x * b + v * a for x, v in zip(self.re, y)]
-        return _ZiPoly.make(self.lo, re, im, self.q * c)
+        return _ZiPoly.make(self.lo, re, im, self.q * k.q)
 
     def shifted(self, s: int) -> "_ZiPoly":
         """zeta^s times self."""
@@ -682,7 +766,7 @@ class LaurentRational:
         if self.is_zero():
             return self
         d = _product(_key(self.factors))
-        unit = GR(Fraction(d.re[0]), Fraction(d.im[0] if d.im is not None else 0))
+        unit = _raw(d.re[0], d.im[0] if d.im is not None else 0, 1)
         n = self._n.reflected(d.degree()).scale(unit.conj())   # 1/unit
         return LaurentRational._make(
             n, {(-k if k % 4 == 0 else k): m for k, m in self.factors.items()})
@@ -702,8 +786,7 @@ class LaurentRational:
         if self.factors.get(1):
             raise ZeroDivisionError("pole at zeta = 1")
         n, d = self._n, _product(_key(self.factors))
-        return (GR(Fraction(sum(n.re), n.q), Fraction(sum(n.im or ()), n.q))
-                / GR(Fraction(sum(d.re)), Fraction(sum(d.im or ()))))
+        return _gr(sum(n.re), sum(n.im or ()), n.q) / _raw(sum(d.re), sum(d.im or ()), 1)
 
     def eval_numeric(self, logz: complex) -> complex:
         return self.num.eval_numeric(logz) / self.den.eval_numeric(logz)
@@ -771,12 +854,12 @@ class KRat:
                     KRat._mul_poly(self.den, other.num))
 
     def bind(self, k: Fraction) -> Fraction:
-        n = sum((v * k ** e for e, v in self.num.items()), Fraction(0))
-        d = sum((v * k ** e for e, v in self.den.items()), Fraction(0))
-        if d == 0:
+        nn, nd = _poly_at(self.num, k)
+        dn, dd = _poly_at(self.den, k)
+        if not dn:
             raise VanishingDenominator(
                 f"k-expression {self!r} has a vanishing denominator at k={k}")
-        return n / d
+        return Fraction(nn * dd, nd * dn)
 
     def __repr__(self):
         def side(p):
@@ -788,161 +871,214 @@ class KRat:
         return f"({side(self.num)})/({side(self.den)})"
 
 
+def _poly_at(p: dict[int, Fraction], k: Fraction) -> tuple[int, int]:
+    """sum_e p[e] k^e as an integer pair (numerator, denominator > 0), over
+    the common denominator; the exponents of a KRat are never negative."""
+    a, b = k.numerator, k.denominator
+    top = max(p, default=0)
+    den = math.lcm(*(v.denominator for v in p.values())) * b ** top
+    return sum(v.numerator * (den // v.denominator // b ** e) * a ** e
+               for e, v in p.items()), den
+
+
+def merge(factors: dict, key, e: int) -> None:
+    """Multiply a multiset {factor: exponent} by key^e in place.  A factor
+    whose exponent reaches 0 is dropped, and re-enters at the end of the
+    insertion order if it comes back."""
+    v = factors.get(key, 0) + e
+    if v:
+        factors[key] = v
+    else:
+        factors.pop(key, None)
+
+
 # ---------------------------------------------------------------------------
 # Exact multiplicative constants of the form
 #     mult * i^(phase/2 pi units) * prod_p p^{q_p} * hbar^{q_h}
 # These arise from Gamma-shift normalization ((s*hbar)^{+-1} factors) and
 # from the log D regularization terms (D^{sum d_j x_j}).
 
-@dataclass
 class ExactConst:
-    mult: GR
-    # quarter-turn phase units: value includes exp(i*pi/2 * phase)
-    phase: Fraction
-    primes: dict[int, Fraction]
-    hbar_pow: Fraction
+    """mult * i^phase * prod_p p^(e_p) * hbar^hbar_pow, phase in quarter turns.
+
+    The rational exponents phase, e_p and hbar_pow are held as integer
+    numerators (`ph`, `pe`, `hb`) over one shared denominator `den`, the
+    least one, so equal exponents have equal fields.  Constants are never
+    changed in place; every operation returns a new one (or self).  `pe`
+    holds no zero exponent and keeps its primes in insertion order, as eval
+    sums their logarithms in that order.  `phase`, `primes` and `hbar_pow`
+    read the exponents back as Fractions.
+    """
+
+    __slots__ = ("mult", "den", "ph", "pe", "hb")
+
+    def __init__(self, mult: GR = GR_ONE, den: int = 1, ph: int = 0,
+                 pe: dict[int, int] | None = None, hb: int = 0):
+        """The constant with exponents ph/den, pe[p]/den and hb/den."""
+        pe = {} if pe is None else pe
+        g = math.gcd(den, ph, hb, *pe.values())
+        if g != 1:
+            den, ph, hb = den // g, ph // g, hb // g
+            pe = {p: e // g for p, e in pe.items()}
+        self.mult, self.den, self.ph, self.pe, self.hb = mult, den, ph, pe, hb
 
     @staticmethod
     def one() -> "ExactConst":
-        return ExactConst(GR_ONE, Fraction(0), {}, Fraction(0))
+        return _CONST_ONE
 
-    def copy(self) -> "ExactConst":
-        return ExactConst(self.mult, self.phase, dict(self.primes), self.hbar_pow)
+    @property
+    def phase(self) -> Fraction:
+        return Fraction(self.ph, self.den)
+
+    @property
+    def hbar_pow(self) -> Fraction:
+        return Fraction(self.hb, self.den)
+
+    @property
+    def primes(self) -> dict[int, Fraction]:
+        return {p: Fraction(e, self.den) for p, e in self.pe.items()}
+
+    def _exponents_zero(self) -> bool:
+        return not self.ph and not self.hb and not self.pe
 
     def times_gr(self, g: GR) -> "ExactConst":
-        out = self.copy()
-        out.mult = out.mult * g
-        return out
+        return ExactConst(self.mult * g, self.den, self.ph, self.pe, self.hb)
 
-    def times_base(self, base: GR, hbar_pow: int, exponent: Fraction) -> "ExactConst":
+    def times_base(self, base: GR, hbar_pow: int, exponent) -> "ExactConst":
         """Multiply by (base * hbar^hbar_pow)^exponent, base a Gaussian rational
-        of the form i^j * q with q a positive rational."""
-        if exponent == 0:
-            return self.copy()
-        q, j = _split_unit(base)
-        out = self.copy()
-        out.phase += Fraction(j) * exponent
-        out.hbar_pow += Fraction(hbar_pow) * exponent
-        for p, e in _factor_fraction(q).items():
-            out.primes[p] = out.primes.get(p, Fraction(0)) + Fraction(e) * exponent
-            if not out.primes[p]:
-                del out.primes[p]
-        return out
+        of the form i^j * q with q a positive rational; exponent an int or a
+        Fraction."""
+        xn, xd = exponent.numerator, exponent.denominator
+        if not xn:
+            return self
+        j, factors = _unit_factors(base.a, base.b, base.q)
+        den = math.lcm(self.den, xd)
+        f, x = den // self.den, xn * (den // xd)      # exponent = x / den
+        pe = {p: e * f for p, e in self.pe.items()}
+        for p, e in factors:
+            merge(pe, p, e * x)
+        return ExactConst(self.mult, den, self.ph * f + j * x, pe,
+                          self.hb * f + hbar_pow * x)
 
     def times(self, other: "ExactConst") -> "ExactConst":
-        out = self.copy()
-        out.mult = out.mult * other.mult
-        out.phase += other.phase
-        out.hbar_pow += other.hbar_pow
-        for p, e in other.primes.items():
-            out.primes[p] = out.primes.get(p, Fraction(0)) + e
-            if not out.primes[p]:
-                del out.primes[p]
-        return out
+        if other._exponents_zero():
+            return self if other.mult == GR_ONE else self.times_gr(other.mult)
+        if self._exponents_zero() and self.mult == GR_ONE:
+            return other
+        den = math.lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        pe = {p: e * f1 for p, e in self.pe.items()}
+        for p, e in other.pe.items():
+            merge(pe, p, e * f2)
+        return ExactConst(self.mult * other.mult, den, self.ph * f1 + other.ph * f2,
+                          pe, self.hb * f1 + other.hb * f2)
 
     def inverse(self) -> "ExactConst":
-        out = ExactConst(GR_ONE / self.mult, -self.phase,
-                         {p: -e for p, e in self.primes.items()}, -self.hbar_pow)
-        return out
+        return ExactConst(GR_ONE / self.mult, self.den, -self.ph,
+                          {p: -e for p, e in self.pe.items()}, -self.hb)
 
     def wick_rotate(self) -> "ExactConst":
         """hbar -> -i*hbar: each power of hbar contributes a -i phase."""
-        out = self.copy()
+        if not self.hb:
+            return self
         # (-i)^{q} = i^{-q} = quarter-turn phase -q
-        out.phase -= self.hbar_pow
-        return out
+        return ExactConst(self.mult, self.den, self.ph - self.hb, self.pe, self.hb)
 
     def canonical(self) -> "ExactConst":
         """Fold a unit-times-positive-rational multiplier into phase/primes."""
+        m = self.mult
+        if m == GR_ONE:
+            return self
         try:
-            q, j = _split_unit(self.mult)
+            j, factors = _unit_factors(m.a, m.b, m.q)
         except ValueError:
             return self
-        out = ExactConst(GR_ONE, self.phase + j, dict(self.primes), self.hbar_pow)
-        for p, e in _factor_fraction(q).items():
-            out.primes[p] = out.primes.get(p, Fraction(0)) + e
-            if not out.primes[p]:
-                del out.primes[p]
-        return out
+        den = self.den
+        pe = dict(self.pe)
+        for p, e in factors:
+            merge(pe, p, e * den)
+        return ExactConst(GR_ONE, den, self.ph + j * den, pe, self.hb)
 
     def is_one(self) -> bool:
         c = self.canonical()
-        return (c.mult == GR_ONE and c.phase % 4 == 0
-                and not c.primes and c.hbar_pow == 0)
+        return (c.mult == GR_ONE and c.ph % (4 * c.den) == 0
+                and not c.pe and not c.hb)
 
     def as_gr(self) -> GR:
         """Exact Gaussian-rational value; requires integer prime powers,
         a quarter-turn phase and no hbar content."""
-        if self.hbar_pow != 0:
+        if self.hb:
             raise ValueError("constant carries hbar content")
-        if self.phase.denominator != 1:
+        den = self.den
+        if self.ph % den:
             raise ValueError("constant phase is not a quarter turn")
-        out = self.mult
-        unit = [GR_ONE, GR(Fraction(0), Fraction(1)),
-                GR(Fraction(-1)), GR(Fraction(0), Fraction(-1))]
-        out = out * unit[int(self.phase) % 4]
-        for p, e in self.primes.items():
-            if e.denominator != 1:
+        out = self.mult * _UNITS[self.ph // den % 4]
+        for p, e in self.pe.items():
+            if e % den:
                 raise ValueError(f"constant has fractional power of {p}")
-            q = Fraction(p) ** int(e)
-            out = out * GR(q)
+            n = e // den
+            out = out * (_raw(p ** n, 0, 1) if n >= 0 else _raw(1, 0, p ** -n))
         return out
 
     def eval(self, hbar: float) -> complex:
+        # each exponent as n / den: int / int rounds correctly, as
+        # float(Fraction) does, so the value is that of the Fraction form
+        den = self.den
         v = complex(self.mult)
-        ph = float(self.phase) * math.pi / 2.0
+        ph = self.ph / den * math.pi / 2.0
         v *= complex(math.cos(ph), math.sin(ph))
         lg = 0.0
-        for p, e in self.primes.items():
-            lg += float(e) * math.log(p)
-        lg += float(self.hbar_pow) * math.log(hbar)
+        for p, e in self.pe.items():
+            lg += e / den * math.log(p)
+        lg += self.hb / den * math.log(hbar)
         return v * math.exp(lg)
 
     def __eq__(self, other):
         if not isinstance(other, ExactConst):
             return NotImplemented
         a, b = self.canonical(), other.canonical()
-        return (a.mult == b.mult and (a.phase - b.phase) % 4 == 0
-                and a.primes == b.primes and a.hbar_pow == b.hbar_pow)
+        return (a.mult == b.mult and a.den == b.den
+                and (a.ph - b.ph) % (4 * a.den) == 0
+                and a.pe == b.pe and a.hb == b.hb)
 
     def __repr__(self):
+        den = self.den
         parts = []
         if self.mult != GR_ONE:
             parts.append(repr(self.mult))
-        if self.phase % 4:
-            parts.append(f"i^{self.phase}")
-        for p, e in sorted(self.primes.items()):
-            parts.append(f"{p}^{e}")
-        if self.hbar_pow:
-            parts.append(f"hbar^{self.hbar_pow}")
+        if self.ph % (4 * den):
+            parts.append(f"i^{_qstr(self.ph, den)}")
+        for p, e in sorted(self.pe.items()):
+            parts.append(f"{p}^{_qstr(e, den)}")
+        if self.hb:
+            parts.append(f"hbar^{_qstr(self.hb, den)}")
         return "*".join(parts) if parts else "1"
 
 
-def _split_unit(g: GR) -> tuple[Fraction, int]:
-    """Write g = i^j * q with q > 0 rational; g must be of that form."""
-    if g.im == 0:
-        if g.re > 0:
-            return g.re, 0
-        if g.re < 0:
-            return -g.re, 2
-    if g.re == 0:
-        if g.im > 0:
-            return g.im, 1
-        if g.im < 0:
-            return -g.im, 3
-    raise ValueError(f"constant base {g!r} is not of the form i^j * rational")
+_CONST_ONE = ExactConst()
+_UNITS = (GR_ONE, GR_I, _raw(-1, 0, 1), _raw(0, -1, 1))
 
 
-def _factor_fraction(q: Fraction) -> dict[int, int]:
+@functools.lru_cache(maxsize=1024)
+def _unit_factors(a: int, b: int, q: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(j, ((p, e), ...)) with (a + b*i)/q = i^j * prod p^e, the primes of
+    the numerator ascending, then those of the denominator; raises
+    ValueError unless the value is i^j times a positive rational."""
+    if not b and a:
+        n, j = abs(a), 0 if a > 0 else 2
+    elif not a and b:
+        n, j = abs(b), 1 if b > 0 else 3
+    else:
+        raise ValueError(f"constant base {_raw(a, b, q)!r} is not of the form "
+                         f"i^j * rational")
     out: dict[int, int] = {}
-    for n, sgn in ((q.numerator, 1), (q.denominator, -1)):
-        n = abs(n)
+    for m, sgn in ((n, 1), (q, -1)):
         d = 2
-        while d * d <= n:
-            while n % d == 0:
+        while d * d <= m:
+            while m % d == 0:
                 out[d] = out.get(d, 0) + sgn
-                n //= d
+                m //= d
             d += 1
-        if n > 1:
-            out[n] = out.get(n, 0) + sgn
-    return {p: e for p, e in out.items() if e}
+        if m > 1:
+            out[m] = out.get(m, 0) + sgn
+    return j, tuple(out.items())

@@ -108,18 +108,21 @@ def _lcm(*xs: int) -> int:
     return out
 
 
+_HALF = GR(Fraction(1, 2))
+
+
 def _sinh_exponent(beta: Fraction, lattice: int) -> int:
     """n with sinh(beta*hbar*t) = (zeta^n - zeta^-n)/2, zeta = e^{hbar t/(2 lattice)}."""
-    e = beta * 2 * lattice
-    if e.denominator != 1:
+    e, r = divmod(beta.numerator * 2 * lattice, beta.denominator)
+    if r:
         raise NonMeromorphicProduct(f"slope {beta} not on lattice 1/{lattice}")
-    return int(e)
+    return e
 
 
 def _sinh_laurent(beta: Fraction, lattice: int, power: int = 1) -> LaurentPoly:
     """sinh(beta*hbar*t) as a Laurent polynomial in zeta = e^{hbar t/(2 lattice)}."""
     e = _sinh_exponent(beta, lattice)
-    base = LaurentPoly({e: GR(Fraction(1, 2)), -e: GR(Fraction(-1, 2))})
+    base = LaurentPoly({e: _HALF, -e: -_HALF})
     out = LaurentPoly.one()
     for _ in range(abs(power)):
         out = out * base
@@ -189,10 +192,13 @@ class ExpTrigTerm:
             yield beta.denominator
 
     def laurent(self, lattice: int) -> LaurentRational:
-        e = (self.shift + self.spectral_shift) * 2 * lattice
-        if e.denominator != 1:
+        # e = (shift + spectral_shift) * 2 * lattice, in integers
+        s, t = self.shift, self.spectral_shift
+        e, r = divmod((s.numerator * t.denominator + t.numerator * s.denominator)
+                      * 2 * lattice, s.denominator * t.denominator)
+        if r:
             raise NonMeromorphicProduct(f"tilt {self.tilt()} not on lattice 1/{lattice}")
-        num = LaurentPoly.monomial(self.coeff, int(e))
+        num = LaurentPoly.monomial(self.coeff, e)
         factors: dict[int, int] = {}
         for beta, p in self.sinh_factors:
             if p > 0:

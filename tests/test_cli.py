@@ -344,3 +344,42 @@ def test_division_by_zero_is_a_typed_error(tmp_path, capsys, old, new, kind, mes
     assert out.stdout == ""
     assert out.stderr == f"error: {message}\n"
     assert json.loads(dest.read_text())["error"] == {"kind": kind, "message": message}
+
+
+@pytest.mark.parametrize("edit, argv", [
+    # the whole session rotated in the c-sector
+    (lambda text: text, ["--rotate", "c-sector"]),
+    # one relation declared with a c-sector rotation
+    (lambda text: text.replace(
+        "relation H_p_H_p : H_plus(u) H_plus(v) == H_plus(v) H_plus(u) "
+        "with rotate = global;",
+        "relation H_p_H_p : H_plus(u) H_plus(v) == H_plus(v) H_plus(u) "
+        "with rotate = c_sector;"), []),
+], ids=["option", "declared"])
+def test_c_sector_rotation_without_a_sector_is_refused(tmp_path, capsys, edit, argv):
+    text = edit(shipped_text().replace("rotate_sector chat;\n", ""))
+    assert "rotate_sector chat" not in text
+    assert argv or "rotate = c_sector" in text
+    src = tmp_path / "no_sector.alg"
+    src.write_text(text)
+    assert cli.run(["verify", str(src), "--json", "-", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {
+        "kind": "NoRotationSector",
+        "message": "c-sector rotation needs a rotation sector; the definition "
+                   "file has no 'rotate_sector' line"}
+    # without a c-sector rotation the same file verifies
+    if argv:
+        assert cli.run(["verify", str(src), "--json", "-"]) == 0
+
+
+def test_rotation_sector_must_name_a_kernel(tmp_path, capsys):
+    text = shipped_text().replace("rotate_sector chat;", "rotate_sector c;")
+    src = tmp_path / "bad_sector.alg"
+    src.write_text(text)
+    assert cli.run(["verify", str(src), "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {
+        "kind": "UndeclaredName",
+        "message": "rotate_sector 'c' names no declared kernel"}
+    assert err == "error: rotate_sector 'c' names no declared kernel\n"
