@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .contraction import StructureFunction, closed_form, contract, quad_eval
@@ -26,7 +25,7 @@ from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
                      UnexpectedPole)
 from .exact import GR, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
-                    equals as modes_equal, shift_argument)
+                    _read_only, _set, equals as modes_equal, shift_argument)
 
 __all__ = [
     "Current", "Catalog", "NormalOrderedTerm", "Relation", "ClassicalBraid",
@@ -35,23 +34,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class NormalOrderedTerm:
     """Scalar prefactor (coeff * hbar^power) times one normal-ordered
     exponential, with one exponent mode function per kernel family."""
 
-    coeff: GR
-    hbar_power: int
-    exponents: dict[str, ModeFunction] = field(hash=False)
+    __slots__ = ("coeff", "hbar_power", "exponents")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, coeff: GR, hbar_power: int,
+                 exponents: dict[str, ModeFunction]):
+        _set(self, "coeff", coeff)
+        _set(self, "hbar_power", hbar_power)
+        _set(self, "exponents", exponents)
 
     def families(self):
         return sorted(self.exponents)
 
 
-@dataclass(frozen=True)
 class Current:
-    name: str
-    terms: tuple[NormalOrderedTerm, ...]
+    __slots__ = ("name", "terms")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, name: str, terms: tuple[NormalOrderedTerm, ...]):
+        _set(self, "name", name)
+        _set(self, "terms", terms)
 
     def exponent(self, family: str) -> ModeFunction:
         """Single-term convenience accessor."""
@@ -75,14 +81,8 @@ class Catalog:
         # evaluations of every relation checked on this catalog
         self._lg_memo: dict[complex, complex] = {}
 
-    def kernel(self, family: str) -> Kernel:
-        return self.kernels[family]
-
     def __getitem__(self, name: str) -> Current:
         return self.currents[name]
-
-    def names(self):
-        return list(self.currents)
 
     # -- structure-function machinery --------------------------------------
     def _single_pair_closed(self, fam: str, tf: ExpTrigTerm, tg: ExpTrigTerm):
@@ -184,25 +184,39 @@ def _apply_rotation(factors: dict[str, StructureFunction], mode: str,
 # ---------------------------------------------------------------------------
 # relations
 
-@dataclass
 class Relation:
-    rel_id: str
-    kind: str                      # "exchange" | "shape" | "commutator-delta"
-    left_pair: tuple[str, str]
-    right_pair: tuple[str, str]
-    left_factor: StructureFunction = field(default_factory=StructureFunction.one)
-    right_factor: StructureFunction = field(default_factory=StructureFunction.one)
-    rotate: str = "none"
-    tolerance: float = 1e-8
-    note: str = ""
+    __slots__ = ("rel_id", "kind", "left_pair", "right_pair", "left_factor",
+                 "right_factor", "rotate", "tolerance", "note")
+
+    def __init__(self, rel_id: str, kind: str, left_pair: tuple[str, str],
+                 right_pair: tuple[str, str],
+                 left_factor: StructureFunction | None = None,
+                 right_factor: StructureFunction | None = None,
+                 rotate: str = "none", tolerance: float = 1e-8,
+                 note: str = ""):
+        self.rel_id = rel_id
+        self.kind = kind    # "exchange" | "shape" | "commutator-delta"
+        self.left_pair = left_pair
+        self.right_pair = right_pair
+        # an omitted factor is the constant one
+        self.left_factor = (StructureFunction.one() if left_factor is None
+                            else left_factor)
+        self.right_factor = (StructureFunction.one() if right_factor is None
+                             else right_factor)
+        self.rotate = rotate
+        self.tolerance = tolerance
+        self.note = note
 
 
-@dataclass
 class ClassicalBraid:
-    alpha: int
-    beta: int
-    k: Fraction
-    branch: str = "upper"  # evaluation half-plane Im w > 0
+    __slots__ = ("alpha", "beta", "k", "branch")
+
+    def __init__(self, alpha: int, beta: int, k: Fraction,
+                 branch: str = "upper"):
+        self.alpha = alpha
+        self.beta = beta
+        self.k = k
+        self.branch = branch    # evaluation half-plane Im w > 0
 
     @property
     def exponent(self) -> Fraction:
@@ -215,21 +229,34 @@ class ClassicalBraid:
         return cmath.exp(q * (cmath.log(w) - cmath.log(-w)))
 
 
-@dataclass
 class VerificationReport:
-    rel_id: str
-    kind: str
-    passed: bool
-    symbolic_pass: bool | None
-    max_rel_err: float
-    grid: list[complex] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
-    derived_factor: str = ""
-    expected_factor: str = ""
-    poles: list[dict] = field(default_factory=list)
-    residue_ops: list[dict] = field(default_factory=list)
-    limit_fit: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("rel_id", "kind", "passed", "symbolic_pass", "max_rel_err",
+                 "grid", "residuals", "derived_factor", "expected_factor",
+                 "poles", "residue_ops", "limit_fit", "notes")
+
+    def __init__(self, rel_id: str, kind: str, passed: bool,
+                 symbolic_pass: bool | None, max_rel_err: float,
+                 grid: list[complex] | None = None,
+                 residuals: list[float] | None = None,
+                 derived_factor: str = "", expected_factor: str = "",
+                 poles: list[dict] | None = None,
+                 residue_ops: list[dict] | None = None,
+                 limit_fit: dict | None = None,
+                 notes: list[str] | None = None):
+        self.rel_id = rel_id
+        self.kind = kind
+        self.passed = passed
+        self.symbolic_pass = symbolic_pass
+        self.max_rel_err = max_rel_err
+        # omitted containers start empty, one new container per report
+        self.grid = [] if grid is None else grid
+        self.residuals = [] if residuals is None else residuals
+        self.derived_factor = derived_factor
+        self.expected_factor = expected_factor
+        self.poles = [] if poles is None else poles
+        self.residue_ops = [] if residue_ops is None else residue_ops
+        self.limit_fit = {} if limit_fit is None else limit_fit
+        self.notes = [] if notes is None else notes
 
 
 def default_grid(params: AlgebraParams, n: int = 25,
@@ -258,19 +285,23 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
     """Worst |sf - target| / |target| over `factors` at each grid point, the
     largest finite one, and the number of points where some factor or the
     target failed to evaluate.  A failed point stays NaN in the per-point
-    list and is counted, so it cannot drop out of the maximum unnoticed."""
-    worst_at = [0.0] * len(grid)
-    for sf in factors:
-        for j, w in enumerate(grid):
-            try:
-                a = sf.eval(w, hbar, memo)
-                b = target.eval(w, hbar, memo)
-            except (CosetForgeError, ArithmeticError, ValueError):
-                worst_at[j] = float("nan")
-                continue
-            r = abs(a - b) / max(abs(b), 1e-300)
-            if r > worst_at[j]:     # False once the point is NaN
-                worst_at[j] = r
+    list and is counted, so it cannot drop out of the maximum unnoticed.
+    The target is evaluated once per point, and not at all without factors."""
+    if not factors:
+        return [0.0] * len(grid), 0.0, 0
+    worst_at = []
+    for w in grid:
+        worst = 0.0
+        try:
+            b = target.eval(w, hbar, memo)
+            scale = max(abs(b), 1e-300)
+            for sf in factors:
+                r = abs(sf.eval(w, hbar, memo) - b) / scale
+                if r > worst:
+                    worst = r
+        except (CosetForgeError, ArithmeticError, ValueError):
+            worst = float("nan")
+        worst_at.append(worst)
     failed = sum(1 for r in worst_at if math.isnan(r))
     worst = max((r for r in worst_at if not math.isnan(r)), default=0.0)
     return worst_at, worst, failed

@@ -24,7 +24,12 @@ import importlib.resources
 import math
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
+
+try:
+    # the C escaper json.encoder wraps, without importing the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:     # an interpreter without the _json accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (ClassicalBraid, VerificationReport,
                       classical_limit, default_grid, ef_commutator_analysis,
@@ -53,8 +58,19 @@ def _load(path: str | None):
         return fh.read()
 
 
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",")]
+def _parse_rational(flag: str, text: str) -> Fraction:
+    """A --k or --hbar value: a rational whose float is nonzero and finite,
+    as every later float evaluation needs."""
+    try:
+        x = Fraction(text)
+        nonzero = float(x) != 0.0
+    except (ValueError, ZeroDivisionError, OverflowError):
+        nonzero = False
+    if not nonzero:
+        raise InvalidOption(
+            f"{flag} must be a rational, nonzero and finite as a float, "
+            f"got {text!r}")
+    return x
 
 
 def _check_numeric_flags(args) -> None:
@@ -104,8 +120,9 @@ def _bind_session(args):
     _check_numeric_flags(args)
     text = _load(args.file)
     df = parse_definitions(text)
-    k = Fraction(args.k) if args.k else None
-    hbars = _parse_fraction_list(args.hbar) if args.hbar else None
+    k = _parse_rational("--k", args.k) if args.k else None
+    hbars = ([_parse_rational("--hbar", h) for h in args.hbar.split(",")]
+             if args.hbar else None)
     params, cat, rels, comms, hbars = df.bind(k, hbars)
     if args.rotate:
         for rel in rels:
@@ -402,7 +419,7 @@ def cmd_poles(args) -> int:
 
 def cmd_limit(args) -> int:
     df, params, cat, rels, comms, hbars = _bind_session(args)
-    seq = (_parse_fraction_list(args.hbar) if args.hbar
+    seq = (hbars if args.hbar
            else [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)])
     if args.pair:
         pairs = [_parse_pair(args.pair, cat.currents)]

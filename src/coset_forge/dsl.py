@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -149,12 +148,15 @@ def _at(x: KVal, k: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # declaration records
 
-@dataclass
 class TermDecl:
-    coeff: KVal
-    hbar_power: int
-    shift: KVal
-    sinh: list[tuple[KVal, int]]
+    __slots__ = ("coeff", "hbar_power", "shift", "sinh")
+
+    def __init__(self, coeff: KVal, hbar_power: int, shift: KVal,
+                 sinh: list[tuple[KVal, int]]):
+        self.coeff = coeff
+        self.hbar_power = hbar_power
+        self.shift = shift
+        self.sinh = sinh
 
     def __eq__(self, other):
         return (isinstance(other, TermDecl)
@@ -166,11 +168,14 @@ class TermDecl:
                         in zip(self.sinh, other.sinh)))
 
 
-@dataclass
 class CompositeRef:
-    name: str
-    inverse: bool = False
-    shift: KVal | None = None
+    __slots__ = ("name", "inverse", "shift")
+
+    def __init__(self, name: str, inverse: bool = False,
+                 shift: KVal | None = None):
+        self.name = name
+        self.inverse = inverse
+        self.shift = shift
 
     def __eq__(self, other):
         return (isinstance(other, CompositeRef) and self.name == other.name
@@ -178,11 +183,14 @@ class CompositeRef:
                 and _opt_krat_eq(self.shift, other.shift))
 
 
-@dataclass
 class CompositeTerm:
-    coeff: KVal
-    hbar_power: int
-    refs: list[CompositeRef]
+    __slots__ = ("coeff", "hbar_power", "refs")
+
+    def __init__(self, coeff: KVal, hbar_power: int,
+                 refs: list[CompositeRef]):
+        self.coeff = coeff
+        self.hbar_power = hbar_power
+        self.refs = refs
 
     def __eq__(self, other):
         return (isinstance(other, CompositeTerm)
@@ -191,35 +199,48 @@ class CompositeTerm:
                 and self.refs == other.refs)
 
 
-@dataclass
 class CurrentDecl:
-    name: str
-    kernel: str | None = None                      # primitive currents
-    pos: list[TermDecl] = field(default_factory=list)
-    neg: list[TermDecl] = field(default_factory=list)
-    composite: list[CompositeTerm] | None = None   # composite currents
+    __slots__ = ("name", "kernel", "pos", "neg", "composite")
+
+    def __init__(self, name: str, kernel: str | None = None,
+                 pos: list[TermDecl] | None = None,
+                 neg: list[TermDecl] | None = None,
+                 composite: list[CompositeTerm] | None = None):
+        self.name = name
+        self.kernel = kernel            # primitive currents
+        self.pos = [] if pos is None else pos
+        self.neg = [] if neg is None else neg
+        self.composite = composite      # composite currents
 
 
-@dataclass
 class KernelDecl:
-    name: str
-    sign: int
-    slope: KVal
+    __slots__ = ("name", "sign", "slope")
+
+    def __init__(self, name: str, sign: int, slope: KVal):
+        self.name = name
+        self.sign = sign
+        self.slope = slope
 
     def __eq__(self, other):
         return (isinstance(other, KernelDecl) and self.name == other.name
                 and self.sign == other.sign and _krat_eq(self.slope, other.slope))
 
 
-@dataclass
 class FactorDecl:
-    kind: str                      # "w", "iw", "gamma", "scalar"
-    offset: KVal | None = None     # w/iw: (w + offset*hbar)
-    scale: KVal | None = None      # gamma: x@scale, sign folded in
-    scale_sign: int = 1
-    shift: KVal | None = None
-    exponent: int = 1
-    scalar: KVal | None = None
+    __slots__ = ("kind", "offset", "scale", "scale_sign", "shift", "exponent",
+                 "scalar")
+
+    def __init__(self, kind: str, offset: KVal | None = None,
+                 scale: KVal | None = None, scale_sign: int = 1,
+                 shift: KVal | None = None, exponent: int = 1,
+                 scalar: KVal | None = None):
+        self.kind = kind                # "w", "iw", "gamma", "scalar"
+        self.offset = offset            # w/iw: (w + offset*hbar)
+        self.scale = scale              # gamma: x@scale, sign folded in
+        self.scale_sign = scale_sign
+        self.shift = shift
+        self.exponent = exponent
+        self.scalar = scalar
 
     def __eq__(self, other):
         return (isinstance(other, FactorDecl) and self.kind == other.kind
@@ -231,24 +252,33 @@ class FactorDecl:
                 and _opt_krat_eq(self.scalar, other.scalar))
 
 
-@dataclass
 class RelationDecl:
-    name: str
-    kind: str                              # "exchange" | "shape"
-    left_factors: list[FactorDecl]
-    left_pair: tuple[str, str]
-    right_factors: list[FactorDecl]
-    right_pair: tuple[str, str]
-    rotate: str = "none"
-    tol: float | None = None
+    __slots__ = ("name", "kind", "left_factors", "left_pair", "right_factors",
+                 "right_pair", "rotate", "tol")
+
+    def __init__(self, name: str, kind: str, left_factors: list[FactorDecl],
+                 left_pair: tuple[str, str], right_factors: list[FactorDecl],
+                 right_pair: tuple[str, str], rotate: str = "none",
+                 tol: float | None = None):
+        self.name = name
+        self.kind = kind                # "exchange" | "shape"
+        self.left_factors = left_factors
+        self.left_pair = left_pair
+        self.right_factors = right_factors
+        self.right_pair = right_pair
+        self.rotate = rotate
+        self.tol = tol
 
 
-@dataclass
 class CommutatorDecl:
-    name_a: str
-    name_b: str
-    poles: list[KVal]
-    residues: list[tuple[str, KVal]]
+    __slots__ = ("name_a", "name_b", "poles", "residues")
+
+    def __init__(self, name_a: str, name_b: str, poles: list[KVal],
+                 residues: list[tuple[str, KVal]]):
+        self.name_a = name_a
+        self.name_b = name_b
+        self.poles = poles
+        self.residues = residues
 
     def __eq__(self, other):
         return (isinstance(other, CommutatorDecl)
@@ -273,15 +303,21 @@ def _opt_krat_eq(a, b):
     return _krat_eq(a, b)
 
 
-@dataclass
 class DefinitionFile:
-    k: KRat
-    hbars: list[KRat]
-    rotation_sector: str | None
-    kernels: list[KernelDecl]
-    currents: list[CurrentDecl]
-    relations: list[RelationDecl]
-    commutators: list[CommutatorDecl]
+    __slots__ = ("k", "hbars", "rotation_sector", "kernels", "currents",
+                 "relations", "commutators")
+
+    def __init__(self, k: KRat, hbars: list[KRat], rotation_sector: str | None,
+                 kernels: list[KernelDecl], currents: list[CurrentDecl],
+                 relations: list[RelationDecl],
+                 commutators: list[CommutatorDecl]):
+        self.k = k
+        self.hbars = hbars
+        self.rotation_sector = rotation_sector
+        self.kernels = kernels
+        self.currents = currents
+        self.relations = relations
+        self.commutators = commutators
 
     def __eq__(self, other):
         if not isinstance(other, DefinitionFile):

@@ -17,7 +17,6 @@ the positive axis vanishes identically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExcludedLevel, MixedSpectralArguments, NonMeromorphicProduct
@@ -29,31 +28,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, value=None):
+    """__setattr__ and __delattr__ of the immutable records: their fields
+    are set once, in __init__, through object.__setattr__."""
+    raise AttributeError(f"cannot change field {name!r} of an immutable "
+                         f"{type(self).__name__}")
+
+
+_set = object.__setattr__
+
+
 class AlgebraParams:
     """Level k (positive rational, k not in {0, -2}) and deformation hbar > 0."""
 
-    k: Fraction
-    hbar: Fraction = Fraction(1)
+    __slots__ = ("k", "hbar")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        k = as_fraction(self.k)
-        hbar = as_fraction(self.hbar)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "hbar", hbar)
+    def __init__(self, k: Fraction, hbar: Fraction = Fraction(1)):
+        k = as_fraction(k)
+        hbar = as_fraction(hbar)
         if k == 0 or k == -2:
             raise ExcludedLevel(f"level k={k} is excluded")
         if k < 0:
             raise ExcludedLevel(f"level k={k} must be positive")
         if hbar <= 0:
             raise ValueError("hbar must be positive")
+        _set(self, "k", k)
+        _set(self, "hbar", hbar)
 
     @property
     def hbar_float(self) -> float:
         return float(self.hbar)
 
 
-@dataclass(frozen=True)
 class Kernel:
     """Commutator density sign * sinh(hbar t) sinh(slope_b * hbar t) / (hbar^2 t).
 
@@ -61,16 +68,18 @@ class Kernel:
     1/t divisor, is odd, as the antisymmetry of a commutator requires.
     """
 
-    family: str
-    sign: int
-    slope_b: Fraction
+    __slots__ = ("family", "sign", "slope_b")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope_b", as_fraction(self.slope_b))
-        if self.sign not in (1, -1):
+    def __init__(self, family: str, sign: int, slope_b: Fraction):
+        slope_b = as_fraction(slope_b)
+        if sign not in (1, -1):
             raise ValueError("kernel sign must be +1 or -1")
-        if self.slope_b <= 0:
+        if slope_b <= 0:
             raise ValueError("kernel slope must be positive")
+        _set(self, "family", family)
+        _set(self, "sign", sign)
+        _set(self, "slope_b", slope_b)
 
     @property
     def slope_a(self) -> Fraction:
@@ -129,7 +138,6 @@ def _sinh_laurent(beta: Fraction, lattice: int, power: int = 1) -> LaurentPoly:
     return out
 
 
-@dataclass(frozen=True)
 class ExpTrigTerm:
     """One grammar term:
 
@@ -140,16 +148,18 @@ class ExpTrigTerm:
     merged and kept sorted.
     """
 
-    coeff: GR
-    hbar_power: int = 1
-    shift: Fraction = Fraction(0)
-    spectral_shift: Fraction = Fraction(0)
-    sinh_factors: tuple[tuple[Fraction, int], ...] = ()
+    __slots__ = ("coeff", "hbar_power", "shift", "spectral_shift",
+                 "sinh_factors", "_hash")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        coeff = self.coeff if isinstance(self.coeff, GR) else GR.of(self.coeff)
+    def __init__(self, coeff: GR, hbar_power: int = 1,
+                 shift: Fraction = Fraction(0),
+                 spectral_shift: Fraction = Fraction(0),
+                 sinh_factors: tuple[tuple[Fraction, int], ...] = ()):
+        if not isinstance(coeff, GR):
+            coeff = GR.of(coeff)
         merged: dict[Fraction, int] = {}
-        for beta, e in self.sinh_factors:
+        for beta, e in sinh_factors:
             beta = as_fraction(beta)
             e = int(e)
             if beta == 0:
@@ -159,20 +169,34 @@ class ExpTrigTerm:
                 if e % 2:
                     coeff = -coeff
             merged[beta] = merged.get(beta, 0) + e
-        factors = tuple(sorted((b, e) for b, e in merged.items() if e))
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "shift", as_fraction(self.shift))
-        object.__setattr__(self, "spectral_shift", as_fraction(self.spectral_shift))
-        object.__setattr__(self, "sinh_factors", factors)
+        _set(self, "coeff", coeff)
+        _set(self, "hbar_power", hbar_power)
+        _set(self, "shift", as_fraction(shift))
+        _set(self, "spectral_shift", as_fraction(spectral_shift))
+        _set(self, "sinh_factors",
+             tuple(sorted((b, e) for b, e in merged.items() if e)))
+        _set(self, "_hash", None)
+
+    def _key(self):
+        return (self.coeff, self.hbar_power, self.shift, self.spectral_shift,
+                self.sinh_factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __hash__(self):
         # computed once: terms key the closed-form cache of a catalog
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
-            h = hash((self.coeff, self.hbar_power, self.shift,
-                      self.spectral_shift, self.sinh_factors))
-            object.__setattr__(self, "_hash", h)
+            h = hash(self._key())
+            _set(self, "_hash", h)
         return h
+
+    def __repr__(self):
+        return ("ExpTrigTerm(coeff={!r}, hbar_power={!r}, shift={!r}, "
+                "spectral_shift={!r}, sinh_factors={!r})".format(*self._key()))
 
     def tilt(self) -> Fraction:
         """Net exponential tilt (shift + spectral shift), in hbar*t units."""

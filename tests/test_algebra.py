@@ -2,18 +2,20 @@
 classical limits."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import bind_shipped, contraction_pairs
-from coset_forge.algebra import (ClassicalBraid, Relation, classical_limit,
+from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
+                                 Relation, _grid_check, classical_limit,
                                  default_grid, ef_commutator_analysis,
                                  verify_relation)
 from coset_forge.contraction import StructureFunction
-from coset_forge.errors import ExcludedLevel, NonConvergent
+from coset_forge.errors import CosetForgeError, ExcludedLevel, NonConvergent
 from coset_forge.exact import GR
-from coset_forge.modes import (AlgebraParams, ExpTrigTerm, ModeFunction,
+from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                                equals as modes_equal)
 
 K2 = AlgebraParams(Fraction(2))
@@ -261,3 +263,66 @@ def test_quadrature_only_fallback_for_nontelescoping_relations():
                    right_factor=StructureFunction.from_linear(GR.of(Fraction(1)), 1))
     rep2 = verify_relation(cat, bad)
     assert not rep2.passed and rep2.max_rel_err > 0.1
+
+
+def test_immutable_records_reject_assignment():
+    term = ExpTrigTerm(GR.of(2), 1, HALF, 0, ((HALF, 1),))
+    not_term = NormalOrderedTerm(GR.of(1), 0, {"a": ModeFunction([term])})
+    records = [
+        (term, "coeff", GR.of(3)), (term, "_hash", 0),
+        (AlgebraParams(Fraction(2)), "k", Fraction(3)),
+        (Kernel("a", 1, HALF), "slope_b", Fraction(1)),
+        (not_term, "hbar_power", 1),
+        (Current("X", (not_term,)), "terms", ()),
+    ]
+    for obj, name, value in records:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = value
+        assert getattr(obj, name) is before
+    # equal terms stay equal and hash alike, the cached hash included
+    twin = ExpTrigTerm(GR.of(-2), 1, "1/2", Fraction(0), ((-HALF, 1),))
+    assert hash(term) == hash(twin) and term == twin and term is not twin
+    assert {term: 0, twin: 1} == {term: 1}
+
+
+def _grid_check_per_factor(factors, target, grid, hbar, memo):
+    """The factor-major loop that evaluates the target once per factor and
+    point: the reference _grid_check must agree with bit for bit."""
+    worst_at = [0.0] * len(grid)
+    for sf in factors:
+        for j, w in enumerate(grid):
+            try:
+                a = sf.eval(w, hbar, memo)
+                b = target.eval(w, hbar, memo)
+            except (CosetForgeError, ArithmeticError, ValueError):
+                worst_at[j] = float("nan")
+                continue
+            r = abs(a - b) / max(abs(b), 1e-300)
+            if r > worst_at[j]:
+                worst_at[j] = r
+    failed = sum(1 for r in worst_at if math.isnan(r))
+    worst = max((r for r in worst_at if not math.isnan(r)), default=0.0)
+    return worst_at, worst, failed
+
+
+def test_grid_check_matches_the_per_factor_loop():
+    cat = catalog(Fraction(5, 2))
+    factors = cat.pair_exchange(cat["psi"], cat["psi"])
+    # (iw + 3h/10) vanishes at w = 3i/10 and (iw + h/2) at w = i/2, so the
+    # target fails at one point and the added factor at another; some of
+    # the derived factors fail at w = i (the target too) and at w = 3i
+    target = factors[0] * StructureFunction.from_linear(GR.of(Fraction(3, 10)), 1)
+    fails = StructureFunction.from_linear(GR.of(HALF), 1)
+    grid = default_grid(cat.params) + [1j, 3j, 0.5j, 0.3j]
+    failed = []
+    for fs in (factors, factors + [fails], [fails] + factors, [fails], []):
+        got = _grid_check(fs, target, grid, 1.0, {})
+        want = _grid_check_per_factor(fs, target, grid, 1.0, {})
+        assert repr(got) == repr(want)
+        failed.append(got[2])
+    assert failed == [3, 4, 4, 3, 0]

@@ -262,6 +262,16 @@ def test_contract_json_to_stdout_keeps_stdout_pure(capsys):
     ["limit", "--json", "-", "--pair", "psi,"],
     ["limit", "--json", "-", "--pair", "psi,nope"],
     ["verify", "--json", "-", "--grid-range", "1"],
+    ["verify", "--json", "-", "--k", "1/0"],
+    ["verify", "--json", "-", "--k", "1e400"],
+    ["verify", "--json", "-", "--k", "1e-400"],
+    ["verify", "--json", "-", "--k", "abc"],
+    ["verify", "--json", "-", "--hbar", "1/0"],
+    ["verify", "--json", "-", "--hbar", "1e400"],
+    ["verify", "--json", "-", "--hbar", "1,1e-400"],
+    ["report", "--json", "-", "--k", "1e400"],
+    ["limit", "--json", "-", "--hbar", "1/0,1/100,1/1000"],
+    ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--k", "1/0"],
 ])
 def test_malformed_option_values_are_rejected(argv, capsys):
     # the offending flag is the second-last argument; the error names it

@@ -1,4 +1,5 @@
-"""Start-up cost: numpy is imported only by the commands that use it."""
+"""Start-up cost: numpy is imported only by the commands that use it, and
+neither dataclasses nor json by any."""
 
 import os
 import pathlib
@@ -17,6 +18,11 @@ parse_definitions(text).bind(Fraction(2), [Fraction(1)])
 assert "numpy" not in sys.modules, "numpy imported by import and bind"
 assert cli.run(["verify", "--k", "2", "--hbar", "1", "--json", sys.argv[1]]) == 0
 assert "numpy" not in sys.modules, "numpy imported by verify"
+assert cli.run(["catalog", "--k", "2"]) == 0
+assert cli.run(["poles", "--k", "2"]) == 0
+# the records are plain classes and the report writer uses the C escaper
+for name in ("dataclasses", "json", "json.encoder"):
+    assert name not in sys.modules, name + " imported by a command"
 """
 
 CONTRACT_WITH_NUMPY = """\
