@@ -23,7 +23,7 @@ from .contraction import StructureFunction, closed_form, contract, quad_eval
 from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
                      NonTelescoping, NoRotationSector, ResidueMismatch,
                      UnexpectedPole)
-from .exact import GR, as_fraction
+from .exact import GR, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     _read_only, _set, equals as modes_equal, shift_argument)
 
@@ -493,9 +493,10 @@ def ef_commutator_analysis(cat: Catalog, tolerance: float = 1e-8,
     for key, ta, tb, hyp, rot in pair_data:
         if rot.gammas:
             raise UnexpectedPole(None, f"pair {key}: Gamma factors survive rotation")
-        for rho, e in rot.linears.items():
+        for fields, e in rot.linears.items():
             if e >= 0:
                 continue
+            rho = _raw(*fields)
             w0 = 1j * complex(rho) * hbar
             if abs(w0) > window:
                 continue

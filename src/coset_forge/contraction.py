@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, GR_ZERO, ExactConst, LaurentRational,
-                    as_fraction, merge)
+                    _raw, as_fraction, merge)
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, _lcm
 from .specfun import log_gamma
 
@@ -49,7 +49,16 @@ __all__ = [
 ]
 
 _MINUS_ONE = GR(-1)
-_MINUS_I = GR(0, -1)
+
+
+def gamma_key(scale: GR, shift: Fraction) -> tuple[int, int, int, int, int]:
+    """The key of Gamma(iw/(scale*hbar) + shift) in StructureFunction.gammas."""
+    return scale.a, scale.b, scale.q, shift.numerator, shift.denominator
+
+
+def linear_key(rho: GR) -> tuple[int, int, int]:
+    """The key of (iw + rho*hbar) in StructureFunction.linears."""
+    return rho.a, rho.b, rho.q
 
 
 class StructureFunction:
@@ -59,10 +68,13 @@ class StructureFunction:
     __slots__ = ("gammas", "linears", "const", "exp_linear", "_plan")
 
     def __init__(self, gammas=None, linears=None, const=None, exp_linear=Fraction(0)):
-        # gammas: {(scale GR, shift Fraction): int exponent}
-        self.gammas: dict[tuple[GR, Fraction], int] = dict(gammas or {})
-        # linears: {rho GR: int exponent} for (iw + rho*hbar)^exponent
-        self.linears: dict[GR, int] = dict(linears or {})
+        # gammas: {(a, b, q, n, d): int exponent} for Gamma(iw/(s*hbar) + n/d)
+        # with scale s = (a + b*i)/q, the fields of a GR, and n/d in lowest
+        # terms, d > 0: plain integers, so a merge hashes them in C
+        self.gammas: dict[tuple[int, int, int, int, int], int] = dict(gammas or {})
+        # linears: {(a, b, q): int exponent} for (iw + rho*hbar)^exponent
+        # with rho = (a + b*i)/q, the fields of a GR
+        self.linears: dict[tuple[int, int, int], int] = dict(linears or {})
         self.const: ExactConst = const if const is not None else ExactConst.one()
         self.exp_linear = as_fraction(exp_linear)
         # float lowering for the last hbar evaluated at (see _float_plan)
@@ -75,11 +87,12 @@ class StructureFunction:
 
     @staticmethod
     def from_linear(rho, exponent: int = 1) -> "StructureFunction":
-        return StructureFunction(linears={GR.of(rho): exponent})
+        return StructureFunction(linears={linear_key(GR.of(rho)): exponent})
 
     @staticmethod
     def from_gamma(scale, shift, exponent: int = 1) -> "StructureFunction":
-        return StructureFunction(gammas={(GR.of(scale), as_fraction(shift)): exponent})
+        return StructureFunction(gammas={gamma_key(GR.of(scale), as_fraction(shift)):
+                                         exponent})
 
     @staticmethod
     def from_const_gr(g: GR) -> "StructureFunction":
@@ -107,14 +120,14 @@ class StructureFunction:
     def negate_w(self) -> "StructureFunction":
         """Re-express the same function with w replaced by -w."""
         g = {}
-        for (s, a), e in self.gammas.items():
-            key = (-s, a)
+        for (a, b, q, n, d), e in self.gammas.items():
+            key = (-a, -b, q, n, d)
             g[key] = g.get(key, 0) + e
         l = {}
         odd = 0
-        for rho, e in self.linears.items():
+        for (a, b, q), e in self.linears.items():
             # (i(-w) + rho*hbar) = -(iw - rho*hbar)
-            key = -rho
+            key = (-a, -b, q)
             l[key] = l.get(key, 0) + e
             odd += e % 2
         c = self.const.times_gr(_MINUS_ONE) if odd % 2 else self.const
@@ -124,12 +137,12 @@ class StructureFunction:
     def wick_rotate(self) -> "StructureFunction":
         """Substitute hbar -> -i hbar."""
         g = {}
-        for (s, a), e in self.gammas.items():
-            key = (s * _MINUS_I, a)
+        for (a, b, q, n, d), e in self.gammas.items():
+            key = (b, -a, q, n, d)          # (a + b*i) * -i = b - a*i
             g[key] = g.get(key, 0) + e
         l = {}
-        for rho, e in self.linears.items():
-            key = rho * _MINUS_I
+        for (a, b, q), e in self.linears.items():
+            key = (b, -a, q)
             l[key] = l.get(key, 0) + e
         return StructureFunction(g, l, self.const.wick_rotate(), self.exp_linear)
 
@@ -141,21 +154,26 @@ class StructureFunction:
         representative shift in [0,1); integer offsets are emitted as linear
         factors (iw + q*scale*hbar) with exact constants (scale*hbar)^{-1}.
         """
-        gammas: dict[tuple[GR, Fraction], int] = {}
+        gammas: dict[tuple[int, int, int, int, int], int] = {}
         linears = dict(self.linears)
         const = self.const
-        for (s, a), e in self.gammas.items():
-            d = a.denominator
-            n = a.numerator // d
-            # a = n + r with r in [0, 1), on the lattice 1/d
-            merge(gammas, (s, a - n) if n else (s, a), e)
+        for key, e in self.gammas.items():
+            sa, sb, sq, an, d = key
+            n = an // d
             if not n:
+                merge(gammas, key, e)
                 continue
-            rn = a.numerator - n * d
+            # shift an/d = n + rn/d with rn/d in [0, 1), still in lowest terms
+            rn = an - n * d
+            merge(gammas, (sa, sb, sq, rn, d), e)
+            s = _raw(sa, sb, sq)
             js = range(0, n) if n > 0 else range(n, 0)
             sign = 1 if n > 0 else -1
             for j in js:
-                merge(linears, s.times_ratio(rn + j * d, d), sign * e)
+                # rho = s * (rn + j*d)/d, in lowest terms
+                x = rn + j * d
+                g = math.gcd(sa * x, sb * x, sq * d)
+                merge(linears, (sa * x // g, sb * x // g, sq * d // g), sign * e)
                 const = const.times_base(s, 1, -sign * e)
         return StructureFunction(gammas, {k: v for k, v in linears.items() if v},
                                  const, self.exp_linear)
@@ -179,9 +197,10 @@ class StructureFunction:
         if plan is None or plan[0] != hbar:
             plan = self._plan = (
                 hbar, cmath.log(self.const.eval(hbar)),
-                tuple((e, complex(sc) * hbar, float(a))
-                      for (sc, a), e in self.gammas.items()),
-                tuple((e, complex(rho) * hbar) for rho, e in self.linears.items()),
+                tuple((e, complex(sa / sq, sb / sq) * hbar, n / d)
+                      for (sa, sb, sq, n, d), e in self.gammas.items()),
+                tuple((e, complex(a / q, b / q) * hbar)
+                      for (a, b, q), e in self.linears.items()),
                 float(self.exp_linear))
         return plan
 
@@ -213,9 +232,9 @@ class StructureFunction:
     def rational_poles(self, hbar: float) -> list[tuple[complex, int]]:
         """Poles coming from linear factors, as (w0, order)."""
         out = []
-        for rho, e in self.normalize().linears.items():
+        for (a, b, q), e in self.normalize().linears.items():
             if e < 0:
-                out.append((1j * complex(rho) * hbar, -e))
+                out.append((1j * complex(a / q, b / q) * hbar, -e))
         return out
 
     def residue_at_simple_pole(self, rho0: GR) -> tuple[GR, int]:
@@ -228,16 +247,17 @@ class StructureFunction:
         n = self.normalize()
         if n.gammas:
             raise NonTelescoping("residues of Gamma poles are not exact here")
-        if n.linears.get(rho0, 0) != -1:
+        key0 = linear_key(rho0)
+        if n.linears.get(key0, 0) != -1:
             raise ValueError("not a simple pole of this function")
         # near iw = -rho0 hbar: (iw + rho0 hbar) = i (w - w0), so
         # Res_w = (1/i) prod_{rho != rho0} ((rho - rho0) hbar)^e
         gr = GR_ONE / GR_I
         hpow = 0
-        for rho, e in n.linears.items():
-            if rho == rho0:
+        for key, e in n.linears.items():
+            if key == key0:
                 continue
-            base = rho - rho0
+            base = _raw(*key) - rho0
             for _ in range(abs(e)):
                 gr = gr * base if e > 0 else gr / base
             hpow += e
@@ -247,10 +267,16 @@ class StructureFunction:
         bits = []
         if not self.const.is_one():
             bits.append(repr(self.const))
-        for (s, a), e in sorted(self.gammas.items(), key=lambda kv: (repr(kv[0]), kv[1])):
+        # describe() strings in reports order the Gamma factors by the text
+        # "(scale, Fraction(n, d))" of each
+        gammas = sorted(((_raw(sa, sb, sq), n, d, e)
+                         for (sa, sb, sq, n, d), e in self.gammas.items()),
+                        key=lambda g: f"({g[0]!r}, Fraction({g[1]}, {g[2]}))")
+        for s, n, d, e in gammas:
+            a = n if d == 1 else f"{n}/{d}"
             bits.append(f"Gamma(iw/({s!r}h)+{a})^{e}")
-        for rho, e in sorted(self.linears.items(), key=lambda kv: (repr(kv[0]), kv[1])):
-            bits.append(f"(iw+{rho!r}h)^{e}")
+        for rho, e in sorted((repr(_raw(*key)), e) for key, e in self.linears.items()):
+            bits.append(f"(iw+{rho}h)^{e}")
         if self.exp_linear:
             bits.append(f"exp({self.exp_linear} iw/h)")
         return " * ".join(bits) if bits else "1"
@@ -489,10 +515,12 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
         # monomial denominator: purely exponential families
         h = den.min_exp()
         c = den.c[h]
-        linears: dict[GR, int] = {}
+        linears: dict[tuple[int, int, int], int] = {}
         for m, v in num.c.items():
             e = _as_int(v / c, "Frullani family coefficient")
-            merge(linears, GR(Fraction(-(m - h), 2 * L)), -e)
+            # rho = -(m - h)/(2L)
+            g = math.gcd(m - h, 2 * L)
+            merge(linears, (-(m - h) // g, 0, 2 * L // g), -e)
         return StructureFunction(linears=linears)
 
     # denominator must divide zeta^{2M} - 1 for the family order M
@@ -506,13 +534,16 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     # R = N q zeta^{-2M} / (1 - zeta^{-2M})
     pnum = num * qpoly
     scale = GR(Fraction(M, L))
-    gammas: dict[tuple[GR, Fraction], int] = {}
+    sa, sq = scale.a, scale.q
+    gammas: dict[tuple[int, int, int, int, int], int] = {}
     dsum = 0
     s1n = 0          # S1 = s1n / (2M)
     for m, v in pnum.c.items():
         d = _as_int(v, "Gamma family coefficient")
         # term d zeta^{m-2M} = d e^{(m-2M) eta t}: x = iw/D - (m-2M)/(2M)
-        merge(gammas, (scale, Fraction(-(m - 2 * M), 2 * M)), d)
+        n = 2 * M - m
+        g = math.gcd(n, 2 * M)
+        merge(gammas, (sa, 0, sq, n // g, 2 * M // g), d)
         dsum += d
         s1n -= d * (m - 2 * M)
     if dsum:

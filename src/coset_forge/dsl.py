@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Catalog, Current, NormalOrderedTerm, Relation
-from .contraction import StructureFunction
+from .contraction import StructureFunction, gamma_key, linear_key
 from .errors import DuplicateName, ParseError, UndeclaredName
 from .exact import GR, GR_I, GR_ONE, ExactConst, KRat
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, shift_argument
@@ -567,8 +567,8 @@ def _bind_side(factors: list[FactorDecl], k: Fraction) -> StructureFunction:
     adds its exponent under its key, in first-seen order, and a key whose
     exponent cancels is dropped; the scalars, and (-i)^n from each
     (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant."""
-    gammas: dict[tuple[GR, Fraction], int] = {}
-    linears: dict[GR, int] = {}
+    gammas: dict[tuple[int, int, int, int, int], int] = {}
+    linears: dict[tuple[int, int, int], int] = {}
     mult = GR_ONE
     for f in factors:
         e = f.exponent
@@ -577,14 +577,15 @@ def _bind_side(factors: list[FactorDecl], k: Fraction) -> StructureFunction:
             continue
         if f.kind == "gamma":
             exps = gammas
-            key = (GR(_at(f.scale, k) * f.scale_sign), _at(f.shift, k))
+            key = gamma_key(GR(_at(f.scale, k) * f.scale_sign), _at(f.shift, k))
         else:
             exps = linears
-            key = GR(_at(f.offset, k) if f.offset is not None else _ZERO)
+            rho = GR(_at(f.offset, k) if f.offset is not None else _ZERO)
             if f.kind == "w":
-                key = GR_I * key
+                rho = GR_I * rho
                 for _ in range(abs(e)):
                     mult = mult * (_MINUS_I if e > 0 else GR_I)
+            key = linear_key(rho)
         exps[key] = exps.get(key, 0) + e
         if not exps[key]:
             del exps[key]

@@ -10,6 +10,7 @@ evaluation time.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -219,14 +220,6 @@ class LaurentPoly:
                     self.c[int(e)] = v
 
     @staticmethod
-    def monomial(coeff, exponent: int) -> "LaurentPoly":
-        return LaurentPoly({exponent: GR.of(coeff)})
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly({0: GR_ONE})
 
@@ -335,7 +328,9 @@ def _cexp(z: complex) -> complex:
 # g_d = gcd(Phi_d, zeta^{d/4} - i) and conj(g_d).  A factor is named by an
 # integer key: d for Phi_d (4 not dividing d), +d for g_d and -d for
 # conj(g_d) (4 | d).  All factors are monic with Gaussian-integer
-# coefficients, so cancellation is exact integer division.
+# coefficients, so cancellation is exact integer division.  A single term
+# arrives reduced (binomial_quotient, below); trial division by the factors
+# is left for sums and products of terms (LaurentRational._reduce).
 #
 # The halves need no gcd.  With m = d/4, a root of zeta^m - i has order d/e
 # for an odd e | m, and zeta^{m/e} is i or -i as e is 1 or 3 mod 4.  So
@@ -343,9 +338,10 @@ def _cexp(z: complex) -> complex:
 # conj(g_{d/e}) (e = 3 mod 4), and g_d is zeta^m - i divided by the factors
 # with e > 1, all of lower order.
 
-def _divisors(n: int) -> list[int]:
+@functools.lru_cache(maxsize=1024)
+def _divisors(n: int) -> tuple[int, ...]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return sorted(set(small + [n // d for d in small]))
+    return tuple(sorted(set(small + [n // d for d in small])))
 
 
 def _totient(n: int) -> int:
@@ -592,13 +588,86 @@ def _factor(key: int) -> _ZiPoly:
     return g
 
 
+# ---------------------------------------------------------------------------
+# Products of binomials.
+#
+# A single grammar term is c * zeta^s * prod_j (zeta^{m_j} - 1)^{p_j}, so its
+# reduced form is read off the counts of each Phi_d, d | m_j: the factors
+# counted negative are the denominator, and those counted positive make the
+# numerator, built from binomials by Phi_d = prod_{j | d} (zeta^j - 1)^mu(d/j).
+# Multiplying by or dividing exactly by zeta^j - 1 is a sparse step, linear
+# in the length, so no dense factor is ever divided by trial.
+
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
 @functools.lru_cache(maxsize=1024)
-def cyclotomic_factors(n: int) -> tuple[int, ...]:
-    """Factor keys of zeta^n - 1 = prod_{d | n} Phi_d over Q(i)."""
-    out: list[int] = []
-    for d in _divisors(n):
-        out += [d, -d] if d % 4 == 0 else [d]
-    return tuple(out)
+def _phi_binomials(d: int) -> tuple[tuple[int, int], ...]:
+    """Phi_d as the pairs (j, mu(d/j)), mu nonzero, of its binomial product."""
+    return tuple((j, mu) for j in _divisors(d) if (mu := _mobius(d // j)))
+
+
+def _times_binomial(p: list[int], j: int) -> list[int]:
+    """p * (zeta^j - 1), ascending integer coefficients."""
+    return [x - y for x, y in zip([0] * j + p, p + [0] * j)]
+
+
+def _over_binomial(p: list[int], j: int) -> list[int]:
+    """p / (zeta^j - 1), the division exact: q_i = q_{i-j} - p_i, so each
+    residue class mod j of q is a running sum of that class of -p."""
+    n = len(p) - j
+    q = [0] * n
+    for r in range(min(j, n)):
+        q[r:n:j] = [-x for x in itertools.accumulate(p[r:n:j])]
+    return q
+
+
+def binomial_quotient(coeff: GR, lo: int,
+                      powers: list[tuple[int, int]]) -> "LaurentRational":
+    """coeff * zeta^lo * prod (zeta^m - 1)^p over the pairs (m, p) of powers,
+    m > 0, built reduced.  The denominator holds the factors of the negative
+    powers in the order they first name them, as a LaurentRational reduced
+    from the unreduced product would hold them."""
+    count: dict[int, int] = {}
+    named: dict[int, None] = {}         # orders named by a negative power
+    for m, p in powers:
+        for d in _divisors(m):
+            count[d] = count.get(d, 0) + p
+            if p < 0:
+                named[d] = None
+    factors: dict[int, int] = {}
+    for d in named:
+        c = count[d]
+        if c < 0:
+            factors[d] = -c
+            if d % 4 == 0:
+                factors[-d] = -c
+    exps: dict[int, int] = {}
+    for d, c in count.items():
+        if c > 0:
+            for j, mu in _phi_binomials(d):
+                exps[j] = exps.get(j, 0) + c * mu
+    num = [1]
+    for j, e in exps.items():
+        for _ in range(e):
+            num = _times_binomial(num, j)
+    for j, e in exps.items():
+        for _ in range(-e):
+            num = _over_binomial(num, j)
+    a, b = coeff.a, coeff.b
+    n = _ZiPoly.make(lo, [x * a for x in num],
+                     [x * b for x in num] if b else None, coeff.q)
+    return LaurentRational._make(n, factors)
 
 
 def _key(factors: dict[int, int]) -> tuple:
@@ -654,11 +723,13 @@ class LaurentRational:
     kept reduced.
 
     The denominator is carried as the multiset `factors`, {factor key:
-    multiplicity}; reduction is exact division of the numerator by each
-    factor while it divides.  Normal form: no factor of the denominator
-    divides the numerator, and the denominator (the product of the factors)
-    has minimum exponent 0 and leading coefficient 1.  `num` and `den` give
-    both as Laurent polynomials.
+    multiplicity}.  A single grammar term is built reduced by
+    binomial_quotient, which counts the factors and divides nothing; a sum
+    or product built here is reduced by exact trial division of the
+    numerator by each factor while it divides.  Normal form: no factor of
+    the denominator divides the numerator, and the denominator (the product
+    of the factors) has minimum exponent 0 and leading coefficient 1.
+    `num` and `den` give both as Laurent polynomials.
 
     A denominator is given either as the multiset (`factors`) or as a
     Laurent polynomial (`den`), which is factored by trial division and must

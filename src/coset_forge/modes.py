@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import ExcludedLevel, MixedSpectralArguments, NonMeromorphicProduct
-from .exact import GR, LaurentPoly, LaurentRational, as_fraction, cyclotomic_factors
+from .exact import GR, LaurentPoly, LaurentRational, as_fraction, binomial_quotient
 
 __all__ = [
     "AlgebraParams", "Kernel", "ExpTrigTerm", "ModeFunction",
@@ -95,10 +95,8 @@ class Kernel:
         return self.sign * self.slope_a * self.slope_b
 
     def numerator_laurent(self, lattice: int) -> LaurentPoly:
-        p = LaurentPoly.one()
-        for beta, e in self.sinh_factors():
-            p = p * _sinh_laurent(beta, lattice, e)
-        return p.scale(self.sign)
+        return ExpTrigTerm(self.sign, 0, sinh_factors=self.sinh_factors()
+                           ).laurent(lattice).num
 
     def numerator_is_even(self) -> bool:
         lat = _lcm(self.slope_a.denominator, self.slope_b.denominator)
@@ -117,25 +115,12 @@ def _lcm(*xs: int) -> int:
     return out
 
 
-_HALF = GR(Fraction(1, 2))
-
-
 def _sinh_exponent(beta: Fraction, lattice: int) -> int:
     """n with sinh(beta*hbar*t) = (zeta^n - zeta^-n)/2, zeta = e^{hbar t/(2 lattice)}."""
     e, r = divmod(beta.numerator * 2 * lattice, beta.denominator)
     if r:
         raise NonMeromorphicProduct(f"slope {beta} not on lattice 1/{lattice}")
     return e
-
-
-def _sinh_laurent(beta: Fraction, lattice: int, power: int = 1) -> LaurentPoly:
-    """sinh(beta*hbar*t) as a Laurent polynomial in zeta = e^{hbar t/(2 lattice)}."""
-    e = _sinh_exponent(beta, lattice)
-    base = LaurentPoly({e: _HALF, -e: -_HALF})
-    out = LaurentPoly.one()
-    for _ in range(abs(power)):
-        out = out * base
-    return out
 
 
 class ExpTrigTerm:
@@ -222,18 +207,20 @@ class ExpTrigTerm:
                       * 2 * lattice, s.denominator * t.denominator)
         if r:
             raise NonMeromorphicProduct(f"tilt {self.tilt()} not on lattice 1/{lattice}")
-        num = LaurentPoly.monomial(self.coeff, e)
-        factors: dict[int, int] = {}
+        # sinh(beta*hbar*t)^p = 2^-p zeta^{-n p} (zeta^{2n} - 1)^p
+        powers = []
+        twos = 0
         for beta, p in self.sinh_factors:
-            if p > 0:
-                num = num * _sinh_laurent(beta, lattice, p)
-                continue
-            # sinh^p = (2 zeta^n)^-p / (zeta^{2n} - 1)^-p
             n = _sinh_exponent(beta, lattice)
-            num = num * LaurentPoly.monomial(2 ** -p, -n * p)
-            for key in cyclotomic_factors(2 * n):
-                factors[key] = factors.get(key, 0) - p
-        return LaurentRational(num, factors=factors)
+            e -= n * p
+            twos += p
+            powers.append((2 * n, p))
+        c = self.coeff
+        if twos > 0:
+            c = c.times_ratio(1, 2 ** twos)
+        elif twos < 0:
+            c = c.times_ratio(2 ** -twos, 1)
+        return binomial_quotient(c, e, powers)
 
     def reflected(self) -> "ExpTrigTerm":
         """The term evaluated at -t, re-expressed for t > 0."""

@@ -9,6 +9,7 @@ import importlib.resources
 from fractions import Fraction
 
 from coset_forge.dsl import parse_definitions
+from coset_forge.exact import GR
 
 
 def shipped_text() -> str:
@@ -50,3 +51,19 @@ def contraction_pairs(cat):
                             continue
                         out.append((f"{a}[{ia}].{b}[{ib}].{fam}", fam, f, g, K))
     return out
+
+
+def gamma_factors(sf):
+    """The Gamma factors of a StructureFunction as {(scale GR, shift
+    Fraction): exponent}, in the order of `sf.gammas`, whose keys are the
+    integer tuples (a, b, q, n, d) for scale (a + b*i)/q and shift n/d."""
+    return {(GR(Fraction(a, q), Fraction(b, q)), Fraction(n, d)): e
+            for (a, b, q, n, d), e in sf.gammas.items()}
+
+
+def linear_factors(sf):
+    """The linear factors of a StructureFunction as {rho GR: exponent}, in
+    the order of `sf.linears`, whose keys are the integer triples (a, b, q)
+    for rho = (a + b*i)/q."""
+    return {GR(Fraction(a, q), Fraction(b, q)): e
+            for (a, b, q), e in sf.linears.items()}

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bind_shipped, contraction_pairs
+from conftest import bind_shipped, contraction_pairs, gamma_factors
 from coset_forge.algebra import (ClassicalBraid, classical_limit,
                                  ef_commutator_analysis, verify_relation)
 from coset_forge.contraction import StructureFunction, closed_form, contract, quad_eval
@@ -77,9 +77,9 @@ def test_criterion_2_printed_factor_reproduction():
         assert S_l.symbolic_eq(printed_sf(lam_pairs)), k
         assert S_b.symbolic_eq(printed_sf(bet_pairs)), k
         if k != 2:  # away from the degenerate level the raw multiset matches
-            assert {(complex(s), sh): e for (s, sh), e in S_l.gammas.items()} \
+            assert {(complex(s), sh): e for (s, sh), e in gamma_factors(S_l).items()} \
                 == acc(lam_pairs)
-            assert {(complex(s), sh): e for (s, sh), e in S_b.gammas.items()} \
+            assert {(complex(s), sh): e for (s, sh), e in gamma_factors(S_b).items()} \
                 == acc(bet_pairs)
             assert not S_l.linears and S_l.const.is_one()
             assert not S_b.linears and S_b.const.is_one()

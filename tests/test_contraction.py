@@ -8,14 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gamma_factors, linear_factors
 from coset_forge.algebra import Catalog, verify_relation
 from coset_forge.contraction import (StructureFunction, closed_form, contract,
-                                     exchange_factor, quad_eval)
+                                     exchange_factor, gamma_key, linear_key,
+                                     quad_eval)
 from coset_forge.dsl import parse_definitions
 from coset_forge.errors import (DivergenceMismatch, IllPosedContraction,
                                 NonTelescoping, OutsideConvergenceStrip,
                                 PoleAtNonPositiveInteger)
-from coset_forge.exact import GR, ExactConst
+from coset_forge.exact import GR, ExactConst, merge
 from coset_forge.modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
 from coset_forge.specfun import log_gamma
 
@@ -132,11 +134,11 @@ def test_golden_gamma_multisets(k):
         return {kk: v for kk, v in d.items() if v}
 
     S = exchange_factor(beta_plus(), beta_minus(), kernel_b(k), params)
-    got = {(complex(s), sh): e for (s, sh), e in S.gammas.items()}
+    got = {(complex(s), sh): e for (s, sh), e in gamma_factors(S).items()}
     expect = acc([(-k / 4, 1), (-(k - 4) / 4, 1), (k / 4, -1),
                   ((k + 4) / 4, -1), ((k + 2) / 4, 2), (-(k - 2) / 4, -2)])
     SL = exchange_factor(beta_plus(), beta_minus(), kernel_l(k), params)
-    gotl = {(complex(s), sh): e for (s, sh), e in SL.gammas.items()}
+    gotl = {(complex(s), sh): e for (s, sh), e in gamma_factors(SL).items()}
     expl = acc([((k + 2) / 4, 1), ((k + 6) / 4, 1), (-k / 4, 2),
                 (-(k + 2) / 4, -1), (-(k - 2) / 4, -1), ((k + 4) / 4, -2)])
     if k == 2:
@@ -296,7 +298,7 @@ def test_structure_function_normalize_recurrence():
           * StructureFunction.from_gamma(2, 0, -1))
     n = sf.normalize()
     assert not n.gammas
-    assert n.linears == {GR.of(0): 1}
+    assert linear_factors(n) == {GR.of(0): 1}
     for w in (1.2 - 0.7j,):
         assert abs(sf.eval(w, 1.0) - n.eval(w, 1.0)) < 1e-14
 
@@ -318,6 +320,71 @@ def test_structure_function_negate_and_rotate():
     assert StructureFunction.one().wick_rotate().is_one()
 
 
+def _reference_normalize(sf):
+    """normalize over (scale GR, shift Fraction) keys, as it was written
+    before the keys became integer tuples: (gammas, linears, const)."""
+    gammas, linears, const = {}, linear_factors(sf), sf.const
+    for (s, a), e in gamma_factors(sf).items():
+        n = math.floor(a)
+        merge(gammas, (s, a - n), e)
+        sign = 1 if n > 0 else -1
+        for j in (range(0, n) if n > 0 else range(n, 0)):
+            merge(linears, s * (a - n + j), sign * e)
+            const = const.times_base(s, 1, -sign * e)
+    return gammas, {k: v for k, v in linears.items() if v}, const
+
+
+def _assert_normalize_matches_reference(sf):
+    got = sf.normalize()
+    gammas, linears, const = _reference_normalize(sf)
+    assert list(gamma_factors(got).items()) == list(gammas.items())
+    assert list(linear_factors(got).items()) == list(linears.items())
+    assert (got.const.mult, got.const.den, got.const.ph, list(got.const.pe.items()),
+            got.const.hb) == (const.mult, const.den, const.ph,
+                              list(const.pe.items()), const.hb)
+    # the other key transformations, against the same reading of the keys
+    for moved, scale in ((sf.negate_w(), GR(-1)), (sf.wick_rotate(), GR(0, -1))):
+        assert list(gamma_factors(moved).items()) == [
+            ((s * scale, a), e) for (s, a), e in gamma_factors(sf).items()]
+        assert list(linear_factors(moved).items()) == [
+            (rho * scale, e) for rho, e in linear_factors(sf).items()]
+
+
+def test_normalize_shifts_negative_whole_and_across_zero():
+    i2 = GR(Fraction(0), Fraction(1, 2))
+    cases = [(2, Fraction(-7, 3), 1), (2, Fraction(5, 3), -2), (i2, -2, 1),
+             (i2, 3, 1), (2, -HALF, 1), (2, HALF, -1), (2, Fraction(3, 2), 2),
+             (GR(Fraction(1, 3), ONE), 0, 2), (i2, -1, -1), (2, Fraction(-1, 3), 1)]
+    sf = StructureFunction.one()
+    for scale, shift, e in cases:
+        part = StructureFunction.from_gamma(scale, shift, e)
+        _assert_normalize_matches_reference(part)
+        sf = sf * part
+    _assert_normalize_matches_reference(sf)
+    # a whole shift reduces to the key (..., 0, 1); the scale keeps its fields
+    assert list(StructureFunction.from_gamma(i2, -2, 1).normalize().gammas) == [
+        (0, 1, 2, 0, 1)]
+    assert list(StructureFunction.from_gamma(2, 3, 1).normalize().gammas) == [
+        (2, 0, 1, 0, 1)]
+
+
+# scales as the derivation makes them: a real or imaginary rational, the
+# form the exact constant's (scale*hbar)^-1 factors take
+_gamma_scales = st.builds(lambda u, r: u * r,
+                          st.sampled_from([GR(1), GR(-1), GR(0, 1), GR(0, -1)]),
+                          st.fractions(Fraction(1, 4), 3, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_gamma_scales, st.fractions(-4, 4, max_denominator=6),
+                          st.integers(-2, 2)), max_size=6))
+def test_normalize_matches_the_fraction_reference(parts):
+    sf = StructureFunction.one()
+    for scale, shift, e in parts:
+        sf = sf * StructureFunction.from_gamma(scale, shift, e)
+    _assert_normalize_matches_reference(sf)
+
+
 # ---------------------------------------------------------------------------
 # float plans and the log Gamma memo
 
@@ -325,9 +392,9 @@ def _reference_log_eval(sf, w, hbar):
     """The direct evaluation from the exact data, kept here as the oracle for
     the float plan: same operations in the same order."""
     s = cmath.log(sf.const.eval(hbar))
-    for (sc, a), e in sf.gammas.items():
+    for (sc, a), e in gamma_factors(sf).items():
         s += e * log_gamma(1j * w / (complex(sc) * hbar) + float(a))
-    for rho, e in sf.linears.items():
+    for rho, e in linear_factors(sf).items():
         s += e * cmath.log(1j * w + complex(rho) * hbar)
     if sf.exp_linear:
         s += float(sf.exp_linear) * 1j * w / hbar
@@ -356,8 +423,10 @@ _consts = st.builds(
     _scales, _units, _small)
 _functions = st.builds(
     StructureFunction,
-    st.dictionaries(st.tuples(_scales, _small), st.integers(-3, 3), max_size=5),
-    st.dictionaries(_scales, st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.builds(gamma_key, _scales, _small), st.integers(-3, 3),
+                    max_size=5),
+    st.dictionaries(st.builds(linear_key, _scales),
+                    st.integers(-2, 2), max_size=3),
     _consts, _small)
 _points = st.builds(complex, st.floats(-6, 6), st.floats(-6, 6))
 

@@ -1,14 +1,17 @@
 """Mode-function algebra: canonical forms, argument shifts, kernels."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coset_forge import cli, exact
 from coset_forge.errors import ExcludedLevel, MixedSpectralArguments
-from coset_forge.exact import GR
+from coset_forge.exact import GR, LaurentPoly, LaurentRational
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                                canonicalize, equals, shift_argument)
 
@@ -179,3 +182,89 @@ def test_screened_plus_screened_equals_u1_exponents():
         hm = cat["H_minus"].exponent("chat")
         assert equals(cp + shift_argument(cm, k / 2), shift_argument(hp, k / 4))
         assert equals(cp + shift_argument(cm, -k / 2), shift_argument(hm, -k / 4))
+
+
+# ---------------------------------------------------------------------------
+# ExpTrigTerm.laurent builds each term reduced; the reference below is the
+# construction it replaced: positive sinh powers multiplied out into a dense
+# numerator, negative ones put in as cyclotomic factors of zeta^{2n} - 1 and
+# then divided back out of the numerator by trial.
+
+def _reference_laurent(term, lattice):
+    half = GR(Fraction(1, 2))
+    e = (term.shift + term.spectral_shift) * 2 * lattice
+    assert e.denominator == 1
+    num = LaurentPoly({int(e): term.coeff})
+    factors = {}
+    for beta, p in term.sinh_factors:
+        n = beta * 2 * lattice
+        assert n.denominator == 1
+        n = int(n)
+        if p > 0:
+            for _ in range(p):
+                num = num * LaurentPoly({n: half, -n: -half})
+            continue
+        num = num * LaurentPoly({-n * p: GR(2 ** -p)})
+        for d in range(1, 2 * n + 1):
+            if 2 * n % d == 0:
+                for key in ((d, -d) if d % 4 == 0 else (d,)):
+                    factors[key] = factors.get(key, 0) - p
+    return LaurentRational(num, factors=factors)
+
+
+_dens = st.sampled_from([1, 2, 3, 4, 6, 8])
+
+
+@st.composite
+def _terms_and_lattices(draw):
+    coeff = GR(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4))),
+               Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4))))
+    shift = Fraction(draw(st.integers(-6, 6)), draw(_dens))
+    spec = Fraction(draw(st.integers(-6, 6)), draw(_dens))
+    sinh = tuple((Fraction(draw(st.integers(1, 4)), draw(_dens)),
+                  draw(st.integers(-3, 3)))
+                 for _ in range(draw(st.integers(0, 3))))
+    term = ExpTrigTerm(coeff, 1, shift, spec, sinh)
+    own = ModeFunction([term]).lattice()
+    return term, own * draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms_and_lattices())
+# Phi_6 is first named by the positive power, Phi_4 only by the negative one
+@example((ExpTrigTerm(GR.of(1), 1, 0, 0, ((ONE, 1), (Fraction(2), -2))), 3))
+def test_laurent_matches_expand_and_trial_divide(case):
+    term, lattice = case
+    got, want = term.laurent(lattice), _reference_laurent(term, lattice)
+    assert got == want
+    # the same denominator multiset in the same insertion order, which
+    # _family_order reads (it names the first repeated factor)
+    assert list(got.factors.items()) == list(want.factors.items())
+    assert got.num == want.num and got.den == want.den
+
+
+def test_laurent_makes_no_trial_division(monkeypatch):
+    """A verify at k = 3/16 reduces sums by trial division, but no single
+    term divides by a dense cyclotomic factor."""
+    calls = {"laurent": 0, "inside": 0, "outside": 0}
+    depth = [0]
+    laurent, divide = ExpTrigTerm.laurent, exact._ZiPoly.divide
+
+    def counting_laurent(self, lattice):
+        calls["laurent"] += 1
+        depth[0] += 1
+        try:
+            return laurent(self, lattice)
+        finally:
+            depth[0] -= 1
+
+    def counting_divide(self, f):
+        calls["inside" if depth[0] else "outside"] += 1
+        return divide(self, f)
+
+    monkeypatch.setattr(ExpTrigTerm, "laurent", counting_laurent)
+    monkeypatch.setattr(exact._ZiPoly, "divide", counting_divide)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["verify", "--k", "3/16"]) == 0
+    assert calls["laurent"] > 0 and calls["outside"] > 0
+    assert calls["inside"] == 0
