@@ -635,9 +635,8 @@ def _derive_u1_shift(cat: Catalog, cexp: ModeFunction | None,
     cands = set()
     for branch in (pos, neg):
         for lr in branch.values():
-            if len(lr.num.c) == 1 and len(lr.den.c) == 1:
-                e = lr.num.min_exp() - lr.den.min_exp()
-                cands.add(Fraction(e, 2 * lat))
+            if len(lr.num.re) == 1 and not lr.factors:
+                cands.add(Fraction(lr.num.lo, 2 * lat))
     for name in target_names:
         cur = cat[name]
         base = cur.exponent(cur.terms[0].families()[0])

@@ -73,6 +73,14 @@ def _parse_rational(flag: str, text: str) -> Fraction:
     return x
 
 
+def _parse_hbar(text: str) -> Fraction:
+    """One --hbar value: a rational as _parse_rational reads it, positive."""
+    h = _parse_rational("--hbar", text)
+    if h <= 0:
+        raise InvalidOption(f"--hbar values must be positive, got {text!r}")
+    return h
+
+
 def _check_numeric_flags(args) -> None:
     """Reject a tolerance no residual can meet and grid flags under which no
     point, or no finite point, would be checked."""
@@ -121,8 +129,7 @@ def _bind_session(args):
     text = _load(args.file)
     df = parse_definitions(text)
     k = _parse_rational("--k", args.k) if args.k else None
-    hbars = ([_parse_rational("--hbar", h) for h in args.hbar.split(",")]
-             if args.hbar else None)
+    hbars = [_parse_hbar(h) for h in args.hbar.split(",")] if args.hbar else None
     params, cat, rels, comms, hbars = df.bind(k, hbars)
     if args.rotate:
         for rel in rels:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, GR_ZERO, ExactConst, LaurentRational,
-                    _raw, as_fraction, merge)
+                    _gr, _raw, as_fraction, merge)
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, _lcm
 from .specfun import log_gamma
 
@@ -336,10 +336,13 @@ class _IntegrandEvaluator:
         num, den = I.rational.num, I.rational.den
         self.nshift = num.max_exp()
         self.dshift = den.max_exp()
-        self.nexp = np.array([e - self.nshift for e in num.c], dtype=float)
-        self.ncoef = np.array([complex(v) for v in num.c.values()])
-        self.dexp = np.array([e - self.dshift for e in den.c], dtype=float)
-        self.dcoef = np.array([complex(v) for v in den.c.values()])
+        # the nonzero coefficients, ascending; int / int rounds correctly,
+        # so each is complex() of its Gaussian rational
+        nterms, dterms = num.terms(), den.terms()
+        self.nexp = np.array([e - self.nshift for e, _, _ in nterms], dtype=float)
+        self.ncoef = np.array([complex(a / num.q, b / num.q) for _, a, b in nterms])
+        self.dexp = np.array([e - self.dshift for e, _, _ in dterms], dtype=float)
+        self.dcoef = np.array([complex(a / den.q, b / den.q) for _, a, b in dterms])
         # exact Taylor coefficients of R(zeta(t)) in powers of (eta t)
         nser = num.taylor_at_one(self.SERIES_ORDER + 4)
         dser = den.taylor_at_one(self.SERIES_ORDER + 4)
@@ -509,37 +512,48 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     """
     if I.is_zero():
         return StructureFunction.one()
-    num, den = I.rational.num, I.rational.den
-    L = I.lattice
-    if len(den.c) == 1:
-        # monomial denominator: purely exponential families
-        h = den.min_exp()
-        c = den.c[h]
+    R, L = I.rational, I.lattice
+    num = R.num
+    if not R.factors:
+        # denominator 1: purely exponential families
         linears: dict[tuple[int, int, int], int] = {}
-        for m, v in num.c.items():
-            e = _as_int(v / c, "Frullani family coefficient")
-            # rho = -(m - h)/(2L)
-            g = math.gcd(m - h, 2 * L)
-            merge(linears, (-(m - h) // g, 0, 2 * L // g), -e)
+        for m, a, b in num.terms():
+            e = _as_int(a, b, num.q, "Frullani family coefficient")
+            # rho = -m/(2L)
+            g = math.gcd(m, 2 * L)
+            merge(linears, (-m // g, 0, 2 * L // g), -e)
         return StructureFunction(linears=linears)
 
     # denominator must divide zeta^{2M} - 1 for the family order M
-    M = _family_order(I.rational, L)
+    M = _family_order(R, L)
     if M is None:
         raise NonTelescoping(
             "family order exceeds the cap; families do not reduce to Gamma factors")
-    qpoly = I.rational.cofactor(2 * M)
+    qpoly = R.cofactor(2 * M)
     if qpoly is None:
         raise NonTelescoping("denominator does not divide the cyclotomic target")
-    # R = N q zeta^{-2M} / (1 - zeta^{-2M})
-    pnum = num * qpoly
+    # R = N q zeta^{-2M} / (1 - zeta^{-2M}), q a Gaussian-integer polynomial.
+    # The Gamma factors are inserted in the order the sparse product N * q
+    # first meets each exponent (a sum that cancels leaves and comes back
+    # at the end): the evaluation sums them in that order.
+    pnum: dict[int, tuple[int, int]] = {}
+    qterms = qpoly.terms()
+    for e1, a1, b1 in num.terms():
+        for e2, a2, b2 in qterms:
+            e = e1 + e2
+            a, b = pnum.get(e, (0, 0))
+            a, b = a + a1 * a2 - b1 * b2, b + a1 * b2 + b1 * a2
+            if a or b:
+                pnum[e] = (a, b)
+            else:
+                del pnum[e]
     scale = GR(Fraction(M, L))
     sa, sq = scale.a, scale.q
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     dsum = 0
     s1n = 0          # S1 = s1n / (2M)
-    for m, v in pnum.c.items():
-        d = _as_int(v, "Gamma family coefficient")
+    for m, (a, b) in pnum.items():
+        d = _as_int(a, b, num.q, "Gamma family coefficient")
         # term d zeta^{m-2M} = d e^{(m-2M) eta t}: x = iw/D - (m-2M)/(2M)
         n = 2 * M - m
         g = math.gcd(n, 2 * M)
@@ -558,10 +572,11 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     return out
 
 
-def _as_int(v: GR, what: str) -> int:
-    if v.b or v.q != 1:
-        raise NonTelescoping(f"{what} {v!r} is not an integer")
-    return v.a
+def _as_int(a: int, b: int, q: int, what: str) -> int:
+    """The coefficient (a + b*i)/q as an integer."""
+    if b or a % q:
+        raise NonTelescoping(f"{what} {_gr(a, b, q)!r} is not an integer")
+    return a // q
 
 
 def _family_order(R: LaurentRational, L: int) -> int | None:

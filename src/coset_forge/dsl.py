@@ -378,6 +378,9 @@ class DefinitionFile:
         if not hbars:
             hbars = [Fraction(1)]
         params = AlgebraParams(kval, hbars[0])
+        # AlgebraParams holds and checks the first; the report lists them all
+        if any(h <= 0 for h in hbars):
+            raise ValueError("hbar must be positive")
         cat = Catalog(params)
         cat.rotation_sector = self.rotation_sector
         for kd in self.kernels:
@@ -649,16 +652,20 @@ class _Parser:
         return Fraction(int(t.text))
 
     # -- k-rational expressions -------------------------------------------
-    def kexpr(self) -> KVal:
-        val = self.kterm()
+    def kexpr(self, stop: str | None = None) -> KVal:
+        """A k-expression.  In a context ended by `* <stop>` (stop = 'h' or
+        'hbar'), a multiplicative chain halts before the stop word."""
+        val = self.kterm(stop)
         while (op := self.keys[self.i]) in ("+", "-"):
             self.i += 1
-            val = _kop(_ARITH[op], val, self.kterm())
+            val = _kop(_ARITH[op], val, self.kterm(stop))
         return val
 
-    def kterm(self) -> KVal:
+    def kterm(self, stop: str | None = None) -> KVal:
         val = self.kfactor()
         while (op := self.keys[self.i]) in ("*", "/"):
+            if self.toks[self.i + 1].text == stop:
+                break
             self.i += 1
             val = _kop(_ARITH[op], val,
                        self.divisor() if op == "/" else self.kfactor())
@@ -672,6 +679,14 @@ class _Parser:
         if _is_zero(val):
             raise ParseError(t.line, t.col, {"nonzero divisor"}, t.text)
         return val
+
+    def exponent(self) -> int:
+        """An optional integer power `^ [-]N`; 1 if there is none."""
+        if not self.accept("^"):
+            return 1
+        neg = self.accept("-")
+        e = int(self.expect_number())
+        return -e if neg else e
 
     def kfactor(self) -> KVal:
         if self.accept("-"):
@@ -834,9 +849,9 @@ class _Parser:
                         self.expect("t")
                         self.expect(")")
                         return
-                    inner = -self.kexpr_stop("h")
+                    inner = -self.kexpr("h")
                 else:
-                    inner = self.kexpr_stop("h")
+                    inner = self.kexpr("h")
                 self.expect("*")
                 self.expect("h")
                 self.expect("*")
@@ -847,19 +862,13 @@ class _Parser:
                 return
             if self.accept("sinh"):
                 self.expect("(")
-                beta = self.kexpr_stop("h")
+                beta = self.kexpr("h")
                 self.expect("*")
                 self.expect("h")
                 self.expect("*")
                 self.expect("t")
                 self.expect(")")
-                e = 1
-                if self.accept("^"):
-                    neg = self.accept("-")
-                    e = int(self.expect_number())
-                    if neg:
-                        e = -e
-                sinh.append((beta, mul * e))
+                sinh.append((beta, mul * self.exponent()))
                 return
             self.error({"number", "'hbar'", "'exp'", "'sinh'", "'('"})
 
@@ -869,25 +878,6 @@ class _Parser:
             self.i += 1
             add_factor()
         return TermDecl(coeff, hpow, shift, sinh)
-
-    def kexpr_stop(self, stop: str) -> KVal:
-        """kexpr for contexts terminated by `* <stop>` (stop = 'h' or 'hbar');
-        multiplicative chains halt when the next factor would be the stop word."""
-        val = self.kterm_stop(stop)
-        while (op := self.keys[self.i]) in ("+", "-"):
-            self.i += 1
-            val = _kop(_ARITH[op], val, self.kterm_stop(stop))
-        return val
-
-    def kterm_stop(self, stop: str) -> KVal:
-        val = self.kfactor()
-        while (op := self.keys[self.i]) in ("*", "/"):
-            if self.toks[self.i + 1].text == stop:
-                break
-            self.i += 1
-            val = _kop(_ARITH[op], val,
-                       self.divisor() if op == "/" else self.kfactor())
-        return val
 
     # -- composite expressions -------------------------------------------------
     def composite_expr(self, current_names) -> list[CompositeTerm]:
@@ -1029,14 +1019,8 @@ class _Parser:
             else:
                 shift = _ZERO
             self.expect(")")
-            e = 1
-            if self.accept("^"):
-                neg = self.accept("-")
-                e = int(self.expect_number())
-                if neg:
-                    e = -e
             return FactorDecl("gamma", scale=scale, scale_sign=ssign,
-                              shift=shift, exponent=e)
+                              shift=shift, exponent=self.exponent())
         if self.accept("("):
             kind = self.keys[self.i]
             if kind in ("w", "iw"):
@@ -1047,13 +1031,7 @@ class _Parser:
                 elif self.accept("-"):
                     offset = -self.kexpr_until_hbar()
                 self.expect(")")
-                e = 1
-                if self.accept("^"):
-                    neg = self.accept("-")
-                    e = int(self.expect_number())
-                    if neg:
-                        e = -e
-                return FactorDecl(kind, offset=offset, exponent=e)
+                return FactorDecl(kind, offset=offset, exponent=self.exponent())
             scalar = self.kexpr()
             self.expect(")")
             return FactorDecl("scalar", scalar=scalar)
@@ -1061,7 +1039,7 @@ class _Parser:
 
     def kexpr_until_hbar(self) -> KVal:
         """Parse `<kexpr> * hbar`, returning the kexpr."""
-        val = self.kexpr_stop("hbar")
+        val = self.kexpr("hbar")
         self.expect("*")
         self.expect("hbar")
         return val

@@ -101,7 +101,3 @@ class UndeclaredName(CosetForgeError):
 
 class DuplicateName(CosetForgeError):
     pass
-
-
-class NonCyclotomicDenominator(CosetForgeError):
-    """A Laurent-rational denominator is not a product of cyclotomic factors."""

@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import NonCyclotomicDenominator, VanishingDenominator
+from .errors import VanishingDenominator
 
 
 def as_fraction(x) -> Fraction:
@@ -204,120 +204,6 @@ GR_ONE = _raw(1, 0, 1)
 GR_I = _raw(0, 1, 1)
 
 
-class LaurentPoly:
-    """Laurent polynomial in one variable with GR coefficients.
-
-    Stored as {exponent: coefficient} with zero coefficients dropped.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict[int, GR] | None = None):
-        self.c: dict[int, GR] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if v:
-                    self.c[int(e)] = v
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: GR_ONE})
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            s = out.get(e, GR_ZERO) + v
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = LaurentPoly()
-        p.c = out
-        return p
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self.c.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, GR] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                s = out.get(e, GR_ZERO) + v1 * v2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        p = LaurentPoly()
-        p.c = out
-        return p
-
-    def scale(self, k) -> "LaurentPoly":
-        k = GR.of(k)
-        if not k:
-            return LaurentPoly()
-        return LaurentPoly({e: v * k for e, v in self.c.items()})
-
-    def min_exp(self) -> int:
-        return min(self.c) if self.c else 0
-
-    def max_exp(self) -> int:
-        return max(self.c) if self.c else 0
-
-    def substitute_inverse(self) -> "LaurentPoly":
-        """zeta -> 1/zeta."""
-        return LaurentPoly({-e: v for e, v in self.c.items()})
-
-    def taylor_at_one(self, order: int) -> list[GR]:
-        """Coefficients of sum_m c_m e^{m s} expanded in s up to s^order.
-
-        Used for exact small-argument expansions: coefficient r is
-        (1/r!) sum_m c_m m^r.
-        """
-        out = []
-        fact = 1
-        for r in range(order + 1):
-            if r:
-                fact *= r
-            acc = GR_ZERO
-            for e, v in self.c.items():
-                acc = acc + v * (e ** r)
-            out.append(acc / fact)
-        return out
-
-    def eval_numeric(self, logz: complex) -> complex:
-        """Evaluate at zeta = exp(logz), numerically."""
-        s = 0j
-        for e, v in self.c.items():
-            s += complex(v) * _cexp(e * logz)
-        return s
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"{v!r}*Z^{e}" for e, v in sorted(self.c.items()))
-
-
-def _cexp(z: complex) -> complex:
-    # guard against overflow for very negative real parts
-    if z.real < -745.0:
-        return 0j
-    return complex(math.exp(z.real) * math.cos(z.imag),
-                   math.exp(z.real) * math.sin(z.imag))
-
-
 # ---------------------------------------------------------------------------
 # Cyclotomic denominators.
 #
@@ -342,19 +228,6 @@ def _cexp(z: complex) -> complex:
 def _divisors(n: int) -> tuple[int, ...]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return tuple(sorted(set(small + [n // d for d in small])))
-
-
-def _totient(n: int) -> int:
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
 
 
 def _conv(a: list[int], b: list[int]) -> list[int]:
@@ -408,7 +281,7 @@ def _div_monic_gauss(rr: list[int], ri: list[int] | None, fr: list[int],
     return rr[m:], ri[m:]
 
 
-class _ZiPoly:
+class LaurentPoly:
     """Laurent polynomial with Gaussian-rational coefficients held as
     Gaussian integers over one denominator: (re[j] + i*im[j]) / q at
     exponent lo + j.
@@ -424,7 +297,7 @@ class _ZiPoly:
         self.lo, self.re, self.im, self.q = lo, re, im, q
 
     @staticmethod
-    def make(lo: int, re: list[int], im: list[int] | None, q: int) -> "_ZiPoly":
+    def make(lo: int, re: list[int], im: list[int] | None, q: int) -> "LaurentPoly":
         if im is not None and not any(im):
             im = None
         a, b = 0, len(re)
@@ -448,30 +321,7 @@ class _ZiPoly:
             re = [x // g for x in re]
             im = None if im is None else [x // g for x in im]
             q //= g
-        return _ZiPoly(lo + a, re, im, q)
-
-    @staticmethod
-    def of(p: LaurentPoly) -> "_ZiPoly":
-        if not p.c:
-            return _ZERO
-        lo = p.min_exp()
-        q = math.lcm(*(v.q for v in p.c.values()))
-        re = [0] * (p.max_exp() - lo + 1)
-        im = [0] * len(re)
-        for e, v in p.c.items():
-            s = q // v.q
-            re[e - lo] = v.a * s
-            im[e - lo] = v.b * s
-        return _ZiPoly.make(lo, re, im, q)
-
-    def poly(self) -> LaurentPoly:
-        """As a LaurentPoly, exponents ascending."""
-        q = self.q
-        im = self.im or [0] * len(self.re)
-        p = LaurentPoly()
-        p.c = {self.lo + j: _gr(a, b, q)
-               for j, (a, b) in enumerate(zip(self.re, im)) if a or b}
-        return p
+        return LaurentPoly(lo + a, re, im, q)
 
     def is_zero(self) -> bool:
         return not self.re
@@ -479,7 +329,35 @@ class _ZiPoly:
     def degree(self) -> int:
         return len(self.re) - 1
 
+    def max_exp(self) -> int:
+        return self.lo + len(self.re) - 1
+
+    def terms(self) -> list[tuple[int, int, int]]:
+        """(exponent, re, im) of each nonzero coefficient (re + i*im)/q,
+        exponents ascending."""
+        im = self.im or itertools.repeat(0)
+        return [(self.lo + j, a, b) for j, (a, b) in enumerate(zip(self.re, im))
+                if a or b]
+
+    def taylor_at_one(self, order: int) -> list[GR]:
+        """Coefficients of sum_m c_m e^{m s} expanded in s up to s^order.
+
+        Used for exact small-argument expansions: coefficient r is
+        (1/r!) sum_m c_m m^r.
+        """
+        terms = self.terms()
+        out = []
+        fact = 1
+        for r in range(order + 1):
+            if r:
+                fact *= r
+            out.append(_gr(sum(a * e ** r for e, a, _ in terms),
+                           sum(b * e ** r for e, _, b in terms), self.q * fact))
+        return out
+
     def __eq__(self, other):
+        if type(other) is not LaurentPoly:
+            return NotImplemented
         return (self.lo == other.lo and self.q == other.q
                 and self.re == other.re and self.im == other.im)
 
@@ -487,7 +365,7 @@ class _ZiPoly:
         return hash((self.lo, self.q, tuple(self.re),
                      None if self.im is None else tuple(self.im)))
 
-    def __add__(self, other: "_ZiPoly") -> "_ZiPoly":
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not self.re:
             return other
         if not other.re:
@@ -504,9 +382,9 @@ class _ZiPoly:
             if p.im is not None:
                 for j, x in enumerate(p.im):
                     im[off + j] += x * s
-        return _ZiPoly.make(lo, re, im, q)
+        return LaurentPoly.make(lo, re, im, q)
 
-    def __mul__(self, other: "_ZiPoly") -> "_ZiPoly":
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not self.re or not other.re:
             return _ZERO
         re = _conv(self.re, other.re)
@@ -520,26 +398,9 @@ class _ZiPoly:
                 if a is not None and b is not None:
                     for j, x in enumerate(_conv(a, b)):
                         im[j] += x
-        return _ZiPoly.make(self.lo + other.lo, re, im, self.q * other.q)
+        return LaurentPoly.make(self.lo + other.lo, re, im, self.q * other.q)
 
-    def scale(self, k: GR) -> "_ZiPoly":
-        a, b = k.a, k.b
-        # (x + iy)(a + ib) = (xa - yb) + i(xb + ya)
-        y = self.im or [0] * len(self.re)
-        re = [x * a - v * b for x, v in zip(self.re, y)]
-        im = [x * b + v * a for x, v in zip(self.re, y)]
-        return _ZiPoly.make(self.lo, re, im, self.q * k.q)
-
-    def shifted(self, s: int) -> "_ZiPoly":
-        """zeta^s times self."""
-        return _ZiPoly(self.lo + s, self.re, self.im, self.q)
-
-    def reflected(self, s: int) -> "_ZiPoly":
-        """zeta^s times self(1/zeta)."""
-        return _ZiPoly(s - self.lo - self.degree(), self.re[::-1],
-                       None if self.im is None else self.im[::-1], self.q)
-
-    def divide(self, f: "_ZiPoly") -> "_ZiPoly | None":
+    def divide(self, f: "LaurentPoly") -> "LaurentPoly | None":
         """Exact quotient by a monic Gaussian-integer polynomial f with
         f.lo == 0 and f(0) != 0, or None if f does not divide self."""
         if f.im is None:
@@ -556,11 +417,17 @@ class _ZiPoly:
             if out is None:
                 return None
             re, im = out
-        return _ZiPoly.make(self.lo, re, im, self.q)
+        return LaurentPoly.make(self.lo, re, im, self.q)
+
+    def __repr__(self):
+        if not self.re:
+            return "0"
+        q = self.q
+        return " + ".join(f"{_gr(a, b, q)!r}*Z^{e}" for e, a, b in self.terms())
 
 
-_ZERO = _ZiPoly(0, [], None, 1)
-_ONE = _ZiPoly(0, [1], None, 1)
+_ZERO = LaurentPoly(0, [], None, 1)
+_ONE = LaurentPoly(0, [1], None, 1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -573,15 +440,15 @@ def _cyclotomic(d: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _factor(key: int) -> _ZiPoly:
+def _factor(key: int) -> LaurentPoly:
     """The monic irreducible factor named by key (see above)."""
     if key % 4:
-        return _ZiPoly(0, _cyclotomic(key), None, 1)
+        return LaurentPoly(0, _cyclotomic(key), None, 1)
     if key < 0:
         g = _factor(-key)
-        return _ZiPoly(0, g.re, [-y for y in g.im], 1)
+        return LaurentPoly(0, g.re, [-y for y in g.im], 1)
     m = key // 4
-    g = _ZiPoly(0, [0] * m + [1], [-1] + [0] * m, 1)     # zeta^m - i
+    g = LaurentPoly(0, [0] * m + [1], [-1] + [0] * m, 1)  # zeta^m - i
     for e in _divisors(m)[1:]:
         if e % 2:
             g = g.divide(_factor(key // e if e % 4 == 1 else -(key // e)))
@@ -665,8 +532,8 @@ def binomial_quotient(coeff: GR, lo: int,
         for _ in range(-e):
             num = _over_binomial(num, j)
     a, b = coeff.a, coeff.b
-    n = _ZiPoly.make(lo, [x * a for x in num],
-                     [x * b for x in num] if b else None, coeff.q)
+    n = LaurentPoly.make(lo, [x * a for x in num],
+                         [x * b for x in num] if b else None, coeff.q)
     return LaurentRational._make(n, factors)
 
 
@@ -676,46 +543,13 @@ def _key(factors: dict[int, int]) -> tuple:
 
 
 @functools.lru_cache(maxsize=1024)
-def _product(key: tuple) -> _ZiPoly:
+def _product(key: tuple) -> LaurentPoly:
     """Product of the factors of a multiset given by _key."""
     p = _ONE
     for f, m in key:
         for _ in range(m):
             p = p * _factor(f)
     return p
-
-
-@functools.lru_cache(maxsize=1024)
-def _den_poly(key: tuple) -> LaurentPoly:
-    return _product(key).poly()
-
-
-def _split_cyclotomic(num: _ZiPoly, den: LaurentPoly) -> tuple[_ZiPoly, dict[int, int]]:
-    """Rewrite num/den as num'/prod(factors), factoring den by trial
-    division; den must be a unit times a power of zeta times factors."""
-    s = den.min_exp()
-    lead = den.c[den.max_exp()]
-    rest = _ZiPoly.of(LaurentPoly({e - s: v / lead for e, v in den.c.items()}))
-    if rest.q != 1:
-        raise NonCyclotomicDenominator(
-            f"denominator {den!r} is not a monic Gaussian-integer polynomial")
-    factors: dict[int, int] = {}
-    # a factor has degree phi(d) or phi(d)/2, and phi(d) >= sqrt(d/2)
-    bound = 8 * rest.degree() ** 2 + 2
-    d = 0
-    while rest.degree() > 0 and d < bound:
-        d += 1
-        keys = (d, -d) if d % 4 == 0 else (d,)
-        if _totient(d) // len(keys) > rest.degree():
-            continue
-        for key in keys:
-            while (q := rest.divide(_factor(key))) is not None:
-                rest = q
-                factors[key] = factors.get(key, 0) + 1
-    if rest.degree() > 0:
-        raise NonCyclotomicDenominator(
-            f"denominator {den!r} has a non-cyclotomic factor")
-    return num.shifted(-s).scale(GR_ONE / lead), factors
 
 
 class LaurentRational:
@@ -729,32 +563,19 @@ class LaurentRational:
     numerator by each factor while it divides.  Normal form: no factor of
     the denominator divides the numerator, and the denominator (the product
     of the factors) has minimum exponent 0 and leading coefficient 1.
-    `num` and `den` give both as Laurent polynomials.
-
-    A denominator is given either as the multiset (`factors`) or as a
-    Laurent polynomial (`den`), which is factored by trial division and must
-    be a unit times a power of zeta times such factors; anything else raises
-    NonCyclotomicDenominator.
+    `num` is the numerator and `den` the product of the factors.
     """
 
-    __slots__ = ("_n", "factors", "_num", "_den")
+    __slots__ = ("num", "factors")
 
-    def __init__(self, num: LaurentPoly | _ZiPoly, den: LaurentPoly | None = None,
-                 factors: dict[int, int] | None = None):
-        if den is not None and den.is_zero():
-            raise ZeroDivisionError("LaurentRational with zero denominator")
-        n = num if isinstance(num, _ZiPoly) else _ZiPoly.of(num)
-        if n.is_zero():
-            factors = {}
+    def __init__(self, num: LaurentPoly, factors: dict[int, int] | None = None):
+        if num.is_zero():
+            self.num, self.factors = num, {}
         else:
-            if den is not None:
-                n, factors = _split_cyclotomic(n, den)
-            n, factors = self._reduce(n, factors or {})
-        self._n, self.factors = n, factors
-        self._num = self._den = None
+            self.num, self.factors = self._reduce(num, factors or {})
 
     @staticmethod
-    def _reduce(n: _ZiPoly, factors: dict[int, int]) -> tuple[_ZiPoly, dict[int, int]]:
+    def _reduce(n: LaurentPoly, factors: dict[int, int]) -> tuple[LaurentPoly, dict[int, int]]:
         left = {}
         for key, m in factors.items():
             f = _factor(key)
@@ -768,39 +589,30 @@ class LaurentRational:
         return n, left
 
     @staticmethod
-    def _make(n: _ZiPoly, factors: dict[int, int]) -> "LaurentRational":
+    def _make(n: LaurentPoly, factors: dict[int, int]) -> "LaurentRational":
         """An already reduced quotient."""
         r = object.__new__(LaurentRational)
-        r._n, r.factors = n, factors if not n.is_zero() else {}
-        r._num = r._den = None
+        r.num, r.factors = n, factors if not n.is_zero() else {}
         return r
 
     @property
-    def num(self) -> LaurentPoly:
-        if self._num is None:
-            self._num = self._n.poly()
-        return self._num
-
-    @property
     def den(self) -> LaurentPoly:
-        if self._den is None:
-            self._den = _den_poly(_key(self.factors))
-        return self._den
+        return _product(_key(self.factors))
 
     @staticmethod
     def zero() -> "LaurentRational":
         return LaurentRational._make(_ZERO, {})
 
     def is_zero(self) -> bool:
-        return self._n.is_zero()
+        return self.num.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, LaurentRational):
             return NotImplemented
-        return self.factors == other.factors and self._n == other._n
+        return self.factors == other.factors and self.num == other.num
 
     def __hash__(self):
-        return hash((self._n, _key(self.factors)))
+        return hash((self.num, _key(self.factors)))
 
     def __add__(self, other: "LaurentRational") -> "LaurentRational":
         if self.is_zero():
@@ -809,45 +621,22 @@ class LaurentRational:
             return self
         fa, fb = self.factors, other.factors
         if fa == fb:
-            return LaurentRational(self._n + other._n, factors=fa)
+            return LaurentRational(self.num + other.num, fa)
         lcm = {k: max(fa.get(k, 0), fb.get(k, 0)) for k in fa.keys() | fb.keys()}
-        na = self._n * _product(_key({k: m - fa.get(k, 0) for k, m in lcm.items()}))
-        nb = other._n * _product(_key({k: m - fb.get(k, 0) for k, m in lcm.items()}))
-        return LaurentRational(na + nb, factors=lcm)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
+        na = self.num * _product(_key({k: m - fa.get(k, 0) for k, m in lcm.items()}))
+        nb = other.num * _product(_key({k: m - fb.get(k, 0) for k, m in lcm.items()}))
+        return LaurentRational(na + nb, lcm)
 
     def __mul__(self, other: "LaurentRational") -> "LaurentRational":
         factors = dict(self.factors)
         for key, m in other.factors.items():
             factors[key] = factors.get(key, 0) + m
-        return LaurentRational(self._n * other._n, factors=factors)
-
-    def scale(self, k) -> "LaurentRational":
-        return LaurentRational._make(self._n.scale(GR.of(k)), self.factors)
-
-    def substitute_inverse(self) -> "LaurentRational":
-        """zeta -> 1/zeta.  With D = den of degree m, zeta^m D(1/zeta) is
-        D(0) times the monic D* whose factors are those of D with g_d and
-        conj(g_d) swapped, and D(0) is a unit, so the image stays reduced."""
-        if self.is_zero():
-            return self
-        d = _product(_key(self.factors))
-        unit = _raw(d.re[0], d.im[0] if d.im is not None else 0, 1)
-        n = self._n.reflected(d.degree()).scale(unit.conj())   # 1/unit
-        return LaurentRational._make(
-            n, {(-k if k % 4 == 0 else k): m for k, m in self.factors.items()})
+        return LaurentRational(self.num * other.num, factors)
 
     def cofactor(self, n: int) -> LaurentPoly | None:
         """(zeta^n - 1) / den by exact integer division, or None if den does
         not divide zeta^n - 1."""
-        target = _ZiPoly(0, [-1] + [0] * (n - 1) + [1], None, 1)
-        q = target.divide(_product(_key(self.factors)))
-        return None if q is None else q.poly()
+        return LaurentPoly(0, [-1] + [0] * (n - 1) + [1], None, 1).divide(self.den)
 
     def limit_at_one(self) -> GR:
         """lim_{zeta->1} of the rational function; raises if it diverges.
@@ -856,11 +645,8 @@ class LaurentRational:
         divisible by it when the denominator holds it."""
         if self.factors.get(1):
             raise ZeroDivisionError("pole at zeta = 1")
-        n, d = self._n, _product(_key(self.factors))
+        n, d = self.num, self.den
         return _gr(sum(n.re), sum(n.im or ()), n.q) / _raw(sum(d.re), sum(d.im or ()), 1)
-
-    def eval_numeric(self, logz: complex) -> complex:
-        return self.num.eval_numeric(logz) / self.den.eval_numeric(logz)
 
     def __repr__(self):
         if not self.factors:

@@ -20,11 +20,11 @@ import math
 from fractions import Fraction
 
 from .errors import ExcludedLevel, MixedSpectralArguments, NonMeromorphicProduct
-from .exact import GR, LaurentPoly, LaurentRational, as_fraction, binomial_quotient
+from .exact import GR, LaurentRational, as_fraction, binomial_quotient
 
 __all__ = [
     "AlgebraParams", "Kernel", "ExpTrigTerm", "ModeFunction",
-    "canonicalize", "shift_argument", "equals",
+    "shift_argument", "equals",
 ]
 
 
@@ -89,19 +89,6 @@ class Kernel:
         if self.slope_b == self.slope_a:
             return ((self.slope_a, 2),)
         return tuple(sorted(((self.slope_a, 1), (self.slope_b, 1))))
-
-    def small_t_linear_coeff(self) -> Fraction:
-        """Limit of density/t as t->0, in units of 1/hbar^0 (t in 1/hbar units)."""
-        return self.sign * self.slope_a * self.slope_b
-
-    def numerator_laurent(self, lattice: int) -> LaurentPoly:
-        return ExpTrigTerm(self.sign, 0, sinh_factors=self.sinh_factors()
-                           ).laurent(lattice).num
-
-    def numerator_is_even(self) -> bool:
-        lat = _lcm(self.slope_a.denominator, self.slope_b.denominator)
-        num = self.numerator_laurent(lat)
-        return num == num.substitute_inverse()
 
     def eval_density(self, t: float, hbar: float) -> float:
         return (self.sign * math.sinh(hbar * t)
@@ -323,24 +310,6 @@ class ModeFunction:
     def __repr__(self):
         return (f"ModeFunction({self.variable}; +:{list(self.positive_branch)!r}, "
                 f"-:{list(self.negative_branch)!r})")
-
-
-def canonicalize(f: ModeFunction, params: AlgebraParams | None = None) -> ModeFunction:
-    """Return an equivalent ModeFunction with its canonical form computed.
-
-    Idempotent; the term lists are normalized (zero terms dropped, stable
-    order) and the Laurent-rational quotients are attached for inspection
-    through .canonical().
-    """
-    def norm(terms):
-        kept = [t for t in terms if t.coeff]
-        kept.sort(key=lambda t: (t.hbar_power, t.shift, t.spectral_shift,
-                                 t.sinh_factors, t.coeff.re, t.coeff.im))
-        return tuple(kept)
-
-    out = ModeFunction(norm(f.positive_branch), norm(f.negative_branch), f.variable)
-    out.canonical()
-    return out
 
 
 def shift_argument(f: ModeFunction, delta) -> ModeFunction:

@@ -1,4 +1,4 @@
-"""Complex special functions: principal-branch log-Gamma and Gamma ratios.
+"""Complex special functions: principal-branch log-Gamma.
 
 The implementation is Stirling's series after a recurrence shift into the
 region Re z >= 10, with the reflection formula handling Re z < 0.  For
@@ -19,7 +19,7 @@ import math
 
 from .errors import NonFiniteValue, PoleAtNonPositiveInteger
 
-__all__ = ["log_gamma", "gamma_ratio"]
+__all__ = ["log_gamma"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12
@@ -99,11 +99,3 @@ def log_gamma(z: complex) -> complex:
     log_sin = (-1j * math.pi * z + 0.5j * math.pi - math.log(2.0)
                + cmath.log(1.0 - cmath.exp(2j * math.pi * z)))
     return math.log(math.pi) - log_sin - _log_gamma_shifted(w)
-
-
-def gamma_ratio(x: complex, a: complex, b: complex) -> complex:
-    """Gamma(x+a) / Gamma(x+b) via the log-Gamma difference."""
-    x = _check_finite(x)
-    a = _check_finite(a)
-    b = _check_finite(b)
-    return cmath.exp(log_gamma(x + a) - log_gamma(x + b))

@@ -1,15 +1,17 @@
-"""Shared helpers: the shipped `paper.alg` bound once per (k, hbar), and
-the contraction pairs of a bound catalog.
+"""Shared helpers: the shipped `paper.alg` bound once per (k, hbar), the
+contraction pairs of a bound catalog, and sparse Laurent polynomials
+({exponent: GR}) as references for the dense `LaurentPoly`.
 
 Import them with `from conftest import ...`; pytest puts this directory on
 the import path."""
 
 import functools
 import importlib.resources
+import math
 from fractions import Fraction
 
 from coset_forge.dsl import parse_definitions
-from coset_forge.exact import GR
+from coset_forge.exact import GR, LaurentPoly
 
 
 def shipped_text() -> str:
@@ -67,3 +69,52 @@ def linear_factors(sf):
     for rho = (a + b*i)/q."""
     return {GR(Fraction(a, q), Fraction(b, q)): e
             for (a, b, q), e in sf.linears.items()}
+
+
+def sparse(p):
+    """The nonzero coefficients of a LaurentPoly as {exponent: GR},
+    exponents ascending."""
+    im = p.im or [0] * len(p.re)
+    return {p.lo + j: GR(Fraction(a, p.q), Fraction(b, p.q))
+            for j, (a, b) in enumerate(zip(p.re, im)) if a or b}
+
+
+def dense(coeffs):
+    """The LaurentPoly with the coefficients {exponent: GR}."""
+    if not coeffs:
+        return LaurentPoly.make(0, [], None, 1)
+    lo = min(coeffs)
+    q = math.lcm(*(v.q for v in coeffs.values()))
+    re = [0] * (max(coeffs) - lo + 1)
+    im = [0] * len(re)
+    for e, v in coeffs.items():
+        re[e - lo], im[e - lo] = v.a * (q // v.q), v.b * (q // v.q)
+    return LaurentPoly.make(lo, re, im, q)
+
+
+def _accumulate(out, e, v):
+    s = out.get(e, GR()) + v
+    if s:
+        out[e] = s
+    else:
+        out.pop(e, None)
+
+
+def sparse_add(a, b):
+    """Sum of {exponent: GR} polynomials; a coefficient that cancels drops
+    out."""
+    out = dict(a)
+    for e, v in b.items():
+        _accumulate(out, e, v)
+    return out
+
+
+def sparse_mul(a, b):
+    """Product of {exponent: GR} polynomials, term by term in the order of
+    a and then b.  Each exponent sits where the product first meets it; a
+    sum that cancels drops out and comes back at the end."""
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            _accumulate(out, e1 + e2, v1 * v2)
+    return out

@@ -269,6 +269,9 @@ def test_contract_json_to_stdout_keeps_stdout_pure(capsys):
     ["verify", "--json", "-", "--hbar", "1/0"],
     ["verify", "--json", "-", "--hbar", "1e400"],
     ["verify", "--json", "-", "--hbar", "1,1e-400"],
+    ["verify", "--json", "-", "--hbar", "-1"],
+    ["verify", "--json", "-", "--k", "2", "--hbar", "1,-1"],
+    ["report", "--json", "-", "--hbar", "1/2,-3/7"],
     ["report", "--json", "-", "--k", "1e400"],
     ["limit", "--json", "-", "--hbar", "1/0,1/100,1/1000"],
     ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--k", "1/0"],
@@ -279,6 +282,18 @@ def test_malformed_option_values_are_rejected(argv, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"]["kind"] == "InvalidOption"
     assert err.startswith("error: " + argv[-2])
+
+
+@pytest.mark.parametrize("hbars", ["1, -1/2", "1/2, 1, -k"])
+def test_declared_hbar_must_be_positive_in_every_position(tmp_path, capsys, hbars):
+    # the first declared hbar was checked, the others only listed in the report
+    src = tmp_path / "hbar.alg"
+    src.write_text(shipped_text().replace("hbar = 1, 1/2;", f"hbar = {hbars};"))
+    assert cli.run(["verify", str(src), "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"kind": "ValueError",
+                                        "message": "hbar must be positive"}
+    assert err == "error: hbar must be positive\n"
 
 
 def test_catalog_json_path_is_rejected(tmp_path):

@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gamma_factors, linear_factors
+from conftest import (bind_shipped, contraction_pairs, gamma_factors, linear_factors,
+                      sparse, sparse_mul)
 from coset_forge.algebra import Catalog, verify_relation
-from coset_forge.contraction import (StructureFunction, closed_form, contract,
-                                     exchange_factor, gamma_key, linear_key,
-                                     quad_eval)
+from coset_forge.contraction import (StructureFunction, _family_order, closed_form,
+                                     contract, exchange_factor, gamma_key,
+                                     linear_key, quad_eval)
 from coset_forge.dsl import parse_definitions
-from coset_forge.errors import (DivergenceMismatch, IllPosedContraction,
+from coset_forge.errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
                                 NonTelescoping, OutsideConvergenceStrip,
                                 PoleAtNonPositiveInteger)
 from coset_forge.exact import GR, ExactConst, merge
@@ -282,6 +283,33 @@ def test_non_telescoping_repeated_factor_found_without_search():
     with pytest.raises(NonTelescoping, match="multiplicity 2") as exc:
         closed_form(I, params)
     assert exc.traceback[-1].name == "_family_order"
+
+
+@pytest.mark.parametrize("k", ["1/7", "2/9", "1/10", "11/16"])
+def test_gamma_factors_in_sparse_product_order(k):
+    """closed_form inserts its Gamma factors in the order the sparse product
+    N * (zeta^{2M} - 1)/den first meets each exponent, a sum that cancels
+    going back in at the end.  Structure functions are evaluated by summing
+    their factors in that order, so another order moves the last digits of
+    report residuals at these levels."""
+    params, cat, _, _ = bind_shipped(k)
+    checked = 0
+    for label, _, f, g, K in contraction_pairs(cat):
+        I = contract(f, g, K, params)
+        R = I.rational
+        if not R.factors:
+            continue
+        try:
+            sf = closed_form(I, params)
+        except CosetForgeError:
+            continue
+        M = _family_order(R, I.lattice)
+        product = sparse_mul(sparse(R.num), sparse(R.cofactor(2 * M)))
+        scale = GR(Fraction(M, I.lattice))
+        want = [gamma_key(scale, Fraction(2 * M - m, 2 * M)) for m in product]
+        assert list(sf.gammas) == want, label
+        checked += 1
+    assert checked
 
 
 def test_unbalanced_hbar_power_rejected():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense, sparse, sparse_add, sparse_mul
 from coset_forge import exact
-from coset_forge.errors import NonCyclotomicDenominator
 from coset_forge.exact import (GR, GR_I, GR_ONE, ExactConst, KRat, LaurentPoly,
                                LaurentRational)
 from coset_forge.modes import ExpTrigTerm
@@ -42,10 +42,10 @@ def poly_gcd(a: list[GR], b: list[GR]) -> list[GR]:
     return [v / a[-1] for v in a]
 
 
-def _dense(p: LaurentPoly, lo: int) -> list[GR]:
-    """Coefficients of p from exponent lo up, ascending."""
-    out = [GR()] * (p.max_exp() - lo + 1)
-    for e, v in p.c.items():
+def _dense(p: dict[int, GR], lo: int) -> list[GR]:
+    """Coefficients of the sparse p from exponent lo up, ascending."""
+    out = [GR()] * (max(p) - lo + 1)
+    for e, v in p.items():
         out[e - lo] = v
     return out
 
@@ -62,18 +62,29 @@ def test_gr_field_ops():
 
 
 def test_laurent_reduction_cancels_common_factor():
-    # (z^2 - z^-2) / (z - z^-1) == z + z^-1
-    num = LaurentPoly({2: GR_ONE, -2: -GR_ONE})
-    den = LaurentPoly({1: GR_ONE, -1: -GR_ONE})
-    r = LaurentRational(num, den)
-    assert r == LaurentRational(LaurentPoly({1: GR_ONE, -1: GR_ONE}))
+    # (z^4 - 1) / ((z - 1)(z + 1)) == z^2 + 1
+    r = LaurentRational(dense({4: GR_ONE, 0: -GR_ONE}), {1: 1, 2: 1})
+    assert r == LaurentRational(dense({2: GR_ONE, 0: GR_ONE}))
+    assert r.factors == {}
 
 
 def test_laurent_equality_is_canonical():
-    num = LaurentPoly({1: GR(Fraction(2)), 0: GR(Fraction(2))})
-    den = LaurentPoly({0: GR(Fraction(2))})
-    assert LaurentRational(num, den) == LaurentRational(
-        LaurentPoly({1: GR_ONE, 0: GR_ONE}))
+    # (2z + 2)/2 and z + 1 have one normal form, so one value and one hash
+    a = LaurentPoly.make(0, [2, 2], [0, 0], 2)
+    assert (a.lo, a.re, a.im, a.q) == (0, [1, 1], None, 1)
+    b = dense({1: GR_ONE, 0: GR_ONE})
+    assert a == b and hash(a) == hash(b)
+    assert LaurentRational(a, {3: 1}) == LaurentRational(b, {3: 1})
+    assert hash(LaurentRational(a, {3: 1})) == hash(LaurentRational(b, {3: 1}))
+
+
+def test_laurent_repr_lists_nonzero_coefficients_ascending():
+    # -2 z^2 / (1 + z^4) on the lattice of the catalog's beta exponents
+    r = LaurentRational(dense({2: GR.of(-2)}), {8: 1, -8: 1})
+    assert repr(r) == "(-2*Z^2) / (1*Z^0 + 1*Z^4)"
+    half = LaurentPoly.make(-1, [1, 0, 0, 2], [3, 0, 0, 0], 2)
+    assert repr(half) == "(1/2+3/2*i)*Z^-1 + 1*Z^2"
+    assert repr(LaurentRational.zero()) == "0"
 
 
 def test_poly_gcd_monic():
@@ -85,22 +96,32 @@ def test_poly_gcd_monic():
 
 
 def test_limit_at_one():
-    # (z - z^-1) / (z^2 - z^-2) -> 1/2 at z=1
-    num = LaurentPoly({1: GR_ONE, -1: -GR_ONE})
-    den = LaurentPoly({2: GR_ONE, -2: -GR_ONE})
-    assert LaurentRational(num, den).limit_at_one() == GR(Fraction(1, 2))
+    # (z - z^-1) / (z^2 - z^-2) = z (z^2 - 1) / (z^4 - 1) -> 1/2 at z=1
+    num = dense({3: GR_ONE, 1: -GR_ONE})
+    r = LaurentRational(num, {1: 1, 2: 1, 4: 1, -4: 1})
+    assert r.limit_at_one() == GR(Fraction(1, 2))
+    # 1 / (z - z^-1) = z / ((z - 1)(z + 1))
     with pytest.raises(ZeroDivisionError):
-        LaurentRational(LaurentPoly.one(),
-                        LaurentPoly({1: GR_ONE, -1: -GR_ONE})).limit_at_one()
+        LaurentRational(dense({1: GR_ONE}), {1: 1, 2: 1}).limit_at_one()
 
 
 def test_taylor_at_one():
     # z + z^-1 = 2 + s^2 + O(s^4) with z = e^s
-    p = LaurentPoly({1: GR_ONE, -1: GR_ONE})
+    p = dense({1: GR_ONE, -1: GR_ONE})
     c = p.taylor_at_one(4)
     assert c[0] == GR(Fraction(2))
     assert c[1] == GR()
     assert c[2] == GR(Fraction(1))
+    # Gaussian coefficients over a common denominator: (1/r!) sum_m c_m m^r
+    coeffs = {-2: GR(Fraction(1, 3), Fraction(1)), 0: GR.of(2),
+              3: GR(Fraction(0), Fraction(-1, 2))}
+    fact = 1
+    for r, got in enumerate(dense(coeffs).taylor_at_one(6)):
+        fact *= max(r, 1)
+        want = GR()
+        for m, v in coeffs.items():
+            want = want + v * m ** r
+        assert got == want / fact, r
 
 
 def test_exact_const_canonicalization():
@@ -157,65 +178,68 @@ def _factor_poly(key):
         dense = poly_gcd(_cyclotomic(d), [-GR_I] + [GR()] * (d // 4 - 1) + [GR_ONE])
         if key < 0:
             dense = [v.conj() for v in dense]
-    return LaurentPoly(dict(enumerate(dense)))
+    return {i: v for i, v in enumerate(dense) if v}
 
 
 def _gcd_normal_form(num, den):
-    """The dense-gcd reduction: cancel gcd(num, den), then shift den to
-    minimum exponent 0 and scale it to leading coefficient 1."""
-    nlo, dlo = num.min_exp(), den.min_exp()
+    """The dense-gcd reduction of sparse num / den: cancel gcd(num, den),
+    then shift den to minimum exponent 0 and scale it to leading
+    coefficient 1."""
+    nlo, dlo = min(num), min(den)
     ndense, ddense = _dense(num, nlo), _dense(den, dlo)
     g = poly_gcd(ndense, ddense)
     if len(g) > 1:
         ndense, _ = _poly_divmod(ndense, g)
         ddense, _ = _poly_divmod(ddense, g)
     lead = ddense[-1]
-    num2 = LaurentPoly({nlo - dlo + i: v / lead for i, v in enumerate(ndense) if v})
-    den2 = LaurentPoly({i: v / lead for i, v in enumerate(ddense) if v})
+    num2 = {nlo - dlo + i: v / lead for i, v in enumerate(ndense) if v}
+    den2 = {i: v / lead for i, v in enumerate(ddense) if v}
     return num2, den2
 
 
 def _product(keys):
-    p = LaurentPoly.one()
+    p = {0: GR_ONE}
     for key in keys:
-        p = p * _factor_poly(key)
+        p = sparse_mul(p, _factor_poly(key))
     return p
+
+
+def _multiset(keys):
+    """{key: multiplicity}, keys in the order first listed."""
+    return {key: keys.count(key) for key in keys}
 
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _gaussian = st.builds(GR, _fractions, _fractions).filter(bool)
 _numerators = st.dictionaries(st.integers(-4, 4), _gaussian, min_size=1,
-                              max_size=4).map(LaurentPoly)
+                              max_size=4)
 # factor keys of orders up to 12: d for Phi_d, +-d for the halves when 4 | d
 _keys = st.sampled_from([1, 2, 3, 5, 6, 7, 9, 10, 11, 4, -4, 8, -8, 12, -12])
-_units = st.sampled_from([GR_ONE, GR.of(-2), GR_I, GR(Fraction(1, 3), Fraction(1))])
 
 
 @settings(max_examples=80, deadline=None)
-@given(_numerators, st.lists(_keys, max_size=4), st.lists(_keys, max_size=3),
-       _units, st.integers(-3, 3))
-def test_cyclotomic_reduction_matches_gcd_reference(num, den_keys, extra_keys,
-                                                    unit, shift):
-    num = num * _product(extra_keys)
-    den = _product(den_keys) * LaurentPoly({shift: unit})
-    r = LaurentRational(num, den)
-    assert (r.num, r.den) == _gcd_normal_form(num, den)
+@given(_numerators, st.lists(_keys, max_size=4), st.lists(_keys, max_size=3))
+def test_cyclotomic_reduction_matches_gcd_reference(num, den_keys, extra_keys):
+    num = sparse_mul(num, _product(extra_keys))
+    r = LaurentRational(dense(num), _multiset(den_keys))
+    assert (sparse(r.num), sparse(r.den)) == _gcd_normal_form(num, _product(den_keys))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_numerators, st.lists(_keys, max_size=3), _numerators,
-       st.lists(_keys, max_size=3), _units)
-def test_cyclotomic_arithmetic_matches_gcd_reference(na, ka, nb, kb, unit):
+       st.lists(_keys, max_size=3))
+def test_cyclotomic_arithmetic_matches_gcd_reference(na, ka, nb, kb):
     da, db = _product(ka), _product(kb)
-    a, b = LaurentRational(na, da), LaurentRational(nb, db)
+    minus_nb = {e: -v for e, v in nb.items()}
+    a, b = LaurentRational(dense(na), _multiset(ka)), LaurentRational(dense(nb), _multiset(kb))
+    minus_b = LaurentRational(dense(minus_nb), _multiset(kb))
     for got, (num, den) in (
-            (a + b, (na * db + nb * da, da * db)),
-            (a - b, (na * db - nb * da, da * db)),
-            (a * b, (na * nb, da * db)),
-            (a.scale(unit), (na.scale(unit), da)),
-            (a.substitute_inverse(), (na.substitute_inverse(), da.substitute_inverse()))):
-        want = (LaurentPoly(), LaurentPoly.one()) if num.is_zero() else _gcd_normal_form(num, den)
-        assert (got.num, got.den) == want
+            (a + b, (sparse_add(sparse_mul(na, db), sparse_mul(nb, da)), sparse_mul(da, db))),
+            (a + minus_b, (sparse_add(sparse_mul(na, db), sparse_mul(minus_nb, da)),
+                           sparse_mul(da, db))),
+            (a * b, (sparse_mul(na, nb), sparse_mul(da, db)))):
+        want = ({}, {0: GR_ONE}) if not num else _gcd_normal_form(num, den)
+        assert (sparse(got.num), sparse(got.den)) == want
 
 
 def test_split_cyclotomic_halves_by_the_integer_route():
@@ -225,36 +249,24 @@ def test_split_cyclotomic_halves_by_the_integer_route():
         g, gc = exact._factor(d), exact._factor(-d)
         assert g.lo == 0 and g.q == 1 and g.re[-1] == 1 and g.im[-1] == 0
         assert (g.re, [-y for y in g.im]) == (gc.re, gc.im)
-        assert g * gc == exact._ZiPoly(0, exact._cyclotomic(d), None, 1), d
+        assert g * gc == LaurentPoly(0, exact._cyclotomic(d), None, 1), d
         m = d // 4
-        target = exact._ZiPoly(0, [0] * m + [1], [-1] + [0] * m, 1)
+        target = LaurentPoly(0, [0] * m + [1], [-1] + [0] * m, 1)
         assert target.divide(g) is not None, d
     # and agrees with the dense gcd where that is quick
     for d in range(4, 65, 4):
         phi = [GR.of(c) for c in exact._cyclotomic(d)]
         ref = poly_gcd(phi, [-GR_I] + [GR()] * (d // 4 - 1) + [GR_ONE])
-        assert exact._factor(d).poly() == LaurentPoly(dict(enumerate(ref))), d
+        assert sparse(exact._factor(d)) == {i: v for i, v in enumerate(ref) if v}, d
 
 
 def test_reduction_cancels_one_half_of_a_split_factor():
-    # (z - i) / (z^2 + 1) == 1 / (z + i): only g_4 = z - i cancels
-    r = LaurentRational(LaurentPoly({1: GR_ONE, 0: -GR_I}),
-                        LaurentPoly({2: GR_ONE, 0: GR_ONE}))
+    # (z - i) / (z^2 + 1) == 1 / (z + i): of Phi_4 = g_4 conj(g_4), only
+    # g_4 = z - i cancels
+    r = LaurentRational(dense({1: GR_ONE, 0: -GR_I}), {4: 1, -4: 1})
     assert r.factors == {-4: 1}
-    assert r.den == LaurentPoly({1: GR_ONE, 0: GR_I})
-    assert r.num == LaurentPoly.one()
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(_keys, max_size=3), st.integers(2, 5) | st.integers(-5, -2))
-def test_non_cyclotomic_denominator_raises(keys, root):
-    # a root z = root off the unit circle is no root of unity
-    den = _product(keys) * LaurentPoly({1: GR_ONE, 0: GR.of(-root)})
-    with pytest.raises(NonCyclotomicDenominator):
-        LaurentRational(LaurentPoly.one(), den)
-    # 2z + 1 is z + 1/2 up to a unit: not monic over the Gaussian integers
-    with pytest.raises(NonCyclotomicDenominator):
-        LaurentRational(LaurentPoly.one(), LaurentPoly({1: GR.of(2), 0: GR_ONE}) * den)
+    assert sparse(r.den) == {1: GR_ONE, 0: GR_I}
+    assert sparse(r.num) == {0: GR_ONE}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Mode-function algebra: canonical forms, argument shifts, kernels."""
 
+import cmath
 import contextlib
 import io
 import random
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coset_forge import cli, exact
+from conftest import dense, sparse, sparse_mul
+from coset_forge import cli
 from coset_forge.errors import ExcludedLevel, MixedSpectralArguments
 from coset_forge.exact import GR, LaurentPoly, LaurentRational
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
-                               canonicalize, equals, shift_argument)
+                               equals, shift_argument)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -23,6 +25,13 @@ def beta_plus_exponent():
     # -2 hbar sinh(h t/2) e^{-iut} / sinh(h t), t > 0 branch
     return ModeFunction(
         [ExpTrigTerm(GR.of(-2), 1, 0, 0, ((HALF, 1), (ONE, -1)))], [])
+
+
+def _eval_laurent(lr: LaurentRational, logz: complex) -> complex:
+    """A Laurent rational at zeta = exp(logz), summed term by term."""
+    def at(p):
+        return sum(complex(v) * cmath.exp(e * logz) for e, v in sparse(p).items())
+    return at(lr.num) / at(lr.den)
 
 
 def test_params_validation():
@@ -56,25 +65,25 @@ def test_cancellation_to_zero():
 def test_beta_exponent_canonical_quotient():
     # canonical form of -2 sinh(ht/2)/sinh(ht) is -1/cosh(ht/2):
     # numerator -2 zeta^2, denominator 1 + zeta^4 on the lattice L=2
-    f = canonicalize(beta_plus_exponent())
-    lat, pos, _ = f.canonical()
+    lat, pos, _ = beta_plus_exponent().canonical()
     assert lat == 2
     lr = pos[1]
-    assert {e: complex(v) for e, v in lr.num.c.items()} == {2: -2 + 0j}
-    assert {e: complex(v) for e, v in lr.den.c.items()} == {0: 1 + 0j, 4: 1 + 0j}
+    assert {e: complex(v) for e, v in sparse(lr.num).items()} == {2: -2 + 0j}
+    assert {e: complex(v) for e, v in sparse(lr.den).items()} == {0: 1 + 0j, 4: 1 + 0j}
 
 
 def test_canonicalize_pointwise_and_idempotent():
     f = beta_plus_exponent()
-    g = canonicalize(f)
-    assert canonicalize(g).canonical() == g.canonical()
+    canon = f.canonical()
+    assert f.canonical() is canon
+    assert ModeFunction(f.positive_branch, f.negative_branch).canonical() == canon
     rng = random.Random(11)
-    lat, pos, _ = g.canonical()
+    lat, pos, _ = canon
     lr = pos[1]
     for _ in range(20):
         t = rng.uniform(0.03, 4.0)
         direct = f.eval_branch(t, 1.0)
-        via = lr.eval_numeric(t / (2 * lat))
+        via = _eval_laurent(lr, t / (2 * lat))
         assert abs(direct - via) <= 1e-12 * max(1.0, abs(direct))
 
 
@@ -128,7 +137,8 @@ def test_equality_is_congruence_for_addition(f, g, h):
 @given(small_mode_functions(),
        st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4])))
 def test_shift_respects_equality(f, gamma):
-    g = canonicalize(f)
+    # the same terms in reverse order: an equal function, built another way
+    g = ModeFunction(f.positive_branch[::-1], f.negative_branch[::-1])
     assert equals(shift_argument(f, gamma), shift_argument(g, gamma))
 
 
@@ -137,7 +147,10 @@ def test_kernel_numerator_even_density_odd():
     for fam, sign, slope in (("c", 1, k / 2), ("b", -1, k / 2),
                              ("lambda", 1, (k + 2) / 2)):
         K = Kernel(fam, sign, slope)
-        assert K.numerator_is_even()
+        # the sinh-product numerator is a palindrome: even under zeta -> 1/zeta
+        lat = K.slope_b.denominator
+        num = ExpTrigTerm(sign, 0, sinh_factors=K.sinh_factors()).laurent(lat).num
+        assert num.lo == -num.max_exp() and num.re == num.re[::-1] and num.im is None
         for t in (0.3, 1.1, 2.4):
             d1 = K.eval_density(t, 1.0)
             d2 = K.eval_density(-t, 1.0)
@@ -145,7 +158,7 @@ def test_kernel_numerator_even_density_odd():
         # small-t: density/t -> sign * slope_a * slope_b
         t = 1e-6
         lim = K.eval_density(t, 1.0) / t
-        assert abs(lim - float(K.small_t_linear_coeff())) < 1e-9
+        assert abs(lim - float(sign * K.slope_a * K.slope_b)) < 1e-9
 
 
 def test_kernel_even_under_hbar_negation():
@@ -159,13 +172,12 @@ def test_pointwise_soundness_random_sweep():
     f = beta_plus_exponent() + ModeFunction(
         [ExpTrigTerm(GR.of(3), 1, Fraction(-1, 4), Fraction(1, 2),
                      ((Fraction(3, 4), 1),))], [])
-    g = canonicalize(f)
-    lat, pos, _ = g.canonical()
+    lat, pos, _ = f.canonical()
     for _ in range(100):
         t = rng.uniform(0.02, 3.0)
         hbar = rng.choice([0.5, 1.0, 1.5])
         direct = f.eval_branch(t, hbar)
-        via = sum(complex(hbar) ** p * lr.eval_numeric(hbar * t / (2 * lat))
+        via = sum(complex(hbar) ** p * _eval_laurent(lr, hbar * t / (2 * lat))
                   for p, lr in pos.items())
         assert abs(direct - via) <= 1e-12 * max(1.0, abs(direct))
 
@@ -194,7 +206,7 @@ def _reference_laurent(term, lattice):
     half = GR(Fraction(1, 2))
     e = (term.shift + term.spectral_shift) * 2 * lattice
     assert e.denominator == 1
-    num = LaurentPoly({int(e): term.coeff})
+    num = {int(e): term.coeff} if term.coeff else {}
     factors = {}
     for beta, p in term.sinh_factors:
         n = beta * 2 * lattice
@@ -202,14 +214,14 @@ def _reference_laurent(term, lattice):
         n = int(n)
         if p > 0:
             for _ in range(p):
-                num = num * LaurentPoly({n: half, -n: -half})
+                num = sparse_mul(num, {n: half, -n: -half})
             continue
-        num = num * LaurentPoly({-n * p: GR(2 ** -p)})
+        num = sparse_mul(num, {-n * p: GR(2 ** -p)})
         for d in range(1, 2 * n + 1):
             if 2 * n % d == 0:
                 for key in ((d, -d) if d % 4 == 0 else (d,)):
                     factors[key] = factors.get(key, 0) - p
-    return LaurentRational(num, factors=factors)
+    return LaurentRational(dense(num), factors)
 
 
 _dens = st.sampled_from([1, 2, 3, 4, 6, 8])
@@ -248,7 +260,7 @@ def test_laurent_makes_no_trial_division(monkeypatch):
     term divides by a dense cyclotomic factor."""
     calls = {"laurent": 0, "inside": 0, "outside": 0}
     depth = [0]
-    laurent, divide = ExpTrigTerm.laurent, exact._ZiPoly.divide
+    laurent, divide = ExpTrigTerm.laurent, LaurentPoly.divide
 
     def counting_laurent(self, lattice):
         calls["laurent"] += 1
@@ -263,7 +275,7 @@ def test_laurent_makes_no_trial_division(monkeypatch):
         return divide(self, f)
 
     monkeypatch.setattr(ExpTrigTerm, "laurent", counting_laurent)
-    monkeypatch.setattr(exact._ZiPoly, "divide", counting_divide)
+    monkeypatch.setattr(LaurentPoly, "divide", counting_divide)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["verify", "--k", "3/16"]) == 0
     assert calls["laurent"] > 0 and calls["outside"] > 0
