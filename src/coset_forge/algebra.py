@@ -16,6 +16,7 @@ the closed forms, which is the analytic continuation of the whole identity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .contraction import StructureFunction, closed_form, contract, quad_eval
 from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
                      NonTelescoping, NoRotationSector, ResidueMismatch,
                      UnexpectedPole)
-from .exact import GR, _raw, as_fraction
+from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     _read_only, _set, equals as modes_equal, shift_argument)
 
@@ -666,45 +667,158 @@ def _newton_pole(sf: StructureFunction, w0: complex, hbar: float,
 # ---------------------------------------------------------------------------
 # classical limit
 
+# the Stirling corrections are read off for B_n with n up to this
+LIMIT_N_MAX = 12
+# points of the numeric cross-check: the unit circle at Im w >= 0.7, away
+# from the real axis, where the Gamma poles and the Stokes lines lie
+_LIMIT_CHECK_W = (cmath.exp(0.25j * math.pi), 1j, cmath.exp(0.75j * math.pi))
+@functools.cache
+def _bernoulli_numbers() -> tuple[int, list[int]]:
+    """(L, [L*B_0, ..., L*B_LIMIT_N_MAX]): the Bernoulli numbers, B_1 = -1/2,
+    over their least common denominator L."""
+    b = [Fraction(1)]
+    for m in range(1, LIMIT_N_MAX + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    den = math.lcm(*(x.denominator for x in b))
+    return den, [x.numerator * (den // x.denominator) for x in b]
+
+
+def _bernoulli_poly(n: int, a: Fraction) -> Fraction:
+    """B_n(a) = sum_j C(n, j) B_j a^(n-j) (DLMF 24.2.5), summed in integers
+    over the one denominator L*d^n for a = p/d."""
+    den, b = _bernoulli_numbers()
+    p, d = a.numerator, a.denominator
+    return Fraction(sum(math.comb(n, j) * b[j] * p ** (n - j) * d ** j
+                        for j in range(n + 1)), den * d ** n)
+
+
+def _principal(x: Fraction) -> Fraction:
+    """x reduced modulo 2 into (-1, 1]: the phase exp(i pi x) on the
+    principal branch, in units of pi."""
+    r = x % 2
+    return r - 2 if r > 1 else r
+
+
+def _classical_readout(sf: StructureFunction) -> tuple:
+    """The hbar -> 0 limit of an exchange factor S(w) on Im w > 0, read off
+    its normalized Gamma multiset exactly, with X = w/hbar.
+
+    A factor Gamma(iw/(s hbar) + a) with s = i b/q has the argument
+    z + a, z = sigma X and sigma = q/b.  DLMF 5.11.8,
+        ln Gamma(z + a) ~ (z + a - 1/2) ln z - z + ln(2 pi)/2
+                          + sum_{n>=2} (-1)^n B_n(a) / (n (n-1) z^(n-1)),
+    summed with the exponents e of one scale, loses its z ln z, z and
+    ln 2pi terms when sum e = 0 and keeps ln z with the power sum e*a.
+    With ln z = ln(+-w) + ln|sigma| - ln hbar (principal branches), the
+    factor tends to K w^p_plus (-w)^p_minus, K an exact constant; a linear
+    factor (iw + rho hbar)^e tends to i^e w^e.  That is a braid phase
+    [w/(-w)]^p exactly when p_plus + p_minus = 0, K carries no hbar and
+    K = exp(i pi c) with c rational; then S -> exp(i pi (p_plus + c)).
+
+    Returns (p_plus, c, corrections, hbar_check): corrections[m - 1] is the
+    exact coefficient of X^-m in ln S minus ln of its limit, for m = 1 ..
+    LIMIT_N_MAX - 1 (B_n with n = m + 1, and the series of each linear
+    factor), and hbar_check an hbar at which every argument z has
+    |Im z| >= 8 Im w at the cross-check points, where the exponentially
+    small terms the series misses are below 1e-20.  Raises NonConvergent
+    when the factor has no braid-phase limit."""
+    n = sf.normalize()
+    if n.exp_linear:
+        raise NonConvergent(f"factor exp({n.exp_linear} iw/h) oscillates "
+                            "without limit as hbar -> 0")
+    groups: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    for (sa, sb, sq, an, ad), e in n.gammas.items():
+        if sa or not sb:
+            raise NonConvergent(f"Gamma scale {_raw(sa, sb, sq)!r} is not "
+                                "imaginary: no braid limit on Im w > 0")
+        groups.setdefault(Fraction(sq, sb), []).append((Fraction(an, ad), e))
+    const = n.const
+    p_plus = p_minus = Fraction(0)
+    for sigma, group in groups.items():
+        if sum(e for _, e in group):
+            raise NonConvergent(f"Gamma factors of scale 1/({sigma}*i) do not "
+                                "balance: the factor grows like z^z")
+        p = sum(e * a for a, e in group)
+        const = const.times_base(GR(abs(sigma)), -1, p)
+        if sigma > 0:
+            p_plus += p
+        else:
+            p_minus += p
+    # (iw + rho hbar)^e = (iw)^e (1 + t/X)^e with t = -i rho
+    linears = [(e, -GR_I * _raw(*key)) for key, e in n.linears.items()]
+    for e, _ in linears:
+        p_plus += e
+        const = const.times_base(GR_I, 0, e)
+    if p_plus + p_minus:
+        raise NonConvergent(f"the limit grows like w^{p_plus + p_minus}")
+    const = const.canonical()
+    if const.hb:
+        raise NonConvergent(f"the limit carries hbar^{const.hbar_pow}")
+    if const.mult != GR_ONE or const.pe:
+        raise NonConvergent(f"the limit constant {const!r} is not a rational "
+                            "phase of modulus 1")
+    corrections = []
+    powers = [GR_ONE] * len(linears)
+    for m in range(1, LIMIT_N_MAX):
+        g = sum((e * _bernoulli_poly(m + 1, a) / sigma ** m
+                 for sigma, group in groups.items() for a, e in group),
+                Fraction(0)) / (m + 1)
+        powers = [p * t for p, (_, t) in zip(powers, linears)]
+        coeff = sum((e * p for p, (e, _) in zip(powers, linears)), GR(g))
+        corrections.append(coeff * Fraction((-1) ** (m + 1), m))
+    reach = [float(abs(s)) for s in groups] + [
+        1 / abs(complex(t)) for _, t in linears if t] + [1.0]
+    return p_plus, Fraction(const.ph, 2 * const.den), corrections, min(reach) / 8
+
+
 def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBraid,
                     hbar_sequence: list[Fraction], w: complex = 1.0 + 0.8j,
-                    min_order: float = 0.5) -> VerificationReport:
-    """Degeneration of a (rotated) exchange factor to the classical braiding
-    phase as hbar -> 0.
+                    tol: float = 1e-8) -> VerificationReport:
+    """Degeneration of the globally rotated exchange factor to the classical
+    braiding phase [w/(-w)]^{2 a b/k} as hbar -> 0.
 
-    The derived structure function is hbar symbolic, so one catalog serves
-    the whole sequence: the factor is evaluated at fixed w with Im w > 0 for
-    each hbar, compared against the braiding ratio, and the error is fitted
-    against hbar on a log-log scale.
+    The limit is read off the Gamma multiset exactly (_classical_readout):
+    its exponent must equal the braid's modulo 2, the period of the phase,
+    and the first non-zero power-law correction gives the exact order of
+    convergence.  A numeric cross-check compares the factor with its limit
+    times the correction series at the points _LIMIT_CHECK_W and one
+    moderate hbar, within `tol`.  The error against the braid at `w` along
+    `hbar_sequence` is reported as well.  Raises NonConvergent when the
+    limit is not the braid or the cross-check fails.
     """
     if len(hbar_sequence) < 3 or any(
             b <= a for a, b in zip(hbar_sequence[1:], hbar_sequence)):
         raise ValueError("need >= 3 strictly decreasing hbar values")
     a, b = rel_pair
-    factors = cat.pair_exchange(cat[a], cat[b], rotate="global")
-    sf = factors[0]
-    target = braid.ratio(w)
-    errs = []
-    for hb in hbar_sequence:
-        val = sf.eval(w, float(hb))
-        errs.append(abs(val / target - 1.0))
-    report = VerificationReport(f"limit[{a},{b};ab={braid.alpha*braid.beta}]",
-                                "classical-limit", False, None, 0.0)
-    if max(errs) < 1e-12:
-        report.limit_fit = {"order": float("inf"), "errors": errs,
-                            "target": target, "skipped": True}
-        report.passed = True
-        report.notes.append("factor already at its classical value; order fit skipped")
-        return report
-    import numpy as np  # here, not at module level: only this fit needs it
-    xs = np.log([float(h) for h in hbar_sequence])
-    ys = np.log([max(e, 1e-300) for e in errs])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    report.limit_fit = {"order": float(slope), "errors": errs, "target": target,
-                        "w": w, "skipped": False}
-    report.max_rel_err = errs[-1]
-    report.passed = bool(slope >= min_order)
-    if not report.passed:
+    sf = cat.pair_exchange(cat[a], cat[b], rotate="global")[0]
+    power, phase, corrections, hbar_check = _classical_readout(sf)
+    exponent = _principal(power + phase)
+    if exponent != _principal(braid.exponent):
         raise NonConvergent(
-            f"fitted convergence order {slope:.3f} below {min_order}")
+            f"the factor tends to [w/(-w)]^{exponent}, the braid is "
+            f"[w/(-w)]^{braid.exponent} (exponents modulo 2)")
+    order = next((m for m, c in enumerate(corrections, 1) if c), None)
+    check_errs = []
+    for wc in _LIMIT_CHECK_W:
+        x = wc / hbar_check
+        lim = cmath.exp(1j * math.pi * float(power + phase) + sum(
+            complex(c) * x ** -m for m, c in enumerate(corrections, 1) if c))
+        check_errs.append(abs(sf.eval(wc, hbar_check) / lim - 1.0))
+    target = braid.ratio(w)
+    errs = [abs(sf.eval(w, float(hb)) / target - 1.0) for hb in hbar_sequence]
+    report = VerificationReport(f"limit[{a},{b};ab={braid.alpha*braid.beta}]",
+                                "classical-limit", False, None, max(check_errs))
+    # a NaN can hide from max(), never from this comparison
+    bad = [e for e in check_errs if not e <= tol]
+    report.limit_fit = {
+        "exponent": exponent, "braid_exponent": braid.exponent,
+        "x_power": power, "const_phase": phase, "order": order,
+        "correction": corrections[order - 1] if order else None,
+        "n_max": LIMIT_N_MAX, "errors": errs, "target": target,
+        "check_hbar": hbar_check, "check_errors": check_errs}
+    if bad:
+        raise NonConvergent(
+            f"the factor is {bad[0]:.3g} from its exact limit at "
+            f"hbar = {hbar_check:.6g}, above the tolerance {tol:g}")
+    report.passed = True
     return report

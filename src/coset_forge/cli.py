@@ -39,7 +39,7 @@ from .dsl import parse_definitions
 from .errors import (CosetForgeError, InvalidOption, NonConvergent,
                      NothingToVerify, ParseError)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _fmt(x: float) -> str:
@@ -177,13 +177,27 @@ def _report_to_dict(rep: VerificationReport) -> dict:
              "derived_u1_shift": r["derived_u1_shift"],
              "sector_exponents_vanish": r["sector_exponents_vanish"]}
             for r in rep.residue_ops],
-        "limit_fit": ({} if not rep.limit_fit else {
-            "order": _fmt(rep.limit_fit["order"]),
-            "errors": [_fmt(e) for e in rep.limit_fit["errors"]],
-            "target": _fmt_c(rep.limit_fit["target"]),
-            "skipped": bool(rep.limit_fit.get("skipped", False))}),
+        "limit_fit": _limit_fit_to_dict(rep.limit_fit),
         "notes": list(rep.notes),
     }
+
+
+def _limit_fit_to_dict(fit: dict) -> dict:
+    if not fit:
+        return {}
+    order = fit["order"]
+    return {
+        "exponent": str(fit["exponent"]),
+        "braid_exponent": str(fit["braid_exponent"]),
+        "x_power": str(fit["x_power"]),
+        "const_phase": str(fit["const_phase"]),
+        "order": None if order is None else str(order),
+        "correction": None if order is None else repr(fit["correction"]),
+        "n_max": str(fit["n_max"]),
+        "errors": [_fmt(e) for e in fit["errors"]],
+        "target": _fmt_c(fit["target"]),
+        "check_hbar": _fmt(fit["check_hbar"]),
+        "check_errors": [_fmt(e) for e in fit["check_errors"]]}
 
 
 def _run_relations(cat, rels, args) -> list[VerificationReport]:
@@ -202,13 +216,14 @@ def _run_commutators(cat, comms, args) -> list[VerificationReport]:
 
 
 def _run_limits(cat, hbars_seq, pairs) -> list[VerificationReport]:
+    """The classical limit of each (A, B, tolerance) in `pairs`."""
     out = []
-    for (a, b) in pairs:
+    for (a, b, tol) in pairs:
         ab = 1 if a == b else -1
         braid = ClassicalBraid(1, ab, cat.params.k)
         try:
             rep = classical_limit(cat, (a, b), braid, hbars_seq,
-                                  w=1.0 + 0.002j)
+                                  w=1.0 + 0.002j, tol=tol)
         except NonConvergent as exc:
             rep = VerificationReport(f"limit[{a},{b};ab={ab}]",
                                      "classical-limit", False, None,
@@ -302,11 +317,19 @@ def _print_report_lines(reports, out):
         mark = "PASS" if rep.passed else "FAIL"
         extra = ""
         if rep.kind == "classical-limit" and rep.limit_fit:
-            extra = f" order={_fmt(rep.limit_fit['order'])}"
+            extra = _limit_line(rep.limit_fit)
         print(f"{mark} {rep.rel_id} kind={rep.kind} "
               f"max_rel_err={_fmt(rep.max_rel_err)}{extra}", file=out)
         for note in rep.notes:
             print(f"     note: {note}", file=out)
+
+
+def _limit_line(fit: dict) -> str:
+    text = (f" exponent={fit['exponent']}"
+            f" (braid {fit['braid_exponent']} mod 2)")
+    if fit["order"] is None:
+        return text + f"; no power-law term up to n = {fit['n_max']}"
+    return text + f"; order={fit['order']} (coefficient {fit['correction']!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +394,7 @@ def cmd_contract(args) -> int:
             "w": _fmt_c(wv), "log_divergence_coeff": str(I.log_divergence_coeff),
             "quadrature": _fmt_c(q), "closed_form_value": _fmt_c(c),
             "closed_form": desc})
-    if all(f["zero"] for f in families):
+    if not families:
         print("currents share no kernel family; all contractions vanish", file=out)
     if args.json:
         _emit_json(args.json, {
@@ -429,10 +452,10 @@ def cmd_limit(args) -> int:
     seq = (hbars if args.hbar
            else [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)])
     if args.pair:
-        pairs = [_parse_pair(args.pair, cat.currents)]
+        tol = 1e-8 if args.tol is None else args.tol
+        pairs = [(*_parse_pair(args.pair, cat.currents), tol)]
     else:
-        pairs = [(r.left_pair[0], r.left_pair[1])
-                 for r in rels if r.kind == "shape"]
+        pairs = _shape_pairs(rels)
         if not pairs:
             raise NothingToVerify(
                 "the definition file declares no shape relation; name a pair "
@@ -450,14 +473,16 @@ def cmd_report(args) -> int:
     _require_checks(rels, comms)
     reports = _run_relations(cat, rels, args)
     reports += _run_commutators(cat, comms, args)
-    shape_pairs = [(r.left_pair[0], r.left_pair[1])
-                   for r in rels if r.kind == "shape"]
     seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
-    reports += _run_limits(cat, seq, shape_pairs)
+    reports += _run_limits(cat, seq, _shape_pairs(rels))
     payload = _payload(params, hbars, reports)
     _emit_json(args.json or "-", payload)
     ok = all(r.passed for r in reports)
     return 0 if ok else 1
+
+
+def _shape_pairs(rels) -> list[tuple[str, str, float]]:
+    return [(*r.left_pair, r.tolerance) for r in rels if r.kind == "shape"]
 
 
 def _payload(params, hbars, reports) -> dict:
@@ -522,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_poles)
 
-    p = sub.add_parser("limit", help="classical-limit degeneration fits")
+    p = sub.add_parser("limit", help="exact classical limits of the shape pairs")
     common(p)
     p.add_argument("--pair", default=None, metavar="A,B")
     p.set_defaults(fn=cmd_limit)

@@ -80,7 +80,8 @@ class VanishingDenominator(CosetForgeError, ZeroDivisionError):
 
 
 class NonConvergent(CosetForgeError):
-    """Classical-limit fit did not reach the required convergence order."""
+    """An exchange factor's hbar -> 0 limit is not the classical braiding
+    phase, or the factor does not approach its exact limit numerically."""
 
 
 class ParseError(CosetForgeError):

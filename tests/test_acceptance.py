@@ -213,12 +213,18 @@ def test_criterion_7_classical_limit():
             rep = classical_limit(cat, pair, braid, seq, w=1.0 + 0.002j)
             assert rep.passed, (k, pair)
             fit = rep.limit_fit
-            if fit.get("skipped"):
+            # the exact limit is the braiding phase exp(i pi 2ab/k)
+            assert (fit["exponent"] - braid.exponent) % 2 == 0, (k, pair, fit)
+            # no power-law correction, or one of order hbar^1 or higher
+            assert fit["order"] is None or fit["order"] >= 1, (k, pair, fit)
+            assert max(fit["check_errors"]) <= 1e-8, (k, pair, fit)
+            errs = fit["errors"]
+            if max(errs) < 1e-12:
                 # factor equals the braiding phase identically (free-fermion
                 # point); convergence is immediate
-                assert max(fit["errors"]) < 1e-12
+                assert k == 2, (k, pair, errs)
             else:
-                assert fit["order"] >= 0.9, (k, pair, fit)
+                assert errs[0] > errs[-1], (k, pair, errs)
     _stamp("criterion 7 (degeneration to parafermion braiding)", t0, 30.0)
 
 

@@ -9,12 +9,13 @@ import pytest
 
 from conftest import bind_shipped, contraction_pairs
 from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
-                                 Relation, _grid_check, classical_limit,
+                                 Relation, _classical_readout, _grid_check,
+                                 classical_limit,
                                  default_grid, ef_commutator_analysis,
                                  verify_relation)
 from coset_forge.contraction import StructureFunction
 from coset_forge.errors import CosetForgeError, ExcludedLevel, NonConvergent
-from coset_forge.exact import GR
+from coset_forge.exact import GR, ExactConst
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                                equals as modes_equal)
 
@@ -171,19 +172,45 @@ def test_residue_scalar_pattern():
     assert plus["scalar_gr"] == "1" and plus["scalar_hbar_power"] == -1
 
 
-@pytest.mark.parametrize("k", [Fraction(2), Fraction(3)])
+SEQ = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
+LIMIT_LEVELS = [Fraction(2), Fraction(3), Fraction(5, 2)]
+PSI_PAIRS = ((("psi", "psi"), 1), (("psi", "psi_dag"), -1))
+
+
+@pytest.mark.parametrize("k", LIMIT_LEVELS)
 def test_classical_limit_psi_pairs(k):
     cat = catalog(k)
-    seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
-    for pair, ab in ((("psi", "psi"), 1), (("psi", "psi_dag"), -1)):
+    for pair, ab in PSI_PAIRS:
         braid = ClassicalBraid(1, ab, k)
-        rep = classical_limit(cat, pair, braid, seq, w=1.0 + 0.002j)
+        rep = classical_limit(cat, pair, braid, SEQ, w=1.0 + 0.002j)
         assert rep.passed
         fit = rep.limit_fit
-        if not fit.get("skipped"):
-            assert fit["order"] >= 0.9
-            errs = fit["errors"]
+        # the exponent read off the Gamma multiset is 2ab/k, modulo the
+        # period 2 of exp(i pi x); within (-1, 1] it is 2ab/k itself
+        assert fit["braid_exponent"] == Fraction(2 * ab) / k
+        assert (fit["exponent"] - fit["braid_exponent"]) % 2 == 0
+        if abs(fit["braid_exponent"]) < 1:
+            assert fit["exponent"] == fit["braid_exponent"]
+        # reflection-paired Gamma factors: the B_n terms cancel at every n
+        assert fit["order"] is None and fit["correction"] is None
+        assert max(fit["check_errors"]) <= 1e-8
+        assert rep.max_rel_err == max(fit["check_errors"])
+        errs = fit["errors"]
+        sf = cat.pair_exchange(cat[pair[0]], cat[pair[1]], rotate="global")[0]
+        if sf.normalize().gammas:
             assert errs[0] > errs[-1]
+        else:
+            # the factor is its limit, a constant, identically
+            assert max(errs) < 1e-15
+
+
+def test_classical_limit_at_k2_reads_the_constant():
+    # at k = 2 the rotated factor normalizes to the constant -1: the exact
+    # route reads the phase pi off it, where the fit had nothing to check
+    rep = classical_limit(catalog(2), ("psi", "psi"),
+                          ClassicalBraid(1, 1, Fraction(2)), SEQ)
+    fit = rep.limit_fit
+    assert (fit["x_power"], fit["const_phase"], fit["exponent"]) == (0, 1, 1)
 
 
 def test_classical_limit_requires_decreasing_sequence():
@@ -193,16 +220,75 @@ def test_classical_limit_requires_decreasing_sequence():
         classical_limit(cat, ("psi", "psi"), braid, [Fraction(1, 10)] * 3)
 
 
-def test_classical_limit_nonconvergent_raises():
-    cat = catalog(3)
+@pytest.mark.parametrize("k", LIMIT_LEVELS)
+@pytest.mark.parametrize("mutation", ["flip-ab", "wrong-k"])
+def test_classical_limit_nonconvergent_raises(k, mutation):
+    cat = catalog(k)
+    for pair, ab in PSI_PAIRS:
+        if mutation == "flip-ab":
+            wrong = ClassicalBraid(1, -ab, k)
+        else:
+            wrong = ClassicalBraid(1, ab, k + 1)
+        if mutation == "flip-ab" and k == 2:
+            # [w/(-w)]^1 and [w/(-w)]^-1 are the same function, -1 on
+            # either half-plane: flipping ab at k = 2 is no mutation
+            assert classical_limit(cat, pair, wrong, SEQ, w=1.0 + 0.002j).passed
+            continue
+        with pytest.raises(NonConvergent):
+            classical_limit(cat, pair, wrong, SEQ, w=1.0 + 0.002j)
+
+
+def test_classical_limit_cross_check_is_held_to_the_tolerance():
     braid = ClassicalBraid(1, 1, Fraction(3))
-    # wrong braiding exponent: the factor approaches a different phase, the
-    # error saturates and the fitted order collapses
-    wrong = ClassicalBraid(1, -1, Fraction(3))
-    with pytest.raises(NonConvergent):
-        classical_limit(cat, ("psi", "psi"), wrong,
-                        [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)],
-                        w=1.0 + 0.002j)
+    with pytest.raises(NonConvergent, match="from its exact limit"):
+        classical_limit(catalog(3), ("psi", "psi"), braid, SEQ, tol=0.0)
+    # at k = 2 the factor is the constant -1, its limit, to the last bit
+    rep = classical_limit(catalog(2), ("psi", "psi"),
+                          ClassicalBraid(1, 1, Fraction(2)), SEQ, tol=0.0)
+    assert rep.passed and rep.max_rel_err == 0.0
+
+
+def _gamma(sigma, shift, e):
+    """Gamma(sigma*w/hbar + shift)^e, i.e. the scale i/sigma."""
+    return StructureFunction.from_gamma(GR(0, 1 / Fraction(sigma)), shift, e)
+
+
+def test_classical_readout_finds_the_first_power_law_term():
+    # Gamma(X+1/4) Gamma(2X+3/4) / (Gamma(X+3/4) Gamma(2X+1/4)) tends to
+    # sqrt(1/2); the B_2 terms cancel, the B_3 ones leave 3/64 X^-2
+    sf = (_gamma(1, Fraction(1, 4), 1) * _gamma(1, Fraction(3, 4), -1)
+          * _gamma(Fraction(1, 2), Fraction(3, 4), 1)
+          * _gamma(Fraction(1, 2), Fraction(1, 4), -1))
+    sf = sf * StructureFunction(
+        const=ExactConst.one().times_base(GR(2), 0, Fraction(1, 2)))
+    power, phase, corrections, _ = _classical_readout(sf)
+    assert (power, phase) == (0, 0)
+    assert corrections[:2] == [GR(0), GR(Fraction(3, 64))]
+    for hbar in (0.1, 0.01):
+        x = 1j / hbar
+        err = abs(sf.eval(1j, hbar) - 1.0)
+        assert err == pytest.approx(3 / 64 / abs(x) ** 2, rel=0.05)
+    # a linear pair: (iw + hbar)/(iw - hbar) = 1 - 2i/X + O(X^-2)
+    lin = StructureFunction.from_linear(1) * StructureFunction.from_linear(-1, -1)
+    power, phase, corrections, _ = _classical_readout(lin)
+    assert (power, phase, corrections[0]) == (0, 0, GR(0, -2))
+
+
+@pytest.mark.parametrize("sf, message", [
+    (_gamma(1, Fraction(1, 3), 1), "do not balance"),
+    (_gamma(1, Fraction(1, 3), 1) * _gamma(1, Fraction(2, 3), -1),
+     r"grows like w\^-1/3"),
+    (StructureFunction(exp_linear=Fraction(1, 2)), "oscillates"),
+    (StructureFunction.from_gamma(GR(1), Fraction(1, 3)), "not imaginary"),
+    (StructureFunction.from_const_gr(GR(2)), "modulus 1"),
+    # Gamma(X + 1/2)^2 / Gamma(X)^2 ~ X = w/hbar; over (iw + hbar) the
+    # power of w cancels and 1/(i hbar) is left
+    (_gamma(1, HALF, 2) * _gamma(1, 0, -2) * StructureFunction.from_linear(1, -1),
+     r"carries hbar\^-1"),
+])
+def test_classical_readout_refuses_a_factor_without_braid_limit(sf, message):
+    with pytest.raises(NonConvergent, match=message):
+        _classical_readout(sf)
 
 
 def test_catalog_contraction_pair_count():

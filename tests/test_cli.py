@@ -75,7 +75,7 @@ def test_json_error_object(tmp_path):
     assert out.returncode == 2
     payload = json.loads(dest.read_text())
     assert payload["error"]["kind"] == "parse"
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
 
 
 def test_report_byte_identical_across_runs(tmp_path):
@@ -100,7 +100,7 @@ def test_report_schema_and_roundtrip(tmp_path):
                 "poles", "limit_fits", "pass"):
         assert key in payload
     assert payload["pass"] is True
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     ids = [r["id"] for r in payload["relations"]]
     assert "E_E" in ids and "[E,F]" in ids
     for rel in payload["relations"]:
@@ -132,6 +132,22 @@ def test_limit_subcommand():
     out = run_cli("limit")
     assert out.returncode == 0
     assert "limit[psi,psi" in out.stdout
+
+
+def test_limit_reports_the_exact_exponent_not_a_fitted_order(tmp_path):
+    dest = tmp_path / "limit.json"
+    assert cli.run(["limit", "--k", "3", "--json", str(dest)]) == 0
+    fits = {f["id"]: f for f in json.loads(dest.read_text())["limit_fits"]}
+    fit = fits["limit[psi,psi;ab=1]"]
+    assert (fit["exponent"], fit["braid_exponent"]) == ("2/3", "2/3")
+    assert fit["order"] is None and fit["n_max"] == "12"
+    assert fits["limit[psi,psi_dag;ab=-1]"]["exponent"] == "-2/3"
+    out = run_cli("limit", "--k", "3")
+    assert out.returncode == 0
+    assert ("PASS limit[psi,psi;ab=1] kind=classical-limit" in out.stdout)
+    assert "exponent=2/3 (braid 2/3 mod 2); no power-law term up to n = 12" \
+        in out.stdout
+    assert "order=" not in out.stdout
 
 
 def test_poles_subcommand():
@@ -229,7 +245,7 @@ def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
     assert cli.run([*argv, "--json", str(dest)]) == 0
     assert capsys.readouterr().out == text
     payload = json.loads(dest.read_text())
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["params"] == {"k": "2", "hbar": ["1"]}
     assert payload["currents"] == ["Lambda_plus", "Lambda_minus"]
     [row] = payload["families"]
@@ -249,6 +265,17 @@ def test_contract_json_to_stdout_keeps_stdout_pure(capsys):
     payload = json.loads(out)
     assert [r["family"] for r in payload["families"]] == ["chat"]
     assert "family chat:" in err and "quadrature" in err
+
+
+@pytest.mark.parametrize("a, b, lines", [
+    # a shared family whose contraction vanishes is not "no family"
+    ("C_plus", "H_plus", ["family chat: zero contraction"]),
+    ("Lambda_plus", "C_plus",
+     ["currents share no kernel family; all contractions vanish"]),
+])
+def test_contract_says_no_shared_family_only_when_none_is_shared(a, b, lines, capsys):
+    assert cli.run(["contract", a, b]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 @pytest.mark.parametrize("argv", [

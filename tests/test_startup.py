@@ -1,5 +1,7 @@
-"""Start-up cost: numpy is imported only by the commands that use it, and
-neither dataclasses nor json by any."""
+"""Start-up cost: numpy is imported only for quadrature (`contract`, and
+`verify` for a relation that does not telescope), so neither `verify`,
+`report` nor `limit` load it; neither dataclasses nor json is imported by
+any command."""
 
 import os
 import pathlib
@@ -25,6 +27,17 @@ for name in ("dataclasses", "json", "json.encoder"):
     assert name not in sys.modules, name + " imported by a command"
 """
 
+# k = 3, where the rotated psi factors carry Gamma factors and the
+# classical limit has something to read off (at k = 2 they are constants)
+REPORT_AND_LIMIT_WITHOUT_NUMPY = """\
+import sys
+import coset_forge.cli as cli
+assert cli.run(["report", "--k", "3", "--hbar", "1", "--json", sys.argv[1]]) == 0
+assert "numpy" not in sys.modules, "numpy imported by report"
+assert cli.run(["limit", "--k", "3"]) == 0
+assert "numpy" not in sys.modules, "numpy imported by limit"
+"""
+
 CONTRACT_WITH_NUMPY = """\
 import sys
 import coset_forge.cli as cli
@@ -46,6 +59,13 @@ def test_verify_never_imports_numpy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "all relations hold" in out.stdout
     assert (tmp_path / "report.json").read_text().startswith("{")
+
+
+def test_report_and_limit_never_import_numpy(tmp_path):
+    out = _python(REPORT_AND_LIMIT_WITHOUT_NUMPY, str(tmp_path / "report.json"))
+    assert out.returncode == 0, out.stderr
+    assert "PASS limit[psi,psi;ab=1]" in out.stdout
+    assert '"pass": true' in (tmp_path / "report.json").read_text()
 
 
 def test_contract_imports_numpy_and_keeps_its_output():
