@@ -27,6 +27,7 @@ from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
 from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     _read_only, _set, equals as modes_equal, shift_argument)
+from .specfun import check_gamma_argument, log_gamma
 
 __all__ = [
     "Current", "Catalog", "NormalOrderedTerm", "Relation", "ClassicalBraid",
@@ -78,9 +79,6 @@ class Catalog:
         # the kernel family the "c-sector" rotation mode rotates
         self.rotation_sector: str | None = None
         self._cf_cache: dict = {}
-        # log Gamma values by complex argument, shared by the grid
-        # evaluations of every relation checked on this catalog
-        self._lg_memo: dict[complex, complex] = {}
 
     def __getitem__(self, name: str) -> Current:
         return self.currents[name]
@@ -280,28 +278,133 @@ def default_grid(params: AlgebraParams, n: int = 25,
     return pts
 
 
+# a ladder segment longer than this is summed from log Gamma values
+_LADDER_MAX = 64
+
+
+def _ladder_log(x: complex, lo: int, hi: int) -> complex:
+    """The sum of log(x + j) over lo <= j < hi, modulo 2 pi i.
+
+    A segment longer than _LADDER_MAX is the quotient Gamma(x + hi) /
+    Gamma(x + mid) over the steps with Re(x + j) >= 0, and (-1)^n
+    Gamma(1 - x - lo) / Gamma(1 - x - mid) over the n steps left of them
+    (DLMF 5.5.1), so log_gamma sees only arguments with Re >= 0 and makes
+    no long recurrence shift of its own."""
+    s = 0j
+    if hi - lo <= _LADDER_MAX:
+        for j in range(lo, hi):
+            s += cmath.log(x + j)
+        return s
+    mid = min(max(lo, math.ceil(-x.real)), hi)
+    if mid < hi:
+        s += log_gamma(x + hi) - log_gamma(x + mid)
+    if lo < mid:
+        s += ((mid - lo) * math.pi * 1j + log_gamma(1 - x - lo)
+              - log_gamma(1 - x - mid))
+    return s
+
+
 def _grid_check(factors: list[StructureFunction], target: StructureFunction,
-                grid: list[complex], hbar: float, memo: dict
+                grid: list[complex], hbar: float
                 ) -> tuple[list[float], float, int]:
-    """Worst |sf - target| / |target| over `factors` at each grid point, the
-    largest finite one, and the number of points where some factor or the
-    target failed to evaluate.  A failed point stays NaN in the per-point
-    list and is counted, so it cannot drop out of the maximum unnoticed.
-    The target is evaluated once per point, and not at all without factors."""
+    """Worst |S_f(w) / S_target(w) - 1| over the factors S_f at each grid
+    point, the largest finite one, and the number of points where some
+    factor or the target failed to evaluate.  A failed point stays NaN in
+    the per-point list and is counted, so it cannot drop out of the maximum
+    unnoticed.  Without factors nothing is evaluated.
+
+    Each ratio is summed in logs from the factor's exponents minus the
+    target's, in sorted key order.  The Gamma keys of one recurrence class
+    (same scale, same shift mod 1) are written against the class's lowest
+    argument x in the relation: Gamma(x + J) = Gamma(x) prod_{j<J} (x + j)
+    (DLMF 5.5.1).  So a class whose exponents sum to zero needs no log
+    Gamma value, unless a ladder segment between two members is longer than
+    _LADDER_MAX (see _ladder_log).  Branches do not matter, since every
+    exponent is an integer and the sum is exponentiated.  The lowest
+    argument of every class still passes check_gamma_argument (a pole of
+    any member of the class puts it on a pole too) and every linear log is
+    taken, cancelling factors included, so a point where any function of
+    the relation cannot be evaluated fails."""
     if not factors:
         return [0.0] * len(grid), 0.0, 0
+    nan = float("nan")
+    funcs = [target] + factors
+    try:
+        c_t = cmath.log(target.const.eval(hbar))
+        # per factor: log constant, exp-linear coefficient and the
+        # (index into the logs of a point, integer coefficient) pairs
+        ratios = [(cmath.log(sf.const.eval(hbar)) - c_t,
+                   float(sf.exp_linear - target.exp_linear), [])
+                  for sf in factors]
+    except (CosetForgeError, ArithmeticError, ValueError):
+        return [nan] * len(grid), 0.0, len(grid)
+    rhos = sorted(set().union(*(sf.linears for sf in funcs)))
+    for i, key in enumerate(rhos):
+        e_t = target.linears.get(key, 0)
+        for (_, _, terms), sf in zip(ratios, factors):
+            de = sf.linears.get(key, 0) - e_t
+            if de:
+                terms.append((i, de))
+    rs = [complex(a / q, b / q) * hbar for a, b, q in rhos]
+    members: dict[tuple[int, int, int, int, int], set[int]] = {}
+    for sf in funcs:
+        for sa, sb, sq, n, d in sf.gammas:
+            members.setdefault((sa, sb, sq, n % d, d), set()).add(n // d)
+    # per class: (scale*hbar, the lowest shift, the ladder segments [lo, hi)
+    # whose sum of log(x + j) some factor needs, whether one needs log Gamma)
+    classes = []
+    n_logs = len(rhos)
+    for (sa, sb, sq, r, d), js in sorted(members.items()):
+        js = sorted(js)
+        keys = [(sa, sb, sq, r + j * d, d) for j in js]
+        # tails[m]: the exponent difference summed over the members from m
+        # up, the coefficient of log(x + j) for js[m-1] <= j + js[0] < js[m]
+        tails = []
+        for sf in factors:
+            t, tail = 0, []
+            for key in reversed(keys):
+                t += sf.gammas.get(key, 0) - target.gammas.get(key, 0)
+                tail.append(t)
+            tails.append(tail[::-1])
+        segments = []
+        for m in range(1, len(js)):
+            if any(tail[m] for tail in tails):
+                segments.append((js[m - 1] - js[0], js[m] - js[0]))
+                for (_, _, terms), tail in zip(ratios, tails):
+                    if tail[m]:
+                        terms.append((n_logs, tail[m]))
+                n_logs += 1
+        need_lg = False
+        for (_, _, terms), tail in zip(ratios, tails):
+            if tail[0]:
+                terms.append((n_logs, tail[0]))
+                need_lg = True
+        n_logs += need_lg
+        classes.append((complex(sa / sq, sb / sq) * hbar, keys[0][3] / d,
+                        segments, need_lg))
     worst_at = []
     for w in grid:
-        worst = 0.0
         try:
-            b = target.eval(w, hbar, memo)
-            scale = max(abs(b), 1e-300)
-            for sf in factors:
-                r = abs(sf.eval(w, hbar, memo) - b) / scale
-                if r > worst:
+            logs = [cmath.log(1j * w + r) for r in rs]
+            for ds, a, segments, need_lg in classes:
+                x = check_gamma_argument(1j * w / ds + a)
+                logs += [_ladder_log(x, lo, hi) for lo, hi in segments]
+                if need_lg:
+                    logs.append(log_gamma(x))
+            iw = 1j * w / hbar
+            worst = 0.0
+            for c0, xl, terms in ratios:
+                s = c0 + xl * iw
+                for i, e in terms:
+                    s += e * logs[i]
+                # a ratio beyond the float range is a finite, huge residual
+                r = math.inf if s.real > 700.0 else abs(cmath.exp(s) - 1.0)
+                if not r <= worst:      # larger, or NaN: the point failed
                     worst = r
+                    if math.isnan(r):
+                        break
         except (CosetForgeError, ArithmeticError, ValueError):
-            worst = float("nan")
+            worst = nan
         worst_at.append(worst)
     failed = sum(1 for r in worst_at if math.isnan(r))
     worst = max((r for r in worst_at if not math.isnan(r)), default=0.0)
@@ -339,8 +442,7 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
         report.expected_factor = target.normalize().describe()
         report.derived_factor = factors[0].describe()
         sym = all((sf * target.inverse()).normalize().is_one() for sf in factors)
-        residuals, worst, failed = _grid_check(factors, target, grid, hbar,
-                                               cat._lg_memo)
+        residuals, worst, failed = _grid_check(factors, target, grid, hbar)
         report.symbolic_pass = sym
         report.residuals = residuals
         report.max_rel_err = worst
@@ -349,8 +451,7 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
         base = factors[0]
         report.derived_factor = base.describe()
         sym = all((sf * base.inverse()).normalize().is_one() for sf in factors[1:])
-        residuals, worst, failed = _grid_check(factors[1:], base, grid, hbar,
-                                               cat._lg_memo)
+        residuals, worst, failed = _grid_check(factors[1:], base, grid, hbar)
         report.symbolic_pass = sym
         report.residuals = residuals
         report.max_rel_err = worst

@@ -204,29 +204,20 @@ class StructureFunction:
                 float(self.exp_linear))
         return plan
 
-    def log_eval(self, w: complex, hbar: float, memo: dict | None = None) -> complex:
+    def log_eval(self, w: complex, hbar: float) -> complex:
         """log S(w) at hbar, with the float operations of a direct evaluation
-        in the same order.  A memo maps Gamma arguments to their log Gamma
-        values; any number of functions may share one, and the result is
-        bit-identical with or without it."""
+        in the same order."""
         _, s, gammas, linears, exp_linear = self._float_plan(hbar)
         for e, d, a in gammas:
-            x = 1j * w / d + a
-            if memo is None:
-                s += e * log_gamma(x)
-                continue
-            lg = memo.get(x)
-            if lg is None:
-                lg = memo[x] = log_gamma(x)
-            s += e * lg
+            s += e * log_gamma(1j * w / d + a)
         for e, r in linears:
             s += e * cmath.log(1j * w + r)
         if exp_linear:
             s += exp_linear * 1j * w / hbar
         return s
 
-    def eval(self, w: complex, hbar: float, memo: dict | None = None) -> complex:
-        return cmath.exp(self.log_eval(w, hbar, memo))
+    def eval(self, w: complex, hbar: float) -> complex:
+        return cmath.exp(self.log_eval(w, hbar))
 
     # -- pole bookkeeping ----------------------------------------------------
     def rational_poles(self, hbar: float) -> list[tuple[complex, int]]:

@@ -19,7 +19,7 @@ import math
 
 from .errors import NonFiniteValue, PoleAtNonPositiveInteger
 
-__all__ = ["log_gamma"]
+__all__ = ["log_gamma", "check_gamma_argument"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12
@@ -46,18 +46,19 @@ _STIRLING = [
 _SHIFT_RE = 10.0
 
 
-def _check_finite(z: complex) -> complex:
+def check_gamma_argument(z: complex) -> complex:
+    """z as a complex number at which log Gamma can be evaluated.
+
+    Raises NonFiniteValue for a non-finite z and PoleAtNonPositiveInteger
+    within 1e-12 of a pole."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteValue(f"non-finite complex value {z}")
-    return z
-
-
-def _check_pole(z: complex) -> None:
     if z.real < 0.5 and abs(z.imag) <= _POLE_TOL:
         r = round(z.real)
         if r <= 0 and abs(z.real - r) <= _POLE_TOL:
             raise PoleAtNonPositiveInteger(z)
+    return z
 
 
 def _stirling(z: complex) -> complex:
@@ -86,8 +87,7 @@ def log_gamma(z: complex) -> complex:
     Real negative non-integer arguments are treated as limits from the upper
     half-plane.  Raises PoleAtNonPositiveInteger within 1e-12 of a pole.
     """
-    z = _check_finite(z)
-    _check_pole(z)
+    z = check_gamma_argument(z)
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.0 or z.imag > 1.0:

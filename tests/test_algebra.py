@@ -2,12 +2,14 @@
 classical limits."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import bind_shipped, contraction_pairs
+from coset_forge import algebra, cli
 from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
                                  Relation, _classical_readout, _grid_check,
                                  classical_limit,
@@ -18,6 +20,7 @@ from coset_forge.errors import CosetForgeError, ExcludedLevel, NonConvergent
 from coset_forge.exact import GR, ExactConst
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                                equals as modes_equal)
+from coset_forge.specfun import log_gamma
 
 K2 = AlgebraParams(Fraction(2))
 HALF = Fraction(1, 2)
@@ -376,15 +379,16 @@ def test_immutable_records_reject_assignment():
     assert {term: 0, twin: 1} == {term: 1}
 
 
-def _grid_check_per_factor(factors, target, grid, hbar, memo):
-    """The factor-major loop that evaluates the target once per factor and
-    point: the reference _grid_check must agree with bit for bit."""
+def _grid_check_per_factor(factors, target, grid, hbar):
+    """The direct route, kept as the reference for _grid_check: every factor
+    and the target evaluated through StructureFunction.eval at every point,
+    the residual |S_f - S_target| / |S_target|."""
     worst_at = [0.0] * len(grid)
     for sf in factors:
         for j, w in enumerate(grid):
             try:
-                a = sf.eval(w, hbar, memo)
-                b = target.eval(w, hbar, memo)
+                a = sf.eval(w, hbar)
+                b = target.eval(w, hbar)
             except (CosetForgeError, ArithmeticError, ValueError):
                 worst_at[j] = float("nan")
                 continue
@@ -407,8 +411,135 @@ def test_grid_check_matches_the_per_factor_loop():
     grid = default_grid(cat.params) + [1j, 3j, 0.5j, 0.3j]
     failed = []
     for fs in (factors, factors + [fails], [fails] + factors, [fails], []):
-        got = _grid_check(fs, target, grid, 1.0, {})
-        want = _grid_check_per_factor(fs, target, grid, 1.0, {})
-        assert repr(got) == repr(want)
+        got = _grid_check(fs, target, grid, 1.0)
+        want = _grid_check_per_factor(fs, target, grid, 1.0)
+        # the ratio is summed in logs, so the two routes round differently
+        assert [math.isnan(r) for r in got[0]] == [math.isnan(r) for r in want[0]]
+        for g, r in zip(got[0] + [got[1]], want[0] + [want[1]]):
+            assert math.isnan(r) or abs(g - r) <= 1e-12 * r
+        assert got[2] == want[2]
         failed.append(got[2])
     assert failed == [3, 4, 4, 3, 0]
+
+
+def _with_target(rel, gammas=None, linears=None):
+    """rel with its target S_right / S_left replaced by one with the given
+    Gamma or linear factors, constant and exp-linear term kept."""
+    t = rel.right_factor * rel.left_factor.inverse()
+    target = StructureFunction(t.gammas if gammas is None else gammas,
+                               t.linears if linears is None else linears,
+                               t.const, t.exp_linear)
+    return Relation(rel.rel_id, rel.kind, rel.left_pair, rel.right_pair,
+                    right_factor=target, rotate=rel.rotate,
+                    tolerance=rel.tolerance)
+
+
+def test_grid_check_fails_every_point_of_a_wrong_target(monkeypatch):
+    _, cat, rels, _ = bind_shipped(3)
+    calls = []
+
+    def counting_log_gamma(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(algebra, "log_gamma", counting_log_gamma)
+    C, E = rels["C_p_C_p"], rels["E_E"]
+    t = C.right_factor * C.left_factor.inverse()
+    key, e = sorted(t.gammas.items())[0]
+    sa, sb, sq, n, d = key
+    # the shift raised by one stays in its recurrence class, which then
+    # still balances: the ratio is a ladder step, with no log Gamma
+    raised = {k: v for k, v in t.gammas.items() if k != key}
+    raised[(sa, sb, sq, n + d, d)] = e
+    # without the factor its class does not balance: log Gamma is needed
+    missing = {k: v for k, v in t.gammas.items() if k != key}
+    te = E.right_factor * E.left_factor.inverse()
+    (a, b, q), el = sorted(te.linears.items())[0]
+    shifted = {k: v for k, v in te.linears.items() if k != (a, b, q)}
+    shifted[(a + q, b, q)] = el        # rho raised by one
+    assert verify_relation(cat, C).passed and verify_relation(cat, E).passed
+    for rel, log_gammas in ((_with_target(C, gammas=raised), False),
+                            (_with_target(E, linears=shifted), False),
+                            (_with_target(C, gammas=missing), True)):
+        calls.clear()
+        rep = verify_relation(cat, rel)
+        assert rep.symbolic_pass is False and not rep.passed
+        assert len(rep.residuals) == 25
+        assert all(r > 1e-3 for r in rep.residuals)
+        assert bool(calls) is log_gammas
+
+
+def test_grid_check_fails_a_point_on_a_pole_of_any_member():
+    # Gamma(x + 3) = Gamma(x) x (x + 1) (x + 2) with x = iw/h: the factor's
+    # Gamma(x + 3) is not the lowest member of its class, and at w = 4i it
+    # sits on the pole -1 (the lowest, Gamma(x), on -4)
+    f = StructureFunction.from_gamma(1, 3)
+    t = StructureFunction.from_gamma(1, 0)
+    for rho in (0, 1, 2):
+        t = t * StructureFunction.from_linear(rho)
+    grid = [0.7 - 0.4j, 4j, 1.3 - 2.2j]
+    residuals, worst, failed = _grid_check([f], t, grid, 1.0)
+    assert [math.isnan(r) for r in residuals] == [False, True, False]
+    assert failed == 1 and worst < 1e-13
+    # a factor with no Gamma key on a pole fails the point all the same
+    residuals, _, failed = _grid_check([t], f, grid, 1.0)
+    assert math.isnan(residuals[1]) and failed == 1
+
+
+def test_grid_check_fails_a_point_on_a_cancelling_key():
+    # both functions carry Gamma(iw/(2h) - 1) (x 1) and (iw + h), which
+    # cancel from the ratio; the point w = -2i puts the Gamma argument on
+    # 0, w = i the linear one
+    common = (StructureFunction.from_gamma(2, -1)
+              * StructureFunction.from_linear(1))
+    f = common * StructureFunction.from_gamma(1, Fraction(3, 2))
+    t = (common * StructureFunction.from_gamma(1, HALF)
+         * StructureFunction.from_linear(HALF))
+    grid = [0.5 - 0.3j, -2j, 1j, 2 - 1j]
+    residuals, worst, failed = _grid_check([f], t, grid, 1.0)
+    assert [math.isnan(r) for r in residuals] == [False, True, True, False]
+    assert failed == 2 and worst < 1e-13
+
+
+@pytest.mark.parametrize("x", [0.3 - 40j, -130.7 - 3j, -70.2 + 0.5j,
+                               45.5 + 2j, -300.25 - 0.01j])
+def test_long_ladder_segment_matches_its_logs(x):
+    # right of the imaginary axis, across it and left of it
+    lo, hi = 3, 3 + 2 * algebra._LADDER_MAX + 17
+    direct = sum((cmath.log(x + j) for j in range(lo, hi)), 0j)
+    assert abs(cmath.exp(algebra._ladder_log(x, lo, hi) - direct) - 1) < 1e-11
+    short = algebra._ladder_log(x, lo, lo + algebra._LADDER_MAX)
+    assert short == sum((cmath.log(x + j)
+                         for j in range(lo, lo + algebra._LADDER_MAX)), 0j)
+
+
+def test_grid_check_at_a_large_denominator(monkeypatch):
+    # at k = 1/100 the shifts 1 +- 100 of C_p_C_p's target share a class
+    # with 200 steps between them: the ladder is summed from log Gamma values
+    _, cat, rels, _ = bind_shipped(Fraction(1, 100))
+    calls = []
+
+    def counting_log_gamma(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(algebra, "log_gamma", counting_log_gamma)
+    rep = verify_relation(cat, rels["C_p_C_p"])
+    assert rep.passed and calls and rep.max_rel_err < 1e-10
+
+
+@pytest.mark.parametrize("k", ["3", "5/12"])
+def test_single_relation_row_matches_the_full_run(k, tmp_path, capsys):
+    full = tmp_path / "all.json"
+    assert cli.run(["verify", "--k", k, "--json", str(full)]) == 0
+    rows = {r["id"]: r for r in json.loads(full.read_text())["relations"]}
+    ids = [i for i, r in rows.items() if r["kind"] in ("exchange", "shape")]
+    assert len(ids) == 25
+    for rel_id in ids:
+        one = tmp_path / "one.json"
+        assert cli.run(["verify", "--k", k, "--relation", rel_id,
+                        "--json", str(one)]) == 0
+        [row] = json.loads(one.read_text())["relations"]
+        # floats round-trip exactly, so equal text means equal bytes
+        assert json.dumps(row) == json.dumps(rows[rel_id])
+    capsys.readouterr()

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (bind_shipped, contraction_pairs, gamma_factors, linear_factors,
                       sparse, sparse_mul)
-from coset_forge.algebra import Catalog, verify_relation
+from coset_forge.algebra import verify_relation
 from coset_forge.contraction import (StructureFunction, _family_order, closed_form,
                                      contract, exchange_factor, gamma_key,
                                      linear_key, quad_eval)
@@ -414,7 +414,7 @@ def test_normalize_matches_the_fraction_reference(parts):
 
 
 # ---------------------------------------------------------------------------
-# float plans and the log Gamma memo
+# float plans
 
 def _reference_log_eval(sf, w, hbar):
     """The direct evaluation from the exact data, kept here as the oracle for
@@ -462,47 +462,47 @@ _points = st.builds(complex, st.floats(-6, 6), st.floats(-6, 6))
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_functions, min_size=1, max_size=3),
        st.lists(_points, min_size=1, max_size=4), st.sampled_from([1.0, 0.5]))
-def test_float_plan_and_memo_bit_identical_to_direct_evaluation(sfs, points, hbar):
-    memo = {}
+def test_float_plan_bit_identical_to_direct_evaluation(sfs, points, hbar):
     sfs = sfs + [sfs[0] * sfs[-1]]  # shares Gamma arguments with the others
     for w in points + [-w for w in points] + [w.conjugate() for w in points]:
         for sf in sfs:
             ref = _outcome(lambda: _reference_log_eval(sf, w, hbar))
-            assert _same(_outcome(lambda: sf.log_eval(w, hbar)), ref)
-            for _ in range(2):  # a miss that fills the memo, then a hit
-                assert _same(_outcome(lambda: sf.log_eval(w, hbar, memo)), ref)
+            for _ in range(2):  # the plan is built, then reused
+                assert _same(_outcome(lambda: sf.log_eval(w, hbar)), ref)
             if isinstance(ref, complex):
-                assert _same(_outcome(lambda: sf.eval(w, hbar, memo)),
+                assert _same(_outcome(lambda: sf.eval(w, hbar)),
                              _outcome(lambda: cmath.exp(ref)))
     # the plan follows a change of hbar
     sf = sfs[0]
     other = 1.5 - hbar
     w = points[0]
-    assert _same(_outcome(lambda: sf.log_eval(w, other, memo)),
+    assert _same(_outcome(lambda: sf.log_eval(w, other)),
                  _outcome(lambda: _reference_log_eval(sf, w, other)))
 
 
-def test_gamma_pole_raises_and_is_not_memoised():
+def test_gamma_pole_raises():
     sf = StructureFunction.from_gamma(2, -1, 1)     # Gamma(iw/(2h) - 1)
-    memo = {}
     for _ in range(2):
         with pytest.raises(PoleAtNonPositiveInteger):
-            sf.eval(0.0, 1.0, memo)
-    assert memo == {}
+            sf.eval(0.0, 1.0)
     w = 0.3 - 1.1j
-    assert sf.eval(w, 1.0, memo) == sf.eval(w, 1.0)
-    assert list(memo) == [1j * w / (2 + 0j) - 1.0]
+    assert sf.eval(w, 1.0) == cmath.exp(log_gamma(1j * w / (2 + 0j) - 1.0))
 
 
-def test_fresh_catalog_starts_with_empty_memo():
+def test_used_and_fresh_catalog_verify_alike():
+    # a catalog keeps exact closed forms between relations and no float
+    # state: a relation checked after all the others reports the same
+    # residuals, bit for bit, as on a freshly bound catalog
     text = (importlib.resources.files("coset_forge") / "data" / "paper.alg").read_text()
     _, cat, rels, _, _ = parse_definitions(text).bind(Fraction(2), [Fraction(1)])
-    assert cat._lg_memo == {}
-    rep = verify_relation(cat, next(r for r in rels if r.rel_id == "C_p_C_p"))
-    assert rep.passed and cat._lg_memo
-    _, again, _, _, _ = parse_definitions(text).bind(Fraction(2), [Fraction(1)])
-    assert again._lg_memo == {}
-    assert Catalog(P1)._lg_memo == {}
+    for rel in rels:
+        verify_relation(cat, rel)
+    rel = next(r for r in rels if r.rel_id == "C_p_C_p")
+    used = verify_relation(cat, rel)
+    _, fresh, _, _, _ = parse_definitions(text).bind(Fraction(2), [Fraction(1)])
+    again = verify_relation(fresh, rel)
+    assert used.passed and again.passed
+    assert repr(used.residuals) == repr(again.residuals)
 
 
 def test_grid_point_on_gamma_pole_fails_the_relation():
