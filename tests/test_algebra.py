@@ -434,8 +434,9 @@ def _with_target(rel, gammas=None, linears=None):
                     tolerance=rel.tolerance)
 
 
-def test_grid_check_fails_every_point_of_a_wrong_target(monkeypatch):
-    _, cat, rels, _ = bind_shipped(3)
+@pytest.fixture
+def log_gamma_calls(monkeypatch):
+    """The arguments of every log_gamma call the grid check makes."""
     calls = []
 
     def counting_log_gamma(z):
@@ -443,6 +444,11 @@ def test_grid_check_fails_every_point_of_a_wrong_target(monkeypatch):
         return log_gamma(z)
 
     monkeypatch.setattr(algebra, "log_gamma", counting_log_gamma)
+    return calls
+
+
+def test_grid_check_fails_every_point_of_a_wrong_target(log_gamma_calls):
+    _, cat, rels, _ = bind_shipped(3)
     C, E = rels["C_p_C_p"], rels["E_E"]
     t = C.right_factor * C.left_factor.inverse()
     key, e = sorted(t.gammas.items())[0]
@@ -461,12 +467,12 @@ def test_grid_check_fails_every_point_of_a_wrong_target(monkeypatch):
     for rel, log_gammas in ((_with_target(C, gammas=raised), False),
                             (_with_target(E, linears=shifted), False),
                             (_with_target(C, gammas=missing), True)):
-        calls.clear()
+        log_gamma_calls.clear()
         rep = verify_relation(cat, rel)
         assert rep.symbolic_pass is False and not rep.passed
         assert len(rep.residuals) == 25
         assert all(r > 1e-3 for r in rep.residuals)
-        assert bool(calls) is log_gammas
+        assert bool(log_gamma_calls) is log_gammas
 
 
 def test_grid_check_fails_a_point_on_a_pole_of_any_member():
@@ -487,7 +493,7 @@ def test_grid_check_fails_a_point_on_a_pole_of_any_member():
 
 
 def test_grid_check_fails_a_point_on_a_cancelling_key():
-    # both functions carry Gamma(iw/(2h) - 1) (x 1) and (iw + h), which
+    # both functions carry Gamma(iw/(2h) - 1) and (iw + h), which
     # cancel from the ratio; the point w = -2i puts the Gamma argument on
     # 0, w = i the linear one
     common = (StructureFunction.from_gamma(2, -1)
@@ -513,19 +519,12 @@ def test_long_ladder_segment_matches_its_logs(x):
                          for j in range(lo, lo + algebra._LADDER_MAX)), 0j)
 
 
-def test_grid_check_at_a_large_denominator(monkeypatch):
+def test_grid_check_at_a_large_denominator(log_gamma_calls):
     # at k = 1/100 the shifts 1 +- 100 of C_p_C_p's target share a class
     # with 200 steps between them: the ladder is summed from log Gamma values
     _, cat, rels, _ = bind_shipped(Fraction(1, 100))
-    calls = []
-
-    def counting_log_gamma(z):
-        calls.append(z)
-        return log_gamma(z)
-
-    monkeypatch.setattr(algebra, "log_gamma", counting_log_gamma)
     rep = verify_relation(cat, rels["C_p_C_p"])
-    assert rep.passed and calls and rep.max_rel_err < 1e-10
+    assert rep.passed and log_gamma_calls and rep.max_rel_err < 1e-10
 
 
 @pytest.mark.parametrize("k", ["3", "5/12"])

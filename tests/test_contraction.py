@@ -463,7 +463,7 @@ _points = st.builds(complex, st.floats(-6, 6), st.floats(-6, 6))
 @given(st.lists(_functions, min_size=1, max_size=3),
        st.lists(_points, min_size=1, max_size=4), st.sampled_from([1.0, 0.5]))
 def test_float_plan_bit_identical_to_direct_evaluation(sfs, points, hbar):
-    sfs = sfs + [sfs[0] * sfs[-1]]  # shares Gamma arguments with the others
+    sfs = sfs + [sfs[0] * sfs[-1]]  # and a product of two of them
     for w in points + [-w for w in points] + [w.conjugate() for w in points]:
         for sf in sfs:
             ref = _outcome(lambda: _reference_log_eval(sf, w, hbar))
