@@ -1,6 +1,6 @@
 """Current catalog and relation verification.
 
-Holds the named currents of a bound definition file (the `.alg` format, see
+Holds the currents of a bound definition file (the `.alg` format, see
 dsl), derives every pairwise exchange structure function from the Heisenberg
 kernels, and checks the declared relation set: Gamma-product exchange
 relations of the intermediate fields, the rational relations of the current
@@ -430,7 +430,7 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
     if grid is None:
         avoid = []
         for sf in factors[:1]:
-            avoid += [p for p, _ in sf.normalize().rational_poles(hbar)]
+            avoid += [p for p, _ in sf.rational_poles(hbar)]
         grid = default_grid(cat.params, avoid=avoid)
 
     report = VerificationReport(rel.rel_id, rel.kind, False, None, 0.0, grid=grid)
@@ -439,9 +439,9 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
 
     if rel.kind == "exchange":
         target = rel.right_factor * rel.left_factor.inverse()
-        report.expected_factor = target.normalize().describe()
+        report.expected_factor = target.describe()
         report.derived_factor = factors[0].describe()
-        sym = all((sf * target.inverse()).normalize().is_one() for sf in factors)
+        sym = all(sf.symbolic_eq(target) for sf in factors)
         residuals, worst, failed = _grid_check(factors, target, grid, hbar)
         report.symbolic_pass = sym
         report.residuals = residuals
@@ -450,14 +450,14 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
     elif rel.kind == "shape":
         base = factors[0]
         report.derived_factor = base.describe()
-        sym = all((sf * base.inverse()).normalize().is_one() for sf in factors[1:])
+        sym = all(sf.symbolic_eq(base) for sf in factors[1:])
         residuals, worst, failed = _grid_check(factors[1:], base, grid, hbar)
         report.symbolic_pass = sym
         report.residuals = residuals
         report.max_rel_err = worst
         report.passed = sym and worst <= tol and not failed
-        if rel.right_factor is not None and not rel.right_factor.is_one():
-            ok = (base * rel.right_factor.inverse()).normalize().is_one()
+        if not rel.right_factor.is_one():
+            ok = base.symbolic_eq(rel.right_factor)
             report.expected_factor = rel.right_factor.describe()
             report.passed = report.passed and ok
             if not ok:
@@ -583,7 +583,7 @@ def ef_commutator_analysis(cat: Catalog, tolerance: float = 1e-8,
         for ib, tb in enumerate(F.terms):
             fwd = cat.forward_structure(ta, tb)
             rev = cat.reversed_structure(ta, tb)
-            if not (fwd * rev.inverse()).normalize().is_one():
+            if not fwd.symbolic_eq(rev):
                 raise DivergenceMismatch(
                     f"term pair ({ia},{ib}): orderings are not a common "
                     f"meromorphic function")

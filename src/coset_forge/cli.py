@@ -411,7 +411,7 @@ def cmd_verify(args) -> int:
     if args.relation:
         rels = [r for r in rels if r.rel_id == args.relation]
         if not rels:
-            raise CosetForgeError(f"no relation named {args.relation!r}")
+            raise CosetForgeError(f"unknown relation {args.relation!r}")
         comms = []
     reports = _run_relations(cat, rels, args)
     if not args.relation:

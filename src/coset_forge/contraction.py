@@ -65,7 +65,7 @@ class StructureFunction:
     """Product of integer powers of linear factors (iw + rho*hbar), Gamma
     factors, an optional exponential-linear term, and an exact constant."""
 
-    __slots__ = ("gammas", "linears", "const", "exp_linear", "_plan")
+    __slots__ = ("gammas", "linears", "const", "exp_linear")
 
     def __init__(self, gammas=None, linears=None, const=None, exp_linear=Fraction(0)):
         # gammas: {(a, b, q, n, d): int exponent} for Gamma(iw/(s*hbar) + n/d)
@@ -77,8 +77,6 @@ class StructureFunction:
         self.linears: dict[tuple[int, int, int], int] = dict(linears or {})
         self.const: ExactConst = const if const is not None else ExactConst.one()
         self.exp_linear = as_fraction(exp_linear)
-        # float lowering for the last hbar evaluated at (see _float_plan)
-        self._plan = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -187,33 +185,17 @@ class StructureFunction:
         return (self * other.inverse()).is_one()
 
     # -- evaluation ----------------------------------------------------------
-    def _float_plan(self, hbar: float) -> tuple:
-        """The exact data lowered to floats at one hbar, kept until the next
-        hbar: (hbar, log const, ((e, scale*hbar, shift), ...),
-        ((e, rho*hbar), ...), exp_linear).  Factors are only changed while a
-        function is being built (normalize), never after it is evaluated, so
-        the plan does not go stale."""
-        plan = self._plan
-        if plan is None or plan[0] != hbar:
-            plan = self._plan = (
-                hbar, cmath.log(self.const.eval(hbar)),
-                tuple((e, complex(sa / sq, sb / sq) * hbar, n / d)
-                      for (sa, sb, sq, n, d), e in self.gammas.items()),
-                tuple((e, complex(a / q, b / q) * hbar)
-                      for (a, b, q), e in self.linears.items()),
-                float(self.exp_linear))
-        return plan
-
     def log_eval(self, w: complex, hbar: float) -> complex:
-        """log S(w) at hbar, with the float operations of a direct evaluation
-        in the same order."""
-        _, s, gammas, linears, exp_linear = self._float_plan(hbar)
-        for e, d, a in gammas:
-            s += e * log_gamma(1j * w / d + a)
-        for e, r in linears:
-            s += e * cmath.log(1j * w + r)
-        if exp_linear:
-            s += exp_linear * 1j * w / hbar
+        """log S(w) at hbar.  The Gamma factors and then the linear factors
+        are summed in sorted key order, so the value depends only on the
+        factor multisets."""
+        s = cmath.log(self.const.eval(hbar))
+        for (sa, sb, sq, n, d), e in sorted(self.gammas.items()):
+            s += e * log_gamma(1j * w / (complex(sa / sq, sb / sq) * hbar) + n / d)
+        for (a, b, q), e in sorted(self.linears.items()):
+            s += e * cmath.log(1j * w + complex(a / q, b / q) * hbar)
+        if self.exp_linear:
+            s += float(self.exp_linear) * 1j * w / hbar
         return s
 
     def eval(self, w: complex, hbar: float) -> complex:
@@ -523,32 +505,19 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     qpoly = R.cofactor(2 * M)
     if qpoly is None:
         raise NonTelescoping("denominator does not divide the cyclotomic target")
-    # R = N q zeta^{-2M} / (1 - zeta^{-2M}), q a Gaussian-integer polynomial.
-    # The Gamma factors are inserted in the order the sparse product N * q
-    # first meets each exponent (a sum that cancels leaves and comes back
-    # at the end): the evaluation sums them in that order.
-    pnum: dict[int, tuple[int, int]] = {}
-    qterms = qpoly.terms()
-    for e1, a1, b1 in num.terms():
-        for e2, a2, b2 in qterms:
-            e = e1 + e2
-            a, b = pnum.get(e, (0, 0))
-            a, b = a + a1 * a2 - b1 * b2, b + a1 * b2 + b1 * a2
-            if a or b:
-                pnum[e] = (a, b)
-            else:
-                del pnum[e]
+    # R = N q zeta^{-2M} / (1 - zeta^{-2M}), q a Gaussian-integer polynomial
+    pnum = num * qpoly
     scale = GR(Fraction(M, L))
     sa, sq = scale.a, scale.q
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     dsum = 0
     s1n = 0          # S1 = s1n / (2M)
-    for m, (a, b) in pnum.items():
-        d = _as_int(a, b, num.q, "Gamma family coefficient")
+    for m, a, b in pnum.terms():
+        d = _as_int(a, b, pnum.q, "Gamma family coefficient")
         # term d zeta^{m-2M} = d e^{(m-2M) eta t}: x = iw/D - (m-2M)/(2M)
         n = 2 * M - m
         g = math.gcd(n, 2 * M)
-        merge(gammas, (sa, 0, sq, n // g, 2 * M // g), d)
+        gammas[sa, 0, sq, n // g, 2 * M // g] = d
         dsum += d
         s1n -= d * (m - 2 * M)
     if dsum:
@@ -572,14 +541,16 @@ def _as_int(a: int, b: int, q: int, what: str) -> int:
 
 def _family_order(R: LaurentRational, L: int) -> int | None:
     """Smallest M with den | (zeta^{2M} - 1), read off the cyclotomic factors
-    of the denominator: a repeated factor raises NonTelescoping at once;
-    otherwise M is the least M with lcm(d) | 2M over the factor orders d.
-    None if M exceeds the cap 8*L*deg(den)."""
-    for key, m in R.factors.items():
-        if m > 1:
-            raise NonTelescoping(
-                f"denominator has repeated roots (cyclotomic factor of order "
-                f"{abs(key)}, multiplicity {m}); families do not reduce to Gamma factors")
+    of the denominator: a repeated factor raises NonTelescoping at once,
+    naming the repeated factor of least order; otherwise M is the least M
+    with lcm(d) | 2M over the factor orders d.  None if M exceeds the cap
+    8*L*deg(den)."""
+    repeated = [(abs(key), m) for key, m in R.factors.items() if m > 1]
+    if repeated:
+        d, m = min(repeated)
+        raise NonTelescoping(
+            f"denominator has repeated roots (cyclotomic factor of order "
+            f"{d}, multiplicity {m}); families do not reduce to Gamma factors")
     order = _lcm(*(abs(key) for key in R.factors))
     M = order if order % 2 else order // 2
     return M if M <= 8 * L * max(1, R.den.max_exp()) else None

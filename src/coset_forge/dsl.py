@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .algebra import Catalog, Current, NormalOrderedTerm, Relation
 from .contraction import StructureFunction, gamma_key, linear_key
 from .errors import DuplicateName, ParseError, UndeclaredName
-from .exact import GR, GR_I, GR_ONE, ExactConst, KRat
+from .exact import GR, GR_I, GR_ONE, ExactConst, KRat, merge
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, shift_argument
 
 __all__ = ["parse_definitions", "DefinitionFile"]
@@ -565,10 +565,8 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
 
 
 def _bind_side(factors: list[FactorDecl], k: Fraction) -> StructureFunction:
-    """The product of one side's factors, gathered as a chain of
-    StructureFunction products would gather it: each Gamma or linear factor
-    adds its exponent under its key, in first-seen order, and a key whose
-    exponent cancels is dropped; the scalars, and (-i)^n from each
+    """The product of one side's factors: each Gamma or linear factor is
+    merged into its multiset; the scalars, and (-i)^n from each
     (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant."""
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     linears: dict[tuple[int, int, int], int] = {}
@@ -589,9 +587,7 @@ def _bind_side(factors: list[FactorDecl], k: Fraction) -> StructureFunction:
                 for _ in range(abs(e)):
                     mult = mult * (_MINUS_I if e > 0 else GR_I)
             key = linear_key(rho)
-        exps[key] = exps.get(key, 0) + e
-        if not exps[key]:
-            del exps[key]
+        merge(exps, key, e)
     return StructureFunction(gammas, linears,
                              ExactConst(mult))
 

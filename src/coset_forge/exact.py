@@ -211,7 +211,7 @@ GR_I = _raw(0, 1, 1)
 # zeta^{-n} (zeta^{2n} - 1) / 2, so up to a unit and a power of zeta it is a
 # product of cyclotomic polynomials Phi_d.  Over Q(i), Phi_d is irreducible
 # when 4 does not divide d; when 4 | d it splits into the conjugate halves
-# g_d = gcd(Phi_d, zeta^{d/4} - i) and conj(g_d).  A factor is named by an
+# g_d = gcd(Phi_d, zeta^{d/4} - i) and conj(g_d).  Each factor has an
 # integer key: d for Phi_d (4 not dividing d), +d for g_d and -d for
 # conj(g_d) (4 | d).  All factors are monic with Gaussian-integer
 # coefficients, so cancellation is exact integer division.  A single term
@@ -441,7 +441,7 @@ def _cyclotomic(d: int) -> list[int]:
 
 @functools.lru_cache(maxsize=1024)
 def _factor(key: int) -> LaurentPoly:
-    """The monic irreducible factor named by key (see above)."""
+    """The monic irreducible factor with this key (see above)."""
     if key % 4:
         return LaurentPoly(0, _cyclotomic(key), None, 1)
     if key < 0:
@@ -502,19 +502,13 @@ def _over_binomial(p: list[int], j: int) -> list[int]:
 def binomial_quotient(coeff: GR, lo: int,
                       powers: list[tuple[int, int]]) -> "LaurentRational":
     """coeff * zeta^lo * prod (zeta^m - 1)^p over the pairs (m, p) of powers,
-    m > 0, built reduced.  The denominator holds the factors of the negative
-    powers in the order they first name them, as a LaurentRational reduced
-    from the unreduced product would hold them."""
+    m > 0, built reduced."""
     count: dict[int, int] = {}
-    named: dict[int, None] = {}         # orders named by a negative power
     for m, p in powers:
         for d in _divisors(m):
             count[d] = count.get(d, 0) + p
-            if p < 0:
-                named[d] = None
     factors: dict[int, int] = {}
-    for d in named:
-        c = count[d]
+    for d, c in count.items():
         if c < 0:
             factors[d] = -c
             if d % 4 == 0:
@@ -740,8 +734,7 @@ def _poly_at(p: dict[int, Fraction], k: Fraction) -> tuple[int, int]:
 
 def merge(factors: dict, key, e: int) -> None:
     """Multiply a multiset {factor: exponent} by key^e in place.  A factor
-    whose exponent reaches 0 is dropped, and re-enters at the end of the
-    insertion order if it comes back."""
+    whose exponent reaches 0 is dropped."""
     v = factors.get(key, 0) + e
     if v:
         factors[key] = v
@@ -762,9 +755,9 @@ class ExactConst:
     numerators (`ph`, `pe`, `hb`) over one shared denominator `den`, the
     least one, so equal exponents have equal fields.  Constants are never
     changed in place; every operation returns a new one (or self).  `pe`
-    holds no zero exponent and keeps its primes in insertion order, as eval
-    sums their logarithms in that order.  `phase`, `primes` and `hbar_pow`
-    read the exponents back as Fractions.
+    holds no zero exponent; eval sums the prime logarithms in ascending
+    order of the primes.  `phase`, `primes` and `hbar_pow` read the
+    exponents back as Fractions.
     """
 
     __slots__ = ("mult", "den", "ph", "pe", "hb")
@@ -885,7 +878,7 @@ class ExactConst:
         ph = self.ph / den * math.pi / 2.0
         v *= complex(math.cos(ph), math.sin(ph))
         lg = 0.0
-        for p, e in self.pe.items():
+        for p, e in sorted(self.pe.items()):
             lg += e / den * math.log(p)
         lg += self.hb / den * math.log(hbar)
         return v * math.exp(lg)

@@ -327,7 +327,7 @@ def shift_argument(f: ModeFunction, delta) -> ModeFunction:
     return ModeFunction(sh(f.positive_branch), sh(f.negative_branch), f.variable)
 
 
-def equals(f: ModeFunction, g: ModeFunction, params: AlgebraParams | None = None) -> bool:
+def equals(f: ModeFunction, g: ModeFunction) -> bool:
     """Exact equality of mode functions via canonical forms on a joint lattice."""
     if f.variable != g.variable:
         raise MixedSpectralArguments(

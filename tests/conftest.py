@@ -110,9 +110,8 @@ def sparse_add(a, b):
 
 
 def sparse_mul(a, b):
-    """Product of {exponent: GR} polynomials, term by term in the order of
-    a and then b.  Each exponent sits where the product first meets it; a
-    sum that cancels drops out and comes back at the end."""
+    """Product of {exponent: GR} polynomials; a coefficient that cancels
+    drops out."""
     out = {}
     for e1, v1 in a.items():
         for e2, v2 in b.items():

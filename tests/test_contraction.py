@@ -8,17 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (bind_shipped, contraction_pairs, gamma_factors, linear_factors,
-                      sparse, sparse_mul)
+from conftest import gamma_factors, linear_factors
 from coset_forge.algebra import verify_relation
 from coset_forge.contraction import (StructureFunction, _family_order, closed_form,
                                      contract, exchange_factor, gamma_key,
                                      linear_key, quad_eval)
 from coset_forge.dsl import parse_definitions
-from coset_forge.errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
-                                NonTelescoping, OutsideConvergenceStrip,
-                                PoleAtNonPositiveInteger)
-from coset_forge.exact import GR, ExactConst, merge
+from coset_forge.errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
+                                OutsideConvergenceStrip, PoleAtNonPositiveInteger)
+from coset_forge.exact import GR, ExactConst, LaurentPoly, LaurentRational, merge
 from coset_forge.modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
 from coset_forge.specfun import log_gamma
 
@@ -285,31 +283,14 @@ def test_non_telescoping_repeated_factor_found_without_search():
     assert exc.traceback[-1].name == "_family_order"
 
 
-@pytest.mark.parametrize("k", ["1/7", "2/9", "1/10", "11/16"])
-def test_gamma_factors_in_sparse_product_order(k):
-    """closed_form inserts its Gamma factors in the order the sparse product
-    N * (zeta^{2M} - 1)/den first meets each exponent, a sum that cancels
-    going back in at the end.  Structure functions are evaluated by summing
-    their factors in that order, so another order moves the last digits of
-    report residuals at these levels."""
-    params, cat, _, _ = bind_shipped(k)
-    checked = 0
-    for label, _, f, g, K in contraction_pairs(cat):
-        I = contract(f, g, K, params)
-        R = I.rational
-        if not R.factors:
-            continue
-        try:
-            sf = closed_form(I, params)
-        except CosetForgeError:
-            continue
-        M = _family_order(R, I.lattice)
-        product = sparse_mul(sparse(R.num), sparse(R.cofactor(2 * M)))
-        scale = GR(Fraction(M, I.lattice))
-        want = [gamma_key(scale, Fraction(2 * M - m, 2 * M)) for m in product]
-        assert list(sf.gammas) == want, label
-        checked += 1
-    assert checked
+def test_repeated_factor_named_whatever_the_insertion_order():
+    # the repeated factor of least order is named, not the first inserted
+    one = LaurentPoly(0, [1], None, 1)
+    for factors in ({8: 2, -8: 2, 6: 3}, {6: 3, -8: 2, 8: 2}):
+        R = LaurentRational(one, factors)
+        assert list(R.factors) == list(factors)
+        with pytest.raises(NonTelescoping, match="order 6, multiplicity 3"):
+            _family_order(R, 4)
 
 
 def test_unbalanced_hbar_power_rejected():
@@ -414,19 +395,28 @@ def test_normalize_matches_the_fraction_reference(parts):
 
 
 # ---------------------------------------------------------------------------
-# float plans
+# evaluation order
 
 def _reference_log_eval(sf, w, hbar):
-    """The direct evaluation from the exact data, kept here as the oracle for
-    the float plan: same operations in the same order."""
+    """The evaluation from the exact data, kept here as the oracle: the
+    Gamma factors and then the linear factors, in sorted key order."""
     s = cmath.log(sf.const.eval(hbar))
-    for (sc, a), e in gamma_factors(sf).items():
-        s += e * log_gamma(1j * w / (complex(sc) * hbar) + float(a))
-    for rho, e in linear_factors(sf).items():
-        s += e * cmath.log(1j * w + complex(rho) * hbar)
+    for (sa, sb, sq, n, d), e in sorted(sf.gammas.items()):
+        scale = GR(Fraction(sa, sq), Fraction(sb, sq))
+        s += e * log_gamma(1j * w / (complex(scale) * hbar) + float(Fraction(n, d)))
+    for (a, b, q), e in sorted(sf.linears.items()):
+        s += e * cmath.log(1j * w + complex(GR(Fraction(a, q), Fraction(b, q))) * hbar)
     if sf.exp_linear:
         s += float(sf.exp_linear) * 1j * w / hbar
     return s
+
+
+def _reversed_copy(sf):
+    """sf with its Gamma, linear and prime dicts filled in reversed order."""
+    c = sf.const
+    const = ExactConst(c.mult, c.den, c.ph, dict(reversed(c.pe.items())), c.hb)
+    return StructureFunction(dict(reversed(sf.gammas.items())),
+                             dict(reversed(sf.linears.items())), const, sf.exp_linear)
 
 
 def _outcome(fn):
@@ -444,11 +434,14 @@ def _same(a, b):
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 _scales = st.builds(GR, _small, _small).filter(bool)
+# 10/21 brings its primes in the order 2, 5, 3, 7
 _units = st.sampled_from([GR.of(2), GR.of(Fraction(1, 3)), GR(Fraction(0), Fraction(2)),
-                          GR(Fraction(0), Fraction(-1, 2)), GR.of(-5)])
+                          GR(Fraction(0), Fraction(-1, 2)), GR.of(-5),
+                          GR.of(Fraction(10, 21))])
 _consts = st.builds(
-    lambda g, base, e: ExactConst.one().times_gr(g).times_base(base, 1, e),
-    _scales, _units, _small)
+    lambda g, base, e, more, x: (ExactConst.one().times_gr(g).times_base(base, 1, e)
+                                 .times_base(more, 0, x)),
+    _scales, _units, _small, _units, _small)
 _functions = st.builds(
     StructureFunction,
     st.dictionaries(st.builds(gamma_key, _scales, _small), st.integers(-3, 3),
@@ -461,23 +454,20 @@ _points = st.builds(complex, st.floats(-6, 6), st.floats(-6, 6))
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_functions, min_size=1, max_size=3),
-       st.lists(_points, min_size=1, max_size=4), st.sampled_from([1.0, 0.5]))
-def test_float_plan_bit_identical_to_direct_evaluation(sfs, points, hbar):
+       st.lists(_points, min_size=1, max_size=4), st.sampled_from([1.0, 0.5, 3 / 7]))
+def test_value_depends_only_on_the_factor_multisets(sfs, points, hbar):
     sfs = sfs + [sfs[0] * sfs[-1]]  # and a product of two of them
-    for w in points + [-w for w in points] + [w.conjugate() for w in points]:
-        for sf in sfs:
+    for sf in sfs:
+        rev = _reversed_copy(sf)
+        assert _same(_outcome(lambda: rev.const.eval(hbar)),
+                     _outcome(lambda: sf.const.eval(hbar)))
+        for w in points + [-w for w in points] + [w.conjugate() for w in points]:
             ref = _outcome(lambda: _reference_log_eval(sf, w, hbar))
-            for _ in range(2):  # the plan is built, then reused
-                assert _same(_outcome(lambda: sf.log_eval(w, hbar)), ref)
-            if isinstance(ref, complex):
-                assert _same(_outcome(lambda: sf.eval(w, hbar)),
-                             _outcome(lambda: cmath.exp(ref)))
-    # the plan follows a change of hbar
-    sf = sfs[0]
-    other = 1.5 - hbar
-    w = points[0]
-    assert _same(_outcome(lambda: sf.log_eval(w, other)),
-                 _outcome(lambda: _reference_log_eval(sf, w, other)))
+            for f in (sf, rev):
+                assert _same(_outcome(lambda: f.log_eval(w, hbar)), ref)
+                if isinstance(ref, complex):
+                    assert _same(_outcome(lambda: f.eval(w, hbar)),
+                                 _outcome(lambda: cmath.exp(ref)))
 
 
 def test_gamma_pole_raises():

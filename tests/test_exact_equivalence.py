@@ -3,10 +3,12 @@ originals.
 
 `FracGR` and `FracConst` below are the Gaussian rational (a pair of
 Fractions) and the exact constant (a dict of Fraction exponents) the package
-used before `GR` and `ExactConst` were rebuilt on integers, kept unchanged
-but for their names as the reference.  Every operation is run on both, and the results must be
-equal value for value, including the order of the primes (the float sum in
-`eval` follows it), the strings that reports print and the bits of `eval`.
+used before `GR` and `ExactConst` were rebuilt on integers, kept as the
+reference.  Only their names changed, and `FracConst.eval`, which now sums
+the prime logarithms in ascending order of the primes, as `ExactConst.eval`
+does.  Every operation is run on both, and the results must be equal value
+for value, including the strings that reports print and the bits of
+`eval`.
 """
 
 import math
@@ -208,7 +210,7 @@ class FracConst:
         ph = float(self.phase) * math.pi / 2.0
         v *= complex(math.cos(ph), math.sin(ph))
         lg = 0.0
-        for p, e in self.primes.items():
+        for p, e in sorted(self.primes.items()):
             lg += float(e) * math.log(p)
         lg += float(self.hbar_pow) * math.log(hbar)
         return v * math.exp(lg)
@@ -282,8 +284,7 @@ def same_gr(g: GR, f: FracGR) -> None:
 def same_const(c: ExactConst, f: FracConst) -> None:
     same_gr(c.mult, f.mult)
     assert c.phase == f.phase and c.hbar_pow == f.hbar_pow
-    # the order matters: eval sums the prime logarithms in it
-    assert list(c.primes.items()) == list(f.primes.items())
+    assert c.primes == f.primes
     assert repr(c) == repr(f)
     assert c.is_one() == f.is_one()
     got, want = outcome(c.as_gr), outcome(f.as_gr)

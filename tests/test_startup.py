@@ -80,6 +80,6 @@ def test_contract_imports_numpy_and_keeps_its_output():
     assert label == "  quadrature   exp(I)"
     assert abs(complex(value) - 0.9114583333333333) < 1e-14
     assert lines[3:] == [
-        "  closed form  value  = (0.9114583333333334+0j)",
+        "  closed form  value  = (0.9114583333333336+0j)",
         "  closed form  = (iw+-1h)^-2 * (iw+-2h)^1 * (iw+0h)^2 * (iw+1h)^-2 "
         "* (iw+2h)^1"]
