@@ -8,14 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gamma_factors, linear_factors
+from conftest import (bind_shipped, contraction_pairs, gamma_factors, linear_factors,
+                      sparse, sparse_mul)
 from coset_forge.algebra import verify_relation
 from coset_forge.contraction import (StructureFunction, _family_order, closed_form,
                                      contract, exchange_factor, gamma_key,
                                      linear_key, quad_eval)
 from coset_forge.dsl import parse_definitions
-from coset_forge.errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
-                                OutsideConvergenceStrip, PoleAtNonPositiveInteger)
+from coset_forge.errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
+                                NonTelescoping, OutsideConvergenceStrip,
+                                PoleAtNonPositiveInteger)
 from coset_forge.exact import GR, ExactConst, LaurentPoly, LaurentRational, merge
 from coset_forge.modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
 from coset_forge.specfun import log_gamma
@@ -291,6 +293,36 @@ def test_repeated_factor_named_whatever_the_insertion_order():
         assert list(R.factors) == list(factors)
         with pytest.raises(NonTelescoping, match="order 6, multiplicity 3"):
             _family_order(R, 4)
+
+
+@pytest.mark.parametrize("k", ["1/7", "2/9", "1/10", "11/16"])
+def test_gamma_factors_are_the_sparse_product_terms(k):
+    """closed_form's Gamma factors are the terms of N * (zeta^{2M} - 1)/den,
+    checked against a term-by-term product, and the value of each closed
+    form does not change when its dicts are filled in reversed order."""
+    params, cat, _, _ = bind_shipped(k)
+    checked = 0
+    for label, _, f, g, K in contraction_pairs(cat):
+        I = contract(f, g, K, params)
+        R = I.rational
+        if not R.factors:
+            continue
+        try:
+            sf = closed_form(I, params)
+        except CosetForgeError:
+            continue
+        M = _family_order(R, I.lattice)
+        product = sparse_mul(sparse(R.num), sparse(R.cofactor(2 * M)))
+        scale = GR(Fraction(M, I.lattice))
+        want = {gamma_key(scale, Fraction(2 * M - m, 2 * M)): d
+                for m, d in product.items()}
+        assert {key: GR.of(d) for key, d in sf.gammas.items()} == want, label
+        rev = _reversed_copy(sf)
+        for w in (0.3 + 0.2j, -1.7 + 0.5j):
+            assert _same(_outcome(lambda: rev.log_eval(w, 1.0)),
+                         _outcome(lambda: sf.log_eval(w, 1.0))), label
+        checked += 1
+    assert checked
 
 
 def test_unbalanced_hbar_power_rejected():
