@@ -185,14 +185,13 @@ def _apply_rotation(factors: dict[str, StructureFunction], mode: str,
 
 class Relation:
     __slots__ = ("rel_id", "kind", "left_pair", "right_pair", "left_factor",
-                 "right_factor", "rotate", "tolerance", "note")
+                 "right_factor", "rotate", "tolerance")
 
     def __init__(self, rel_id: str, kind: str, left_pair: tuple[str, str],
                  right_pair: tuple[str, str],
                  left_factor: StructureFunction | None = None,
                  right_factor: StructureFunction | None = None,
-                 rotate: str = "none", tolerance: float = 1e-8,
-                 note: str = ""):
+                 rotate: str = "none", tolerance: float = 1e-8):
         self.rel_id = rel_id
         self.kind = kind    # "exchange" | "shape" | "commutator-delta"
         self.left_pair = left_pair
@@ -204,18 +203,15 @@ class Relation:
                              else right_factor)
         self.rotate = rotate
         self.tolerance = tolerance
-        self.note = note
 
 
 class ClassicalBraid:
-    __slots__ = ("alpha", "beta", "k", "branch")
+    __slots__ = ("alpha", "beta", "k")
 
-    def __init__(self, alpha: int, beta: int, k: Fraction,
-                 branch: str = "upper"):
+    def __init__(self, alpha: int, beta: int, k: Fraction):
         self.alpha = alpha
         self.beta = beta
         self.k = k
-        self.branch = branch    # evaluation half-plane Im w > 0
 
     @property
     def exponent(self) -> Fraction:
@@ -259,8 +255,7 @@ class VerificationReport:
 
 
 def default_grid(params: AlgebraParams, n: int = 25,
-                 lo: float = 0.1, hi: float = 10.0,
-                 avoid: list[complex] | None = None) -> list[complex]:
+                 lo: float = 0.1, hi: float = 10.0) -> list[complex]:
     """Deterministic evaluation grid: log-spaced moduli scaled by
     hbar*max(1,k), phases cycling through the open lower half-plane (all
     derived factors have their poles and branch points on the axes)."""
@@ -270,11 +265,7 @@ def default_grid(params: AlgebraParams, n: int = 25,
     pts = []
     for j in range(n):
         r = lo * (hi / lo) ** (j / max(n - 1, 1)) * scale
-        w = r * cmath.exp(1j * phases[j % len(phases)])
-        if avoid:
-            while any(abs(w - p) < 1e-3 * scale for p in avoid):
-                w *= cmath.exp(0.07j)
-        pts.append(w)
+        pts.append(r * cmath.exp(1j * phases[j % len(phases)]))
     return pts
 
 
@@ -331,17 +322,16 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
     funcs = [target] + factors
     try:
         c_t = cmath.log(target.const.eval(hbar))
-        # per factor: log constant, exp-linear coefficient and the
-        # (index into the logs of a point, integer coefficient) pairs
-        ratios = [(cmath.log(sf.const.eval(hbar)) - c_t,
-                   float(sf.exp_linear - target.exp_linear), [])
+        # per factor: log constant and the (index into the logs of a
+        # point, integer coefficient) pairs
+        ratios = [(cmath.log(sf.const.eval(hbar)) - c_t, [])
                   for sf in factors]
     except (CosetForgeError, ArithmeticError, ValueError):
         return [nan] * len(grid), 0.0, len(grid)
     rhos = sorted(set().union(*(sf.linears for sf in funcs)))
     for i, key in enumerate(rhos):
         e_t = target.linears.get(key, 0)
-        for (_, _, terms), sf in zip(ratios, factors):
+        for (_, terms), sf in zip(ratios, factors):
             de = sf.linears.get(key, 0) - e_t
             if de:
                 terms.append((i, de))
@@ -370,12 +360,12 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
         for m in range(1, len(js)):
             if any(tail[m] for tail in tails):
                 segments.append((js[m - 1] - js[0], js[m] - js[0]))
-                for (_, _, terms), tail in zip(ratios, tails):
+                for (_, terms), tail in zip(ratios, tails):
                     if tail[m]:
                         terms.append((n_logs, tail[m]))
                 n_logs += 1
         need_lg = False
-        for (_, _, terms), tail in zip(ratios, tails):
+        for (_, terms), tail in zip(ratios, tails):
             if tail[0]:
                 terms.append((n_logs, tail[0]))
                 need_lg = True
@@ -391,10 +381,8 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
                 logs += [_ladder_log(x, lo, hi) for lo, hi in segments]
                 if need_lg:
                     logs.append(log_gamma(x))
-            iw = 1j * w / hbar
             worst = 0.0
-            for c0, xl, terms in ratios:
-                s = c0 + xl * iw
+            for s, terms in ratios:
                 for i, e in terms:
                     s += e * logs[i]
                 # a ratio beyond the float range is a finite, huge residual
@@ -411,15 +399,16 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
     return worst_at, worst, failed
 
 
-def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = None,
-                    tolerance: float | None = None) -> VerificationReport:
+def verify_relation(cat: Catalog, rel: Relation,
+                    grid: list[complex] | None = None) -> VerificationReport:
     """Check an exchange or shape relation on every term pair.
 
     Exchange: left_factor * S_ab == right_factor for all pairs, symbolically
     (Gamma-multiset identity after normalization) and pointwise on the grid.
     Shape: all S_ab agree with each other; the shared factor is reported.
+    The grid defaults to default_grid(cat.params).
     """
-    tol = tolerance if tolerance is not None else rel.tolerance
+    tol = rel.tolerance
     a = cat[rel.left_pair[0]]
     b = cat[rel.left_pair[1]]
     try:
@@ -428,14 +417,9 @@ def verify_relation(cat: Catalog, rel: Relation, grid: list[complex] | None = No
         return _verify_numeric_only(cat, rel, tol)
     hbar = cat.params.hbar_float
     if grid is None:
-        avoid = []
-        for sf in factors[:1]:
-            avoid += [p for p, _ in sf.rational_poles(hbar)]
-        grid = default_grid(cat.params, avoid=avoid)
+        grid = default_grid(cat.params)
 
     report = VerificationReport(rel.rel_id, rel.kind, False, None, 0.0, grid=grid)
-    if rel.note:
-        report.notes.append(rel.note)
 
     if rel.kind == "exchange":
         target = rel.right_factor * rel.left_factor.inverse()
@@ -552,8 +536,7 @@ def _verify_numeric_only(cat: Catalog, rel: Relation, tol: float
     return report
 
 
-def ef_commutator_analysis(cat: Catalog, tolerance: float = 1e-8,
-                           e_name: str = "E", f_name: str = "F",
+def ef_commutator_analysis(cat: Catalog, e_name: str = "E", f_name: str = "F",
                            expected_poles: list[Fraction] | None = None,
                            residue_targets: list[tuple[str, Fraction]] | None = None,
                            ) -> VerificationReport:
@@ -824,9 +807,6 @@ def _classical_readout(sf: StructureFunction) -> tuple:
     small terms the series misses are below 1e-20.  Raises NonConvergent
     when the factor has no braid-phase limit."""
     n = sf.normalize()
-    if n.exp_linear:
-        raise NonConvergent(f"factor exp({n.exp_linear} iw/h) oscillates "
-                            "without limit as hbar -> 0")
     groups: dict[Fraction, list[tuple[Fraction, int]]] = {}
     for (sa, sb, sq, an, ad), e in n.gammas.items():
         if sa or not sb:

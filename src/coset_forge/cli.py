@@ -83,7 +83,8 @@ def _parse_hbar(text: str) -> Fraction:
 
 def _check_numeric_flags(args) -> None:
     """Reject a tolerance no residual can meet and grid flags under which no
-    point, or no finite point, would be checked."""
+    point, or no finite point, would be checked.  A valid --grid-range is
+    kept as its (lo, hi) pair."""
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         raise InvalidOption(f"--tol must be finite and non-negative, got {args.tol}")
     if args.grid_n < 1:
@@ -96,6 +97,7 @@ def _check_numeric_flags(args) -> None:
         if lo > hi:
             raise InvalidOption(
                 f"--grid-range lower bound exceeds upper bound: {args.grid_range}")
+        args.grid_range = lo, hi
 
 
 def _parse_two_floats(flag: str, text: str) -> tuple[float, float]:
@@ -137,7 +139,7 @@ def _bind_session(args):
     if args.tol is not None:
         for rel in rels:
             rel.tolerance = args.tol
-    return df, params, cat, rels, comms, hbars
+    return params, cat, rels, comms, hbars
 
 
 def _require_checks(rels, comms) -> None:
@@ -145,13 +147,6 @@ def _require_checks(rels, comms) -> None:
     if not rels and not comms:
         raise NothingToVerify(
             "the definition file declares no relation and no commutator_delta")
-
-
-def _session_grid(args, params, avoid=None):
-    lo, hi = 0.1, 10.0
-    if args.grid_range:
-        lo, hi = _parse_two_floats("--grid-range", args.grid_range)
-    return default_grid(params, n=args.grid_n, lo=lo, hi=hi, avoid=avoid)
 
 
 def _report_to_dict(rep: VerificationReport) -> dict:
@@ -201,7 +196,8 @@ def _limit_fit_to_dict(fit: dict) -> dict:
 
 
 def _run_relations(cat, rels, args) -> list[VerificationReport]:
-    grid = _session_grid(args, cat.params)
+    lo, hi = args.grid_range or (0.1, 10.0)
+    grid = default_grid(cat.params, n=args.grid_n, lo=lo, hi=hi)
     reports = [verify_relation(cat, rel, grid=grid) for rel in rels]
     return sorted(reports, key=lambda r: r.rel_id)
 
@@ -338,7 +334,7 @@ def _limit_line(fit: dict) -> str:
 def cmd_catalog(args) -> int:
     if args.json:
         raise InvalidOption("--json: catalog writes no JSON report")
-    df, params, cat, rels, comms, hbars = _bind_session(args)
+    params, cat, rels, comms, hbars = _bind_session(args)
     print(f"level k = {params.k}, hbar = {', '.join(str(h) for h in hbars)}")
     for name in sorted(cat.currents):
         cur = cat.currents[name]
@@ -359,7 +355,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_contract(args) -> int:
     w = _parse_at(args.at) if args.at else None
-    df, params, cat, rels, comms, hbars = _bind_session(args)
+    params, cat, rels, comms, hbars = _bind_session(args)
     a, b = args.currents
     if a not in cat.currents or b not in cat.currents:
         raise CosetForgeError(f"unknown currents {a!r}, {b!r}")
@@ -406,7 +402,7 @@ def cmd_contract(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    df, params, cat, rels, comms, hbars = _bind_session(args)
+    params, cat, rels, comms, hbars = _bind_session(args)
     _require_checks(rels, comms)
     if args.relation:
         rels = [r for r in rels if r.rel_id == args.relation]
@@ -427,7 +423,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_poles(args) -> int:
-    df, params, cat, rels, comms, hbars = _bind_session(args)
+    params, cat, rels, comms, hbars = _bind_session(args)
     if not comms:
         raise CosetForgeError("no commutator_delta declaration in the file")
     reports = _run_commutators(cat, comms, args)
@@ -448,7 +444,7 @@ def cmd_poles(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    df, params, cat, rels, comms, hbars = _bind_session(args)
+    params, cat, rels, comms, hbars = _bind_session(args)
     seq = (hbars if args.hbar
            else [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)])
     if args.pair:
@@ -469,7 +465,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_report(args) -> int:
-    df, params, cat, rels, comms, hbars = _bind_session(args)
+    params, cat, rels, comms, hbars = _bind_session(args)
     _require_checks(rels, comms)
     reports = _run_relations(cat, rels, args)
     reports += _run_commutators(cat, comms, args)
@@ -573,9 +569,12 @@ def run(argv=None) -> int:
 
 def _fail(args, kind, exc):
     if getattr(args, "json", None):
-        _emit_json(args.json, {
-            "schema_version": SCHEMA_VERSION,
-            "error": {"kind": kind, "message": str(exc)}})
+        try:
+            _emit_json(args.json, {
+                "schema_version": SCHEMA_VERSION,
+                "error": {"kind": kind, "message": str(exc)}})
+        except OSError:
+            pass    # the path itself cannot be written; stderr still says why
     print(f"error: {exc}", file=sys.stderr)
 
 

@@ -63,11 +63,11 @@ def linear_key(rho: GR) -> tuple[int, int, int]:
 
 class StructureFunction:
     """Product of integer powers of linear factors (iw + rho*hbar), Gamma
-    factors, an optional exponential-linear term, and an exact constant."""
+    factors and an exact constant."""
 
-    __slots__ = ("gammas", "linears", "const", "exp_linear")
+    __slots__ = ("gammas", "linears", "const")
 
-    def __init__(self, gammas=None, linears=None, const=None, exp_linear=Fraction(0)):
+    def __init__(self, gammas=None, linears=None, const=None):
         # gammas: {(a, b, q, n, d): int exponent} for Gamma(iw/(s*hbar) + n/d)
         # with scale s = (a + b*i)/q, the fields of a GR, and n/d in lowest
         # terms, d > 0: plain integers, so a merge hashes them in C
@@ -76,7 +76,6 @@ class StructureFunction:
         # with rho = (a + b*i)/q, the fields of a GR
         self.linears: dict[tuple[int, int, int], int] = dict(linears or {})
         self.const: ExactConst = const if const is not None else ExactConst.one()
-        self.exp_linear = as_fraction(exp_linear)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -104,16 +103,12 @@ class StructureFunction:
         l = dict(self.linears)
         for key, e in other.linears.items():
             merge(l, key, e)
-        x, y = self.exp_linear, other.exp_linear
-        # Fraction arithmetic only when both terms are there
-        return StructureFunction(g, l, self.const.times(other.const),
-                                 x + y if x and y else x or y)
+        return StructureFunction(g, l, self.const.times(other.const))
 
     def inverse(self) -> "StructureFunction":
-        x = self.exp_linear
         return StructureFunction({k: -e for k, e in self.gammas.items()},
                                  {k: -e for k, e in self.linears.items()},
-                                 self.const.inverse(), -x if x else x)
+                                 self.const.inverse())
 
     def negate_w(self) -> "StructureFunction":
         """Re-express the same function with w replaced by -w."""
@@ -129,8 +124,7 @@ class StructureFunction:
             l[key] = l.get(key, 0) + e
             odd += e % 2
         c = self.const.times_gr(_MINUS_ONE) if odd % 2 else self.const
-        x = self.exp_linear
-        return StructureFunction(g, l, c, -x if x else x)
+        return StructureFunction(g, l, c)
 
     def wick_rotate(self) -> "StructureFunction":
         """Substitute hbar -> -i hbar."""
@@ -142,7 +136,7 @@ class StructureFunction:
         for (a, b, q), e in self.linears.items():
             key = (b, -a, q)
             l[key] = l.get(key, 0) + e
-        return StructureFunction(g, l, self.const.wick_rotate(), self.exp_linear)
+        return StructureFunction(g, l, self.const.wick_rotate())
 
     # -- canonical form ----------------------------------------------------
     def normalize(self) -> "StructureFunction":
@@ -174,12 +168,11 @@ class StructureFunction:
                 merge(linears, (sa * x // g, sb * x // g, sq * d // g), sign * e)
                 const = const.times_base(s, 1, -sign * e)
         return StructureFunction(gammas, {k: v for k, v in linears.items() if v},
-                                 const, self.exp_linear)
+                                 const)
 
     def is_one(self) -> bool:
         n = self.normalize()
-        return (not n.gammas and not n.linears and n.exp_linear == 0
-                and n.const.is_one())
+        return not n.gammas and not n.linears and n.const.is_one()
 
     def symbolic_eq(self, other: "StructureFunction") -> bool:
         return (self * other.inverse()).is_one()
@@ -194,22 +187,12 @@ class StructureFunction:
             s += e * log_gamma(1j * w / (complex(sa / sq, sb / sq) * hbar) + n / d)
         for (a, b, q), e in sorted(self.linears.items()):
             s += e * cmath.log(1j * w + complex(a / q, b / q) * hbar)
-        if self.exp_linear:
-            s += float(self.exp_linear) * 1j * w / hbar
         return s
 
     def eval(self, w: complex, hbar: float) -> complex:
         return cmath.exp(self.log_eval(w, hbar))
 
     # -- pole bookkeeping ----------------------------------------------------
-    def rational_poles(self, hbar: float) -> list[tuple[complex, int]]:
-        """Poles coming from linear factors, as (w0, order)."""
-        out = []
-        for (a, b, q), e in self.normalize().linears.items():
-            if e < 0:
-                out.append((1j * complex(a / q, b / q) * hbar, -e))
-        return out
-
     def residue_at_simple_pole(self, rho0: GR) -> tuple[GR, int]:
         """Exact residue in w at the simple pole iw = -rho0*hbar of a purely
         rational structure function (Gamma-free after normalization).
@@ -250,8 +233,6 @@ class StructureFunction:
             bits.append(f"Gamma(iw/({s!r}h)+{a})^{e}")
         for rho, e in sorted((repr(_raw(*key)), e) for key, e in self.linears.items()):
             bits.append(f"(iw+{rho}h)^{e}")
-        if self.exp_linear:
-            bits.append(f"exp({self.exp_linear} iw/h)")
         return " * ".join(bits) if bits else "1"
 
     def describe(self) -> str:

@@ -9,12 +9,12 @@ E(a*h*t), sinh(b*h*t)^n factors, and the spectral phase E(-i*u*t), which
 every exponent carries implicitly and may be written for emphasis.
 
 Parsing is deterministic recursive descent; every syntax error reports
-line, column and the expected token set.  Printing a parsed file with
-render() and reparsing gives an equal DefinitionFile.
+line, column and the expected token set.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -158,15 +158,6 @@ class TermDecl:
         self.shift = shift
         self.sinh = sinh
 
-    def __eq__(self, other):
-        return (isinstance(other, TermDecl)
-                and _krat_eq(self.coeff, other.coeff)
-                and self.hbar_power == other.hbar_power
-                and _krat_eq(self.shift, other.shift)
-                and len(self.sinh) == len(other.sinh)
-                and all(_krat_eq(a, c) and b == d for (a, b), (c, d)
-                        in zip(self.sinh, other.sinh)))
-
 
 class CompositeRef:
     __slots__ = ("name", "inverse", "shift")
@@ -177,11 +168,6 @@ class CompositeRef:
         self.inverse = inverse
         self.shift = shift
 
-    def __eq__(self, other):
-        return (isinstance(other, CompositeRef) and self.name == other.name
-                and self.inverse == other.inverse
-                and _opt_krat_eq(self.shift, other.shift))
-
 
 class CompositeTerm:
     __slots__ = ("coeff", "hbar_power", "refs")
@@ -191,12 +177,6 @@ class CompositeTerm:
         self.coeff = coeff
         self.hbar_power = hbar_power
         self.refs = refs
-
-    def __eq__(self, other):
-        return (isinstance(other, CompositeTerm)
-                and _krat_eq(self.coeff, other.coeff)
-                and self.hbar_power == other.hbar_power
-                and self.refs == other.refs)
 
 
 class CurrentDecl:
@@ -221,10 +201,6 @@ class KernelDecl:
         self.sign = sign
         self.slope = slope
 
-    def __eq__(self, other):
-        return (isinstance(other, KernelDecl) and self.name == other.name
-                and self.sign == other.sign and _krat_eq(self.slope, other.slope))
-
 
 class FactorDecl:
     __slots__ = ("kind", "offset", "scale", "scale_sign", "shift", "exponent",
@@ -241,15 +217,6 @@ class FactorDecl:
         self.shift = shift
         self.exponent = exponent
         self.scalar = scalar
-
-    def __eq__(self, other):
-        return (isinstance(other, FactorDecl) and self.kind == other.kind
-                and _opt_krat_eq(self.offset, other.offset)
-                and _opt_krat_eq(self.scale, other.scale)
-                and self.scale_sign == other.scale_sign
-                and _opt_krat_eq(self.shift, other.shift)
-                and self.exponent == other.exponent
-                and _opt_krat_eq(self.scalar, other.scalar))
 
 
 class RelationDecl:
@@ -280,28 +247,6 @@ class CommutatorDecl:
         self.poles = poles
         self.residues = residues
 
-    def __eq__(self, other):
-        return (isinstance(other, CommutatorDecl)
-                and self.name_a == other.name_a and self.name_b == other.name_b
-                and len(self.poles) == len(other.poles)
-                and all(_krat_eq(a, b) for a, b in zip(self.poles, other.poles))
-                and len(self.residues) == len(other.residues)
-                and all(n == m and _krat_eq(a, b) for (n, a), (m, b)
-                        in zip(self.residues, other.residues)))
-
-
-def _krat_eq(a: KVal, b: KVal) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    a, b = _lift(a), _lift(b)
-    return KRat._mul_poly(a.num, b.den) == KRat._mul_poly(b.num, a.den)
-
-
-def _opt_krat_eq(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return _krat_eq(a, b)
-
 
 class DefinitionFile:
     __slots__ = ("k", "hbars", "rotation_sector", "kernels", "currents",
@@ -318,52 +263,6 @@ class DefinitionFile:
         self.currents = currents
         self.relations = relations
         self.commutators = commutators
-
-    def __eq__(self, other):
-        if not isinstance(other, DefinitionFile):
-            return NotImplemented
-        return (
-            _krat_eq(self.k, other.k)
-            and len(self.hbars) == len(other.hbars)
-            and all(_krat_eq(a, b) for a, b in zip(self.hbars, other.hbars))
-            and self.rotation_sector == other.rotation_sector
-            and self.kernels == other.kernels
-            and _currents_eq(self.currents, other.currents)
-            and _relations_eq(self.relations, other.relations)
-            and self.commutators == other.commutators)
-
-    # -- canonical rendering ------------------------------------------------
-    def render(self) -> str:
-        out = []
-        out.append("params {")
-        out.append(f"  k = {_krat_str(self.k)};")
-        out.append("  hbar = " + ", ".join(_krat_str(h) for h in self.hbars) + ";")
-        out.append("}")
-        if self.rotation_sector:
-            out.append(f"rotate_sector {self.rotation_sector};")
-        for kd in self.kernels:
-            sg = "+1" if kd.sign > 0 else "-1"
-            out.append(f"kernel {kd.name} {{ sign = {sg}; slope = {_krat_str(kd.slope)}; }}")
-        for cd in self.currents:
-            if cd.composite is None:
-                out.append(f"current {cd.name} on {cd.kernel} {{")
-                for label, terms in (("pos", cd.pos), ("neg", cd.neg)):
-                    if terms:
-                        out.append(f"  {label}: " + " + ".join(
-                            _term_str(t) for t in terms) + ";")
-                out.append("}")
-            else:
-                out.append(f"current {cd.name} = "
-                           + " + ".join(_cterm_str(t) for t in cd.composite) + ";")
-        for rd in self.relations:
-            out.append(_relation_str(rd))
-        for cm in self.commutators:
-            out.append(f"commutator_delta {cm.name_a} {cm.name_b} {{")
-            out.append("  poles: " + ", ".join(_krat_str(p) for p in cm.poles) + ";")
-            out.append("  residues: " + ", ".join(
-                f"{n} @ ({_krat_str(s)})" for n, s in cm.residues) + ";")
-            out.append("}")
-        return "\n".join(out) + "\n"
 
     # -- binding --------------------------------------------------------------
     def bind(self, k_override: Fraction | None = None,
@@ -403,127 +302,6 @@ class DefinitionFile:
              "residues": [(n, _at(s, kval)) for n, s in cm.residues]}
             for cm in self.commutators]
         return params, cat, relations, commutators, hbars
-
-
-def _currents_eq(a: list[CurrentDecl], b: list[CurrentDecl]) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if (x.name, x.kernel) != (y.name, y.kernel):
-            return False
-        if (x.composite is None) != (y.composite is None):
-            return False
-        if x.composite is None:
-            if x.pos != y.pos or x.neg != y.neg:
-                return False
-        elif x.composite != y.composite:
-            return False
-    return True
-
-
-def _relations_eq(a: list[RelationDecl], b: list[RelationDecl]) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if (x.name, x.kind, x.left_pair, x.right_pair, x.rotate, x.tol) != \
-           (y.name, y.kind, y.left_pair, y.right_pair, y.rotate, y.tol):
-            return False
-        if x.left_factors != y.left_factors or x.right_factors != y.right_factors:
-            return False
-    return True
-
-
-# rendering helpers ----------------------------------------------------------
-
-def _krat_str(x: KVal) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-
-    def poly(p):
-        bits = []
-        for e in sorted(p, reverse=True):
-            v = p[e]
-            if e == 0:
-                bits.append(str(v))
-            else:
-                # a power as a product: the grammar has no '^' on k
-                power = "*".join(["k"] * e)
-                bits.append(power if v == 1 else f"{v}*{power}")
-        return " + ".join(bits) if bits else "0"
-    if x.den == {0: Fraction(1)}:
-        body = poly(x.num)
-        return body if len(x.num) <= 1 else f"({body})"
-    return f"({poly(x.num)})/({poly(x.den)})"
-
-
-def _term_str(t: TermDecl) -> str:
-    bits = [_krat_str(t.coeff)]
-    if t.hbar_power == 1:
-        bits.append("hbar")
-    elif t.hbar_power != 0:
-        bits.append(f"hbar^{t.hbar_power}")
-    if not _krat_eq(t.shift, _ZERO):
-        bits.append(f"exp({_krat_str(t.shift)}*h*t)")
-    bits.append("exp(-i*u*t)")
-    num = " * ".join(bits)
-    for beta, e in t.sinh:
-        if e > 0:
-            num += f" * sinh({_krat_str(beta)}*h*t)" + (f"^{e}" if e != 1 else "")
-        else:
-            num += f" / sinh({_krat_str(beta)}*h*t)" + (f"^{-e}" if e != -1 else "")
-    return num
-
-
-def _cterm_str(t: CompositeTerm) -> str:
-    bits = [f"({_krat_str(t.coeff)}"
-            + ("/hbar" if t.hbar_power == -1 else
-               (f"*hbar^{t.hbar_power}" if t.hbar_power else "")) + ")"]
-    for r in t.refs:
-        s = r.name
-        if r.inverse:
-            s += "^-1"
-        if r.shift is not None:
-            s += f"@({_krat_str(r.shift)})"
-        bits.append(s)
-    return " * ".join(bits)
-
-
-def _factor_str(f: FactorDecl) -> str:
-    if f.kind == "scalar":
-        return _krat_str(f.scalar)
-    if f.kind in ("w", "iw"):
-        off = ""
-        if f.offset is not None and not _krat_eq(f.offset, _ZERO):
-            off = f" + {_krat_str(f.offset)}*hbar"
-        body = f"({f.kind}{off})"
-    else:
-        sg = "" if f.scale_sign > 0 else "-"
-        body = f"Gamma({sg}x@{_krat_str(f.scale)} + {_krat_str(f.shift)})"
-    if f.exponent != 1:
-        body += f"^{f.exponent}"
-    return body
-
-
-def _relation_str(rd: RelationDecl) -> str:
-    def side(factors, pair, pvars):
-        bits = [_factor_str(f) for f in factors]
-        bits.append(f"{pair[0]}({pvars[0]}) {pair[1]}({pvars[1]})")
-        return (" * ".join(bits[:-1]) + " * " if len(bits) > 1 else "") + bits[-1]
-    lhs = side(rd.left_factors, rd.left_pair, ("u", "v"))
-    rhs = side(rd.right_factors, rd.right_pair, ("v", "u"))
-    body = f"relation {rd.name} : "
-    if rd.kind == "shape":
-        body += f"shape {rd.left_pair[0]}(u) {rd.left_pair[1]}(v)"
-    else:
-        body += f"{lhs} == {rhs}"
-    opts = []
-    if rd.rotate != "none":
-        opts.append(f"rotate = {rd.rotate}")
-    if rd.tol is not None:
-        opts.append(f"tol = {rd.tol:g}")
-    if opts:
-        body += " with " + ", ".join(opts)
-    return body + ";"
 
 
 # binding helpers -------------------------------------------------------------
@@ -979,11 +757,12 @@ class _Parser:
                     rotate = "c-sector" if word == "c_sector" else word
                 elif self.accept("tol"):
                     self.expect("=")
-                    if self.cur.kind in ("float", "number"):
-                        tol = float(self.cur.text)
-                        self.i += 1
-                    else:
+                    if self.cur.kind not in ("float", "number"):
                         self.error({"tolerance value"})
+                    tol = float(self.cur.text)
+                    if not math.isfinite(tol):     # 1e999 reads as inf
+                        self.error({"finite tolerance"})
+                    self.i += 1
                 else:
                     self.error({"'rotate'", "'tol'"})
                 if not self.accept(","):

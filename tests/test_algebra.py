@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bind_shipped, contraction_pairs
 from coset_forge import algebra, cli
@@ -281,7 +283,6 @@ def test_classical_readout_finds_the_first_power_law_term():
     (_gamma(1, Fraction(1, 3), 1), "do not balance"),
     (_gamma(1, Fraction(1, 3), 1) * _gamma(1, Fraction(2, 3), -1),
      r"grows like w\^-1/3"),
-    (StructureFunction(exp_linear=Fraction(1, 2)), "oscillates"),
     (StructureFunction.from_gamma(GR(1), Fraction(1, 3)), "not imaginary"),
     (StructureFunction.from_const_gr(GR(2)), "modulus 1"),
     # Gamma(X + 1/2)^2 / Gamma(X)^2 ~ X = w/hbar; over (iw + hbar) the
@@ -309,6 +310,31 @@ def test_default_grid_properties():
     assert len(grid) == 25
     assert all(w.imag < 0 for w in grid)
     assert grid == default_grid(K2, n=25)  # deterministic
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from([Fraction(1), HALF, Fraction(3, 7)]), st.integers(1, 60))
+def test_grid_points_stay_off_the_axes_that_hold_the_poles(p, q, hbar, n):
+    # every derived linear factor (iw + rho*hbar) has rho real or imaginary,
+    # so its pole lies on an axis; every grid point keeps away from both
+    k = Fraction(p, q)
+    params, cat, rels, _ = bind_shipped(k, hbar)
+    for rel in rels.values():
+        for rotate in ("none", "global", "c-sector"):
+            for sf in cat.pair_exchange(cat[rel.left_pair[0]],
+                                        cat[rel.left_pair[1]], rotate):
+                for a, b, _ in [*sf.linears, *sf.normalize().linears]:
+                    assert a == 0 or b == 0, (rel.rel_id, rotate, sf)
+    gap = 1e-3 * float(hbar) * max(1.0, float(k))
+    for w in default_grid(params, n):
+        assert abs(w.real) > gap and abs(w.imag) > gap
+
+
+def test_verify_relation_defaults_to_the_default_grid():
+    _, cat, rels, _ = bind_shipped(Fraction(5, 12))
+    for rel_id in ("E_E", "psi_psi"):      # exchange, shape
+        assert verify_relation(cat, rels[rel_id]).grid == default_grid(cat.params)
 
 
 def test_bilinearity_consistency():
@@ -424,11 +450,11 @@ def test_grid_check_matches_the_per_factor_loop():
 
 def _with_target(rel, gammas=None, linears=None):
     """rel with its target S_right / S_left replaced by one with the given
-    Gamma or linear factors, constant and exp-linear term kept."""
+    Gamma or linear factors, constant kept."""
     t = rel.right_factor * rel.left_factor.inverse()
     target = StructureFunction(t.gammas if gammas is None else gammas,
                                t.linears if linears is None else linears,
-                               t.const, t.exp_linear)
+                               t.const)
     return Relation(rel.rel_id, rel.kind, rel.left_pair, rel.right_pair,
                     right_factor=target, rotate=rel.rotate,
                     tolerance=rel.tolerance)

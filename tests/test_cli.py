@@ -323,6 +323,18 @@ def test_declared_hbar_must_be_positive_in_every_position(tmp_path, capsys, hbar
     assert err == "error: hbar must be positive\n"
 
 
+@pytest.mark.parametrize("missing", [False, True])
+def test_unwritable_json_path_exits_two(tmp_path, capsys, missing):
+    # a directory, or a file in a directory that does not exist: the error
+    # object cannot go there either, so only stderr reports the failure
+    dest = tmp_path / "none" / "x.json" if missing else tmp_path
+    assert cli.run(["verify", "--k", "2", "--json", str(dest)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: [Errno") and str(dest) in err
+    assert "all relations hold" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_catalog_json_path_is_rejected(tmp_path):
     dest = tmp_path / "catalog.json"
     out = run_cli("catalog", "--json", str(dest))

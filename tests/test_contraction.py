@@ -438,8 +438,6 @@ def _reference_log_eval(sf, w, hbar):
         s += e * log_gamma(1j * w / (complex(scale) * hbar) + float(Fraction(n, d)))
     for (a, b, q), e in sorted(sf.linears.items()):
         s += e * cmath.log(1j * w + complex(GR(Fraction(a, q), Fraction(b, q))) * hbar)
-    if sf.exp_linear:
-        s += float(sf.exp_linear) * 1j * w / hbar
     return s
 
 
@@ -448,7 +446,7 @@ def _reversed_copy(sf):
     c = sf.const
     const = ExactConst(c.mult, c.den, c.ph, dict(reversed(c.pe.items())), c.hb)
     return StructureFunction(dict(reversed(sf.gammas.items())),
-                             dict(reversed(sf.linears.items())), const, sf.exp_linear)
+                             dict(reversed(sf.linears.items())), const)
 
 
 def _outcome(fn):
@@ -480,7 +478,7 @@ _functions = st.builds(
                     max_size=5),
     st.dictionaries(st.builds(linear_key, _scales),
                     st.integers(-2, 2), max_size=3),
-    _consts, _small)
+    _consts)
 _points = st.builds(complex, st.floats(-6, 6), st.floats(-6, 6))
 
 

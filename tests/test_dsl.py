@@ -1,4 +1,4 @@
-"""Definition-file parsing, diagnostics, round-trip, and binding."""
+"""Definition-file parsing, diagnostics and binding."""
 
 import json
 from fractions import Fraction
@@ -26,18 +26,6 @@ def test_shipped_file_counts():
     assert len(df.kernels) == 3
     assert len(df.commutators) == 1
     assert df.rotation_sector == "chat"
-
-
-def test_shipped_file_round_trip():
-    # the shipped file, and one more kernel whose slope is quadratic in k
-    for text in (shipped_text(),
-                 shipped_text() + "kernel q { sign = -1; slope = k*k - 3*k/2; }\n"):
-        df = parse_definitions(text)
-        rendered = df.render()
-        df2 = parse_definitions(rendered)
-        assert df == df2
-        # second render is byte-stable
-        assert df2.render() == rendered
 
 
 def test_empty_relations_block_is_valid():
@@ -166,12 +154,16 @@ def test_reference_comparison_catches_a_mutation(mutate):
 
 
 def test_bind_overrides():
-    df = parse_definitions(shipped_text())
+    # the shipped file, and one more kernel whose slope is quadratic in k
+    df = parse_definitions(
+        shipped_text() + "kernel q { sign = -1; slope = k*k - 3*k/2; }\n")
     params, cat, rels, comms, hbars = df.bind(
         k_override=Fraction(5, 2), hbar_override=[Fraction(1, 2)])
     assert params.k == Fraction(5, 2)
     assert hbars == [Fraction(1, 2)]
     assert cat.kernels["lhat"].slope_b == Fraction(9, 4)
+    assert cat.kernels["q"].sign == -1
+    assert cat.kernels["q"].slope_b == Fraction(25, 4) - Fraction(15, 4)
 
 
 def test_hbar_list_parsed():
@@ -212,6 +204,12 @@ _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
      4, 18, ["scalar divisor"], ";"),
     (_KAX + "relation r : X(u) X(v) == X(v) X(u) with tol = k;\n",
      4, 48, ["tolerance value"], "k"),
+    # a tolerance beyond the float range would make every check vacuous
+    (_KAX + "relation r : X(u) X(v) == X(v) X(u) with tol = 1e999;\n",
+     4, 48, ["finite tolerance"], "1e999"),
+    pytest.param(_KAX + "relation r : X(u) X(v) == X(v) X(u) with rotate = "
+                 "global, tol = " + "9" * 400 + ";\n",
+                 4, 65, ["finite tolerance"], "9" * 400, id="tol-400-digits"),
     ("params {\r\n k = 2;\r\n\t@ }\r\n",
      3, 2, ["'hbar'", "'k'", "'}'"], "@"),
     (_K + "kernel a { sign = +2; slope = 1; }\n",
@@ -371,4 +369,3 @@ def test_bound_sides_equal_the_factor_products(k):
             assert got.gammas == want.gammas
             assert got.linears == want.linears
             assert got.const == want.const
-            assert got.exp_linear == want.exp_linear
