@@ -10,10 +10,14 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report and
 rejects ``--json``.
+``limit`` reads ``--hbar`` as the hbar -> 0 sequence, at least three strictly
+decreasing values; every other subcommand reads the deformation values.
 JSON reports are deterministic: the bytes of json.dumps(payload,
 sort_keys=True, indent=1) plus a newline, every float rendered with 17
 significant digits (lowercase exponent) as a decimal string, grids built
-from fixed rules rather than random draws.
+from fixed rules rather than random draws.  The payload formats a grid that
+several reports share once, and the writer (_to_json) writes a container
+met again at the same indent once, reusing its text.
 """
 
 from __future__ import annotations
@@ -149,14 +153,20 @@ def _require_checks(rels, comms) -> None:
             "the definition file declares no relation and no commutator_delta")
 
 
-def _report_to_dict(rep: VerificationReport) -> dict:
+def _report_to_dict(rep: VerificationReport, grids: dict) -> dict:
+    """The report's row.  `grids` maps the id of each grid list already
+    formatted in this payload to its formatted points, so that reports
+    sharing a grid share one list of point dicts."""
+    grid = grids.get(id(rep.grid))
+    if grid is None:
+        grid = grids[id(rep.grid)] = [_fmt_c(w) for w in rep.grid]
     return {
         "id": rep.rel_id,
         "kind": rep.kind,
         "pass": rep.passed,
         "symbolic_pass": rep.symbolic_pass,
         "max_rel_err": _fmt(rep.max_rel_err),
-        "grid": [_fmt_c(w) for w in rep.grid],
+        "grid": grid,
         "residuals": [_fmt(r) for r in rep.residuals],
         "derived_factor": rep.derived_factor,
         "expected_factor": rep.expected_factor,
@@ -232,62 +242,85 @@ def _to_json(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=1), byte for byte.
 
     An indent sends the stdlib to its pure-Python encoder; this walk does
-    the same work in fewer calls, emitting a string leaf together with its
-    key.  Dict keys must be strings."""
+    the same work in fewer calls.  A list or dict whose values are all
+    strings is written with one join, and a string leaf together with its
+    key.  A container met again at the same indent (the grid every relation
+    shares, a grid point under each of its residuals) is written once: its
+    text is reused, keyed by (id, indent) for the length of this call, in
+    which the payload keeps every container alive.  Dict keys must be
+    strings."""
     chunks: list[str] = []
-    _write_json(obj, chunks.append, "\n")
+    _write_json(obj, chunks, "\n", {})
     return "".join(chunks)
 
 
-def _write_json(obj, emit, nl: str) -> None:
-    if isinstance(obj, dict):
+def _write_json(obj, chunks: list, nl: str, seen: dict) -> None:
+    """Append the text of `obj` at indent `nl` to `chunks`.  `seen` maps
+    (id, indent) of each container written to its span of `chunks`, or to
+    its text once that has been reused."""
+    if isinstance(obj, (dict, list, tuple)):
         if not obj:
-            emit("{}")
+            chunks.append("{}" if isinstance(obj, dict) else "[]")
             return
-        inner = nl + " "
-        sep, lead = "," + inner, "{" + inner
-        for key in sorted(obj):
-            value = obj[key]
-            if type(value) is str:
-                emit(f"{lead}{_quote(key)}: {_quote(value)}")
-            else:
-                emit(f"{lead}{_quote(key)}: ")
-                _write_json(value, emit, inner)
-            lead = sep
-        emit(nl + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            emit("[]")
+        key = (id(obj), nl)
+        done = seen.get(key)
+        if done is not None:
+            if type(done) is tuple:
+                done = seen[key] = "".join(chunks[done[0]:done[1]])
+            chunks.append(done)
             return
+        start = len(chunks)
         inner = nl + " "
-        sep, lead = "," + inner, "[" + inner
-        for value in obj:
-            if type(value) is str:
-                emit(lead + _quote(value))
-            else:
-                emit(lead)
-                _write_json(value, emit, inner)
-            lead = sep
-        emit(nl + "]")
+        sep = "," + inner
+        if isinstance(obj, dict):
+            # string items collect in buf, written in one piece up to the
+            # next container value
+            buf = []
+            lead = "{" + inner
+            for k in sorted(obj):
+                value = obj[k]
+                if type(value) is str:
+                    buf.append(f"{lead}{_quote(k)}: {_quote(value)}")
+                else:
+                    buf.append(f"{lead}{_quote(k)}: ")
+                    chunks.append("".join(buf))
+                    buf = []
+                    _write_json(value, chunks, inner, seen)
+                lead = sep
+            buf.append(nl + "}")
+            chunks.append("".join(buf))
+        elif all(type(v) is str for v in obj):
+            chunks.append("[" + inner + sep.join(map(_quote, obj)) + nl + "]")
+        else:
+            lead = "[" + inner
+            for value in obj:
+                if type(value) is str:
+                    chunks.append(lead + _quote(value))
+                else:
+                    chunks.append(lead)
+                    _write_json(value, chunks, inner, seen)
+                lead = sep
+            chunks.append(nl + "]")
+        seen[key] = (start, len(chunks))
     elif isinstance(obj, str):
-        emit(_quote(obj))
+        chunks.append(_quote(obj))
     elif obj is None:
-        emit("null")
+        chunks.append("null")
     elif obj is True:
-        emit("true")
+        chunks.append("true")
     elif obj is False:
-        emit("false")
+        chunks.append("false")
     elif isinstance(obj, int):
-        emit(int.__repr__(obj))
+        chunks.append(int.__repr__(obj))
     elif isinstance(obj, float):
         if obj != obj:
-            emit("NaN")
+            chunks.append("NaN")
         elif obj == math.inf:
-            emit("Infinity")
+            chunks.append("Infinity")
         elif obj == -math.inf:
-            emit("-Infinity")
+            chunks.append("-Infinity")
         else:
-            emit(float.__repr__(obj))
+            chunks.append(float.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} "
                         "is not JSON serializable")
@@ -445,8 +478,13 @@ def cmd_poles(args) -> int:
 
 def cmd_limit(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
-    seq = (hbars if args.hbar
-           else [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)])
+    seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
+    if args.hbar:
+        seq = hbars
+        if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
+            raise InvalidOption(
+                "--hbar is the hbar -> 0 sequence for limit: at least 3 "
+                f"strictly decreasing values, got {args.hbar!r}")
     if args.pair:
         tol = 1e-8 if args.tol is None else args.tol
         pairs = [(*_parse_pair(args.pair, cat.currents), tol)]
@@ -482,7 +520,8 @@ def _shape_pairs(rels) -> list[tuple[str, str, float]]:
 
 
 def _payload(params, hbars, reports) -> dict:
-    rel_dicts = [_report_to_dict(r) for r in
+    grids: dict = {}    # the reports hold their grids alive until we return
+    rel_dicts = [_report_to_dict(r, grids) for r in
                  sorted(reports, key=lambda r: (r.kind, r.rel_id))]
     # the flat list shares the grid points and residuals formatted above
     flat = [{"relation": d["id"], "w": w, "residual": res}

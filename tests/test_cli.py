@@ -150,6 +150,21 @@ def test_limit_reports_the_exact_exponent_not_a_fitted_order(tmp_path):
     assert "order=" not in out.stdout
 
 
+@pytest.mark.parametrize("hbars", ["1/2", "1/10,1/100", "1/10,1/100,1/100",
+                                   "1/1000,1/100,1/10"])
+def test_limit_hbar_must_be_a_decreasing_sequence(capsys, hbars):
+    # limit reads --hbar as the hbar -> 0 sequence, where every other
+    # subcommand reads deformation values; the error says so and names the flag
+    assert cli.run(["limit", "--k", "2", "--hbar", hbars, "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    message = ("--hbar is the hbar -> 0 sequence for limit: at least 3 "
+               f"strictly decreasing values, got {hbars!r}")
+    assert json.loads(out)["error"] == {"kind": "InvalidOption",
+                                        "message": message}
+    assert err == f"error: {message}\n"
+    assert cli.run(["limit", "--k", "2", "--hbar", "1/10,1/100,1/1000"]) == 0
+
+
 def test_poles_subcommand():
     out = run_cli("poles")
     assert out.returncode == 0
