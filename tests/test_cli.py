@@ -162,7 +162,15 @@ def test_limit_hbar_must_be_a_decreasing_sequence(capsys, hbars):
     assert json.loads(out)["error"] == {"kind": "InvalidOption",
                                         "message": message}
     assert err == f"error: {message}\n"
-    assert cli.run(["limit", "--k", "2", "--hbar", "1/10,1/100,1/1000"]) == 0
+
+
+def test_limit_runs_along_the_hbar_sequence(tmp_path):
+    dest = tmp_path / "limit.json"
+    argv = ["limit", "--k", "2", "--hbar", "1/10,1/100,1/1000", "--json", str(dest)]
+    assert cli.run(argv) == 0
+    report = json.loads(dest.read_text())
+    assert report["params"]["hbar"] == ["1/10", "1/100", "1/1000"]
+    assert all(len(f["errors"]) == 3 for f in report["limit_fits"])
 
 
 def test_poles_subcommand():
