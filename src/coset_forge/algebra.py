@@ -153,17 +153,6 @@ class Catalog:
             sf = sf * self.closed_contraction(fam, fa, fb)[0]
         return sf
 
-    def reversed_structure(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm
-                           ) -> StructureFunction:
-        """exp<B_term(v) A_term(u)> re-expressed as a function of w = u - v."""
-        sf = StructureFunction.one()
-        for fam in self.kernels:
-            fa, fb = ta.exponents.get(fam), tb.exponents.get(fam)
-            if fa is None or fb is None:
-                continue
-            sf = sf * self.closed_contraction(fam, fb, fa)[0]
-        return sf.negate_w()
-
 
 def _apply_rotation(factors: dict[str, StructureFunction], mode: str,
                     sector: str) -> StructureFunction:
@@ -544,10 +533,12 @@ def ef_commutator_analysis(cat: Catalog, e_name: str = "E", f_name: str = "F",
 
     For each term pair the forward and reversed contraction exponentials must
     be the same meromorphic function (exchange factor one); the commutator is
-    then carried entirely by the boundary-value jump across its poles.  Poles
-    are located exactly from the rotated closed forms and confirmed
-    numerically; residue operators are assembled symbolically and compared
-    with the shifted U(1) exponents.
+    then carried entirely by the boundary-value jump across its poles.  Every
+    pole is read exactly off a linear factor of the rotated closed forms,
+    which have no Gamma factors, and compared with the declared pole set;
+    residue operators are assembled symbolically and compared with the
+    shifted U(1) exponents.  The row has no numeric residual: its
+    max_rel_err is 0.
     """
     params = cat.params
     k, hbar = params.k, params.hbar_float
@@ -559,34 +550,31 @@ def ef_commutator_analysis(cat: Catalog, e_name: str = "E", f_name: str = "F",
 
     report = VerificationReport(f"[{e_name},{f_name}]", "commutator-delta",
                                 False, None, 0.0)
-    window = (float(k) + 1.5) * hbar
 
     pair_data = []
     for ia, ta in enumerate(E.terms):
         for ib, tb in enumerate(F.terms):
             fwd = cat.forward_structure(ta, tb)
-            rev = cat.reversed_structure(ta, tb)
+            # exp<F_term(v) E_term(u)> re-expressed as a function of w = u - v
+            rev = cat.forward_structure(tb, ta).negate_w()
             if not fwd.symbolic_eq(rev):
                 raise DivergenceMismatch(
                     f"term pair ({ia},{ib}): orderings are not a common "
                     f"meromorphic function")
-            rot = fwd.wick_rotate().normalize()
-            pair_data.append(((ia, ib), ta, tb, fwd.normalize(), rot))
+            pair_data.append(((ia, ib), ta, tb, fwd.wick_rotate().normalize()))
 
-    # exact pole set within the window
+    # exact pole set: every negative-exponent linear factor
     pole_map: dict[GR, list] = {}
-    for key, ta, tb, hyp, rot in pair_data:
+    for key, ta, tb, rot in pair_data:
         if rot.gammas:
             raise UnexpectedPole(None, f"pair {key}: Gamma factors survive rotation")
         for fields, e in rot.linears.items():
             if e >= 0:
                 continue
             rho = _raw(*fields)
-            w0 = 1j * complex(rho) * hbar
-            if abs(w0) > window:
-                continue
             if e < -1:
-                raise UnexpectedPole(w0, f"pair {key}: pole order {-e}")
+                raise UnexpectedPole(1j * complex(rho) * hbar,
+                                     f"pair {key}: pole order {-e}")
             pole_map.setdefault(rho, []).append((key, ta, tb, rot))
 
     expected_rhos = set()
@@ -599,24 +587,9 @@ def ef_commutator_analysis(cat: Catalog, e_name: str = "E", f_name: str = "F",
         got = sorted(str(1j * complex(r)) for r in found_rhos)
         want = sorted(str(1j * complex(r)) for r in expected_rhos)
         report.notes.append(f"pole sets differ: derived {got}, expected {want}")
-
-    # numeric confirmation by Newton iteration on 1/G
     for rho, holders in sorted(pole_map.items(), key=lambda kv: repr(kv[0])):
-        w_exact = 1j * complex(rho) * hbar
-        key, ta, tb, rot = holders[0]
-        # the start's perturbation w/100 + hbar/1000 vanishes at the pole
-        # w = -hbar/10 (rho = i/10, level k = 1/5); perturb the other way there
-        if rho == GR(Fraction(0), Fraction(1, 10)):
-            start = w_exact * (1 + 1e-2) - 1e-3 * hbar
-        else:
-            start = w_exact * (1 + 1e-2) + 1e-3 * hbar
-        w_num = _newton_pole(rot, start, hbar)
-        err = abs(w_num - w_exact)
-        report.poles.append({
-            "w_exact": w_exact, "w_numeric": w_num, "abs_err": err,
-            "pairs": [h[0] for h in holders]})
-        if err > 1e-6 * hbar:
-            report.notes.append(f"numeric pole {w_num} off exact {w_exact}")
+        report.poles.append({"w_exact": 1j * complex(rho) * hbar,
+                             "pairs": [h[0] for h in holders]})
 
     # residue operators, assembled in the hyperbolic parametrization where
     # the spectral shift is real: rotated pole at w = p hbar corresponds to
@@ -701,12 +674,8 @@ def ef_commutator_analysis(cat: Catalog, e_name: str = "E", f_name: str = "F",
             ok_residues = False
             report.notes.append("residue scalars do not form the +/- pattern")
 
-    pole_ok = found_rhos == expected_rhos and all(
-        p["abs_err"] <= 1e-6 * hbar for p in report.poles)
     report.symbolic_pass = ok_residues
-    report.max_rel_err = max((p["abs_err"] / hbar for p in report.poles),
-                             default=0.0)
-    report.passed = pole_ok and ok_residues
+    report.passed = found_rhos == expected_rhos and ok_residues
     return report
 
 
@@ -729,23 +698,6 @@ def _derive_u1_shift(cat: Catalog, cexp: ModeFunction | None,
             if modes_equal(cexp, shift_argument(base, cand)):
                 return cand
     return None
-
-
-def _newton_pole(sf: StructureFunction, w0: complex, hbar: float,
-                 steps: int = 60) -> complex:
-    """Newton iteration on 1/G from a perturbed start."""
-    w = w0
-    for _ in range(steps):
-        f = 1.0 / sf.eval(w, hbar)
-        h = 1e-7 * (abs(w) + 1.0)
-        fp = (1.0 / sf.eval(w + h, hbar) - 1.0 / sf.eval(w - h, hbar)) / (2 * h)
-        if fp == 0:
-            break
-        step = f / fp
-        w = w - step
-        if abs(step) < 1e-15 * (1.0 + abs(w)):
-            break
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -901,5 +853,6 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
         raise NonConvergent(
             f"the factor is {bad[0]:.3g} from its exact limit at "
             f"hbar = {hbar_check:.6g}, above the tolerance {tol:g}")
-    report.passed = True
+    # the limit was read off exactly; the cross-check agreed with it
+    report.passed = report.symbolic_pass = True
     return report

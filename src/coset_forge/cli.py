@@ -5,7 +5,8 @@
         [--tol X] [--json PATH] [--rotate <c-sector|global|none>]
         [--relation NAME] [--all] [--at RE,IM] [--pair A,B]
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
+Exit codes: 0 all checks pass, 1 verification failure (a refuted E-F
+claim included), 2 input error.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report and
@@ -40,10 +41,11 @@ from .algebra import (ClassicalBraid, VerificationReport,
                       verify_relation)
 from .contraction import closed_form, contract, quad_eval
 from .dsl import parse_definitions
-from .errors import (CosetForgeError, InvalidOption, NonConvergent,
-                     NothingToVerify, ParseError)
+from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
+                     NonConvergent, NothingToVerify, ParseError,
+                     ResidueMismatch, UnexpectedPole)
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def _fmt(x: float) -> str:
@@ -171,8 +173,7 @@ def _report_to_dict(rep: VerificationReport, grids: dict) -> dict:
         "derived_factor": rep.derived_factor,
         "expected_factor": rep.expected_factor,
         "poles": [
-            {"w_exact": _fmt_c(p["w_exact"]), "w_numeric": _fmt_c(p["w_numeric"]),
-             "abs_err": _fmt(p["abs_err"]),
+            {"w_exact": _fmt_c(p["w_exact"]),
              "pairs": [list(x) for x in p["pairs"]]}
             for p in rep.poles],
         "residue_ops": [
@@ -212,12 +213,24 @@ def _run_relations(cat, rels, args) -> list[VerificationReport]:
     return sorted(reports, key=lambda r: r.rel_id)
 
 
+def _refuted(rel_id: str, kind: str, exc: CosetForgeError) -> VerificationReport:
+    """The FAIL row of a claim the analysis refuted by raising: the error
+    text as its note, no residual and no symbolic verdict."""
+    return VerificationReport(rel_id, kind, False, None, float("nan"),
+                              notes=[str(exc)])
+
+
 def _run_commutators(cat, comms, args) -> list[VerificationReport]:
     out = []
     for cm in comms:
-        out.append(ef_commutator_analysis(
-            cat, e_name=cm["pair"][0], f_name=cm["pair"][1],
-            expected_poles=cm["poles"], residue_targets=cm["residues"]))
+        e, f = cm["pair"]
+        try:
+            rep = ef_commutator_analysis(
+                cat, e_name=e, f_name=f,
+                expected_poles=cm["poles"], residue_targets=cm["residues"])
+        except (DivergenceMismatch, UnexpectedPole, ResidueMismatch) as exc:
+            rep = _refuted(f"[{e},{f}]", "commutator-delta", exc)
+        out.append(rep)
     return out
 
 
@@ -231,9 +244,7 @@ def _run_limits(cat, hbars_seq, pairs) -> list[VerificationReport]:
             rep = classical_limit(cat, (a, b), braid, hbars_seq,
                                   w=1.0 + 0.002j, tol=tol)
         except NonConvergent as exc:
-            rep = VerificationReport(f"limit[{a},{b};ab={ab}]",
-                                     "classical-limit", False, None,
-                                     float("nan"), notes=[str(exc)])
+            rep = _refuted(f"limit[{a},{b};ab={ab}]", "classical-limit", exc)
         out.append(rep)
     return out
 
@@ -464,7 +475,7 @@ def cmd_poles(args) -> int:
     for rep in reports:
         _print_report_lines([rep], out)
         for p in rep.poles:
-            print(f"  pole at w = {p['w_exact']}; numeric |err| = {_fmt(p['abs_err'])}",
+            print(f"  pole at w = {p['w_exact']}, term pairs {p['pairs']}",
                   file=out)
         for r in rep.residue_ops:
             print(f"  residue at w = {r['pole_w']}: scalar {r['scalar_gr']} "
@@ -546,12 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify the deformed coset vertex-operator relations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, hbar_help="override hbar values, comma-separated rationals"):
         p.add_argument("file", nargs="?", default=None,
                        help="definition file (.alg); defaults to the shipped catalog")
         p.add_argument("--k", default=None, help="override the level (rational)")
-        p.add_argument("--hbar", default=None,
-                       help="override hbar values, comma-separated rationals")
+        p.add_argument("--hbar", default=None, help=hbar_help)
         p.add_argument("--grid-n", type=int, default=25)
         p.add_argument("--grid-range", default=None, metavar="A,B")
         p.add_argument("--tol", type=float, default=None)
@@ -583,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_poles)
 
     p = sub.add_parser("limit", help="exact classical limits of the shape pairs")
-    common(p)
+    common(p, hbar_help="the hbar -> 0 sequence, at least 3 strictly "
+                        "decreasing rationals")
     p.add_argument("--pair", default=None, metavar="A,B")
     p.set_defaults(fn=cmd_limit)
 

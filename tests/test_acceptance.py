@@ -185,7 +185,8 @@ def test_criterion_6_ordering_difference_structure():
         assert abs(ws[0] + float(k / 2) * hbar) <= 1e-6 * hbar
         assert abs(ws[1] - float(k / 2) * hbar) <= 1e-6 * hbar
         assert all(abs(p["w_exact"].imag) <= 1e-12 for p in rep.poles)
-        assert all(p["abs_err"] <= 1e-6 * hbar for p in rep.poles)
+        assert all(sorted(p) == ["pairs", "w_exact"] for p in rep.poles)
+        assert rep.max_rel_err == 0
         # symbolic residue operators: scalars +-(1/hbar), U(1) exponents
         # matched exactly by modes equality at the derived arguments
         for r in rep.residue_ops:

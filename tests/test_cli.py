@@ -75,7 +75,7 @@ def test_json_error_object(tmp_path):
     assert out.returncode == 2
     payload = json.loads(dest.read_text())
     assert payload["error"]["kind"] == "parse"
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
 
 
 def test_report_byte_identical_across_runs(tmp_path):
@@ -100,7 +100,7 @@ def test_report_schema_and_roundtrip(tmp_path):
                 "poles", "limit_fits", "pass"):
         assert key in payload
     assert payload["pass"] is True
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     ids = [r["id"] for r in payload["relations"]]
     assert "E_E" in ids and "[E,F]" in ids
     for rel in payload["relations"]:
@@ -177,6 +177,55 @@ def test_poles_subcommand():
     out = run_cli("poles")
     assert out.returncode == 0
     assert "residue at" in out.stdout
+    assert "pole at w = (1+0j), term pairs [(1, 1)]" in out.stdout
+    assert "numeric" not in out.stdout
+
+
+# false E-F claims: each breaks the agreement of the two orderings of one
+# E-F term pair, so the exact analysis refutes the commutator claim
+EF_MUTANTS = {
+    "E_with_C_minus": ("current E = psi * C_plus;", "current E = psi * C_minus;",
+                       "term pair (0,0)"),
+    "lhat_slope": ("kernel lhat { sign = +1; slope = (k+2)/2; }",
+                   "kernel lhat { sign = +1; slope = (k+4)/2; }",
+                   "term pair (0,1)"),
+    "psi_dressing": ("current psi = (1/hbar) * ( beta_plus@((k+2)/4)",
+                     "current psi = (1/hbar) * ( beta_plus@((k+6)/4)",
+                     "term pair (0,0)"),
+}
+
+
+@pytest.mark.parametrize("k", ["2", "5/12"])
+@pytest.mark.parametrize("mutant", sorted(EF_MUTANTS))
+def test_refuted_ef_claim_is_a_fail_row(tmp_path, capsys, mutant, k):
+    old, new, pair = EF_MUTANTS[mutant]
+    text = shipped_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "mutant.alg"
+    bad.write_text(text.replace(old, new))
+    dest = tmp_path / "verify.json"
+    assert cli.run(["verify", str(bad), "--k", k, "--json", str(dest)]) == 1
+    rows = {r["id"]: r for r in json.loads(dest.read_text())["relations"]}
+    assert len(rows) == 26
+    ef = rows["[E,F]"]
+    assert ef["pass"] is False and ef["symbolic_pass"] is None
+    assert ef["max_rel_err"] == "nan" and ef["poles"] == []
+    [note] = ef["notes"]
+    assert note.startswith(pair)
+    assert cli.run(["poles", str(bad), "--k", k]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL [E,F] kind=commutator-delta max_rel_err=nan" in out
+    assert f"note: {note}" in out
+
+
+def test_limit_help_names_the_hbar_sequence(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["limit", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert ("--hbar HBAR the hbar -> 0 sequence, at least 3 strictly "
+            "decreasing rationals") in out
+    assert "override hbar values" not in out
 
 
 def test_rotate_override_runs():
@@ -194,8 +243,7 @@ def test_single_relation_flag():
 
 
 def test_verify_level_one_fifth_exits_zero():
-    # at k = 1/5 the pole w = -hbar/10 is where the default Newton start
-    # w*(1 + 1e-2) + 1e-3*hbar would land
+    # k = 1/5 puts the E-F poles at w = +-hbar/10
     for hbar in ("1", "1/2"):
         out = run_cli("verify", "--k", "1/5", "--hbar", hbar)
         assert out.returncode == 0, out.stdout + out.stderr
@@ -268,7 +316,7 @@ def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
     assert cli.run([*argv, "--json", str(dest)]) == 0
     assert capsys.readouterr().out == text
     payload = json.loads(dest.read_text())
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     assert payload["params"] == {"k": "2", "hbar": ["1"]}
     assert payload["currents"] == ["Lambda_plus", "Lambda_minus"]
     [row] = payload["families"]
