@@ -689,7 +689,7 @@ def _derive_u1_shift(cat: Catalog, cexp: ModeFunction | None,
     cands = set()
     for branch in (pos, neg):
         for lr in branch.values():
-            if len(lr.num.re) == 1 and not lr.factors:
+            if len(lr.num.coeffs) == 1 and not lr.factors:
                 cands.add(Fraction(lr.num.lo, 2 * lat))
     for name in target_names:
         cur = cat[name]

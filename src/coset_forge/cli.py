@@ -220,7 +220,7 @@ def _refuted(rel_id: str, kind: str, exc: CosetForgeError) -> VerificationReport
                               notes=[str(exc)])
 
 
-def _run_commutators(cat, comms, args) -> list[VerificationReport]:
+def _run_commutators(cat, comms) -> list[VerificationReport]:
     out = []
     for cm in comms:
         e, f = cm["pair"]
@@ -455,7 +455,7 @@ def cmd_verify(args) -> int:
         comms = []
     reports = _run_relations(cat, rels, args)
     if not args.relation:
-        reports += _run_commutators(cat, comms, args)
+        reports += _run_commutators(cat, comms)
     out = _text_stream(args)
     _print_report_lines(reports, out)
     ok = all(r.passed for r in reports)
@@ -470,7 +470,7 @@ def cmd_poles(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
     if not comms:
         raise CosetForgeError("no commutator_delta declaration in the file")
-    reports = _run_commutators(cat, comms, args)
+    reports = _run_commutators(cat, comms)
     out = _text_stream(args)
     for rep in reports:
         _print_report_lines([rep], out)
@@ -517,7 +517,7 @@ def cmd_report(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
     _require_checks(rels, comms)
     reports = _run_relations(cat, rels, args)
-    reports += _run_commutators(cat, comms, args)
+    reports += _run_commutators(cat, comms)
     seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
     reports += _run_limits(cat, seq, _shape_pairs(rels))
     payload = _payload(params, hbars, reports)

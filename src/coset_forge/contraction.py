@@ -34,8 +34,8 @@ from fractions import Fraction
 
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
-from .exact import (GR, GR_I, GR_ONE, GR_ZERO, ExactConst, LaurentRational,
-                    _gr, _raw, as_fraction, merge)
+from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _raw,
+                    as_fraction, merge)
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, _lcm
 from .specfun import log_gamma
 
@@ -248,13 +248,10 @@ class ContractionIntegrand:
         self.lattice = lattice
         self.rational = rational
         try:
-            a = rational.limit_at_one()
+            self.log_divergence_coeff: Fraction = rational.limit_at_one()
         except ZeroDivisionError:
             raise IllPosedContraction(
                 "integrand diverges faster than 1/t at the origin")
-        if not a.is_real():
-            raise IllPosedContraction(f"log-divergence coefficient {a} not real")
-        self.log_divergence_coeff: Fraction = a.re
         self._evaluator = None
 
     def is_zero(self) -> bool:
@@ -264,7 +261,7 @@ class ContractionIntegrand:
         """Largest exponential growth rate of R(zeta(t)), in hbar*t units."""
         if self.is_zero():
             return Fraction(-10 ** 9)
-        return Fraction(self.rational.num.max_exp() - self.rational.den.max_exp(),
+        return Fraction(self.rational.num.max_exp() - self.rational.den_degree(),
                         2 * self.lattice)
 
     def strip_bound(self, hbar: float) -> float:
@@ -291,12 +288,12 @@ class _IntegrandEvaluator:
         self.nshift = num.max_exp()
         self.dshift = den.max_exp()
         # the nonzero coefficients, ascending; int / int rounds correctly,
-        # so each is complex() of its Gaussian rational
+        # so each is float() of its rational
         nterms, dterms = num.terms(), den.terms()
-        self.nexp = np.array([e - self.nshift for e, _, _ in nterms], dtype=float)
-        self.ncoef = np.array([complex(a / num.q, b / num.q) for _, a, b in nterms])
-        self.dexp = np.array([e - self.dshift for e, _, _ in dterms], dtype=float)
-        self.dcoef = np.array([complex(a / den.q, b / den.q) for _, a, b in dterms])
+        self.nexp = np.array([e - self.nshift for e, _ in nterms], dtype=float)
+        self.ncoef = np.array([c / num.q for _, c in nterms], dtype=complex)
+        self.dexp = np.array([e - self.dshift for e, _ in dterms], dtype=float)
+        self.dcoef = np.array([c / den.q for _, c in dterms], dtype=complex)
         # exact Taylor coefficients of R(zeta(t)) in powers of (eta t)
         nser = num.taylor_at_one(self.SERIES_ORDER + 4)
         dser = den.taylor_at_one(self.SERIES_ORDER + 4)
@@ -345,18 +342,19 @@ class _IntegrandEvaluator:
         return out
 
 
-def _series_divide(nser: list[GR], dser: list[GR], order: int) -> list[GR]:
+def _series_divide(nser: list[Fraction], dser: list[Fraction],
+                   order: int) -> list[Fraction]:
     """Series quotient q with nser = dser * q, allowing a common leading zero."""
     lead = 0
-    while lead < len(dser) and dser[lead].is_zero():
-        if not nser[lead].is_zero():
+    while lead < len(dser) and not dser[lead]:
+        if nser[lead]:
             raise IllPosedContraction("integrand pole at t=0 beyond 1/t")
         lead += 1
     d = dser[lead:]
     nn = nser[lead:]
-    q: list[GR] = []
+    q: list[Fraction] = []
     for r in range(order + 1):
-        acc = nn[r] if r < len(nn) else GR_ZERO
+        acc = nn[r] if r < len(nn) else Fraction(0)
         for j in range(1, min(r, len(d) - 1) + 1):
             acc = acc - d[j] * q[r - j]
         q.append(acc / d[0])
@@ -471,8 +469,8 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     if not R.factors:
         # denominator 1: purely exponential families
         linears: dict[tuple[int, int, int], int] = {}
-        for m, a, b in num.terms():
-            e = _as_int(a, b, num.q, "Frullani family coefficient")
+        for m, a in num.terms():
+            e = _as_int(a, num.q, "Frullani family coefficient")
             # rho = -m/(2L)
             g = math.gcd(m, 2 * L)
             merge(linears, (-m // g, 0, 2 * L // g), -e)
@@ -483,18 +481,17 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     if M is None:
         raise NonTelescoping(
             "family order exceeds the cap; families do not reduce to Gamma factors")
-    qpoly = R.cofactor(2 * M)
-    if qpoly is None:
-        raise NonTelescoping("denominator does not divide the cyclotomic target")
-    # R = N q zeta^{-2M} / (1 - zeta^{-2M}), q a Gaussian-integer polynomial
-    pnum = num * qpoly
+    # every order d divides 2M and den is squarefree, so den divides
+    # zeta^{2M} - 1: R = N q zeta^{-2M} / (1 - zeta^{-2M}), q an integer
+    # polynomial
+    pnum = num * R.cofactor(2 * M)
     scale = GR(Fraction(M, L))
     sa, sq = scale.a, scale.q
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     dsum = 0
     s1n = 0          # S1 = s1n / (2M)
-    for m, a, b in pnum.terms():
-        d = _as_int(a, b, pnum.q, "Gamma family coefficient")
+    for m, a in pnum.terms():
+        d = _as_int(a, pnum.q, "Gamma family coefficient")
         # term d zeta^{m-2M} = d e^{(m-2M) eta t}: x = iw/D - (m-2M)/(2M)
         n = 2 * M - m
         g = math.gcd(n, 2 * M)
@@ -513,10 +510,10 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     return out
 
 
-def _as_int(a: int, b: int, q: int, what: str) -> int:
-    """The coefficient (a + b*i)/q as an integer."""
-    if b or a % q:
-        raise NonTelescoping(f"{what} {_gr(a, b, q)!r} is not an integer")
+def _as_int(a: int, q: int, what: str) -> int:
+    """The coefficient a/q as an integer."""
+    if a % q:
+        raise NonTelescoping(f"{what} {Fraction(a, q)} is not an integer")
     return a // q
 
 
@@ -526,15 +523,15 @@ def _family_order(R: LaurentRational, L: int) -> int | None:
     naming the repeated factor of least order; otherwise M is the least M
     with lcm(d) | 2M over the factor orders d.  None if M exceeds the cap
     8*L*deg(den)."""
-    repeated = [(abs(key), m) for key, m in R.factors.items() if m > 1]
+    repeated = [(d, m) for d, m in R.factors.items() if m > 1]
     if repeated:
         d, m = min(repeated)
         raise NonTelescoping(
             f"denominator has repeated roots (cyclotomic factor of order "
             f"{d}, multiplicity {m}); families do not reduce to Gamma factors")
-    order = _lcm(*(abs(key) for key in R.factors))
+    order = _lcm(*R.factors)
     M = order if order % 2 else order // 2
-    return M if M <= 8 * L * max(1, R.den.max_exp()) else None
+    return M if M <= 8 * L * max(1, R.den_degree()) else None
 
 
 # ---------------------------------------------------------------------------

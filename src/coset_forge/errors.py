@@ -15,12 +15,13 @@ class NonFiniteValue(CosetForgeError):
     pass
 
 
-class MixedSpectralArguments(CosetForgeError):
-    pass
-
-
 class NonMeromorphicProduct(CosetForgeError):
     pass
+
+
+class NonRealCoefficient(CosetForgeError):
+    """A grammar term with a non-real coefficient was put into the Laurent
+    layer, whose coefficients are rational."""
 
 
 class OutsideConvergenceStrip(CosetForgeError):

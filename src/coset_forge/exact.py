@@ -1,5 +1,6 @@
-"""Exact arithmetic helpers: Gaussian rationals, Laurent polynomials and
-Laurent rational functions over them, and exact multiplicative constants.
+"""Exact arithmetic helpers: Gaussian rationals, Laurent polynomials with
+rational coefficients, quotients of them by products of cyclotomic
+polynomials, and exact multiplicative constants.
 
 All symbolic decisions elsewhere in the package (equality of exponents,
 cancellation of Gamma factors, divergence matching) reduce to arithmetic in
@@ -12,10 +13,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 
-from .errors import VanishingDenominator
+from .errors import NonRealCoefficient, VanishingDenominator
 
 
 def as_fraction(x) -> Fraction:
@@ -158,14 +160,8 @@ class GR:
         """self * n/d for integers n and d > 0."""
         return _gr(self.a * n, self.b * n, self.q * d)
 
-    def conj(self) -> "GR":
-        return _raw(self.a, -self.b, self.q)
-
     def is_zero(self) -> bool:
         return not self.a and not self.b
-
-    def is_real(self) -> bool:
-        return not self.b
 
     def __bool__(self):
         return bool(self.a or self.b)
@@ -209,261 +205,18 @@ GR_I = _raw(0, 1, 1)
 #
 # Every denominator in the engine is a product of sinh binomials
 # zeta^{-n} (zeta^{2n} - 1) / 2, so up to a unit and a power of zeta it is a
-# product of cyclotomic polynomials Phi_d.  Over Q(i), Phi_d is irreducible
-# when 4 does not divide d; when 4 | d it splits into the conjugate halves
-# g_d = gcd(Phi_d, zeta^{d/4} - i) and conj(g_d).  Each factor has an
-# integer key: d for Phi_d (4 not dividing d), +d for g_d and -d for
-# conj(g_d) (4 | d).  All factors are monic with Gaussian-integer
-# coefficients, so cancellation is exact integer division.  A single term
-# arrives reduced (binomial_quotient, below); trial division by the factors
-# is left for sums and products of terms (LaurentRational._reduce).
-#
-# The halves need no gcd.  With m = d/4, a root of zeta^m - i has order d/e
-# for an odd e | m, and zeta^{m/e} is i or -i as e is 1 or 3 mod 4.  So
-# zeta^m - i is the product over odd e | m of g_{d/e} (e = 1 mod 4) or
-# conj(g_{d/e}) (e = 3 mod 4), and g_d is zeta^m - i divided by the factors
-# with e > 1, all of lower order.
+# product of cyclotomic polynomials Phi_d, each keyed by its order d.  No
+# Phi_d is built on its own: Phi_d = prod_{j | d} (zeta^j - 1)^mu(d/j), and
+# multiplying by or dividing exactly by zeta^j - 1 is a sparse step, linear
+# in the length.  All coefficients are integers over one denominator and
+# every Phi_d is monic with integer coefficients, so cancellation is exact
+# integer arithmetic.
 
 @functools.lru_cache(maxsize=1024)
 def _divisors(n: int) -> tuple[int, ...]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return tuple(sorted(set(small + [n // d for d in small])))
 
-
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    nz = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in nz:
-                out[i + j] += x * y
-    return out
-
-
-def _div_monic(r: list[int], f: list[int]) -> list[int] | None:
-    """Exact quotient of ascending integer coefficient lists by a monic f,
-    or None if f does not divide r."""
-    m = len(f) - 1
-    if len(r) <= m:
-        return None
-    r = list(r)
-    low = [(j, a) for j, a in enumerate(f[:m]) if a]
-    for i in range(len(r) - 1, m - 1, -1):
-        c = r[i]
-        if c:
-            b = i - m
-            for j, a in low:
-                r[b + j] -= c * a
-    # entries at and above m are never touched once passed: the quotient
-    if any(r[:m]):
-        return None
-    return r[m:]
-
-
-def _div_monic_gauss(rr: list[int], ri: list[int] | None, fr: list[int],
-                     fi: list[int]) -> tuple[list[int], list[int]] | None:
-    """_div_monic over the Gaussian integers (real parts, imaginary parts)."""
-    m = len(fr) - 1
-    if len(rr) <= m:
-        return None
-    rr = list(rr)
-    ri = list(ri) if ri is not None else [0] * len(rr)
-    low = [(j, a, b) for j, (a, b) in enumerate(zip(fr[:m], fi[:m])) if a or b]
-    for i in range(len(rr) - 1, m - 1, -1):
-        cr, ci = rr[i], ri[i]
-        if cr or ci:
-            base = i - m
-            for j, a, b in low:
-                rr[base + j] -= cr * a - ci * b
-                ri[base + j] -= cr * b + ci * a
-    if any(rr[:m]) or any(ri[:m]):
-        return None
-    return rr[m:], ri[m:]
-
-
-class LaurentPoly:
-    """Laurent polynomial with Gaussian-rational coefficients held as
-    Gaussian integers over one denominator: (re[j] + i*im[j]) / q at
-    exponent lo + j.
-
-    Always normalized (see make): nonzero end coefficients, q > 0 coprime to
-    the coefficients, im None when every imaginary part vanishes, so equal
-    polynomials have equal fields.  The zero polynomial has re == [].
-    """
-
-    __slots__ = ("lo", "re", "im", "q")
-
-    def __init__(self, lo: int, re: list[int], im: list[int] | None, q: int):
-        self.lo, self.re, self.im, self.q = lo, re, im, q
-
-    @staticmethod
-    def make(lo: int, re: list[int], im: list[int] | None, q: int) -> "LaurentPoly":
-        if im is not None and not any(im):
-            im = None
-        a, b = 0, len(re)
-        if im is None:
-            while a < b and not re[a]:
-                a += 1
-            while b > a and not re[b - 1]:
-                b -= 1
-        else:
-            while a < b and not (re[a] or im[a]):
-                a += 1
-            while b > a and not (re[b - 1] or im[b - 1]):
-                b -= 1
-        if a == b:
-            return _ZERO
-        if a or b < len(re):
-            re = re[a:b]
-            im = None if im is None else im[a:b]
-        g = math.gcd(q, *re) if im is None else math.gcd(q, *re, *im)
-        if g > 1:
-            re = [x // g for x in re]
-            im = None if im is None else [x // g for x in im]
-            q //= g
-        return LaurentPoly(lo + a, re, im, q)
-
-    def is_zero(self) -> bool:
-        return not self.re
-
-    def degree(self) -> int:
-        return len(self.re) - 1
-
-    def max_exp(self) -> int:
-        return self.lo + len(self.re) - 1
-
-    def terms(self) -> list[tuple[int, int, int]]:
-        """(exponent, re, im) of each nonzero coefficient (re + i*im)/q,
-        exponents ascending."""
-        im = self.im or itertools.repeat(0)
-        return [(self.lo + j, a, b) for j, (a, b) in enumerate(zip(self.re, im))
-                if a or b]
-
-    def taylor_at_one(self, order: int) -> list[GR]:
-        """Coefficients of sum_m c_m e^{m s} expanded in s up to s^order.
-
-        Used for exact small-argument expansions: coefficient r is
-        (1/r!) sum_m c_m m^r.
-        """
-        terms = self.terms()
-        out = []
-        fact = 1
-        for r in range(order + 1):
-            if r:
-                fact *= r
-            out.append(_gr(sum(a * e ** r for e, a, _ in terms),
-                           sum(b * e ** r for e, _, b in terms), self.q * fact))
-        return out
-
-    def __eq__(self, other):
-        if type(other) is not LaurentPoly:
-            return NotImplemented
-        return (self.lo == other.lo and self.q == other.q
-                and self.re == other.re and self.im == other.im)
-
-    def __hash__(self):
-        return hash((self.lo, self.q, tuple(self.re),
-                     None if self.im is None else tuple(self.im)))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.re:
-            return other
-        if not other.re:
-            return self
-        q = math.lcm(self.q, other.q)
-        lo = min(self.lo, other.lo)
-        n = max(self.lo + len(self.re), other.lo + len(other.re)) - lo
-        re = [0] * n
-        im = None if self.im is None and other.im is None else [0] * n
-        for p in (self, other):
-            s, off = q // p.q, p.lo - lo
-            for j, x in enumerate(p.re):
-                re[off + j] += x * s
-            if p.im is not None:
-                for j, x in enumerate(p.im):
-                    im[off + j] += x * s
-        return LaurentPoly.make(lo, re, im, q)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.re or not other.re:
-            return _ZERO
-        re = _conv(self.re, other.re)
-        im = None
-        if self.im is not None and other.im is not None:
-            for j, x in enumerate(_conv(self.im, other.im)):
-                re[j] -= x
-        if self.im is not None or other.im is not None:
-            im = [0] * len(re)
-            for a, b in ((self.re, other.im), (self.im, other.re)):
-                if a is not None and b is not None:
-                    for j, x in enumerate(_conv(a, b)):
-                        im[j] += x
-        return LaurentPoly.make(self.lo + other.lo, re, im, self.q * other.q)
-
-    def divide(self, f: "LaurentPoly") -> "LaurentPoly | None":
-        """Exact quotient by a monic Gaussian-integer polynomial f with
-        f.lo == 0 and f(0) != 0, or None if f does not divide self."""
-        if f.im is None:
-            re = _div_monic(self.re, f.re)
-            if re is None:
-                return None
-            im = None
-            if self.im is not None:
-                im = _div_monic(self.im, f.re)
-                if im is None:
-                    return None
-        else:
-            out = _div_monic_gauss(self.re, self.im, f.re, f.im)
-            if out is None:
-                return None
-            re, im = out
-        return LaurentPoly.make(self.lo, re, im, self.q)
-
-    def __repr__(self):
-        if not self.re:
-            return "0"
-        q = self.q
-        return " + ".join(f"{_gr(a, b, q)!r}*Z^{e}" for e, a, b in self.terms())
-
-
-_ZERO = LaurentPoly(0, [], None, 1)
-_ONE = LaurentPoly(0, [1], None, 1)
-
-
-@functools.lru_cache(maxsize=1024)
-def _cyclotomic(d: int) -> list[int]:
-    """Phi_d as ascending integer coefficients."""
-    p = [-1] + [0] * (d - 1) + [1]
-    for e in _divisors(d)[:-1]:
-        p = _div_monic(p, _cyclotomic(e))
-    return p
-
-
-@functools.lru_cache(maxsize=1024)
-def _factor(key: int) -> LaurentPoly:
-    """The monic irreducible factor with this key (see above)."""
-    if key % 4:
-        return LaurentPoly(0, _cyclotomic(key), None, 1)
-    if key < 0:
-        g = _factor(-key)
-        return LaurentPoly(0, g.re, [-y for y in g.im], 1)
-    m = key // 4
-    g = LaurentPoly(0, [0] * m + [1], [-1] + [0] * m, 1)  # zeta^m - i
-    for e in _divisors(m)[1:]:
-        if e % 2:
-            g = g.divide(_factor(key // e if e % 4 == 1 else -(key // e)))
-    return g
-
-
-# ---------------------------------------------------------------------------
-# Products of binomials.
-#
-# A single grammar term is c * zeta^s * prod_j (zeta^{m_j} - 1)^{p_j}, so its
-# reduced form is read off the counts of each Phi_d, d | m_j: the factors
-# counted negative are the denominator, and those counted positive make the
-# numerator, built from binomials by Phi_d = prod_{j | d} (zeta^j - 1)^mu(d/j).
-# Multiplying by or dividing exactly by zeta^j - 1 is a sparse step, linear
-# in the length, so no dense factor is ever divided by trial.
 
 def _mobius(n: int) -> int:
     """The Moebius function mu(n), by trial division."""
@@ -486,49 +239,178 @@ def _phi_binomials(d: int) -> tuple[tuple[int, int], ...]:
 
 def _times_binomial(p: list[int], j: int) -> list[int]:
     """p * (zeta^j - 1), ascending integer coefficients."""
-    return [x - y for x, y in zip([0] * j + p, p + [0] * j)]
+    out = [0] * j + p
+    out[:len(p)] = map(operator.sub, out[:len(p)], p)
+    return out
 
 
-def _over_binomial(p: list[int], j: int) -> list[int]:
-    """p / (zeta^j - 1), the division exact: q_i = q_{i-j} - p_i, so each
-    residue class mod j of q is a running sum of that class of -p."""
+def _over_binomial(p: list[int], j: int) -> list[int] | None:
+    """p / (zeta^j - 1) for a nonzero p, or None if zeta^j - 1 does not
+    divide p.
+
+    q_i = q_{i-j} - p_i, so each residue class mod j of q is a running sum
+    of that class of -p, and each block of j coefficients of q is the block
+    before it minus that block of p; the loop runs over the fewer of the
+    two.  The division is exact when the top j coefficients of p continue
+    the recursion: p_i = q_{i-j} for i >= len(q)."""
     n = len(p) - j
-    q = [0] * n
-    for r in range(min(j, n)):
-        q[r:n:j] = [-x for x in itertools.accumulate(p[r:n:j])]
-    return q
+    if n < 0:
+        return None
+    if j * j <= n:
+        q = [0] * n
+        for r in range(j):
+            q[r::j] = [-x for x in itertools.accumulate(p[r:n:j])]
+    else:
+        q = [-x for x in p[:min(j, n)]]
+        for b in range(j, n, j):
+            q += map(operator.sub, q[b - j:b], p[b:min(b + j, n)])
+    return q if p[n:] == ([0] * j + q)[n:] else None
+
+
+def _times_phis(p: list[int], counts) -> list[int] | None:
+    """p * prod Phi_d^c over the pairs (d, c) of counts, c of either sign,
+    through the binomials of each Phi_d; None if that is not a polynomial.
+
+    All multiplications come first, so every division is exact when the
+    product is a polynomial."""
+    exps: dict[int, int] = {}
+    for d, c in counts:
+        for j, mu in _phi_binomials(d):
+            exps[j] = exps.get(j, 0) + c * mu
+    for j, e in exps.items():
+        for _ in range(e):
+            p = _times_binomial(p, j)
+    for j, e in exps.items():
+        for _ in range(-e):
+            p = _over_binomial(p, j)
+            if p is None:
+                return None
+    return p
+
+
+def _conv(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    nz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nz:
+                out[i + j] += x * y
+    return out
+
+
+class LaurentPoly:
+    """Laurent polynomial with rational coefficients held as integers over
+    one denominator: coeffs[j] / q at exponent lo + j.
+
+    Always normalized (see make): nonzero end coefficients and q > 0 coprime
+    to the coefficients, so equal polynomials have equal fields.  The zero
+    polynomial has coeffs == [].
+    """
+
+    __slots__ = ("lo", "coeffs", "q")
+
+    def __init__(self, lo: int, coeffs: list[int], q: int):
+        self.lo, self.coeffs, self.q = lo, coeffs, q
+
+    @staticmethod
+    def make(lo: int, coeffs: list[int], q: int) -> "LaurentPoly":
+        a, b = 0, len(coeffs)
+        while a < b and not coeffs[a]:
+            a += 1
+        while b > a and not coeffs[b - 1]:
+            b -= 1
+        if a == b:
+            return _ZERO
+        if a or b < len(coeffs):
+            coeffs = coeffs[a:b]
+        g = math.gcd(q, *coeffs)
+        if g > 1:
+            coeffs = [x // g for x in coeffs]
+            q //= g
+        return LaurentPoly(lo + a, coeffs, q)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def max_exp(self) -> int:
+        return self.lo + len(self.coeffs) - 1
+
+    def terms(self) -> list[tuple[int, int]]:
+        """(exponent, c) of each nonzero coefficient c/q, exponents
+        ascending."""
+        return [(self.lo + j, c) for j, c in enumerate(self.coeffs) if c]
+
+    def taylor_at_one(self, order: int) -> list[Fraction]:
+        """Coefficients of sum_m c_m e^{m s} expanded in s up to s^order.
+
+        Used for exact small-argument expansions: coefficient r is
+        (1/r!) sum_m c_m m^r.
+        """
+        terms = self.terms()
+        out = []
+        fact = 1
+        for r in range(order + 1):
+            if r:
+                fact *= r
+            out.append(Fraction(sum(c * e ** r for e, c in terms), self.q * fact))
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not LaurentPoly:
+            return NotImplemented
+        return (self.lo == other.lo and self.q == other.q
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.lo, self.q, tuple(self.coeffs)))
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not self.coeffs:
+            return other
+        if not other.coeffs:
+            return self
+        q = math.lcm(self.q, other.q)
+        lo = min(self.lo, other.lo)
+        n = max(self.max_exp(), other.max_exp()) + 1 - lo
+        coeffs = [0] * n
+        for p in (self, other):
+            s, off = q // p.q, p.lo - lo
+            for j, x in enumerate(p.coeffs):
+                coeffs[off + j] += x * s
+        return LaurentPoly.make(lo, coeffs, q)
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not self.coeffs or not other.coeffs:
+            return _ZERO
+        return LaurentPoly.make(self.lo + other.lo, _conv(self.coeffs, other.coeffs),
+                                self.q * other.q)
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{_qstr(c, self.q)}*Z^{e}" for e, c in self.terms())
+
+
+_ZERO = LaurentPoly(0, [], 1)
 
 
 def binomial_quotient(coeff: GR, lo: int,
                       powers: list[tuple[int, int]]) -> "LaurentRational":
     """coeff * zeta^lo * prod (zeta^m - 1)^p over the pairs (m, p) of powers,
-    m > 0, built reduced."""
+    m > 0, built reduced.
+
+    Its reduced form is read off the counts of each Phi_d, d | m: the
+    factors counted negative are the denominator, and those counted
+    positive make the numerator.  The coefficient must be real."""
+    if coeff.b:
+        raise NonRealCoefficient(f"coefficient {coeff!r} is not real")
     count: dict[int, int] = {}
     for m, p in powers:
         for d in _divisors(m):
             count[d] = count.get(d, 0) + p
-    factors: dict[int, int] = {}
-    for d, c in count.items():
-        if c < 0:
-            factors[d] = -c
-            if d % 4 == 0:
-                factors[-d] = -c
-    exps: dict[int, int] = {}
-    for d, c in count.items():
-        if c > 0:
-            for j, mu in _phi_binomials(d):
-                exps[j] = exps.get(j, 0) + c * mu
-    num = [1]
-    for j, e in exps.items():
-        for _ in range(e):
-            num = _times_binomial(num, j)
-    for j, e in exps.items():
-        for _ in range(-e):
-            num = _over_binomial(num, j)
-    a, b = coeff.a, coeff.b
-    n = LaurentPoly.make(lo, [x * a for x in num],
-                         [x * b for x in num] if b else None, coeff.q)
-    return LaurentRational._make(n, factors)
+    num = _times_phis([1], [(d, c) for d, c in count.items() if c > 0])
+    n = LaurentPoly.make(lo, [x * coeff.a for x in num], coeff.q)
+    return LaurentRational._make(n, {d: -c for d, c in count.items() if c < 0})
 
 
 def _key(factors: dict[int, int]) -> tuple:
@@ -537,27 +419,24 @@ def _key(factors: dict[int, int]) -> tuple:
 
 
 @functools.lru_cache(maxsize=1024)
-def _product(key: tuple) -> LaurentPoly:
-    """Product of the factors of a multiset given by _key."""
-    p = _ONE
-    for f, m in key:
-        for _ in range(m):
-            p = p * _factor(f)
-    return p
+def _den(key: tuple) -> LaurentPoly:
+    """Product of the Phi_d^m over the pairs (d, m) of a multiset given by
+    _key."""
+    return LaurentPoly(0, _times_phis([1], key), 1)
 
 
 class LaurentRational:
-    """Quotient of a Laurent polynomial by a product of cyclotomic factors,
-    kept reduced.
+    """Quotient of a Laurent polynomial by a product of cyclotomic
+    polynomials, kept reduced.
 
-    The denominator is carried as the multiset `factors`, {factor key:
-    multiplicity}.  A single grammar term is built reduced by
-    binomial_quotient, which counts the factors and divides nothing; a sum
-    or product built here is reduced by exact trial division of the
-    numerator by each factor while it divides.  Normal form: no factor of
-    the denominator divides the numerator, and the denominator (the product
-    of the factors) has minimum exponent 0 and leading coefficient 1.
-    `num` is the numerator and `den` the product of the factors.
+    The denominator is carried as the multiset `factors`, {d: multiplicity
+    of Phi_d}.  A single grammar term is built reduced by binomial_quotient,
+    which counts the factors and divides nothing; a sum or product built
+    here is reduced by dividing the numerator by each Phi_d while it
+    divides, through the binomials of Phi_d.  Normal form: no factor of the
+    denominator divides the numerator.  `num` is the numerator and `den`
+    the product of the factors, which has minimum exponent 0 and leading
+    coefficient 1.
     """
 
     __slots__ = ("num", "factors")
@@ -570,17 +449,18 @@ class LaurentRational:
 
     @staticmethod
     def _reduce(n: LaurentPoly, factors: dict[int, int]) -> tuple[LaurentPoly, dict[int, int]]:
-        left = {}
-        for key, m in factors.items():
-            f = _factor(key)
+        p, left = n.coeffs, {}
+        for d, m in factors.items():
             while m:
-                q = n.divide(f)
+                q = _times_phis(p, ((d, -1),))
                 if q is None:
                     break
-                n, m = q, m - 1
+                p, m = q, m - 1
             if m:
-                left[key] = m
-        return n, left
+                left[d] = m
+        # Phi_d is monic and primitive: the quotient keeps n's content and
+        # nonzero ends
+        return (n if p is n.coeffs else LaurentPoly(n.lo, p, n.q)), left
 
     @staticmethod
     def _make(n: LaurentPoly, factors: dict[int, int]) -> "LaurentRational":
@@ -591,7 +471,12 @@ class LaurentRational:
 
     @property
     def den(self) -> LaurentPoly:
-        return _product(_key(self.factors))
+        return _den(_key(self.factors))
+
+    def den_degree(self) -> int:
+        """Degree of den, the sum of deg Phi_d = sum_{j | d} j mu(d/j)."""
+        return sum(m * j * mu for d, m in self.factors.items()
+                   for j, mu in _phi_binomials(d))
 
     @staticmethod
     def zero() -> "LaurentRational":
@@ -616,31 +501,43 @@ class LaurentRational:
         fa, fb = self.factors, other.factors
         if fa == fb:
             return LaurentRational(self.num + other.num, fa)
-        lcm = {k: max(fa.get(k, 0), fb.get(k, 0)) for k in fa.keys() | fb.keys()}
-        na = self.num * _product(_key({k: m - fa.get(k, 0) for k, m in lcm.items()}))
-        nb = other.num * _product(_key({k: m - fb.get(k, 0) for k, m in lcm.items()}))
+        lcm = {d: max(fa.get(d, 0), fb.get(d, 0)) for d in fa.keys() | fb.keys()}
+        # a monic primitive cofactor keeps each numerator normalized
+        na, nb = (LaurentPoly(n.lo, _times_phis(n.coeffs, [
+            (d, m - f.get(d, 0)) for d, m in lcm.items()]), n.q)
+                  for n, f in ((self.num, fa), (other.num, fb)))
         return LaurentRational(na + nb, lcm)
 
     def __mul__(self, other: "LaurentRational") -> "LaurentRational":
         factors = dict(self.factors)
-        for key, m in other.factors.items():
-            factors[key] = factors.get(key, 0) + m
+        for d, m in other.factors.items():
+            factors[d] = factors.get(d, 0) + m
         return LaurentRational(self.num * other.num, factors)
 
     def cofactor(self, n: int) -> LaurentPoly | None:
-        """(zeta^n - 1) / den by exact integer division, or None if den does
-        not divide zeta^n - 1."""
-        return LaurentPoly(0, [-1] + [0] * (n - 1) + [1], None, 1).divide(self.den)
+        """(zeta^n - 1) / den by exact division through binomials, or None
+        if den does not divide zeta^n - 1."""
+        q = _times_phis([-1] + [0] * (n - 1) + [1],
+                        [(d, -m) for d, m in self.factors.items()])
+        return None if q is None else LaurentPoly(0, q, 1)
 
-    def limit_at_one(self) -> GR:
+    def limit_at_one(self) -> Fraction:
         """lim_{zeta->1} of the rational function; raises if it diverges.
 
         Only Phi_1 = zeta - 1 vanishes at 1, and a reduced numerator is not
-        divisible by it when the denominator holds it."""
+        divisible by it when the denominator holds it.  For d > 1,
+        Phi_d(1) = prod_{j | d} j^mu(d/j): p when d is a power of the prime
+        p, and 1 otherwise."""
         if self.factors.get(1):
             raise ZeroDivisionError("pole at zeta = 1")
-        n, d = self.num, self.den
-        return _gr(sum(n.re), sum(n.im or ()), n.q) / _raw(sum(d.re), sum(d.im or ()), 1)
+        up = down = 1
+        for d, m in self.factors.items():
+            for j, mu in _phi_binomials(d):
+                if mu > 0:
+                    up *= j ** m
+                else:
+                    down *= j ** m
+        return Fraction(sum(self.num.coeffs) * down, self.num.q * up)
 
     def __repr__(self):
         if not self.factors:

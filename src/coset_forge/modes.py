@@ -2,7 +2,7 @@
 
 A mode function g(t) is the coefficient of the oscillator a(t) in an
 exponent exp{ integral g(t) a(t) dt }, split into t>0 and t<0 branches.
-Terms live in a small grammar: Gaussian-rational coefficients times an
+Terms live in a small grammar: rational coefficients times an
 integer power of hbar, exponential tilts e^{alpha*hbar*t}, spectral phases
 e^{-i(u + i*gamma*hbar)t}, and integer powers of sinh(beta*hbar*t).
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ExcludedLevel, MixedSpectralArguments, NonMeromorphicProduct
+from .errors import ExcludedLevel, NonMeromorphicProduct
 from .exact import GR, LaurentRational, as_fraction, binomial_quotient
 
 __all__ = [
@@ -230,17 +230,16 @@ class ExpTrigTerm:
 class ModeFunction:
     """Exponent coefficient function with separate t>0 and t<0 branches."""
 
-    __slots__ = ("variable", "positive_branch", "negative_branch", "_canon")
+    __slots__ = ("positive_branch", "negative_branch", "_canon")
 
-    def __init__(self, positive_branch=(), negative_branch=(), variable="u"):
-        self.variable = variable
+    def __init__(self, positive_branch=(), negative_branch=()):
         self.positive_branch = tuple(positive_branch)
         self.negative_branch = tuple(negative_branch)
         self._canon = None
 
     @staticmethod
-    def zero(variable="u") -> "ModeFunction":
-        return ModeFunction((), (), variable)
+    def zero() -> "ModeFunction":
+        return ModeFunction((), ())
 
     def is_structurally_zero(self) -> bool:
         return not self.positive_branch and not self.negative_branch
@@ -250,12 +249,8 @@ class ModeFunction:
             return self
         if self.is_structurally_zero():
             return other
-        if self.variable != other.variable:
-            raise MixedSpectralArguments(
-                f"cannot mix spectral variables {self.variable} and {other.variable}")
         return ModeFunction(self.positive_branch + other.positive_branch,
-                            self.negative_branch + other.negative_branch,
-                            self.variable)
+                            self.negative_branch + other.negative_branch)
 
     def __neg__(self) -> "ModeFunction":
         return self.scale(GR(Fraction(-1)))
@@ -269,8 +264,7 @@ class ModeFunction:
             return tuple(ExpTrigTerm(t.coeff * s, t.hbar_power, t.shift,
                                      t.spectral_shift, t.sinh_factors)
                          for t in terms)
-        return ModeFunction(sc(self.positive_branch), sc(self.negative_branch),
-                            self.variable)
+        return ModeFunction(sc(self.positive_branch), sc(self.negative_branch))
 
     def lattice(self) -> int:
         dens = [1]
@@ -308,7 +302,7 @@ class ModeFunction:
         return sum((term.eval(t, hbar) for term in terms), 0j)
 
     def __repr__(self):
-        return (f"ModeFunction({self.variable}; +:{list(self.positive_branch)!r}, "
+        return (f"ModeFunction(+:{list(self.positive_branch)!r}, "
                 f"-:{list(self.negative_branch)!r})")
 
 
@@ -324,14 +318,11 @@ def shift_argument(f: ModeFunction, delta) -> ModeFunction:
         return tuple(ExpTrigTerm(t.coeff, t.hbar_power, t.shift,
                                  t.spectral_shift + delta, t.sinh_factors)
                      for t in terms)
-    return ModeFunction(sh(f.positive_branch), sh(f.negative_branch), f.variable)
+    return ModeFunction(sh(f.positive_branch), sh(f.negative_branch))
 
 
 def equals(f: ModeFunction, g: ModeFunction) -> bool:
     """Exact equality of mode functions via canonical forms on a joint lattice."""
-    if f.variable != g.variable:
-        raise MixedSpectralArguments(
-            f"comparing functions of {f.variable} and {g.variable}")
     joint = _lcm(f.lattice(), g.lattice())
     _, fp, fn = f.canonical(joint)
     _, gp, gn = g.canonical(joint)

@@ -74,22 +74,20 @@ def linear_factors(sf):
 def sparse(p):
     """The nonzero coefficients of a LaurentPoly as {exponent: GR},
     exponents ascending."""
-    im = p.im or [0] * len(p.re)
-    return {p.lo + j: GR(Fraction(a, p.q), Fraction(b, p.q))
-            for j, (a, b) in enumerate(zip(p.re, im)) if a or b}
+    return {e: GR(Fraction(c, p.q)) for e, c in p.terms()}
 
 
 def dense(coeffs):
-    """The LaurentPoly with the coefficients {exponent: GR}."""
+    """The LaurentPoly with the real coefficients {exponent: GR}."""
     if not coeffs:
-        return LaurentPoly.make(0, [], None, 1)
+        return LaurentPoly.make(0, [], 1)
+    assert not any(v.b for v in coeffs.values()), "LaurentPoly is rational"
     lo = min(coeffs)
     q = math.lcm(*(v.q for v in coeffs.values()))
-    re = [0] * (max(coeffs) - lo + 1)
-    im = [0] * len(re)
+    out = [0] * (max(coeffs) - lo + 1)
     for e, v in coeffs.items():
-        re[e - lo], im[e - lo] = v.a * (q // v.q), v.b * (q // v.q)
-    return LaurentPoly.make(lo, re, im, q)
+        out[e - lo] = v.a * (q // v.q)
+    return LaurentPoly.make(lo, out, q)
 
 
 def _accumulate(out, e, v):

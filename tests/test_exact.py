@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense, sparse, sparse_add, sparse_mul
 from coset_forge import exact
+from coset_forge.errors import NonRealCoefficient
 from coset_forge.exact import (GR, GR_I, GR_ONE, ExactConst, KRat, LaurentPoly,
-                               LaurentRational)
+                               LaurentRational, binomial_quotient)
 from coset_forge.modes import ExpTrigTerm
 
 
@@ -56,7 +57,6 @@ def test_gr_field_ops():
     assert (a * b) / b == a
     assert a + (-a) == GR()
     assert (GR_ONE / GR_I) == -GR_I
-    assert a.conj().conj() == a
     with pytest.raises(ZeroDivisionError):
         a / GR()
 
@@ -70,8 +70,8 @@ def test_laurent_reduction_cancels_common_factor():
 
 def test_laurent_equality_is_canonical():
     # (2z + 2)/2 and z + 1 have one normal form, so one value and one hash
-    a = LaurentPoly.make(0, [2, 2], [0, 0], 2)
-    assert (a.lo, a.re, a.im, a.q) == (0, [1, 1], None, 1)
+    a = LaurentPoly.make(0, [2, 2], 2)
+    assert (a.lo, a.coeffs, a.q) == (0, [1, 1], 1)
     b = dense({1: GR_ONE, 0: GR_ONE})
     assert a == b and hash(a) == hash(b)
     assert LaurentRational(a, {3: 1}) == LaurentRational(b, {3: 1})
@@ -80,10 +80,10 @@ def test_laurent_equality_is_canonical():
 
 def test_laurent_repr_lists_nonzero_coefficients_ascending():
     # -2 z^2 / (1 + z^4) on the lattice of the catalog's beta exponents
-    r = LaurentRational(dense({2: GR.of(-2)}), {8: 1, -8: 1})
+    r = LaurentRational(dense({2: GR.of(-2)}), {8: 1})
     assert repr(r) == "(-2*Z^2) / (1*Z^0 + 1*Z^4)"
-    half = LaurentPoly.make(-1, [1, 0, 0, 2], [3, 0, 0, 0], 2)
-    assert repr(half) == "(1/2+3/2*i)*Z^-1 + 1*Z^2"
+    half = LaurentPoly.make(-1, [1, 0, 0, 2], 2)
+    assert repr(half) == "1/2*Z^-1 + 1*Z^2"
     assert repr(LaurentRational.zero()) == "0"
 
 
@@ -98,8 +98,8 @@ def test_poly_gcd_monic():
 def test_limit_at_one():
     # (z - z^-1) / (z^2 - z^-2) = z (z^2 - 1) / (z^4 - 1) -> 1/2 at z=1
     num = dense({3: GR_ONE, 1: -GR_ONE})
-    r = LaurentRational(num, {1: 1, 2: 1, 4: 1, -4: 1})
-    assert r.limit_at_one() == GR(Fraction(1, 2))
+    r = LaurentRational(num, {1: 1, 2: 1, 4: 1})
+    assert r.limit_at_one() == Fraction(1, 2)
     # 1 / (z - z^-1) = z / ((z - 1)(z + 1))
     with pytest.raises(ZeroDivisionError):
         LaurentRational(dense({1: GR_ONE}), {1: 1, 2: 1}).limit_at_one()
@@ -108,20 +108,13 @@ def test_limit_at_one():
 def test_taylor_at_one():
     # z + z^-1 = 2 + s^2 + O(s^4) with z = e^s
     p = dense({1: GR_ONE, -1: GR_ONE})
-    c = p.taylor_at_one(4)
-    assert c[0] == GR(Fraction(2))
-    assert c[1] == GR()
-    assert c[2] == GR(Fraction(1))
-    # Gaussian coefficients over a common denominator: (1/r!) sum_m c_m m^r
-    coeffs = {-2: GR(Fraction(1, 3), Fraction(1)), 0: GR.of(2),
-              3: GR(Fraction(0), Fraction(-1, 2))}
+    assert p.taylor_at_one(4)[:3] == [2, 0, 1]
+    # coefficients over a common denominator: (1/r!) sum_m c_m m^r
+    coeffs = {-2: Fraction(1, 3), 0: Fraction(2), 3: Fraction(-1, 2)}
     fact = 1
-    for r, got in enumerate(dense(coeffs).taylor_at_one(6)):
+    for r, got in enumerate(dense({m: GR(v) for m, v in coeffs.items()}).taylor_at_one(6)):
         fact *= max(r, 1)
-        want = GR()
-        for m, v in coeffs.items():
-            want = want + v * m ** r
-        assert got == want / fact, r
+        assert got == sum(v * m ** r for m, v in coeffs.items()) / fact, r
 
 
 def test_exact_const_canonicalization():
@@ -160,25 +153,13 @@ def test_krat_arithmetic_and_bind():
 
 @functools.cache
 def _cyclotomic(d):
-    """Phi_d as a dense GR list, by division over the Gaussian rationals."""
+    """Phi_d as a sparse {exponent: GR}, by dense division of z^d - 1 by the
+    Phi_e of the proper divisors e of d."""
     p = [GR.of(-1)] + [GR()] * (d - 1) + [GR_ONE]
     for e in range(1, d):
         if d % e == 0:
-            p, _ = _poly_divmod(p, _cyclotomic(e))
-    return p
-
-
-def _factor_poly(key):
-    """Phi_d for 4 not dividing d; g_d = gcd(Phi_d, z^{d/4} - i) for key d and
-    its conjugate for key -d when 4 | d."""
-    d = abs(key)
-    if d % 4:
-        dense = _cyclotomic(d)
-    else:
-        dense = poly_gcd(_cyclotomic(d), [-GR_I] + [GR()] * (d // 4 - 1) + [GR_ONE])
-        if key < 0:
-            dense = [v.conj() for v in dense]
-    return {i: v for i, v in enumerate(dense) if v}
+            p, _ = _poly_divmod(p, _dense(_cyclotomic(e), 0))
+    return {i: v for i, v in enumerate(p) if v}
 
 
 def _gcd_normal_form(num, den):
@@ -199,8 +180,8 @@ def _gcd_normal_form(num, den):
 
 def _product(keys):
     p = {0: GR_ONE}
-    for key in keys:
-        p = sparse_mul(p, _factor_poly(key))
+    for d in keys:
+        p = sparse_mul(p, _cyclotomic(d))
     return p
 
 
@@ -210,11 +191,11 @@ def _multiset(keys):
 
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-_gaussian = st.builds(GR, _fractions, _fractions).filter(bool)
-_numerators = st.dictionaries(st.integers(-4, 4), _gaussian, min_size=1,
+_rationals = st.builds(GR, _fractions).filter(bool)
+_numerators = st.dictionaries(st.integers(-4, 4), _rationals, min_size=1,
                               max_size=4)
-# factor keys of orders up to 12: d for Phi_d, +-d for the halves when 4 | d
-_keys = st.sampled_from([1, 2, 3, 5, 6, 7, 9, 10, 11, 4, -4, 8, -8, 12, -12])
+# factor keys of orders up to 12: d for Phi_d
+_keys = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,31 +223,29 @@ def test_cyclotomic_arithmetic_matches_gcd_reference(na, ka, nb, kb):
         assert (sparse(got.num), sparse(got.den)) == want
 
 
-def test_split_cyclotomic_halves_by_the_integer_route():
-    # g_d comes from zeta^{d/4} - i by exact division; check it is the half
-    # the gcd definition names: g_d * conj(g_d) = Phi_d, g_d | zeta^{d/4} - i
-    for d in range(4, 401, 4):
-        g, gc = exact._factor(d), exact._factor(-d)
-        assert g.lo == 0 and g.q == 1 and g.re[-1] == 1 and g.im[-1] == 0
-        assert (g.re, [-y for y in g.im]) == (gc.re, gc.im)
-        assert g * gc == LaurentPoly(0, exact._cyclotomic(d), None, 1), d
-        m = d // 4
-        target = LaurentPoly(0, [0] * m + [1], [-1] + [0] * m, 1)
-        assert target.divide(g) is not None, d
-    # and agrees with the dense gcd where that is quick
-    for d in range(4, 65, 4):
-        phi = [GR.of(c) for c in exact._cyclotomic(d)]
-        ref = poly_gcd(phi, [-GR_I] + [GR()] * (d // 4 - 1) + [GR_ONE])
-        assert sparse(exact._factor(d)) == {i: v for i, v in enumerate(ref) if v}, d
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12).filter(any),
+       st.integers(1, 30), st.lists(st.integers(1, 30), max_size=2), st.booleans())
+def test_division_by_phi_through_binomials_matches_dense_division(p, d, extra, times_d):
+    # p * Phi_e for each extra e, and * Phi_d itself when times_d, so that
+    # about half the divisions are exact
+    for e in extra + [d] * times_d:
+        p = [int(v.re) for v in _dense(sparse_mul(dict(enumerate(map(GR.of, p))),
+                                                  _cyclotomic(e)), 0)]
+    q, r = _poly_divmod([GR.of(x) for x in p], _dense(_cyclotomic(d), 0))
+    want = [int(v.re) for v in q] if not any(r) else None
+    assert exact._times_phis(p, ((d, -1),)) == want
 
 
-def test_reduction_cancels_one_half_of_a_split_factor():
-    # (z - i) / (z^2 + 1) == 1 / (z + i): of Phi_4 = g_4 conj(g_4), only
-    # g_4 = z - i cancels
-    r = LaurentRational(dense({1: GR_ONE, 0: -GR_I}), {4: 1, -4: 1})
-    assert r.factors == {-4: 1}
-    assert sparse(r.den) == {1: GR_ONE, 0: GR_I}
-    assert sparse(r.num) == {0: GR_ONE}
+def test_non_real_coefficient_is_refused():
+    # the Laurent layer is rational: an imaginary coefficient raises a typed
+    # error instead of being dropped
+    with pytest.raises(NonRealCoefficient, match="not real"):
+        binomial_quotient(GR_I, 0, [(2, -1)])
+    with pytest.raises(NonRealCoefficient):
+        ExpTrigTerm(GR(Fraction(1), Fraction(1, 2)), 1, 0, 0, ((Fraction(1), -1),)).laurent(1)
+    assert binomial_quotient(GR(Fraction(3, 2)), 1, [(2, -1)]) == LaurentRational(
+        dense({1: GR(Fraction(3, 2))}), {1: 1, 2: 1})
 
 
 # ---------------------------------------------------------------------------

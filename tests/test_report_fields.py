@@ -26,7 +26,7 @@ import pytest
 from coset_forge import cli
 
 FIXTURE = Path(__file__).parent / "data" / "report_fields.json"
-LEVELS = ("1", "2", "5/2", "3/7", "1/10")
+LEVELS = ("1", "2", "5/2", "3/7", "1/10", "13/16", "97/100")
 HBARS = ("1", "1/2")
 COMMANDS = ("verify", "report")
 
