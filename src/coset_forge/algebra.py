@@ -37,15 +37,16 @@ __all__ = [
 
 
 class NormalOrderedTerm:
-    """Scalar prefactor (coeff * hbar^power) times one normal-ordered
-    exponential, with one exponent mode function per kernel family."""
+    """Scalar prefactor (coeff * hbar^power), coeff rational, times one
+    normal-ordered exponential, with one exponent mode function per kernel
+    family."""
 
     __slots__ = ("coeff", "hbar_power", "exponents")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, coeff: GR, hbar_power: int,
+    def __init__(self, coeff: Fraction, hbar_power: int,
                  exponents: dict[str, ModeFunction]):
-        _set(self, "coeff", coeff)
+        _set(self, "coeff", as_fraction(coeff))
         _set(self, "hbar_power", hbar_power)
         _set(self, "exponents", exponents)
 
@@ -525,11 +526,13 @@ def _verify_numeric_only(cat: Catalog, rel: Relation, tol: float
     return report
 
 
-def ef_commutator_analysis(cat: Catalog, e_name: str = "E", f_name: str = "F",
-                           expected_poles: list[Fraction] | None = None,
-                           residue_targets: list[tuple[str, Fraction]] | None = None,
+def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
+                           expected_poles: list[Fraction],
+                           residue_targets: list[tuple[str, Fraction]],
                            ) -> VerificationReport:
-    """Pole/residue analysis of the ordering difference of two currents.
+    """Pole/residue analysis of the ordering difference of two currents,
+    against the pole positions (in hbar units) and the (current, argument
+    shift) residue targets of a bound `commutator_delta` declaration.
 
     For each term pair the forward and reversed contraction exponentials must
     be the same meromorphic function (exchange factor one); the commutator is
@@ -543,10 +546,6 @@ def ef_commutator_analysis(cat: Catalog, e_name: str = "E", f_name: str = "F",
     params = cat.params
     k, hbar = params.k, params.hbar_float
     E, F = cat[e_name], cat[f_name]
-    if expected_poles is None:
-        expected_poles = [-k / 2, k / 2]
-    if residue_targets is None:
-        residue_targets = [("H_plus", k / 4), ("H_minus", -k / 4)]
 
     report = VerificationReport(f"[{e_name},{f_name}]", "commutator-delta",
                                 False, None, 0.0)

@@ -384,7 +384,7 @@ def cmd_catalog(args) -> int:
         cur = cat.currents[name]
         print(f"current {name}: {len(cur.terms)} term(s)")
         for i, term in enumerate(cur.terms):
-            pref = f"{term.coeff!r}"
+            pref = str(term.coeff)
             if term.hbar_power:
                 pref += f"*hbar^{term.hbar_power}"
             print(f"  term {i}: prefactor {pref}")

@@ -143,30 +143,24 @@ class StructureFunction:
         """Merge Gamma factors modulo the recurrence Gamma(x+1) = x Gamma(x).
 
         Within each (scale, shift mod 1) class the factor is reduced to the
-        representative shift in [0,1); integer offsets are emitted as linear
-        factors (iw + q*scale*hbar) with exact constants (scale*hbar)^{-1}.
+        representative shift in [0,1); an integer offset n is emitted as one
+        linear factor (iw + q*scale*hbar) per unit step and the exact
+        constant (scale*hbar)^{-n}, multiplied in once per Gamma factor.
         """
         gammas: dict[tuple[int, int, int, int, int], int] = {}
         linears = dict(self.linears)
         const = self.const
-        for key, e in self.gammas.items():
-            sa, sb, sq, an, d = key
-            n = an // d
-            if not n:
-                merge(gammas, key, e)
-                continue
+        for (sa, sb, sq, an, d), e in self.gammas.items():
             # shift an/d = n + rn/d with rn/d in [0, 1), still in lowest terms
-            rn = an - n * d
+            n, rn = divmod(an, d)
             merge(gammas, (sa, sb, sq, rn, d), e)
-            s = _raw(sa, sb, sq)
-            js = range(0, n) if n > 0 else range(n, 0)
             sign = 1 if n > 0 else -1
-            for j in js:
+            for j in (range(0, n) if n > 0 else range(n, 0)):
                 # rho = s * (rn + j*d)/d, in lowest terms
                 x = rn + j * d
                 g = math.gcd(sa * x, sb * x, sq * d)
                 merge(linears, (sa * x // g, sb * x // g, sq * d // g), sign * e)
-                const = const.times_base(s, 1, -sign * e)
+            const = const.times_base(_raw(sa, sb, sq), 1, -n * e)
         return StructureFunction(gammas, {k: v for k, v in linears.items() if v},
                                  const)
 
@@ -242,9 +236,7 @@ class StructureFunction:
 class ContractionIntegrand:
     """Canonical contraction integrand R(zeta) e^{-iwt}/t on (0, inf)."""
 
-    def __init__(self, terms: list[ExpTrigTerm], lattice: int,
-                 rational: LaurentRational):
-        self.terms = list(terms)
+    def __init__(self, lattice: int, rational: LaurentRational):
         self.lattice = lattice
         self.rational = rational
         try:
@@ -374,7 +366,7 @@ def contract(f: ModeFunction, g: ModeFunction, K: Kernel,
     for tf in f.positive_branch:
         for tg in g.negative_branch:
             tr = tg.reflected()
-            coeff = tf.coeff * tr.coeff * GR.of(K.sign)
+            coeff = tf.coeff * tr.coeff * K.sign
             hpow = tf.hbar_power + tr.hbar_power - 2
             if hpow != 0:
                 raise IllPosedContraction(
@@ -389,7 +381,7 @@ def contract(f: ModeFunction, g: ModeFunction, K: Kernel,
     total = LaurentRational.zero()
     for t in terms:
         total = total + t.laurent(lattice)
-    return ContractionIntegrand(terms, lattice, total)
+    return ContractionIntegrand(lattice, total)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .algebra import Catalog, Current, NormalOrderedTerm, Relation
 from .contraction import StructureFunction, gamma_key, linear_key
-from .errors import DuplicateName, ParseError, UndeclaredName
+from .errors import DuplicateName, ExcludedLevel, ParseError, UndeclaredName
 from .exact import GR, GR_I, GR_ONE, ExactConst, KRat, merge
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, shift_argument
 
@@ -290,8 +290,7 @@ class DefinitionFile:
                     [_bind_term(t, kval) for t in cd.pos],
                     [_bind_term(t, kval) for t in cd.neg])
                 cur = Current(cd.name,
-                              (NormalOrderedTerm(GR(Fraction(1)), 0,
-                                                 {cd.kernel: mf}),))
+                              (NormalOrderedTerm(_ONE, 0, {cd.kernel: mf}),))
             else:
                 cur = _bind_composite(cd, cat, kval)
             cat.currents[cd.name] = cur
@@ -307,7 +306,7 @@ class DefinitionFile:
 # binding helpers -------------------------------------------------------------
 
 def _bind_term(t: TermDecl, k: Fraction) -> ExpTrigTerm:
-    return ExpTrigTerm(GR(_at(t.coeff, k)), t.hbar_power, _at(t.shift, k),
+    return ExpTrigTerm(_at(t.coeff, k), t.hbar_power, _at(t.shift, k),
                        _ZERO, tuple((_at(b, k), e) for b, e in t.sinh))
 
 
@@ -315,7 +314,7 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
     out_terms: list[NormalOrderedTerm] = []
     for term in cd.composite:
         # expand the reference product bilinearly over referenced terms
-        partial = [(GR(_at(term.coeff, k)), term.hbar_power, {})]
+        partial = [(_at(term.coeff, k), term.hbar_power, {})]
         for ref in term.refs:
             if ref.name not in cat.currents:
                 raise UndeclaredName(f"current {ref.name!r} not declared before use")
@@ -342,17 +341,22 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
     return Current(cd.name, tuple(out_terms))
 
 
-def _bind_side(factors: list[FactorDecl], k: Fraction) -> StructureFunction:
-    """The product of one side's factors: each Gamma or linear factor is
-    merged into its multiset; the scalars, and (-i)^n from each
-    (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant."""
+def _bind_side(rel: str, factors: list[FactorDecl], k: Fraction) -> StructureFunction:
+    """The product of one side's factors of relation `rel`: each Gamma or
+    linear factor is merged into its multiset; the scalars, and (-i)^n from
+    each (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant.
+    A scalar that vanishes at k excludes the level."""
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     linears: dict[tuple[int, int, int], int] = {}
     mult = GR_ONE
     for f in factors:
         e = f.exponent
         if f.kind == "scalar":
-            mult = mult * GR(_at(f.scalar, k))
+            v = _at(f.scalar, k)
+            if not v:
+                raise ExcludedLevel(f"relation {rel!r}: scalar factor "
+                                    f"({f.scalar!r}) vanishes at k={k}")
+            mult = mult * GR(v)
             continue
         if f.kind == "gamma":
             exps = gammas
@@ -372,8 +376,8 @@ def _bind_side(factors: list[FactorDecl], k: Fraction) -> StructureFunction:
 
 def _bind_relation(rd: RelationDecl, k: Fraction) -> Relation:
     rel = Relation(rd.name, rd.kind, rd.left_pair, rd.right_pair,
-                   left_factor=_bind_side(rd.left_factors, k),
-                   right_factor=_bind_side(rd.right_factors, k),
+                   left_factor=_bind_side(rd.name, rd.left_factors, k),
+                   right_factor=_bind_side(rd.name, rd.right_factors, k),
                    rotate=rd.rotate)
     if rd.tol is not None:
         rel.tolerance = rd.tol
@@ -779,8 +783,9 @@ class _Parser:
             self.expect("*")
 
     def relation_factor(self) -> FactorDecl:
-        if self.cur.kind == "number":
-            return FactorDecl("scalar", scalar=self.expect_number())
+        t = self.cur
+        if t.kind == "number":
+            return self.scalar_factor(t, self.expect_number())
         if self.accept("Gamma"):
             self.expect("(")
             ssign = -1 if self.accept("-") else 1
@@ -809,8 +814,16 @@ class _Parser:
                 return FactorDecl(kind, offset=offset, exponent=self.exponent())
             scalar = self.kexpr()
             self.expect(")")
-            return FactorDecl("scalar", scalar=scalar)
+            return self.scalar_factor(t, scalar)
         self.error({"'('", "'Gamma'", "number", "identifier"})
+
+    @staticmethod
+    def scalar_factor(t: Token, val: KVal) -> FactorDecl:
+        """A scalar factor of a relation side, first token t; one that is
+        identically zero is an error at t."""
+        if _is_zero(val):
+            raise ParseError(t.line, t.col, {"nonzero scalar"}, t.text)
+        return FactorDecl("scalar", scalar=val)
 
     def kexpr_until_hbar(self) -> KVal:
         """Parse `<kexpr> * hbar`, returning the kexpr."""

@@ -19,11 +19,6 @@ class NonMeromorphicProduct(CosetForgeError):
     pass
 
 
-class NonRealCoefficient(CosetForgeError):
-    """A grammar term with a non-real coefficient was put into the Laurent
-    layer, whose coefficients are rational."""
-
-
 class OutsideConvergenceStrip(CosetForgeError):
     def __init__(self, w, bound):
         super().__init__(f"w={w} outside absolute-convergence strip Im w < {bound}")

@@ -1,6 +1,9 @@
-"""Exact arithmetic helpers: Gaussian rationals, Laurent polynomials with
-rational coefficients, quotients of them by products of cyclotomic
-polynomials, and exact multiplicative constants.
+"""Exact arithmetic helpers: Laurent polynomials with rational
+coefficients, quotients of them by products of cyclotomic polynomials,
+rational functions of the level k, and exact multiplicative constants.
+Gaussian rationals carry the structure-function data that the Wick
+rotation makes complex: Gamma scales, linear-factor offsets, constants,
+pole positions and residues.
 
 All symbolic decisions elsewhere in the package (equality of exponents,
 cancellation of Gamma factors, divergence matching) reduce to arithmetic in
@@ -14,10 +17,9 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from fractions import Fraction
 
-from .errors import NonRealCoefficient, VanishingDenominator
+from .errors import VanishingDenominator
 
 
 def as_fraction(x) -> Fraction:
@@ -28,9 +30,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to Fraction")
-
-
-_P = sys.hash_info.modulus
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -49,29 +48,17 @@ def _qstr(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _qhash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for d > 0, by the numeric hash of the language
-    reference; n/d need not be in lowest terms."""
-    if d == 1:
-        return hash(n)
-    try:
-        h = abs(n) % _P * pow(d, -1, _P) % _P
-    except ValueError:                  # P divides d
-        return hash(Fraction(n, d))
-    if n < 0:
-        h = -h
-    return -2 if h == -1 else h
-
-
 class GR:
     """Gaussian rational (a + b*i)/q with integers a, b, q: q > 0 and
     gcd(a, b, q) = 1, so equal values have equal fields.
 
     GR(re, im) takes ints or Fractions; `re` and `im` read the parts back as
-    Fractions, and the hash is hash((re, im)).
+    Fractions.  GRs hold structure-function data only: Gamma scales,
+    linear-factor offsets, constants, pole positions and residues.  Grammar
+    term coefficients are Fractions.
     """
 
-    __slots__ = ("a", "b", "q", "_hash")
+    __slots__ = ("a", "b", "q")
 
     def __init__(self, re=0, im=0):
         rn, rd = _ratio(re)
@@ -79,7 +66,6 @@ class GR:
         # lcm of coprime-reduced denominators leaves gcd(a, b, q) = 1
         q = rd * jd // math.gcd(rd, jd)
         self.a, self.b, self.q = rn * (q // rd), jn * (q // jd), q
-        self._hash = None
 
     @staticmethod
     def of(x) -> "GR":
@@ -104,13 +90,7 @@ class GR:
         return self.a == other.a and self.b == other.b and self.q == other.q
 
     def __hash__(self):
-        # computed once: GRs key the Gamma and linear-factor dicts and are
-        # hashed on every merge.  A tuple's hash depends only on the hashes
-        # of its items, and an int below the modulus hashes to itself.
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((_qhash(self.a, self.q), _qhash(self.b, self.q)))
-        return h
+        return hash((self.a, self.b, self.q))
 
     def __add__(self, other):
         o = other if type(other) is GR else GR.of(other)
@@ -156,10 +136,6 @@ class GR:
     def __rtruediv__(self, other):
         return GR.of(other) / self
 
-    def times_ratio(self, n: int, d: int) -> "GR":
-        """self * n/d for integers n and d > 0."""
-        return _gr(self.a * n, self.b * n, self.q * d)
-
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
@@ -183,7 +159,7 @@ class GR:
 def _raw(a: int, b: int, q: int) -> GR:
     """(a + b*i)/q from fields already in lowest terms."""
     g = object.__new__(GR)
-    g.a, g.b, g.q, g._hash = a, b, q, None
+    g.a, g.b, g.q = a, b, q
     return g
 
 
@@ -394,22 +370,21 @@ class LaurentPoly:
 _ZERO = LaurentPoly(0, [], 1)
 
 
-def binomial_quotient(coeff: GR, lo: int,
+def binomial_quotient(coeff: Fraction, lo: int,
                       powers: list[tuple[int, int]]) -> "LaurentRational":
     """coeff * zeta^lo * prod (zeta^m - 1)^p over the pairs (m, p) of powers,
     m > 0, built reduced.
 
     Its reduced form is read off the counts of each Phi_d, d | m: the
     factors counted negative are the denominator, and those counted
-    positive make the numerator.  The coefficient must be real."""
-    if coeff.b:
-        raise NonRealCoefficient(f"coefficient {coeff!r} is not real")
+    positive make the numerator."""
     count: dict[int, int] = {}
     for m, p in powers:
         for d in _divisors(m):
             count[d] = count.get(d, 0) + p
     num = _times_phis([1], [(d, c) for d, c in count.items() if c > 0])
-    n = LaurentPoly.make(lo, [x * coeff.a for x in num], coeff.q)
+    a = coeff.numerator
+    n = LaurentPoly.make(lo, [x * a for x in num], coeff.denominator)
     return LaurentRational._make(n, {d: -c for d, c in count.items() if c < 0})
 
 

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import ExcludedLevel, NonMeromorphicProduct
-from .exact import GR, LaurentRational, as_fraction, binomial_quotient
+from .exact import LaurentRational, as_fraction, binomial_quotient
 
 __all__ = [
     "AlgebraParams", "Kernel", "ExpTrigTerm", "ModeFunction",
@@ -116,20 +116,19 @@ class ExpTrigTerm:
         coeff * hbar^hbar_power * e^{shift*hbar*t}
               * prod_j sinh(beta_j*hbar*t)^{e_j} * e^{-i(u + i*spectral_shift*hbar)t}
 
-    Slopes are normalized positive at construction (sign absorbed into coeff),
-    merged and kept sorted.
+    The coefficient is rational.  Slopes are normalized positive at
+    construction (sign absorbed into coeff), merged and kept sorted.
     """
 
     __slots__ = ("coeff", "hbar_power", "shift", "spectral_shift",
                  "sinh_factors", "_hash")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, coeff: GR, hbar_power: int = 1,
+    def __init__(self, coeff: Fraction, hbar_power: int = 1,
                  shift: Fraction = Fraction(0),
                  spectral_shift: Fraction = Fraction(0),
                  sinh_factors: tuple[tuple[Fraction, int], ...] = ()):
-        if not isinstance(coeff, GR):
-            coeff = GR.of(coeff)
+        coeff = as_fraction(coeff)
         merged: dict[Fraction, int] = {}
         for beta, e in sinh_factors:
             beta = as_fraction(beta)
@@ -174,13 +173,6 @@ class ExpTrigTerm:
         """Net exponential tilt (shift + spectral shift), in hbar*t units."""
         return self.shift + self.spectral_shift
 
-    def max_growth(self) -> Fraction:
-        """Largest exponential slope of the term, in hbar*t units."""
-        g = self.tilt()
-        for beta, e in self.sinh_factors:
-            g += e * beta
-        return g
-
     def denominators(self):
         yield self.shift.denominator
         yield self.spectral_shift.denominator
@@ -202,12 +194,7 @@ class ExpTrigTerm:
             e -= n * p
             twos += p
             powers.append((2 * n, p))
-        c = self.coeff
-        if twos > 0:
-            c = c.times_ratio(1, 2 ** twos)
-        elif twos < 0:
-            c = c.times_ratio(2 ** -twos, 1)
-        return binomial_quotient(c, e, powers)
+        return binomial_quotient(self.coeff / Fraction(2) ** twos, e, powers)
 
     def reflected(self) -> "ExpTrigTerm":
         """The term evaluated at -t, re-expressed for t > 0."""
@@ -218,9 +205,9 @@ class ExpTrigTerm:
         return ExpTrigTerm(coeff, self.hbar_power, -self.shift,
                            -self.spectral_shift, self.sinh_factors)
 
-    def eval(self, t: float, hbar: float) -> complex:
+    def eval(self, t: float, hbar: float) -> float:
         """Numeric value at real t, spectral phase e^{-iut} omitted (u = 0)."""
-        v = complex(self.coeff) * hbar ** self.hbar_power
+        v = float(self.coeff) * hbar ** self.hbar_power
         v *= math.exp(float(self.tilt()) * hbar * t)
         for beta, e in self.sinh_factors:
             v *= math.sinh(float(beta) * hbar * t) ** e
@@ -253,18 +240,14 @@ class ModeFunction:
                             self.negative_branch + other.negative_branch)
 
     def __neg__(self) -> "ModeFunction":
-        return self.scale(GR(Fraction(-1)))
+        def neg(terms):
+            return tuple(ExpTrigTerm(-t.coeff, t.hbar_power, t.shift,
+                                     t.spectral_shift, t.sinh_factors)
+                         for t in terms)
+        return ModeFunction(neg(self.positive_branch), neg(self.negative_branch))
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, s) -> "ModeFunction":
-        s = GR.of(s)
-        def sc(terms):
-            return tuple(ExpTrigTerm(t.coeff * s, t.hbar_power, t.shift,
-                                     t.spectral_shift, t.sinh_factors)
-                         for t in terms)
-        return ModeFunction(sc(self.positive_branch), sc(self.negative_branch))
 
     def lattice(self) -> int:
         dens = [1]

@@ -1,5 +1,6 @@
 """Shared helpers: the shipped `paper.alg` bound once per (k, hbar), the
-contraction pairs of a bound catalog, and sparse Laurent polynomials
+analysis of its declared E-F commutator, the contraction pairs of a bound
+catalog, and sparse Laurent polynomials
 ({exponent: GR}) as references for the dense `LaurentPoly`.
 
 Import them with `from conftest import ...`; pytest puts this directory on
@@ -10,6 +11,7 @@ import importlib.resources
 import math
 from fractions import Fraction
 
+from coset_forge.algebra import ef_commutator_analysis
 from coset_forge.dsl import parse_definitions
 from coset_forge.exact import GR, LaurentPoly
 
@@ -33,6 +35,13 @@ def bind_shipped(k, hbar=1):
     params, cat, rels, comms, _ = _shipped_definitions().bind(
         Fraction(k), [Fraction(hbar)])
     return params, cat, {r.rel_id: r for r in rels}, comms
+
+
+def shipped_commutator(k, hbar=1):
+    """ef_commutator_analysis of the shipped file's one commutator_delta
+    declaration, bound at level k and deformation hbar."""
+    _, cat, _, (cm,) = bind_shipped(k, hbar)
+    return ef_commutator_analysis(cat, *cm["pair"], cm["poles"], cm["residues"])
 
 
 def contraction_pairs(cat):

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bind_shipped, contraction_pairs, gamma_factors
-from coset_forge.algebra import (ClassicalBraid, classical_limit,
-                                 ef_commutator_analysis, verify_relation)
+from conftest import (bind_shipped, contraction_pairs, gamma_factors,
+                      shipped_commutator)
+from coset_forge.algebra import ClassicalBraid, classical_limit, verify_relation
 from coset_forge.contraction import StructureFunction, closed_form, contract, quad_eval
 from coset_forge.modes import equals as modes_equal, shift_argument
 from test_specfun import oracle_grid, oracle_log_gamma, rel_err
@@ -177,7 +177,7 @@ def test_criterion_6_ordering_difference_structure():
     t0 = time.time()
     for k in (Fraction(2), Fraction(3), Fraction(5, 2)):
         params, cat, _, _ = bind_shipped(k)
-        rep = ef_commutator_analysis(cat)
+        rep = shipped_commutator(k)
         assert rep.passed, (k, rep.notes)
         hbar = params.hbar_float
         ws = sorted(p["w_exact"].real for p in rep.poles)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bind_shipped, contraction_pairs
+from conftest import bind_shipped, contraction_pairs, shipped_commutator
 from coset_forge import algebra, cli
 from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
                                  Relation, _classical_readout, _grid_check,
@@ -51,11 +51,11 @@ def test_catalog_printed_exponents():
     cat = catalog(k)
     cp = cat["C_plus"].exponent("chat")
     expect = ModeFunction(
-        [ExpTrigTerm(GR.of(-1), 1, -k / 4, 0, ((k / 2, -1),))],
-        [ExpTrigTerm(GR.of(-1), 1, k / 4, 0, ((k / 2, -1),))])
+        [ExpTrigTerm(-1, 1, -k / 4, 0, ((k / 2, -1),))],
+        [ExpTrigTerm(-1, 1, k / 4, 0, ((k / 2, -1),))])
     assert modes_equal(cp, expect)
     hp = cat["H_plus"].exponent("chat")
-    assert modes_equal(hp, ModeFunction([ExpTrigTerm(GR.of(2), 1, 0, 0, ())], []))
+    assert modes_equal(hp, ModeFunction([ExpTrigTerm(2, 1, 0, 0, ())], []))
     assert not cat["H_minus"].exponent("chat").positive_branch
 
 
@@ -141,8 +141,7 @@ def test_hh_commutation_factor_is_one():
 
 @pytest.mark.parametrize("k", [Fraction(2), Fraction(3), Fraction(5, 2)])
 def test_ef_commutator_analysis(k):
-    cat = catalog(k)
-    rep = ef_commutator_analysis(cat)
+    rep = shipped_commutator(k)
     assert rep.passed
     hbar = 1.0
     got = sorted(p["w_exact"].real for p in rep.poles)
@@ -169,8 +168,7 @@ def test_hh_pair_has_empty_pole_set():
 
 
 def test_residue_scalar_pattern():
-    cat = catalog(2)
-    rep = ef_commutator_analysis(cat)
+    rep = shipped_commutator(2)
     by_pole = {round(r["pole_w"].real, 9): r for r in rep.residue_ops}
     minus = by_pole[-1.0]
     plus = by_pole[1.0]
@@ -366,11 +364,11 @@ def test_quadrature_only_fallback_for_nontelescoping_relations():
     sq = ((Fraction(1, 2), 2), (Fraction(1), -2))
 
     def mf():
-        return ModeFunction([ExpTrigTerm(GR.of(1), 1, 0, 0, sq)],
-                            [ExpTrigTerm(GR.of(1), 1, 0, 0, sq)])
+        return ModeFunction([ExpTrigTerm(1, 1, 0, 0, sq)],
+                            [ExpTrigTerm(1, 1, 0, 0, sq)])
 
     cat.currents["X"] = Current(
-        "X", (NormalOrderedTerm(GR.of(1), 0, {"p": mf(), "m": mf()}),))
+        "X", (NormalOrderedTerm(1, 0, {"p": mf(), "m": mf()}),))
     rep = verify_relation(cat, Relation("xx", "exchange", ("X", "X"), ("X", "X")))
     assert rep.passed
     assert rep.symbolic_pass is None  # numeric-only verdict
@@ -382,10 +380,10 @@ def test_quadrature_only_fallback_for_nontelescoping_relations():
 
 
 def test_immutable_records_reject_assignment():
-    term = ExpTrigTerm(GR.of(2), 1, HALF, 0, ((HALF, 1),))
-    not_term = NormalOrderedTerm(GR.of(1), 0, {"a": ModeFunction([term])})
+    term = ExpTrigTerm(2, 1, HALF, 0, ((HALF, 1),))
+    not_term = NormalOrderedTerm(1, 0, {"a": ModeFunction([term])})
     records = [
-        (term, "coeff", GR.of(3)), (term, "_hash", 0),
+        (term, "coeff", Fraction(3)), (term, "_hash", 0),
         (AlgebraParams(Fraction(2)), "k", Fraction(3)),
         (Kernel("a", 1, HALF), "slope_b", Fraction(1)),
         (not_term, "hbar_power", 1),
@@ -401,7 +399,7 @@ def test_immutable_records_reject_assignment():
             obj.extra = value
         assert getattr(obj, name) is before
     # equal terms stay equal and hash alike, the cached hash included
-    twin = ExpTrigTerm(GR.of(-2), 1, "1/2", Fraction(0), ((-HALF, 1),))
+    twin = ExpTrigTerm(-2, 1, "1/2", Fraction(0), ((-HALF, 1),))
     assert hash(term) == hash(twin) and term == twin and term is not twin
     assert {term: 0, twin: 1} == {term: 1}
 

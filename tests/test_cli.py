@@ -467,6 +467,18 @@ def test_limit_without_a_pair_to_fit_is_refused(tmp_path, capsys):
     # a k-dependent one that vanishes at the bound level: a bind error
     ("slope = (k+2)/2;", "slope = (k+2)/(k-2);", "VanishingDenominator",
      "k-expression (2 + 1*k)/(-2 + 1*k) has a vanishing denominator at k=2"),
+    # a relation side is divided by the other: a scalar factor that is zero
+    # whatever k is, on either side, is a parse error at its first token
+    ("E_E : (w + 1*hbar) * E(u)", "E_E : 0 * (w + 1*hbar) * E(u)", "parse",
+     "parse error at 134:16: expected nonzero scalar, found '0'"),
+    ("== (w - 1*hbar) * E(v)", "== (k - k) * (w - 1*hbar) * E(v)", "parse",
+     "parse error at 134:44: expected nonzero scalar, found '('"),
+    # and one that vanishes at the bound level excludes it
+    ("E_E : (w + 1*hbar) * E(u)", "E_E : (k - 2) * (w + 1*hbar) * E(u)",
+     "ExcludedLevel", "relation 'E_E': scalar factor (-2 + 1*k) vanishes at k=2"),
+    ("== (w - 1*hbar) * E(v)", "== (1 - k/2) * (w - 1*hbar) * E(v)",
+     "ExcludedLevel",
+     "relation 'E_E': scalar factor (1 + -1/2*k) vanishes at k=2"),
 ])
 def test_division_by_zero_is_a_typed_error(tmp_path, capsys, old, new, kind, message):
     text = shipped_text()

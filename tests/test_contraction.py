@@ -32,17 +32,17 @@ def _mode(pos=(), neg=()):
 
 
 def beta_plus():
-    return _mode(pos=[ExpTrigTerm(GR.of(-2), 1, 0, 0, ((HALF, 1), (ONE, -1)))])
+    return _mode(pos=[ExpTrigTerm(-2, 1, 0, 0, ((HALF, 1), (ONE, -1)))])
 
 
 def beta_minus():
-    return _mode(neg=[ExpTrigTerm(GR.of(2), 1, 0, 0, ((HALF, 1), (ONE, -1)))])
+    return _mode(neg=[ExpTrigTerm(2, 1, 0, 0, ((HALF, 1), (ONE, -1)))])
 
 
 def screened(sign, k):
     return _mode(
-        pos=[ExpTrigTerm(GR.of(sign), 1, sign * k / 4, 0, ((k / 2, -1),))],
-        neg=[ExpTrigTerm(GR.of(sign), 1, -sign * k / 4, 0, ((k / 2, -1),))])
+        pos=[ExpTrigTerm(sign, 1, sign * k / 4, 0, ((k / 2, -1),))],
+        neg=[ExpTrigTerm(sign, 1, -sign * k / 4, 0, ((k / 2, -1),))])
 
 
 def kernel_b(k):
@@ -62,10 +62,10 @@ def test_frullani_reference_integral():
     # two pure-exponential mode terms against a kernel the modes cancel
     k = Fraction(2)
     f = _mode(pos=[
-        ExpTrigTerm(GR.of(1), 1, Fraction(-2), 0, ((ONE, -1), (ONE, -1))),
-        ExpTrigTerm(GR.of(-1), 1, Fraction(-1), 0, ((ONE, -1), (ONE, -1))),
+        ExpTrigTerm(1, 1, Fraction(-2), 0, ((ONE, -1), (ONE, -1))),
+        ExpTrigTerm(-1, 1, Fraction(-1), 0, ((ONE, -1), (ONE, -1))),
     ])
-    g = _mode(neg=[ExpTrigTerm(GR.of(1), 1, 0, 0, ())])
+    g = _mode(neg=[ExpTrigTerm(1, 1, 0, 0, ())])
     I = contract(f, g, kernel_c(k), P1)
     assert I.log_divergence_coeff == 0
     val = quad_eval(I, 0.0, P1)
@@ -247,10 +247,10 @@ def test_divergence_mismatch_detected():
     params = AlgebraParams(k)
     # pair a screened current with a bare exponential against the c kernel:
     # forward has a 1/t coefficient, reversed does not
-    h_like = _mode(pos=[ExpTrigTerm(GR.of(2), 1, 0, 0, ())],
-                   neg=[ExpTrigTerm(GR.of(1), 1, 0, 0, ((k / 2, -1),))])
-    other = _mode(pos=[ExpTrigTerm(GR.of(1), 1, 0, 0, ((k / 2, -1),))],
-                  neg=[ExpTrigTerm(GR.of(-2), 1, 0, 0, ())])
+    h_like = _mode(pos=[ExpTrigTerm(2, 1, 0, 0, ())],
+                   neg=[ExpTrigTerm(1, 1, 0, 0, ((k / 2, -1),))])
+    other = _mode(pos=[ExpTrigTerm(1, 1, 0, 0, ((k / 2, -1),))],
+                  neg=[ExpTrigTerm(-2, 1, 0, 0, ())])
     with pytest.raises(DivergenceMismatch):
         exchange_factor(h_like, other, kernel_c(k), params)
 
@@ -261,8 +261,8 @@ def test_non_telescoping_quadrature_fallback():
     # to Gamma factors; quadrature still integrates the (regular) integrand
     k = Fraction(1)
     params = AlgebraParams(k)
-    f = _mode(pos=[ExpTrigTerm(GR.of(1), 1, 0, 0, ((HALF, 2), (ONE, -2)))])
-    g = _mode(neg=[ExpTrigTerm(GR.of(1), 1, 0, 0, ((HALF, 1), (ONE, -1)))])
+    f = _mode(pos=[ExpTrigTerm(1, 1, 0, 0, ((HALF, 2), (ONE, -2)))])
+    g = _mode(neg=[ExpTrigTerm(1, 1, 0, 0, ((HALF, 1), (ONE, -1)))])
     I = contract(f, g, kernel_c(k), params)
     with pytest.raises(NonTelescoping):
         closed_form(I, params)
@@ -276,8 +276,8 @@ def test_non_telescoping_repeated_factor_found_without_search():
     # raises on that multiplicity before computing any order
     k = Fraction(1)
     params = AlgebraParams(k)
-    f = _mode(pos=[ExpTrigTerm(GR.of(1), 1, 0, 0, ((HALF, 2), (ONE, -2)))])
-    g = _mode(neg=[ExpTrigTerm(GR.of(1), 1, 0, 0, ((HALF, 1), (ONE, -1)))])
+    f = _mode(pos=[ExpTrigTerm(1, 1, 0, 0, ((HALF, 2), (ONE, -2)))])
+    g = _mode(neg=[ExpTrigTerm(1, 1, 0, 0, ((HALF, 1), (ONE, -1)))])
     I = contract(f, g, kernel_c(k), params)
     assert I.rational.factors == {8: 2}
     with pytest.raises(NonTelescoping, match="multiplicity 2") as exc:
@@ -327,8 +327,8 @@ def test_gamma_factors_are_the_sparse_product_terms(k):
 
 def test_unbalanced_hbar_power_rejected():
     k = Fraction(2)
-    f = _mode(pos=[ExpTrigTerm(GR.of(1), 0, 0, 0, ())])
-    g = _mode(neg=[ExpTrigTerm(GR.of(1), 1, 0, 0, ())])
+    f = _mode(pos=[ExpTrigTerm(1, 0, 0, 0, ())])
+    g = _mode(neg=[ExpTrigTerm(1, 1, 0, 0, ())])
     with pytest.raises(IllPosedContraction):
         contract(f, g, kernel_c(k), P1)
 
@@ -380,9 +380,11 @@ def _assert_normalize_matches_reference(sf):
     gammas, linears, const = _reference_normalize(sf)
     assert list(gamma_factors(got).items()) == list(gammas.items())
     assert list(linear_factors(got).items()) == list(linears.items())
-    assert (got.const.mult, got.const.den, got.const.ph, list(got.const.pe.items()),
+    # the primes of a constant in sorted order: repr, eval and == all read
+    # them sorted or as a dict, so their insertion order is not observable
+    assert (got.const.mult, got.const.den, got.const.ph, sorted(got.const.pe.items()),
             got.const.hb) == (const.mult, const.den, const.ph,
-                              list(const.pe.items()), const.hb)
+                              sorted(const.pe.items()), const.hb)
     # the other key transformations, against the same reading of the keys
     for moved, scale in ((sf.negate_w(), GR(-1)), (sf.wick_rotate(), GR(0, -1))):
         assert list(gamma_factors(moved).items()) == [
@@ -407,6 +409,27 @@ def test_normalize_shifts_negative_whole_and_across_zero():
         (0, 1, 2, 0, 1)]
     assert list(StructureFunction.from_gamma(2, 3, 1).normalize().gammas) == [
         (2, 0, 1, 0, 1)]
+
+
+def test_normalize_steps_each_constant_once(monkeypatch):
+    # Gamma(x + n) = Gamma(x) prod (x + j): |n| linear factors, but the
+    # constant (scale*hbar)^-n is one multiplication per Gamma key
+    calls = []
+    times_base = ExactConst.times_base
+
+    def counting(self, base, hbar_pow, exponent):
+        calls.append(exponent)
+        return times_base(self, base, hbar_pow, exponent)
+
+    monkeypatch.setattr(ExactConst, "times_base", counting)
+    sf = (StructureFunction.from_gamma(2, Fraction(-7, 3), 1)
+          * StructureFunction.from_gamma(GR(0, 1), Fraction(7, 2), -2)
+          * StructureFunction.from_gamma(3, HALF, 1)
+          * StructureFunction.from_gamma(Fraction(1, 3), 1, 4))
+    n = sf.normalize()
+    # the key with no integer part multiplies by the constant to the power 0
+    assert sorted(calls) == [-4, 0, 3, 6]
+    assert sum(abs(e) for e in n.linears.values()) == 3 + 3 * 2 + 1 * 4
 
 
 # scales as the derivation makes them: a real or imaginary rational, the

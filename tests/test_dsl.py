@@ -90,7 +90,7 @@ def reference_mismatches(k: str, cat, rels) -> list[str]:
     frozen = json.loads(REFERENCE.read_text())[k]
     got = {
         "currents": {
-            name: [{"coeff": repr(t.coeff), "hbar_power": t.hbar_power,
+            name: [{"coeff": str(t.coeff), "hbar_power": t.hbar_power,
                     "exponents": {fam: _mode_form(mf)
                                   for fam, mf in t.exponents.items()}}
                    for t in cur.terms]
@@ -225,6 +225,11 @@ _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
      3, 40, ["nonzero divisor"], "0"),
     (_KAX + "current Y = X / 0;\n",
      4, 17, ["nonzero divisor"], "0"),
+    # so is a relation's scalar factor, on either side
+    (_KAX + "relation r : 0 * X(u) X(v) == X(v) X(u);\n",
+     4, 14, ["nonzero scalar"], "0"),
+    (_KAX + "relation r : X(u) X(v) == (2*k - k - k) * X(v) X(u);\n",
+     4, 27, ["nonzero scalar"], "("),
 ])
 def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
     with pytest.raises(ParseError) as exc:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense, sparse, sparse_add, sparse_mul
 from coset_forge import exact
-from coset_forge.errors import NonRealCoefficient
+from coset_forge.algebra import NormalOrderedTerm
 from coset_forge.exact import (GR, GR_I, GR_ONE, ExactConst, KRat, LaurentPoly,
                                LaurentRational, binomial_quotient)
 from coset_forge.modes import ExpTrigTerm
@@ -237,26 +237,37 @@ def test_division_by_phi_through_binomials_matches_dense_division(p, d, extra, t
     assert exact._times_phis(p, ((d, -1),)) == want
 
 
-def test_non_real_coefficient_is_refused():
-    # the Laurent layer is rational: an imaginary coefficient raises a typed
-    # error instead of being dropped
-    with pytest.raises(NonRealCoefficient, match="not real"):
-        binomial_quotient(GR_I, 0, [(2, -1)])
-    with pytest.raises(NonRealCoefficient):
-        ExpTrigTerm(GR(Fraction(1), Fraction(1, 2)), 1, 0, 0, ((Fraction(1), -1),)).laurent(1)
-    assert binomial_quotient(GR(Fraction(3, 2)), 1, [(2, -1)]) == LaurentRational(
+@pytest.mark.parametrize("coeff", [GR(Fraction(1), Fraction(1, 2)), GR_ONE, 1j, 0.5])
+def test_term_coefficient_is_rational(coeff):
+    # grammar terms are rational: a Gaussian rational, even a real one, or a
+    # float is refused when the term is built
+    with pytest.raises(TypeError, match="Fraction"):
+        ExpTrigTerm(coeff, 1, 0, 0, ((Fraction(1), -1),))
+    with pytest.raises(TypeError, match="Fraction"):
+        NormalOrderedTerm(coeff, 0, {})
+
+
+def test_term_coefficients_are_fractions():
+    t = ExpTrigTerm(3, 1, 0, 0, ((Fraction(-1), 1),))
+    assert type(t.coeff) is Fraction and t.coeff == -3
+    assert type(NormalOrderedTerm(2, 0, {}).coeff) is Fraction
+    assert binomial_quotient(Fraction(3, 2), 1, [(2, -1)]) == LaurentRational(
         dense({1: GR(Fraction(3, 2))}), {1: 1, 2: 1})
+    # zeta = e^{t/2}: -3 sinh(t) = -3/2 zeta^-2 (zeta^4 - 1), and
+    # 3 sinh(t)^-2 = 12 zeta^4 (zeta^4 - 1)^-2, its 2^2 exact
+    assert t.laurent(1) == binomial_quotient(Fraction(-3, 2), -2, [(4, 1)])
+    assert ExpTrigTerm(3, 1, 0, 0, ((Fraction(1), -2),)).laurent(1) == \
+        binomial_quotient(Fraction(12), 4, [(4, -2)])
 
 
 # ---------------------------------------------------------------------------
-# cached hashes and the multiplicative identity
+# hashes and the multiplicative identity
 
 @settings(max_examples=60, deadline=None)
 @given(_fractions, _fractions)
 def test_gr_hash_is_the_hash_of_its_components(a, b):
     g = GR(a, b)
-    assert hash(g) == hash((a, b))
-    assert hash(g) == hash(g)               # the cached value
+    assert hash(g) == hash((g.a, g.b, g.q))
     assert hash(GR(a, b)) == hash(g) and GR(a, b) == g
     assert {g: 1}[GR(a, b)] == 1
 
@@ -277,10 +288,10 @@ def test_exp_trig_term_hash_equal_for_equal_terms():
     half = Fraction(1, 2)
     # a negative slope with odd exponent moves its sign into the coefficient;
     # repeated slopes merge
-    a = ExpTrigTerm(GR.of(-1), 1, half, 0, ((-half, 1), (Fraction(1), -1)))
-    b = ExpTrigTerm(GR.of(1), 1, "1/2", Fraction(0), ((Fraction(1), -1), (half, 1)))
-    c = ExpTrigTerm(GR.of(2), 1, 0, 0, ((half, 1), (half, 1)))
-    d = ExpTrigTerm(GR(Fraction(2)), 1, Fraction(0), 0, ((half, 2),))
+    a = ExpTrigTerm(-1, 1, half, 0, ((-half, 1), (Fraction(1), -1)))
+    b = ExpTrigTerm(1, 1, "1/2", Fraction(0), ((Fraction(1), -1), (half, 1)))
+    c = ExpTrigTerm(2, 1, 0, 0, ((half, 1), (half, 1)))
+    d = ExpTrigTerm(Fraction(2), 1, Fraction(0), 0, ((half, 2),))
     for x, y in ((a, b), (c, d)):
         assert x == y and x is not y
         assert hash(x) == hash(y)

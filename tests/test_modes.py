@@ -24,7 +24,7 @@ ONE = Fraction(1)
 def beta_plus_exponent():
     # -2 hbar sinh(h t/2) e^{-iut} / sinh(h t), t > 0 branch
     return ModeFunction(
-        [ExpTrigTerm(GR.of(-2), 1, 0, 0, ((HALF, 1), (ONE, -1)))], [])
+        [ExpTrigTerm(-2, 1, 0, 0, ((HALF, 1), (ONE, -1)))], [])
 
 
 def _eval_laurent(lr: LaurentRational, logz: complex) -> complex:
@@ -48,9 +48,9 @@ def test_params_validation():
 
 def test_sinh_doubling_identity():
     # sinh(2ht)/sinh(ht) == 2 cosh(ht) == e^{ht} + e^{-ht}
-    a = ModeFunction([ExpTrigTerm(GR.of(1), 0, 0, 0, ((Fraction(2), 1), (ONE, -1)))])
-    b = ModeFunction([ExpTrigTerm(GR.of(1), 0, ONE, 0, ()),
-                      ExpTrigTerm(GR.of(1), 0, -ONE, 0, ())])
+    a = ModeFunction([ExpTrigTerm(1, 0, 0, 0, ((Fraction(2), 1), (ONE, -1)))])
+    b = ModeFunction([ExpTrigTerm(1, 0, ONE, 0, ()),
+                      ExpTrigTerm(1, 0, -ONE, 0, ())])
     assert equals(a, b)
 
 
@@ -100,7 +100,7 @@ def test_shift_argument_definition_and_additivity():
 def test_equals_trivials():
     f = beta_plus_exponent()
     assert equals(f, f)
-    extra = ModeFunction([ExpTrigTerm(GR.of(1), 1, 0, 0, ())], [])
+    extra = ModeFunction([ExpTrigTerm(1, 1, 0, 0, ())], [])
     assert not equals(f, f + extra)
 
 
@@ -108,7 +108,7 @@ def test_equals_trivials():
 def small_mode_functions(draw):
     terms = []
     for _ in range(draw(st.integers(0, 3))):
-        coeff = GR(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+        coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
         shift = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 4])))
         spec = Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2, 4])))
         sinh = []
@@ -165,7 +165,7 @@ def test_kernel_even_under_hbar_negation():
 def test_pointwise_soundness_random_sweep():
     rng = random.Random(3)
     f = beta_plus_exponent() + ModeFunction(
-        [ExpTrigTerm(GR.of(3), 1, Fraction(-1, 4), Fraction(1, 2),
+        [ExpTrigTerm(3, 1, Fraction(-1, 4), Fraction(1, 2),
                      ((Fraction(3, 4), 1),))], [])
     lat, pos, _ = f.canonical()
     for _ in range(100):
@@ -201,7 +201,7 @@ def _reference_laurent(term, lattice):
     half = GR(Fraction(1, 2))
     e = (term.shift + term.spectral_shift) * 2 * lattice
     assert e.denominator == 1
-    num = {int(e): term.coeff} if term.coeff else {}
+    num = {int(e): GR(term.coeff)} if term.coeff else {}
     factors = {}
     for beta, p in term.sinh_factors:
         n = beta * 2 * lattice
@@ -223,7 +223,7 @@ _dens = st.sampled_from([1, 2, 3, 4, 6, 8])
 
 @st.composite
 def _terms_and_lattices(draw):
-    coeff = GR(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4))))
+    coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
     shift = Fraction(draw(st.integers(-6, 6)), draw(_dens))
     spec = Fraction(draw(st.integers(-6, 6)), draw(_dens))
     sinh = tuple((Fraction(draw(st.integers(1, 4)), draw(_dens)),
@@ -238,7 +238,7 @@ def _terms_and_lattices(draw):
 @given(_terms_and_lattices())
 # (zeta^12 - 1)/(zeta^24 - 1)^2: the orders dividing 12 are counted by both
 # powers, 8 and 24 only by the negative one
-@example((ExpTrigTerm(GR.of(1), 1, 0, 0, ((ONE, 1), (Fraction(2), -2))), 3))
+@example((ExpTrigTerm(1, 1, 0, 0, ((ONE, 1), (Fraction(2), -2))), 3))
 def test_laurent_matches_expand_and_trial_divide(case):
     term, lattice = case
     got, want = term.laurent(lattice), _reference_laurent(term, lattice)

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bind_shipped
-from coset_forge.algebra import Relation, ef_commutator_analysis, verify_relation
+from conftest import bind_shipped, shipped_commutator
+from coset_forge.algebra import Relation, verify_relation
 from coset_forge.contraction import contract, quad_eval
 
 
@@ -96,7 +96,7 @@ def test_relation_table_at_unusual_levels(k):
     for rel in rels.values():
         rep = verify_relation(cat, rel)
         assert rep.passed, (k, rel.rel_id, rep.max_rel_err)
-    rep = ef_commutator_analysis(cat)
+    rep = shipped_commutator(k)
     assert rep.passed, (k, rep.notes)
 
 
