@@ -286,37 +286,60 @@ class _IntegrandEvaluator:
         self.ncoef = np.array([c / num.q for _, c in nterms], dtype=complex)
         self.dexp = np.array([e - self.dshift for e, _ in dterms], dtype=float)
         self.dcoef = np.array([c / den.q for _, c in dterms], dtype=complex)
-        # exact Taylor coefficients of R(zeta(t)) in powers of (eta t)
+        # exact Taylor coefficients of R(zeta(t)) in powers of (eta t),
+        # and their float values g_r = c_r eta^r, converted once here
         nser = num.taylor_at_one(self.SERIES_ORDER + 4)
         dser = den.taylor_at_one(self.SERIES_ORDER + 4)
         self.series = _series_divide(nser, dser, self.SERIES_ORDER)
+        self.float_series = [complex(c) * self.eta ** r
+                             for r, c in enumerate(self.series)]
 
     def scale_hint(self) -> float:
         m = max(abs(self.nshift), abs(self.dshift), 1.0)
         return m * self.eta
 
-    def __call__(self, t: np.ndarray, w: complex) -> np.ndarray:
+    def at(self, w: complex):
+        """The regularized integrand at the strip point w, as a function of
+        ascending nodes t.  Everything that depends on w alone is bound here,
+        once for all refinement levels."""
         import numpy as np
-        t = np.asarray(t, dtype=float)
-        small = t * (abs(w) + self.scale_hint() + 1.0) < 0.01
-        out = np.empty(t.shape, dtype=complex)
-        if np.any(~small):
-            tt = t[~small]
-            lz = self.eta * tt
-            numv = (self.ncoef[None, :] * np.exp(np.outer(lz, self.nexp))).sum(axis=1)
-            denv = (self.dcoef[None, :] * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
-            expo = np.exp(((self.nshift - self.dshift) * self.eta - 1j * w) * tt)
-            out[~small] = (numv / denv * expo - self.a * np.exp(-tt)) / tt
-        if np.any(small):
-            tt = t[small]
-            out[small] = self._series_eval(tt, w)
-        return out
+        coeffs = self.series_coeffs(w)
+        rate = (self.nshift - self.dshift) * self.eta - 1j * w
+        # nodes with t * reach < 0.01 take the series; t ascends, so they
+        # are a prefix
+        reach = abs(w) + self.scale_hint() + 1.0
+        eta, a = self.eta, self.a
+        ncoef, nexp = self.ncoef[None, :], self.nexp
+        dcoef, dexp = self.dcoef[None, :], self.dexp
 
-    def _series_eval(self, t: np.ndarray, w: complex) -> np.ndarray:
-        # h(t) = [R(zeta(t)) e^{-iwt} - a e^{-t}]/t as an exact-coefficient series
+        def integrand(t: np.ndarray) -> np.ndarray:
+            n = int(np.searchsorted(t * reach, 0.01))
+            out = np.empty(t.shape, dtype=complex)
+            if n < len(t):
+                tt = t[n:]
+                lz = eta * tt
+                numv = (ncoef * np.exp(np.outer(lz, nexp))).sum(axis=1)
+                denv = (dcoef * np.exp(np.outer(lz, dexp))).sum(axis=1)
+                expo = np.exp(rate * tt)
+                out[n:] = (numv / denv * expo - a * np.exp(-tt)) / tt
+            if n:
+                # h(t) by Horner; the constant term cancels exactly, so the
+                # series starts at coeffs[1]
+                tt = t[:n]
+                val = np.zeros(tt.shape, dtype=complex)
+                for r in range(self.SERIES_ORDER, 0, -1):
+                    val = val * tt + coeffs[r]
+                out[:n] = val
+            return out
+
+        return integrand
+
+    def series_coeffs(self, w: complex) -> np.ndarray:
+        """Taylor coefficients of R(zeta(t)) e^{-iwt} - a e^{-t} in powers of
+        t, whose quotient by t is the integrand h(t) near the origin."""
         import numpy as np
         n = self.SERIES_ORDER
-        g = [complex(c) * self.eta ** r for r, c in enumerate(self.series)]
+        g = self.float_series
         coeffs = np.zeros(n + 1, dtype=complex)
         fact = 1.0
         for m in range(n + 1):
@@ -327,11 +350,7 @@ class _IntegrandEvaluator:
             for r in range(n + 1 - m):
                 coeffs[r + m] += g[r] * em
             coeffs[m] -= self.a * am
-        # constant term cancels exactly; divide by t
-        out = np.zeros(t.shape, dtype=complex)
-        for r in range(n, 0, -1):
-            out = out * t + coeffs[r]
-        return out
+        return coeffs
 
 
 def _series_divide(nser: list[Fraction], dser: list[Fraction],
@@ -404,7 +423,7 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams,
     decay = -(w.imag + bound)
     if decay <= 0:
         raise OutsideConvergenceStrip(w, -bound)
-    ev = I.evaluator(hbar)
+    integrand = I.evaluator(hbar).at(w)
 
     # node range: t = exp(pi/2 sinh(s)); cover until e^{-decay t} is negligible
     t_max = 60.0 / min(decay, 1.0) if decay < 1.0 else 60.0 / decay + 10.0
@@ -423,11 +442,11 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams,
 
     h = 0.5
     t, wgt = level_nodes(h, offset=False)
-    total = np.sum(ev(t, w) * wgt) * h
+    total = np.sum(integrand(t) * wgt) * h
     prev = None
     for _ in range(_DE_MAX_LEVEL):
         t, wgt = level_nodes(h, offset=True)
-        mid = np.sum(ev(t, w) * wgt) * h
+        mid = np.sum(integrand(t) * wgt) * h
         new = 0.5 * (total + mid)
         h *= 0.5
         err = abs(new - total)

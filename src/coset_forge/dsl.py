@@ -345,7 +345,7 @@ def _bind_side(rel: str, factors: list[FactorDecl], k: Fraction) -> StructureFun
     """The product of one side's factors of relation `rel`: each Gamma or
     linear factor is merged into its multiset; the scalars, and (-i)^n from
     each (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant.
-    A scalar that vanishes at k excludes the level."""
+    A scalar or a Gamma scale that vanishes at k excludes the level."""
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     linears: dict[tuple[int, int, int], int] = {}
     mult = GR_ONE
@@ -359,8 +359,12 @@ def _bind_side(rel: str, factors: list[FactorDecl], k: Fraction) -> StructureFun
             mult = mult * GR(v)
             continue
         if f.kind == "gamma":
+            scale = _at(f.scale, k)
+            if not scale:
+                raise ExcludedLevel(f"relation {rel!r}: Gamma scale "
+                                    f"({f.scale!r}) vanishes at k={k}")
             exps = gammas
-            key = gamma_key(GR(_at(f.scale, k) * f.scale_sign), _at(f.shift, k))
+            key = gamma_key(GR(scale * f.scale_sign), _at(f.shift, k))
         else:
             exps = linears
             rho = GR(_at(f.offset, k) if f.offset is not None else _ZERO)
@@ -791,7 +795,10 @@ class _Parser:
             ssign = -1 if self.accept("-") else 1
             self.expect("x")
             self.expect("@")
+            st = self.cur
             scale = self.kfactor()
+            if _is_zero(scale):
+                raise ParseError(st.line, st.col, {"nonzero scale"}, st.text)
             if self.accept("+"):
                 shift = self.kexpr()
             elif self.accept("-"):

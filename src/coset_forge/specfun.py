@@ -1,7 +1,8 @@
 """Complex special functions: principal-branch log-Gamma.
 
 The implementation is Stirling's series after a recurrence shift into the
-region Re z >= 10, with the reflection formula handling Re z < 0.  For
+region Re z >= 10, with the reflection formula (DLMF 5.5.3) handling every
+Re z < 0, so that no argument takes more than about ten shift steps.  For
 Im z >= 0 and any shift count n,
 
     logGamma(z) = stirling(z + n) - sum_{j<n} Log(z + j)
@@ -90,9 +91,9 @@ def log_gamma(z: complex) -> complex:
     z = check_gamma_argument(z)
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
-    if z.real >= 0.0 or z.imag > 1.0:
+    if z.real >= 0.0:
         return _log_gamma_shifted(z)
-    # Reflection for Re z < 0 near the axis: with Im z >= 0,
+    # Reflection for Re z < 0: with Im z >= 0,
     #   log sin(pi z) = -i pi z + i pi/2 - log 2 + Log(1 - e^{2 pi i z})
     # is the analytic logarithm of sin on the upper half-plane.
     w = 1.0 - z

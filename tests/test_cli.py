@@ -493,6 +493,28 @@ def test_division_by_zero_is_a_typed_error(tmp_path, capsys, old, new, kind, mes
     assert json.loads(dest.read_text())["error"] == {"kind": kind, "message": message}
 
 
+@pytest.mark.parametrize("command", ["verify", "report", "limit", "poles"])
+@pytest.mark.parametrize("new, kind, message", [
+    # a Gamma scale that is zero whatever k is: a parse error at its token
+    ("== Gamma(x@0 + (k+2)/4) *", "parse",
+     "parse error at 82:16: expected nonzero scale, found '0'"),
+    # one that vanishes at the bound level excludes it, naming the relation
+    ("== Gamma(x@(k-2) + (k+2)/4) *", "ExcludedLevel",
+     "relation 'Lambda_p_Lambda_m': Gamma scale (-2 + 1*k) vanishes at k=2"),
+])
+def test_zero_gamma_scale_is_an_input_error(tmp_path, capsys, command, new, kind,
+                                            message):
+    old = "== Gamma(x@2 + (k+2)/4) *"
+    text = shipped_text()
+    assert old in text
+    src = tmp_path / "zero_scale.alg"
+    src.write_text(text.replace(old, new, 1))
+    assert cli.run([command, str(src), "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"kind": kind, "message": message}
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("edit, argv", [
     # the whole session rotated in the c-sector
     (lambda text: text, ["--rotate", "c-sector"]),

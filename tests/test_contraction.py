@@ -450,6 +450,169 @@ def test_normalize_matches_the_fraction_reference(parts):
 
 
 # ---------------------------------------------------------------------------
+# quadrature: per-integrand and per-point work bound once
+
+def _reference_quad_eval(I, w, params, tol=1e-10):
+    """quad_eval as it stood when every refinement level rebuilt the small-t
+    series from its Fractions and split the nodes with boolean masks, kept
+    here as the oracle for bit-identical values."""
+    import numpy as np
+    ev = I.evaluator(params.hbar_float)
+
+    def series_eval(t, w):
+        n = ev.SERIES_ORDER
+        g = [complex(c) * ev.eta ** r for r, c in enumerate(ev.series)]
+        coeffs = np.zeros(n + 1, dtype=complex)
+        fact = 1.0
+        for m in range(n + 1):
+            if m:
+                fact *= m
+            em = (-1j * w) ** m / fact
+            am = (-1.0) ** m / fact
+            for r in range(n + 1 - m):
+                coeffs[r + m] += g[r] * em
+            coeffs[m] -= ev.a * am
+        out = np.zeros(t.shape, dtype=complex)
+        for r in range(n, 0, -1):
+            out = out * t + coeffs[r]
+        return out
+
+    def integrand(t, w):
+        small = t * (abs(w) + ev.scale_hint() + 1.0) < 0.01
+        out = np.empty(t.shape, dtype=complex)
+        if np.any(~small):
+            tt = t[~small]
+            lz = ev.eta * tt
+            numv = (ev.ncoef[None, :] * np.exp(np.outer(lz, ev.nexp))).sum(axis=1)
+            denv = (ev.dcoef[None, :] * np.exp(np.outer(lz, ev.dexp))).sum(axis=1)
+            expo = np.exp(((ev.nshift - ev.dshift) * ev.eta - 1j * w) * tt)
+            out[~small] = (numv / denv * expo - ev.a * np.exp(-tt)) / tt
+        if np.any(small):
+            out[small] = series_eval(t[small], w)
+        return out
+
+    decay = -(w.imag + I.strip_bound(params.hbar_float))
+    t_max = 60.0 / min(decay, 1.0) if decay < 1.0 else 60.0 / decay + 10.0
+    s_hi = math.asinh(max(2.0 * math.log(t_max) / math.pi, 1.0)) + 0.5
+    s_lo = -math.asinh(2.0 * 42.0 / math.pi)
+
+    def level_nodes(h, offset):
+        if offset:
+            s = np.arange(s_lo + h / 2.0, s_hi, h)
+        else:
+            s = np.arange(s_lo, s_hi + h / 2.0, h)
+        t = np.exp(0.5 * math.pi * np.sinh(s))
+        return t, 0.5 * math.pi * np.cosh(s) * t
+
+    h = 0.5
+    t, wgt = level_nodes(h, offset=False)
+    total = np.sum(integrand(t, w) * wgt) * h
+    for _ in range(8):
+        t, wgt = level_nodes(h, offset=True)
+        mid = np.sum(integrand(t, w) * wgt) * h
+        new = 0.5 * (total + mid)
+        h *= 0.5
+        err = abs(new - total)
+        total = new
+        if err <= max(tol * 0.1, 1e-14 * (1.0 + abs(new))):
+            break
+    return complex(total), integrand
+
+
+def _quadrature_cases():
+    """(label, integrand, params) for shipped pairs at two levels, plus the
+    non-telescoping integrand, whose closed form does not exist."""
+    cases = []
+    for k, hbar in (("2", "1"), ("5/2", "1/2")):
+        params, cat, _, _ = bind_shipped(k, hbar)
+        for label, _, f, g, K in contraction_pairs(cat)[::16]:
+            cases.append((f"{label}@{k},{hbar}", contract(f, g, K, params), params))
+    params = AlgebraParams(Fraction(1))
+    f = _mode(pos=[ExpTrigTerm(1, 1, 0, 0, ((HALF, 2), (ONE, -2)))])
+    g = _mode(neg=[ExpTrigTerm(1, 1, 0, 0, ((HALF, 1), (ONE, -1)))])
+    cases.append(("non-telescoping", contract(f, g, kernel_c(Fraction(1)), params),
+                  params))
+    return cases
+
+
+def test_quadrature_is_bit_identical_to_the_per_level_reference():
+    import numpy as np
+    cases = _quadrature_cases()
+    assert len(cases) >= 10
+    # nodes either side of the small-t cutoff for every case and point below
+    t = np.exp(0.5 * math.pi * np.sinh(np.arange(-4.0, 3.0, 1.0 / 32)))
+    for label, I, params in cases:
+        if I.is_zero():
+            continue
+        hf = params.hbar_float
+        base = max(0.0, I.strip_bound(hf))
+        # strip points near and far from the origin: |w| moves the small-t
+        # cutoff, and with it the number of series nodes
+        for w in (complex(0.0, -(base + 0.3)), complex(-1.7, -(base + 0.75)),
+                  complex(40.0, -(base + 2.0)), complex(-0.2, -(base + 25.0))):
+            want, reference = _reference_quad_eval(I, w, params)
+            assert quad_eval(I, w, params) == want, (label, w)
+            # the node function itself
+            reach = abs(w) + I.evaluator(hf).scale_hint() + 1.0
+            assert 0 < np.count_nonzero(t * reach < 0.01) < len(t)
+            got = I.evaluator(hf).at(w)(t)
+            assert got.tobytes() == reference(t, w).tobytes(), (label, w)
+
+
+def test_quadrature_binds_each_integrand_and_point_once(monkeypatch):
+    from coset_forge import contraction
+
+    conversions = []
+
+    class Counted(Fraction):
+        """A series coefficient that counts its conversions to floats."""
+
+        def __complex__(self):
+            conversions.append(self)
+            return complex(float(Fraction(self)))
+
+        def __float__(self):
+            conversions.append(self)
+            return float(Fraction(self))
+
+    series_divide = contraction._series_divide
+    monkeypatch.setattr(contraction, "_series_divide",
+                        lambda *args: [Counted(c) for c in series_divide(*args)])
+    builds, nodes = [], []
+    evaluator = contraction._IntegrandEvaluator
+    series_coeffs, at = evaluator.series_coeffs, evaluator.at
+
+    def counted_coeffs(self, w):
+        builds.append(w)
+        return series_coeffs(self, w)
+
+    def counted_at(self, w):
+        integrand = at(self, w)
+
+        def counted(t):
+            nodes.append(w)
+            return integrand(t)
+        return counted
+
+    monkeypatch.setattr(evaluator, "series_coeffs", counted_coeffs)
+    monkeypatch.setattr(evaluator, "at", counted_at)
+    k = Fraction(2)
+    params = AlgebraParams(k)
+    I = contract(beta_plus(), beta_minus(), kernel_l(k), params)
+    points = [complex(0.5 * j - 1.0, -3.5 - 0.2 * j) for j in range(6)]
+    for w in points:
+        quad_eval(I, w, params)
+    # one float series per evaluator, one coefficient set per point, however
+    # many refinement levels each point took
+    assert len(conversions) == evaluator.SERIES_ORDER + 1
+    assert builds == points
+    assert len(nodes) >= 3 * len(points)
+    # a second hbar is a second evaluator: one more float series
+    quad_eval(I, points[0], AlgebraParams(k, Fraction(1, 2)))
+    assert len(conversions) == 2 * (evaluator.SERIES_ORDER + 1)
+
+
+# ---------------------------------------------------------------------------
 # evaluation order
 
 def _reference_log_eval(sf, w, hbar):

@@ -13,8 +13,8 @@ from coset_forge import dsl
 from coset_forge.contraction import StructureFunction
 from coset_forge.dsl import _tokenize, parse_definitions
 from coset_forge.exact import GR, GR_I, KRat
-from coset_forge.errors import (DuplicateName, ParseError, UndeclaredName,
-                                VanishingDenominator)
+from coset_forge.errors import (DuplicateName, ExcludedLevel, ParseError,
+                                UndeclaredName, VanishingDenominator)
 
 REFERENCE = Path(__file__).parent / "data" / "reference_catalog.json"
 
@@ -230,6 +230,11 @@ _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
      4, 14, ["nonzero scalar"], "0"),
     (_KAX + "relation r : X(u) X(v) == (2*k - k - k) * X(v) X(u);\n",
      4, 27, ["nonzero scalar"], "("),
+    # and so is a Gamma scale: Gamma(iw/(0*hbar) + 1) has no meaning
+    (_KAX + "relation r : Gamma(x@0 + 1) * X(u) X(v) == X(v) X(u);\n",
+     4, 22, ["nonzero scale"], "0"),
+    (_KAX + "relation r : X(u) X(v) == Gamma(-x@(k-k) + 1) * X(v) X(u);\n",
+     4, 36, ["nonzero scale"], "("),
 ])
 def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
     with pytest.raises(ParseError) as exc:
@@ -245,6 +250,17 @@ def test_denominator_vanishing_at_the_bound_level():
         df.bind()
     params, cat, _, _, _ = df.bind(Fraction(3))
     assert cat.kernels["a"].slope_b == 1
+
+
+def test_gamma_scale_vanishing_at_the_bound_level():
+    df = parse_definitions(
+        _KAX + "relation r : Gamma(x@(k-2) + 1) * X(u) X(v) == X(v) X(u);\n")
+    with pytest.raises(ExcludedLevel,
+                       match=r"relation 'r': Gamma scale \(-2 \+ 1\*k\) "
+                             r"vanishes at k=2"):
+        df.bind()
+    params, cat, rels, _, _ = df.bind(Fraction(3))
+    assert rels[0].left_factor.gammas == {(1, 0, 1, 1, 1): 1}
 
 
 def test_token_stream_is_pinned():

@@ -12,7 +12,8 @@ import math
 import pytest
 
 from coset_forge.errors import NonFiniteValue, PoleAtNonPositiveInteger
-from coset_forge.specfun import log_gamma
+from coset_forge import specfun
+from coset_forge.specfun import _log_gamma_shifted, log_gamma
 
 _STIRLING = [
     1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
@@ -99,6 +100,28 @@ def test_log_gamma_reflection_branch_against_oracle():
         for y in (1e-6, 0.02, 0.4):
             z = complex(x, y)
             assert rel_err(log_gamma(z), oracle_log_gamma(z)) < 1e-11, z
+
+
+def test_reflection_matches_the_shift_route_far_from_the_axis(monkeypatch):
+    # every Re z < 0 reflects (DLMF 5.5.3), however far above the axis;
+    # the shift route from z itself is valid there too (Im z >= 0) but takes
+    # up to 2000 recurrence steps on this grid
+    grid = [complex(-2000.0 * (i + 0.37) / 24, 10.0 ** (4.0 * j / 12))
+            for i in range(24) for j in range(13)]
+    for z in grid:
+        assert rel_err(log_gamma(z), _log_gamma_shifted(z)) < 2e-14, z
+    shifted = []
+
+    def record(z):
+        shifted.append(z)
+        return _log_gamma_shifted(z)
+
+    monkeypatch.setattr(specfun, "_log_gamma_shifted", record)
+    for z in grid:
+        log_gamma(z)
+    # each call shifts 1 - z, with Re(1 - z) > 1: fewer than ten steps
+    assert len(shifted) == len(grid)
+    assert all(w.real > 1.0 for w in shifted)
 
 
 def test_log_gamma_pole_rejection():
