@@ -110,64 +110,55 @@ class Catalog:
                 a += ai
         return sf, a
 
-    def term_pair_factors(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm
-                          ) -> dict[str, StructureFunction]:
-        """Per-family exchange factors S_fam with the product over families
-        giving A_term(u) B_term(v) = prod S_fam * B_term(v) A_term(u)."""
-        out = {}
+    def shared_families(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm):
+        """(family, exponent of ta, exponent of tb) for each kernel family
+        both terms carry, in kernel order."""
         for fam in self.kernels:
-            fa = ta.exponents.get(fam)
-            fb = tb.exponents.get(fam)
-            if fa is None or fb is None:
-                continue
-            s_f, a_f = self.closed_contraction(fam, fa, fb)
-            s_r, a_r = self.closed_contraction(fam, fb, fa)
-            if a_f != a_r:
-                raise DivergenceMismatch(
-                    f"family {fam}: 1/t coefficients {a_f} vs {a_r}")
-            out[fam] = s_f * s_r.negate_w().inverse()
-        return out
+            fa, fb = ta.exponents.get(fam), tb.exponents.get(fam)
+            if fa is not None and fb is not None:
+                yield fam, fa, fb
 
     def pair_exchange(self, a: Current, b: Current, rotate: str = "none"
                       ) -> list[StructureFunction]:
         """Exchange factors of every term pair of two (possibly composite)
-        currents, rotation mode applied."""
-        if rotate == "c-sector" and self.rotation_sector is None:
-            raise NoRotationSector(
-                "c-sector rotation needs a rotation sector; the definition "
-                "file has no 'rotate_sector' line")
+        currents: per term pair, the product over shared families of
+        S_fam with A_term(u) B_term(v) = S_fam * B_term(v) A_term(u), each
+        Wick-rotated where the mode asks: every family under "global", the
+        rotation sector under "c-sector", none under "none"."""
+        if rotate == "c-sector":
+            if self.rotation_sector is None:
+                raise NoRotationSector(
+                    "c-sector rotation needs a rotation sector; the definition "
+                    "file has no 'rotate_sector' line")
+            rotated = (self.rotation_sector,)
+        elif rotate == "global":
+            rotated = self.kernels
+        elif rotate == "none":
+            rotated = ()
+        else:
+            raise ValueError(f"unknown rotation mode {rotate!r}")
         out = []
         for ta in a.terms:
             for tb in b.terms:
-                fac = self.term_pair_factors(ta, tb)
-                out.append(_apply_rotation(fac, rotate, self.rotation_sector))
+                total = StructureFunction.one()
+                for fam, fa, fb in self.shared_families(ta, tb):
+                    s_f, a_f = self.closed_contraction(fam, fa, fb)
+                    s_r, a_r = self.closed_contraction(fam, fb, fa)
+                    if a_f != a_r:
+                        raise DivergenceMismatch(
+                            f"family {fam}: 1/t coefficients {a_f} vs {a_r}")
+                    sf = s_f * s_r.negate_w().inverse()
+                    total = total * (sf.wick_rotate() if fam in rotated else sf)
+                out.append(total)
         return out
 
     def forward_structure(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm
                           ) -> StructureFunction:
         """Product over families of exp<A_term(u) B_term(v)> closed forms."""
         sf = StructureFunction.one()
-        for fam in self.kernels:
-            fa, fb = ta.exponents.get(fam), tb.exponents.get(fam)
-            if fa is None or fb is None:
-                continue
+        for fam, fa, fb in self.shared_families(ta, tb):
             sf = sf * self.closed_contraction(fam, fa, fb)[0]
         return sf
-
-
-def _apply_rotation(factors: dict[str, StructureFunction], mode: str,
-                    sector: str) -> StructureFunction:
-    """Product of the per-family factors, each Wick-rotated where the mode
-    asks: every family under "global", the designated sector under
-    "c-sector", none under "none"."""
-    if mode not in ("none", "global", "c-sector"):
-        raise ValueError(f"unknown rotation mode {mode!r}")
-    total = StructureFunction.one()
-    for fam, sf in factors.items():
-        if mode == "global" or (mode == "c-sector" and fam == sector):
-            sf = sf.wick_rotate()
-        total = total * sf
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +386,7 @@ def verify_relation(cat: Catalog, rel: Relation,
 
     Exchange: left_factor * S_ab == right_factor for all pairs, symbolically
     (Gamma-multiset identity after normalization) and pointwise on the grid.
-    Shape: all S_ab agree with each other; the shared factor is reported.
+    Shape: every S_ab equals the first pair's factor, which is reported.
     The grid defaults to default_grid(cat.params).
     """
     tol = rel.tolerance
@@ -410,34 +401,18 @@ def verify_relation(cat: Catalog, rel: Relation,
         grid = default_grid(cat.params)
 
     report = VerificationReport(rel.rel_id, rel.kind, False, None, 0.0, grid=grid)
-
     if rel.kind == "exchange":
-        target = rel.right_factor * rel.left_factor.inverse()
+        target, checked = rel.right_factor * rel.left_factor.inverse(), factors
         report.expected_factor = target.describe()
-        report.derived_factor = factors[0].describe()
-        sym = all(sf.symbolic_eq(target) for sf in factors)
-        residuals, worst, failed = _grid_check(factors, target, grid, hbar)
-        report.symbolic_pass = sym
-        report.residuals = residuals
-        report.max_rel_err = worst
-        report.passed = sym and worst <= tol and not failed
     elif rel.kind == "shape":
-        base = factors[0]
-        report.derived_factor = base.describe()
-        sym = all(sf.symbolic_eq(base) for sf in factors[1:])
-        residuals, worst, failed = _grid_check(factors[1:], base, grid, hbar)
-        report.symbolic_pass = sym
-        report.residuals = residuals
-        report.max_rel_err = worst
-        report.passed = sym and worst <= tol and not failed
-        if not rel.right_factor.is_one():
-            ok = base.symbolic_eq(rel.right_factor)
-            report.expected_factor = rel.right_factor.describe()
-            report.passed = report.passed and ok
-            if not ok:
-                report.notes.append("derived shared factor differs from declared one")
+        target, checked = factors[0], factors[1:]
     else:
         raise ValueError(f"verify_relation cannot handle kind {rel.kind!r}")
+    report.derived_factor = factors[0].describe()
+    report.symbolic_pass = all(sf.symbolic_eq(target) for sf in checked)
+    report.residuals, report.max_rel_err, failed = _grid_check(
+        checked, target, grid, hbar)
+    report.passed = report.symbolic_pass and report.max_rel_err <= tol and not failed
     if failed:
         report.notes.append(f"{failed} of {len(grid)} grid points failed to evaluate")
     return report
@@ -465,10 +440,7 @@ def _verify_numeric_only(cat: Catalog, rel: Relation, tol: float
 
     def pair_integrands(ta, tb):
         out = []
-        for fam in cat.kernels:
-            fa, fb = ta.exponents.get(fam), tb.exponents.get(fam)
-            if fa is None or fb is None:
-                continue
+        for fam, fa, fb in cat.shared_families(ta, tb):
             fwd = contract(fa, fb, cat.kernels[fam], params)
             rev = contract(fb, fa, cat.kernels[fam], params)
             if fwd.log_divergence_coeff != rev.log_divergence_coeff:
@@ -507,18 +479,14 @@ def _verify_numeric_only(cat: Catalog, rel: Relation, tol: float
     target = rel.right_factor * rel.left_factor.inverse()
     residuals = []
     for w in grid:
+        vals = [s_num(fams, w) for fams in integrands]
+        if rel.kind == "exchange":
+            ref, checked = target.eval(w, hbar), vals
+        else:
+            ref, checked = vals[0], vals[1:]
         worst = 0.0
-        base = None
-        for fams in integrands:
-            val = s_num(fams, w)
-            if rel.kind == "exchange":
-                ref = target.eval(w, hbar)
-                worst = max(worst, abs(val - ref) / max(abs(ref), 1e-300))
-            else:
-                if base is None:
-                    base = val
-                else:
-                    worst = max(worst, abs(val - base) / max(abs(base), 1e-300))
+        for val in checked:
+            worst = max(worst, abs(val - ref) / max(abs(ref), 1e-300))
         residuals.append(worst)
     report.residuals = residuals
     report.max_rel_err = max(residuals) if residuals else float("nan")
@@ -596,6 +564,7 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     ok_residues = True
     scalars = {}
     u1_family = cat[residue_targets[0][0]].terms[0].families()[0]
+    zero = ModeFunction.zero()
     for rho in sorted(pole_map, key=lambda r: (r.im, r.re)):
         holders = pole_map[rho]
         p = -rho.im  # rotated pole position in hbar units (rho = -i p)
@@ -614,16 +583,9 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
             contrib = cpref * gr * rot.const.as_gr()
             scalar_gr = scalar_gr + contrib
             for fam in cat.kernels:
-                fa = ta.exponents.get(fam)
-                fb = tb.exponents.get(fam)
-                total = None
-                if fa is not None:
-                    total = fa
-                if fb is not None:
-                    shifted = shift_argument(fb, spectral)
-                    total = shifted if total is None else total + shifted
-                if total is not None:
-                    exps[fam] = total if fam not in exps else exps[fam] + total
+                exps[fam] = (exps.get(fam, zero) + ta.exponents.get(fam, zero)
+                             + shift_argument(tb.exponents.get(fam, zero),
+                                              spectral))
         # compare with the shifted U(1) exponent
         matches = []
         for tname, tshift in residue_targets:
@@ -631,12 +593,11 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
             tfam = tcur.terms[0].families()[0]
             texp = shift_argument(tcur.exponent(tfam), tshift)
             same = all(
-                modes_equal(exps.get(fam, ModeFunction.zero()),
-                            texp if fam == tfam else ModeFunction.zero())
+                modes_equal(exps[fam], texp if fam == tfam else zero)
                 for fam in cat.kernels)
             if same:
                 matches.append({"target": tname, "shift": str(tshift)})
-        derived_shift = _derive_u1_shift(cat, exps.get(u1_family),
+        derived_shift = _derive_u1_shift(cat, exps[u1_family],
                                          [t[0] for t in residue_targets])
         entry = {
             "pole_w": 1j * complex(rho) * hbar,
@@ -645,7 +606,7 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
             "matches": matches,
             "derived_u1_shift": None if derived_shift is None else str(derived_shift),
             "sector_exponents_vanish": all(
-                exps.get(f, ModeFunction.zero()).canonical()[1:] == ({}, {})
+                exps[f].canonical()[1:] == ({}, {})
                 for f in cat.kernels if f != u1_family),
         }
         scalars[p] = (scalar_gr, hpow)
@@ -678,12 +639,10 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     return report
 
 
-def _derive_u1_shift(cat: Catalog, cexp: ModeFunction | None,
+def _derive_u1_shift(cat: Catalog, cexp: ModeFunction,
                      target_names: list[str]) -> Fraction | None:
     """If the residue exponent equals a shifted U(1) exponent, return the
     shift, read off the canonical form (a monomial in zeta on one branch)."""
-    if cexp is None:
-        return None
     lat, pos, neg = cexp.canonical()
     cands = set()
     for branch in (pos, neg):

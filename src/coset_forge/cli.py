@@ -46,6 +46,8 @@ from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
                      ResidueMismatch, UnexpectedPole)
 
 SCHEMA_VERSION = "3"
+# the hbar -> 0 sequence of the classical limits, unless --hbar gives one
+LIMIT_HBARS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
 
 
 def _fmt(x: float) -> str:
@@ -408,11 +410,7 @@ def cmd_contract(args) -> int:
         raise CosetForgeError("contract expects primitive currents")
     out = _text_stream(args)
     families = []
-    for fam in cat.kernels:
-        fa = ca.terms[0].exponents.get(fam)
-        fb = cb.terms[0].exponents.get(fam)
-        if fa is None or fb is None:
-            continue
+    for fam, fa, fb in cat.shared_families(ca.terms[0], cb.terms[0]):
         I = contract(fa, fb, cat.kernels[fam], params)
         if I.is_zero():
             print(f"family {fam}: zero contraction", file=out)
@@ -458,12 +456,9 @@ def cmd_verify(args) -> int:
         reports += _run_commutators(cat, comms)
     out = _text_stream(args)
     _print_report_lines(reports, out)
-    ok = all(r.passed for r in reports)
-    if args.json:
-        payload = _payload(params, hbars, reports)
-        _emit_json(args.json, payload)
-    print(("all relations hold" if ok else "verification FAILED"), file=out)
-    return 0 if ok else 1
+    code = _finish(args.json, params, hbars, reports)
+    print(("verification FAILED" if code else "all relations hold"), file=out)
+    return code
 
 
 def cmd_poles(args) -> int:
@@ -481,15 +476,12 @@ def cmd_poles(args) -> int:
             print(f"  residue at w = {r['pole_w']}: scalar {r['scalar_gr']} "
                   f"* hbar^{r['scalar_hbar_power']}, matches {r['matches']}, "
                   f"derived shift {r['derived_u1_shift']}", file=out)
-    ok = all(r.passed for r in reports)
-    if args.json:
-        _emit_json(args.json, _payload(params, hbars, reports))
-    return 0 if ok else 1
+    return _finish(args.json, params, hbars, reports)
 
 
 def cmd_limit(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
-    seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
+    seq = LIMIT_HBARS
     if args.hbar:
         seq = hbars
         if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
@@ -507,10 +499,7 @@ def cmd_limit(args) -> int:
                 "with --pair")
     reports = _run_limits(cat, seq, pairs)
     _print_report_lines(reports, _text_stream(args))
-    ok = all(r.passed for r in reports)
-    if args.json:
-        _emit_json(args.json, _payload(params, seq, reports))
-    return 0 if ok else 1
+    return _finish(args.json, params, seq, reports)
 
 
 def cmd_report(args) -> int:
@@ -518,12 +507,16 @@ def cmd_report(args) -> int:
     _require_checks(rels, comms)
     reports = _run_relations(cat, rels, args)
     reports += _run_commutators(cat, comms)
-    seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
-    reports += _run_limits(cat, seq, _shape_pairs(rels))
-    payload = _payload(params, hbars, reports)
-    _emit_json(args.json or "-", payload)
-    ok = all(r.passed for r in reports)
-    return 0 if ok else 1
+    reports += _run_limits(cat, LIMIT_HBARS, _shape_pairs(rels))
+    return _finish(args.json or "-", params, hbars, reports)
+
+
+def _finish(path, params, hbars, reports) -> int:
+    """The end of a report command: the payload written to `path` when one
+    is given; 0 if every row passed, else 1."""
+    if path:
+        _emit_json(path, _payload(params, hbars, reports))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _shape_pairs(rels) -> list[tuple[str, str, float]]:

@@ -36,7 +36,7 @@ from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _raw,
                     as_fraction, merge)
-from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, _lcm
+from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
 from .specfun import log_gamma
 
 # numpy is imported inside quad_eval and _IntegrandEvaluator, its only users
@@ -393,10 +393,7 @@ def contract(f: ModeFunction, g: ModeFunction, K: Kernel,
             sinh = tuple(list(tf.sinh_factors) + list(tr.sinh_factors)
                          + list(K.sinh_factors()))
             terms.append(ExpTrigTerm(coeff, 0, tf.tilt() + tr.tilt(), Fraction(0), sinh))
-    dens = [1]
-    for t in terms:
-        dens.extend(t.denominators())
-    lattice = _lcm(*dens)
+    lattice = math.lcm(*(d for t in terms for d in t.denominators()))
     total = LaurentRational.zero()
     for t in terms:
         total = total + t.laurent(lattice)
@@ -540,7 +537,7 @@ def _family_order(R: LaurentRational, L: int) -> int | None:
         raise NonTelescoping(
             f"denominator has repeated roots (cyclotomic factor of order "
             f"{d}, multiplicity {m}); families do not reduce to Gamma factors")
-    order = _lcm(*R.factors)
+    order = math.lcm(*R.factors)
     M = order if order % 2 else order // 2
     return M if M <= 8 * L * max(1, R.den_degree()) else None
 

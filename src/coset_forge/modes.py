@@ -95,13 +95,6 @@ class Kernel:
                 * math.sinh(float(self.slope_b) * hbar * t) / (hbar * hbar * t))
 
 
-def _lcm(*xs: int) -> int:
-    out = 1
-    for x in xs:
-        out = out * x // math.gcd(out, x)
-    return out
-
-
 def _sinh_exponent(beta: Fraction, lattice: int) -> int:
     """n with sinh(beta*hbar*t) = (zeta^n - zeta^-n)/2, zeta = e^{hbar t/(2 lattice)}."""
     e, r = divmod(beta.numerator * 2 * lattice, beta.denominator)
@@ -250,10 +243,8 @@ class ModeFunction:
         return self + (-other)
 
     def lattice(self) -> int:
-        dens = [1]
-        for t in self.positive_branch + self.negative_branch:
-            dens.extend(t.denominators())
-        return _lcm(*dens)
+        return math.lcm(*(d for t in self.positive_branch + self.negative_branch
+                          for d in t.denominators()))
 
     def canonical(self, lattice: int | None = None):
         """Canonical form: per branch, {hbar_power: reduced LaurentRational}."""
@@ -306,7 +297,7 @@ def shift_argument(f: ModeFunction, delta) -> ModeFunction:
 
 def equals(f: ModeFunction, g: ModeFunction) -> bool:
     """Exact equality of mode functions via canonical forms on a joint lattice."""
-    joint = _lcm(f.lattice(), g.lattice())
+    joint = math.lcm(f.lattice(), g.lattice())
     _, fp, fn = f.canonical(joint)
     _, gp, gn = g.canonical(joint)
     return fp == gp and fn == gn

@@ -336,6 +336,45 @@ def test_verify_relation_defaults_to_the_default_grid():
         assert verify_relation(cat, rels[rel_id]).grid == default_grid(cat.params)
 
 
+def _per_family_exchange(cat, ta, tb, rotated):
+    """The exchange factor of one term pair built from closed_contraction
+    family by family: S_fam = exp<A B> / exp<B A>(-w), Wick-rotated when
+    the family is in `rotated`, multiplied over the families of ta that tb
+    carries too, in kernel order."""
+    out = StructureFunction.one()
+    for fam in cat.kernels:
+        if fam not in ta.exponents or fam not in tb.exponents:
+            continue
+        fwd, _ = cat.closed_contraction(fam, ta.exponents[fam], tb.exponents[fam])
+        rev, _ = cat.closed_contraction(fam, tb.exponents[fam], ta.exponents[fam])
+        sf = fwd * rev.negate_w().inverse()
+        out = out * (sf.wick_rotate() if fam in rotated else sf)
+    return out
+
+
+@pytest.mark.parametrize("k", [Fraction(5, 2), Fraction(5, 12)])
+def test_pair_exchange_is_the_per_family_product(k):
+    # every ordered pair of shipped currents under every rotation mode: only
+    # the rotated families are Wick-rotated, the others are left as they are
+    cat = catalog(k)
+    modes = {"none": set(), "global": set(cat.kernels),
+             "c-sector": {cat.rotation_sector}}
+    for rotate, rotated in modes.items():
+        for a, ca in cat.currents.items():
+            for b, cb in cat.currents.items():
+                got = cat.pair_exchange(ca, cb, rotate)
+                want = [_per_family_exchange(cat, ta, tb, rotated)
+                        for ta in ca.terms for tb in cb.terms]
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.gammas == w.gammas, (rotate, a, b)
+                    assert g.linears == w.linears, (rotate, a, b)
+                    assert g.const == w.const, (rotate, a, b)
+                    assert g.describe() == w.describe(), (rotate, a, b)
+    with pytest.raises(ValueError, match="unknown rotation mode 'bogus'"):
+        cat.pair_exchange(cat["E"], cat["F"], rotate="bogus")
+
+
 def test_bilinearity_consistency():
     # verifying the composite relation gives the same verdict as checking the
     # shared factor on each term pair separately

@@ -153,6 +153,16 @@ def test_reference_comparison_catches_a_mutation(mutate):
         assert reference_mismatches(k, cat, rels) == expected, k
 
 
+def test_shape_relations_bind_both_sides_to_one():
+    # a shape relation states only that every term pair shares one factor;
+    # neither side carries a declared factor
+    _, _, rels, _, _ = parse_definitions(shipped_text()).bind(Fraction(5, 2))
+    shapes = [r for r in rels if r.kind == "shape"]
+    assert shapes
+    for rel in shapes:
+        assert rel.left_factor.is_one() and rel.right_factor.is_one(), rel.rel_id
+
+
 def test_bind_overrides():
     # the shipped file, and one more kernel whose slope is quadratic in k
     df = parse_definitions(
