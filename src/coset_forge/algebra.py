@@ -167,23 +167,24 @@ class Catalog:
 class Relation:
     __slots__ = ("rel_id", "kind", "left_pair", "right_pair", "left_factor",
                  "right_factor", "rotate", "tolerance")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, rel_id: str, kind: str, left_pair: tuple[str, str],
                  right_pair: tuple[str, str],
                  left_factor: StructureFunction | None = None,
                  right_factor: StructureFunction | None = None,
                  rotate: str = "none", tolerance: float = 1e-8):
-        self.rel_id = rel_id
-        self.kind = kind    # "exchange" | "shape" | "commutator-delta"
-        self.left_pair = left_pair
-        self.right_pair = right_pair
+        _set(self, "rel_id", rel_id)
+        _set(self, "kind", kind)    # "exchange" | "shape" | "commutator-delta"
+        _set(self, "left_pair", left_pair)
+        _set(self, "right_pair", right_pair)
         # an omitted factor is the constant one
-        self.left_factor = (StructureFunction.one() if left_factor is None
-                            else left_factor)
-        self.right_factor = (StructureFunction.one() if right_factor is None
-                             else right_factor)
-        self.rotate = rotate
-        self.tolerance = tolerance
+        _set(self, "left_factor", StructureFunction.one()
+             if left_factor is None else left_factor)
+        _set(self, "right_factor", StructureFunction.one()
+             if right_factor is None else right_factor)
+        _set(self, "rotate", rotate)
+        _set(self, "tolerance", tolerance)
 
 
 class ClassicalBraid:

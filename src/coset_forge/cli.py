@@ -1,18 +1,20 @@
 """Batch verification driver.
 
     coset-forge <catalog|contract|verify|poles|limit|report> [file]
-        [--k R] [--hbar R[,R...]] [--grid-n N] [--grid-range A,B]
-        [--tol X] [--json PATH] [--rotate <c-sector|global|none>]
-        [--relation NAME] [--all] [--at RE,IM] [--pair A,B]
+        [--k R] [--hbar R[,R...]] [--json PATH] [--relation NAME] [--all]
+        [CURRENT CURRENT] [--at RE,IM] [--pair A,B]
 
+Each subcommand accepts only the options it reads.  The command line picks
+the file, the level and what to run; how a relation is checked (tolerance,
+Wick rotation) is declared with it in the file, and the grid is fixed.
 Exit codes: 0 all checks pass, 1 verification failure (a refuted E-F
 claim included), 2 input error.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
 With ``--json -`` the report is the only thing written to stdout; the
-human-readable lines go to stderr.  ``catalog`` writes no report and
-rejects ``--json``.
+human-readable lines go to stderr.  ``catalog`` writes no report.
 ``limit`` reads ``--hbar`` as the hbar -> 0 sequence, at least three strictly
-decreasing values; every other subcommand reads the deformation values.
+decreasing values; ``contract`` reads a single value; every other
+subcommand reads the deformation values.
 JSON reports are deterministic: the bytes of json.dumps(payload,
 sort_keys=True, indent=1) plus a newline, every float rendered with 17
 significant digits (lowercase exponent) as a decimal string, grids built
@@ -42,8 +44,8 @@ from .algebra import (ClassicalBraid, VerificationReport,
 from .contraction import closed_form, contract, quad_eval
 from .dsl import parse_definitions
 from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
-                     NonConvergent, NothingToVerify, ParseError,
-                     ResidueMismatch, UnexpectedPole)
+                     NonConvergent, NonFiniteValue, NothingToVerify,
+                     ParseError, ResidueMismatch, UnexpectedPole)
 
 SCHEMA_VERSION = "3"
 # the hbar -> 0 sequence of the classical limits, unless --hbar gives one
@@ -89,65 +91,37 @@ def _parse_hbar(text: str) -> Fraction:
     return h
 
 
-def _check_numeric_flags(args) -> None:
-    """Reject a tolerance no residual can meet and grid flags under which no
-    point, or no finite point, would be checked.  A valid --grid-range is
-    kept as its (lo, hi) pair."""
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        raise InvalidOption(f"--tol must be finite and non-negative, got {args.tol}")
-    if args.grid_n < 1:
-        raise InvalidOption(f"--grid-n must be at least 1, got {args.grid_n}")
-    if args.grid_range:
-        lo, hi = _parse_two_floats("--grid-range", args.grid_range)
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
-            raise InvalidOption(
-                f"--grid-range bounds must be finite and positive, got {args.grid_range}")
-        if lo > hi:
-            raise InvalidOption(
-                f"--grid-range lower bound exceeds upper bound: {args.grid_range}")
-        args.grid_range = lo, hi
-
-
-def _parse_two_floats(flag: str, text: str) -> tuple[float, float]:
+def _parse_at(text: str) -> complex:
     try:
-        a, b = (float(x) for x in text.split(","))
+        re, im = (float(x) for x in text.split(","))
     except ValueError:
         raise InvalidOption(
-            f"{flag} must be two comma-separated numbers, got {text!r}") from None
-    return a, b
-
-
-def _parse_at(text: str) -> complex:
-    re, im = _parse_two_floats("--at", text)
+            f"--at must be two comma-separated numbers, got {text!r}") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise InvalidOption(f"--at must be finite, got {text}")
     return complex(re, im)
+
+
+def _require_names(names, ok, what: str) -> None:
+    """Raise InvalidOption naming each of `names` for which ok() is false."""
+    bad = [n for n in names if not ok(n)]
+    if bad:
+        raise InvalidOption(f"{what}: {', '.join(bad)}")
 
 
 def _parse_pair(text: str, currents) -> tuple[str, str]:
     names = [x.strip() for x in text.split(",")]
     if len(names) != 2 or not all(names):
         raise InvalidOption(f"--pair must be two current names A,B, got {text!r}")
-    unknown = [n for n in names if n not in currents]
-    if unknown:
-        raise InvalidOption(f"--pair names unknown currents: {', '.join(unknown)}")
+    _require_names(names, currents.__contains__, "--pair names unknown currents")
     return names[0], names[1]
 
 
 def _bind_session(args):
-    _check_numeric_flags(args)
-    text = _load(args.file)
-    df = parse_definitions(text)
+    df = parse_definitions(_load(args.file))
     k = _parse_rational("--k", args.k) if args.k else None
     hbars = [_parse_hbar(h) for h in args.hbar.split(",")] if args.hbar else None
-    params, cat, rels, comms, hbars = df.bind(k, hbars)
-    if args.rotate:
-        for rel in rels:
-            rel.rotate = args.rotate
-    if args.tol is not None:
-        for rel in rels:
-            rel.tolerance = args.tol
-    return params, cat, rels, comms, hbars
+    return df.bind(k, hbars)
 
 
 def _require_checks(rels, comms) -> None:
@@ -208,9 +182,8 @@ def _limit_fit_to_dict(fit: dict) -> dict:
         "check_errors": [_fmt(e) for e in fit["check_errors"]]}
 
 
-def _run_relations(cat, rels, args) -> list[VerificationReport]:
-    lo, hi = args.grid_range or (0.1, 10.0)
-    grid = default_grid(cat.params, n=args.grid_n, lo=lo, hi=hi)
+def _run_relations(cat, rels) -> list[VerificationReport]:
+    grid = default_grid(cat.params)
     reports = [verify_relation(cat, rel, grid=grid) for rel in rels]
     return sorted(reports, key=lambda r: r.rel_id)
 
@@ -378,8 +351,6 @@ def _limit_line(fit: dict) -> str:
 # subcommands
 
 def cmd_catalog(args) -> int:
-    if args.json:
-        raise InvalidOption("--json: catalog writes no JSON report")
     params, cat, rels, comms, hbars = _bind_session(args)
     print(f"level k = {params.k}, hbar = {', '.join(str(h) for h in hbars)}")
     for name in sorted(cat.currents):
@@ -399,18 +370,27 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _exp(log: complex, fam: str, w: complex) -> complex:
+    """A contraction's printed value exp(log), which must be a finite float."""
+    try:
+        return cmath.exp(log)
+    except OverflowError:
+        raise NonFiniteValue(f"family {fam}: exp({log}) overflows at w = {w}") from None
+
+
 def cmd_contract(args) -> int:
     w = _parse_at(args.at) if args.at else None
+    if "," in (args.hbar or ""):
+        raise InvalidOption(f"--hbar takes one value for contract, got {args.hbar!r}")
     params, cat, rels, comms, hbars = _bind_session(args)
     a, b = args.currents
-    if a not in cat.currents or b not in cat.currents:
-        raise CosetForgeError(f"unknown currents {a!r}, {b!r}")
-    ca, cb = cat[a], cat[b]
-    if len(ca.terms) != 1 or len(cb.terms) != 1:
-        raise CosetForgeError("contract expects primitive currents")
+    _require_names((a, b), cat.currents.__contains__,
+                   "contract names unknown currents")
+    _require_names((a, b), lambda n: len(cat[n].terms) == 1,
+                   "contract expects primitive currents; composite")
     out = _text_stream(args)
     families = []
-    for fam, fa, fb in cat.shared_families(ca.terms[0], cb.terms[0]):
+    for fam, fa, fb in cat.shared_families(cat[a].terms[0], cat[b].terms[0]):
         I = contract(fa, fb, cat.kernels[fam], params)
         if I.is_zero():
             print(f"family {fam}: zero contraction", file=out)
@@ -419,8 +399,8 @@ def cmd_contract(args) -> int:
         sf = closed_form(I, params)
         bound = I.strip_bound(params.hbar_float)
         wv = w if w is not None else complex(0.7, -(max(bound, 0.0) + 1.0))
-        q = cmath.exp(quad_eval(I, wv, params))
-        c = cmath.exp(sf.log_eval(wv, params.hbar_float))
+        q = _exp(quad_eval(I, wv, params), fam, wv)
+        c = _exp(sf.log_eval(wv, params.hbar_float), fam, wv)
         print(f"family {fam}: strip Im w < {_fmt(-bound)}; at w = {wv}", file=out)
         print(f"  log divergence coeff a = {I.log_divergence_coeff}", file=out)
         print(f"  quadrature   exp(I) = {q}", file=out)
@@ -447,13 +427,11 @@ def cmd_verify(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
     _require_checks(rels, comms)
     if args.relation:
+        _require_names([args.relation], {r.rel_id for r in rels}.__contains__,
+                       "--relation names an unknown relation")
         rels = [r for r in rels if r.rel_id == args.relation]
-        if not rels:
-            raise CosetForgeError(f"unknown relation {args.relation!r}")
         comms = []
-    reports = _run_relations(cat, rels, args)
-    if not args.relation:
-        reports += _run_commutators(cat, comms)
+    reports = _run_relations(cat, rels) + _run_commutators(cat, comms)
     out = _text_stream(args)
     _print_report_lines(reports, out)
     code = _finish(args.json, params, hbars, reports)
@@ -489,8 +467,8 @@ def cmd_limit(args) -> int:
                 "--hbar is the hbar -> 0 sequence for limit: at least 3 "
                 f"strictly decreasing values, got {args.hbar!r}")
     if args.pair:
-        tol = 1e-8 if args.tol is None else args.tol
-        pairs = [(*_parse_pair(args.pair, cat.currents), tol)]
+        # the tolerance of a relation that declares none
+        pairs = [(*_parse_pair(args.pair, cat.currents), 1e-8)]
     else:
         pairs = _shape_pairs(rels)
         if not pairs:
@@ -505,7 +483,7 @@ def cmd_limit(args) -> int:
 def cmd_report(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
     _require_checks(rels, comms)
-    reports = _run_relations(cat, rels, args)
+    reports = _run_relations(cat, rels)
     reports += _run_commutators(cat, comms)
     reports += _run_limits(cat, LIMIT_HBARS, _shape_pairs(rels))
     return _finish(args.json or "-", params, hbars, reports)
@@ -550,50 +528,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify the deformed coset vertex-operator relations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, hbar_help="override hbar values, comma-separated rationals"):
+    def session(name, fn, summary,
+                hbar_help="override hbar values, comma-separated rationals",
+                writes_json=True):
+        # how a relation is checked is declared in the file, not here
+        p = sub.add_parser(name, help=summary)
         p.add_argument("file", nargs="?", default=None,
                        help="definition file (.alg); defaults to the shipped catalog")
         p.add_argument("--k", default=None, help="override the level (rational)")
         p.add_argument("--hbar", default=None, help=hbar_help)
-        p.add_argument("--grid-n", type=int, default=25)
-        p.add_argument("--grid-range", default=None, metavar="A,B")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--json", default=None, metavar="PATH")
-        p.add_argument("--rotate", default=None,
-                       choices=["none", "c-sector", "global"],
-                       help="force a rotation mode on every relation")
+        if writes_json:
+            p.add_argument("--json", default=None, metavar="PATH")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("catalog", help="print the bound current catalog")
-    common(p)
-    p.set_defaults(fn=cmd_catalog)
+    session("catalog", cmd_catalog, "print the bound current catalog",
+            writes_json=False)
 
-    p = sub.add_parser("contract", help="quadrature vs closed form for a pair")
-    common(p)
+    p = session("contract", cmd_contract, "quadrature vs closed form for a pair",
+                hbar_help="override the hbar value, a single rational")
     # a tuple metavar breaks argparse's usage message for a missing pair
     p.add_argument("currents", nargs=2, metavar="CURRENT")
     p.add_argument("--at", default=None, metavar="RE,IM")
-    p.set_defaults(fn=cmd_contract)
 
-    p = sub.add_parser("verify", help="verify declared relations")
-    common(p)
+    p = session("verify", cmd_verify, "verify declared relations")
     p.add_argument("--all", action="store_true",
                    help="verify every declared relation (default)")
     p.add_argument("--relation", default=None, help="verify a single relation")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("poles", help="ordering-difference pole/residue analysis")
-    common(p)
-    p.set_defaults(fn=cmd_poles)
+    session("poles", cmd_poles, "ordering-difference pole/residue analysis")
 
-    p = sub.add_parser("limit", help="exact classical limits of the shape pairs")
-    common(p, hbar_help="the hbar -> 0 sequence, at least 3 strictly "
-                        "decreasing rationals")
+    p = session("limit", cmd_limit, "exact classical limits of the shape pairs",
+                hbar_help="the hbar -> 0 sequence, at least 3 strictly "
+                          "decreasing rationals")
     p.add_argument("--pair", default=None, metavar="A,B")
-    p.set_defaults(fn=cmd_limit)
 
-    p = sub.add_parser("report", help="full verification run as JSON")
-    common(p)
-    p.set_defaults(fn=cmd_report)
+    session("report", cmd_report, "full verification run as JSON")
     return ap
 
 

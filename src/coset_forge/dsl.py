@@ -379,13 +379,12 @@ def _bind_side(rel: str, factors: list[FactorDecl], k: Fraction) -> StructureFun
 
 
 def _bind_relation(rd: RelationDecl, k: Fraction) -> Relation:
-    rel = Relation(rd.name, rd.kind, rd.left_pair, rd.right_pair,
-                   left_factor=_bind_side(rd.name, rd.left_factors, k),
-                   right_factor=_bind_side(rd.name, rd.right_factors, k),
-                   rotate=rd.rotate)
-    if rd.tol is not None:
-        rel.tolerance = rd.tol
-    return rel
+    # a relation that declares no tolerance keeps the Relation default
+    declared = {} if rd.tol is None else {"tolerance": rd.tol}
+    return Relation(rd.name, rd.kind, rd.left_pair, rd.right_pair,
+                    left_factor=_bind_side(rd.name, rd.left_factors, k),
+                    right_factor=_bind_side(rd.name, rd.right_factors, k),
+                    rotate=rd.rotate, **declared)
 
 
 # ---------------------------------------------------------------------------

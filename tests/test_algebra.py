@@ -427,6 +427,7 @@ def test_immutable_records_reject_assignment():
         (Kernel("a", 1, HALF), "slope_b", Fraction(1)),
         (not_term, "hbar_power", 1),
         (Current("X", (not_term,)), "terms", ()),
+        (Relation("xx", "exchange", ("X", "X"), ("X", "X")), "tolerance", 0.0),
     ]
     for obj, name, value in records:
         before = getattr(obj, name)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, failure naming, deterministic reports."""
 
+import argparse
 import importlib.resources
 import json
 import subprocess
@@ -228,14 +229,6 @@ def test_limit_help_names_the_hbar_sequence(capsys):
     assert "override hbar values" not in out
 
 
-def test_rotate_override_runs():
-    # forcing c-sector rotation on every relation is runnable; the Gamma
-    # relations of the auxiliary sector then fail by design, exit code 1
-    out = run_cli("verify", "--all", "--rotate", "c-sector")
-    assert out.returncode in (0, 1)
-    assert "FAIL" in out.stdout or "all relations hold" in out.stdout
-
-
 def test_single_relation_flag():
     out = run_cli("verify", "--relation", "E_E")
     assert out.returncode == 0
@@ -272,27 +265,22 @@ def test_verify_runs_one_derivation_per_cache_key(monkeypatch, capsys):
     assert keys and len(calls) == len(keys)
 
 
-@pytest.mark.parametrize("flags", [
-    ["--tol=-1e-8"], ["--tol", "nan"],
-    ["--grid-n", "0"], ["--grid-n", "-3"],
-    ["--grid-range", "0,0"], ["--grid-range", "0,5"], ["--grid-range=-1,2"],
-    ["--grid-range", "5,1"], ["--grid-range", "nan,1"], ["--grid-range", "1,inf"],
-])
-def test_numeric_flags_that_check_nothing_are_rejected(flags, capsys):
-    assert cli.run(["verify", *flags, "--json", "-"]) == 2
-    out, err = capsys.readouterr()
-    payload = json.loads(out)
-    assert payload["error"]["kind"] == "InvalidOption"
-    assert "all relations hold" not in out + err
-    assert err.startswith("error: " + flags[0].split("=")[0])
-
-
-def test_tol_zero_is_honoured(capsys):
-    # C_p_C_p agrees to ~1e-14 on the grid, E_E exactly
+def test_tol_zero_is_honoured(tmp_path, capsys):
+    # C_p_C_p agrees to ~1e-14 on the grid, E_E exactly; the tolerance is
+    # declared with each relation in the file
+    text = shipped_text()
+    edits = [("* C_plus(v) C_plus(u);", "* C_plus(v) C_plus(u) with tol = 0;"),
+             ("E(v) E(u) with rotate = global;",
+              "E(v) E(u) with rotate = global, tol = 0;")]
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    src = tmp_path / "tol_zero.alg"
+    src.write_text(text)
     assert cli.run(["verify", "--relation", "C_p_C_p"]) == 0
-    assert cli.run(["verify", "--relation", "C_p_C_p", "--tol", "0"]) == 1
+    assert cli.run(["verify", str(src), "--relation", "C_p_C_p"]) == 1
     assert "FAIL C_p_C_p" in capsys.readouterr().out
-    assert cli.run(["verify", "--relation", "E_E", "--tol", "0"]) == 0
+    assert cli.run(["verify", str(src), "--relation", "E_E"]) == 0
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -350,7 +338,6 @@ def test_contract_says_no_shared_family_only_when_none_is_shared(a, b, lines, ca
 
 
 @pytest.mark.parametrize("argv", [
-    ["catalog", "--json", "-"],
     ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--at", "nan,-5"],
     ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--at", "0,inf"],
     ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--at", "1"],
@@ -359,7 +346,6 @@ def test_contract_says_no_shared_family_only_when_none_is_shared(a, b, lines, ca
     ["limit", "--json", "-", "--pair", "psi"],
     ["limit", "--json", "-", "--pair", "psi,"],
     ["limit", "--json", "-", "--pair", "psi,nope"],
-    ["verify", "--json", "-", "--grid-range", "1"],
     ["verify", "--json", "-", "--k", "1/0"],
     ["verify", "--json", "-", "--k", "1e400"],
     ["verify", "--json", "-", "--k", "1e-400"],
@@ -373,6 +359,8 @@ def test_contract_says_no_shared_family_only_when_none_is_shared(a, b, lines, ca
     ["report", "--json", "-", "--k", "1e400"],
     ["limit", "--json", "-", "--hbar", "1/0,1/100,1/1000"],
     ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--k", "1/0"],
+    # contract computes at one hbar, so it takes one
+    ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--hbar", "1,1/2"],
 ])
 def test_malformed_option_values_are_rejected(argv, capsys):
     # the offending flag is the second-last argument; the error names it
@@ -407,11 +395,14 @@ def test_unwritable_json_path_exits_two(tmp_path, capsys, missing):
 
 
 def test_catalog_json_path_is_rejected(tmp_path):
+    # catalog writes no report, so it has no --json
     dest = tmp_path / "catalog.json"
     out = run_cli("catalog", "--json", str(dest))
     assert out.returncode == 2
     assert out.stdout == ""
-    assert json.loads(dest.read_text())["error"]["kind"] == "InvalidOption"
+    assert out.stderr.startswith("usage: coset-forge")
+    assert "unrecognized arguments: --json" in out.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,6 +410,14 @@ def test_catalog_json_path_is_rejected(tmp_path):
     ["contract", "psi"],
     ["verify", "--workers", "2"],
     ["report", "--workers=4"],
+    # how a relation is checked is declared in the file, not on the
+    # command line, and catalog writes no report
+    ["limit", "--tol=1e-6"],
+    ["verify", "--rotate", "c-sector"],
+    ["verify", "--grid-n", "10"],
+    ["report", "--grid-range", "1,2"],
+    ["verify", "--json", "-", "--grid-range", "1"],
+    ["catalog", "--json", "-"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     # argparse prints the usage and exits 2; a missing contract pair once
@@ -429,6 +428,71 @@ def test_usage_errors_exit_two(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: coset-forge")
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    session = {"file", "--k", "--hbar"}
+    expected = {
+        "catalog": session,
+        "contract": session | {"currents", "--at", "--json"},
+        "verify": session | {"--all", "--relation", "--json"},
+        "poles": session | {"--json"},
+        "limit": session | {"--pair", "--json"},
+        "report": session | {"--json"},
+    }
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {a.option_strings[0] if a.option_strings else a.dest
+               for a in parser._actions if a.dest != "help"}
+        for name, parser in sub.choices.items()}
+    assert accepted == expected
+    assert sum(map(len, accepted.values())) == 28
+
+
+@pytest.mark.parametrize("command", [
+    "catalog", "contract", "verify", "poles", "limit", "report"])
+def test_removed_check_options_are_usage_errors(command, tmp_path, capsys):
+    # tolerance and rotation are declared per relation in the file, and the
+    # grid is fixed; no subcommand takes them, and nothing is written
+    pair = ["Lambda_plus", "Lambda_minus"] if command == "contract" else []
+    report = [] if command == "catalog" else ["--json", str(tmp_path / "out.json")]
+    for flags in (["--tol", "1e-6"], ["--rotate", "global"],
+                  ["--grid-n", "10"], ["--grid-range", "1,2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run([command, *pair, *flags, *report])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: coset-forge")
+        assert f"unrecognized arguments: {flags[0]}" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--relation", "nope"], "--relation names an unknown relation: nope"),
+    # only the unknown name is named
+    (["contract", "nope", "psi"], "contract names unknown currents: nope"),
+    (["contract", "psi", "C_plus"],
+     "contract expects primitive currents; composite: psi"),
+    (["contract", "E", "F"], "contract expects primitive currents; composite: E, F"),
+])
+def test_unknown_or_composite_names_are_invalid_options(argv, message, capsys):
+    assert cli.run([*argv, "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"kind": "InvalidOption", "message": message}
+    assert err == f"error: {message}\n"
+
+
+def test_contract_value_that_overflows_is_a_typed_error(capsys):
+    # at k = 1/500 the bhat contraction's exp(I) is beyond the float range
+    assert cli.run(["contract", "B_plus", "B_minus", "--k", "1/500",
+                    "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["kind"] == "NonFiniteValue"
+    assert error["message"].startswith("family bhat: exp(")
+    assert "overflows at w = (0.7-" in error["message"]
+    assert err == f"error: {error['message']}\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
@@ -515,31 +579,20 @@ def test_zero_gamma_scale_is_an_input_error(tmp_path, capsys, command, new, kind
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("edit, argv", [
-    # the whole session rotated in the c-sector
-    (lambda text: text, ["--rotate", "c-sector"]),
+def test_c_sector_rotation_without_a_sector_is_refused(tmp_path, capsys):
     # one relation declared with a c-sector rotation
-    (lambda text: text.replace(
-        "relation H_p_H_p : H_plus(u) H_plus(v) == H_plus(v) H_plus(u) "
-        "with rotate = global;",
-        "relation H_p_H_p : H_plus(u) H_plus(v) == H_plus(v) H_plus(u) "
-        "with rotate = c_sector;"), []),
-], ids=["option", "declared"])
-def test_c_sector_rotation_without_a_sector_is_refused(tmp_path, capsys, edit, argv):
-    text = edit(shipped_text().replace("rotate_sector chat;\n", ""))
-    assert "rotate_sector chat" not in text
-    assert argv or "rotate = c_sector" in text
+    old = ("relation H_p_H_p : H_plus(u) H_plus(v) == H_plus(v) H_plus(u) "
+           "with rotate = global;")
+    text = shipped_text().replace("rotate_sector chat;\n", "")
+    assert "rotate_sector chat" not in text and old in text
     src = tmp_path / "no_sector.alg"
-    src.write_text(text)
-    assert cli.run(["verify", str(src), "--json", "-", *argv]) == 2
+    src.write_text(text.replace(old, old.replace("global", "c_sector")))
+    assert cli.run(["verify", str(src), "--json", "-"]) == 2
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == {
         "kind": "NoRotationSector",
         "message": "c-sector rotation needs a rotation sector; the definition "
                    "file has no 'rotate_sector' line"}
-    # without a c-sector rotation the same file verifies
-    if argv:
-        assert cli.run(["verify", str(src), "--json", "-"]) == 0
 
 
 def test_rotation_sector_must_name_a_kernel(tmp_path, capsys):

@@ -64,7 +64,7 @@ def test_writer_rejects_what_json_rejects():
     ["contract", "Lambda_plus", "Lambda_minus", "--at", "0,-5", "--json", "-"],
     ["verify", "--k", "5/16", "--json", "-"],
     ["report", "--k", "5/12", "--json", "-"],
-    ["verify", "--tol=-1", "--json", "-"],          # the error object
+    ["verify", "--k", "1/0", "--json", "-"],        # the error object
 ])
 def test_real_payloads_match_json_dumps(argv, monkeypatch, capsys):
     written = []
