@@ -1,7 +1,7 @@
 """Batch verification driver.
 
     coset-forge <catalog|contract|verify|poles|limit|report> [file]
-        [--k R] [--hbar R[,R...]] [--json PATH] [--relation NAME] [--all]
+        [--k R] [--hbar R[,R...]] [--json PATH] [--all | --relation NAME]
         [CURRENT CURRENT] [--at RE,IM] [--pair A,B]
 
 Each subcommand accepts only the options it reads.  The command line picks
@@ -18,9 +18,7 @@ subcommand reads the deformation values.
 JSON reports are deterministic: the bytes of json.dumps(payload,
 sort_keys=True, indent=1) plus a newline, every float rendered with 17
 significant digits (lowercase exponent) as a decimal string, grids built
-from fixed rules rather than random draws.  The payload formats a grid that
-several reports share once, and the writer (_to_json) writes a container
-met again at the same indent once, reusing its text.
+from fixed rules rather than random draws.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
                      NonConvergent, NonFiniteValue, NothingToVerify,
                      ParseError, ResidueMismatch, UnexpectedPole)
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 # the hbar -> 0 sequence of the classical limits, unless --hbar gives one
 LIMIT_HBARS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
 
@@ -131,20 +129,15 @@ def _require_checks(rels, comms) -> None:
             "the definition file declares no relation and no commutator_delta")
 
 
-def _report_to_dict(rep: VerificationReport, grids: dict) -> dict:
-    """The report's row.  `grids` maps the id of each grid list already
-    formatted in this payload to its formatted points, so that reports
-    sharing a grid share one list of point dicts."""
-    grid = grids.get(id(rep.grid))
-    if grid is None:
-        grid = grids[id(rep.grid)] = [_fmt_c(w) for w in rep.grid]
-    return {
+def _report_to_dict(rep: VerificationReport, grid: list[complex]) -> dict:
+    """The report's row.  Its residuals are at the payload's `grid` unless
+    the row lists its own."""
+    row = {
         "id": rep.rel_id,
         "kind": rep.kind,
         "pass": rep.passed,
         "symbolic_pass": rep.symbolic_pass,
         "max_rel_err": _fmt(rep.max_rel_err),
-        "grid": grid,
         "residuals": [_fmt(r) for r in rep.residuals],
         "derived_factor": rep.derived_factor,
         "expected_factor": rep.expected_factor,
@@ -162,6 +155,9 @@ def _report_to_dict(rep: VerificationReport, grids: dict) -> dict:
         "limit_fit": _limit_fit_to_dict(rep.limit_fit),
         "notes": list(rep.notes),
     }
+    if rep.grid != grid:
+        row["grid"] = [_fmt_c(w) for w in rep.grid]
+    return row
 
 
 def _limit_fit_to_dict(fit: dict) -> dict:
@@ -230,32 +226,18 @@ def _to_json(obj) -> str:
     An indent sends the stdlib to its pure-Python encoder; this walk does
     the same work in fewer calls.  A list or dict whose values are all
     strings is written with one join, and a string leaf together with its
-    key.  A container met again at the same indent (the grid every relation
-    shares, a grid point under each of its residuals) is written once: its
-    text is reused, keyed by (id, indent) for the length of this call, in
-    which the payload keeps every container alive.  Dict keys must be
-    strings."""
+    key.  Dict keys must be strings."""
     chunks: list[str] = []
-    _write_json(obj, chunks, "\n", {})
+    _write_json(obj, chunks, "\n")
     return "".join(chunks)
 
 
-def _write_json(obj, chunks: list, nl: str, seen: dict) -> None:
-    """Append the text of `obj` at indent `nl` to `chunks`.  `seen` maps
-    (id, indent) of each container written to its span of `chunks`, or to
-    its text once that has been reused."""
+def _write_json(obj, chunks: list, nl: str) -> None:
+    """Append the text of `obj` at indent `nl` to `chunks`."""
     if isinstance(obj, (dict, list, tuple)):
         if not obj:
             chunks.append("{}" if isinstance(obj, dict) else "[]")
             return
-        key = (id(obj), nl)
-        done = seen.get(key)
-        if done is not None:
-            if type(done) is tuple:
-                done = seen[key] = "".join(chunks[done[0]:done[1]])
-            chunks.append(done)
-            return
-        start = len(chunks)
         inner = nl + " "
         sep = "," + inner
         if isinstance(obj, dict):
@@ -271,7 +253,7 @@ def _write_json(obj, chunks: list, nl: str, seen: dict) -> None:
                     buf.append(f"{lead}{_quote(k)}: ")
                     chunks.append("".join(buf))
                     buf = []
-                    _write_json(value, chunks, inner, seen)
+                    _write_json(value, chunks, inner)
                 lead = sep
             buf.append(nl + "}")
             chunks.append("".join(buf))
@@ -284,10 +266,9 @@ def _write_json(obj, chunks: list, nl: str, seen: dict) -> None:
                     chunks.append(lead + _quote(value))
                 else:
                     chunks.append(lead)
-                    _write_json(value, chunks, inner, seen)
+                    _write_json(value, chunks, inner)
                 lead = sep
             chunks.append(nl + "]")
-        seen[key] = (start, len(chunks))
     elif isinstance(obj, str):
         chunks.append(_quote(obj))
     elif obj is None:
@@ -442,7 +423,7 @@ def cmd_verify(args) -> int:
 def cmd_poles(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
     if not comms:
-        raise CosetForgeError("no commutator_delta declaration in the file")
+        raise NothingToVerify("no commutator_delta declaration in the file")
     reports = _run_commutators(cat, comms)
     out = _text_stream(args)
     for rep in reports:
@@ -502,22 +483,15 @@ def _shape_pairs(rels) -> list[tuple[str, str, float]]:
 
 
 def _payload(params, hbars, reports) -> dict:
-    grids: dict = {}    # the reports hold their grids alive until we return
-    rel_dicts = [_report_to_dict(r, grids) for r in
+    grid = default_grid(params)
+    rel_dicts = [_report_to_dict(r, grid) for r in
                  sorted(reports, key=lambda r: (r.kind, r.rel_id))]
-    # the flat list shares the grid points and residuals formatted above
-    flat = [{"relation": d["id"], "w": w, "residual": res}
-            for d in rel_dicts for w, res in zip(d["grid"], d["residuals"])]
     return {
         "schema_version": SCHEMA_VERSION,
         "params": {"k": str(params.k),
                    "hbar": [str(h) for h in hbars]},
+        "grid": [_fmt_c(w) for w in grid],
         "relations": rel_dicts,
-        "residuals": flat,
-        "poles": [p for r in rel_dicts for p in r["poles"]],
-        "limit_fits": [
-            {"id": r["id"], **r["limit_fit"]}
-            for r in rel_dicts if r["limit_fit"]],
         "pass": all(r["pass"] for r in rel_dicts),
     }
 
@@ -552,9 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default=None, metavar="RE,IM")
 
     p = session("verify", cmd_verify, "verify declared relations")
-    p.add_argument("--all", action="store_true",
-                   help="verify every declared relation (default)")
-    p.add_argument("--relation", default=None, help="verify a single relation")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true",
+                       help="verify every declared relation (default)")
+    which.add_argument("--relation", default=None, help="verify a single relation")
 
     session("poles", cmd_poles, "ordering-difference pole/residue analysis")
 

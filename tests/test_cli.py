@@ -76,7 +76,7 @@ def test_json_error_object(tmp_path):
     assert out.returncode == 2
     payload = json.loads(dest.read_text())
     assert payload["error"]["kind"] == "parse"
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
 
 
 def test_report_byte_identical_across_runs(tmp_path):
@@ -97,11 +97,11 @@ def test_report_schema_and_roundtrip(tmp_path):
     out = run_cli("report", "--json", str(dest))
     assert out.returncode == 0
     payload = json.loads(dest.read_text())
-    for key in ("schema_version", "params", "relations", "residuals",
-                "poles", "limit_fits", "pass"):
-        assert key in payload
+    assert set(payload) == {"schema_version", "params", "grid", "relations",
+                            "pass"}
+    assert len(payload["grid"]) == 25
     assert payload["pass"] is True
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
     ids = [r["id"] for r in payload["relations"]]
     assert "E_E" in ids and "[E,F]" in ids
     for rel in payload["relations"]:
@@ -138,7 +138,8 @@ def test_limit_subcommand():
 def test_limit_reports_the_exact_exponent_not_a_fitted_order(tmp_path):
     dest = tmp_path / "limit.json"
     assert cli.run(["limit", "--k", "3", "--json", str(dest)]) == 0
-    fits = {f["id"]: f for f in json.loads(dest.read_text())["limit_fits"]}
+    fits = {r["id"]: r["limit_fit"]
+            for r in json.loads(dest.read_text())["relations"]}
     fit = fits["limit[psi,psi;ab=1]"]
     assert (fit["exponent"], fit["braid_exponent"]) == ("2/3", "2/3")
     assert fit["order"] is None and fit["n_max"] == "12"
@@ -171,7 +172,7 @@ def test_limit_runs_along_the_hbar_sequence(tmp_path):
     assert cli.run(argv) == 0
     report = json.loads(dest.read_text())
     assert report["params"]["hbar"] == ["1/10", "1/100", "1/1000"]
-    assert all(len(f["errors"]) == 3 for f in report["limit_fits"])
+    assert all(len(r["limit_fit"]["errors"]) == 3 for r in report["relations"])
 
 
 def test_poles_subcommand():
@@ -304,7 +305,7 @@ def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
     assert cli.run([*argv, "--json", str(dest)]) == 0
     assert capsys.readouterr().out == text
     payload = json.loads(dest.read_text())
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
     assert payload["params"] == {"k": "2", "hbar": ["1"]}
     assert payload["currents"] == ["Lambda_plus", "Lambda_minus"]
     [row] = payload["families"]
@@ -418,6 +419,8 @@ def test_catalog_json_path_is_rejected(tmp_path):
     ["report", "--grid-range", "1,2"],
     ["verify", "--json", "-", "--grid-range", "1"],
     ["catalog", "--json", "-"],
+    # --all and --relation name what to verify in two contradicting ways
+    ["verify", "--all", "--relation", "E_E"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     # argparse prints the usage and exits 2; a missing contract pair once
@@ -495,7 +498,7 @@ def test_contract_value_that_overflows_is_a_typed_error(capsys):
     assert err == f"error: {error['message']}\n"
 
 
-@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("command", ["verify", "report", "poles"])
 @pytest.mark.parametrize("text", [
     "",
     "params { k = 2; hbar = 1; }\nkernel a { sign = +1; slope = 1; }\n"

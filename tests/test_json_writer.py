@@ -118,16 +118,26 @@ def test_mixed_payload_matches_json_dumps():
     payload = cli._payload(params, [params.hbar], reports)
     text = cli._to_json(payload)
     assert text == reference(payload)
-    # each row carries its own grid, formatted as a fresh _fmt_c would
-    rows = {r["id"]: r for r in json.loads(text)["relations"]}
-    for rep in reports:
-        assert rows[rep.rel_id]["grid"] == [
-            {"re": format(w.real, ".17g"), "im": format(w.imag, ".17g")}
-            for w in rep.grid]
+    report = json.loads(text)
+
+    def points(grid):
+        return [{"re": format(w.real, ".17g"), "im": format(w.imag, ".17g")}
+                for w in grid]
+
+    # the report grid is written once; a row lists its own grid only when
+    # its residuals are at other points
+    assert report["grid"] == points(default_grid(params))
+    rows = {r["id"]: r for r in report["relations"]}
+    for rel_id in ("s0", "s1", "s2", "s3", "s_last"):
+        assert "grid" not in rows[rel_id]
+    reps = {r.rel_id: r for r in reports}
+    assert rows["quad"]["grid"] == points(reps["quad"].grid)
+    assert len(rows["quad"]["grid"]) == 10
     assert rows["quad"]["residuals"][3] == "nan"
-    flat = json.loads(text)["residuals"]
-    assert len(flat) == 5 * 25 + 25 + 10
-    assert [f["w"] for f in flat if f["relation"] == "quad"] == rows["quad"]["grid"]
+    assert rows["other"]["grid"] == points(reps["other"].grid)
+    assert rows["[E,F]"]["grid"] == rows["[F,E]"]["grid"] == []
+    for row in rows.values():
+        assert len(row["residuals"]) == len(row.get("grid", report["grid"]))
 
 
 def test_verify_formats_each_grid_point_once(monkeypatch, capsys):
