@@ -8,8 +8,9 @@ rationals and rational functions of k, hbar powers, exponential tilts
 E(a*h*t), sinh(b*h*t)^n factors, and the spectral phase E(-i*u*t), which
 every exponent carries implicitly and may be written for emphasis.
 
-Parsing is deterministic recursive descent; every syntax error reports
-line, column and the expected token set.
+Parsing is deterministic recursive descent over the token texts of one
+regex scan; every syntax error reports line, column and the expected token
+set, counted by scanning again only when the error is raised.
 """
 
 from __future__ import annotations
@@ -35,20 +36,50 @@ _KEYWORDS = {
     "poles", "residues", "rotate_sector",
 }
 
-# One token per match, after optional blanks; the most frequent kinds come
-# first.  The grammar is ASCII: any other character, a non-ASCII digit or
-# letter included, lands in the last group and is rejected with its
-# position.  A float has a fraction part ("2." counts) or an exponent; "1e"
-# is the number 1 followed by the name e.
-_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
-      (==|[\^@{}()=;:,*/+\-])                                  # 1 punct
-    | ([A-Za-z_][A-Za-z0-9_]*)                                 # 2 name
-    | ([0-9]+(?:\.[0-9]*(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))  # 3 float
-    | ([0-9]+)                                                 # 4 number
-    | (\#.*)                                                   # 5 comment
-    | ([^ \t\r]))                                              # 6 error
+# One token per match, after any blanks and comments.  The grammar is
+# ASCII: any other character, a non-ASCII digit or letter included, is a
+# token of its own that no rule accepts, rejected with its position.  A
+# float has a fraction part ("2." counts) or an exponent; "1e" is the number
+# 1 followed by the name e.  The end of input is the empty token.
+_TOKEN_RE = re.compile(r"""
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (  ==|[\^@{}()=;:,*/+\-]                                    # punct
+     | [A-Za-z_][A-Za-z0-9_]*                                   # name
+     | [0-9]+(?:\.[0-9]*(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)?  # number
+     | [^ \t\r\n]                                               # error
+     | \Z)
     """, re.VERBOSE)
-_KIND = (None, "punct", None, "float", "number")
+_PUNCT = frozenset("^@{}()=;:,*/+-") | {"=="}
+
+
+def _kind(word: str) -> str | None:
+    """The kind of a token text; None for a character outside the grammar."""
+    if word in _PUNCT:
+        return "punct"
+    if word in _KEYWORDS:
+        return "keyword"
+    c = word[:1]
+    if not c:
+        return "eof"
+    if c.isascii():
+        if c.isalpha() or c == "_":
+            return "ident"
+        if c.isdigit():
+            return "number" if word.isdigit() else "float"
+    return None
+
+
+def _words(text: str) -> list[str]:
+    """The token texts the parser reads, ending in one empty string.  A
+    character outside the grammar is reported, with its position, before
+    any syntax error."""
+    words = _TOKEN_RE.findall(text)
+    # trailing blanks end in one empty match and the end itself in another
+    if len(words) > 1 and not words[-2]:
+        words.pop()
+    if any(_kind(w) is None for w in set(words)):
+        _tokenize(text)
+    return words
 
 
 class Token(NamedTuple):
@@ -59,25 +90,25 @@ class Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of `text` with their kinds and 1-based positions: the same
+    scan as _words, repeated only to place a diagnostic."""
     toks = []
-    append = toks.append
-    new = tuple.__new__     # a Token without the Python-level constructor
-    for line, src in enumerate(text.split("\n"), 1):
-        for m in _TOKEN_RE.finditer(src):
-            g = m.lastindex
-            word = m.group(g)
-            if g == 2:
-                kind = "keyword" if word in _KEYWORDS else "ident"
-            elif g == 5:
-                break
-            elif g == 6:
-                raise ParseError(line, m.start(g) + 1, {"token"}, word)
-            else:
-                kind = _KIND[g]
-            append(new(Token, (kind, word, line, m.start(g) + 1)))
+    line, line_at = 1, 0        # line_at: offset where the line starts
+    for m in _TOKEN_RE.finditer(text):
+        word, at = m[1], m.start(1)
+        if not word:
+            break
+        line += text.count("\n", line_at, at)
+        line_at = text.rfind("\n", 0, at) + 1
+        kind = _kind(word)
+        if kind is None:
+            raise ParseError(line, at - line_at + 1, {"token"}, word)
+        toks.append(Token(kind, word, line, at - line_at + 1))
     # the end sits after the last line, short of a trailing comment
-    hash_at = src.find("#")
-    append(Token("eof", "", line, (len(src) if hash_at < 0 else hash_at) + 1))
+    last = text[text.rfind("\n") + 1:]
+    hash_at = last.find("#")
+    toks.append(Token("eof", "", text.count("\n") + 1,
+                      (len(last) if hash_at < 0 else hash_at) + 1))
     return toks
 
 
@@ -140,9 +171,20 @@ def _is_zero(x: KVal) -> bool:
     return not (x.num if isinstance(x, KRat) else x)
 
 
-def _at(x: KVal, k: Fraction) -> Fraction:
-    """The value of a k-expression at level k."""
-    return x if isinstance(x, Fraction) else x.bind(k)
+def _binder(k: Fraction):
+    """The function that gives a k-expression's value at level k.  The
+    parser builds a repeated k-expression once, so each distinct one is
+    evaluated once."""
+    values: dict[KRat, Fraction] = {}
+
+    def at(x: KVal) -> Fraction:
+        if isinstance(x, Fraction):
+            return x
+        v = values.get(x)
+        if v is None:
+            v = values[x] = x.bind(k)
+        return v
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +312,7 @@ class DefinitionFile:
         """Evaluate all declarations at a concrete level, producing the
         algebra parameters, the catalog, the relation list and the
         commutator-delta specifications."""
-        # the declared k must be a constant; bind at 0 evaluates it
+        # the parser refuses a declared k that involves k; bind at 0 reads it
         kval = k_override if k_override is not None else self.k.bind(_ZERO)
         hbars = (hbar_override if hbar_override is not None
                  else [h.bind(kval) for h in self.hbars])
@@ -280,41 +322,42 @@ class DefinitionFile:
         # AlgebraParams holds and checks the first; the report lists them all
         if any(h <= 0 for h in hbars):
             raise ValueError("hbar must be positive")
+        at = _binder(kval)
         cat = Catalog(params)
         cat.rotation_sector = self.rotation_sector
         for kd in self.kernels:
-            cat.kernels[kd.name] = Kernel(kd.name, kd.sign, _at(kd.slope, kval))
+            cat.kernels[kd.name] = Kernel(kd.name, kd.sign, at(kd.slope))
         for cd in self.currents:
             if cd.composite is None:
                 mf = ModeFunction(
-                    [_bind_term(t, kval) for t in cd.pos],
-                    [_bind_term(t, kval) for t in cd.neg])
+                    [_bind_term(t, at) for t in cd.pos],
+                    [_bind_term(t, at) for t in cd.neg])
                 cur = Current(cd.name,
                               (NormalOrderedTerm(_ONE, 0, {cd.kernel: mf}),))
             else:
-                cur = _bind_composite(cd, cat, kval)
+                cur = _bind_composite(cd, cat, at)
             cat.currents[cd.name] = cur
-        relations = [_bind_relation(rd, kval) for rd in self.relations]
+        relations = [_bind_relation(rd, at, kval) for rd in self.relations]
         commutators = [
             {"pair": (cm.name_a, cm.name_b),
-             "poles": [_at(p, kval) for p in cm.poles],
-             "residues": [(n, _at(s, kval)) for n, s in cm.residues]}
+             "poles": [at(p) for p in cm.poles],
+             "residues": [(n, at(s)) for n, s in cm.residues]}
             for cm in self.commutators]
         return params, cat, relations, commutators, hbars
 
 
 # binding helpers -------------------------------------------------------------
 
-def _bind_term(t: TermDecl, k: Fraction) -> ExpTrigTerm:
-    return ExpTrigTerm(_at(t.coeff, k), t.hbar_power, _at(t.shift, k),
-                       _ZERO, tuple((_at(b, k), e) for b, e in t.sinh))
+def _bind_term(t: TermDecl, at) -> ExpTrigTerm:
+    return ExpTrigTerm(at(t.coeff), t.hbar_power, at(t.shift),
+                       _ZERO, tuple((at(b), e) for b, e in t.sinh))
 
 
-def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
+def _bind_composite(cd: CurrentDecl, cat: Catalog, at) -> Current:
     out_terms: list[NormalOrderedTerm] = []
     for term in cd.composite:
         # expand the reference product bilinearly over referenced terms
-        partial = [(_at(term.coeff, k), term.hbar_power, {})]
+        partial = [(at(term.coeff), term.hbar_power, {})]
         for ref in term.refs:
             if ref.name not in cat.currents:
                 raise UndeclaredName(f"current {ref.name!r} not declared before use")
@@ -328,7 +371,7 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
                         if ref.inverse:
                             g = -g
                         if ref.shift is not None:
-                            g = shift_argument(g, _at(ref.shift, k))
+                            g = shift_argument(g, at(ref.shift))
                         merged[fam] = g if fam not in merged else merged[fam] + g
                     if ref.inverse and len(sub.terms) > 1:
                         raise UndeclaredName(
@@ -341,7 +384,8 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, k: Fraction) -> Current:
     return Current(cd.name, tuple(out_terms))
 
 
-def _bind_side(rel: str, factors: list[FactorDecl], k: Fraction) -> StructureFunction:
+def _bind_side(rel: str, factors: list[FactorDecl], at,
+               k: Fraction) -> StructureFunction:
     """The product of one side's factors of relation `rel`: each Gamma or
     linear factor is merged into its multiset; the scalars, and (-i)^n from
     each (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant.
@@ -352,22 +396,22 @@ def _bind_side(rel: str, factors: list[FactorDecl], k: Fraction) -> StructureFun
     for f in factors:
         e = f.exponent
         if f.kind == "scalar":
-            v = _at(f.scalar, k)
+            v = at(f.scalar)
             if not v:
                 raise ExcludedLevel(f"relation {rel!r}: scalar factor "
                                     f"({f.scalar!r}) vanishes at k={k}")
             mult = mult * GR(v)
             continue
         if f.kind == "gamma":
-            scale = _at(f.scale, k)
+            scale = at(f.scale)
             if not scale:
                 raise ExcludedLevel(f"relation {rel!r}: Gamma scale "
                                     f"({f.scale!r}) vanishes at k={k}")
             exps = gammas
-            key = gamma_key(GR(scale * f.scale_sign), _at(f.shift, k))
+            key = gamma_key(GR(scale * f.scale_sign), at(f.shift))
         else:
             exps = linears
-            rho = GR(_at(f.offset, k) if f.offset is not None else _ZERO)
+            rho = GR(at(f.offset) if f.offset is not None else _ZERO)
             if f.kind == "w":
                 rho = GR_I * rho
                 for _ in range(abs(e)):
@@ -378,12 +422,12 @@ def _bind_side(rel: str, factors: list[FactorDecl], k: Fraction) -> StructureFun
                              ExactConst(mult))
 
 
-def _bind_relation(rd: RelationDecl, k: Fraction) -> Relation:
+def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
     # a relation that declares no tolerance keeps the Relation default
     declared = {} if rd.tol is None else {"tolerance": rd.tol}
     return Relation(rd.name, rd.kind, rd.left_pair, rd.right_pair,
-                    left_factor=_bind_side(rd.name, rd.left_factors, k),
-                    right_factor=_bind_side(rd.name, rd.right_factors, k),
+                    left_factor=_bind_side(rd.name, rd.left_factors, at, k),
+                    right_factor=_bind_side(rd.name, rd.right_factors, at, k),
                     rotate=rd.rotate, **declared)
 
 
@@ -392,73 +436,107 @@ def _bind_relation(rd: RelationDecl, k: Fraction) -> Relation:
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = toks = _tokenize(text)
-        # what accept/expect match: the text of a punctuation mark or a
-        # keyword, None for any other token
-        self.keys = [t.text if t.kind in ("punct", "keyword") else None
-                     for t in toks]
+        self.text = text
+        self.toks = _words(text)
         self.i = 0
+        # the k-expression values built so far, by number text, by operation
+        # and operands, and (KRats) by coefficients: a repeated expression
+        # is folded once and is one object, which DefinitionFile.bind
+        # evaluates once per level
+        self.folded: dict = {}
+        self.declared: set[str] = set()     # k, hbar, rotate_sector
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.i]
+    def declare(self, what: str) -> None:
+        """Record a declaration that a file makes at most once."""
+        if what in self.declared:
+            raise DuplicateName(f"{what} declared twice")
+        self.declared.add(what)
 
-    def error(self, expected: set[str]):
-        t = self.cur
+    def error(self, expected: set[str], at: int | None = None):
+        """A ParseError at token `at`, the current one by default; only here
+        is the text scanned for positions."""
+        t = _tokenize(self.text)[self.i if at is None else at]
         raise ParseError(t.line, t.col, expected, t.text or "end of input")
 
     def accept(self, text: str) -> bool:
-        if self.keys[self.i] == text:
+        if self.toks[self.i] == text:
             self.i += 1
             return True
         return False
 
     def expect(self, text: str) -> None:
-        if self.keys[self.i] != text:
+        if self.toks[self.i] != text:
             self.error({repr(text)})
         self.i += 1
 
-    def expect_ident(self) -> str:
+    def at_ident(self) -> bool:
         t = self.toks[self.i]
-        if t.kind != "ident":
+        return t.isidentifier() and t not in _KEYWORDS
+
+    def at_number(self) -> bool:
+        return self.toks[self.i].isdigit()
+
+    def expect_ident(self) -> str:
+        if not self.at_ident():
             self.error({"identifier"})
         self.i += 1
-        return t.text
+        return self.toks[self.i - 1]
 
     def expect_number(self) -> Fraction:
         t = self.toks[self.i]
-        if t.kind != "number":
+        if not t.isdigit():
             self.error({"number"})
         self.i += 1
-        return Fraction(int(t.text))
+        v = self.folded.get(t)
+        if v is None:
+            v = self.folded[t] = Fraction(int(t))
+        return v
 
     # -- k-rational expressions -------------------------------------------
+    def op(self, sym: str, a: KVal, b: KVal) -> KVal:
+        """a sym b, folded once per distinct operation."""
+        key = (sym, a, b)
+        v = self.folded.get(key)
+        if v is None:
+            v = self.folded[key] = self.intern(_kop(_ARITH[sym], a, b))
+        return v
+
+    def neg(self, a: KVal) -> KVal:
+        return self.op("-", _ZERO, a)
+
+    def intern(self, v: KVal) -> KVal:
+        """v, or the KRat with its coefficients that was built first."""
+        if isinstance(v, KRat):
+            v = self.folded.setdefault(
+                (frozenset(v.num.items()), frozenset(v.den.items())), v)
+        return v
+
     def kexpr(self, stop: str | None = None) -> KVal:
         """A k-expression.  In a context ended by `* <stop>` (stop = 'h' or
         'hbar'), a multiplicative chain halts before the stop word."""
         val = self.kterm(stop)
-        while (op := self.keys[self.i]) in ("+", "-"):
+        while (op := self.toks[self.i]) in ("+", "-"):
             self.i += 1
-            val = _kop(_ARITH[op], val, self.kterm(stop))
+            val = self.op(op, val, self.kterm(stop))
         return val
 
     def kterm(self, stop: str | None = None) -> KVal:
         val = self.kfactor()
-        while (op := self.keys[self.i]) in ("*", "/"):
-            if self.toks[self.i + 1].text == stop:
+        while (op := self.toks[self.i]) in ("*", "/"):
+            if self.toks[self.i + 1] == stop:
                 break
             self.i += 1
-            val = _kop(_ARITH[op], val,
-                       self.divisor() if op == "/" else self.kfactor())
+            val = self.op(op, val,
+                          self.divisor() if op == "/" else self.kfactor())
         return val
 
     def divisor(self) -> KVal:
         """A k-factor that divides; one that is identically zero is an
         error at its first token."""
-        t = self.toks[self.i]
+        at = self.i
         val = self.kfactor()
         if _is_zero(val):
-            raise ParseError(t.line, t.col, {"nonzero divisor"}, t.text)
+            self.error({"nonzero divisor"}, at)
         return val
 
     def exponent(self) -> int:
@@ -470,19 +548,21 @@ class _Parser:
         return -e if neg else e
 
     def kfactor(self) -> KVal:
-        if self.accept("-"):
-            return -self.kfactor()
-        if self.accept("+"):
-            return self.kfactor()
-        if self.cur.kind == "number":
+        t = self.toks[self.i]
+        if t.isdigit():
             return self.expect_number()
-        if self.accept("k"):
+        if t not in ("k", "(", "-", "+"):
+            self.error({"number", "'k'", "'('", "'-'"})
+        self.i += 1
+        if t == "k":
             return _K
-        if self.accept("("):
-            v = self.kexpr()
-            self.expect(")")
-            return v
-        self.error({"number", "'k'", "'('", "'-'"})
+        if t == "-":
+            return self.neg(self.kfactor())
+        if t == "+":
+            return self.kfactor()
+        v = self.kexpr()
+        self.expect(")")
+        return v
 
     # -- top level -----------------------------------------------------------
     def file(self) -> DefinitionFile:
@@ -491,12 +571,13 @@ class _Parser:
         sector = None
         kernels, currents, relations, commutators = [], [], [], []
         names = set()
-        while self.cur.kind != "eof":
+        while self.toks[self.i]:
             if self.accept("params"):
                 k, hbars = self.params_block(k, hbars)
             elif self.accept("rotate_sector"):
                 sector = self.expect_ident()
                 self.expect(";")
+                self.declare("rotate_sector")
             elif self.accept("kernel"):
                 kd = self.kernel_block()
                 if kd.name in names:
@@ -531,14 +612,20 @@ class _Parser:
         while not self.accept("}"):
             if self.accept("k"):
                 self.expect("=")
+                at = self.i
                 k = self.kexpr()
+                if isinstance(k, KRat):
+                    # the level is what k stands for everywhere else
+                    self.error({"constant level"}, at)
                 self.expect(";")
+                self.declare("k")
             elif self.accept("hbar"):
                 self.expect("=")
                 hbars = [self.kexpr()]
                 while self.accept(","):
                     hbars.append(self.kexpr())
                 self.expect(";")
+                self.declare("hbar")
             else:
                 self.error({"'k'", "'hbar'", "'}'"})
         return k, hbars
@@ -595,7 +682,7 @@ class _Parser:
         if sign > 0:
             self.accept("+")
         terms.append(self.exponent_term(sign))
-        while (op := self.keys[self.i]) in ("+", "-"):
+        while (op := self.toks[self.i]) in ("+", "-"):
             self.i += 1
             terms.append(self.exponent_term(1 if op == "+" else -1))
         return terms
@@ -613,11 +700,11 @@ class _Parser:
             if self.accept("hbar"):
                 hpow += mul
                 return
-            if self.cur.kind == "number" or self.keys[self.i] == "(":
+            if self.at_number() or self.toks[self.i] == "(":
                 if invert:
-                    coeff = _kop(operator.truediv, coeff, self.divisor())
+                    coeff = self.op("/", coeff, self.divisor())
                 else:
-                    coeff = _kop(operator.mul, coeff, self.kfactor())
+                    coeff = self.op("*", coeff, self.kfactor())
                 return
             if self.accept("exp"):
                 self.expect("(")
@@ -630,7 +717,7 @@ class _Parser:
                         self.expect("t")
                         self.expect(")")
                         return
-                    inner = -self.kexpr("h")
+                    inner = self.neg(self.kexpr("h"))
                 else:
                     inner = self.kexpr("h")
                 self.expect("*")
@@ -638,8 +725,7 @@ class _Parser:
                 self.expect("*")
                 self.expect("t")
                 self.expect(")")
-                shift = _kop(operator.add if mul > 0 else operator.sub,
-                             shift, inner)
+                shift = self.op("+" if mul > 0 else "-", shift, inner)
                 return
             if self.accept("sinh"):
                 self.expect("(")
@@ -654,7 +740,7 @@ class _Parser:
             self.error({"number", "'hbar'", "'exp'", "'sinh'", "'('"})
 
         add_factor()
-        while (op := self.keys[self.i]) in ("*", "/"):
+        while (op := self.toks[self.i]) in ("*", "/"):
             invert = op == "/"
             self.i += 1
             add_factor()
@@ -665,7 +751,7 @@ class _Parser:
         terms: list[CompositeTerm] = []
         sign = -1 if self.accept("-") else 1
         terms.extend(self.composite_term(sign, current_names))
-        while (op := self.keys[self.i]) in ("+", "-"):
+        while (op := self.toks[self.i]) in ("+", "-"):
             self.i += 1
             terms.extend(self.composite_term(1 if op == "+" else -1,
                                              current_names))
@@ -677,13 +763,13 @@ class _Parser:
         factors: list[list[CompositeTerm]] = []
 
         def atom() -> list[CompositeTerm]:
-            if self.cur.kind == "number":
+            if self.at_number():
                 return [CompositeTerm(self.expect_number(), 0, [])]
             if self.accept("k"):
                 return [CompositeTerm(_K, 0, [])]
             if self.accept("hbar"):
                 return [CompositeTerm(_ONE, 1, [])]
-            if self.cur.kind == "ident":
+            if self.at_ident():
                 nm = self.expect_ident()
                 if nm not in current_names:
                     raise UndeclaredName(f"current {nm!r} not declared before use")
@@ -706,17 +792,17 @@ class _Parser:
             self.error({"number", "'k'", "'hbar'", "identifier", "'('"})
 
         factors.append(atom())
-        while (op := self.keys[self.i]) in ("*", "/"):
+        while (op := self.toks[self.i]) in ("*", "/"):
             self.i += 1
-            t = self.toks[self.i]
+            at = self.i
             nxt = atom()
             if op == "/":
                 if len(nxt) != 1 or nxt[0].refs:
                     self.error({"scalar divisor"})
                 d = nxt[0]
                 if _is_zero(d.coeff):
-                    raise ParseError(t.line, t.col, {"nonzero divisor"}, t.text)
-                nxt = [CompositeTerm(_kop(operator.truediv, _ONE, d.coeff),
+                    self.error({"nonzero divisor"}, at)
+                nxt = [CompositeTerm(self.op("/", _ONE, d.coeff),
                                      -d.hbar_power, [])]
             factors.append(nxt)
 
@@ -725,8 +811,8 @@ class _Parser:
             nxt = []
             for left in out:
                 for right in fac:
-                    nxt.append(CompositeTerm(_kop(operator.mul, left.coeff,
-                                                  right.coeff),
+                    nxt.append(CompositeTerm(self.op("*", left.coeff,
+                                                     right.coeff),
                                              left.hbar_power + right.hbar_power,
                                              left.refs + right.refs))
             out = nxt
@@ -757,16 +843,17 @@ class _Parser:
             while True:
                 if self.accept("rotate"):
                     self.expect("=")
-                    word = self.cur.text
+                    word = self.toks[self.i]
                     if word not in ("none", "global", "c_sector"):
                         self.error({"'none'", "'global'", "'c_sector'"})
                     self.i += 1
                     rotate = "c-sector" if word == "c_sector" else word
                 elif self.accept("tol"):
                     self.expect("=")
-                    if self.cur.kind not in ("float", "number"):
+                    word = self.toks[self.i]
+                    if not word[:1].isdigit():      # a number or a float
                         self.error({"tolerance value"})
-                    tol = float(self.cur.text)
+                    tol = float(word)
                     if not math.isfinite(tol):     # 1e999 reads as inf
                         self.error({"finite tolerance"})
                     self.i += 1
@@ -779,56 +866,55 @@ class _Parser:
     def side(self, current_names, pvars):
         factors = []
         while True:
-            if self.cur.kind == "ident":
+            if self.at_ident():
                 pair = self.pair(current_names, pvars)
                 return factors, pair
             factors.append(self.relation_factor())
             self.expect("*")
 
     def relation_factor(self) -> FactorDecl:
-        t = self.cur
-        if t.kind == "number":
-            return self.scalar_factor(t, self.expect_number())
+        at = self.i
+        if self.at_number():
+            return self.scalar_factor(at, self.expect_number())
         if self.accept("Gamma"):
             self.expect("(")
             ssign = -1 if self.accept("-") else 1
             self.expect("x")
             self.expect("@")
-            st = self.cur
+            at = self.i
             scale = self.kfactor()
             if _is_zero(scale):
-                raise ParseError(st.line, st.col, {"nonzero scale"}, st.text)
+                self.error({"nonzero scale"}, at)
             if self.accept("+"):
                 shift = self.kexpr()
             elif self.accept("-"):
-                shift = -self.kexpr()
+                shift = self.neg(self.kexpr())
             else:
                 shift = _ZERO
             self.expect(")")
             return FactorDecl("gamma", scale=scale, scale_sign=ssign,
                               shift=shift, exponent=self.exponent())
         if self.accept("("):
-            kind = self.keys[self.i]
+            kind = self.toks[self.i]
             if kind in ("w", "iw"):
                 self.i += 1
                 offset: KVal = _ZERO
                 if self.accept("+"):
                     offset = self.kexpr_until_hbar()
                 elif self.accept("-"):
-                    offset = -self.kexpr_until_hbar()
+                    offset = self.neg(self.kexpr_until_hbar())
                 self.expect(")")
                 return FactorDecl(kind, offset=offset, exponent=self.exponent())
             scalar = self.kexpr()
             self.expect(")")
-            return self.scalar_factor(t, scalar)
+            return self.scalar_factor(at, scalar)
         self.error({"'('", "'Gamma'", "number", "identifier"})
 
-    @staticmethod
-    def scalar_factor(t: Token, val: KVal) -> FactorDecl:
-        """A scalar factor of a relation side, first token t; one that is
-        identically zero is an error at t."""
+    def scalar_factor(self, at: int, val: KVal) -> FactorDecl:
+        """A scalar factor of a relation side, first token `at`; one that
+        is identically zero is an error there."""
         if _is_zero(val):
-            raise ParseError(t.line, t.col, {"nonzero scalar"}, t.text)
+            self.error({"nonzero scalar"}, at)
         return FactorDecl("scalar", scalar=val)
 
     def kexpr_until_hbar(self) -> KVal:

@@ -524,6 +524,9 @@ class LaurentRational:
 # Rational functions of the level parameter k (for the definition DSL, where
 # expressions must stay symbolic until k is bound).
 
+_Q0, _Q1 = Fraction(0), Fraction(1)
+
+
 class KRat:
     """Rational function of k with Fraction coefficients, degree kept small."""
 
@@ -531,11 +534,11 @@ class KRat:
 
     def __init__(self, num: dict[int, Fraction], den: dict[int, Fraction] | None = None):
         self.num = {e: v for e, v in num.items() if v}
-        self.den = {e: v for e, v in (den or {0: Fraction(1)}).items() if v}
+        self.den = {e: v for e, v in den.items() if v} if den else {0: _Q1}
         if not self.den:
             raise ZeroDivisionError("KRat zero denominator")
         if not self.num:
-            self.den = {0: Fraction(1)}
+            self.den = {0: _Q1}
 
     @staticmethod
     def const(x) -> "KRat":
@@ -543,13 +546,13 @@ class KRat:
 
     @staticmethod
     def k() -> "KRat":
-        return KRat({1: Fraction(1)})
+        return KRat({1: _Q1})
 
     def _mul_poly(a, b):
         out: dict[int, Fraction] = {}
         for e1, v1 in a.items():
             for e2, v2 in b.items():
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + v1 * v2
+                out[e1 + e2] = out.get(e1 + e2, _Q0) + v1 * v2
         return {e: v for e, v in out.items() if v}
 
     def __add__(self, other: "KRat") -> "KRat":
@@ -557,7 +560,7 @@ class KRat:
         n2 = KRat._mul_poly(other.num, self.den)
         num = dict(n1)
         for e, v in n2.items():
-            num[e] = num.get(e, Fraction(0)) + v
+            num[e] = num.get(e, _Q0) + v
         return KRat(num, KRat._mul_poly(self.den, other.den))
 
     def __neg__(self):
@@ -589,7 +592,7 @@ class KRat:
             return " + ".join(
                 (f"{v}" if e == 0 else (f"{v}*k" if e == 1 else f"{v}*k^{e}"))
                 for e, v in sorted(p.items()))
-        if self.den == {0: Fraction(1)}:
+        if self.den == {0: _Q1}:
             return side(self.num) or "0"
         return f"({side(self.num)})/({side(self.den)})"
 

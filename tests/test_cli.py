@@ -79,6 +79,20 @@ def test_json_error_object(tmp_path):
     assert payload["schema_version"] == "4"
 
 
+@pytest.mark.parametrize("value", ["k + 1", "3*k", "1/k"])
+def test_declared_level_that_involves_k_exits_two(tmp_path, capsys, value):
+    # k = k + 1 was once bound at 0 + 1, and verify passed at k = 1
+    text = shipped_text()
+    assert "  k = 2;\n" in text
+    src = tmp_path / "level.alg"
+    src.write_text(text.replace("  k = 2;\n", f"  k = {value};\n", 1))
+    assert cli.run(["verify", str(src), "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    message = f"parse error at 10:7: expected constant level, found {value[0]!r}"
+    assert json.loads(out)["error"] == {"kind": "parse", "message": message}
+    assert err == f"error: {message}\n"
+
+
 def test_report_byte_identical_across_runs(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

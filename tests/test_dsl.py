@@ -245,6 +245,20 @@ _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
      4, 22, ["nonzero scale"], "0"),
     (_KAX + "relation r : X(u) X(v) == Gamma(-x@(k-k) + 1) * X(v) X(u);\n",
      4, 36, ["nonzero scale"], "("),
+    # positions are counted only on the error path, over the whole text
+    ("# one\n# two\n\nparams { k = ; }\n",
+     4, 14, ["'('", "'-'", "'k'", "number"], ";"),
+    ("params {\r\n  k = 2\r\n  hbar = 1;\r\n}\r\n",
+     3, 3, ["';'"], "hbar"),
+    ("params {\n\tk = 2;\n\thbar 1;\n}\n",
+     3, 7, ["'='"], "1"),
+    ("params { k = 2;\n  hbar = 1; # no closing brace",
+     2, 13, ["'hbar'", "'k'", "'}'"], "end of input"),
+    ("params { k = 2;\n  hbar = 1;\n# no closing brace",
+     3, 1, ["'hbar'", "'k'", "'}'"], "end of input"),
+    # a character outside the grammar wins over an earlier syntax error
+    ("params { k = ; }\nkernel a { sign = +1; slope = 1 $ }\n",
+     2, 33, ["token"], "$"),
 ])
 def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
     with pytest.raises(ParseError) as exc:
@@ -252,6 +266,39 @@ def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
     err = exc.value
     assert (err.line, err.col, sorted(err.expected), err.found) == \
         (line, col, expected, found)
+
+
+@pytest.mark.parametrize("value", ["k + 1", "3*k", "1/k", "(k - k) + 2"])
+def test_declared_level_that_involves_k_is_refused(value):
+    # the level is what k stands for, so it cannot be defined by k
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(f"params {{ k = {value}; hbar = 1; }}\n")
+    err = exc.value
+    assert (err.line, err.col, err.expected, err.found) == \
+        (1, 14, {"constant level"}, value[0])
+
+
+@pytest.mark.parametrize("text, what", [
+    ("params { k = 2; k = 3; }\n", "k"),
+    ("params { k = 2; }\nparams { k = 3; }\n", "k"),
+    ("params { hbar = 1; hbar = 1/2; }\n", "hbar"),
+    ("params { hbar = 1; }\nparams { k = 2; hbar = 1; }\n", "hbar"),
+    (_KA + "rotate_sector a;\nrotate_sector a;\n", "rotate_sector"),
+])
+def test_params_and_sector_are_declared_once(text, what):
+    with pytest.raises(DuplicateName, match=f"^{what} declared twice$"):
+        parse_definitions(text)
+
+
+def test_each_distinct_k_expression_is_bound_once(monkeypatch):
+    # the shipped file repeats k/4, (k+2)/4, 1 + 1/k and others many times
+    df = parse_definitions(shipped_text())
+    bound = []
+    bind = KRat.bind
+    monkeypatch.setattr(KRat, "bind",
+                        lambda self, k: bound.append(repr(self)) or bind(self, k))
+    df.bind(Fraction(5, 12))
+    assert len(bound) == len(set(bound)) > 20
 
 
 def test_denominator_vanishing_at_the_bound_level():
@@ -318,6 +365,31 @@ def test_grammar_is_ascii(text, col, char):
         (col, char, {"token"})
 
 
+# text from the token alphabet: the parser's token texts are those that
+# _tokenize places, or both report the same character outside the grammar
+_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+_pieces = st.one_of(
+    _names, st.sampled_from(sorted(dsl._KEYWORDS)),
+    st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+    st.sampled_from(["2.", "1e-3", "3E2", "0.5e+2"]),
+    _names.map(lambda name: "1e" + name),
+    st.sampled_from(sorted(dsl._PUNCT)),
+    st.from_regex(r"#[^\n]{0,6}", fullmatch=True),
+    st.sampled_from([" ", "\t", "\r", "\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pieces, max_size=24).map("".join))
+def test_parser_words_are_the_token_texts(text):
+    def view(scan):
+        try:
+            return scan(text)
+        except ParseError as exc:
+            return (exc.line, exc.col, exc.found)
+    assert view(dsl._words) == view(
+        lambda t: [tok.text for tok in _tokenize(t)])
+
+
 # k-expressions as (text, value at k); every binary operation is
 # parenthesised, so each text is one factor and means what the tree says
 _kleaf = (st.integers(0, 9).map(lambda n: (str(n), lambda k: Fraction(n)))
@@ -358,16 +430,19 @@ def test_k_expressions_bind_to_their_value(expr, k):
 def _factor_product(factors, k):
     """A relation side as the chain of StructureFunction products it
     stands for, one factor at a time."""
+    def at(x):
+        return x.bind(k) if isinstance(x, KRat) else x
+
     out = StructureFunction.one()
     for f in factors:
         if f.kind == "scalar":
-            sf = StructureFunction.from_const_gr(GR(dsl._at(f.scalar, k)))
+            sf = StructureFunction.from_const_gr(GR(at(f.scalar)))
         elif f.kind == "gamma":
             sf = StructureFunction.from_gamma(
-                GR(dsl._at(f.scale, k) * f.scale_sign), dsl._at(f.shift, k),
+                GR(at(f.scale) * f.scale_sign), at(f.shift),
                 f.exponent)
         else:
-            off = GR(dsl._at(f.offset, k))
+            off = GR(at(f.offset))
             if f.kind == "iw":
                 sf = StructureFunction.from_linear(off, f.exponent)
             else:
