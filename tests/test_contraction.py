@@ -17,7 +17,7 @@ from coset_forge.contraction import (StructureFunction, _family_order, closed_fo
 from coset_forge.dsl import parse_definitions
 from coset_forge.errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
                                 NonTelescoping, OutsideConvergenceStrip,
-                                PoleAtNonPositiveInteger)
+                                PoleAtNonPositiveInteger, QuadratureNonConvergent)
 from coset_forge.exact import GR, ExactConst, LaurentPoly, LaurentRational, merge
 from coset_forge.modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
 from coset_forge.specfun import log_gamma
@@ -79,7 +79,8 @@ def test_zero_contraction():
     assert I.is_zero()
     assert I.log_divergence_coeff == 0
     assert closed_form(I, P1).is_one()
-    assert quad_eval(I, -1j, P1) == 0
+    zero = quad_eval(I, -1j, P1)
+    assert type(zero) is complex and zero == 0
 
 
 def test_screened_pair_log_divergence_and_growth():
@@ -454,8 +455,11 @@ def test_normalize_matches_the_fraction_reference(parts):
 
 def _reference_quad_eval(I, w, params, tol=1e-10):
     """quad_eval as it stood when every refinement level rebuilt the small-t
-    series from its Fractions and split the nodes with boolean masks, kept
-    here as the oracle for bit-identical values."""
+    series from its Fractions, split the nodes with boolean masks and took
+    one integrand call of its own, kept here as the oracle for bit-identical
+    values.  Returns (value, node function, refinement levels), the base
+    grid counted as a level; raises QuadratureNonConvergent at the node cap
+    as quad_eval does."""
     import numpy as np
     ev = I.evaluator(params.hbar_float)
 
@@ -507,16 +511,21 @@ def _reference_quad_eval(I, w, params, tol=1e-10):
     h = 0.5
     t, wgt = level_nodes(h, offset=False)
     total = np.sum(integrand(t, w) * wgt) * h
+    levels = 1
     for _ in range(8):
         t, wgt = level_nodes(h, offset=True)
         mid = np.sum(integrand(t, w) * wgt) * h
+        levels += 1
         new = 0.5 * (total + mid)
         h *= 0.5
         err = abs(new - total)
-        total = new
+        prev, total = total, new
         if err <= max(tol * 0.1, 1e-14 * (1.0 + abs(new))):
-            break
-    return complex(total), integrand
+            return complex(total), integrand, levels
+    if abs(total - prev) > tol * (1.0 + abs(total)):
+        raise QuadratureNonConvergent(
+            f"error estimate {abs(total - prev):.2e} above {tol:.1e} at node cap")
+    return complex(total), integrand, levels
 
 
 def _quadrature_cases():
@@ -535,6 +544,29 @@ def _quadrature_cases():
     return cases
 
 
+def _reference_levels(I, w, params):
+    """Refinement levels of the reference at w, the base grid counted."""
+    try:
+        return _reference_quad_eval(I, w, params)[2]
+    except QuadratureNonConvergent:
+        return 9  # the base grid and all eight offset levels
+
+
+def _extreme_points():
+    """(label, integrand, params, w) at the fewest refinement levels
+    measured (3), by the strip edge where the reference takes 8, and at a
+    point that reaches the node cap."""
+    cases = {label: (I, params) for label, I, params in _quadrature_cases()}
+    out = []
+    for label, re, gap in (("non-telescoping", 0.0, 20.0),
+                           ("C_plus[0].C_plus[0].chat@2,1", -5.0, 0.01),
+                           ("B_plus[0].beta_minus[0].bhat@2,1", 3.0, 1e-3)):
+        I, params = cases[label]
+        bound = max(0.0, I.strip_bound(params.hbar_float))
+        out.append((label, I, params, complex(re, -(bound + gap))))
+    return out
+
+
 def test_quadrature_is_bit_identical_to_the_per_level_reference():
     import numpy as np
     cases = _quadrature_cases()
@@ -550,13 +582,28 @@ def test_quadrature_is_bit_identical_to_the_per_level_reference():
         # cutoff, and with it the number of series nodes
         for w in (complex(0.0, -(base + 0.3)), complex(-1.7, -(base + 0.75)),
                   complex(40.0, -(base + 2.0)), complex(-0.2, -(base + 25.0))):
-            want, reference = _reference_quad_eval(I, w, params)
+            want, reference, _ = _reference_quad_eval(I, w, params)
             assert quad_eval(I, w, params) == want, (label, w)
             # the node function itself
             reach = abs(w) + I.evaluator(hf).scale_hint() + 1.0
             assert 0 < np.count_nonzero(t * reach < 0.01) < len(t)
             got = I.evaluator(hf).at(w)(t)
             assert got.tobytes() == reference(t, w).tobytes(), (label, w)
+    # and at the fewest refinement levels measured, the most, and the cap
+    levels = []
+    for label, I, params, w in _extreme_points():
+        try:
+            want, _, n = _reference_quad_eval(I, w, params)
+        except QuadratureNonConvergent as exc:
+            with pytest.raises(QuadratureNonConvergent) as raised:
+                quad_eval(I, w, params)
+            # the same error estimate, to the digits the message shows
+            assert str(raised.value) == str(exc), label
+            levels.append("cap")
+        else:
+            assert quad_eval(I, w, params) == want, label
+            levels.append(n)
+    assert levels == [3, 8, "cap"]
 
 
 def test_quadrature_binds_each_integrand_and_point_once(monkeypatch):
@@ -578,24 +625,15 @@ def test_quadrature_binds_each_integrand_and_point_once(monkeypatch):
     series_divide = contraction._series_divide
     monkeypatch.setattr(contraction, "_series_divide",
                         lambda *args: [Counted(c) for c in series_divide(*args)])
-    builds, nodes = [], []
+    builds = []
     evaluator = contraction._IntegrandEvaluator
-    series_coeffs, at = evaluator.series_coeffs, evaluator.at
+    series_coeffs = evaluator.series_coeffs
 
     def counted_coeffs(self, w):
         builds.append(w)
         return series_coeffs(self, w)
 
-    def counted_at(self, w):
-        integrand = at(self, w)
-
-        def counted(t):
-            nodes.append(w)
-            return integrand(t)
-        return counted
-
     monkeypatch.setattr(evaluator, "series_coeffs", counted_coeffs)
-    monkeypatch.setattr(evaluator, "at", counted_at)
     k = Fraction(2)
     params = AlgebraParams(k)
     I = contract(beta_plus(), beta_minus(), kernel_l(k), params)
@@ -606,10 +644,42 @@ def test_quadrature_binds_each_integrand_and_point_once(monkeypatch):
     # many refinement levels each point took
     assert len(conversions) == evaluator.SERIES_ORDER + 1
     assert builds == points
-    assert len(nodes) >= 3 * len(points)
     # a second hbar is a second evaluator: one more float series
     quad_eval(I, points[0], AlgebraParams(k, Fraction(1, 2)))
     assert len(conversions) == 2 * (evaluator.SERIES_ORDER + 1)
+    # and each point above took several refinement levels
+    assert min(_reference_levels(I, w, params) for w in points) >= 4
+
+
+def test_quadrature_takes_the_first_four_levels_in_one_call(monkeypatch):
+    from coset_forge import contraction
+
+    calls = []
+    at = contraction._IntegrandEvaluator.at
+
+    def counted_at(self, w):
+        integrand = at(self, w)
+
+        def counted(t):
+            calls.append(w)
+            return integrand(t)
+        return counted
+
+    monkeypatch.setattr(contraction._IntegrandEvaluator, "at", counted_at)
+    points = _extreme_points()
+    label, I, params, _ = points[1]
+    bound = I.strip_bound(params.hbar_float)
+    points += [(label, I, params, complex(x, -(bound + 0.3))) for x in (0.0, 2.0)]
+    for label, I, params, w in points:
+        levels = _reference_levels(I, w, params)
+        del calls[:]
+        try:
+            quad_eval(I, w, params)
+        except QuadratureNonConvergent:
+            pass
+        # one call for the base grid and three offset levels, then one per
+        # level; a point that stops sooner still takes its one call
+        assert len(calls) == max(1, levels - 3), (label, w, levels)
 
 
 # ---------------------------------------------------------------------------
