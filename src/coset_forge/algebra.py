@@ -175,7 +175,7 @@ class Relation:
                  right_factor: StructureFunction | None = None,
                  rotate: str = "none", tolerance: float = 1e-8):
         _set(self, "rel_id", rel_id)
-        _set(self, "kind", kind)    # "exchange" | "shape" | "commutator-delta"
+        _set(self, "kind", kind)    # "exchange" | "shape"
         _set(self, "left_pair", left_pair)
         _set(self, "right_pair", right_pair)
         # an omitted factor is the constant one
@@ -570,7 +570,6 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
         holders = pole_map[rho]
         p = -rho.im  # rotated pole position in hbar units (rho = -i p)
         spectral = -p  # e^{ipt} with p = i*p_hyp... v = u - i p hbar shifts by -p
-        exps: dict[str, ModeFunction] = {}
         scalar_gr = GR(Fraction(0))
         hpow = None
         for key, ta, tb, rot in holders:
@@ -583,10 +582,20 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                 raise ResidueMismatch("inconsistent hbar power across residues")
             contrib = cpref * gr * rot.const.as_gr()
             scalar_gr = scalar_gr + contrib
-            for fam in cat.kernels:
-                exps[fam] = (exps.get(fam, zero) + ta.exponents.get(fam, zero)
-                             + shift_argument(tb.exponents.get(fam, zero),
-                                              spectral))
+        # each holder's residue is one vertex operator: holders with equal
+        # exponents add their scalars, and holders that differ are not one
+        # residue operator
+        held = [{fam: ta.exponents.get(fam, zero)
+                 + shift_argument(tb.exponents.get(fam, zero), spectral)
+                 for fam in cat.kernels} for _, ta, tb, _ in holders]
+        exps = held[0]
+        if not all(modes_equal(exps[fam], other[fam])
+                   for other in held[1:] for fam in cat.kernels):
+            ok_residues = False
+            report.notes.append(
+                f"residue at w={float(p)}*hbar: term pairs "
+                f"{[h[0] for h in holders]} give different vertex operators")
+            continue
         # compare with the shifted U(1) exponent
         matches = []
         for tname, tshift in residue_targets:

@@ -474,7 +474,8 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams,
             return complex(total)
     if abs(total - prev) > tol * (1.0 + abs(total)):
         raise QuadratureNonConvergent(
-            f"error estimate {abs(total - prev):.2e} above {tol:.1e} at node cap")
+            f"error estimate {abs(total - prev):.2e} above {tol:.1e} at node cap, "
+            f"w = {w}, strip bound {bound}")
     return complex(total)
 
 

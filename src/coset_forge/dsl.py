@@ -15,11 +15,11 @@ set, counted by scanning again only when the error is raised.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebra import Catalog, Current, NormalOrderedTerm, Relation
 from .contraction import StructureFunction, gamma_key, linear_key
@@ -52,23 +52,6 @@ _TOKEN_RE = re.compile(r"""
 _PUNCT = frozenset("^@{}()=;:,*/+-") | {"=="}
 
 
-def _kind(word: str) -> str | None:
-    """The kind of a token text; None for a character outside the grammar."""
-    if word in _PUNCT:
-        return "punct"
-    if word in _KEYWORDS:
-        return "keyword"
-    c = word[:1]
-    if not c:
-        return "eof"
-    if c.isascii():
-        if c.isalpha() or c == "_":
-            return "ident"
-        if c.isdigit():
-            return "number" if word.isdigit() else "float"
-    return None
-
-
 def _words(text: str) -> list[str]:
     """The token texts the parser reads, ending in one empty string.  A
     character outside the grammar is reported, with its position, before
@@ -77,39 +60,28 @@ def _words(text: str) -> list[str]:
     # trailing blanks end in one empty match and the end itself in another
     if len(words) > 1 and not words[-2]:
         words.pop()
-    if any(_kind(w) is None for w in set(words)):
-        _tokenize(text)
+    # only the scan's last alternative matches one character that is not
+    # punctuation or an ASCII letter, digit or underscore
+    bad = {w for w in set(words) if len(w) == 1 and w not in _PUNCT
+           and not (w.isascii() and (w.isalnum() or w == "_"))}
+    if bad:
+        at = next(i for i, w in enumerate(words) if w in bad)
+        raise ParseError(*_place(text, at), {"token"}, words[at])
     return words
 
 
-class Token(NamedTuple):
-    kind: str          # "ident", "keyword", "number", "float", "punct", "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    """The tokens of `text` with their kinds and 1-based positions: the same
-    scan as _words, repeated only to place a diagnostic."""
-    toks = []
-    line, line_at = 1, 0        # line_at: offset where the line starts
-    for m in _TOKEN_RE.finditer(text):
-        word, at = m[1], m.start(1)
-        if not word:
-            break
-        line += text.count("\n", line_at, at)
-        line_at = text.rfind("\n", 0, at) + 1
-        kind = _kind(word)
-        if kind is None:
-            raise ParseError(line, at - line_at + 1, {"token"}, word)
-        toks.append(Token(kind, word, line, at - line_at + 1))
-    # the end sits after the last line, short of a trailing comment
+def _place(text: str, index: int) -> tuple[int, int]:
+    """The 1-based line and column of token `index` of `text`, found by the
+    same scan as _words, repeated only to place a diagnostic.  The end of
+    input sits after the last line, short of a trailing comment."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    if m[1]:
+        at = m.start(1)
+        return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
     last = text[text.rfind("\n") + 1:]
     hash_at = last.find("#")
-    toks.append(Token("eof", "", text.count("\n") + 1,
-                      (len(last) if hash_at < 0 else hash_at) + 1))
-    return toks
+    return (text.count("\n") + 1,
+            (len(last) if hash_at < 0 else hash_at) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -126,49 +98,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_I = GR(_ZERO, Fraction(-1))
 _K = KRat.k()   # shared: KRat arithmetic never changes its operands
-
-
-def _lift(x: KVal) -> KRat:
-    return x if isinstance(x, KRat) else KRat.const(x)
-
-
-def _kop(op, a: KVal, b: KVal) -> KVal:
-    """a op b.  A KRat meets a constant by scaling or shifting its numerator
-    rather than by a product of coefficient dicts."""
-    if isinstance(a, Fraction):
-        if isinstance(b, Fraction):
-            return op(a, b)
-        if op is operator.add:
-            return _shift(b, a)
-        if op is operator.sub:
-            return _shift(-b, a)
-        if op is operator.mul:
-            return _scale(b, operator.mul, a)
-        return _lift(a) / b
-    if isinstance(b, Fraction):
-        if op is operator.add:
-            return _shift(a, b)
-        if op is operator.sub:
-            return _shift(a, -b)
-        return _scale(a, op, b)
-    return op(a, b)
-
-
-def _shift(x: KRat, c: Fraction) -> KRat:
-    """x + c"""
-    num = dict(x.num)
-    for e, v in x.den.items():
-        num[e] = num.get(e, _ZERO) + c * v
-    return KRat(num, x.den)
-
-
-def _scale(x: KRat, op, c: Fraction) -> KRat:
-    """x * c or x / c"""
-    return KRat({e: op(v, c) for e, v in x.num.items()}, x.den)
-
-
-def _is_zero(x: KVal) -> bool:
-    return not (x.num if isinstance(x, KRat) else x)
 
 
 def _binder(k: Fraction):
@@ -294,7 +223,8 @@ class DefinitionFile:
     __slots__ = ("k", "hbars", "rotation_sector", "kernels", "currents",
                  "relations", "commutators")
 
-    def __init__(self, k: KRat, hbars: list[KRat], rotation_sector: str | None,
+    def __init__(self, k: Fraction, hbars: list[KVal],
+                 rotation_sector: str | None,
                  kernels: list[KernelDecl], currents: list[CurrentDecl],
                  relations: list[RelationDecl],
                  commutators: list[CommutatorDecl]):
@@ -312,17 +242,16 @@ class DefinitionFile:
         """Evaluate all declarations at a concrete level, producing the
         algebra parameters, the catalog, the relation list and the
         commutator-delta specifications."""
-        # the parser refuses a declared k that involves k; bind at 0 reads it
-        kval = k_override if k_override is not None else self.k.bind(_ZERO)
+        kval = k_override if k_override is not None else self.k
+        at = _binder(kval)
         hbars = (hbar_override if hbar_override is not None
-                 else [h.bind(kval) for h in self.hbars])
+                 else [at(h) for h in self.hbars])
         if not hbars:
             hbars = [Fraction(1)]
         params = AlgebraParams(kval, hbars[0])
         # AlgebraParams holds and checks the first; the report lists them all
         if any(h <= 0 for h in hbars):
             raise ValueError("hbar must be positive")
-        at = _binder(kval)
         cat = Catalog(params)
         cat.rotation_sector = self.rotation_sector
         for kd in self.kernels:
@@ -359,9 +288,7 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, at) -> Current:
         # expand the reference product bilinearly over referenced terms
         partial = [(at(term.coeff), term.hbar_power, {})]
         for ref in term.refs:
-            if ref.name not in cat.currents:
-                raise UndeclaredName(f"current {ref.name!r} not declared before use")
-            sub = cat.currents[ref.name]
+            sub = cat.currents[ref.name]    # the parser checked it is earlier
             new_partial = []
             for coeff, hpow, exps in partial:
                 for st in sub.terms:
@@ -445,6 +372,9 @@ class _Parser:
         # evaluates once per level
         self.folded: dict = {}
         self.declared: set[str] = set()     # k, hbar, rotate_sector
+        # what each kernel and current name declared so far names: kernels
+        # and currents share one namespace
+        self.kinds: dict[str, str] = {}
 
     def declare(self, what: str) -> None:
         """Record a declaration that a file makes at most once."""
@@ -452,11 +382,24 @@ class _Parser:
             raise DuplicateName(f"{what} declared twice")
         self.declared.add(what)
 
+    def define(self, kind: str, name: str) -> None:
+        """Record the kernel or current `name`, once declared in full."""
+        if name in self.kinds:
+            raise DuplicateName(f"{kind} {name!r} declared twice")
+        self.kinds[name] = kind
+
+    def known(self, name: str, kind: str = "current") -> str:
+        """`name`, which must name a `kind` declared before its use."""
+        if self.kinds.get(name) != kind:
+            raise UndeclaredName(f"{kind} {name!r} not declared before use")
+        return name
+
     def error(self, expected: set[str], at: int | None = None):
         """A ParseError at token `at`, the current one by default; only here
         is the text scanned for positions."""
-        t = _tokenize(self.text)[self.i if at is None else at]
-        raise ParseError(t.line, t.col, expected, t.text or "end of input")
+        at = self.i if at is None else at
+        raise ParseError(*_place(self.text, at), expected,
+                         self.toks[at] or "end of input")
 
     def accept(self, text: str) -> bool:
         if self.toks[self.i] == text:
@@ -464,10 +407,12 @@ class _Parser:
             return True
         return False
 
-    def expect(self, text: str) -> None:
-        if self.toks[self.i] != text:
-            self.error({repr(text)})
-        self.i += 1
+    def expect(self, *texts: str) -> None:
+        """The tokens `texts`, in order."""
+        for text in texts:
+            if self.toks[self.i] != text:
+                self.error({repr(text)})
+            self.i += 1
 
     def at_ident(self) -> bool:
         t = self.toks[self.i]
@@ -498,7 +443,7 @@ class _Parser:
         key = (sym, a, b)
         v = self.folded.get(key)
         if v is None:
-            v = self.folded[key] = self.intern(_kop(_ARITH[sym], a, b))
+            v = self.folded[key] = self.intern(_ARITH[sym](a, b))
         return v
 
     def neg(self, a: KVal) -> KVal:
@@ -535,7 +480,7 @@ class _Parser:
         error at its first token."""
         at = self.i
         val = self.kfactor()
-        if _is_zero(val):
+        if not val:
             self.error({"nonzero divisor"}, at)
         return val
 
@@ -566,11 +511,10 @@ class _Parser:
 
     # -- top level -----------------------------------------------------------
     def file(self) -> DefinitionFile:
-        k: KVal = Fraction(2)
+        k = Fraction(2)
         hbars: list[KVal] = []
         sector = None
         kernels, currents, relations, commutators = [], [], [], []
-        names = set()
         while self.toks[self.i]:
             if self.accept("params"):
                 k, hbars = self.params_block(k, hbars)
@@ -580,32 +524,26 @@ class _Parser:
                 self.declare("rotate_sector")
             elif self.accept("kernel"):
                 kd = self.kernel_block()
-                if kd.name in names:
-                    raise DuplicateName(f"kernel {kd.name!r} declared twice")
-                names.add(kd.name)
+                self.define("kernel", kd.name)
                 kernels.append(kd)
             elif self.accept("current"):
-                cd = self.current_block({k.name for k in kernels},
-                                        {c.name for c in currents})
-                if cd.name in names:
-                    raise DuplicateName(f"current {cd.name!r} declared twice")
-                names.add(cd.name)
+                cd = self.current_block()
+                self.define("current", cd.name)
                 currents.append(cd)
             elif self.accept("relation"):
-                rd = self.relation_block({c.name for c in currents})
+                rd = self.relation_block()
                 if any(r.name == rd.name for r in relations):
                     raise DuplicateName(f"relation {rd.name!r} declared twice")
                 relations.append(rd)
             elif self.accept("commutator_delta"):
-                commutators.append(self.commutator_block(
-                    {c.name for c in currents}))
+                commutators.append(self.commutator_block())
             else:
                 self.error({"'params'", "'kernel'", "'current'", "'relation'",
                             "'commutator_delta'", "'rotate_sector'"})
-        if sector is not None and sector not in {kd.name for kd in kernels}:
+        if sector is not None and self.kinds.get(sector) != "kernel":
             raise UndeclaredName(f"rotate_sector {sector!r} names no declared kernel")
-        return DefinitionFile(_lift(k), [_lift(h) for h in hbars], sector,
-                              kernels, currents, relations, commutators)
+        return DefinitionFile(k, hbars, sector, kernels, currents, relations,
+                              commutators)
 
     def params_block(self, k, hbars):
         self.expect("{")
@@ -632,9 +570,7 @@ class _Parser:
 
     def kernel_block(self) -> KernelDecl:
         name = self.expect_ident()
-        self.expect("{")
-        self.expect("sign")
-        self.expect("=")
+        self.expect("{", "sign", "=")
         sign = 1
         if self.accept("-"):
             sign = -1
@@ -642,20 +578,15 @@ class _Parser:
             self.accept("+")
         if self.expect_number() != 1:
             self.error({"'1'"})
-        self.expect(";")
-        self.expect("slope")
-        self.expect("=")
+        self.expect(";", "slope", "=")
         slope = self.kexpr()
-        self.expect(";")
-        self.expect("}")
+        self.expect(";", "}")
         return KernelDecl(name, sign, slope)
 
-    def current_block(self, kernel_names, current_names) -> CurrentDecl:
+    def current_block(self) -> CurrentDecl:
         name = self.expect_ident()
         if self.accept("on"):
-            kname = self.expect_ident()
-            if kname not in kernel_names:
-                raise UndeclaredName(f"kernel {kname!r} not declared before use")
+            kname = self.known(self.expect_ident(), "kernel")
             self.expect("{")
             pos, neg = [], []
             while not self.accept("}"):
@@ -671,7 +602,7 @@ class _Parser:
                     self.error({"'pos'", "'neg'", "'}'"})
             return CurrentDecl(name, kernel=kname, pos=pos, neg=neg)
         self.expect("=")
-        comp = self.composite_expr(current_names)
+        comp = self.composite_expr()
         self.expect(";")
         return CurrentDecl(name, composite=comp)
 
@@ -711,30 +642,18 @@ class _Parser:
                 if self.accept("-"):
                     if self.accept("i"):
                         # spectral phase E(-i*u*t), implicit anyway
-                        self.expect("*")
-                        self.expect("u")
-                        self.expect("*")
-                        self.expect("t")
-                        self.expect(")")
+                        self.expect("*", "u", "*", "t", ")")
                         return
                     inner = self.neg(self.kexpr("h"))
                 else:
                     inner = self.kexpr("h")
-                self.expect("*")
-                self.expect("h")
-                self.expect("*")
-                self.expect("t")
-                self.expect(")")
+                self.expect("*", "h", "*", "t", ")")
                 shift = self.op("+" if mul > 0 else "-", shift, inner)
                 return
             if self.accept("sinh"):
                 self.expect("(")
                 beta = self.kexpr("h")
-                self.expect("*")
-                self.expect("h")
-                self.expect("*")
-                self.expect("t")
-                self.expect(")")
+                self.expect("*", "h", "*", "t", ")")
                 sinh.append((beta, mul * self.exponent()))
                 return
             self.error({"number", "'hbar'", "'exp'", "'sinh'", "'('"})
@@ -747,17 +666,16 @@ class _Parser:
         return TermDecl(coeff, hpow, shift, sinh)
 
     # -- composite expressions -------------------------------------------------
-    def composite_expr(self, current_names) -> list[CompositeTerm]:
+    def composite_expr(self) -> list[CompositeTerm]:
         terms: list[CompositeTerm] = []
         sign = -1 if self.accept("-") else 1
-        terms.extend(self.composite_term(sign, current_names))
+        terms.extend(self.composite_term(sign))
         while (op := self.toks[self.i]) in ("+", "-"):
             self.i += 1
-            terms.extend(self.composite_term(1 if op == "+" else -1,
-                                             current_names))
+            terms.extend(self.composite_term(1 if op == "+" else -1))
         return terms
 
-    def composite_term(self, sign: int, current_names) -> list[CompositeTerm]:
+    def composite_term(self, sign: int) -> list[CompositeTerm]:
         # a product of scalars, current references, and grouped sums;
         # grouped sums distribute
         factors: list[list[CompositeTerm]] = []
@@ -770,9 +688,7 @@ class _Parser:
             if self.accept("hbar"):
                 return [CompositeTerm(_ONE, 1, [])]
             if self.at_ident():
-                nm = self.expect_ident()
-                if nm not in current_names:
-                    raise UndeclaredName(f"current {nm!r} not declared before use")
+                nm = self.known(self.expect_ident())
                 inverse = False
                 shift = None
                 if self.accept("^"):
@@ -786,7 +702,7 @@ class _Parser:
                     self.expect(")")
                 return [CompositeTerm(_ONE, 0, [CompositeRef(nm, inverse, shift)])]
             if self.accept("("):
-                inner = self.composite_expr(current_names)
+                inner = self.composite_expr()
                 self.expect(")")
                 return inner
             self.error({"number", "'k'", "'hbar'", "identifier", "'('"})
@@ -800,7 +716,7 @@ class _Parser:
                 if len(nxt) != 1 or nxt[0].refs:
                     self.error({"scalar divisor"})
                 d = nxt[0]
-                if _is_zero(d.coeff):
+                if not d.coeff:
                     self.error({"nonzero divisor"}, at)
                 nxt = [CompositeTerm(self.op("/", _ONE, d.coeff),
                                      -d.hbar_power, [])]
@@ -819,18 +735,18 @@ class _Parser:
         return out
 
     # -- relations ---------------------------------------------------------------
-    def relation_block(self, current_names) -> RelationDecl:
+    def relation_block(self) -> RelationDecl:
         name = self.expect_ident()
         self.expect(":")
         if self.accept("shape"):
-            pair = self.pair(current_names, ("u", "v"))
+            pair = self.pair(("u", "v"))
             rotate, tol = self.relation_opts()
             self.expect(";")
             return RelationDecl(name, "shape", [], pair, [], pair[::-1],
                                 rotate, tol)
-        lf, lpair = self.side(current_names, ("u", "v"))
+        lf, lpair = self.side(("u", "v"))
         self.expect("==")
-        rf, rpair = self.side(current_names, ("v", "u"))
+        rf, rpair = self.side(("v", "u"))
         if rpair != lpair[::-1]:
             self.error({f"reversed pair {lpair[::-1]}"})
         rotate, tol = self.relation_opts()
@@ -863,12 +779,11 @@ class _Parser:
                     break
         return rotate, tol
 
-    def side(self, current_names, pvars):
+    def side(self, pvars):
         factors = []
         while True:
             if self.at_ident():
-                pair = self.pair(current_names, pvars)
-                return factors, pair
+                return factors, self.pair(pvars)
             factors.append(self.relation_factor())
             self.expect("*")
 
@@ -879,11 +794,10 @@ class _Parser:
         if self.accept("Gamma"):
             self.expect("(")
             ssign = -1 if self.accept("-") else 1
-            self.expect("x")
-            self.expect("@")
+            self.expect("x", "@")
             at = self.i
             scale = self.kfactor()
-            if _is_zero(scale):
+            if not scale:
                 self.error({"nonzero scale"}, at)
             if self.accept("+"):
                 shift = self.kexpr()
@@ -913,60 +827,42 @@ class _Parser:
     def scalar_factor(self, at: int, val: KVal) -> FactorDecl:
         """A scalar factor of a relation side, first token `at`; one that
         is identically zero is an error there."""
-        if _is_zero(val):
+        if not val:
             self.error({"nonzero scalar"}, at)
         return FactorDecl("scalar", scalar=val)
 
     def kexpr_until_hbar(self) -> KVal:
         """Parse `<kexpr> * hbar`, returning the kexpr."""
         val = self.kexpr("hbar")
-        self.expect("*")
-        self.expect("hbar")
+        self.expect("*", "hbar")
         return val
 
-    def pair(self, current_names, pvars) -> tuple[str, str]:
-        a = self.expect_ident()
-        if a not in current_names:
-            raise UndeclaredName(f"current {a!r} not declared before use")
-        self.expect("(")
-        self.expect(pvars[0])
-        self.expect(")")
-        b = self.expect_ident()
-        if b not in current_names:
-            raise UndeclaredName(f"current {b!r} not declared before use")
-        self.expect("(")
-        self.expect(pvars[1])
-        self.expect(")")
+    def pair(self, pvars) -> tuple[str, str]:
+        a = self.known(self.expect_ident())
+        self.expect("(", pvars[0], ")")
+        b = self.known(self.expect_ident())
+        self.expect("(", pvars[1], ")")
         return (a, b)
 
-    def commutator_block(self, current_names) -> CommutatorDecl:
+    def commutator_block(self) -> CommutatorDecl:
         a = self.expect_ident()
         b = self.expect_ident()
-        for nm in (a, b):
-            if nm not in current_names:
-                raise UndeclaredName(f"current {nm!r} not declared before use")
-        self.expect("{")
-        self.expect("poles")
-        self.expect(":")
+        self.known(a)
+        self.known(b)
+        self.expect("{", "poles", ":")
         poles = [self.kexpr()]
         while self.accept(","):
             poles.append(self.kexpr())
-        self.expect(";")
-        self.expect("residues")
-        self.expect(":")
+        self.expect(";", "residues", ":")
         residues = []
         while True:
-            nm = self.expect_ident()
-            if nm not in current_names:
-                raise UndeclaredName(f"current {nm!r} not declared before use")
-            self.expect("@")
-            self.expect("(")
+            nm = self.known(self.expect_ident())
+            self.expect("@", "(")
             residues.append((nm, self.kexpr()))
             self.expect(")")
             if not self.accept(","):
                 break
-        self.expect(";")
-        self.expect("}")
+        self.expect(";", "}")
         return CommutatorDecl(a, b, poles, residues)
 
 

@@ -528,7 +528,10 @@ _Q0, _Q1 = Fraction(0), Fraction(1)
 
 
 class KRat:
-    """Rational function of k with Fraction coefficients, degree kept small."""
+    """Rational function of k with Fraction coefficients, degree kept small.
+
+    Its operators also take a Fraction on either side, which shifts or
+    scales the numerator alone.  A KRat is false when it is zero."""
 
     __slots__ = ("num", "den")
 
@@ -555,7 +558,23 @@ class KRat:
                 out[e1 + e2] = out.get(e1 + e2, _Q0) + v1 * v2
         return {e: v for e, v in out.items() if v}
 
-    def __add__(self, other: "KRat") -> "KRat":
+    def _shift(self, c: Fraction) -> "KRat":
+        """self + c"""
+        num = dict(self.num)
+        for e, v in self.den.items():
+            num[e] = num.get(e, _Q0) + c * v
+        return KRat(num, self.den)
+
+    def _scale(self, op, c: Fraction) -> "KRat":
+        """self * c or self / c"""
+        return KRat({e: op(v, c) for e, v in self.num.items()}, self.den)
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other: "KRat | Fraction") -> "KRat":
+        if not isinstance(other, KRat):
+            return self._shift(other)
         n1 = KRat._mul_poly(self.num, other.den)
         n2 = KRat._mul_poly(other.num, self.den)
         num = dict(n1)
@@ -563,21 +582,35 @@ class KRat:
             num[e] = num.get(e, _Q0) + v
         return KRat(num, KRat._mul_poly(self.den, other.den))
 
+    __radd__ = _shift
+
     def __neg__(self):
         return KRat({e: -v for e, v in self.num.items()}, dict(self.den))
 
-    def __sub__(self, other):
+    def __sub__(self, other: "KRat | Fraction") -> "KRat":
         return self + (-other)
 
-    def __mul__(self, other: "KRat") -> "KRat":
+    def __rsub__(self, other: Fraction) -> "KRat":
+        return (-self)._shift(other)
+
+    def __mul__(self, other: "KRat | Fraction") -> "KRat":
+        if not isinstance(other, KRat):
+            return self._scale(operator.mul, other)
         return KRat(KRat._mul_poly(self.num, other.num),
                     KRat._mul_poly(self.den, other.den))
 
-    def __truediv__(self, other: "KRat") -> "KRat":
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "KRat | Fraction") -> "KRat":
+        if not isinstance(other, KRat):
+            return self._scale(operator.truediv, other)
         if not other.num:
             raise ZeroDivisionError("KRat division by zero")
         return KRat(KRat._mul_poly(self.num, other.den),
                     KRat._mul_poly(self.den, other.num))
+
+    def __rtruediv__(self, other: Fraction) -> "KRat":
+        return KRat.const(other) / self
 
     def bind(self, k: Fraction) -> Fraction:
         nn, nd = _poly_at(self.num, k)

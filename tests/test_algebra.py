@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bind_shipped, contraction_pairs, shipped_commutator
+from conftest import (bind_shipped, contraction_pairs, shipped_commutator,
+                      shipped_text)
 from coset_forge import algebra, cli
 from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
                                  Relation, _classical_readout, _grid_check,
@@ -18,6 +19,7 @@ from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
                                  default_grid, ef_commutator_analysis,
                                  verify_relation)
 from coset_forge.contraction import StructureFunction
+from coset_forge.dsl import parse_definitions
 from coset_forge.errors import CosetForgeError, ExcludedLevel, NonConvergent
 from coset_forge.exact import GR, ExactConst
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
@@ -174,6 +176,51 @@ def test_residue_scalar_pattern():
     plus = by_pole[1.0]
     assert minus["scalar_gr"] == "-1" and minus["scalar_hbar_power"] == -1
     assert plus["scalar_gr"] == "1" and plus["scalar_hbar_power"] == -1
+
+
+def _commutator_with_e(e_decl, k):
+    """ef_commutator_analysis of the shipped file with E declared as
+    `e_decl`, bound at level k."""
+    text = shipped_text()
+    assert "current E = psi * C_plus;" in text
+    text = text.replace("current E = psi * C_plus;", e_decl)
+    _, cat, _, (cm,), _ = parse_definitions(text).bind(Fraction(k))
+    return ef_commutator_analysis(cat, *cm["pair"], cm["poles"], cm["residues"])
+
+
+@pytest.mark.parametrize("k", ["2", "5/12"])
+def test_a_pole_held_by_equal_term_pairs_is_one_residue_operator(k):
+    # psi * C_plus written twice puts two term pairs on each pole; their
+    # residues are one vertex operator with the scalars added, as for the
+    # same operator written 2 * psi * C_plus
+    summed = _commutator_with_e("current E = psi * C_plus + psi * C_plus;", k)
+    doubled = _commutator_with_e("current E = 2 * psi * C_plus;", k)
+    assert all(len(p["pairs"]) == 2 for p in summed.poles)
+    assert all(len(p["pairs"]) == 1 for p in doubled.poles)
+    for rep in (summed, doubled):
+        assert rep.passed and rep.notes == doubled.notes
+        assert [(r["matches"], r["derived_u1_shift"], r["scalar_gr"],
+                 r["scalar_hbar_power"]) for r in rep.residue_ops] == [
+            ([{"target": "H_minus", "shift": str(-Fraction(k) / 4)}],
+             str(-Fraction(k) / 4), "2", -1),
+            ([{"target": "H_plus", "shift": str(Fraction(k) / 4)}],
+             str(Fraction(k) / 4), "-2", -1)]
+
+
+def test_a_pole_held_by_different_vertex_operators_fails():
+    # the second term of E carries a factor on a kernel F does not touch:
+    # the same poles, but each is held by two different vertex operators
+    rep = _commutator_with_e(
+        "kernel z { sign = +1; slope = 1; }\n"
+        "current Z on z { pos: 2 * hbar * exp(-i*u*t); }\n"
+        "current E = psi * C_plus + psi * C_plus * Z;", 2)
+    assert not rep.passed
+    assert rep.residue_ops == []
+    assert rep.notes == [
+        "residue at w=1.0*hbar: term pairs [(1, 1), (3, 1)] give different "
+        "vertex operators",
+        "residue at w=-1.0*hbar: term pairs [(0, 0), (2, 0)] give different "
+        "vertex operators"]
 
 
 SEQ = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]

@@ -495,7 +495,8 @@ def _reference_quad_eval(I, w, params, tol=1e-10):
             out[small] = series_eval(t[small], w)
         return out
 
-    decay = -(w.imag + I.strip_bound(params.hbar_float))
+    bound = I.strip_bound(params.hbar_float)
+    decay = -(w.imag + bound)
     t_max = 60.0 / min(decay, 1.0) if decay < 1.0 else 60.0 / decay + 10.0
     s_hi = math.asinh(max(2.0 * math.log(t_max) / math.pi, 1.0)) + 0.5
     s_lo = -math.asinh(2.0 * 42.0 / math.pi)
@@ -524,7 +525,8 @@ def _reference_quad_eval(I, w, params, tol=1e-10):
             return complex(total), integrand, levels
     if abs(total - prev) > tol * (1.0 + abs(total)):
         raise QuadratureNonConvergent(
-            f"error estimate {abs(total - prev):.2e} above {tol:.1e} at node cap")
+            f"error estimate {abs(total - prev):.2e} above {tol:.1e} at node cap, "
+            f"w = {w}, strip bound {bound}")
     return complex(total), integrand, levels
 
 
@@ -597,8 +599,11 @@ def test_quadrature_is_bit_identical_to_the_per_level_reference():
         except QuadratureNonConvergent as exc:
             with pytest.raises(QuadratureNonConvergent) as raised:
                 quad_eval(I, w, params)
-            # the same error estimate, to the digits the message shows
+            # the same error estimate, to the digits the message shows, and
+            # where it failed
             assert str(raised.value) == str(exc), label
+            assert str(exc).endswith(f"at node cap, w = {w}, strip bound "
+                                     f"{I.strip_bound(params.hbar_float)}")
             levels.append("cap")
         else:
             assert quad_eval(I, w, params) == want, label

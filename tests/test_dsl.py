@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import shipped_text
 from coset_forge import dsl
 from coset_forge.contraction import StructureFunction
-from coset_forge.dsl import _tokenize, parse_definitions
+from coset_forge.dsl import parse_definitions
 from coset_forge.exact import GR, GR_I, KRat
 from coset_forge.errors import (DuplicateName, ExcludedLevel, ParseError,
                                 UndeclaredName, VanishingDenominator)
@@ -31,7 +31,7 @@ def test_shipped_file_counts():
 def test_empty_relations_block_is_valid():
     df = parse_definitions("params { k = 3; hbar = 1; }\n")
     assert df.relations == []
-    assert df.k.bind(Fraction(0)) == 3
+    assert df.k == 3
 
 
 def test_parse_error_carries_position_and_expected():
@@ -320,36 +320,44 @@ def test_gamma_scale_vanishing_at_the_bound_level():
     assert rels[0].left_factor.gammas == {(1, 0, 1, 1, 1): 1}
 
 
+def _diagnosed(text, at):
+    """(found, line, col) of the ParseError raised at token `at` of `text`."""
+    parser = dsl._Parser(text)
+    with pytest.raises(ParseError) as exc:
+        parser.error(set(), at)
+    return exc.value.found, exc.value.line, exc.value.col
+
+
 def test_token_stream_is_pinned():
     text = ("params {\tk = 2; # c\n  hbar = 1.5e-3, 2., 3E2;\n}\r\n"
             "relation r_1 : (w + 1*hbar) * A(u) B(v)==B(v) A(u) "
             "with tol = 1e-9; # end")
-    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == [
-        ("keyword", "params", 1, 1), ("punct", "{", 1, 8),
-        ("keyword", "k", 1, 10), ("punct", "=", 1, 12),
-        ("number", "2", 1, 14), ("punct", ";", 1, 15),
-        ("keyword", "hbar", 2, 3), ("punct", "=", 2, 8),
-        ("float", "1.5e-3", 2, 10), ("punct", ",", 2, 16),
-        ("float", "2.", 2, 18), ("punct", ",", 2, 20),
-        ("float", "3E2", 2, 22), ("punct", ";", 2, 25),
-        ("punct", "}", 3, 1),
-        ("keyword", "relation", 4, 1), ("ident", "r_1", 4, 10),
-        ("punct", ":", 4, 14), ("punct", "(", 4, 16),
-        ("keyword", "w", 4, 17), ("punct", "+", 4, 19),
-        ("number", "1", 4, 21), ("punct", "*", 4, 22),
-        ("keyword", "hbar", 4, 23), ("punct", ")", 4, 27),
-        ("punct", "*", 4, 29), ("ident", "A", 4, 31),
-        ("punct", "(", 4, 32), ("keyword", "u", 4, 33),
-        ("punct", ")", 4, 34), ("ident", "B", 4, 36),
-        ("punct", "(", 4, 37), ("keyword", "v", 4, 38),
-        ("punct", ")", 4, 39), ("punct", "==", 4, 40),
-        ("ident", "B", 4, 42), ("punct", "(", 4, 43),
-        ("keyword", "v", 4, 44), ("punct", ")", 4, 45),
-        ("ident", "A", 4, 47), ("punct", "(", 4, 48),
-        ("keyword", "u", 4, 49), ("punct", ")", 4, 50),
-        ("keyword", "with", 4, 52), ("keyword", "tol", 4, 57),
-        ("punct", "=", 4, 61), ("float", "1e-9", 4, 63),
-        ("punct", ";", 4, 67), ("eof", "", 4, 69)]
+    pinned = [
+        ("params", 1, 1), ("{", 1, 8), ("k", 1, 10), ("=", 1, 12),
+        ("2", 1, 14), (";", 1, 15),
+        ("hbar", 2, 3), ("=", 2, 8), ("1.5e-3", 2, 10), (",", 2, 16),
+        ("2.", 2, 18), (",", 2, 20), ("3E2", 2, 22), (";", 2, 25),
+        ("}", 3, 1),
+        ("relation", 4, 1), ("r_1", 4, 10), (":", 4, 14), ("(", 4, 16),
+        ("w", 4, 17), ("+", 4, 19), ("1", 4, 21), ("*", 4, 22),
+        ("hbar", 4, 23), (")", 4, 27), ("*", 4, 29), ("A", 4, 31),
+        ("(", 4, 32), ("u", 4, 33), (")", 4, 34), ("B", 4, 36),
+        ("(", 4, 37), ("v", 4, 38), (")", 4, 39), ("==", 4, 40),
+        ("B", 4, 42), ("(", 4, 43), ("v", 4, 44), (")", 4, 45),
+        ("A", 4, 47), ("(", 4, 48), ("u", 4, 49), (")", 4, 50),
+        ("with", 4, 52), ("tol", 4, 57), ("=", 4, 61), ("1e-9", 4, 63),
+        (";", 4, 67), ("end of input", 4, 69)]
+    words = dsl._words(text)
+    assert words == [w for w, _, _ in pinned[:-1]] + [""]
+    assert [_diagnosed(text, at) for at in range(len(words))] == pinned
+
+
+def test_end_of_input_stops_short_of_a_trailing_comment():
+    with pytest.raises(ParseError) as exc:
+        parse_definitions("params { k = 2; # end")
+    assert (exc.value.line, exc.value.col, exc.value.found) == \
+        (1, 17, "end of input")
+    assert "at 1:17" in str(exc.value)
 
 
 @pytest.mark.parametrize("text, col, char", [
@@ -365,8 +373,8 @@ def test_grammar_is_ascii(text, col, char):
         (col, char, {"token"})
 
 
-# text from the token alphabet: the parser's token texts are those that
-# _tokenize places, or both report the same character outside the grammar
+# text from the token alphabet: every diagnostic points at the text it
+# reports, or at the end of input
 _names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
 _pieces = st.one_of(
     _names, st.sampled_from(sorted(dsl._KEYWORDS)),
@@ -375,19 +383,38 @@ _pieces = st.one_of(
     _names.map(lambda name: "1e" + name),
     st.sampled_from(sorted(dsl._PUNCT)),
     st.from_regex(r"#[^\n]{0,6}", fullmatch=True),
-    st.sampled_from([" ", "\t", "\r", "\n", "\r\n"]))
+    st.sampled_from([" ", "\t", "\r", "\n", "\r\n", "\u00b2", "\u00e9"]))
+
+
+def _points_at(text, line, col, found):
+    """Whether a diagnostic's line and column point at its found text, or
+    at the end of input: on the last line, where only blanks or one comment
+    follow."""
+    lines = text.split("\n")
+    assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+    rest = "\n".join(lines[line - 1:])[col - 1:]
+    if found != "end of input":
+        return rest.startswith(found)
+    return line == len(lines) and rest.lstrip(" \t\r")[:1] in ("", "#")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_pieces, max_size=24).map("".join))
-def test_parser_words_are_the_token_texts(text):
-    def view(scan):
-        try:
-            return scan(text)
-        except ParseError as exc:
-            return (exc.line, exc.col, exc.found)
-    assert view(dsl._words) == view(
-        lambda t: [tok.text for tok in _tokenize(t)])
+def test_parse_errors_point_at_their_found_text(text):
+    try:
+        parse_definitions(text)
+    except ParseError as exc:
+        assert _points_at(text, exc.line, exc.col, exc.found), str(exc)
+    except (DuplicateName, UndeclaredName):
+        pass
+    try:
+        words = dsl._words(text)
+    except ParseError:
+        return      # a character outside the grammar, checked above
+    for at in range(len(words)):
+        found, line, col = _diagnosed(text, at)
+        assert found == (words[at] or "end of input")
+        assert _points_at(text, line, col, found), (at, found)
 
 
 # k-expressions as (text, value at k); every binary operation is
