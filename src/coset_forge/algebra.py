@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from .contraction import StructureFunction, closed_form, contract, quad_eval
 from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
-                     NonTelescoping, NoRotationSector, ResidueMismatch,
-                     UnexpectedPole)
+                     NonTelescoping, ResidueMismatch, UnexpectedPole)
 from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     _read_only, _set, equals as modes_equal, shift_argument)
@@ -77,8 +76,6 @@ class Catalog:
         self.params = params
         self.kernels: dict[str, Kernel] = {}
         self.currents: dict[str, Current] = {}
-        # the kernel family the "c-sector" rotation mode rotates
-        self.rotation_sector: str | None = None
         self._cf_cache: dict = {}
 
     def __getitem__(self, name: str) -> Current:
@@ -122,20 +119,9 @@ class Catalog:
                       ) -> list[StructureFunction]:
         """Exchange factors of every term pair of two (possibly composite)
         currents: per term pair, the product over shared families of
-        S_fam with A_term(u) B_term(v) = S_fam * B_term(v) A_term(u), each
-        Wick-rotated where the mode asks: every family under "global", the
-        rotation sector under "c-sector", none under "none"."""
-        if rotate == "c-sector":
-            if self.rotation_sector is None:
-                raise NoRotationSector(
-                    "c-sector rotation needs a rotation sector; the definition "
-                    "file has no 'rotate_sector' line")
-            rotated = (self.rotation_sector,)
-        elif rotate == "global":
-            rotated = self.kernels
-        elif rotate == "none":
-            rotated = ()
-        else:
+        S_fam with A_term(u) B_term(v) = S_fam * B_term(v) A_term(u),
+        Wick-rotated once under "global" and left as it is under "none"."""
+        if rotate not in ("none", "global"):
             raise ValueError(f"unknown rotation mode {rotate!r}")
         out = []
         for ta in a.terms:
@@ -147,9 +133,8 @@ class Catalog:
                     if a_f != a_r:
                         raise DivergenceMismatch(
                             f"family {fam}: 1/t coefficients {a_f} vs {a_r}")
-                    sf = s_f * s_r.negate_w().inverse()
-                    total = total * (sf.wick_rotate() if fam in rotated else sf)
-                out.append(total)
+                    total = total * (s_f * s_r.negate_w().inverse())
+                out.append(total.wick_rotate() if rotate == "global" else total)
         return out
 
     def forward_structure(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm
@@ -164,6 +149,10 @@ class Catalog:
 # ---------------------------------------------------------------------------
 # relations
 
+# the tolerance of a relation, and of a classical limit, that declares none
+DEFAULT_TOLERANCE = 1e-8
+
+
 class Relation:
     __slots__ = ("rel_id", "kind", "left_pair", "right_pair", "left_factor",
                  "right_factor", "rotate", "tolerance")
@@ -173,7 +162,7 @@ class Relation:
                  right_pair: tuple[str, str],
                  left_factor: StructureFunction | None = None,
                  right_factor: StructureFunction | None = None,
-                 rotate: str = "none", tolerance: float = 1e-8):
+                 rotate: str = "none", tolerance: float = DEFAULT_TOLERANCE):
         _set(self, "rel_id", rel_id)
         _set(self, "kind", kind)    # "exchange" | "shape"
         _set(self, "left_pair", left_pair)
@@ -774,7 +763,7 @@ def _classical_readout(sf: StructureFunction) -> tuple:
 
 def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBraid,
                     hbar_sequence: list[Fraction], w: complex = 1.0 + 0.8j,
-                    tol: float = 1e-8) -> VerificationReport:
+                    tol: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Degeneration of the globally rotated exchange factor to the classical
     braiding phase [w/(-w)]^{2 a b/k} as hbar -> 0.
 

@@ -36,7 +36,7 @@ try:
 except ImportError:     # an interpreter without the _json accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import (ClassicalBraid, VerificationReport,
+from .algebra import (DEFAULT_TOLERANCE, ClassicalBraid, VerificationReport,
                       classical_limit, default_grid, ef_commutator_analysis,
                       verify_relation)
 from .contraction import closed_form, contract, quad_eval
@@ -448,8 +448,7 @@ def cmd_limit(args) -> int:
                 "--hbar is the hbar -> 0 sequence for limit: at least 3 "
                 f"strictly decreasing values, got {args.hbar!r}")
     if args.pair:
-        # the tolerance of a relation that declares none
-        pairs = [(*_parse_pair(args.pair, cat.currents), 1e-8)]
+        pairs = [(*_parse_pair(args.pair, cat.currents), DEFAULT_TOLERANCE)]
     else:
         pairs = _shape_pairs(rels)
         if not pairs:

@@ -21,7 +21,8 @@ import operator
 import re
 from fractions import Fraction
 
-from .algebra import Catalog, Current, NormalOrderedTerm, Relation
+from .algebra import (DEFAULT_TOLERANCE, Catalog, Current, NormalOrderedTerm,
+                      Relation)
 from .contraction import StructureFunction, gamma_key, linear_key
 from .errors import DuplicateName, ExcludedLevel, ParseError, UndeclaredName
 from .exact import GR, GR_I, GR_ONE, ExactConst, KRat, merge
@@ -33,7 +34,7 @@ _KEYWORDS = {
     "params", "kernel", "current", "relation", "commutator_delta", "on",
     "pos", "neg", "sign", "slope", "k", "hbar", "h", "t", "u", "v", "i",
     "exp", "sinh", "Gamma", "iw", "w", "x", "with", "rotate", "tol", "shape",
-    "poles", "residues", "rotate_sector",
+    "poles", "residues",
 }
 
 # One token per match, after any blanks and comments.  The grammar is
@@ -197,7 +198,7 @@ class RelationDecl:
     def __init__(self, name: str, kind: str, left_factors: list[FactorDecl],
                  left_pair: tuple[str, str], right_factors: list[FactorDecl],
                  right_pair: tuple[str, str], rotate: str = "none",
-                 tol: float | None = None):
+                 tol: float = DEFAULT_TOLERANCE):
         self.name = name
         self.kind = kind                # "exchange" | "shape"
         self.left_factors = left_factors
@@ -220,17 +221,15 @@ class CommutatorDecl:
 
 
 class DefinitionFile:
-    __slots__ = ("k", "hbars", "rotation_sector", "kernels", "currents",
-                 "relations", "commutators")
+    __slots__ = ("k", "hbars", "kernels", "currents", "relations",
+                 "commutators")
 
     def __init__(self, k: Fraction, hbars: list[KVal],
-                 rotation_sector: str | None,
                  kernels: list[KernelDecl], currents: list[CurrentDecl],
                  relations: list[RelationDecl],
                  commutators: list[CommutatorDecl]):
         self.k = k
         self.hbars = hbars
-        self.rotation_sector = rotation_sector
         self.kernels = kernels
         self.currents = currents
         self.relations = relations
@@ -245,22 +244,27 @@ class DefinitionFile:
         kval = k_override if k_override is not None else self.k
         at = _binder(kval)
         hbars = (hbar_override if hbar_override is not None
-                 else [at(h) for h in self.hbars])
-        if not hbars:
-            hbars = [Fraction(1)]
+                 else [at(h) for h in self.hbars]) or [_ONE]
+        for h in self.hbars if hbar_override is None else ():
+            if at(h) <= 0:
+                raise ExcludedLevel(f"params: hbar ({h!r}) is not positive "
+                                    f"at k={kval}")
         params = AlgebraParams(kval, hbars[0])
         # AlgebraParams holds and checks the first; the report lists them all
         if any(h <= 0 for h in hbars):
             raise ValueError("hbar must be positive")
         cat = Catalog(params)
-        cat.rotation_sector = self.rotation_sector
         for kd in self.kernels:
-            cat.kernels[kd.name] = Kernel(kd.name, kd.sign, at(kd.slope))
+            slope = at(kd.slope)
+            if slope <= 0:
+                raise ExcludedLevel(f"kernel {kd.name!r}: slope ({kd.slope!r}) "
+                                    f"is not positive at k={kval}")
+            cat.kernels[kd.name] = Kernel(kd.name, kd.sign, slope)
         for cd in self.currents:
             if cd.composite is None:
                 mf = ModeFunction(
-                    [_bind_term(t, at) for t in cd.pos],
-                    [_bind_term(t, at) for t in cd.neg])
+                    [_bind_term(cd.name, t, at, kval) for t in cd.pos],
+                    [_bind_term(cd.name, t, at, kval) for t in cd.neg])
                 cur = Current(cd.name,
                               (NormalOrderedTerm(_ONE, 0, {cd.kernel: mf}),))
             else:
@@ -277,9 +281,13 @@ class DefinitionFile:
 
 # binding helpers -------------------------------------------------------------
 
-def _bind_term(t: TermDecl, at) -> ExpTrigTerm:
-    return ExpTrigTerm(at(t.coeff), t.hbar_power, at(t.shift),
-                       _ZERO, tuple((at(b), e) for b, e in t.sinh))
+def _bind_term(cur: str, t: TermDecl, at, k: Fraction) -> ExpTrigTerm:
+    sinh = tuple((at(b), e) for b, e in t.sinh)
+    for (b, _), (v, _) in zip(t.sinh, sinh):
+        if not v:
+            raise ExcludedLevel(f"current {cur!r}: sinh slope ({b!r}) "
+                                f"vanishes at k={k}")
+    return ExpTrigTerm(at(t.coeff), t.hbar_power, at(t.shift), _ZERO, sinh)
 
 
 def _bind_composite(cd: CurrentDecl, cat: Catalog, at) -> Current:
@@ -350,12 +358,10 @@ def _bind_side(rel: str, factors: list[FactorDecl], at,
 
 
 def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
-    # a relation that declares no tolerance keeps the Relation default
-    declared = {} if rd.tol is None else {"tolerance": rd.tol}
     return Relation(rd.name, rd.kind, rd.left_pair, rd.right_pair,
                     left_factor=_bind_side(rd.name, rd.left_factors, at, k),
                     right_factor=_bind_side(rd.name, rd.right_factors, at, k),
-                    rotate=rd.rotate, **declared)
+                    rotate=rd.rotate, tolerance=rd.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +377,8 @@ class _Parser:
         # is folded once and is one object, which DefinitionFile.bind
         # evaluates once per level
         self.folded: dict = {}
-        self.declared: set[str] = set()     # k, hbar, rotate_sector
+        self.declared: set[str] = set()     # k, hbar
+        self.primitive: set[str] = set()    # currents declared on a kernel
         # what each kernel and current name declared so far names: kernels
         # and currents share one namespace
         self.kinds: dict[str, str] = {}
@@ -446,6 +453,14 @@ class _Parser:
             v = self.folded[key] = self.intern(_ARITH[sym](a, b))
         return v
 
+    def positive(self, what: str) -> KVal:
+        """A k-expression; a constant one must be positive."""
+        at = self.i
+        v = self.kexpr()
+        if not v or isinstance(v, Fraction) and v < 0:
+            self.error({f"positive {what}"}, at)
+        return v
+
     def neg(self, a: KVal) -> KVal:
         return self.op("-", _ZERO, a)
 
@@ -513,15 +528,10 @@ class _Parser:
     def file(self) -> DefinitionFile:
         k = Fraction(2)
         hbars: list[KVal] = []
-        sector = None
         kernels, currents, relations, commutators = [], [], [], []
         while self.toks[self.i]:
             if self.accept("params"):
                 k, hbars = self.params_block(k, hbars)
-            elif self.accept("rotate_sector"):
-                sector = self.expect_ident()
-                self.expect(";")
-                self.declare("rotate_sector")
             elif self.accept("kernel"):
                 kd = self.kernel_block()
                 self.define("kernel", kd.name)
@@ -539,10 +549,8 @@ class _Parser:
                 commutators.append(self.commutator_block())
             else:
                 self.error({"'params'", "'kernel'", "'current'", "'relation'",
-                            "'commutator_delta'", "'rotate_sector'"})
-        if sector is not None and self.kinds.get(sector) != "kernel":
-            raise UndeclaredName(f"rotate_sector {sector!r} names no declared kernel")
-        return DefinitionFile(k, hbars, sector, kernels, currents, relations,
+                            "'commutator_delta'"})
+        return DefinitionFile(k, hbars, kernels, currents, relations,
                               commutators)
 
     def params_block(self, k, hbars):
@@ -559,9 +567,9 @@ class _Parser:
                 self.declare("k")
             elif self.accept("hbar"):
                 self.expect("=")
-                hbars = [self.kexpr()]
+                hbars = [self.positive("hbar")]
                 while self.accept(","):
-                    hbars.append(self.kexpr())
+                    hbars.append(self.positive("hbar"))
                 self.expect(";")
                 self.declare("hbar")
             else:
@@ -579,7 +587,7 @@ class _Parser:
         if self.expect_number() != 1:
             self.error({"'1'"})
         self.expect(";", "slope", "=")
-        slope = self.kexpr()
+        slope = self.positive("slope")
         self.expect(";", "}")
         return KernelDecl(name, sign, slope)
 
@@ -587,6 +595,7 @@ class _Parser:
         name = self.expect_ident()
         if self.accept("on"):
             kname = self.known(self.expect_ident(), "kernel")
+            self.primitive.add(name)
             self.expect("{")
             pos, neg = [], []
             while not self.accept("}"):
@@ -652,7 +661,10 @@ class _Parser:
                 return
             if self.accept("sinh"):
                 self.expect("(")
+                at = self.i
                 beta = self.kexpr("h")
+                if not beta:
+                    self.error({"nonzero slope"}, at)
                 self.expect("*", "h", "*", "t", ")")
                 sinh.append((beta, mul * self.exponent()))
                 return
@@ -754,16 +766,15 @@ class _Parser:
         return RelationDecl(name, "exchange", lf, lpair, rf, rpair, rotate, tol)
 
     def relation_opts(self):
-        rotate, tol = "none", None
+        rotate, tol = "none", DEFAULT_TOLERANCE
         if self.accept("with"):
             while True:
                 if self.accept("rotate"):
                     self.expect("=")
-                    word = self.toks[self.i]
-                    if word not in ("none", "global", "c_sector"):
-                        self.error({"'none'", "'global'", "'c_sector'"})
+                    rotate = self.toks[self.i]
+                    if rotate not in ("none", "global"):
+                        self.error({"'none'", "'global'"})
                     self.i += 1
-                    rotate = "c-sector" if word == "c_sector" else word
                 elif self.accept("tol"):
                     self.expect("=")
                     word = self.toks[self.i]
@@ -857,6 +868,9 @@ class _Parser:
         residues = []
         while True:
             nm = self.known(self.expect_ident())
+            if nm not in self.primitive:
+                raise UndeclaredName(f"commutator_delta {a} {b}: residue target "
+                                     f"{nm!r} is not declared on a kernel")
             self.expect("@", "(")
             residues.append((nm, self.kexpr()))
             self.expect(")")

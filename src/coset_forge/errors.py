@@ -57,13 +57,9 @@ class ExcludedLevel(CosetForgeError):
 
 
 class InvalidOption(CosetForgeError):
-    """A command-line value under which no relation could pass or the grid
-    would check nothing."""
-
-
-class NoRotationSector(CosetForgeError):
-    """c-sector rotation was asked for, but the definition file names no
-    rotation sector (`rotate_sector NAME;`)."""
+    """A command-line value no command can use: a malformed --k, --hbar, --at
+    or --pair, a non-positive --hbar, an --hbar list the command cannot take,
+    or a current or relation name the file lacks (or a composite to contract)."""
 
 
 class NothingToVerify(CosetForgeError):

@@ -367,7 +367,7 @@ def test_grid_points_stay_off_the_axes_that_hold_the_poles(p, q, hbar, n):
     k = Fraction(p, q)
     params, cat, rels, _ = bind_shipped(k, hbar)
     for rel in rels.values():
-        for rotate in ("none", "global", "c-sector"):
+        for rotate in ("none", "global"):
             for sf in cat.pair_exchange(cat[rel.left_pair[0]],
                                         cat[rel.left_pair[1]], rotate):
                 for a, b, _ in [*sf.linears, *sf.normalize().linears]:
@@ -385,9 +385,9 @@ def test_verify_relation_defaults_to_the_default_grid():
 
 def _per_family_exchange(cat, ta, tb, rotated):
     """The exchange factor of one term pair built from closed_contraction
-    family by family: S_fam = exp<A B> / exp<B A>(-w), Wick-rotated when
-    the family is in `rotated`, multiplied over the families of ta that tb
-    carries too, in kernel order."""
+    family by family: S_fam = exp<A B> / exp<B A>(-w), each Wick-rotated
+    when `rotated`, multiplied over the families of ta that tb carries too,
+    in kernel order."""
     out = StructureFunction.one()
     for fam in cat.kernels:
         if fam not in ta.exponents or fam not in tb.exponents:
@@ -395,18 +395,16 @@ def _per_family_exchange(cat, ta, tb, rotated):
         fwd, _ = cat.closed_contraction(fam, ta.exponents[fam], tb.exponents[fam])
         rev, _ = cat.closed_contraction(fam, tb.exponents[fam], ta.exponents[fam])
         sf = fwd * rev.negate_w().inverse()
-        out = out * (sf.wick_rotate() if fam in rotated else sf)
+        out = out * (sf.wick_rotate() if rotated else sf)
     return out
 
 
 @pytest.mark.parametrize("k", [Fraction(5, 2), Fraction(5, 12)])
 def test_pair_exchange_is_the_per_family_product(k):
-    # every ordered pair of shipped currents under every rotation mode: only
-    # the rotated families are Wick-rotated, the others are left as they are
+    # every ordered pair of shipped currents under both rotation modes: the
+    # product rotated once is the product of the rotated family factors
     cat = catalog(k)
-    modes = {"none": set(), "global": set(cat.kernels),
-             "c-sector": {cat.rotation_sector}}
-    for rotate, rotated in modes.items():
+    for rotate, rotated in (("none", False), ("global", True)):
         for a, ca in cat.currents.items():
             for b, cb in cat.currents.items():
                 got = cat.pair_exchange(ca, cb, rotate)

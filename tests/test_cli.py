@@ -385,16 +385,44 @@ def test_malformed_option_values_are_rejected(argv, capsys):
     assert err.startswith("error: " + argv[-2])
 
 
-@pytest.mark.parametrize("hbars", ["1, -1/2", "1/2, 1, -k"])
-def test_declared_hbar_must_be_positive_in_every_position(tmp_path, capsys, hbars):
-    # the first declared hbar was checked, the others only listed in the report
+@pytest.mark.parametrize("hbars, kind, message", [
+    # a constant that is not positive: a parse error where it stands
+    ("1, -1/2", "parse",
+     "parse error at 11:13: expected positive hbar, found '-'"),
+    # one that involves k is checked at the bound level, naming the entry
+    ("1/2, 1, -k", "ExcludedLevel",
+     "params: hbar (-1*k) is not positive at k=2"),
+], ids=["1, -1/2", "1/2, 1, -k"])
+def test_declared_hbar_must_be_positive_in_every_position(tmp_path, capsys, hbars,
+                                                          kind, message):
+    # every declared value is checked, not only the first one AlgebraParams holds
     src = tmp_path / "hbar.alg"
     src.write_text(shipped_text().replace("hbar = 1, 1/2;", f"hbar = {hbars};"))
     assert cli.run(["verify", str(src), "--json", "-"]) == 2
     out, err = capsys.readouterr()
-    assert json.loads(out)["error"] == {"kind": "ValueError",
-                                        "message": "hbar must be positive"}
-    assert err == "error: hbar must be positive\n"
+    assert json.loads(out)["error"] == {"kind": kind, "message": message}
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("target, extra", [
+    ("E", ""),
+    # a composite of one term would be compared on its first family only
+    ("H_copy", "current H_copy = H_plus;\n"),
+])
+def test_residue_targets_are_primitive_currents(tmp_path, capsys, target, extra):
+    old = "  residues: H_plus @ (k/4),"
+    text = shipped_text()
+    assert old in text
+    text = text.replace("commutator_delta E F", extra + "commutator_delta E F")
+    src = tmp_path / "target.alg"
+    src.write_text(text.replace(old, f"  residues: {target} @ (k/4),"))
+    assert cli.run(["verify", str(src), "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    message = (f"commutator_delta E F: residue target {target!r} is not "
+               f"declared on a kernel")
+    assert json.loads(out)["error"] == {"kind": "UndeclaredName",
+                                        "message": message}
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("missing", [False, True])
@@ -551,15 +579,22 @@ def test_limit_without_a_pair_to_fit_is_refused(tmp_path, capsys):
     # a relation side is divided by the other: a scalar factor that is zero
     # whatever k is, on either side, is a parse error at its first token
     ("E_E : (w + 1*hbar) * E(u)", "E_E : 0 * (w + 1*hbar) * E(u)", "parse",
-     "parse error at 134:16: expected nonzero scalar, found '0'"),
+     "parse error at 132:16: expected nonzero scalar, found '0'"),
     ("== (w - 1*hbar) * E(v)", "== (k - k) * (w - 1*hbar) * E(v)", "parse",
-     "parse error at 134:44: expected nonzero scalar, found '('"),
+     "parse error at 132:44: expected nonzero scalar, found '('"),
     # and one that vanishes at the bound level excludes it
     ("E_E : (w + 1*hbar) * E(u)", "E_E : (k - 2) * (w + 1*hbar) * E(u)",
      "ExcludedLevel", "relation 'E_E': scalar factor (-2 + 1*k) vanishes at k=2"),
     ("== (w - 1*hbar) * E(v)", "== (1 - k/2) * (w - 1*hbar) * E(v)",
      "ExcludedLevel",
      "relation 'E_E': scalar factor (1 + -1/2*k) vanishes at k=2"),
+    # so does a kernel slope that is not positive there, or a sinh slope
+    # that vanishes there, naming the kernel or the current
+    ("slope = (k+2)/2;", "slope = (k-2)/2;", "ExcludedLevel",
+     "kernel 'lhat': slope (-1 + 1/2*k) is not positive at k=2"),
+    ("pos: -2 * hbar * sinh((1/2)*h*t)", "pos: -2 * hbar * sinh((k/2 - 1)*h*t)",
+     "ExcludedLevel",
+     "current 'Lambda_plus': sinh slope (-1 + 1/2*k) vanishes at k=2"),
 ])
 def test_division_by_zero_is_a_typed_error(tmp_path, capsys, old, new, kind, message):
     text = shipped_text()
@@ -578,7 +613,7 @@ def test_division_by_zero_is_a_typed_error(tmp_path, capsys, old, new, kind, mes
 @pytest.mark.parametrize("new, kind, message", [
     # a Gamma scale that is zero whatever k is: a parse error at its token
     ("== Gamma(x@0 + (k+2)/4) *", "parse",
-     "parse error at 82:16: expected nonzero scale, found '0'"),
+     "parse error at 80:16: expected nonzero scale, found '0'"),
     # one that vanishes at the bound level excludes it, naming the relation
     ("== Gamma(x@(k-2) + (k+2)/4) *", "ExcludedLevel",
      "relation 'Lambda_p_Lambda_m': Gamma scale (-2 + 1*k) vanishes at k=2"),
@@ -594,31 +629,3 @@ def test_zero_gamma_scale_is_an_input_error(tmp_path, capsys, command, new, kind
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == {"kind": kind, "message": message}
     assert err == f"error: {message}\n"
-
-
-def test_c_sector_rotation_without_a_sector_is_refused(tmp_path, capsys):
-    # one relation declared with a c-sector rotation
-    old = ("relation H_p_H_p : H_plus(u) H_plus(v) == H_plus(v) H_plus(u) "
-           "with rotate = global;")
-    text = shipped_text().replace("rotate_sector chat;\n", "")
-    assert "rotate_sector chat" not in text and old in text
-    src = tmp_path / "no_sector.alg"
-    src.write_text(text.replace(old, old.replace("global", "c_sector")))
-    assert cli.run(["verify", str(src), "--json", "-"]) == 2
-    out, err = capsys.readouterr()
-    assert json.loads(out)["error"] == {
-        "kind": "NoRotationSector",
-        "message": "c-sector rotation needs a rotation sector; the definition "
-                   "file has no 'rotate_sector' line"}
-
-
-def test_rotation_sector_must_name_a_kernel(tmp_path, capsys):
-    text = shipped_text().replace("rotate_sector chat;", "rotate_sector c;")
-    src = tmp_path / "bad_sector.alg"
-    src.write_text(text)
-    assert cli.run(["verify", str(src), "--json", "-"]) == 2
-    out, err = capsys.readouterr()
-    assert json.loads(out)["error"] == {
-        "kind": "UndeclaredName",
-        "message": "rotate_sector 'c' names no declared kernel"}
-    assert err == "error: rotate_sector 'c' names no declared kernel\n"

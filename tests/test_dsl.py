@@ -25,7 +25,6 @@ def test_shipped_file_counts():
     assert len(df.relations) >= 12
     assert len(df.kernels) == 3
     assert len(df.commutators) == 1
-    assert df.rotation_sector == "chat"
 
 
 def test_empty_relations_block_is_valid():
@@ -245,6 +244,14 @@ _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
      4, 22, ["nonzero scale"], "0"),
     (_KAX + "relation r : X(u) X(v) == Gamma(-x@(k-k) + 1) * X(v) X(u);\n",
      4, 36, ["nonzero scale"], "("),
+    # an hbar or a kernel slope that is not positive whatever k is, and a
+    # sinh slope that is zero whatever k is
+    ("params { k = 2; hbar = 1, 0; }\n",
+     1, 27, ["positive hbar"], "0"),
+    (_K + "kernel a { sign = +1; slope = 1 - 3/2; }\n",
+     2, 31, ["positive slope"], "1"),
+    (_KA + "current X on a { pos: 1 * hbar * sinh((k-k)*h*t); }\n",
+     3, 39, ["nonzero slope"], "("),
     # positions are counted only on the error path, over the whole text
     ("# one\n# two\n\nparams { k = ; }\n",
      4, 14, ["'('", "'-'", "'k'", "number"], ";"),
@@ -268,6 +275,27 @@ def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
         (line, col, expected, found)
 
 
+@pytest.mark.parametrize("old, new, line, col, expected, found", [
+    # a rotation-sector declaration where the file had one
+    ("}\n\nkernel chat", "}\n\nrotate_sector chat;\n\nkernel chat", 14, 1,
+     ["'commutator_delta'", "'current'", "'kernel'", "'params'", "'relation'"],
+     "rotate_sector"),
+    # a relation rotated in the c-sector mode
+    ("H_plus(v) H_plus(u) with rotate = global;",
+     "H_plus(v) H_plus(u) with rotate = c_sector;", 116, 77,
+     ["'global'", "'none'"], "c_sector"),
+])
+def test_the_c_sector_rotation_syntax_is_a_parse_error(old, new, line, col,
+                                                       expected, found):
+    text = shipped_text()
+    assert text.count(old) == 1
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(text.replace(old, new))
+    err = exc.value
+    assert (err.line, err.col, sorted(err.expected), err.found) == \
+        (line, col, expected, found)
+
+
 @pytest.mark.parametrize("value", ["k + 1", "3*k", "1/k", "(k - k) + 2"])
 def test_declared_level_that_involves_k_is_refused(value):
     # the level is what k stands for, so it cannot be defined by k
@@ -283,9 +311,8 @@ def test_declared_level_that_involves_k_is_refused(value):
     ("params { k = 2; }\nparams { k = 3; }\n", "k"),
     ("params { hbar = 1; hbar = 1/2; }\n", "hbar"),
     ("params { hbar = 1; }\nparams { k = 2; hbar = 1; }\n", "hbar"),
-    (_KA + "rotate_sector a;\nrotate_sector a;\n", "rotate_sector"),
 ])
-def test_params_and_sector_are_declared_once(text, what):
+def test_params_are_declared_once(text, what):
     with pytest.raises(DuplicateName, match=f"^{what} declared twice$"):
         parse_definitions(text)
 
