@@ -376,7 +376,8 @@ def verify_relation(cat: Catalog, rel: Relation,
 
     Exchange: left_factor * S_ab == right_factor for all pairs, symbolically
     (Gamma-multiset identity after normalization) and pointwise on the grid.
-    Shape: every S_ab equals the first pair's factor, which is reported.
+    Shape: every S_ab equals the first pair's factor, which is reported; a
+    single term pair compares nothing, so the row fails as unverifiable.
     The grid defaults to default_grid(cat.params).
     """
     tol = rel.tolerance
@@ -395,6 +396,11 @@ def verify_relation(cat: Catalog, rel: Relation,
         target, checked = rel.right_factor * rel.left_factor.inverse(), factors
         report.expected_factor = target.describe()
     elif rel.kind == "shape":
+        if len(factors) == 1:
+            return VerificationReport(
+                rel.rel_id, rel.kind, False, None, float("nan"),
+                derived_factor=factors[0].describe(),
+                notes=["one term pair: a shape relation compares nothing"])
         target, checked = factors[0], factors[1:]
     else:
         raise ValueError(f"verify_relation cannot handle kind {rel.kind!r}")
@@ -741,10 +747,9 @@ def _classical_readout(sf: StructureFunction) -> tuple:
         const = const.times_base(GR_I, 0, e)
     if p_plus + p_minus:
         raise NonConvergent(f"the limit grows like w^{p_plus + p_minus}")
-    const = const.canonical()
     if const.hb:
         raise NonConvergent(f"the limit carries hbar^{const.hbar_pow}")
-    if const.mult != GR_ONE or const.pe:
+    if const.pe:
         raise NonConvergent(f"the limit constant {const!r} is not a rational "
                             "phase of modulus 1")
     corrections = []

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import importlib.resources
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -60,8 +60,7 @@ def _fmt_c(z: complex) -> dict:
 
 def _load(path: str | None):
     if path is None:
-        res = importlib.resources.files("coset_forge") / "data" / "paper.alg"
-        return res.read_text()
+        path = os.path.join(os.path.dirname(__file__), "data", "paper.alg")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

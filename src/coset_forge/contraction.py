@@ -93,7 +93,7 @@ class StructureFunction:
 
     @staticmethod
     def from_const_gr(g: GR) -> "StructureFunction":
-        return StructureFunction(const=ExactConst.one().times_gr(g))
+        return StructureFunction(const=ExactConst.one().times_base(g, 0, 1))
 
     # -- algebra -----------------------------------------------------------
     def __mul__(self, other: "StructureFunction") -> "StructureFunction":
@@ -123,7 +123,7 @@ class StructureFunction:
             key = (-a, -b, q)
             l[key] = l.get(key, 0) + e
             odd += e % 2
-        c = self.const.times_gr(_MINUS_ONE) if odd % 2 else self.const
+        c = self.const.times_base(_MINUS_ONE, 0, 1) if odd % 2 else self.const
         return StructureFunction(g, l, c)
 
     def wick_rotate(self) -> "StructureFunction":

@@ -25,7 +25,7 @@ from .algebra import (DEFAULT_TOLERANCE, Catalog, Current, NormalOrderedTerm,
                       Relation)
 from .contraction import StructureFunction, gamma_key, linear_key
 from .errors import DuplicateName, ExcludedLevel, ParseError, UndeclaredName
-from .exact import GR, GR_I, GR_ONE, ExactConst, KRat, merge
+from .exact import GR, GR_I, ExactConst, KRat, merge
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, shift_argument
 
 __all__ = ["parse_definitions", "DefinitionFile"]
@@ -327,7 +327,7 @@ def _bind_side(rel: str, factors: list[FactorDecl], at,
     A scalar or a Gamma scale that vanishes at k excludes the level."""
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     linears: dict[tuple[int, int, int], int] = {}
-    mult = GR_ONE
+    const = ExactConst.one()
     for f in factors:
         e = f.exponent
         if f.kind == "scalar":
@@ -335,7 +335,7 @@ def _bind_side(rel: str, factors: list[FactorDecl], at,
             if not v:
                 raise ExcludedLevel(f"relation {rel!r}: scalar factor "
                                     f"({f.scalar!r}) vanishes at k={k}")
-            mult = mult * GR(v)
+            const = const.times_base(GR(v), 0, 1)
             continue
         if f.kind == "gamma":
             scale = at(f.scale)
@@ -349,12 +349,10 @@ def _bind_side(rel: str, factors: list[FactorDecl], at,
             rho = GR(at(f.offset) if f.offset is not None else _ZERO)
             if f.kind == "w":
                 rho = GR_I * rho
-                for _ in range(abs(e)):
-                    mult = mult * (_MINUS_I if e > 0 else GR_I)
+                const = const.times_base(_MINUS_I, 0, e)
             key = linear_key(rho)
         merge(exps, key, e)
-    return StructureFunction(gammas, linears,
-                             ExactConst(mult))
+    return StructureFunction(gammas, linears, const)
 
 
 def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
@@ -454,10 +452,11 @@ class _Parser:
         return v
 
     def positive(self, what: str) -> KVal:
-        """A k-expression; a constant one must be positive."""
+        """A k-expression; a constant one, k/k included, must be positive."""
         at = self.i
         v = self.kexpr()
-        if not v or isinstance(v, Fraction) and v < 0:
+        c = v.as_constant() if isinstance(v, KRat) else v
+        if not v or c is not None and c < 0:
             self.error({f"positive {what}"}, at)
         return v
 

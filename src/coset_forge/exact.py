@@ -551,6 +551,13 @@ class KRat:
     def k() -> "KRat":
         return KRat({1: _Q1})
 
+    def as_constant(self) -> Fraction | None:
+        """The value when it does not depend on k, that is when the
+        numerator is a constant multiple of the denominator; else None."""
+        e, d = next(iter(self.den.items()))
+        c = self.num.get(e, _Q0) / d
+        return c if self.num == {e: c * v for e, v in self.den.items() if c} else None
+
     def _mul_poly(a, b):
         out: dict[int, Fraction] = {}
         for e1, v1 in a.items():
@@ -652,33 +659,35 @@ def merge(factors: dict, key, e: int) -> None:
 
 # ---------------------------------------------------------------------------
 # Exact multiplicative constants of the form
-#     mult * i^(phase/2 pi units) * prod_p p^{q_p} * hbar^{q_h}
+#     i^(phase in quarter turns) * prod_p p^{q_p} * hbar^{q_h}
 # These arise from Gamma-shift normalization ((s*hbar)^{+-1} factors) and
 # from the log D regularization terms (D^{sum d_j x_j}).
 
 class ExactConst:
-    """mult * i^phase * prod_p p^(e_p) * hbar^hbar_pow, phase in quarter turns.
+    """i^phase * prod_p p^(e_p) * hbar^hbar_pow, phase in quarter turns.
 
     The rational exponents phase, e_p and hbar_pow are held as integer
     numerators (`ph`, `pe`, `hb`) over one shared denominator `den`, the
-    least one, so equal exponents have equal fields.  Constants are never
-    changed in place; every operation returns a new one (or self).  `pe`
-    holds no zero exponent; eval sums the prime logarithms in ascending
-    order of the primes.  `phase`, `primes` and `hbar_pow` read the
-    exponents back as Fractions.
+    least one, with the phase reduced into [0, 4), so equal constants have
+    equal fields and one repr.  Constants are never changed in place; every
+    operation returns a new one (or self).  `pe` holds no zero exponent;
+    eval sums the prime logarithms in ascending order of the primes.
+    `phase`, `primes` and `hbar_pow` read the exponents back as Fractions.
     """
 
-    __slots__ = ("mult", "den", "ph", "pe", "hb")
+    __slots__ = ("den", "ph", "pe", "hb")
 
-    def __init__(self, mult: GR = GR_ONE, den: int = 1, ph: int = 0,
+    def __init__(self, den: int = 1, ph: int = 0,
                  pe: dict[int, int] | None = None, hb: int = 0):
-        """The constant with exponents ph/den, pe[p]/den and hb/den."""
+        """The constant with exponents ph/den (modulo 4), pe[p]/den and
+        hb/den."""
         pe = {} if pe is None else pe
+        ph %= 4 * den
         g = math.gcd(den, ph, hb, *pe.values())
         if g != 1:
             den, ph, hb = den // g, ph // g, hb // g
             pe = {p: e // g for p, e in pe.items()}
-        self.mult, self.den, self.ph, self.pe, self.hb = mult, den, ph, pe, hb
+        self.den, self.ph, self.pe, self.hb = den, ph, pe, hb
 
     @staticmethod
     def one() -> "ExactConst":
@@ -696,11 +705,8 @@ class ExactConst:
     def primes(self) -> dict[int, Fraction]:
         return {p: Fraction(e, self.den) for p, e in self.pe.items()}
 
-    def _exponents_zero(self) -> bool:
+    def is_one(self) -> bool:
         return not self.ph and not self.hb and not self.pe
-
-    def times_gr(self, g: GR) -> "ExactConst":
-        return ExactConst(self.mult * g, self.den, self.ph, self.pe, self.hb)
 
     def times_base(self, base: GR, hbar_pow: int, exponent) -> "ExactConst":
         """Multiply by (base * hbar^hbar_pow)^exponent, base a Gaussian rational
@@ -715,52 +721,31 @@ class ExactConst:
         pe = {p: e * f for p, e in self.pe.items()}
         for p, e in factors:
             merge(pe, p, e * x)
-        return ExactConst(self.mult, den, self.ph * f + j * x, pe,
-                          self.hb * f + hbar_pow * x)
+        return ExactConst(den, self.ph * f + j * x, pe, self.hb * f + hbar_pow * x)
 
     def times(self, other: "ExactConst") -> "ExactConst":
-        if other._exponents_zero():
-            return self if other.mult == GR_ONE else self.times_gr(other.mult)
-        if self._exponents_zero() and self.mult == GR_ONE:
+        if other.is_one():
+            return self
+        if self.is_one():
             return other
         den = math.lcm(self.den, other.den)
         f1, f2 = den // self.den, den // other.den
         pe = {p: e * f1 for p, e in self.pe.items()}
         for p, e in other.pe.items():
             merge(pe, p, e * f2)
-        return ExactConst(self.mult * other.mult, den, self.ph * f1 + other.ph * f2,
-                          pe, self.hb * f1 + other.hb * f2)
+        return ExactConst(den, self.ph * f1 + other.ph * f2, pe,
+                          self.hb * f1 + other.hb * f2)
 
     def inverse(self) -> "ExactConst":
-        return ExactConst(GR_ONE / self.mult, self.den, -self.ph,
-                          {p: -e for p, e in self.pe.items()}, -self.hb)
+        return ExactConst(self.den, -self.ph, {p: -e for p, e in self.pe.items()},
+                          -self.hb)
 
     def wick_rotate(self) -> "ExactConst":
         """hbar -> -i*hbar: each power of hbar contributes a -i phase."""
         if not self.hb:
             return self
         # (-i)^{q} = i^{-q} = quarter-turn phase -q
-        return ExactConst(self.mult, self.den, self.ph - self.hb, self.pe, self.hb)
-
-    def canonical(self) -> "ExactConst":
-        """Fold a unit-times-positive-rational multiplier into phase/primes."""
-        m = self.mult
-        if m == GR_ONE:
-            return self
-        try:
-            j, factors = _unit_factors(m.a, m.b, m.q)
-        except ValueError:
-            return self
-        den = self.den
-        pe = dict(self.pe)
-        for p, e in factors:
-            merge(pe, p, e * den)
-        return ExactConst(GR_ONE, den, self.ph + j * den, pe, self.hb)
-
-    def is_one(self) -> bool:
-        c = self.canonical()
-        return (c.mult == GR_ONE and c.ph % (4 * c.den) == 0
-                and not c.pe and not c.hb)
+        return ExactConst(self.den, self.ph - self.hb, self.pe, self.hb)
 
     def as_gr(self) -> GR:
         """Exact Gaussian-rational value; requires integer prime powers,
@@ -770,7 +755,7 @@ class ExactConst:
         den = self.den
         if self.ph % den:
             raise ValueError("constant phase is not a quarter turn")
-        out = self.mult * _UNITS[self.ph // den % 4]
+        out = _UNITS[self.ph // den]
         for p, e in self.pe.items():
             if e % den:
                 raise ValueError(f"constant has fractional power of {p}")
@@ -780,11 +765,14 @@ class ExactConst:
 
     def eval(self, hbar: float) -> complex:
         # each exponent as n / den: int / int rounds correctly, as
-        # float(Fraction) does, so the value is that of the Fraction form
+        # float(Fraction) does, so the value is that of the Fraction form;
+        # a quarter-turn phase is the exact unit
         den = self.den
-        v = complex(self.mult)
-        ph = self.ph / den * math.pi / 2.0
-        v *= complex(math.cos(ph), math.sin(ph))
+        if self.ph % den:
+            ph = self.ph / den * math.pi / 2.0
+            v = complex(math.cos(ph), math.sin(ph))
+        else:
+            v = complex(_UNITS[self.ph // den])
         lg = 0.0
         for p, e in sorted(self.pe.items()):
             lg += e / den * math.log(p)
@@ -794,18 +782,12 @@ class ExactConst:
     def __eq__(self, other):
         if not isinstance(other, ExactConst):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return (a.mult == b.mult and a.den == b.den
-                and (a.ph - b.ph) % (4 * a.den) == 0
-                and a.pe == b.pe and a.hb == b.hb)
+        return (self.den == other.den and self.ph == other.ph
+                and self.pe == other.pe and self.hb == other.hb)
 
     def __repr__(self):
         den = self.den
-        parts = []
-        if self.mult != GR_ONE:
-            parts.append(repr(self.mult))
-        if self.ph % (4 * den):
-            parts.append(f"i^{_qstr(self.ph, den)}")
+        parts = [f"i^{_qstr(self.ph, den)}"] if self.ph else []
         for p, e in sorted(self.pe.items()):
             parts.append(f"{p}^{_qstr(e, den)}")
         if self.hb:

@@ -234,6 +234,28 @@ def test_refuted_ef_claim_is_a_fail_row(tmp_path, capsys, mutant, k):
     assert f"note: {note}" in out
 
 
+def test_single_term_pair_shape_relation_fails(tmp_path, capsys):
+    # C_plus and C_minus have one term each, so the row has nothing to
+    # compare its one factor with
+    src = tmp_path / "c_shape.alg"
+    src.write_text(shipped_text() + "relation c_shape : shape C_plus(u) C_minus(v);\n")
+    dest = tmp_path / "verify.json"
+    assert cli.run(["verify", str(src), "--relation", "c_shape", "--k", "5/12",
+                    "--json", str(dest)]) == 1
+    payload = json.loads(dest.read_text())
+    [row] = payload["relations"]
+    assert payload["pass"] is False
+    assert row["pass"] is False and row["symbolic_pass"] is None
+    assert row["max_rel_err"] == "nan" and row["residuals"] == []
+    assert row["notes"] == ["one term pair: a shape relation compares nothing"]
+    assert row["derived_factor"].startswith("Gamma(")
+    out = capsys.readouterr().out
+    assert "FAIL c_shape kind=shape" in out and "all relations hold" not in out
+    # the classical limit still reads the pair
+    cli.run(["limit", str(src), "--k", "5/12"])
+    assert "limit[C_plus,C_minus;ab=-1]" in capsys.readouterr().out
+
+
 def test_limit_help_names_the_hbar_sequence(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["limit", "--help"])

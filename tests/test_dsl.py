@@ -252,6 +252,13 @@ _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
      2, 31, ["positive slope"], "1"),
     (_KA + "current X on a { pos: 1 * hbar * sinh((k-k)*h*t); }\n",
      3, 39, ["nonzero slope"], "("),
+    # also when the constant is written with k
+    (_K + "kernel a { sign = +1; slope = -k/k; }\n",
+     2, 31, ["positive slope"], "-"),
+    (_K + "kernel a { sign = +1; slope = 2*k/k - 3; }\n",
+     2, 31, ["positive slope"], "2"),
+    ("params { k = 2; hbar = -k/k; }\n",
+     1, 24, ["positive hbar"], "-"),
     # positions are counted only on the error path, over the whole text
     ("# one\n# two\n\nparams { k = ; }\n",
      4, 14, ["'('", "'-'", "'k'", "number"], ";"),

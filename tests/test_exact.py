@@ -117,15 +117,25 @@ def test_taylor_at_one():
         assert got == sum(v * m ** r for m, v in coeffs.items()) / fact, r
 
 
-def test_exact_const_canonicalization():
-    # (2 hbar)^1 * (-2 hbar)^-1 == -1, recognized symbolically
-    c = (ExactConst.one()
-         .times_base(GR(Fraction(2)), 1, Fraction(1))
-         .times_base(GR(Fraction(-2)), 1, Fraction(-1)))
-    assert c == ExactConst.one().times_gr(GR(Fraction(-1)))
-    assert not c.is_one()
-    assert (c.times(c)).is_one()
-    assert c.as_gr() == GR(Fraction(-1))
+def test_exact_const_has_one_form():
+    minus = ExactConst.one().times_base(GR(-1), 0, 1)
+    assert not minus.is_one()
+    assert minus.times_base(GR(-1), 0, 1).is_one()
+    assert minus.times_base(GR(-1), 0, 1) == ExactConst.one()
+    # -1 built as i^-2, i^2, -1 and (2 hbar)^1 * (-2 hbar)^-1: one set of
+    # fields, the phase reduced into [0, 4), and one repr
+    forms = [ExactConst.one().times_base(GR_I, 0, -2),
+             ExactConst.one().times_base(GR_I, 0, 2),
+             minus,
+             ExactConst.one().times_base(GR(Fraction(2)), 1, Fraction(1))
+             .times_base(GR(Fraction(-2)), 1, Fraction(-1))]
+    for c in forms:
+        assert (c.den, c.ph, c.pe, c.hb) == (1, 2, {}, 0)
+        assert repr(c) == "i^2"
+        assert c == minus
+        assert c.times(c).is_one()
+        assert c.as_gr() == GR(Fraction(-1))
+        assert c.eval(0.5) == -1.0
 
 
 def test_exact_const_eval_and_rotation():

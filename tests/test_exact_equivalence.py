@@ -4,11 +4,12 @@ originals.
 `FracGR` and `FracConst` below are the Gaussian rational (a pair of
 Fractions) and the exact constant (a dict of Fraction exponents) the package
 used before `GR` and `ExactConst` were rebuilt on integers, kept as the
-reference.  Only their names changed, and `FracConst.eval`, which now sums
-the prime logarithms in ascending order of the primes, as `ExactConst.eval`
-does.  Every operation is run on both, and the results must be equal value
-for value, including the strings that reports print and the bits of
-`eval`.
+reference.  Besides their names, `FracConst` follows two later changes of
+`ExactConst`: it holds no Gaussian-rational multiplier and reduces its phase
+into [0, 4) quarter turns, and its `eval` takes a quarter-turn phase as the
+exact unit and sums the prime logarithms in ascending order of the primes.
+Every operation is run on both, and the results must be equal value for
+value, including the strings that reports print and the bits of `eval`.
 """
 
 import math
@@ -106,23 +107,20 @@ FRAC_ONE = FracGR(Fraction(1))
 
 @dataclass
 class FracConst:
-    mult: FracGR
-    # quarter-turn phase units: value includes exp(i*pi/2 * phase)
+    # quarter-turn phase units in [0, 4): value includes exp(i*pi/2 * phase)
     phase: Fraction
     primes: dict[int, Fraction]
     hbar_pow: Fraction
 
+    def __post_init__(self):
+        self.phase %= 4
+
     @staticmethod
     def one() -> "FracConst":
-        return FracConst(FRAC_ONE, Fraction(0), {}, Fraction(0))
+        return FracConst(Fraction(0), {}, Fraction(0))
 
     def copy(self) -> "FracConst":
-        return FracConst(self.mult, self.phase, dict(self.primes), self.hbar_pow)
-
-    def times_gr(self, g: FracGR) -> "FracConst":
-        out = self.copy()
-        out.mult = out.mult * g
-        return out
+        return FracConst(self.phase, dict(self.primes), self.hbar_pow)
 
     def times_base(self, base: FracGR, hbar_pow: int, exponent: Fraction) -> "FracConst":
         """Multiply by (base * hbar^hbar_pow)^exponent, base a Gaussian rational
@@ -131,7 +129,7 @@ class FracConst:
             return self.copy()
         q, j = _split_unit(base)
         out = self.copy()
-        out.phase += Fraction(j) * exponent
+        out.phase = (out.phase + Fraction(j) * exponent) % 4
         out.hbar_pow += Fraction(hbar_pow) * exponent
         for p, e in _factor_fraction(q).items():
             out.primes[p] = out.primes.get(p, Fraction(0)) + Fraction(e) * exponent
@@ -141,8 +139,7 @@ class FracConst:
 
     def times(self, other: "FracConst") -> "FracConst":
         out = self.copy()
-        out.mult = out.mult * other.mult
-        out.phase += other.phase
+        out.phase = (out.phase + other.phase) % 4
         out.hbar_pow += other.hbar_pow
         for p, e in other.primes.items():
             out.primes[p] = out.primes.get(p, Fraction(0)) + e
@@ -151,34 +148,18 @@ class FracConst:
         return out
 
     def inverse(self) -> "FracConst":
-        out = FracConst(FRAC_ONE / self.mult, -self.phase,
-                         {p: -e for p, e in self.primes.items()}, -self.hbar_pow)
-        return out
+        return FracConst(-self.phase, {p: -e for p, e in self.primes.items()},
+                         -self.hbar_pow)
 
     def wick_rotate(self) -> "FracConst":
         """hbar -> -i*hbar: each power of hbar contributes a -i phase."""
         out = self.copy()
         # (-i)^{q} = i^{-q} = quarter-turn phase -q
-        out.phase -= self.hbar_pow
-        return out
-
-    def canonical(self) -> "FracConst":
-        """Fold a unit-times-positive-rational multiplier into phase/primes."""
-        try:
-            q, j = _split_unit(self.mult)
-        except ValueError:
-            return self
-        out = FracConst(FRAC_ONE, self.phase + j, dict(self.primes), self.hbar_pow)
-        for p, e in _factor_fraction(q).items():
-            out.primes[p] = out.primes.get(p, Fraction(0)) + e
-            if not out.primes[p]:
-                del out.primes[p]
+        out.phase = (out.phase - self.hbar_pow) % 4
         return out
 
     def is_one(self) -> bool:
-        c = self.canonical()
-        return (c.mult == FRAC_ONE and c.phase % 4 == 0
-                and not c.primes and c.hbar_pow == 0)
+        return self.phase == 0 and not self.primes and self.hbar_pow == 0
 
     def as_gr(self) -> FracGR:
         """Exact Gaussian-rational value; requires integer prime powers,
@@ -187,10 +168,7 @@ class FracConst:
             raise ValueError("constant carries hbar content")
         if self.phase.denominator != 1:
             raise ValueError("constant phase is not a quarter turn")
-        out = self.mult
-        unit = [FRAC_ONE, FracGR(Fraction(0), Fraction(1)),
-                FracGR(Fraction(-1)), FracGR(Fraction(0), Fraction(-1))]
-        out = out * unit[int(self.phase) % 4]
+        out = _FRAC_UNITS[int(self.phase)]
         for p, e in self.primes.items():
             if e.denominator != 1:
                 raise ValueError(f"constant has fractional power of {p}")
@@ -199,9 +177,11 @@ class FracConst:
         return out
 
     def eval(self, hbar: float) -> complex:
-        v = complex(self.mult)
-        ph = float(self.phase) * math.pi / 2.0
-        v *= complex(math.cos(ph), math.sin(ph))
+        if self.phase.denominator == 1:
+            v = complex(_FRAC_UNITS[int(self.phase)])
+        else:
+            ph = float(self.phase) * math.pi / 2.0
+            v = complex(math.cos(ph), math.sin(ph))
         lg = 0.0
         for p, e in sorted(self.primes.items()):
             lg += float(e) * math.log(p)
@@ -211,21 +191,22 @@ class FracConst:
     def __eq__(self, other):
         if not isinstance(other, FracConst):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return (a.mult == b.mult and (a.phase - b.phase) % 4 == 0
-                and a.primes == b.primes and a.hbar_pow == b.hbar_pow)
+        return (self.phase == other.phase and self.primes == other.primes
+                and self.hbar_pow == other.hbar_pow)
 
     def __repr__(self):
         parts = []
-        if self.mult != FRAC_ONE:
-            parts.append(repr(self.mult))
-        if self.phase % 4:
+        if self.phase:
             parts.append(f"i^{self.phase}")
         for p, e in sorted(self.primes.items()):
             parts.append(f"{p}^{e}")
         if self.hbar_pow:
             parts.append(f"hbar^{self.hbar_pow}")
         return "*".join(parts) if parts else "1"
+
+
+_FRAC_UNITS = (FRAC_ONE, FracGR(Fraction(0), Fraction(1)), FracGR(Fraction(-1)),
+               FracGR(Fraction(0), Fraction(-1)))
 
 
 def _split_unit(g: FracGR) -> tuple[Fraction, int]:
@@ -274,7 +255,7 @@ def same_gr(g: GR, f: FracGR) -> None:
 
 
 def same_const(c: ExactConst, f: FracConst) -> None:
-    same_gr(c.mult, f.mult)
+    assert 0 <= c.ph < 4 * c.den
     assert c.phase == f.phase and c.hbar_pow == f.hbar_pow
     assert c.primes == f.primes
     assert repr(c) == repr(f)
@@ -342,12 +323,11 @@ _bases = st.tuples(st.integers(0, 4),
                                 max_denominator=40))
 _exponents = st.fractions(min_value=-6, max_value=6, max_denominator=24) | st.integers(-3, 3)
 _ops = st.lists(st.one_of(
-    st.tuples(st.just("times_gr"), _pairs),
+    st.tuples(st.just("times_base"), _bases, st.just(0), st.just(1)),
     st.tuples(st.just("times_base"), _bases, st.integers(-2, 2), _exponents),
-    st.tuples(st.just("times"), _pairs, _bases, st.integers(-2, 2), _exponents),
+    st.tuples(st.just("times"), _bases, _bases, st.integers(-2, 2), _exponents),
     st.tuples(st.just("inverse")),
     st.tuples(st.just("wick_rotate")),
-    st.tuples(st.just("canonical")),
 ), max_size=12)
 
 
@@ -358,12 +338,10 @@ def _base(num, j, q):
 def _apply(c, op, num, const):
     """One operation on a constant of class `const` over scalars `num`."""
     kind = op[0]
-    if kind == "times_gr":
-        return c.times_gr(num(*op[1]))
     if kind == "times_base":
         return c.times_base(_base(num, *op[1]), op[2], op[3])
     if kind == "times":
-        other = const.one().times_gr(num(*op[1])).times_base(
+        other = const.one().times_base(_base(num, *op[1]), 0, 1).times_base(
             _base(num, *op[2]), op[3], op[4])
         return c.times(other)
     return getattr(c, kind)()
@@ -388,8 +366,7 @@ def test_exact_const_agrees_with_the_fraction_dict(ops, more):
             break
     assert (c == d) == (f == g) and (d == c) == (g == f)
     minus_one = (GR(-1), FracGR(Fraction(-1)))
-    for new, ref in ((c.canonical(), f.canonical()),
-                     (c.times_base(minus_one[0], 0, 2), f.times_base(minus_one[1], 0, 2)),
+    for new, ref in ((c.times_base(minus_one[0], 0, 2), f.times_base(minus_one[1], 0, 2)),
                      (c.wick_rotate().wick_rotate().wick_rotate().wick_rotate(),
                       f.wick_rotate().wick_rotate().wick_rotate().wick_rotate())):
         assert (c == new) == (f == ref)
@@ -397,13 +374,55 @@ def test_exact_const_agrees_with_the_fraction_dict(ops, more):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_pairs, st.integers(1, 24), st.integers(-30, 30),
+@given(st.integers(1, 24), st.integers(-30, 30),
        st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]),
                        st.integers(-30, 30).filter(bool), max_size=4),
        st.integers(-30, 30))
-def test_exact_const_fields_are_exponents_over_one_denominator(m, den, ph, pe, hb):
-    c = ExactConst(GR(*m), den, ph, pe, hb)
-    f = FracConst(FracGR(*m), Fraction(ph, den),
-                  {p: Fraction(e, den) for p, e in pe.items()}, Fraction(hb, den))
+def test_exact_const_fields_are_exponents_over_one_denominator(den, ph, pe, hb):
+    c = ExactConst(den, ph, pe, hb)
+    f = FracConst(Fraction(ph, den), {p: Fraction(e, den) for p, e in pe.items()},
+                  Fraction(hb, den))
     same_const(c, f)
-    assert ExactConst(GR(*m)) == ExactConst.one().times_gr(GR(*m))
+    # the least denominator
+    assert math.gcd(c.den, c.ph, c.hb, *c.pe.values()) == 1
+
+
+def _fields(c: ExactConst):
+    return c.den, c.ph, c.pe, c.hb, repr(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops, _ops, st.integers(-3, 3), st.permutations(range(3)))
+def test_equal_constants_have_equal_fields(ops, more, turns, order):
+    c = ExactConst.one()
+    for op in ops:
+        try:
+            c = _apply(c, op, GR, ExactConst)
+        except ValueError:
+            return      # a base that is not i^j * rational
+    x = ExactConst.one()
+    for op in more:
+        try:
+            x = _apply(x, op, GR, ExactConst)
+        except ValueError:
+            break
+    # the same exponents by other routes: times an unrelated constant and its
+    # inverse; rebuilt from the exponents in another order, the phase
+    # shifted by whole turns; and four Wick rotations, each adding
+    # -hbar_pow quarter turns, undone by a phase
+    def primes(d):
+        for p, e in reversed(list(c.primes.items())):
+            d = d.times_base(GR(p), 0, e)
+        return d
+
+    steps = [lambda d: d.times_base(GR(0, 1), 0, c.phase + 4 * turns),
+             lambda d: d.times(ExactConst.one().times_base(GR(1), 1, c.hbar_pow)),
+             primes]
+    rebuilt = ExactConst.one()
+    for i in order:
+        rebuilt = steps[i](rebuilt)
+    rotated = c.wick_rotate().wick_rotate().wick_rotate().wick_rotate() \
+        .times_base(GR(0, 1), 0, 4 * c.hbar_pow)
+    for other in (c.times(x).times(x.inverse()), rebuilt, rotated):
+        assert _fields(other) == _fields(c)
+        assert other == c

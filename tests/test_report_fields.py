@@ -61,6 +61,16 @@ def test_report_fields_match_fixture(k, hbar, command):
     assert report_fields(command, k, hbar) == frozen
 
 
+@pytest.mark.parametrize("k", ["2", "3", "5/12", "13/16"])
+def test_passing_exchange_rows_print_their_expected_factor(k):
+    # an exact constant has one form, so a factor equal to its target
+    # prints as the target does
+    rows = [r for r in report_fields("verify", k, "1")["relations"]
+            if r["kind"] == "exchange" and r["pass"]]
+    assert len(rows) >= 10
+    assert [r["id"] for r in rows if r["derived_factor"] != r["expected_factor"]] == []
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(

@@ -1,7 +1,7 @@
 """Start-up cost: numpy is imported only for quadrature (`contract`, and
 `verify` for a relation that does not telescope), so neither `verify`,
 `report` nor `limit` load it; neither dataclasses nor json is imported by
-any command."""
+any command, and the shipped catalog is read without importlib.resources."""
 
 import os
 import pathlib
@@ -38,6 +38,15 @@ assert cli.run(["limit", "--k", "3"]) == 0
 assert "numpy" not in sys.modules, "numpy imported by limit"
 """
 
+# run under python -S, so that no site hook imports the modules checked
+VERIFY_WITHOUT_RESOURCE_LOADERS = """\
+import sys
+import coset_forge.cli as cli
+assert cli.run(["verify", "--k", "2", "--hbar", "1"]) == 0
+for name in ("importlib.resources", "zipfile", "tempfile"):
+    assert name not in sys.modules, name + " imported by verify"
+"""
+
 CONTRACT_WITH_NUMPY = """\
 import sys
 import coset_forge.cli as cli
@@ -48,10 +57,10 @@ assert "numpy" in sys.modules, "quadrature ran without numpy"
 """
 
 
-def _python(script, *args):
+def _python(script, *args, flags=()):
     return subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        [sys.executable, *flags, "-c", script, *args], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
 
 
 def test_verify_never_imports_numpy(tmp_path):
@@ -66,6 +75,12 @@ def test_report_and_limit_never_import_numpy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "PASS limit[psi,psi;ab=1]" in out.stdout
     assert '"pass": true' in (tmp_path / "report.json").read_text()
+
+
+def test_shipped_catalog_is_read_without_resource_loaders():
+    out = _python(VERIFY_WITHOUT_RESOURCE_LOADERS, flags=("-S",))
+    assert out.returncode == 0, out.stderr
+    assert "all relations hold" in out.stdout
 
 
 def test_contract_imports_numpy_and_keeps_its_output():
