@@ -39,8 +39,8 @@ from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _raw,
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
 from .specfun import log_gamma
 
-# numpy is imported inside quad_eval and _IntegrandEvaluator, its only users
-# here: its import is about half of start-up, and the verify path never runs
+# numpy is imported inside _IntegrandEvaluator, its only user here: its
+# import is about half of start-up, and the verify path never runs
 # quadrature.
 
 __all__ = [
@@ -90,10 +90,6 @@ class StructureFunction:
     def from_gamma(scale, shift, exponent: int = 1) -> "StructureFunction":
         return StructureFunction(gammas={gamma_key(GR.of(scale), as_fraction(shift)):
                                          exponent})
-
-    @staticmethod
-    def from_const_gr(g: GR) -> "StructureFunction":
-        return StructureFunction(const=ExactConst.one().times_base(g, 0, 1))
 
     # -- algebra -----------------------------------------------------------
     def __mul__(self, other: "StructureFunction") -> "StructureFunction":
@@ -293,46 +289,80 @@ class _IntegrandEvaluator:
         self.series = _series_divide(nser, dser, self.SERIES_ORDER)
         self.float_series = [complex(c) * self.eta ** r
                              for r, c in enumerate(self.series)]
+        # per refinement level: t, wgt, ratio, b and the index of ratio[0]
+        empty = np.empty(0)
+        self._levels = [(empty, empty, empty, empty, 0)] * (_DE_MAX_LEVEL + 1)
 
     def scale_hint(self) -> float:
         m = max(abs(self.nshift), abs(self.dshift), 1.0)
         return m * self.eta
 
-    def at(self, w: complex):
-        """The regularized integrand at the strip point w, as a function of
-        ascending nodes t.  Everything that depends on w alone is bound here,
-        once for all refinement levels."""
+    def level(self, j: int, s_hi: float, reach: float):
+        """Refinement level j (0 the base grid, j >= 1 the offset grid of step
+        2^-j) up to the upper node cutoff s_hi, as (t, wgt, n, ratio, b):
+        ascending nodes and weights, the n nodes with t * reach < 0.01 that
+        take the series, and R(zeta(t)) and a e^{-t} at the rest.
+
+        None of it depends on w, so each level keeps its nodes for the
+        largest s_hi asked so far and ratio and b for the nodes from the
+        smallest series cutoff asked so far; arange fills start + i*step, so
+        a longer level extends a shorter one, and a point computes R only at
+        nodes no earlier point had and none it sends to the series."""
         import numpy as np
-        coeffs = self.series_coeffs(w)
-        rate = (self.nshift - self.dshift) * self.eta - 1j * w
-        # nodes with t * reach < 0.01 take the series; t ascends, so they
-        # are a prefix
+        h = 0.5 ** max(j, 1)
+        if j:
+            s = np.arange(_DE_S_LO + h / 2.0, s_hi, h)
+        else:
+            s = np.arange(_DE_S_LO, s_hi + h / 2.0, h)
+        t, wgt, ratio, b, first = self._levels[j]
+        m, known = len(s), len(t)
+        if m > known:
+            t = np.exp(0.5 * math.pi * np.sinh(s))
+            wgt = 0.5 * math.pi * np.cosh(s) * t
+        n = int((t[:m] * reach).searchsorted(0.01))
+        if n > known:  # the level's first point: nothing stored reaches it
+            ratio, b, first = ratio[:0], b[:0], n
+            known = n
+        if n < first or m > known:
+            (r0, b0), (r1, b1) = self._far(t[n:first]), self._far(t[known:m])
+            ratio = np.concatenate((r0, ratio, r1))
+            b = np.concatenate((b0, b, b1))
+            first = min(first, n)
+        self._levels[j] = t, wgt, ratio, b, first
+        return t[:m], wgt[:m], n, ratio[n - first:m - first], b[n - first:m - first]
+
+    def values(self, levels, w: complex, s_hi: float,
+               coeffs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(integrand values, weights) of each of the levels at the strip
+        point w, with series_coeffs(w) given: one exp over all their far
+        nodes and one Horner over all their series nodes."""
+        import numpy as np
         reach = abs(w) + self.scale_hint() + 1.0
-        eta, a = self.eta, self.a
-        ncoef, nexp = self.ncoef[None, :], self.nexp
-        dcoef, dexp = self.dcoef[None, :], self.dexp
+        got = [self.level(j, s_hi, reach) for j in levels]
+        tt = np.concatenate([t[n:] for t, _, n, _, _ in got])
+        rate = (self.nshift - self.dshift) * self.eta - 1j * w
+        far = (np.concatenate([g[3] for g in got]) * np.exp(rate * tt)
+               - np.concatenate([g[4] for g in got])) / tt
+        # h(t) by Horner; the constant term cancels exactly, so the series
+        # starts at coeffs[1]
+        tt = np.concatenate([t[:n] for t, _, n, _, _ in got])
+        near = np.zeros(tt.shape, dtype=complex)
+        for r in range(self.SERIES_ORDER, 0, -1):
+            near = near * tt + coeffs[r]
+        out, i, k = [], 0, 0
+        for t, wgt, n, _, _ in got:
+            m = len(t)
+            out.append((np.concatenate((near[i:i + n], far[k:k + m - n])), wgt))
+            i, k = i + n, k + m - n
+        return out
 
-        def integrand(t: np.ndarray) -> np.ndarray:
-            n = int(np.searchsorted(t * reach, 0.01))
-            out = np.empty(t.shape, dtype=complex)
-            if n < len(t):
-                tt = t[n:]
-                lz = eta * tt
-                numv = (ncoef * np.exp(np.outer(lz, nexp))).sum(axis=1)
-                denv = (dcoef * np.exp(np.outer(lz, dexp))).sum(axis=1)
-                expo = np.exp(rate * tt)
-                out[n:] = (numv / denv * expo - a * np.exp(-tt)) / tt
-            if n:
-                # h(t) by Horner; the constant term cancels exactly, so the
-                # series starts at coeffs[1]
-                tt = t[:n]
-                val = np.zeros(tt.shape, dtype=complex)
-                for r in range(self.SERIES_ORDER, 0, -1):
-                    val = val * tt + coeffs[r]
-                out[:n] = val
-            return out
-
-        return integrand
+    def _far(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """R(zeta(t)) and a e^{-t} at nodes t away from the origin."""
+        import numpy as np
+        lz = self.eta * t
+        numv = (self.ncoef[None, :] * np.exp(np.outer(lz, self.nexp))).sum(axis=1)
+        denv = (self.dcoef[None, :] * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
+        return numv / denv, self.a * np.exp(-t)
 
     def series_coeffs(self, w: complex) -> np.ndarray:
         """Taylor coefficients of R(zeta(t)) e^{-iwt} - a e^{-t} in powers of
@@ -406,17 +436,17 @@ def contract(f: ModeFunction, g: ModeFunction, K: Kernel,
 
 _DE_MAX_LEVEL = 8  # offset levels after the base grid: at most 2,978-3,648
 # nodes in all (decay 10 down to 1e-3), each evaluated once
-_DE_BATCH = 3  # offset levels evaluated with the base grid in one call: at
+_DE_BATCH = 3  # offset levels evaluated with the base grid in one pass: at
 # the benchmark's strip points every evaluation reaches at least the third
+_DE_TOL = 1e-10  # error estimate at which refinement stops
+_DE_S_LO = -math.asinh(2.0 * 42.0 / math.pi)  # t ~ e^{-42}, weight kills the rest
 
 
-def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams,
-              tol: float = 1e-10) -> complex:
+def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams) -> complex:
     """Frullani-regularized contraction integral by exp-sinh quadrature.
 
     Requires w inside the absolute-convergence strip Im w < -sigma*hbar.
     """
-    import numpy as np
     if I.is_zero():
         return 0j
     hbar = params.hbar_float
@@ -424,57 +454,33 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams,
     decay = -(w.imag + bound)
     if decay <= 0:
         raise OutsideConvergenceStrip(w, -bound)
-    integrand = I.evaluator(hbar).at(w)
+    ev = I.evaluator(hbar)
+    coeffs = ev.series_coeffs(w)  # once for all levels
 
     # node range: t = exp(pi/2 sinh(s)); cover until e^{-decay t} is negligible
     t_max = 60.0 / min(decay, 1.0) if decay < 1.0 else 60.0 / decay + 10.0
     s_hi = math.asinh(max(2.0 * math.log(t_max) / math.pi, 1.0)) + 0.5
-    s_lo = -math.asinh(2.0 * 42.0 / math.pi)  # t ~ e^{-42}, weight kills the rest
-
-    def level_nodes(h: float, offset: bool) -> tuple[np.ndarray, np.ndarray]:
-        if offset:
-            s = np.arange(s_lo + h / 2.0, s_hi, h)
-        else:
-            s = np.arange(s_lo, s_hi + h / 2.0, h)
-        u = 0.5 * math.pi * np.sinh(s)
-        t = np.exp(u)
-        wgt = 0.5 * math.pi * np.cosh(s) * t
-        return t, wgt
-
-    # the base grid and the first _DE_BATCH offset levels take one call on
-    # their ascending union; the integrand is elementwise, so each level's
-    # values are those of a call on its own nodes
-    h = 0.5
-    grids = [level_nodes(h, offset=False)]
-    grids += [level_nodes(h * 0.5 ** j, offset=True) for j in range(_DE_BATCH)]
-    t = np.concatenate([g[0] for g in grids])
-    order = np.argsort(t, kind="stable")
-    f = np.empty(t.shape, dtype=complex)
-    f[order] = integrand(t[order])
-    ends = np.cumsum([len(g[0]) for g in grids])
-    values = np.split(f, ends[:-1])
 
     # each level is summed over its own nodes in its own order, so every
     # partial sum, and with it the stopping level, is the same float as
-    # with one call per level
-    total = np.sum(values[0] * grids[0][1]) * h
+    # with one pass per level
+    h = 0.5
+    batch = ev.values(range(_DE_BATCH + 1), w, s_hi, coeffs)
+    total = (batch[0][0] * batch[0][1]).sum() * h
     prev = None
     for level in range(1, _DE_MAX_LEVEL + 1):
-        if level <= _DE_BATCH:
-            f, wgt = values[level], grids[level][1]
-        else:
-            t, wgt = level_nodes(h, offset=True)
-            f = integrand(t)
-        mid = np.sum(f * wgt) * h
+        f, wgt = (batch[level] if level <= _DE_BATCH
+                  else ev.values([level], w, s_hi, coeffs)[0])
+        mid = (f * wgt).sum() * h
         new = 0.5 * (total + mid)
         h *= 0.5
         err = abs(new - total)
         prev, total = total, new
-        if err <= max(tol * 0.1, 1e-14 * (1.0 + abs(new))):
+        if err <= max(_DE_TOL * 0.1, 1e-14 * (1.0 + abs(new))):
             return complex(total)
-    if abs(total - prev) > tol * (1.0 + abs(total)):
+    if abs(total - prev) > _DE_TOL * (1.0 + abs(total)):
         raise QuadratureNonConvergent(
-            f"error estimate {abs(total - prev):.2e} above {tol:.1e} at node cap, "
+            f"error estimate {abs(total - prev):.2e} above {_DE_TOL:.1e} at node cap, "
             f"w = {w}, strip bound {bound}")
     return complex(total)
 

@@ -330,7 +330,7 @@ def test_classical_readout_finds_the_first_power_law_term():
     (_gamma(1, Fraction(1, 3), 1) * _gamma(1, Fraction(2, 3), -1),
      r"grows like w\^-1/3"),
     (StructureFunction.from_gamma(GR(1), Fraction(1, 3)), "not imaginary"),
-    (StructureFunction.from_const_gr(GR(2)), "modulus 1"),
+    (StructureFunction(const=ExactConst.one().times_base(GR(2), 0, 1)), "modulus 1"),
     # Gamma(X + 1/2)^2 / Gamma(X)^2 ~ X = w/hbar; over (iw + hbar) the
     # power of w cancels and 1/(i hbar) is left
     (_gamma(1, HALF, 2) * _gamma(1, 0, -2) * StructureFunction.from_linear(1, -1),

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (bind_shipped, contraction_pairs, gamma_factors, linear_factors,
                       sparse, sparse_mul)
 from coset_forge.algebra import verify_relation
-from coset_forge.contraction import (StructureFunction, _family_order, closed_form,
-                                     contract, exchange_factor, gamma_key,
-                                     linear_key, quad_eval)
+from coset_forge.contraction import (ContractionIntegrand, StructureFunction,
+                                     _family_order, closed_form, contract,
+                                     exchange_factor, gamma_key, linear_key,
+                                     quad_eval)
 from coset_forge.dsl import parse_definitions
 from coset_forge.errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
                                 NonTelescoping, OutsideConvergenceStrip,
@@ -568,12 +569,31 @@ def _extreme_points():
     return out
 
 
-def test_quadrature_is_bit_identical_to_the_per_level_reference():
+def _assert_levels_match_the_reference(I, w, params, reference, label):
+    """The integrand values and weights of every refinement level of I's
+    evaluator at w, bit for bit against the reference node function at the
+    reference's nodes."""
     import numpy as np
+    ev = I.evaluator(params.hbar_float)
+    decay = -(w.imag + I.strip_bound(params.hbar_float))
+    t_max = 60.0 / min(decay, 1.0) if decay < 1.0 else 60.0 / decay + 10.0
+    s_hi = math.asinh(max(2.0 * math.log(t_max) / math.pi, 1.0)) + 0.5
+    s_lo = -math.asinh(2.0 * 42.0 / math.pi)
+    reach = abs(w) + ev.scale_hint() + 1.0
+    got = ev.values(range(9), w, s_hi, ev.series_coeffs(w))
+    for j, (f, wgt) in enumerate(got):
+        h = 0.5 ** max(j, 1)
+        s = np.arange(s_lo + h / 2.0, s_hi, h) if j else np.arange(s_lo, s_hi + h / 2.0, h)
+        t = np.exp(0.5 * math.pi * np.sinh(s))
+        # nodes either side of the small-t cutoff
+        assert 0 < np.count_nonzero(t * reach < 0.01) < len(t), (label, w, j)
+        assert f.tobytes() == reference(t, w).tobytes(), (label, w, j)
+        assert wgt.tobytes() == (0.5 * math.pi * np.cosh(s) * t).tobytes(), (label, w, j)
+
+
+def test_quadrature_is_bit_identical_to_the_per_level_reference():
     cases = _quadrature_cases()
     assert len(cases) >= 10
-    # nodes either side of the small-t cutoff for every case and point below
-    t = np.exp(0.5 * math.pi * np.sinh(np.arange(-4.0, 3.0, 1.0 / 32)))
     for label, I, params in cases:
         if I.is_zero():
             continue
@@ -585,11 +605,9 @@ def test_quadrature_is_bit_identical_to_the_per_level_reference():
                   complex(40.0, -(base + 2.0)), complex(-0.2, -(base + 25.0))):
             want, reference, _ = _reference_quad_eval(I, w, params)
             assert quad_eval(I, w, params) == want, (label, w)
-            # the node function itself
-            reach = abs(w) + I.evaluator(hf).scale_hint() + 1.0
-            assert 0 < np.count_nonzero(t * reach < 0.01) < len(t)
-            got = I.evaluator(hf).at(w)(t)
-            assert got.tobytes() == reference(t, w).tobytes(), (label, w)
+            # each level's values, from the node data the points before
+            # left stored
+            _assert_levels_match_the_reference(I, w, params, reference, label)
     # and at the fewest refinement levels measured, the most, and the cap
     levels = []
     for label, I, params, w in _extreme_points():
@@ -655,35 +673,79 @@ def test_quadrature_binds_each_integrand_and_point_once(monkeypatch):
     assert min(_reference_levels(I, w, params) for w in points) >= 4
 
 
-def test_quadrature_takes_the_first_four_levels_in_one_call(monkeypatch):
+def test_quadrature_computes_each_far_node_once_per_integrand(monkeypatch):
+    import numpy as np
     from coset_forge import contraction
 
-    calls = []
-    at = contraction._IntegrandEvaluator.at
+    computed = []
+    far = contraction._IntegrandEvaluator._far
 
-    def counted_at(self, w):
-        integrand = at(self, w)
+    def counted(self, t):
+        computed.append(t.copy())
+        return far(self, t)
 
-        def counted(t):
-            calls.append(w)
-            return integrand(t)
-        return counted
+    monkeypatch.setattr(contraction._IntegrandEvaluator, "_far", counted)
+    cases = {label: (I, params) for label, I, params in _quadrature_cases()}
+    I, params = cases["C_plus[0].C_plus[0].chat@2,1"]
+    ev = I.evaluator(params.hbar_float)
+    bound = max(0.0, I.strip_bound(params.hbar_float))
+    # the strip edge nears, so the upper node cutoff grows, and |w| grows,
+    # so the series cutoff moves down
+    points = [complex(x, -(bound + gap)) for x, gap in
+              ((0.0, 4.0), (6.0, 1.5), (12.0, 0.5), (20.0, 0.15))]
+    lo, hi = math.inf, 0.0
+    below = above = 0
+    seen = []
+    for w in points:
+        del computed[:]
+        assert quad_eval(I, w, params) == _reference_quad_eval(I, w, params)[0], w
+        new = np.concatenate(computed)
+        # R is never taken at a node this point sends to the series
+        assert new.min() * (abs(w) + ev.scale_hint() + 1.0) >= 0.01, w
+        if seen:
+            below += new.min() < lo
+            above += new.max() > hi
+        lo, hi = min(lo, new.min()), max(hi, new.max())
+        seen += computed
+    # every later point added nodes below and above all earlier ones
+    assert below == above == len(points) - 1
+    everything = np.concatenate(seen)
+    # each node of each level at most once: the levels' nodes are distinct
+    assert len(np.unique(everything)) == len(everything)
+    # and a second pass over the points computes nothing
+    del computed[:]
+    for w in points:
+        quad_eval(I, w, params)
+    assert not computed
 
-    monkeypatch.setattr(contraction._IntegrandEvaluator, "at", counted_at)
-    points = _extreme_points()
-    label, I, params, _ = points[1]
-    bound = I.strip_bound(params.hbar_float)
-    points += [(label, I, params, complex(x, -(bound + 0.3))) for x in (0.0, 2.0)]
-    for label, I, params, w in points:
-        levels = _reference_levels(I, w, params)
-        del calls[:]
+
+def _values(I, points, params):
+    """quad_eval at each point in turn, by repr, so bit for bit, and a
+    failure as its message."""
+    out = {}
+    for w in points:
         try:
-            quad_eval(I, w, params)
-        except QuadratureNonConvergent:
-            pass
-        # one call for the base grid and three offset levels, then one per
-        # level; a point that stops sooner still takes its one call
-        assert len(calls) == max(1, levels - 3), (label, w, levels)
+            out[w] = repr(quad_eval(I, w, params))
+        except QuadratureNonConvergent as exc:
+            out[w] = str(exc)
+    return out
+
+
+def test_quadrature_values_do_not_depend_on_the_point_order():
+    import random
+    for label, I, params in _quadrature_cases():
+        if I.is_zero():
+            continue
+        bound = max(0.0, I.strip_bound(params.hbar_float))
+        # near the edge and far from it, near the origin and far out
+        points = [complex(x, -(bound + gap)) for x in (-3.0, 0.0, 0.5, 9.0)
+                  for gap in (0.02, 0.4, 2.0, 30.0)]
+        fresh = {w: _values(ContractionIntegrand(I.lattice, I.rational), [w], params)[w]
+                 for w in points}
+        shuffled = random.Random(label).sample(points, len(points))
+        for order in (points, points[::-1], shuffled):
+            got = _values(ContractionIntegrand(I.lattice, I.rational), order, params)
+            assert got == fresh, (label, order)
 
 
 # ---------------------------------------------------------------------------

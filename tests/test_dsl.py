@@ -12,7 +12,7 @@ from conftest import shipped_text
 from coset_forge import dsl
 from coset_forge.contraction import StructureFunction
 from coset_forge.dsl import parse_definitions
-from coset_forge.exact import GR, GR_I, KRat
+from coset_forge.exact import GR, GR_I, ExactConst, KRat
 from coset_forge.errors import (DuplicateName, ExcludedLevel, ParseError,
                                 UndeclaredName, VanishingDenominator)
 
@@ -497,7 +497,8 @@ def _factor_product(factors, k):
     out = StructureFunction.one()
     for f in factors:
         if f.kind == "scalar":
-            sf = StructureFunction.from_const_gr(GR(at(f.scalar)))
+            sf = StructureFunction(const=ExactConst.one().times_base(
+                GR(at(f.scalar)), 0, 1))
         elif f.kind == "gamma":
             sf = StructureFunction.from_gamma(
                 GR(at(f.scale) * f.scale_sign), at(f.shift),
@@ -509,7 +510,8 @@ def _factor_product(factors, k):
             else:
                 # (w + a*hbar) = (iw + i*a*hbar) * -i
                 one = (StructureFunction.from_linear(GR_I * off, 1)
-                       * StructureFunction.from_const_gr(GR(0, -1)))
+                       * StructureFunction(const=ExactConst.one().times_base(
+                           GR(0, -1), 0, 1)))
                 sf = StructureFunction.one()
                 for _ in range(abs(f.exponent)):
                     sf = sf * (one if f.exponent > 0 else one.inverse())
