@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
@@ -240,6 +241,7 @@ class ContractionIntegrand:
         except ZeroDivisionError:
             raise IllPosedContraction(
                 "integrand diverges faster than 1/t at the origin")
+        self._growth = None
         self._evaluator = None
 
     def is_zero(self) -> bool:
@@ -254,7 +256,9 @@ class ContractionIntegrand:
 
     def strip_bound(self, hbar: float) -> float:
         """Absolute convergence requires Im w < -bound."""
-        return float(self.max_growth()) * hbar
+        if self._growth is None:  # the float rate, once per integrand
+            self._growth = float(self.max_growth())
+        return self._growth * hbar
 
     def evaluator(self, hbar: float) -> "_IntegrandEvaluator":
         if self._evaluator is None or self._evaluator.hbar != hbar:
@@ -275,6 +279,8 @@ class _IntegrandEvaluator:
         num, den = I.rational.num, I.rational.den
         self.nshift = num.max_exp()
         self.dshift = den.max_exp()
+        self.scale_hint = max(abs(self.nshift), abs(self.dshift), 1.0) * self.eta
+        self.base_rate = (self.nshift - self.dshift) * self.eta
         # the nonzero coefficients, ascending; int / int rounds correctly,
         # so each is float() of its rational
         nterms, dterms = num.terms(), den.terms()
@@ -289,13 +295,17 @@ class _IntegrandEvaluator:
         self.series = _series_divide(nser, dser, self.SERIES_ORDER)
         self.float_series = [complex(c) * self.eta ** r
                              for r, c in enumerate(self.series)]
-        # per refinement level: t, wgt, ratio, b and the index of ratio[0]
+        # the w-free factors of series_coeffs: m! and a (-1)^m / m!
+        self.fact = [float(math.factorial(m)) for m in range(self.SERIES_ORDER + 1)]
+        self.ref_series = [self.a * ((-1.0) ** m / f) for m, f in enumerate(self.fact)]
+        # per refinement level: t, wgt, t as a list, ratio, b, the index of
+        # ratio[0] and the node count of each s_hi seen
         empty = np.empty(0)
-        self._levels = [(empty, empty, empty, empty, 0)] * (_DE_MAX_LEVEL + 1)
-
-    def scale_hint(self) -> float:
-        m = max(abs(self.nshift), abs(self.dshift), 1.0)
-        return m * self.eta
+        self._levels = [(empty, empty, [], empty, empty, 0, {})
+                        for _ in range(_DE_MAX_LEVEL + 1)]
+        # the offset level at which the last point stopped: the next point
+        # takes the levels up to it in its first pass, the first point 0-3
+        self.depth = 3
 
     def level(self, j: int, s_hi: float, reach: float):
         """Refinement level j (0 the base grid, j >= 1 the offset grid of step
@@ -304,22 +314,27 @@ class _IntegrandEvaluator:
         take the series, and R(zeta(t)) and a e^{-t} at the rest.
 
         None of it depends on w, so each level keeps its nodes for the
-        largest s_hi asked so far and ratio and b for the nodes from the
-        smallest series cutoff asked so far; arange fills start + i*step, so
-        a longer level extends a shorter one, and a point computes R only at
+        largest s_hi asked so far, the node count of every s_hi asked, and
+        ratio and b for the nodes from the smallest series cutoff asked so
+        far.  arange runs only for a new s_hi; it fills start + i*step, so a
+        longer level extends a shorter one, and a point computes R only at
         nodes no earlier point had and none it sends to the series."""
         import numpy as np
-        h = 0.5 ** max(j, 1)
-        if j:
-            s = np.arange(_DE_S_LO + h / 2.0, s_hi, h)
-        else:
-            s = np.arange(_DE_S_LO, s_hi + h / 2.0, h)
-        t, wgt, ratio, b, first = self._levels[j]
-        m, known = len(s), len(t)
-        if m > known:
-            t = np.exp(0.5 * math.pi * np.sinh(s))
-            wgt = 0.5 * math.pi * np.cosh(s) * t
-        n = int((t[:m] * reach).searchsorted(0.01))
+        t, wgt, nodes, ratio, b, first, counts = self._levels[j]
+        known = len(t)
+        m = counts.get(s_hi)
+        if m is None:
+            h = 0.5 ** max(j, 1)
+            if j:
+                s = np.arange(_DE_S_LO + h / 2.0, s_hi, h)
+            else:
+                s = np.arange(_DE_S_LO, s_hi + h / 2.0, h)
+            m = counts[s_hi] = len(s)
+            if m > known:
+                t = np.exp(0.5 * math.pi * np.sinh(s))
+                wgt = 0.5 * math.pi * np.cosh(s) * t
+                nodes = t.tolist()
+        n = _series_cutoff(nodes, m, reach)
         if n > known:  # the level's first point: nothing stored reaches it
             ratio, b, first = ratio[:0], b[:0], n
             known = n
@@ -328,27 +343,33 @@ class _IntegrandEvaluator:
             ratio = np.concatenate((r0, ratio, r1))
             b = np.concatenate((b0, b, b1))
             first = min(first, n)
-        self._levels[j] = t, wgt, ratio, b, first
+        self._levels[j] = t, wgt, nodes, ratio, b, first, counts
         return t[:m], wgt[:m], n, ratio[n - first:m - first], b[n - first:m - first]
 
     def values(self, levels, w: complex, s_hi: float,
-               coeffs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+               coeffs: list[complex]) -> list[tuple[np.ndarray, np.ndarray]]:
         """(integrand values, weights) of each of the levels at the strip
         point w, with series_coeffs(w) given: one exp over all their far
         nodes and one Horner over all their series nodes."""
         import numpy as np
-        reach = abs(w) + self.scale_hint() + 1.0
+        reach = abs(w) + self.scale_hint + 1.0
         got = [self.level(j, s_hi, reach) for j in levels]
-        tt = np.concatenate([t[n:] for t, _, n, _, _ in got])
-        rate = (self.nshift - self.dshift) * self.eta - 1j * w
-        far = (np.concatenate([g[3] for g in got]) * np.exp(rate * tt)
-               - np.concatenate([g[4] for g in got])) / tt
-        # h(t) by Horner; the constant term cancels exactly, so the series
-        # starts at coeffs[1]
-        tt = np.concatenate([t[:n] for t, _, n, _, _ in got])
-        near = np.zeros(tt.shape, dtype=complex)
-        for r in range(self.SERIES_ORDER, 0, -1):
-            near = near * tt + coeffs[r]
+        if len(got) == 1:
+            t, _, n, ratio, b = got[0]
+            tt, tn = t[n:], t[:n]
+        else:
+            tt = np.concatenate([t[n:] for t, _, n, _, _ in got])
+            tn = np.concatenate([t[:n] for t, _, n, _, _ in got])
+            ratio = np.concatenate([g[3] for g in got])
+            b = np.concatenate([g[4] for g in got])
+        far = (ratio * np.exp((self.base_rate - 1j * w) * tt) - b) / tt
+        # h(t) by Horner, in place, the nodes cast to complex once rather
+        # than in each product; the constant term cancels exactly, so the
+        # series starts at coeffs[1]
+        near, tn = np.zeros(tn.shape, dtype=complex), tn.astype(complex)
+        for c in coeffs[:0:-1]:
+            near *= tn
+            near += c
         out, i, k = [], 0, 0
         for t, wgt, n, _, _ in got:
             m = len(t)
@@ -364,24 +385,32 @@ class _IntegrandEvaluator:
         denv = (self.dcoef[None, :] * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
         return numv / denv, self.a * np.exp(-t)
 
-    def series_coeffs(self, w: complex) -> np.ndarray:
+    def series_coeffs(self, w: complex) -> list[complex]:
         """Taylor coefficients of R(zeta(t)) e^{-iwt} - a e^{-t} in powers of
         t, whose quotient by t is the integrand h(t) near the origin."""
-        import numpy as np
         n = self.SERIES_ORDER
         g = self.float_series
+        x = -1j * w
         # summed as Python complexes, the same floats as in an array
         coeffs = [0j] * (n + 1)
-        fact = 1.0
-        for m in range(n + 1):
-            if m:
-                fact *= m
-            em = (-1j * w) ** m / fact
-            am = (-1.0) ** m / fact
+        for m, (fact, ref) in enumerate(zip(self.fact, self.ref_series)):
+            em = x ** m / fact
             for r in range(n + 1 - m):
                 coeffs[r + m] += g[r] * em
-            coeffs[m] -= self.a * am
-        return np.array(coeffs, dtype=complex)
+            coeffs[m] -= ref
+        return coeffs
+
+
+def _series_cutoff(nodes: list[float], m: int, reach: float) -> int:
+    """The first i < m with nodes[i] * reach >= 0.01, else m: the index
+    searchsorted(t[:m] * reach, 0.01) gives, the same float products taken
+    in Python.  bisect guesses it; the products either side fix it."""
+    i = bisect_left(nodes, 0.01 / reach, 0, m)
+    while i < m and nodes[i] * reach < 0.01:
+        i += 1
+    while i and nodes[i - 1] * reach >= 0.01:
+        i -= 1
+    return i
 
 
 def _series_divide(nser: list[Fraction], dser: list[Fraction],
@@ -436,8 +465,6 @@ def contract(f: ModeFunction, g: ModeFunction, K: Kernel,
 
 _DE_MAX_LEVEL = 8  # offset levels after the base grid: at most 2,978-3,648
 # nodes in all (decay 10 down to 1e-3), each evaluated once
-_DE_BATCH = 3  # offset levels evaluated with the base grid in one pass: at
-# the benchmark's strip points every evaluation reaches at least the third
 _DE_TOL = 1e-10  # error estimate at which refinement stops
 _DE_S_LO = -math.asinh(2.0 * 42.0 / math.pi)  # t ~ e^{-42}, weight kills the rest
 
@@ -461,21 +488,23 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams) -> com
     t_max = 60.0 / min(decay, 1.0) if decay < 1.0 else 60.0 / decay + 10.0
     s_hi = math.asinh(max(2.0 * math.log(t_max) / math.pi, 1.0)) + 0.5
 
-    # each level is summed over its own nodes in its own order, so every
-    # partial sum, and with it the stopping level, is the same float as
-    # with one pass per level
+    # the first pass takes the levels up to the one at which the integrand's
+    # previous point stopped, the rest come one pass each; each level is
+    # summed over its own nodes in its own order, so every partial sum, and
+    # with it the stopping level, is the same float however the passes fall
     h = 0.5
-    batch = ev.values(range(_DE_BATCH + 1), w, s_hi, coeffs)
+    batch = ev.values(range(ev.depth + 1), w, s_hi, coeffs)
     total = (batch[0][0] * batch[0][1]).sum() * h
     prev = None
     for level in range(1, _DE_MAX_LEVEL + 1):
-        f, wgt = (batch[level] if level <= _DE_BATCH
+        f, wgt = (batch[level] if level < len(batch)
                   else ev.values([level], w, s_hi, coeffs)[0])
         mid = (f * wgt).sum() * h
         new = 0.5 * (total + mid)
         h *= 0.5
         err = abs(new - total)
         prev, total = total, new
+        ev.depth = level
         if err <= max(_DE_TOL * 0.1, 1e-14 * (1.0 + abs(new))):
             return complex(total)
     if abs(total - prev) > _DE_TOL * (1.0 + abs(total)):

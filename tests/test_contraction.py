@@ -482,7 +482,7 @@ def _reference_quad_eval(I, w, params, tol=1e-10):
         return out
 
     def integrand(t, w):
-        small = t * (abs(w) + ev.scale_hint() + 1.0) < 0.01
+        small = t * (abs(w) + ev.scale_hint + 1.0) < 0.01
         out = np.empty(t.shape, dtype=complex)
         if np.any(~small):
             tt = t[~small]
@@ -579,7 +579,7 @@ def _assert_levels_match_the_reference(I, w, params, reference, label):
     t_max = 60.0 / min(decay, 1.0) if decay < 1.0 else 60.0 / decay + 10.0
     s_hi = math.asinh(max(2.0 * math.log(t_max) / math.pi, 1.0)) + 0.5
     s_lo = -math.asinh(2.0 * 42.0 / math.pi)
-    reach = abs(w) + ev.scale_hint() + 1.0
+    reach = abs(w) + ev.scale_hint + 1.0
     got = ev.values(range(9), w, s_hi, ev.series_coeffs(w))
     for j, (f, wgt) in enumerate(got):
         h = 0.5 ** max(j, 1)
@@ -701,7 +701,7 @@ def test_quadrature_computes_each_far_node_once_per_integrand(monkeypatch):
         assert quad_eval(I, w, params) == _reference_quad_eval(I, w, params)[0], w
         new = np.concatenate(computed)
         # R is never taken at a node this point sends to the series
-        assert new.min() * (abs(w) + ev.scale_hint() + 1.0) >= 0.01, w
+        assert new.min() * (abs(w) + ev.scale_hint + 1.0) >= 0.01, w
         if seen:
             below += new.min() < lo
             above += new.max() > hi
@@ -746,6 +746,122 @@ def test_quadrature_values_do_not_depend_on_the_point_order():
         for order in (points, points[::-1], shuffled):
             got = _values(ContractionIntegrand(I.lattice, I.rational), order, params)
             assert got == fresh, (label, order)
+
+
+def _level_nodes(j, s_hi):
+    """The nodes of refinement level j up to s_hi, as quad_eval builds them."""
+    import numpy as np
+    s_lo = -math.asinh(2.0 * 42.0 / math.pi)
+    h = 0.5 ** max(j, 1)
+    s = np.arange(s_lo + h / 2.0, s_hi, h) if j else np.arange(s_lo, s_hi + h / 2.0, h)
+    return np.exp(0.5 * math.pi * np.sinh(s))
+
+
+def _landing_reaches(nodes, start, target):
+    """target / nodes[i] and the reaches up to three ulps either side, for the
+    first i from start on (cyclically) at which one of them puts
+    nodes[i] * reach exactly on target."""
+    for k in range(len(nodes)):
+        i = (start + k) % len(nodes)
+        r = target / nodes[i]
+        reaches = [r]
+        for toward in (-math.inf, math.inf):
+            x = r
+            for _ in range(3):
+                x = math.nextafter(x, toward)
+                reaches.append(x)
+        if any(nodes[i] * x == target for x in reaches):
+            return reaches
+    raise AssertionError(f"no reach lands a node on {target!r}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(1.2, 4.0), st.floats(1.0, 1e4), st.floats(0.0, 1.0),
+       st.integers(0, 10 ** 4), st.sampled_from([-1, 0, 1]))
+def test_series_cutoff_is_the_searchsorted_index(s_hi, reach, prefix, pick, ulps):
+    from coset_forge.contraction import _series_cutoff
+    # 0.01 itself or the float one ulp below or above it
+    target = math.nextafter(0.01, ulps * math.inf) if ulps else 0.01
+    for j in range(9):
+        t = _level_nodes(j, s_hi)
+        nodes = t.tolist()
+        reaches = [reach] + _landing_reaches(nodes, pick % len(nodes), target)
+        for m in {len(t), round(prefix * len(t))}:
+            for x in reaches:
+                want = int((t[:m] * x).searchsorted(0.01))
+                assert _series_cutoff(nodes, m, x) == want, (j, m, x)
+
+
+def test_quadrature_value_does_not_depend_on_the_depth_before():
+    checked = 0
+    for label, I, params in _quadrature_cases():
+        if I.is_zero():
+            continue
+        bound = max(0.0, I.strip_bound(params.hbar_float))
+        capped, shallow = complex(3.0, -(bound + 1e-3)), complex(0.0, -(bound + 20.0))
+        fresh = ContractionIntegrand(I.lattice, I.rational)
+        ev = fresh.evaluator(params.hbar_float)
+        _values(fresh, [capped], params)
+        depths = [ev.depth]
+        _values(fresh, [shallow], params)
+        depths.append(ev.depth)
+        # the first point reached the node cap, the second stopped by level 3
+        if depths[0] != 8 or depths[1] > 3:
+            continue
+        checked += 1
+        for w in (complex(x, -(bound + gap)) for x in (-3.0, 0.5, 9.0)
+                  for gap in (0.02, 0.4, 2.0, 30.0)):
+            got = []
+            # right after the node cap, right after a shallow point, and on
+            # a fresh integrand
+            for before in (capped, shallow, None):
+                J = ContractionIntegrand(I.lattice, I.rational)
+                got.append(_values(J, [before, w] if before else [w], params)[w])
+            assert got[0] == got[1] == got[2], (label, w)
+    assert checked >= 8
+
+
+def test_quadrature_skips_known_node_counts_and_extra_passes(monkeypatch):
+    import numpy as np
+    from coset_forge import contraction
+
+    aranges, passes = [], []
+    arange = np.arange
+
+    def counted_arange(*args, **kwargs):
+        aranges.append(args)
+        return arange(*args, **kwargs)
+
+    values = contraction._IntegrandEvaluator.values
+
+    def counted_values(self, levels, *args):
+        passes.append(list(levels))
+        return values(self, levels, *args)
+
+    monkeypatch.setattr(np, "arange", counted_arange)
+    monkeypatch.setattr(contraction._IntegrandEvaluator, "values", counted_values)
+    cases = {label: (I, params) for label, I, params in _quadrature_cases()}
+    I, params = cases["B_plus[0].beta_minus[0].bhat@2,1"]
+    I = ContractionIntegrand(I.lattice, I.rational)
+    ev = I.evaluator(params.hbar_float)
+    bound = max(0.0, I.strip_bound(params.hbar_float))
+    # the benchmark's strip points at k = 2: five gaps, so five s_hi
+    points = [complex(-4.0 + 8.0 * j / 19, -(bound + 0.6 + 0.18 * (j % 5)))
+              for j in range(20)]
+    seen, deeper, shallower = set(), 0, 0
+    for w in points:
+        del aranges[:], passes[:]
+        depth = ev.depth
+        quad_eval(I, w, params)
+        # arange runs only for an s_hi the integrand has not had
+        assert bool(aranges) == (w.imag not in seen), w
+        seen.add(w.imag)
+        # one pass up to the previous point's stop level, then one per level
+        assert passes == ([list(range(depth + 1))]
+                          + [[j] for j in range(depth + 1, ev.depth + 1)]), w
+        deeper += ev.depth > depth
+        shallower += ev.depth <= depth
+    assert deeper and shallower >= 10, (deeper, shallower)
 
 
 # ---------------------------------------------------------------------------
