@@ -40,9 +40,9 @@ from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _raw,
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
 from .specfun import log_gamma
 
-# numpy is imported inside _IntegrandEvaluator, its only user here: its
-# import is about half of start-up, and the verify path never runs
-# quadrature.
+# numpy is imported inside _IntegrandEvaluator and _node_table, its only
+# users here: its import is about half of start-up, and the verify path
+# never runs quadrature.
 
 __all__ = [
     "StructureFunction", "ContractionIntegrand", "contract", "quad_eval",
@@ -267,7 +267,19 @@ class ContractionIntegrand:
 
 
 class _IntegrandEvaluator:
-    """Vectorized numeric evaluation of the regularized integrand."""
+    """Numeric evaluation of the regularized integrand h, one refinement
+    level sum at a time.
+
+    A level with m nodes and series cutoff n sums
+
+        sum_i wgt_i h(t_i) = sum_{r=1..10} c_r(w) M_{r-1}[n]
+                             + A[n:m] . exp((base_rate - iw) t[n:m])
+                             - a sum G[n:m]
+
+    with c_r(w) the series coefficients and three w-free inputs: the weight
+    moments M and G = wgt e^{-t}/t of the level's node table, which every
+    integrand shares, and A = wgt R(zeta(t))/t at the far nodes, kept here.
+    """
 
     SERIES_ORDER = 10
 
@@ -288,117 +300,69 @@ class _IntegrandEvaluator:
         self.ncoef = np.array([c / num.q for _, c in nterms], dtype=complex)
         self.dexp = np.array([e - self.dshift for e, _ in dterms], dtype=float)
         self.dcoef = np.array([c / den.q for _, c in dterms], dtype=complex)
-        # exact Taylor coefficients of R(zeta(t)) in powers of (eta t),
-        # and their float values g_r = c_r eta^r, converted once here
-        nser = num.taylor_at_one(self.SERIES_ORDER + 4)
-        dser = den.taylor_at_one(self.SERIES_ORDER + 4)
-        self.series = _series_divide(nser, dser, self.SERIES_ORDER)
+        # Taylor coefficients of R(zeta(t)) in powers of (eta t), each the
+        # float of its exact value, and g_r = c_r eta^r in powers of t
+        self.series = _series_quotient(nterms, num.q, dterms, den.q, self.SERIES_ORDER)
         self.float_series = [complex(c) * self.eta ** r
                              for r, c in enumerate(self.series)]
         # the w-free factors of series_coeffs: m! and a (-1)^m / m!
         self.fact = [float(math.factorial(m)) for m in range(self.SERIES_ORDER + 1)]
-        self.ref_series = [self.a * ((-1.0) ** m / f) for m, f in enumerate(self.fact)]
-        # per refinement level: t, wgt, t as a list, ratio, b, the index of
-        # ratio[0] and the node count of each s_hi seen
-        empty = np.empty(0)
-        self._levels = [(empty, empty, [], empty, empty, 0, {})
-                        for _ in range(_DE_MAX_LEVEL + 1)]
-        # the offset level at which the last point stopped: the next point
-        # takes the levels up to it in its first pass, the first point 0-3
-        self.depth = 3
+        self.ref_series = np.array([self.a * ((-1.0) ** m / f)
+                                    for m, f in enumerate(self.fact)])
+        # per refinement level: A and the node index of its first entry
+        self._weights = [(np.empty(0, dtype=complex), 0)
+                         for _ in range(_DE_MAX_LEVEL + 1)]
 
-    def level(self, j: int, s_hi: float, reach: float):
-        """Refinement level j (0 the base grid, j >= 1 the offset grid of step
-        2^-j) up to the upper node cutoff s_hi, as (t, wgt, n, ratio, b):
-        ascending nodes and weights, the n nodes with t * reach < 0.01 that
-        take the series, and R(zeta(t)) and a e^{-t} at the rest.
-
-        None of it depends on w, so each level keeps its nodes for the
-        largest s_hi asked so far, the node count of every s_hi asked, and
-        ratio and b for the nodes from the smallest series cutoff asked so
-        far.  arange runs only for a new s_hi; it fills start + i*step, so a
-        longer level extends a shorter one, and a point computes R only at
-        nodes no earlier point had and none it sends to the series."""
-        import numpy as np
-        t, wgt, nodes, ratio, b, first, counts = self._levels[j]
-        known = len(t)
-        m = counts.get(s_hi)
-        if m is None:
-            h = 0.5 ** max(j, 1)
-            if j:
-                s = np.arange(_DE_S_LO + h / 2.0, s_hi, h)
-            else:
-                s = np.arange(_DE_S_LO, s_hi + h / 2.0, h)
-            m = counts[s_hi] = len(s)
-            if m > known:
-                t = np.exp(0.5 * math.pi * np.sinh(s))
-                wgt = 0.5 * math.pi * np.cosh(s) * t
-                nodes = t.tolist()
-        n = _series_cutoff(nodes, m, reach)
-        if n > known:  # the level's first point: nothing stored reaches it
-            ratio, b, first = ratio[:0], b[:0], n
-            known = n
-        if n < first or m > known:
-            (r0, b0), (r1, b1) = self._far(t[n:first]), self._far(t[known:m])
-            ratio = np.concatenate((r0, ratio, r1))
-            b = np.concatenate((b0, b, b1))
-            first = min(first, n)
-        self._levels[j] = t, wgt, nodes, ratio, b, first, counts
-        return t[:m], wgt[:m], n, ratio[n - first:m - first], b[n - first:m - first]
-
-    def values(self, levels, w: complex, s_hi: float,
-               coeffs: list[complex]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(integrand values, weights) of each of the levels at the strip
-        point w, with series_coeffs(w) given: one exp over all their far
-        nodes and one Horner over all their series nodes."""
+    def level_sums(self, w: complex, s_hi: float):
+        """sum_i wgt_i h(t_i) over each refinement level in turn, the base
+        grid first, up to the upper node cutoff s_hi at the strip point w."""
         import numpy as np
         reach = abs(w) + self.scale_hint + 1.0
-        got = [self.level(j, s_hi, reach) for j in levels]
-        if len(got) == 1:
-            t, _, n, ratio, b = got[0]
-            tt, tn = t[n:], t[:n]
-        else:
-            tt = np.concatenate([t[n:] for t, _, n, _, _ in got])
-            tn = np.concatenate([t[:n] for t, _, n, _, _ in got])
-            ratio = np.concatenate([g[3] for g in got])
-            b = np.concatenate([g[4] for g in got])
-        far = (ratio * np.exp((self.base_rate - 1j * w) * tt) - b) / tt
-        # h(t) by Horner, in place, the nodes cast to complex once rather
-        # than in each product; the constant term cancels exactly, so the
-        # series starts at coeffs[1]
-        near, tn = np.zeros(tn.shape, dtype=complex), tn.astype(complex)
-        for c in coeffs[:0:-1]:
-            near *= tn
-            near += c
-        out, i, k = [], 0, 0
-        for t, wgt, n, _, _ in got:
-            m = len(t)
-            out.append((np.concatenate((near[i:i + n], far[k:k + m - n])), wgt))
-            i, k = i + n, k + m - n
-        return out
+        rate = self.base_rate - 1j * w
+        # once for all levels; the constant term cancels exactly
+        c = self.series_coeffs(w)[1:]
+        for j in range(_DE_MAX_LEVEL + 1):
+            (t, wgt, nodes, _, moments, g), m = _node_table(j, s_hi)
+            n = _series_cutoff(nodes, m, reach)
+            far = self._far_weights(j, t, wgt, n, m)
+            yield (moments[n].dot(c) + far.dot(np.exp(rate * t[n:m]))
+                   - self.a * g[n:m].sum())
 
-    def _far(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """R(zeta(t)) and a e^{-t} at nodes t away from the origin."""
+    def _far_weights(self, j: int, t: np.ndarray, wgt: np.ndarray, n: int,
+                     m: int) -> np.ndarray:
+        """A at the nodes n..m-1 of level j.  Each level keeps A from the
+        smallest series cutoff to the largest node count asked so far, so a
+        point computes R only at nodes no earlier point had and none it
+        sends to the series."""
+        import numpy as np
+        A, first = self._weights[j]
+        known = first + len(A)
+        if not len(A):  # the level's first point
+            first = known = n
+        if n < first or m > known:
+            A = np.concatenate((self._far(t[n:first], wgt[n:first]), A,
+                                self._far(t[known:m], wgt[known:m])))
+            first = min(first, n)
+            self._weights[j] = A, first
+        return A[n - first:m - first]
+
+    def _far(self, t: np.ndarray, wgt: np.ndarray) -> np.ndarray:
+        """wgt R(zeta(t)) / t at nodes t away from the origin."""
         import numpy as np
         lz = self.eta * t
         numv = (self.ncoef[None, :] * np.exp(np.outer(lz, self.nexp))).sum(axis=1)
         denv = (self.dcoef[None, :] * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
-        return numv / denv, self.a * np.exp(-t)
+        return wgt * (numv / denv) / t
 
-    def series_coeffs(self, w: complex) -> list[complex]:
+    def series_coeffs(self, w: complex) -> np.ndarray:
         """Taylor coefficients of R(zeta(t)) e^{-iwt} - a e^{-t} in powers of
-        t, whose quotient by t is the integrand h(t) near the origin."""
-        n = self.SERIES_ORDER
-        g = self.float_series
+        t, whose quotient by t is the integrand h(t) near the origin: the
+        product of the series of R(zeta(t)) and e^{-iwt}, less that of
+        a e^{-t}."""
+        import numpy as np
         x = -1j * w
-        # summed as Python complexes, the same floats as in an array
-        coeffs = [0j] * (n + 1)
-        for m, (fact, ref) in enumerate(zip(self.fact, self.ref_series)):
-            em = x ** m / fact
-            for r in range(n + 1 - m):
-                coeffs[r + m] += g[r] * em
-            coeffs[m] -= ref
-        return coeffs
+        em = [x ** m / f for m, f in enumerate(self.fact)]
+        return np.convolve(self.float_series, em)[:self.SERIES_ORDER + 1] - self.ref_series
 
 
 def _series_cutoff(nodes: list[float], m: int, reach: float) -> int:
@@ -413,23 +377,36 @@ def _series_cutoff(nodes: list[float], m: int, reach: float) -> int:
     return i
 
 
-def _series_divide(nser: list[Fraction], dser: list[Fraction],
-                   order: int) -> list[Fraction]:
-    """Series quotient q with nser = dser * q, allowing a common leading zero."""
-    lead = 0
-    while lead < len(dser) and not dser[lead]:
-        if nser[lead]:
-            raise IllPosedContraction("integrand pole at t=0 beyond 1/t")
-        lead += 1
-    d = dser[lead:]
-    nn = nser[lead:]
-    q: list[Fraction] = []
+def _series_quotient(nterms: list[tuple[int, int]], qn: int,
+                     dterms: list[tuple[int, int]], qd: int, order: int) -> list[float]:
+    """The Taylor coefficients Q_0..Q_order of num(e^s) / den(e^s) in s,
+    each the float of its exact value, from integers alone: num has the
+    terms (m, c_m) over the denominator qn, and den the terms (m, d_m)
+    over qd.
+
+    With F_r = order!/r!, alpha_r = F_r sum_m c_m m^r and beta_r =
+    F_r sum_m d_m m^r, the series division runs over one common
+    denominator: Q_r = gamma_r / (qn beta_0^(r+1)) with gamma_r =
+    alpha_r qd beta_0^r - sum_{j=1..r} beta_j gamma_{r-j} beta_0^(j-1),
+    and int / int rounds correctly.  beta_0 is not 0: a contraction
+    integrand has no pole at zeta = 1 (limit_at_one)."""
+    def power_sums(terms: list[tuple[int, int]]) -> list[int]:
+        exps, v = zip(*terms)
+        out = []
+        for r in range(order + 1):
+            out.append(math.factorial(order) // math.factorial(r) * sum(v))
+            v = [x * e for x, e in zip(v, exps)]
+        return out
+
+    alpha, beta = power_sums(nterms), power_sums(dterms)
+    b0 = beta[0]
+    gamma: list[int] = []
     for r in range(order + 1):
-        acc = nn[r] if r < len(nn) else Fraction(0)
-        for j in range(1, min(r, len(d) - 1) + 1):
-            acc = acc - d[j] * q[r - j]
-        q.append(acc / d[0])
-    return q
+        acc = alpha[r] * qd * b0 ** r
+        for j in range(1, r + 1):
+            acc -= beta[j] * gamma[r - j] * b0 ** (j - 1)
+        gamma.append(acc)
+    return [g / (qn * b0 ** (r + 1)) for r, g in enumerate(gamma)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +444,47 @@ _DE_MAX_LEVEL = 8  # offset levels after the base grid: at most 2,978-3,648
 # nodes in all (decay 10 down to 1e-3), each evaluated once
 _DE_TOL = 1e-10  # error estimate at which refinement stops
 _DE_S_LO = -math.asinh(2.0 * 42.0 / math.pi)  # t ~ e^{-42}, weight kills the rest
+# per refinement level, shared by every integrand: the table _node_table builds
+_TABLES: list = [None] * (_DE_MAX_LEVEL + 1)
+
+
+def _node_table(j: int, s_hi: float):
+    """Refinement level j (0 the base grid, j >= 1 the offset grid of step
+    2^-j) as its node table and the node count m up to the upper cutoff
+    s_hi.  The table is (t, wgt, nodes, counts, M, G): ascending nodes and
+    weights up to the largest s_hi asked so far, t as a list, the node count
+    of each s_hi asked, M[n][r] = sum_{i<n} wgt_i t_i^r over the nodes
+    t < 0.01, the only ones a series cutoff can take (reach >= 1), and
+    G = wgt e^{-t}/t.
+
+    It depends on nothing but j.  arange runs only for a new s_hi; it fills
+    start + i*step and cumsum adds in order, so a longer table extends a
+    shorter one exactly."""
+    import numpy as np
+    table = _TABLES[j]
+    counts = table[3] if table else {}
+    m = counts.get(s_hi)
+    if m is None:
+        h = 0.5 ** max(j, 1)
+        if j:
+            s = np.arange(_DE_S_LO + h / 2.0, s_hi, h)
+        else:
+            s = np.arange(_DE_S_LO, s_hi + h / 2.0, h)
+        m = len(s)
+        if table is None or m > len(table[0]):
+            t = np.exp(0.5 * math.pi * np.sinh(s))
+            wgt = 0.5 * math.pi * np.cosh(s) * t
+            k = int(t.searchsorted(0.01))
+            powers = np.vander(t[:k], _IntegrandEvaluator.SERIES_ORDER, increasing=True)
+            # complex, as the series coefficients they meet are
+            moments = np.zeros((k + 1, powers.shape[1]), dtype=complex)
+            np.cumsum(wgt[:k, None] * powers, axis=0, out=moments[1:])
+            table = _TABLES[j] = (t, wgt, t.tolist(), counts, moments,
+                                  wgt * np.exp(-t) / t)
+        if len(counts) >= 1024:  # bounded: a forgotten s_hi costs an arange
+            counts.clear()
+        counts[s_hi] = m
+    return table, m
 
 
 def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams) -> complex:
@@ -481,30 +499,20 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams) -> com
     decay = -(w.imag + bound)
     if decay <= 0:
         raise OutsideConvergenceStrip(w, -bound)
-    ev = I.evaluator(hbar)
-    coeffs = ev.series_coeffs(w)  # once for all levels
 
     # node range: t = exp(pi/2 sinh(s)); cover until e^{-decay t} is negligible
     t_max = 60.0 / min(decay, 1.0) if decay < 1.0 else 60.0 / decay + 10.0
     s_hi = math.asinh(max(2.0 * math.log(t_max) / math.pi, 1.0)) + 0.5
 
-    # the first pass takes the levels up to the one at which the integrand's
-    # previous point stopped, the rest come one pass each; each level is
-    # summed over its own nodes in its own order, so every partial sum, and
-    # with it the stopping level, is the same float however the passes fall
+    sums = I.evaluator(hbar).level_sums(w, s_hi)
     h = 0.5
-    batch = ev.values(range(ev.depth + 1), w, s_hi, coeffs)
-    total = (batch[0][0] * batch[0][1]).sum() * h
+    total = next(sums) * h
     prev = None
-    for level in range(1, _DE_MAX_LEVEL + 1):
-        f, wgt = (batch[level] if level < len(batch)
-                  else ev.values([level], w, s_hi, coeffs)[0])
-        mid = (f * wgt).sum() * h
-        new = 0.5 * (total + mid)
+    for mid in sums:
+        new = 0.5 * (total + mid * h)
         h *= 0.5
         err = abs(new - total)
         prev, total = total, new
-        ev.depth = level
         if err <= max(_DE_TOL * 0.1, 1e-14 * (1.0 + abs(new))):
             return complex(total)
     if abs(total - prev) > _DE_TOL * (1.0 + abs(total)):

@@ -24,7 +24,8 @@ from fractions import Fraction
 from .algebra import (DEFAULT_TOLERANCE, Catalog, Current, NormalOrderedTerm,
                       Relation)
 from .contraction import StructureFunction, gamma_key, linear_key
-from .errors import DuplicateName, ExcludedLevel, ParseError, UndeclaredName
+from .errors import (DuplicateName, ExcludedLevel, InvalidOption, ParseError,
+                     UndeclaredName)
 from .exact import GR, GR_I, ExactConst, KRat, merge
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, shift_argument
 
@@ -243,16 +244,17 @@ class DefinitionFile:
         commutator-delta specifications."""
         kval = k_override if k_override is not None else self.k
         at = _binder(kval)
+        for h in hbar_override or ():
+            if h <= 0:
+                raise InvalidOption(f"hbar override {h} is not positive")
         hbars = (hbar_override if hbar_override is not None
                  else [at(h) for h in self.hbars]) or [_ONE]
         for h in self.hbars if hbar_override is None else ():
             if at(h) <= 0:
                 raise ExcludedLevel(f"params: hbar ({h!r}) is not positive "
                                     f"at k={kval}")
+        # AlgebraParams holds the first; the report lists them all
         params = AlgebraParams(kval, hbars[0])
-        # AlgebraParams holds and checks the first; the report lists them all
-        if any(h <= 0 for h in hbars):
-            raise ValueError("hbar must be positive")
         cat = Catalog(params)
         for kd in self.kernels:
             slope = at(kd.slope)

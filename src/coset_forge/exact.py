@@ -316,21 +316,6 @@ class LaurentPoly:
         ascending."""
         return [(self.lo + j, c) for j, c in enumerate(self.coeffs) if c]
 
-    def taylor_at_one(self, order: int) -> list[Fraction]:
-        """Coefficients of sum_m c_m e^{m s} expanded in s up to s^order.
-
-        Used for exact small-argument expansions: coefficient r is
-        (1/r!) sum_m c_m m^r.
-        """
-        terms = self.terms()
-        out = []
-        fact = 1
-        for r in range(order + 1):
-            if r:
-                fact *= r
-            out.append(Fraction(sum(c * e ** r for e, c in terms), self.q * fact))
-        return out
-
     def __eq__(self, other):
         if type(other) is not LaurentPoly:
             return NotImplemented

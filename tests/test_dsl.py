@@ -13,8 +13,8 @@ from coset_forge import dsl
 from coset_forge.contraction import StructureFunction
 from coset_forge.dsl import parse_definitions
 from coset_forge.exact import GR, GR_I, ExactConst, KRat
-from coset_forge.errors import (DuplicateName, ExcludedLevel, ParseError,
-                                UndeclaredName, VanishingDenominator)
+from coset_forge.errors import (DuplicateName, ExcludedLevel, InvalidOption,
+                                ParseError, UndeclaredName, VanishingDenominator)
 
 REFERENCE = Path(__file__).parent / "data" / "reference_catalog.json"
 
@@ -173,6 +173,16 @@ def test_bind_overrides():
     assert cat.kernels["lhat"].slope_b == Fraction(9, 4)
     assert cat.kernels["q"].sign == -1
     assert cat.kernels["q"].slope_b == Fraction(25, 4) - Fraction(15, 4)
+
+
+def test_bind_refuses_a_non_positive_hbar_override():
+    # every override value is checked, the first and any later one, before
+    # AlgebraParams sees the first
+    df = parse_definitions(shipped_text())
+    for hbars, bad in (([Fraction(0)], "0"), ([Fraction(1), Fraction(-1)], "-1"),
+                       ([Fraction(-1, 2), Fraction(1)], "-1/2")):
+        with pytest.raises(InvalidOption, match=f"^hbar override {bad} is not positive$"):
+            df.bind(Fraction(2), hbars)
 
 
 def test_hbar_list_parsed():

@@ -105,18 +105,6 @@ def test_limit_at_one():
         LaurentRational(dense({1: GR_ONE}), {1: 1, 2: 1}).limit_at_one()
 
 
-def test_taylor_at_one():
-    # z + z^-1 = 2 + s^2 + O(s^4) with z = e^s
-    p = dense({1: GR_ONE, -1: GR_ONE})
-    assert p.taylor_at_one(4)[:3] == [2, 0, 1]
-    # coefficients over a common denominator: (1/r!) sum_m c_m m^r
-    coeffs = {-2: Fraction(1, 3), 0: Fraction(2), 3: Fraction(-1, 2)}
-    fact = 1
-    for r, got in enumerate(dense({m: GR(v) for m, v in coeffs.items()}).taylor_at_one(6)):
-        fact *= max(r, 1)
-        assert got == sum(v * m ** r for m, v in coeffs.items()) / fact, r
-
-
 def test_exact_const_has_one_form():
     minus = ExactConst.one().times_base(GR(-1), 0, 1)
     assert not minus.is_one()
