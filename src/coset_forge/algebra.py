@@ -149,20 +149,21 @@ class Catalog:
 # ---------------------------------------------------------------------------
 # relations
 
-# the tolerance of a relation, and of a classical limit, that declares none
-DEFAULT_TOLERANCE = 1e-8
+# bounds the grid residual, the quadrature-only residual and the classical-
+# limit cross-check; the claims are exact, so no input may loosen it
+TOLERANCE = 1e-8
 
 
 class Relation:
     __slots__ = ("rel_id", "kind", "left_pair", "right_pair", "left_factor",
-                 "right_factor", "rotate", "tolerance")
+                 "right_factor", "rotate")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, rel_id: str, kind: str, left_pair: tuple[str, str],
                  right_pair: tuple[str, str],
                  left_factor: StructureFunction | None = None,
                  right_factor: StructureFunction | None = None,
-                 rotate: str = "none", tolerance: float = DEFAULT_TOLERANCE):
+                 rotate: str = "none"):
         _set(self, "rel_id", rel_id)
         _set(self, "kind", kind)    # "exchange" | "shape"
         _set(self, "left_pair", left_pair)
@@ -173,7 +174,6 @@ class Relation:
         _set(self, "right_factor", StructureFunction.one()
              if right_factor is None else right_factor)
         _set(self, "rotate", rotate)
-        _set(self, "tolerance", tolerance)
 
 
 class ClassicalBraid:
@@ -380,13 +380,12 @@ def verify_relation(cat: Catalog, rel: Relation,
     single term pair compares nothing, so the row fails as unverifiable.
     The grid defaults to default_grid(cat.params).
     """
-    tol = rel.tolerance
     a = cat[rel.left_pair[0]]
     b = cat[rel.left_pair[1]]
     try:
         factors = cat.pair_exchange(a, b, rotate=rel.rotate)
     except NonTelescoping:
-        return _verify_numeric_only(cat, rel, tol)
+        return _verify_numeric_only(cat, rel)
     hbar = cat.params.hbar_float
     if grid is None:
         grid = default_grid(cat.params)
@@ -408,7 +407,8 @@ def verify_relation(cat: Catalog, rel: Relation,
     report.symbolic_pass = all(sf.symbolic_eq(target) for sf in checked)
     report.residuals, report.max_rel_err, failed = _grid_check(
         checked, target, grid, hbar)
-    report.passed = report.symbolic_pass and report.max_rel_err <= tol and not failed
+    report.passed = (report.symbolic_pass and report.max_rel_err <= TOLERANCE
+                     and not failed)
     if failed:
         report.notes.append(f"{failed} of {len(grid)} grid points failed to evaluate")
     return report
@@ -417,8 +417,7 @@ def verify_relation(cat: Catalog, rel: Relation,
 # ---------------------------------------------------------------------------
 # E-F commutator pole and residue analysis
 
-def _verify_numeric_only(cat: Catalog, rel: Relation, tol: float
-                         ) -> VerificationReport:
+def _verify_numeric_only(cat: Catalog, rel: Relation) -> VerificationReport:
     """Pure-quadrature relation check for integrands whose series families do
     not reduce to Gamma factors.  Both orderings are integrated directly, so
     every grid point must lie in the intersection of the forward strip and
@@ -486,7 +485,7 @@ def _verify_numeric_only(cat: Catalog, rel: Relation, tol: float
         residuals.append(worst)
     report.residuals = residuals
     report.max_rel_err = max(residuals) if residuals else float("nan")
-    report.passed = bool(residuals) and report.max_rel_err <= tol
+    report.passed = bool(residuals) and report.max_rel_err <= TOLERANCE
     return report
 
 
@@ -767,8 +766,8 @@ def _classical_readout(sf: StructureFunction) -> tuple:
 
 
 def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBraid,
-                    hbar_sequence: list[Fraction], w: complex = 1.0 + 0.8j,
-                    tol: float = DEFAULT_TOLERANCE) -> VerificationReport:
+                    hbar_sequence: list[Fraction], w: complex = 1.0 + 0.8j
+                    ) -> VerificationReport:
     """Degeneration of the globally rotated exchange factor to the classical
     braiding phase [w/(-w)]^{2 a b/k} as hbar -> 0.
 
@@ -777,7 +776,7 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
     and the first non-zero power-law correction gives the exact order of
     convergence.  A numeric cross-check compares the factor with its limit
     times the correction series at the points _LIMIT_CHECK_W and one
-    moderate hbar, within `tol`.  The error against the braid at `w` along
+    moderate hbar, within TOLERANCE.  The error against the braid at `w` along
     `hbar_sequence` is reported as well.  Raises NonConvergent when the
     limit is not the braid or the cross-check fails.
     """
@@ -804,7 +803,7 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
     report = VerificationReport(f"limit[{a},{b};ab={braid.alpha*braid.beta}]",
                                 "classical-limit", False, None, max(check_errs))
     # a NaN can hide from max(), never from this comparison
-    bad = [e for e in check_errs if not e <= tol]
+    bad = [e for e in check_errs if not e <= TOLERANCE]
     report.limit_fit = {
         "exponent": exponent, "braid_exponent": braid.exponent,
         "x_power": power, "const_phase": phase, "order": order,
@@ -814,7 +813,7 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
     if bad:
         raise NonConvergent(
             f"the factor is {bad[0]:.3g} from its exact limit at "
-            f"hbar = {hbar_check:.6g}, above the tolerance {tol:g}")
+            f"hbar = {hbar_check:.6g}, above the tolerance {TOLERANCE:g}")
     # the limit was read off exactly; the cross-check agreed with it
     report.passed = report.symbolic_pass = True
     return report

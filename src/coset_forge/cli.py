@@ -5,8 +5,8 @@
         [CURRENT CURRENT] [--at RE,IM] [--pair A,B]
 
 Each subcommand accepts only the options it reads.  The command line picks
-the file, the level and what to run; how a relation is checked (tolerance,
-Wick rotation) is declared with it in the file, and the grid is fixed.
+the file, the level and what to run; a relation's Wick rotation is declared
+with it in the file, and the grid and the tolerance are fixed.
 Exit codes: 0 all checks pass, 1 verification failure (a refuted E-F
 claim included), 2 input error.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
@@ -36,9 +36,8 @@ try:
 except ImportError:     # an interpreter without the _json accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import (DEFAULT_TOLERANCE, ClassicalBraid, VerificationReport,
-                      classical_limit, default_grid, ef_commutator_analysis,
-                      verify_relation)
+from .algebra import (ClassicalBraid, VerificationReport, classical_limit,
+                      default_grid, ef_commutator_analysis, verify_relation)
 from .contraction import closed_form, contract, quad_eval
 from .dsl import parse_definitions
 from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
@@ -205,14 +204,14 @@ def _run_commutators(cat, comms) -> list[VerificationReport]:
 
 
 def _run_limits(cat, hbars_seq, pairs) -> list[VerificationReport]:
-    """The classical limit of each (A, B, tolerance) in `pairs`."""
+    """The classical limit of each current pair (A, B) in `pairs`."""
     out = []
-    for (a, b, tol) in pairs:
+    for a, b in pairs:
         ab = 1 if a == b else -1
         braid = ClassicalBraid(1, ab, cat.params.k)
         try:
             rep = classical_limit(cat, (a, b), braid, hbars_seq,
-                                  w=1.0 + 0.002j, tol=tol)
+                                  w=1.0 + 0.002j)
         except NonConvergent as exc:
             rep = _refuted(f"limit[{a},{b};ab={ab}]", "classical-limit", exc)
         out.append(rep)
@@ -447,7 +446,7 @@ def cmd_limit(args) -> int:
                 "--hbar is the hbar -> 0 sequence for limit: at least 3 "
                 f"strictly decreasing values, got {args.hbar!r}")
     if args.pair:
-        pairs = [(*_parse_pair(args.pair, cat.currents), DEFAULT_TOLERANCE)]
+        pairs = [_parse_pair(args.pair, cat.currents)]
     else:
         pairs = _shape_pairs(rels)
         if not pairs:
@@ -476,8 +475,8 @@ def _finish(path, params, hbars, reports) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _shape_pairs(rels) -> list[tuple[str, str, float]]:
-    return [(*r.left_pair, r.tolerance) for r in rels if r.kind == "shape"]
+def _shape_pairs(rels) -> list[tuple[str, str]]:
+    return [r.left_pair for r in rels if r.kind == "shape"]
 
 
 def _payload(params, hbars, reports) -> dict:

@@ -347,12 +347,17 @@ class _IntegrandEvaluator:
         return A[n - first:m - first]
 
     def _far(self, t: np.ndarray, wgt: np.ndarray) -> np.ndarray:
-        """wgt R(zeta(t)) / t at nodes t away from the origin."""
+        """wgt R(zeta(t)) / t at nodes t away from the origin, in blocks of
+        at most _FAR_ENTRIES node x term entries; each node is summed alone."""
         import numpy as np
-        lz = self.eta * t
-        numv = (self.ncoef[None, :] * np.exp(np.outer(lz, self.nexp))).sum(axis=1)
-        denv = (self.dcoef[None, :] * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
-        return wgt * (numv / denv) / t
+        step = max(1, _FAR_ENTRIES // max(len(self.nexp), len(self.dexp)))
+        r = np.empty(len(t), dtype=complex)
+        for i in range(0, len(t), step):
+            lz = self.eta * t[i:i + step]
+            numv = (self.ncoef[None, :] * np.exp(np.outer(lz, self.nexp))).sum(axis=1)
+            denv = (self.dcoef[None, :] * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
+            r[i:i + step] = numv / denv
+        return wgt * r / t
 
     def series_coeffs(self, w: complex) -> np.ndarray:
         """Taylor coefficients of R(zeta(t)) e^{-iwt} - a e^{-t} in powers of
@@ -443,6 +448,7 @@ def contract(f: ModeFunction, g: ModeFunction, K: Kernel,
 _DE_MAX_LEVEL = 8  # offset levels after the base grid: at most 2,978-3,648
 # nodes in all (decay 10 down to 1e-3), each evaluated once
 _DE_TOL = 1e-10  # error estimate at which refinement stops
+_FAR_ENTRIES = 1 << 18  # bounds the temporaries of _IntegrandEvaluator._far
 _DE_S_LO = -math.asinh(2.0 * 42.0 / math.pi)  # t ~ e^{-42}, weight kills the rest
 # per refinement level, shared by every integrand: the table _node_table builds
 _TABLES: list = [None] * (_DE_MAX_LEVEL + 1)

@@ -16,13 +16,11 @@ set, counted by scanning again only when the error is raised.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import re
 from fractions import Fraction
 
-from .algebra import (DEFAULT_TOLERANCE, Catalog, Current, NormalOrderedTerm,
-                      Relation)
+from .algebra import Catalog, Current, NormalOrderedTerm, Relation
 from .contraction import StructureFunction, gamma_key, linear_key
 from .errors import (DuplicateName, ExcludedLevel, InvalidOption, ParseError,
                      UndeclaredName)
@@ -34,21 +32,21 @@ __all__ = ["parse_definitions", "DefinitionFile"]
 _KEYWORDS = {
     "params", "kernel", "current", "relation", "commutator_delta", "on",
     "pos", "neg", "sign", "slope", "k", "hbar", "h", "t", "u", "v", "i",
-    "exp", "sinh", "Gamma", "iw", "w", "x", "with", "rotate", "tol", "shape",
+    "exp", "sinh", "Gamma", "iw", "w", "x", "with", "rotate", "shape",
     "poles", "residues",
 }
 
 # One token per match, after any blanks and comments.  The grammar is
 # ASCII: any other character, a non-ASCII digit or letter included, is a
 # token of its own that no rule accepts, rejected with its position.  A
-# float has a fraction part ("2." counts) or an exponent; "1e" is the number
-# 1 followed by the name e.  The end of input is the empty token.
+# number is a run of digits ("2.5" is 2 and a stray ".", "1e5" is 1 and
+# the name e5).  The end of input is the empty token.
 _TOKEN_RE = re.compile(r"""
     (?:[ \t\r\n]+|\#[^\n]*)*
-    (  ==|[\^@{}()=;:,*/+\-]                                    # punct
-     | [A-Za-z_][A-Za-z0-9_]*                                   # name
-     | [0-9]+(?:\.[0-9]*(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)?  # number
-     | [^ \t\r\n]                                               # error
+    (  ==|[\^@{}()=;:,*/+\-]     # punct
+     | [A-Za-z_][A-Za-z0-9_]*    # name
+     | [0-9]+                    # number
+     | [^ \t\r\n]                # error
      | \Z)
     """, re.VERBOSE)
 _PUNCT = frozenset("^@{}()=;:,*/+-") | {"=="}
@@ -194,12 +192,11 @@ class FactorDecl:
 
 class RelationDecl:
     __slots__ = ("name", "kind", "left_factors", "left_pair", "right_factors",
-                 "right_pair", "rotate", "tol")
+                 "right_pair", "rotate")
 
     def __init__(self, name: str, kind: str, left_factors: list[FactorDecl],
                  left_pair: tuple[str, str], right_factors: list[FactorDecl],
-                 right_pair: tuple[str, str], rotate: str = "none",
-                 tol: float = DEFAULT_TOLERANCE):
+                 right_pair: tuple[str, str], rotate: str = "none"):
         self.name = name
         self.kind = kind                # "exchange" | "shape"
         self.left_factors = left_factors
@@ -207,7 +204,6 @@ class RelationDecl:
         self.right_factors = right_factors
         self.right_pair = right_pair
         self.rotate = rotate
-        self.tol = tol
 
 
 class CommutatorDecl:
@@ -361,7 +357,7 @@ def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
     return Relation(rd.name, rd.kind, rd.left_pair, rd.right_pair,
                     left_factor=_bind_side(rd.name, rd.left_factors, at, k),
                     right_factor=_bind_side(rd.name, rd.right_factors, at, k),
-                    rotate=rd.rotate, tolerance=rd.tol)
+                    rotate=rd.rotate)
 
 
 # ---------------------------------------------------------------------------
@@ -753,43 +749,27 @@ class _Parser:
         self.expect(":")
         if self.accept("shape"):
             pair = self.pair(("u", "v"))
-            rotate, tol = self.relation_opts()
+            rotate = self.rotation()
             self.expect(";")
-            return RelationDecl(name, "shape", [], pair, [], pair[::-1],
-                                rotate, tol)
+            return RelationDecl(name, "shape", [], pair, [], pair[::-1], rotate)
         lf, lpair = self.side(("u", "v"))
         self.expect("==")
         rf, rpair = self.side(("v", "u"))
         if rpair != lpair[::-1]:
             self.error({f"reversed pair {lpair[::-1]}"})
-        rotate, tol = self.relation_opts()
+        rotate = self.rotation()
         self.expect(";")
-        return RelationDecl(name, "exchange", lf, lpair, rf, rpair, rotate, tol)
+        return RelationDecl(name, "exchange", lf, lpair, rf, rpair, rotate)
 
-    def relation_opts(self):
-        rotate, tol = "none", DEFAULT_TOLERANCE
-        if self.accept("with"):
-            while True:
-                if self.accept("rotate"):
-                    self.expect("=")
-                    rotate = self.toks[self.i]
-                    if rotate not in ("none", "global"):
-                        self.error({"'none'", "'global'"})
-                    self.i += 1
-                elif self.accept("tol"):
-                    self.expect("=")
-                    word = self.toks[self.i]
-                    if not word[:1].isdigit():      # a number or a float
-                        self.error({"tolerance value"})
-                    tol = float(word)
-                    if not math.isfinite(tol):     # 1e999 reads as inf
-                        self.error({"finite tolerance"})
-                    self.i += 1
-                else:
-                    self.error({"'rotate'", "'tol'"})
-                if not self.accept(","):
-                    break
-        return rotate, tol
+    def rotation(self) -> str:
+        if not self.accept("with"):
+            return "none"
+        self.expect("rotate", "=")
+        rotate = self.toks[self.i]
+        if rotate not in ("none", "global"):
+            self.error({"'none'", "'global'"})
+        self.i += 1
+        return rotate
 
     def side(self, pvars):
         factors = []

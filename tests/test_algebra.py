@@ -289,13 +289,14 @@ def test_classical_limit_nonconvergent_raises(k, mutation):
             classical_limit(cat, pair, wrong, SEQ, w=1.0 + 0.002j)
 
 
-def test_classical_limit_cross_check_is_held_to_the_tolerance():
+def test_classical_limit_cross_check_is_held_to_the_tolerance(monkeypatch):
+    monkeypatch.setattr(algebra, "TOLERANCE", 0.0)
     braid = ClassicalBraid(1, 1, Fraction(3))
-    with pytest.raises(NonConvergent, match="from its exact limit"):
-        classical_limit(catalog(3), ("psi", "psi"), braid, SEQ, tol=0.0)
+    with pytest.raises(NonConvergent, match="above the tolerance 0$"):
+        classical_limit(catalog(3), ("psi", "psi"), braid, SEQ)
     # at k = 2 the factor is the constant -1, its limit, to the last bit
     rep = classical_limit(catalog(2), ("psi", "psi"),
-                          ClassicalBraid(1, 1, Fraction(2)), SEQ, tol=0.0)
+                          ClassicalBraid(1, 1, Fraction(2)), SEQ)
     assert rep.passed and rep.max_rel_err == 0.0
 
 
@@ -472,7 +473,7 @@ def test_immutable_records_reject_assignment():
         (Kernel("a", 1, HALF), "slope_b", Fraction(1)),
         (not_term, "hbar_power", 1),
         (Current("X", (not_term,)), "terms", ()),
-        (Relation("xx", "exchange", ("X", "X"), ("X", "X")), "tolerance", 0.0),
+        (Relation("xx", "exchange", ("X", "X"), ("X", "X")), "rotate", "global"),
     ]
     for obj, name, value in records:
         before = getattr(obj, name)
@@ -540,8 +541,7 @@ def _with_target(rel, gammas=None, linears=None):
                                t.linears if linears is None else linears,
                                t.const)
     return Relation(rel.rel_id, rel.kind, rel.left_pair, rel.right_pair,
-                    right_factor=target, rotate=rel.rotate,
-                    tolerance=rel.tolerance)
+                    right_factor=target, rotate=rel.rotate)
 
 
 @pytest.fixture

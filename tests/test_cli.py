@@ -302,22 +302,49 @@ def test_verify_runs_one_derivation_per_cache_key(monkeypatch, capsys):
     assert keys and len(calls) == len(keys)
 
 
-def test_tol_zero_is_honoured(tmp_path, capsys):
-    # C_p_C_p agrees to ~1e-14 on the grid, E_E exactly; the tolerance is
-    # declared with each relation in the file
-    text = shipped_text()
-    edits = [("* C_plus(v) C_plus(u);", "* C_plus(v) C_plus(u) with tol = 0;"),
-             ("E(v) E(u) with rotate = global;",
-              "E(v) E(u) with rotate = global, tol = 0;")]
-    for old, new in edits:
-        assert text.count(old) == 1
-        text = text.replace(old, new)
-    src = tmp_path / "tol_zero.alg"
-    src.write_text(text)
+def test_the_tolerance_is_the_program_constant(monkeypatch, capsys):
+    # C_p_C_p agrees to ~1e-14 on the grid, E_E exactly; the one tolerance
+    # is read at call time, so a tighter constant fails the first only
     assert cli.run(["verify", "--relation", "C_p_C_p"]) == 0
-    assert cli.run(["verify", str(src), "--relation", "C_p_C_p"]) == 1
+    monkeypatch.setattr(algebra, "TOLERANCE", 0.0)
+    assert cli.run(["verify", "--relation", "C_p_C_p"]) == 1
     assert "FAIL C_p_C_p" in capsys.readouterr().out
-    assert cli.run(["verify", str(src), "--relation", "E_E"]) == 0
+    assert cli.run(["verify", "--relation", "E_E"]) == 0
+
+
+# X lives on two opposite-sign kernels with equal shapes: the closed form
+# does not telescope, and quadrature alone finds the exchange factor 1
+_XX_FALSE = """\
+params { k = 1; hbar = 1; }
+kernel p { sign = +1; slope = 1/2; }
+kernel m { sign = -1; slope = 1/2; }
+current Xp on p {
+  pos: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+  neg: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+}
+current Xm on m {
+  pos: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+  neg: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+}
+current X = Xp * Xm;
+relation xx_false : (iw + 1*hbar) * X(u) X(v) == X(v) X(u);
+"""
+
+
+def test_a_file_cannot_loosen_the_quadrature_only_check(tmp_path, capsys):
+    src = tmp_path / "xx_false.alg"
+    src.write_text(_XX_FALSE)
+    assert cli.run(["verify", str(src)]) == 1
+    out = capsys.readouterr().out
+    # the residual is |w|, 2 at the first strip point, far above 1e-8
+    assert "FAIL xx_false kind=exchange max_rel_err=2" in out
+    assert "quadrature-only check" in out
+    # a per-relation tolerance is no longer part of the grammar
+    src.write_text(_XX_FALSE.replace("X(v) X(u);", "X(v) X(u) with tol = 1e300;"))
+    assert cli.run(["verify", str(src), "--json", "-"]) == 2
+    message = "parse error at 13:65: expected 'rotate', found 'tol'"
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "parse", "message": message}
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -520,8 +547,8 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
 @pytest.mark.parametrize("command", [
     "catalog", "contract", "verify", "poles", "limit", "report"])
 def test_removed_check_options_are_usage_errors(command, tmp_path, capsys):
-    # tolerance and rotation are declared per relation in the file, and the
-    # grid is fixed; no subcommand takes them, and nothing is written
+    # rotation is declared per relation in the file, and the tolerance and
+    # the grid are fixed; no subcommand takes them, and nothing is written
     pair = ["Lambda_plus", "Lambda_minus"] if command == "contract" else []
     report = [] if command == "catalog" else ["--json", str(tmp_path / "out.json")]
     for flags in (["--tol", "1e-6"], ["--rotate", "global"],

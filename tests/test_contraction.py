@@ -812,6 +812,26 @@ def test_quadrature_values_do_not_depend_on_the_point_order():
             assert got == fresh, (label, order)
 
 
+def test_quadrature_far_blocks_change_no_value(monkeypatch):
+    from coset_forge import contraction
+    cases = []
+    for label, I, params in _quadrature_cases():
+        if I.is_zero():
+            continue
+        bound = max(0.0, I.strip_bound(params.hbar_float))
+        points = [complex(x, -(bound + gap)) for x, gap in
+                  ((0.0, 30.0), (0.5, 2.0), (9.0, 0.4), (-3.0, 0.02))]
+        cases.append((label, I, params, points))
+    want = {label: _values(ContractionIntegrand(I.lattice, I.rational), points, params)
+            for label, I, params, points in cases}
+    # one node per block, and blocks that end at no node count or term count
+    for entries in (1, 37):
+        monkeypatch.setattr(contraction, "_FAR_ENTRIES", entries)
+        for label, I, params, points in cases:
+            got = _values(ContractionIntegrand(I.lattice, I.rational), points, params)
+            assert got == want[label], (entries, label)
+
+
 def _landing_reaches(nodes, start, target):
     """target / nodes[i] and the reaches up to three ulps either side, for the
     first i from start on (cyclically) at which one of them puts
