@@ -77,21 +77,45 @@ class Catalog:
         self.kernels: dict[str, Kernel] = {}
         self.currents: dict[str, Current] = {}
         self._cf_cache: dict = {}
+        # untilted closed forms (None: derive the pair), grid check values
+        self._untilted: dict = {}
+        self._grid_memo: dict = {}
 
     def __getitem__(self, name: str) -> Current:
         return self.currents[name]
 
     # -- structure-function machinery --------------------------------------
     def _single_pair_closed(self, fam: str, tf: ExpTrigTerm, tg: ExpTrigTerm):
+        """Closed form and 1/t coefficient of <tf(u) tg(v)> over `fam`: a tilt
+        e^{tau hbar t} of the product term gives F_0(w + i tau hbar) and the
+        same 1/t coefficient, so F_0 is derived once per untilted term (see
+        README); where that raises, the pair is derived as it stands."""
         key = (fam, tf, tg)
         hit = self._cf_cache.get(key)
         if hit is None:
-            mf = ModeFunction([tf], [])
-            mg = ModeFunction([], [tg])
-            I = contract(mf, mg, self.kernels[fam], self.params)
-            hit = (closed_form(I, self.params), I.log_divergence_coeff)
+            # the product with tg.reflected(): odd sinh powers flip the sign
+            odd = sum(e for _, e in tg.sinh_factors) % 2
+            ukey = (fam, tf.coeff * (-tg.coeff if odd else tg.coeff),
+                    tf.hbar_power + tg.hbar_power,
+                    tuple(sorted(tf.sinh_factors + tg.sinh_factors)))
+            if ukey not in self._untilted:
+                flat = ExpTrigTerm(ukey[1], ukey[2], 0, 0, ukey[3])
+                try:    # against the constant 1 on t < 0
+                    self._untilted[ukey] = self._derive(fam, flat, ExpTrigTerm(1, 0))
+                except CosetForgeError:
+                    self._untilted[ukey] = None
+            base = self._untilted[ukey]
+            if base is None:
+                hit = self._derive(fam, tf, tg)
+            else:
+                hit = (base[0].tilted(tf.tilt() - tg.tilt()), base[1])
             self._cf_cache[key] = hit
         return hit
+
+    def _derive(self, fam: str, tf: ExpTrigTerm, tg: ExpTrigTerm):
+        I = contract(ModeFunction([tf], []), ModeFunction([], [tg]),
+                     self.kernels[fam], self.params)
+        return closed_form(I, self.params), I.log_divergence_coeff
 
     def closed_contraction(self, fam: str, f: ModeFunction, g: ModeFunction
                            ) -> tuple[StructureFunction, Fraction]:
@@ -267,7 +291,7 @@ def _ladder_log(x: complex, lo: int, hi: int) -> complex:
 
 
 def _grid_check(factors: list[StructureFunction], target: StructureFunction,
-                grid: list[complex], hbar: float
+                grid: list[complex], hbar: float, memo: dict | None = None
                 ) -> tuple[list[float], float, int]:
     """Worst |S_f(w) / S_target(w) - 1| over the factors S_f at each grid
     point, the largest finite one, and the number of points where some
@@ -286,35 +310,52 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
     argument of every class still passes check_gamma_argument (a pole of
     any member of the class puts it on a pole too) and every linear log is
     taken, cancelling factors included, so a point where any function of
-    the relation cannot be evaluated fails."""
+    the relation cannot be evaluated fails.  Each value is taken over the
+    grid at once, a column per key, kept in `memo` under (grid, hbar)."""
     if not factors:
         return [0.0] * len(grid), 0.0, 0
     nan = float("nan")
+    n = len(grid)
     funcs = [target] + factors
     try:
         c_t = cmath.log(target.const.eval(hbar))
-        # per factor: log constant and the (index into the logs of a
-        # point, integer coefficient) pairs
+        # per factor: log constant and the (column, integer coefficient)
+        # pairs of its log ratio
         ratios = [(cmath.log(sf.const.eval(hbar)) - c_t, [])
                   for sf in factors]
     except (CosetForgeError, ArithmeticError, ValueError):
-        return [nan] * len(grid), 0.0, len(grid)
-    rhos = sorted(set().union(*(sf.linears for sf in funcs)))
-    for i, key in enumerate(rhos):
+        return [nan] * n, 0.0, n
+    values = {} if memo is None else memo.setdefault((tuple(grid), hbar), {})
+    failed_at = set()
+
+    def column(key, f, xs=grid, skip=()):
+        """(f over xs, the failed indices: f raised or `skip` holds)."""
+        if key not in values:
+            vals, bad = [0j] * n, set(skip)
+            for j, x in enumerate(xs):
+                if j not in bad:
+                    try:
+                        vals[j] = f(x)
+                    except (CosetForgeError, ArithmeticError, ValueError):
+                        bad.add(j)
+            values[key] = vals, bad
+        failed_at.update(values[key][1])
+        return values[key]
+
+    def add(vals, coeffs):
+        for (_, terms), e in zip(ratios, coeffs):
+            if e:
+                terms.append((vals, e))
+
+    for key in sorted(set().union(*(sf.linears for sf in funcs))):
+        r = complex(key[0] / key[2], key[1] / key[2]) * hbar
         e_t = target.linears.get(key, 0)
-        for (_, terms), sf in zip(ratios, factors):
-            de = sf.linears.get(key, 0) - e_t
-            if de:
-                terms.append((i, de))
-    rs = [complex(a / q, b / q) * hbar for a, b, q in rhos]
+        add(column(("log", key), lambda w: cmath.log(1j * w + r))[0],
+            [sf.linears.get(key, 0) - e_t for sf in factors])
     members: dict[tuple[int, int, int, int, int], set[int]] = {}
     for sf in funcs:
-        for sa, sb, sq, n, d in sf.gammas:
-            members.setdefault((sa, sb, sq, n % d, d), set()).add(n // d)
-    # per class: (scale*hbar, the lowest shift, the ladder segments [lo, hi)
-    # whose sum of log(x + j) some factor needs, whether one needs log Gamma)
-    classes = []
-    n_logs = len(rhos)
+        for sa, sb, sq, an, d in sf.gammas:
+            members.setdefault((sa, sb, sq, an % d, d), set()).add(an // d)
     for (sa, sb, sq, r, d), js in sorted(members.items()):
         js = sorted(js)
         keys = [(sa, sb, sq, r + j * d, d) for j in js]
@@ -327,44 +368,38 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
                 t += sf.gammas.get(key, 0) - target.gammas.get(key, 0)
                 tail.append(t)
             tails.append(tail[::-1])
-        segments = []
-        for m in range(1, len(js)):
-            if any(tail[m] for tail in tails):
-                segments.append((js[m - 1] - js[0], js[m] - js[0]))
-                for (_, terms), tail in zip(ratios, tails):
-                    if tail[m]:
-                        terms.append((n_logs, tail[m]))
-                n_logs += 1
-        need_lg = False
-        for (_, terms), tail in zip(ratios, tails):
-            if tail[0]:
-                terms.append((n_logs, tail[0]))
-                need_lg = True
-        n_logs += need_lg
-        classes.append((complex(sa / sq, sb / sq) * hbar, keys[0][3] / d,
-                        segments, need_lg))
+        ds, a = complex(sa / sq, sb / sq) * hbar, keys[0][3] / d
+        arg = column(("arg", keys[0]),
+                     lambda w: check_gamma_argument(1j * w / ds + a))
+        # the ladder segments [lo, hi) some factor needs, then log Gamma(x)
+        for m in [*range(1, len(js)), 0]:
+            coeffs = [tail[m] for tail in tails]
+            if m and any(coeffs):
+                lo, hi = js[m - 1] - js[0], js[m] - js[0]
+                add(column(("ladder", keys[0], lo, hi),
+                           lambda x: _ladder_log(x, lo, hi), *arg)[0], coeffs)
+            elif any(coeffs):
+                add(column(("lgamma", keys[0]), log_gamma, *arg)[0], coeffs)
+    sums = []
+    for s, terms in ratios:
+        s = [s] * n
+        for vals, e in terms:
+            s = [z + e * v for z, v in zip(s, vals)]
+        sums.append(s)
     worst_at = []
-    for w in grid:
-        try:
-            logs = [cmath.log(1j * w + r) for r in rs]
-            for ds, a, segments, need_lg in classes:
-                x = check_gamma_argument(1j * w / ds + a)
-                logs += [_ladder_log(x, lo, hi) for lo, hi in segments]
-                if need_lg:
-                    logs.append(log_gamma(x))
-            worst = 0.0
-            for s, terms in ratios:
-                for i, e in terms:
-                    s += e * logs[i]
+    for j in range(n):
+        worst = 0.0
+        for s in sums:
+            try:
                 # a ratio beyond the float range is a finite, huge residual
-                r = math.inf if s.real > 700.0 else abs(cmath.exp(s) - 1.0)
-                if not r <= worst:      # larger, or NaN: the point failed
-                    worst = r
-                    if math.isnan(r):
-                        break
-        except (CosetForgeError, ArithmeticError, ValueError):
-            worst = nan
-        worst_at.append(worst)
+                r = math.inf if s[j].real > 700.0 else abs(cmath.exp(s[j]) - 1.0)
+            except (ArithmeticError, ValueError):
+                r = nan
+            if not r <= worst:      # larger, or NaN: the point failed
+                worst = r
+                if math.isnan(r):
+                    break
+        worst_at.append(nan if j in failed_at else worst)
     failed = sum(1 for r in worst_at if math.isnan(r))
     worst = max((r for r in worst_at if not math.isnan(r)), default=0.0)
     return worst_at, worst, failed
@@ -406,7 +441,7 @@ def verify_relation(cat: Catalog, rel: Relation,
     report.derived_factor = factors[0].describe()
     report.symbolic_pass = all(sf.symbolic_eq(target) for sf in checked)
     report.residuals, report.max_rel_err, failed = _grid_check(
-        checked, target, grid, hbar)
+        checked, target, grid, hbar, cat._grid_memo)
     report.passed = (report.symbolic_pass and report.max_rel_err <= TOLERANCE
                      and not failed)
     if failed:
@@ -790,7 +825,7 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
     if exponent != _principal(braid.exponent):
         raise NonConvergent(
             f"the factor tends to [w/(-w)]^{exponent}, the braid is "
-            f"[w/(-w)]^{braid.exponent} (exponents modulo 2)")
+            f"[w/(-w)]^{_principal(braid.exponent)} (exponents modulo 2)")
     order = next((m for m, c in enumerate(corrections, 1) if c), None)
     check_errs = []
     for wc in _LIMIT_CHECK_W:

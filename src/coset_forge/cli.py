@@ -493,7 +493,9 @@ def _payload(params, hbars, reports) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given `argv`, only a subcommand it names gets
+    its arguments, the others just what the top-level help and errors show."""
     ap = argparse.ArgumentParser(
         prog="coset-forge",
         description="verify the deformed coset vertex-operator relations")
@@ -504,13 +506,15 @@ def build_parser() -> argparse.ArgumentParser:
                 writes_json=True):
         # how a relation is checked is declared in the file, not here
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        if argv is not None and name not in argv:
+            return None
         p.add_argument("file", nargs="?", default=None,
                        help="definition file (.alg); defaults to the shipped catalog")
         p.add_argument("--k", default=None, help="override the level (rational)")
         p.add_argument("--hbar", default=None, help=hbar_help)
         if writes_json:
             p.add_argument("--json", default=None, metavar="PATH")
-        p.set_defaults(fn=fn)
         return p
 
     session("catalog", cmd_catalog, "print the bound current catalog",
@@ -518,30 +522,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = session("contract", cmd_contract, "quadrature vs closed form for a pair",
                 hbar_help="override the hbar value, a single rational")
-    # a tuple metavar breaks argparse's usage message for a missing pair
-    p.add_argument("currents", nargs=2, metavar="CURRENT")
-    p.add_argument("--at", default=None, metavar="RE,IM")
+    if p:
+        # a tuple metavar breaks argparse's usage message for a missing pair
+        p.add_argument("currents", nargs=2, metavar="CURRENT")
+        p.add_argument("--at", default=None, metavar="RE,IM")
 
     p = session("verify", cmd_verify, "verify declared relations")
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--all", action="store_true",
-                       help="verify every declared relation (default)")
-    which.add_argument("--relation", default=None, help="verify a single relation")
+    if p:
+        which = p.add_mutually_exclusive_group()
+        which.add_argument("--all", action="store_true",
+                           help="verify every declared relation (default)")
+        which.add_argument("--relation", default=None, help="verify a single relation")
 
     session("poles", cmd_poles, "ordering-difference pole/residue analysis")
 
     p = session("limit", cmd_limit, "exact classical limits of the shape pairs",
                 hbar_help="the hbar -> 0 sequence, at least 3 strictly "
                           "decreasing rationals")
-    p.add_argument("--pair", default=None, metavar="A,B")
+    if p:
+        p.add_argument("--pair", default=None, metavar="A,B")
 
     session("report", cmd_report, "full verification run as JSON")
     return ap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -64,9 +64,9 @@ def linear_key(rho: GR) -> tuple[int, int, int]:
 
 class StructureFunction:
     """Product of integer powers of linear factors (iw + rho*hbar), Gamma
-    factors and an exact constant."""
+    factors and an exact constant; never changed, so normalize() keeps one."""
 
-    __slots__ = ("gammas", "linears", "const")
+    __slots__ = ("gammas", "linears", "const", "_normal")
 
     def __init__(self, gammas=None, linears=None, const=None):
         # gammas: {(a, b, q, n, d): int exponent} for Gamma(iw/(s*hbar) + n/d)
@@ -77,6 +77,7 @@ class StructureFunction:
         # with rho = (a + b*i)/q, the fields of a GR
         self.linears: dict[tuple[int, int, int], int] = dict(linears or {})
         self.const: ExactConst = const if const is not None else ExactConst.one()
+        self._normal: StructureFunction | None = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -135,6 +136,22 @@ class StructureFunction:
             l[key] = l.get(key, 0) + e
         return StructureFunction(g, l, self.const.wick_rotate())
 
+    def tilted(self, tau: Fraction) -> "StructureFunction":
+        """F(w + i*tau*hbar) for real Gamma scales s and linear offsets rho,
+        as closed_form emits: Gamma(iw/(s*hbar) + a - tau/s) and
+        (iw + (rho - tau)*hbar), the constant kept."""
+        tn, td = tau.numerator, tau.denominator
+        g, l = {}, {}
+        for (sa, sb, sq, n, d), e in self.gammas.items():
+            assert not sb and sa > 0, "tilted needs positive real Gamma scales"
+            a = Fraction(n * td * sa - tn * sq * d, d * td * sa)  # n/d - tau*sq/sa
+            g[sa, 0, sq, a.numerator, a.denominator] = e
+        for (a, b, q), e in self.linears.items():
+            assert not b, "tilted needs real linear offsets"
+            rho = Fraction(a * td - tn * q, q * td)
+            l[rho.numerator, 0, rho.denominator] = e
+        return StructureFunction(g, l, self.const)
+
     # -- canonical form ----------------------------------------------------
     def normalize(self) -> "StructureFunction":
         """Merge Gamma factors modulo the recurrence Gamma(x+1) = x Gamma(x).
@@ -144,6 +161,8 @@ class StructureFunction:
         linear factor (iw + q*scale*hbar) per unit step and the exact
         constant (scale*hbar)^{-n}, multiplied in once per Gamma factor.
         """
+        if self._normal is not None:
+            return self._normal
         gammas: dict[tuple[int, int, int, int, int], int] = {}
         linears = dict(self.linears)
         const = self.const
@@ -158,15 +177,23 @@ class StructureFunction:
                 g = math.gcd(sa * x, sb * x, sq * d)
                 merge(linears, (sa * x // g, sb * x // g, sq * d // g), sign * e)
             const = const.times_base(_raw(sa, sb, sq), 1, -n * e)
-        return StructureFunction(gammas, {k: v for k, v in linears.items() if v},
-                                 const)
+        self._normal = StructureFunction(
+            gammas, {k: v for k, v in linears.items() if v}, const)
+        return self._normal
 
     def is_one(self) -> bool:
         n = self.normalize()
         return not n.gammas and not n.linears and n.const.is_one()
 
     def symbolic_eq(self, other: "StructureFunction") -> bool:
-        return (self * other.inverse()).is_one()
+        """Equal normalized forms, normalize being multiplicative; a complex
+        Gamma scale may normalize only once it cancels in self / other."""
+        try:
+            a, b = self.normalize(), other.normalize()
+        except ValueError:
+            return (self * other.inverse()).is_one()
+        return (a.gammas == b.gammas and a.linears == b.linears
+                and a.const == b.const)
 
     # -- evaluation ----------------------------------------------------------
     def log_eval(self, w: complex, hbar: float) -> complex:

@@ -4,6 +4,7 @@ classical limits."""
 import cmath
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
                                  classical_limit,
                                  default_grid, ef_commutator_analysis,
                                  verify_relation)
-from coset_forge.contraction import StructureFunction
+from coset_forge.contraction import StructureFunction, closed_form, contract
 from coset_forge.dsl import parse_definitions
 from coset_forge.errors import CosetForgeError, ExcludedLevel, NonConvergent
 from coset_forge.exact import GR, ExactConst
@@ -558,7 +559,8 @@ def log_gamma_calls(monkeypatch):
 
 
 def test_grid_check_fails_every_point_of_a_wrong_target(log_gamma_calls):
-    _, cat, rels, _ = bind_shipped(3)
+    # a catalog of its own: no earlier check has filled its grid memo
+    _, cat, rels, _ = bind_shipped.__wrapped__(3)
     C, E = rels["C_p_C_p"], rels["E_E"]
     t = C.right_factor * C.left_factor.inverse()
     key, e = sorted(t.gammas.items())[0]
@@ -632,12 +634,51 @@ def test_long_ladder_segment_matches_its_logs(x):
 def test_grid_check_at_a_large_denominator(log_gamma_calls):
     # at k = 1/100 the shifts 1 +- 100 of C_p_C_p's target share a class
     # with 200 steps between them: the ladder is summed from log Gamma values
-    _, cat, rels, _ = bind_shipped(Fraction(1, 100))
+    _, cat, rels, _ = bind_shipped.__wrapped__(Fraction(1, 100))
     rep = verify_relation(cat, rels["C_p_C_p"])
     assert rep.passed and log_gamma_calls and rep.max_rel_err < 1e-10
 
 
-@pytest.mark.parametrize("k", ["3", "5/12"])
+def test_grid_check_memo_changes_no_residual():
+    # columns kept from one call serve the next: every list, NaN positions
+    # included, is the one a fresh call gives
+    cat = catalog(Fraction(5, 2))
+    factors = cat.pair_exchange(cat["psi"], cat["psi"])
+    target = factors[0] * StructureFunction.from_linear(GR.of(Fraction(3, 10)), 1)
+    fails = StructureFunction.from_linear(GR.of(HALF), 1)
+    grid = default_grid(cat.params) + [1j, 3j, 0.5j, 0.3j]
+    memo = {}
+    for fs in (factors, factors + [fails], [fails] + factors, [fails], []) * 2:
+        shared = _grid_check(fs, target, grid, 1.0, memo)
+        fresh = _grid_check(fs, target, grid, 1.0)
+        assert repr(shared) == repr(fresh)
+    assert len(memo) == 1 and memo[tuple(grid), 1.0]
+
+
+_LEVELS = random.Random(33).sample(
+    [Fraction(p, q) for q in range(1, 17) for p in range(1, 4 * q + 1)
+     if math.gcd(p, q) == 1], 12)
+
+
+@pytest.mark.parametrize("k", _LEVELS, ids=str)
+def test_cached_closed_forms_are_the_direct_derivation(k):
+    # each cache entry is an untilted closed form shifted by its tilt: it
+    # must be closed_form(contract(...)) of the tilted pair, key for key and
+    # in the same order, with the same constant and 1/t coefficient
+    params, cat, rels, _ = bind_shipped(k)
+    for rel in rels.values():
+        verify_relation(cat, rel)
+    assert len(cat._cf_cache) == 35 and len(cat._untilted) == 12
+    for (fam, tf, tg), (sf, a) in cat._cf_cache.items():
+        I = contract(ModeFunction([tf], []), ModeFunction([], [tg]),
+                     cat.kernels[fam], params)
+        ref = closed_form(I, params)
+        assert list(sf.gammas.items()) == list(ref.gammas.items())
+        assert list(sf.linears.items()) == list(ref.linears.items())
+        assert sf.const == ref.const and a == I.log_divergence_coeff
+
+
+@pytest.mark.parametrize("k", ["3", "5/12", "1/16"])
 def test_single_relation_row_matches_the_full_run(k, tmp_path, capsys):
     full = tmp_path / "all.json"
     assert cli.run(["verify", "--k", k, "--json", str(full)]) == 0

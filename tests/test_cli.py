@@ -280,10 +280,11 @@ def test_verify_level_one_fifth_exits_zero():
         assert "all relations hold" in out.stdout
 
 
-def test_verify_runs_one_derivation_per_cache_key(monkeypatch, capsys):
-    # relations run in turn and share the catalog's closed-form cache, so
-    # each closed form is derived once
-    calls, keys = [], set()
+def test_verify_runs_one_derivation_per_untilted_key(monkeypatch, capsys):
+    # relations run in turn and share the catalog's closed-form cache; a
+    # contraction is derived once per product term with its tilt removed,
+    # and every cache key (family, tf, tg) shifts one of those
+    calls, keys, untilted = [], set(), set()
     closed_form = algebra.closed_form
     lookup = algebra.Catalog._single_pair_closed
 
@@ -293,13 +294,26 @@ def test_verify_runs_one_derivation_per_cache_key(monkeypatch, capsys):
 
     def recording_lookup(self, fam, tf, tg):
         keys.add((id(self), fam, tf, tg))
+        tr = tg.reflected()
+        sinh = {}
+        for beta, e in tf.sinh_factors + tr.sinh_factors:
+            sinh[beta] = sinh.get(beta, 0) + e
+        untilted.add((id(self), fam, tf.coeff * tr.coeff,
+                      tf.hbar_power + tr.hbar_power,
+                      frozenset((b, e) for b, e in sinh.items() if e)))
         return lookup(self, fam, tf, tg)
 
     monkeypatch.setattr(algebra, "closed_form", counting_closed_form)
     monkeypatch.setattr(algebra.Catalog, "_single_pair_closed", recording_lookup)
     assert cli.run(["verify", "--k", "2/7"]) == 0
     assert "all relations hold" in capsys.readouterr().out
-    assert keys and len(calls) == len(keys)
+    assert len(keys) == 35 and len(calls) == len(untilted) == 12
+
+
+def test_limit_message_reduces_both_exponents(capsys):
+    assert cli.run(["limit", "--pair", "C_plus,C_plus", "--k", "5/12"]) == 1
+    assert ("note: the factor tends to [w/(-w)]^-4/5, the braid is "
+            "[w/(-w)]^4/5 (exponents modulo 2)") in capsys.readouterr().out
 
 
 def test_the_tolerance_is_the_program_constant(monkeypatch, capsys):
@@ -678,3 +692,22 @@ def test_zero_gamma_scale_is_an_input_error(tmp_path, capsys, command, new, kind
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == {"kind": kind, "message": message}
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["verify", "--bogus"], ["contract"],
+    ["contract", "C_plus"], ["limit", "--pair"], ["verify", "--k"],
+    ["verify", "--all", "--relation", "E_E"], ["report", "--tol", "1"],
+    ["--", "verify", "--nope"]] + [
+    [command, "--help"] for command in
+    ("catalog", "contract", "verify", "poles", "limit", "report")])
+def test_parser_for_the_invoked_command_answers_as_the_full_one(argv, capsys):
+    # build_parser(argv) gives only the subcommands argv names their
+    # arguments; help, usage and errors read as from the full parser
+    answers = []
+    for parser in (cli.build_parser(), cli.build_parser(argv)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        answers.append((exc.value.code, capsys.readouterr()))
+    assert answers[0] == answers[1]
+    assert answers[0][0] in (0, 2)

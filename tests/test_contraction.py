@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (bind_shipped, contraction_pairs, gamma_factors, linear_factors,
                       sparse, sparse_mul)
@@ -448,6 +448,56 @@ def test_normalize_matches_the_fraction_reference(parts):
     for scale, shift, e in parts:
         sf = sf * StructureFunction.from_gamma(scale, shift, e)
     _assert_normalize_matches_reference(sf)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc)
+
+
+def _product(parts):
+    sf = StructureFunction.one()
+    for scale, shift, e, rho, el, c in parts:
+        sf = (sf * StructureFunction.from_gamma(scale, shift, e)
+              * StructureFunction.from_linear(rho, el)
+              * StructureFunction(const=ExactConst.one().times_base(GR(c), 0, 1)))
+    return sf
+
+
+# a complex scale cannot be normalized alone, only after it cancels
+_sym_parts = st.lists(st.tuples(
+    st.one_of(_gamma_scales, _gamma_scales, st.sampled_from([GR(1, 1), GR(-2, 1)])),
+    st.fractions(-3, 3, max_denominator=4), st.integers(-2, 2),
+    st.fractions(-2, 2, max_denominator=3), st.integers(-1, 1),
+    st.sampled_from([1, 2, -1, Fraction(1, 3)])), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sym_parts, _sym_parts, st.integers(0, 4))
+def test_symbolic_eq_agrees_with_the_quotient(parts, extra, variant):
+    # symbolic_eq compares normalized forms; the reference normalizes the
+    # quotient.  Variants 0 and 1 rewrite x as an equal function: its
+    # normalized form, or its parts in reverse times z / normalize(z), whose
+    # Gamma classes cancel only after normalization; 3 changes only linear
+    # factors and the constant, 4 only Gamma factors
+    x, z = _product(parts), _product(extra)
+    if variant == 0:
+        y = _outcome(x.normalize)
+    elif variant == 1:
+        zn = _outcome(z.normalize)
+        y = zn if zn is ValueError else _product(parts[::-1]) * z * zn.inverse()
+    elif variant == 2:
+        y = x * z
+    elif variant == 3:
+        y = x * _product([(1, 0, 0, rho, el, c) for _, _, _, rho, el, c in extra])
+    else:
+        y = x * _product([(s, a % 1, e, 0, 0, 1) for s, a, e, _, _, _ in extra])
+    assume(y is not ValueError)         # a rewrite that does not normalize
+    got = _outcome(lambda: x.symbolic_eq(y))
+    assert got == _outcome(lambda: (x * y.inverse()).is_one())
+    assert got in (True, ValueError) if variant < 2 else got is not None
 
 
 # ---------------------------------------------------------------------------
