@@ -179,24 +179,16 @@ TOLERANCE = 1e-8
 
 
 class Relation:
-    __slots__ = ("rel_id", "kind", "left_pair", "right_pair", "left_factor",
-                 "right_factor", "rotate")
+    __slots__ = ("rel_id", "kind", "pair", "target", "rotate")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, rel_id: str, kind: str, left_pair: tuple[str, str],
-                 right_pair: tuple[str, str],
-                 left_factor: StructureFunction | None = None,
-                 right_factor: StructureFunction | None = None,
-                 rotate: str = "none"):
+    def __init__(self, rel_id: str, kind: str, pair: tuple[str, str],
+                 target: StructureFunction, rotate: str = "none"):
         _set(self, "rel_id", rel_id)
         _set(self, "kind", kind)    # "exchange" | "shape"
-        _set(self, "left_pair", left_pair)
-        _set(self, "right_pair", right_pair)
-        # an omitted factor is the constant one
-        _set(self, "left_factor", StructureFunction.one()
-             if left_factor is None else left_factor)
-        _set(self, "right_factor", StructureFunction.one()
-             if right_factor is None else right_factor)
+        _set(self, "pair", pair)      # (A, B) of A(u) B(v)
+        # an exchange row's S_ab, right side over left side; unread by shape
+        _set(self, "target", target)
         _set(self, "rotate", rotate)
 
 
@@ -386,6 +378,15 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
         for vals, e in terms:
             s = [z + e * v for z, v in zip(s, vals)]
         sums.append(s)
+    return _log_residuals(sums, failed_at, n)
+
+
+def _log_residuals(sums: list[list[complex]], failed_at: set[int], n: int
+                   ) -> tuple[list[float], float, int]:
+    """Per point j < n, the worst |exp(s[j]) - 1| over the log ratios s in
+    `sums`, NaN where j is in `failed_at` or a ratio cannot be taken; the
+    largest finite residual; the number of NaN points."""
+    nan = float("nan")
     worst_at = []
     for j in range(n):
         worst = 0.0
@@ -405,124 +406,121 @@ def _grid_check(factors: list[StructureFunction], target: StructureFunction,
     return worst_at, worst, failed
 
 
+def _compared(report: VerificationReport, target, factors: list):
+    """(reference, checked): an exchange row checks every term pair's factor
+    against `target`, a shape row every factor after the first against the
+    first.  A one-pair shape row compares nothing: a note, and None."""
+    if report.kind == "exchange":
+        return target, factors
+    if len(factors) > 1:
+        return factors[0], factors[1:]
+    report.notes.append("one term pair: a shape relation compares nothing")
+    return None
+
+
+def _settle(report: VerificationReport, residuals: list[float], worst: float,
+            failed: int) -> None:
+    """A row passes when no symbolic check refuted it, its worst residual is
+    within TOLERANCE and every point evaluated."""
+    report.residuals, report.max_rel_err = residuals, worst
+    report.passed = (report.symbolic_pass is not False and worst <= TOLERANCE
+                     and not failed)
+    if failed:
+        report.notes.append(f"{failed} of {len(residuals)} grid points failed to evaluate")
+
+
 def verify_relation(cat: Catalog, rel: Relation,
                     grid: list[complex] | None = None) -> VerificationReport:
-    """Check an exchange or shape relation on every term pair.
-
-    Exchange: left_factor * S_ab == right_factor for all pairs, symbolically
-    (Gamma-multiset identity after normalization) and pointwise on the grid.
-    Shape: every S_ab equals the first pair's factor, which is reported; a
-    single term pair compares nothing, so the row fails as unverifiable.
-    The grid defaults to default_grid(cat.params).
-    """
-    a = cat[rel.left_pair[0]]
-    b = cat[rel.left_pair[1]]
+    """Check an exchange or shape relation on every term pair (_compared),
+    symbolically (Gamma-multiset identity after normalization) and pointwise
+    on the grid, which defaults to default_grid(cat.params).  The first
+    pair's factor is reported."""
+    a, b = cat[rel.pair[0]], cat[rel.pair[1]]
     try:
         factors = cat.pair_exchange(a, b, rotate=rel.rotate)
     except NonTelescoping:
         return _verify_numeric_only(cat, rel)
-    hbar = cat.params.hbar_float
-    if grid is None:
-        grid = default_grid(cat.params)
-
-    report = VerificationReport(rel.rel_id, rel.kind, False, None, 0.0, grid=grid)
+    report = VerificationReport(rel.rel_id, rel.kind, False, None, float("nan"),
+                                derived_factor=factors[0].describe())
+    compared = _compared(report, rel.target, factors)
+    if compared is None:
+        return report
+    target, checked = compared
+    report.grid = default_grid(cat.params) if grid is None else grid
     if rel.kind == "exchange":
-        target, checked = rel.right_factor * rel.left_factor.inverse(), factors
         report.expected_factor = target.describe()
-    elif rel.kind == "shape":
-        if len(factors) == 1:
-            return VerificationReport(
-                rel.rel_id, rel.kind, False, None, float("nan"),
-                derived_factor=factors[0].describe(),
-                notes=["one term pair: a shape relation compares nothing"])
-        target, checked = factors[0], factors[1:]
-    else:
-        raise ValueError(f"verify_relation cannot handle kind {rel.kind!r}")
-    report.derived_factor = factors[0].describe()
     report.symbolic_pass = all(sf.symbolic_eq(target) for sf in checked)
-    report.residuals, report.max_rel_err, failed = _grid_check(
-        checked, target, grid, hbar, cat._grid_memo)
-    report.passed = (report.symbolic_pass and report.max_rel_err <= TOLERANCE
-                     and not failed)
-    if failed:
-        report.notes.append(f"{failed} of {len(grid)} grid points failed to evaluate")
+    _settle(report, *_grid_check(checked, target, report.grid,
+                                 cat.params.hbar_float, cat._grid_memo))
     return report
 
-
-# ---------------------------------------------------------------------------
-# E-F commutator pole and residue analysis
 
 def _verify_numeric_only(cat: Catalog, rel: Relation) -> VerificationReport:
     """Pure-quadrature relation check for integrands whose series families do
     not reduce to Gamma factors.  Both orderings are integrated directly, so
-    every grid point must lie in the intersection of the forward strip and
-    the reflected reversed strip; an empty intersection (or a rotated
+    every point of the line must lie in the intersection of the forward strip
+    and the reflected reversed strip; an empty intersection (or a rotated
     relation, which has no convergent integral representation) is reported
-    as unverifiable."""
+    as unverifiable.  Rows are compared in logs, as on the grid."""
     report = VerificationReport(rel.rel_id, rel.kind, False, None, float("nan"))
     report.notes.append("closed form does not telescope; quadrature-only check")
     if rel.rotate != "none":
         report.notes.append("rotated relations cannot be checked by quadrature")
         return report
-    params = cat.params
-    hbar = params.hbar_float
-    a, b = cat[rel.left_pair[0]], cat[rel.left_pair[1]]
+    params, hbar = cat.params, cat.params.hbar_float
+    a, b = cat[rel.pair[0]], cat[rel.pair[1]]
 
-    def pair_integrands(ta, tb):
-        out = []
-        for fam, fa, fb in cat.shared_families(ta, tb):
-            fwd = contract(fa, fb, cat.kernels[fam], params)
-            rev = contract(fb, fa, cat.kernels[fam], params)
-            if fwd.log_divergence_coeff != rev.log_divergence_coeff:
-                raise DivergenceMismatch(
-                    f"family {fam}: 1/t coefficients differ")
-            out.append((fwd, rev))
-        return out
-
-    pairs = [(ta, tb) for ta in a.terms for tb in b.terms]
-    integrands = [pair_integrands(ta, tb) for ta, tb in pairs]
-    lo, hi = float("-inf"), float("inf")
-    for fams in integrands:
+    def log_factor(fams, w):
+        """log S_ab(w): the forward integrals minus the reversed ones at -w."""
+        total = 0j
         for fwd, rev in fams:
-            if not fwd.is_zero():
-                hi = min(hi, -fwd.strip_bound(hbar))
-            if not rev.is_zero():
-                lo = max(lo, rev.strip_bound(hbar))
+            total += quad_eval(fwd, w, params)
+            total -= quad_eval(rev, -w, params)
+        return total
+
+    factors, lo, hi = [], float("-inf"), float("inf")
+    for ta in a.terms:
+        for tb in b.terms:
+            fams = []   # (forward, reversed) per shared family
+            for fam, fa, fb in cat.shared_families(ta, tb):
+                fwd = contract(fa, fb, cat.kernels[fam], params)
+                rev = contract(fb, fa, cat.kernels[fam], params)
+                a_f, a_r = fwd.log_divergence_coeff, rev.log_divergence_coeff
+                if a_f != a_r:
+                    raise DivergenceMismatch(
+                        f"family {fam}: 1/t coefficients {a_f} vs {a_r}")
+                if not fwd.is_zero():
+                    hi = min(hi, -fwd.strip_bound(hbar))
+                if not rev.is_zero():
+                    lo = max(lo, rev.strip_bound(hbar))
+                fams.append((fwd, rev))
+            factors.append(functools.partial(log_factor, fams))
+    compared = _compared(report, lambda w: rel.target.log_eval(w, hbar), factors)
+    if compared is None:
+        return report
+    reference, checked = compared
     if not lo < hi:
         report.notes.append(
             "forward and reversed convergence strips do not overlap; the "
             "relation holds only as analytic continuation")
         return report
     mid = 0.5 * (max(lo, -4.0 * hbar) + min(hi, 4.0 * hbar))
-    grid = [complex(-2.0 * hbar + 4.0 * hbar * j / 9, mid) for j in range(10)]
-    report.grid = grid
-
-    def s_num(fams, w):
-        total = 0j
-        for fwd, rev in fams:
-            if not fwd.is_zero():
-                total += quad_eval(fwd, w, params)
-            if not rev.is_zero():
-                total -= quad_eval(rev, -w, params)
-        return cmath.exp(total)
-
-    target = rel.right_factor * rel.left_factor.inverse()
-    residuals = []
-    for w in grid:
-        vals = [s_num(fams, w) for fams in integrands]
-        if rel.kind == "exchange":
-            ref, checked = target.eval(w, hbar), vals
-        else:
-            ref, checked = vals[0], vals[1:]
-        worst = 0.0
-        for val in checked:
-            worst = max(worst, abs(val - ref) / max(abs(ref), 1e-300))
-        residuals.append(worst)
-    report.residuals = residuals
-    report.max_rel_err = max(residuals) if residuals else float("nan")
-    report.passed = bool(residuals) and report.max_rel_err <= TOLERANCE
+    report.grid = [complex(-2.0 * hbar + 4.0 * hbar * j / 9, mid) for j in range(10)]
+    n = len(report.grid)
+    sums, failed_at = [[0j] * n for _ in checked], set()
+    for j, w in enumerate(report.grid):
+        try:
+            ref = reference(w)
+            for s, f in zip(sums, checked):
+                s[j] = f(w) - ref
+        except (CosetForgeError, ArithmeticError, ValueError):
+            failed_at.add(j)
+    _settle(report, *_log_residuals(sums, failed_at, n))
     return report
 
+
+# ---------------------------------------------------------------------------
+# E-F commutator pole and residue analysis
 
 def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                            expected_poles: list[Fraction],
@@ -705,6 +703,10 @@ LIMIT_N_MAX = 12
 # points of the numeric cross-check: the unit circle at Im w >= 0.7, away
 # from the real axis, where the Gamma poles and the Stokes lines lie
 _LIMIT_CHECK_W = (cmath.exp(0.25j * math.pi), 1j, cmath.exp(0.75j * math.pi))
+# where the error against the braid is reported along the hbar sequence
+_LIMIT_BRAID_W = 1.0 + 0.002j
+
+
 @functools.cache
 def _bernoulli_numbers() -> tuple[int, list[int]]:
     """(L, [L*B_0, ..., L*B_LIMIT_N_MAX]): the Bernoulli numbers, B_1 = -1/2,
@@ -801,8 +803,7 @@ def _classical_readout(sf: StructureFunction) -> tuple:
 
 
 def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBraid,
-                    hbar_sequence: list[Fraction], w: complex = 1.0 + 0.8j
-                    ) -> VerificationReport:
+                    hbar_sequence: list[Fraction]) -> VerificationReport:
     """Degeneration of the globally rotated exchange factor to the classical
     braiding phase [w/(-w)]^{2 a b/k} as hbar -> 0.
 
@@ -811,9 +812,9 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
     and the first non-zero power-law correction gives the exact order of
     convergence.  A numeric cross-check compares the factor with its limit
     times the correction series at the points _LIMIT_CHECK_W and one
-    moderate hbar, within TOLERANCE.  The error against the braid at `w` along
-    `hbar_sequence` is reported as well.  Raises NonConvergent when the
-    limit is not the braid or the cross-check fails.
+    moderate hbar, within TOLERANCE.  The error against the braid at
+    _LIMIT_BRAID_W along `hbar_sequence` is reported as well.  Raises
+    NonConvergent when the limit is not the braid or the cross-check fails.
     """
     if len(hbar_sequence) < 3 or any(
             b <= a for a, b in zip(hbar_sequence[1:], hbar_sequence)):
@@ -833,8 +834,9 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
         lim = cmath.exp(1j * math.pi * float(power + phase) + sum(
             complex(c) * x ** -m for m, c in enumerate(corrections, 1) if c))
         check_errs.append(abs(sf.eval(wc, hbar_check) / lim - 1.0))
-    target = braid.ratio(w)
-    errs = [abs(sf.eval(w, float(hb)) / target - 1.0) for hb in hbar_sequence]
+    target = braid.ratio(_LIMIT_BRAID_W)
+    errs = [abs(sf.eval(_LIMIT_BRAID_W, float(hb)) / target - 1.0)
+            for hb in hbar_sequence]
     report = VerificationReport(f"limit[{a},{b};ab={braid.alpha*braid.beta}]",
                                 "classical-limit", False, None, max(check_errs))
     # a NaN can hide from max(), never from this comparison

@@ -1,7 +1,7 @@
 """Batch verification driver.
 
     coset-forge <catalog|contract|verify|poles|limit|report> [file]
-        [--k R] [--hbar R[,R...]] [--json PATH] [--all | --relation NAME]
+        [--k R] [--hbar R[,R...]] [--json PATH] [--relation NAME]
         [CURRENT CURRENT] [--at RE,IM] [--pair A,B]
 
 Each subcommand accepts only the options it reads.  The command line picks
@@ -210,8 +210,7 @@ def _run_limits(cat, hbars_seq, pairs) -> list[VerificationReport]:
         ab = 1 if a == b else -1
         braid = ClassicalBraid(1, ab, cat.params.k)
         try:
-            rep = classical_limit(cat, (a, b), braid, hbars_seq,
-                                  w=1.0 + 0.002j)
+            rep = classical_limit(cat, (a, b), braid, hbars_seq)
         except NonConvergent as exc:
             rep = _refuted(f"limit[{a},{b};ab={ab}]", "classical-limit", exc)
         out.append(rep)
@@ -476,7 +475,7 @@ def _finish(path, params, hbars, reports) -> int:
 
 
 def _shape_pairs(rels) -> list[tuple[str, str]]:
-    return [r.left_pair for r in rels if r.kind == "shape"]
+    return [r.pair for r in rels if r.kind == "shape"]
 
 
 def _payload(params, hbars, reports) -> dict:
@@ -529,10 +528,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     p = session("verify", cmd_verify, "verify declared relations")
     if p:
-        which = p.add_mutually_exclusive_group()
-        which.add_argument("--all", action="store_true",
-                           help="verify every declared relation (default)")
-        which.add_argument("--relation", default=None, help="verify a single relation")
+        p.add_argument("--relation", default=None,
+                       help="verify a single relation; by default every one")
 
     session("poles", cmd_poles, "ordering-difference pole/residue analysis")
 

@@ -191,18 +191,17 @@ class FactorDecl:
 
 
 class RelationDecl:
-    __slots__ = ("name", "kind", "left_factors", "left_pair", "right_factors",
-                 "right_pair", "rotate")
+    __slots__ = ("name", "kind", "pair", "left_factors", "right_factors",
+                 "rotate")
 
-    def __init__(self, name: str, kind: str, left_factors: list[FactorDecl],
-                 left_pair: tuple[str, str], right_factors: list[FactorDecl],
-                 right_pair: tuple[str, str], rotate: str = "none"):
+    def __init__(self, name: str, kind: str, pair: tuple[str, str],
+                 left_factors: list[FactorDecl],
+                 right_factors: list[FactorDecl], rotate: str = "none"):
         self.name = name
         self.kind = kind                # "exchange" | "shape"
+        self.pair = pair                # (A, B) of A(u) B(v)
         self.left_factors = left_factors
-        self.left_pair = left_pair
         self.right_factors = right_factors
-        self.right_pair = right_pair
         self.rotate = rotate
 
 
@@ -354,10 +353,10 @@ def _bind_side(rel: str, factors: list[FactorDecl], at,
 
 
 def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
-    return Relation(rd.name, rd.kind, rd.left_pair, rd.right_pair,
-                    left_factor=_bind_side(rd.name, rd.left_factors, at, k),
-                    right_factor=_bind_side(rd.name, rd.right_factors, at, k),
-                    rotate=rd.rotate)
+    """The bound relation, its target the right side over the left side."""
+    left = _bind_side(rd.name, rd.left_factors, at, k)
+    target = _bind_side(rd.name, rd.right_factors, at, k) * left.inverse()
+    return Relation(rd.name, rd.kind, rd.pair, target, rd.rotate)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +750,7 @@ class _Parser:
             pair = self.pair(("u", "v"))
             rotate = self.rotation()
             self.expect(";")
-            return RelationDecl(name, "shape", [], pair, [], pair[::-1], rotate)
+            return RelationDecl(name, "shape", pair, [], [], rotate)
         lf, lpair = self.side(("u", "v"))
         self.expect("==")
         rf, rpair = self.side(("v", "u"))
@@ -759,7 +758,7 @@ class _Parser:
             self.error({f"reversed pair {lpair[::-1]}"})
         rotate = self.rotation()
         self.expect(";")
-        return RelationDecl(name, "exchange", lf, lpair, rf, rpair, rotate)
+        return RelationDecl(name, "exchange", lpair, lf, rf, rotate)
 
     def rotation(self) -> str:
         if not self.accept("with"):

@@ -159,7 +159,7 @@ def test_criterion_5_rational_relations_gamma_emptiness():
                     "H_m_E", "H_p_F", "H_m_F", "E_E", "F_F"):
             rel = rels[rid]
             # exact Gamma-multiset emptiness on every term pair
-            a, b = rel.left_pair
+            a, b = rel.pair
             for sf in cat.pair_exchange(cat[a], cat[b], rotate="none"):
                 assert not sf.normalize().gammas, (k, rid)
             rep = verify_relation(cat, rel)
@@ -211,7 +211,7 @@ def test_criterion_7_classical_limit():
         _, cat, _, _ = bind_shipped(k)
         for pair, ab in ((("psi", "psi"), 1), (("psi", "psi_dag"), -1)):
             braid = ClassicalBraid(1, ab, k)
-            rep = classical_limit(cat, pair, braid, seq, w=1.0 + 0.002j)
+            rep = classical_limit(cat, pair, braid, seq)
             assert rep.passed, (k, pair)
             fit = rep.limit_fit
             # the exact limit is the braiding phase exp(i pi 2ab/k)
@@ -236,7 +236,7 @@ def _run_cli(*args):
 
 def test_criterion_8_cli_contract(tmp_path):
     t0 = time.time()
-    out = _run_cli("verify", "--all")
+    out = _run_cli("verify")
     assert out.returncode == 0, out.stdout + out.stderr
 
     shipped = (importlib.resources.files("coset_forge") / "data"
@@ -246,7 +246,7 @@ def test_criterion_8_cli_contract(tmp_path):
     assert perturbed != shipped
     bad = tmp_path / "perturbed.alg"
     bad.write_text(perturbed)
-    out_bad = _run_cli("verify", "--all", str(bad))
+    out_bad = _run_cli("verify", str(bad))
     assert out_bad.returncode == 1
     assert "FAIL C_p_C_p" in out_bad.stdout
 

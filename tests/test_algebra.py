@@ -114,9 +114,9 @@ def test_drinfeld_gamma_cancellation_is_exact():
 def test_verify_relation_rejects_perturbed_factor():
     k = Fraction(2)
     cat = catalog(k)
-    bad = Relation("ee_bad", "exchange", ("E", "E"), ("E", "E"),
-                   left_factor=StructureFunction.from_linear(GR(Fraction(0), Fraction(1)), 1),
-                   right_factor=StructureFunction.from_linear(GR(Fraction(0), Fraction(-2)), 1),
+    left = StructureFunction.from_linear(GR(Fraction(0), Fraction(1)), 1)
+    right = StructureFunction.from_linear(GR(Fraction(0), Fraction(-2)), 1)
+    bad = Relation("ee_bad", "exchange", ("E", "E"), right * left.inverse(),
                    rotate="global")
     rep = verify_relation(cat, bad)
     assert not rep.passed
@@ -234,7 +234,7 @@ def test_classical_limit_psi_pairs(k):
     cat = catalog(k)
     for pair, ab in PSI_PAIRS:
         braid = ClassicalBraid(1, ab, k)
-        rep = classical_limit(cat, pair, braid, SEQ, w=1.0 + 0.002j)
+        rep = classical_limit(cat, pair, braid, SEQ)
         assert rep.passed
         fit = rep.limit_fit
         # the exponent read off the Gamma multiset is 2ab/k, modulo the
@@ -284,10 +284,10 @@ def test_classical_limit_nonconvergent_raises(k, mutation):
         if mutation == "flip-ab" and k == 2:
             # [w/(-w)]^1 and [w/(-w)]^-1 are the same function, -1 on
             # either half-plane: flipping ab at k = 2 is no mutation
-            assert classical_limit(cat, pair, wrong, SEQ, w=1.0 + 0.002j).passed
+            assert classical_limit(cat, pair, wrong, SEQ).passed
             continue
         with pytest.raises(NonConvergent):
-            classical_limit(cat, pair, wrong, SEQ, w=1.0 + 0.002j)
+            classical_limit(cat, pair, wrong, SEQ)
 
 
 def test_classical_limit_cross_check_is_held_to_the_tolerance(monkeypatch):
@@ -370,8 +370,8 @@ def test_grid_points_stay_off_the_axes_that_hold_the_poles(p, q, hbar, n):
     params, cat, rels, _ = bind_shipped(k, hbar)
     for rel in rels.values():
         for rotate in ("none", "global"):
-            for sf in cat.pair_exchange(cat[rel.left_pair[0]],
-                                        cat[rel.left_pair[1]], rotate):
+            for sf in cat.pair_exchange(cat[rel.pair[0]], cat[rel.pair[1]],
+                                        rotate):
                 for a, b, _ in [*sf.linears, *sf.normalize().linears]:
                     assert a == 0 or b == 0, (rel.rel_id, rotate, sf)
     gap = 1e-3 * float(hbar) * max(1.0, float(k))
@@ -432,7 +432,7 @@ def test_bilinearity_consistency():
     for sf in facs[1:]:
         assert (sf * base.inverse()).normalize().is_one()
     rep = verify_relation(cat, Relation("psi_psi_dag", "shape",
-                                        ("psi", "psi_dag"), ("psi_dag", "psi")))
+                                        ("psi", "psi_dag"), StructureFunction.one()))
     assert rep.passed and rep.symbolic_pass
 
 
@@ -455,12 +455,13 @@ def test_quadrature_only_fallback_for_nontelescoping_relations():
 
     cat.currents["X"] = Current(
         "X", (NormalOrderedTerm(1, 0, {"p": mf(), "m": mf()}),))
-    rep = verify_relation(cat, Relation("xx", "exchange", ("X", "X"), ("X", "X")))
+    one = StructureFunction.one()
+    rep = verify_relation(cat, Relation("xx", "exchange", ("X", "X"), one))
     assert rep.passed
     assert rep.symbolic_pass is None  # numeric-only verdict
     assert any("quadrature-only" in n for n in rep.notes)
-    bad = Relation("xx_bad", "exchange", ("X", "X"), ("X", "X"),
-                   right_factor=StructureFunction.from_linear(GR.of(Fraction(1)), 1))
+    bad = Relation("xx_bad", "exchange", ("X", "X"),
+                   StructureFunction.from_linear(GR.of(Fraction(1)), 1))
     rep2 = verify_relation(cat, bad)
     assert not rep2.passed and rep2.max_rel_err > 0.1
 
@@ -474,7 +475,8 @@ def test_immutable_records_reject_assignment():
         (Kernel("a", 1, HALF), "slope_b", Fraction(1)),
         (not_term, "hbar_power", 1),
         (Current("X", (not_term,)), "terms", ()),
-        (Relation("xx", "exchange", ("X", "X"), ("X", "X")), "rotate", "global"),
+        (Relation("xx", "exchange", ("X", "X"), StructureFunction.one()),
+         "rotate", "global"),
     ]
     for obj, name, value in records:
         before = getattr(obj, name)
@@ -535,14 +537,13 @@ def test_grid_check_matches_the_per_factor_loop():
 
 
 def _with_target(rel, gammas=None, linears=None):
-    """rel with its target S_right / S_left replaced by one with the given
-    Gamma or linear factors, constant kept."""
-    t = rel.right_factor * rel.left_factor.inverse()
+    """rel with its target replaced by one with the given Gamma or linear
+    factors, constant kept."""
+    t = rel.target
     target = StructureFunction(t.gammas if gammas is None else gammas,
                                t.linears if linears is None else linears,
                                t.const)
-    return Relation(rel.rel_id, rel.kind, rel.left_pair, rel.right_pair,
-                    right_factor=target, rotate=rel.rotate)
+    return Relation(rel.rel_id, rel.kind, rel.pair, target, rotate=rel.rotate)
 
 
 @pytest.fixture
@@ -562,7 +563,7 @@ def test_grid_check_fails_every_point_of_a_wrong_target(log_gamma_calls):
     # a catalog of its own: no earlier check has filled its grid memo
     _, cat, rels, _ = bind_shipped.__wrapped__(3)
     C, E = rels["C_p_C_p"], rels["E_E"]
-    t = C.right_factor * C.left_factor.inverse()
+    t = C.target
     key, e = sorted(t.gammas.items())[0]
     sa, sb, sq, n, d = key
     # the shift raised by one stays in its recurrence class, which then
@@ -571,7 +572,7 @@ def test_grid_check_fails_every_point_of_a_wrong_target(log_gamma_calls):
     raised[(sa, sb, sq, n + d, d)] = e
     # without the factor its class does not balance: log Gamma is needed
     missing = {k: v for k, v in t.gammas.items() if k != key}
-    te = E.right_factor * E.left_factor.inverse()
+    te = E.target
     (a, b, q), el = sorted(te.linears.items())[0]
     shifted = {k: v for k, v in te.linears.items() if k != (a, b, q)}
     shifted[(a + q, b, q)] = el        # rho raised by one

@@ -23,7 +23,7 @@ def shipped_text() -> str:
 
 
 def test_verify_all_shipped_exits_zero():
-    out = run_cli("verify", "--all")
+    out = run_cli("verify")
     assert out.returncode == 0, out.stdout + out.stderr
     assert "all relations hold" in out.stdout
     assert "FAIL" not in out.stdout
@@ -40,7 +40,7 @@ def test_verify_perturbed_shift_exits_one_and_names_relation(tmp_path):
     assert "2/k" in text
     bad = tmp_path / "perturbed.alg"
     bad.write_text(text)
-    out = run_cli("verify", "--all", str(bad))
+    out = run_cli("verify", str(bad))
     assert out.returncode == 1
     assert "FAIL C_p_C_p" in out.stdout
 
@@ -48,7 +48,7 @@ def test_verify_perturbed_shift_exits_one_and_names_relation(tmp_path):
 def test_parse_error_exits_two(tmp_path):
     bad = tmp_path / "broken.alg"
     bad.write_text("params { k = 2; hbar = 1; }\nkernel x { sign = ; }\n")
-    out = run_cli("verify", "--all", str(bad))
+    out = run_cli("verify", str(bad))
     assert out.returncode == 2
     assert "parse error" in out.stderr
 
@@ -72,7 +72,7 @@ def test_json_error_object(tmp_path):
     bad = tmp_path / "broken.alg"
     bad.write_text("params { k = 2; hbar = 1;\n")
     dest = tmp_path / "err.json"
-    out = run_cli("verify", "--all", str(bad), "--json", str(dest))
+    out = run_cli("verify", str(bad), "--json", str(dest))
     assert out.returncode == 2
     payload = json.loads(dest.read_text())
     assert payload["error"]["kind"] == "parse"
@@ -139,7 +139,7 @@ def test_contract_subcommand_quadrature_vs_closed():
 
 
 def test_k_override_flag():
-    out = run_cli("verify", "--all", "--k", "5/2")
+    out = run_cli("verify", "--k", "5/2")
     assert out.returncode == 0, out.stdout
 
 
@@ -361,6 +361,50 @@ def test_a_file_cannot_loosen_the_quadrature_only_check(tmp_path, capsys):
         "kind": "parse", "message": message}
 
 
+_XX_ROW = "relation xx_false : (iw + 1*hbar) * X(u) X(v) == X(v) X(u);"
+# X has one term: its shape row has one term pair and compares nothing
+_XX_SHAPE = _XX_FALSE.replace(_XX_ROW, "relation xx_shape : shape X(u) X(v);")
+# a tilt of Xp's positive branch narrows the strip overlap to (-1/16, 1/16):
+# the line lies on Im w = 0, and at Re w = +-2, +-14/9 and +-10/9 the
+# integrals stop at the node cap with error estimates of 2.4e-6 to 5.1e-9,
+# at least 50 times the quadrature's 1e-10
+_XX_TILTED = _XX_FALSE.replace(
+    "current Xp on p {\n  pos: 1", "current Xp on p {\n  pos: exp((7/16)*h*t) * 1"
+).replace(_XX_ROW, "relation xx_true : X(u) X(v) == X(v) X(u);\n" + _XX_ROW)
+
+
+def test_a_one_pair_shape_row_fails_on_the_quadrature_only_route(tmp_path, capsys):
+    src = tmp_path / "xx_shape.alg"
+    src.write_text(_XX_SHAPE)
+    assert cli.run(["verify", str(src), "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    [row] = json.loads(out)["relations"]
+    assert (row["id"], row["pass"], row["max_rel_err"]) == ("xx_shape", False, "nan")
+    assert row["notes"] == ["closed form does not telescope; quadrature-only check",
+                            "one term pair: a shape relation compares nothing"]
+    assert "FAIL xx_shape kind=shape max_rel_err=nan" in err
+
+
+def test_a_quadrature_point_that_fails_fails_only_its_row(tmp_path, capsys):
+    src = tmp_path / "xx_tilted.alg"
+    src.write_text(_XX_TILTED)
+    assert _XX_TILTED.count("exp((7/16)*h*t)") == 1
+    assert cli.run(["verify", str(src), "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    rows = {r["id"]: r for r in json.loads(out)["relations"]}
+    assert sorted(rows) == ["xx_false", "xx_true"]
+    for row in rows.values():
+        assert row["pass"] is False
+        assert row["notes"] == [
+            "closed form does not telescope; quadrature-only check",
+            "6 of 10 grid points failed to evaluate"]
+        failed = [float(w["re"]) for w, r in zip(row["grid"], row["residuals"])
+                  if r == "nan"]
+        assert [round(9 * x) for x in failed] == [-18, -14, -10, 10, 14, 18]
+        assert {w["im"] for w in row["grid"]} == {"0"}
+    assert "FAIL xx_true kind=exchange" in err and "FAIL xx_false" in err
+
+
 @pytest.mark.parametrize("argv, line", [
     (["verify"], "all relations hold"),
     (["poles"], "residue at"),
@@ -524,8 +568,9 @@ def test_catalog_json_path_is_rejected(tmp_path):
     ["report", "--grid-range", "1,2"],
     ["verify", "--json", "-", "--grid-range", "1"],
     ["catalog", "--json", "-"],
-    # --all and --relation name what to verify in two contradicting ways
-    ["verify", "--all", "--relation", "E_E"],
+    # verify checks every relation unless --relation names one: there is
+    # no flag for the default
+    ["verify", "--all"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     # argparse prints the usage and exits 2; a missing contract pair once
@@ -543,7 +588,7 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
     expected = {
         "catalog": session,
         "contract": session | {"currents", "--at", "--json"},
-        "verify": session | {"--all", "--relation", "--json"},
+        "verify": session | {"--relation", "--json"},
         "poles": session | {"--json"},
         "limit": session | {"--pair", "--json"},
         "report": session | {"--json"},
@@ -555,7 +600,7 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
                for a in parser._actions if a.dest != "help"}
         for name, parser in sub.choices.items()}
     assert accepted == expected
-    assert sum(map(len, accepted.values())) == 28
+    assert sum(map(len, accepted.values())) == 27
 
 
 @pytest.mark.parametrize("command", [
@@ -697,7 +742,7 @@ def test_zero_gamma_scale_is_an_input_error(tmp_path, capsys, command, new, kind
 @pytest.mark.parametrize("argv", [
     ["--help"], [], ["bogus"], ["verify", "--bogus"], ["contract"],
     ["contract", "C_plus"], ["limit", "--pair"], ["verify", "--k"],
-    ["verify", "--all", "--relation", "E_E"], ["report", "--tol", "1"],
+    ["verify", "--all"], ["report", "--tol", "1"],
     ["--", "verify", "--nope"]] + [
     [command, "--help"] for command in
     ("catalog", "contract", "verify", "poles", "limit", "report")])

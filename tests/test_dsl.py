@@ -73,8 +73,8 @@ def test_undeclared_and_duplicate_names():
 # favour of paper.alg.  Per level: each current's terms (coefficient, hbar
 # power, and per kernel family the canonical exponent form: lattice and the
 # reduced Laurent rational of each hbar power on each branch), and each
-# relation's kind, pairs, rotation and normalized target factor
-# right_factor / left_factor.
+# relation's kind, pairs, rotation and normalized target factor (right side
+# over left side); the right pair is the reversed left pair.
 
 def _mode_form(mf) -> dict:
     lat, pos, neg = mf.canonical()
@@ -95,10 +95,9 @@ def reference_mismatches(k: str, cat, rels) -> list[str]:
                    for t in cur.terms]
             for name, cur in cat.currents.items()},
         "relations": {
-            r.rel_id: {"kind": r.kind, "left_pair": list(r.left_pair),
-                       "right_pair": list(r.right_pair), "rotate": r.rotate,
-                       "factor": (r.right_factor * r.left_factor.inverse())
-                       .normalize().describe()}
+            r.rel_id: {"kind": r.kind, "left_pair": list(r.pair),
+                       "right_pair": list(r.pair[::-1]), "rotate": r.rotate,
+                       "factor": r.target.normalize().describe()}
             for r in rels},
     }
     return sorted(f"{part}/{name}" for part in ("currents", "relations")
@@ -159,7 +158,7 @@ def test_shape_relations_bind_both_sides_to_one():
     shapes = [r for r in rels if r.kind == "shape"]
     assert shapes
     for rel in shapes:
-        assert rel.left_factor.is_one() and rel.right_factor.is_one(), rel.rel_id
+        assert rel.target.is_one(), rel.rel_id
 
 
 def test_bind_overrides():
@@ -366,7 +365,8 @@ def test_gamma_scale_vanishing_at_the_bound_level():
                              r"vanishes at k=2"):
         df.bind()
     params, cat, rels, _, _ = df.bind(Fraction(3))
-    assert rels[0].left_factor.gammas == {(1, 0, 1, 1, 1): 1}
+    # the left side's Gamma(x + 1) is divided out of the target
+    assert rels[0].target.gammas == {(1, 0, 1, 1, 1): -1}
 
 
 def _diagnosed(text, at):
@@ -547,10 +547,13 @@ def test_bound_sides_equal_the_factor_products(k):
     df = parse_definitions(text)
     _, _, rels, _, _ = df.bind(k, [Fraction(1)])
     assert len(rels) == len(df.relations)
+    at = dsl._binder(k)
     for rd, rel in zip(df.relations, rels):
-        for factors, got in ((rd.left_factors, rel.left_factor),
-                             (rd.right_factors, rel.right_factor)):
-            want = _factor_product(factors, k)
+        left, right = (_factor_product(f, k)
+                       for f in (rd.left_factors, rd.right_factors))
+        for got, want in ((dsl._bind_side(rd.name, rd.left_factors, at, k), left),
+                          (dsl._bind_side(rd.name, rd.right_factors, at, k), right),
+                          (rel.target, right * left.inverse())):
             assert got.gammas == want.gammas
             assert got.linears == want.linears
             assert got.const == want.const

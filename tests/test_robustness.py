@@ -76,8 +76,7 @@ def test_mixed_sector_relation_holds_only_rotated():
     assert ee.rotate == "global"
     assert verify_relation(cat, ee).passed
 
-    ee_n = Relation(ee.rel_id, ee.kind, ee.left_pair, ee.right_pair,
-                    ee.left_factor, ee.right_factor, rotate="none")
+    ee_n = Relation(ee.rel_id, ee.kind, ee.pair, ee.target, rotate="none")
     rep = verify_relation(cat, ee_n)
     assert not rep.passed
     assert not rep.symbolic_pass
@@ -95,7 +94,7 @@ def test_relation_table_at_unusual_levels(k):
 
 def test_hbar_half_session_via_cli():
     out = subprocess.run(
-        [sys.executable, "-m", "coset_forge.cli", "verify", "--all",
+        [sys.executable, "-m", "coset_forge.cli", "verify",
          "--hbar", "1/2"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stdout
