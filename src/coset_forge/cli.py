@@ -492,10 +492,33 @@ def _payload(params, hbars, reports) -> dict:
     }
 
 
+class _Fallback(Exception):
+    """Raised where a parser built for `argv` would print help or an error."""
+
+
+class _InvokedParser(argparse.ArgumentParser):
+    """A parser with only the subcommands its argv names.  Where it would
+    print help or an error, the full parser parses the same arguments, so
+    every message, usage line and exit code is the full parser's."""
+
+    def parse_args(self, args=None, namespace=None):
+        try:
+            return super().parse_args(args, namespace)
+        except _Fallback:
+            pass
+        return build_parser().parse_args(args, namespace)
+
+    def print_help(self, file=None):
+        raise _Fallback
+
+    def error(self, message):
+        raise _Fallback
+
+
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; given `argv`, only a subcommand it names gets
-    its arguments, the others just what the top-level help and errors show."""
-    ap = argparse.ArgumentParser(
+    """The command-line parser.  Given `argv`, only the subcommands it names
+    are built; help, usage and errors come from the full parser."""
+    ap = (argparse.ArgumentParser if argv is None else _InvokedParser)(
         prog="coset-forge",
         description="verify the deformed coset vertex-operator relations")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -504,10 +527,10 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
                 hbar_help="override hbar values, comma-separated rationals",
                 writes_json=True):
         # how a relation is checked is declared in the file, not here
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(fn=fn)
         if argv is not None and name not in argv:
             return None
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
         p.add_argument("file", nargs="?", default=None,
                        help="definition file (.alg); defaults to the shipped catalog")
         p.add_argument("--k", default=None, help="override the level (rational)")

@@ -185,6 +185,12 @@ class StructureFunction:
         n = self.normalize()
         return not n.gammas and not n.linears and n.const.is_one()
 
+    def raw_eq(self, other: "StructureFunction") -> bool:
+        """The same Gamma factors, linear factors and constant, as they
+        stand: equal values at every point, bit for bit."""
+        return (self.gammas == other.gammas and self.linears == other.linears
+                and self.const == other.const)
+
     def symbolic_eq(self, other: "StructureFunction") -> bool:
         """Equal normalized forms, normalize being multiplicative; a complex
         Gamma scale may normalize only once it cancels in self / other."""
@@ -192,8 +198,7 @@ class StructureFunction:
             a, b = self.normalize(), other.normalize()
         except ValueError:
             return (self * other.inverse()).is_one()
-        return (a.gammas == b.gammas and a.linears == b.linears
-                and a.const == b.const)
+        return a.raw_eq(b)
 
     # -- evaluation ----------------------------------------------------------
     def log_eval(self, w: complex, hbar: float) -> complex:

@@ -679,8 +679,16 @@ def test_cached_closed_forms_are_the_direct_derivation(k):
         assert sf.const == ref.const and a == I.log_divergence_coeff
 
 
-@pytest.mark.parametrize("k", ["3", "5/12", "1/16"])
+# eight levels p/q with q <= 16, drawn by seed alone
+_ROW_LEVELS = [str(k) for k in random.Random(35).sample(
+    [Fraction(p, q) for q in range(2, 17) for p in range(1, 4 * q + 1)
+     if math.gcd(p, q) == 1], 8)]
+
+
+@pytest.mark.parametrize("k", ["3", "5/12", "1/16", *_ROW_LEVELS])
 def test_single_relation_row_matches_the_full_run(k, tmp_path, capsys):
+    # a catalog keeps products, exchange ratios and grid values across its
+    # relations: none may answer for another relation
     full = tmp_path / "all.json"
     assert cli.run(["verify", "--k", k, "--json", str(full)]) == 0
     rows = {r["id"]: r for r in json.loads(full.read_text())["relations"]}
@@ -694,3 +702,123 @@ def test_single_relation_row_matches_the_full_run(k, tmp_path, capsys):
         # floats round-trip exactly, so equal text means equal bytes
         assert json.dumps(row) == json.dumps(rows[rel_id])
     capsys.readouterr()
+
+
+def test_a_verify_session_derives_each_product_and_ratio_once(
+        monkeypatch, tmp_path):
+    # at k = 2/7 a verify session needs 72 family exchange ratios over 44
+    # distinct (family, fa, fb) values, and closed_contraction products over
+    # 52 distinct (family, t>0 branch, t<0 branch) keys (168 calls if none
+    # were kept); each distinct one is derived once, from the 12 closed
+    # forms of the level
+    Catalog = algebra.Catalog
+    products, ratio_keys, counts = {}, [], {"ratios": 0, "closed_forms": 0}
+    inside = []
+
+    def counting(owner, name, wrapper):
+        wrapped = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **kw: wrapper(wrapped, *a, **kw))
+
+    def closed_contraction(f, cat, fam, a, b):
+        sf, coeff = f(cat, fam, a, b)
+        key = (fam, a.positive_branch, b.negative_branch)
+        products.setdefault(key, set()).add(id(sf))
+        return sf, coeff
+
+    def pair_exchange(f, cat, a, b, rotate="none"):
+        # the (family, fa, fb) value of every family of every term pair
+        for ta in a.terms:
+            for tb in b.terms:
+                for fam in cat.kernels:
+                    fa, fb = ta.exponents.get(fam), tb.exponents.get(fam)
+                    if fa is not None and fb is not None:
+                        ratio_keys.append((fam, fa.positive_branch,
+                                           fa.negative_branch,
+                                           fb.positive_branch,
+                                           fb.negative_branch))
+        inside.append(True)
+        try:
+            return f(cat, a, b, rotate)
+        finally:
+            inside.pop()
+
+    def negate_w(f, sf):
+        # a ratio is S_f * S_r(-w)^-1: one negate_w per derived ratio
+        counts["ratios"] += bool(inside)
+        return f(sf)
+
+    def closed_form(f, *a):
+        counts["closed_forms"] += 1
+        return f(*a)
+
+    counting(Catalog, "closed_contraction", closed_contraction)
+    counting(Catalog, "pair_exchange", pair_exchange)
+    counting(StructureFunction, "negate_w", negate_w)
+    counting(algebra, "closed_form", closed_form)
+    assert cli.run(["verify", "--k", "2/7", "--json",
+                    str(tmp_path / "v.json")]) == 0
+    assert len(products) == 52
+    assert all(len(ids) == 1 for ids in products.values())
+    assert len(ratio_keys) == 72 and len(set(ratio_keys)) == 44
+    assert counts == {"ratios": 44, "closed_forms": 12}
+
+
+def test_grid_check_of_the_distinct_factors_keeps_every_bit():
+    # E_E at 5/12 has four term-pair factors; the first and the last are
+    # raw-equal.  The middle two carry Gamma factors, and the last grid point
+    # puts the argument of the first of them on the pole -1 (hbar = 1)
+    _, cat, rels, _ = bind_shipped(Fraction(5, 12))
+    rel = rels["E_E"]
+    factors = cat.pair_exchange(cat["E"], cat["E"], rotate=rel.rotate)
+    assert [f.raw_eq(factors[0]) for f in factors] == [True, False, False, True]
+    assert not factors[1].raw_eq(factors[2])
+    (sa, sb, sq, n, d), _ = sorted(factors[1].gammas.items())[0]
+    pole = (-1 - n / d) * complex(sa / sq, sb / sq) / 1j
+    grid = default_grid(cat.params) + [pole]
+    got = _grid_check(factors[:3], rel.target, grid, 1.0)
+    assert repr(got) == repr(_grid_check(factors, rel.target, grid, 1.0))
+    residuals, worst, failed = got
+    assert math.isnan(residuals[-1]) and failed == 1 and 0 < worst < 1e-12
+
+
+def test_verify_relation_checks_each_factor_that_is_not_raw_equal(monkeypatch):
+    # E_E's first factor at 5/12, then copies changed in one linear factor,
+    # in one Gamma factor or in the constant only, then the first again:
+    # the row reads as the grid check of the whole list
+    _, cat, rels, _ = bind_shipped(Fraction(5, 12))
+    rel = rels["E_E"]
+    f = cat.pair_exchange(cat["E"], cat["E"], rotate=rel.rotate)[0]
+    variants = [f * StructureFunction.from_linear(Fraction(1, 3)),
+                f * StructureFunction.from_gamma(GR(0, 1), Fraction(1, 2)),
+                StructureFunction(f.gammas, f.linears,
+                                  f.const.times_base(GR(2), 0, 1))]
+    for changed in variants:
+        factors = [f, changed, f]
+        monkeypatch.setattr(cat, "pair_exchange", lambda a, b, rotate: factors)
+        rep = verify_relation(cat, rel)
+        want = _grid_check(factors, rel.target, rep.grid, 1.0)
+        assert repr((rep.residuals, rep.max_rel_err)) == repr(want[:2])
+        assert not rep.passed and rep.symbolic_pass is False
+
+
+def test_a_divergence_mismatch_is_raised_on_every_call():
+    # the forward contraction of X against Y has a 1/t coefficient, the
+    # reversed one none: every pair_exchange through the family refuses,
+    # and no ratio is kept
+    from coset_forge.algebra import Catalog
+    from coset_forge.errors import DivergenceMismatch
+
+    k = Fraction(2)
+    cat = Catalog(AlgebraParams(k))
+    cat.kernels = {"c": Kernel("c", 1, k / 2)}
+    x = ModeFunction([ExpTrigTerm(2, 1, 0, 0, ())],
+                     [ExpTrigTerm(1, 1, 0, 0, ((k / 2, -1),))])
+    y = ModeFunction([ExpTrigTerm(1, 1, 0, 0, ((k / 2, -1),))],
+                     [ExpTrigTerm(-2, 1, 0, 0, ())])
+    for name, mf in (("X", x), ("Y", y)):
+        cat.currents[name] = Current(name, (NormalOrderedTerm(1, 0, {"c": mf}),))
+    for rotate in ("none", "global", "none"):
+        with pytest.raises(DivergenceMismatch, match="family c: 1/t coefficients"):
+            cat.pair_exchange(cat["X"], cat["Y"], rotate)
+    assert not cat._ratios
