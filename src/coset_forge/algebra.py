@@ -20,7 +20,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .contraction import StructureFunction, closed_form, contract, quad_eval
+from .contraction import (StructureFunction, closed_form, contract,
+                          pair_closed_form, quad_eval)
 from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
                      NonTelescoping, ResidueMismatch, UnexpectedPole)
 from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
@@ -76,9 +77,8 @@ class Catalog:
         self.params = params
         self.kernels: dict[str, Kernel] = {}
         self.currents: dict[str, Current] = {}
+        # single-pair closed forms under (family, tf, tg), grid check values
         self._cf_cache: dict = {}
-        # untilted closed forms (None: derive the pair), grid check values
-        self._untilted: dict = {}
         self._grid_memo: dict = {}
         # closed_contraction results and exchange ratios, under the
         # branches each reads
@@ -90,36 +90,21 @@ class Catalog:
 
     # -- structure-function machinery --------------------------------------
     def _single_pair_closed(self, fam: str, tf: ExpTrigTerm, tg: ExpTrigTerm):
-        """Closed form and 1/t coefficient of <tf(u) tg(v)> over `fam`: a tilt
-        e^{tau hbar t} of the product term gives F_0(w + i tau hbar) and the
-        same 1/t coefficient, so F_0 is derived once per untilted term (see
-        README); where that raises, the pair is derived as it stands."""
+        """Closed form and 1/t coefficient of <tf(u) tg(v)> over `fam`,
+        derived once per catalog straight from the pair's sinh product
+        (pair_closed_form); a product whose denominator is not one simple
+        sinh goes through contract and closed_form."""
         key = (fam, tf, tg)
         hit = self._cf_cache.get(key)
         if hit is None:
-            # the product with tg.reflected(): odd sinh powers flip the sign
-            odd = sum(e for _, e in tg.sinh_factors) % 2
-            ukey = (fam, tf.coeff * (-tg.coeff if odd else tg.coeff),
-                    tf.hbar_power + tg.hbar_power,
-                    tuple(sorted(tf.sinh_factors + tg.sinh_factors)))
-            if ukey not in self._untilted:
-                flat = ExpTrigTerm(ukey[1], ukey[2], 0, 0, ukey[3])
-                try:    # against the constant 1 on t < 0
-                    self._untilted[ukey] = self._derive(fam, flat, ExpTrigTerm(1, 0))
-                except CosetForgeError:
-                    self._untilted[ukey] = None
-            base = self._untilted[ukey]
-            if base is None:
-                hit = self._derive(fam, tf, tg)
-            else:
-                hit = (base[0].tilted(tf.tilt() - tg.tilt()), base[1])
+            K = self.kernels[fam]
+            hit = pair_closed_form(tf, tg, K)
+            if hit is None:
+                I = contract(ModeFunction([tf], []), ModeFunction([], [tg]),
+                             K, self.params)
+                hit = closed_form(I, self.params), I.log_divergence_coeff
             self._cf_cache[key] = hit
         return hit
-
-    def _derive(self, fam: str, tf: ExpTrigTerm, tg: ExpTrigTerm):
-        I = contract(ModeFunction([tf], []), ModeFunction([], [tg]),
-                     self.kernels[fam], self.params)
-        return closed_form(I, self.params), I.log_divergence_coeff
 
     def closed_contraction(self, fam: str, f: ModeFunction, g: ModeFunction
                            ) -> tuple[StructureFunction, Fraction]:

@@ -21,6 +21,14 @@ Two evaluation routes are kept deliberately independent:
     exactly.  The Gamma arguments are x_j = iw/(s hbar) + shift with exact
     rational scale s and shift.
 
+The verify path derives each term pair's closed form a third way,
+pair_closed_form: straight from the pair's sinh product, in integers, by
+Frullani's and Binet's integrals (DLMF 5.9), when the product's denominator
+is at most one simple sinh(gamma hbar t) with gamma <= 4.  It gives what
+closed_form gives, and raises what contract and closed_form raise; every
+other product (two denominator slopes, a squared one, gamma > 4) goes
+through contract and closed_form.
+
 Exchange factors S with A(u)B(v) = S(u-v) B(v)A(u) are differences of two
 contractions; their log divergences must cancel exactly, which is checked
 symbolically.
@@ -46,7 +54,7 @@ from .specfun import log_gamma
 
 __all__ = [
     "StructureFunction", "ContractionIntegrand", "contract", "quad_eval",
-    "closed_form", "exchange_factor",
+    "closed_form", "pair_closed_form", "exchange_factor",
 ]
 
 _MINUS_ONE = GR(-1)
@@ -135,22 +143,6 @@ class StructureFunction:
             key = (b, -a, q)
             l[key] = l.get(key, 0) + e
         return StructureFunction(g, l, self.const.wick_rotate())
-
-    def tilted(self, tau: Fraction) -> "StructureFunction":
-        """F(w + i*tau*hbar) for real Gamma scales s and linear offsets rho,
-        as closed_form emits: Gamma(iw/(s*hbar) + a - tau/s) and
-        (iw + (rho - tau)*hbar), the constant kept."""
-        tn, td = tau.numerator, tau.denominator
-        g, l = {}, {}
-        for (sa, sb, sq, n, d), e in self.gammas.items():
-            assert not sb and sa > 0, "tilted needs positive real Gamma scales"
-            a = Fraction(n * td * sa - tn * sq * d, d * td * sa)  # n/d - tau*sq/sa
-            g[sa, 0, sq, a.numerator, a.denominator] = e
-        for (a, b, q), e in self.linears.items():
-            assert not b, "tilted needs real linear offsets"
-            rho = Fraction(a * td - tn * q, q * td)
-            l[rho.numerator, 0, rho.denominator] = e
-        return StructureFunction(g, l, self.const)
 
     # -- canonical form ----------------------------------------------------
     def normalize(self) -> "StructureFunction":
@@ -644,6 +636,109 @@ def _family_order(R: LaurentRational, L: int) -> int | None:
     order = math.lcm(*R.factors)
     M = order if order % 2 else order // 2
     return M if M <= 8 * L * max(1, R.den_degree()) else None
+
+
+def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
+                     ) -> tuple[StructureFunction, Fraction] | None:
+    """closed_form(I) and I.log_divergence_coeff, I the contraction of tf on
+    t > 0 against tg on t < 0 over K, straight from the merged product
+    c e^{tau hbar t} prod_j sinh(beta_j hbar t)^{e_j}, in integers.
+
+    On the product's lattice L, with X = e^{hbar t/L} and b_j = beta_j L,
+    sinh(beta_j hbar t) = X^{-b_j} (X^{2 b_j} - 1)/2 (DLMF 5.9):
+      * no denominator sinh: the product is sum_x n_x X^x, and Frullani's
+        integral gives prod_x (iw - x hbar/L)^{-n_x};
+      * one denominator sinh(gamma hbar t)^1 with a numerator slope an
+        integer multiple of gamma: the same for the exact quotient;
+      * one denominator sinh(gamma hbar t)^1 otherwise, b = gamma L: the
+        product is P(X) / (X^{2b} - 1), P = sum_x d_x X^x, and Binet's
+        integral gives prod_x Gamma(iw/(2 gamma hbar) + (2b - x)/(2b))^{d_x}
+        times (2 gamma hbar)^{S1}, S1 = sum_x d_x (2b - x)/(2b).
+    The checks are closed_form's and contract's, in their order: hbar
+    balance, divergence faster than 1/t, integer coefficients, coefficients
+    summing to zero, and -S1 against the product's t -> 0 limit
+    c prod_j beta_j^{e_j}.  Every other shape returns None: two or more
+    denominator slopes, a squared one, or gamma > 4, above which the family
+    order 2b may pass closed_form's cap 8 L deg(den)."""
+    cf, df, hf, tnf, tdf, ff, _ = tf.ints()
+    cg, dg, hg, tng, tdg, fg, odd = tg.ints()
+    slope = K.slope_b   # and K.slope_a = 1
+    slopes: dict[tuple[int, int], int] = {}
+    for beta, e in ff + fg + (((1, 1), 1),
+                              ((slope.numerator, slope.denominator), 1)):
+        slopes[beta] = slopes.get(beta, 0) + e
+    num = [(beta, e) for beta, e in slopes.items() if e > 0]
+    den = [(beta, e) for beta, e in slopes.items() if e < 0]
+    if den and (len(den) > 1 or den[0][1] < -1
+                or den[0][0][0] > 4 * den[0][0][1]):
+        return None
+    hpow = hf + hg - 2
+    if hpow:
+        raise IllPosedContraction(f"unbalanced hbar power {hpow} in contraction")
+    # tg reflected: t -> -t flips the tilt and each odd sinh power
+    cn, cd = cf * cg * K.sign * (-1 if odd else 1), df * dg
+    if not cn:
+        return StructureFunction.one(), Fraction(0)
+    s = sum(e for _, e in num + den)
+    if s < 0:
+        raise IllPosedContraction("integrand diverges faster than 1/t at the origin")
+    tn, td = tnf * tdg - tng * tdf, tdf * tdg
+    g = math.gcd(tn, td)
+    tn, td = tn // g, td // g
+    L = math.lcm(td, *(bd for (_, bd), _ in num + den))
+    ints = [(bn * (L // bd), e) for (bn, bd), e in num + den]
+    # the t -> 0 limit c prod_j beta_j^{e_j}, and prod_j b_j^{e_j} when
+    # sum_j e_j = 0
+    limit = Fraction(0) if s else Fraction(
+        cn * math.prod(b ** e for b, e in ints if e > 0),
+        cd * math.prod(b ** -e for b, e in ints if e < 0))
+    poly = {tn * (L // td) - sum(b * e for b, e in ints): 1}
+    if den:
+        b_den = ints.pop()[0]
+        j = next((j for j, (b, _) in enumerate(ints) if b % b_den == 0), None)
+        if j is not None:
+            # (X^{2b} - 1) / (X^{2 b_den} - 1) = sum_{i<r} X^{2 b_den i}
+            b, e = ints[j]
+            ints[j] = b, e - 1
+            quotient: dict[int, int] = {}
+            for x, c in poly.items():
+                for i in range(0, 2 * b, 2 * b_den):
+                    quotient[x + i] = quotient.get(x + i, 0) + c
+            poly, den = quotient, []
+    for b, e in ints:
+        for _ in range(e):
+            times = {x: -c for x, c in poly.items()}
+            for x, c in poly.items():
+                times[x + 2 * b] = times.get(x + 2 * b, 0) + c
+            poly = times
+    terms = sorted((x, c * cn) for x, c in poly.items() if c)
+    div = cd << s
+    if not den:
+        linears: dict[tuple[int, int, int], int] = {}
+        for x, c in terms:
+            g = math.gcd(x, L)
+            linears[-x // g, 0, L // g] = -_as_int(c, div, "Frullani family coefficient")
+        return StructureFunction(linears=linears), limit
+    two_b = 2 * b_den
+    g = math.gcd(two_b, L)
+    sa, sq = two_b // g, L // g
+    gammas: dict[tuple[int, int, int, int, int], int] = {}
+    dsum = s1n = 0      # S1 = s1n / (2b)
+    for x, c in terms:
+        d = _as_int(c, div, "Gamma family coefficient")
+        n = two_b - x
+        g = math.gcd(n, two_b)
+        gammas[sa, 0, sq, n // g, two_b // g] = d
+        dsum += d
+        s1n += d * n
+    if dsum:
+        raise IllPosedContraction("family coefficients do not sum to zero")
+    s1 = Fraction(s1n, two_b)
+    if -s1 != limit:
+        raise IllPosedContraction(
+            f"divergence bookkeeping mismatch: {-s1} vs {limit}")
+    return (StructureFunction(gammas, const=ExactConst.one().times_base(
+        _raw(sa, 0, sq), 1, s1)), limit)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ class ExpTrigTerm:
     """
 
     __slots__ = ("coeff", "hbar_power", "shift", "spectral_shift",
-                 "sinh_factors", "_hash")
+                 "sinh_factors", "_hash", "_ints")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, coeff: Fraction, hbar_power: int = 1,
@@ -140,6 +140,7 @@ class ExpTrigTerm:
         _set(self, "sinh_factors",
              tuple(sorted((b, e) for b, e in merged.items() if e)))
         _set(self, "_hash", None)
+        _set(self, "_ints", None)
 
     def _key(self):
         return (self.coeff, self.hbar_power, self.shift, self.spectral_shift,
@@ -161,6 +162,22 @@ class ExpTrigTerm:
     def __repr__(self):
         return ("ExpTrigTerm(coeff={!r}, hbar_power={!r}, shift={!r}, "
                 "spectral_shift={!r}, sinh_factors={!r})".format(*self._key()))
+
+    def ints(self) -> tuple:
+        """The term in integers, computed once: (cn, cd, hbar_power, tn, td,
+        factors, odd) with coefficient cn/cd, tilt tn/td in lowest terms,
+        factors the pairs ((bn, bd), e) of each slope bn/bd and exponent,
+        and odd the parity of the summed sinh exponents."""
+        v = self._ints
+        if v is None:
+            c, tau = self.coeff, self.tilt()
+            v = (c.numerator, c.denominator, self.hbar_power, tau.numerator,
+                 tau.denominator,
+                 tuple(((b.numerator, b.denominator), e)
+                       for b, e in self.sinh_factors),
+                 sum(e for _, e in self.sinh_factors) % 2)
+            _set(self, "_ints", v)
+        return v
 
     def tilt(self) -> Fraction:
         """Net exponential tilt (shift + spectral shift), in hbar*t units."""

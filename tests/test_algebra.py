@@ -661,15 +661,16 @@ _LEVELS = random.Random(33).sample(
      if math.gcd(p, q) == 1], 12)
 
 
-@pytest.mark.parametrize("k", _LEVELS, ids=str)
+@pytest.mark.parametrize(
+    "k", [*_LEVELS, Fraction(997, 1000), Fraction(1, 3000)], ids=str)
 def test_cached_closed_forms_are_the_direct_derivation(k):
-    # each cache entry is an untilted closed form shifted by its tilt: it
-    # must be closed_form(contract(...)) of the tilted pair, key for key and
-    # in the same order, with the same constant and 1/t coefficient
+    # each cache entry is derived straight from its pair's sinh product: it
+    # must be closed_form(contract(...)) of the pair, key for key and in the
+    # same order, with the same constant and 1/t coefficient
     params, cat, rels, _ = bind_shipped(k)
     for rel in rels.values():
         verify_relation(cat, rel)
-    assert len(cat._cf_cache) == 35 and len(cat._untilted) == 12
+    assert len(cat._cf_cache) == 35
     for (fam, tf, tg), (sf, a) in cat._cf_cache.items():
         I = contract(ModeFunction([tf], []), ModeFunction([], [tg]),
                      cat.kernels[fam], params)
@@ -709,10 +710,12 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
     # at k = 2/7 a verify session needs 72 family exchange ratios over 44
     # distinct (family, fa, fb) values, and closed_contraction products over
     # 52 distinct (family, t>0 branch, t<0 branch) keys (168 calls if none
-    # were kept); each distinct one is derived once, from the 12 closed
-    # forms of the level
+    # were kept); each distinct one is derived once, from the 35 pair closed
+    # forms of the level, each derived once from its sinh product with no
+    # contract or closed_form call
     Catalog = algebra.Catalog
-    products, ratio_keys, counts = {}, [], {"ratios": 0, "closed_forms": 0}
+    products, ratio_keys, pairs = {}, [], []
+    counts = {"ratios": 0, "contract": 0, "closed_form": 0}
     inside = []
 
     def counting(owner, name, wrapper):
@@ -748,20 +751,29 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
         counts["ratios"] += bool(inside)
         return f(sf)
 
-    def closed_form(f, *a):
-        counts["closed_forms"] += 1
-        return f(*a)
+    def pair_closed_form(f, tf, tg, K):
+        pairs.append((K, tf, tg))
+        return f(tf, tg, K)
+
+    def laurent_route(name):
+        def wrapper(f, *a):
+            counts[name] += 1
+            return f(*a)
+        return wrapper
 
     counting(Catalog, "closed_contraction", closed_contraction)
     counting(Catalog, "pair_exchange", pair_exchange)
     counting(StructureFunction, "negate_w", negate_w)
-    counting(algebra, "closed_form", closed_form)
+    counting(algebra, "pair_closed_form", pair_closed_form)
+    counting(algebra, "contract", laurent_route("contract"))
+    counting(algebra, "closed_form", laurent_route("closed_form"))
     assert cli.run(["verify", "--k", "2/7", "--json",
                     str(tmp_path / "v.json")]) == 0
     assert len(products) == 52
     assert all(len(ids) == 1 for ids in products.values())
     assert len(ratio_keys) == 72 and len(set(ratio_keys)) == 44
-    assert counts == {"ratios": 44, "closed_forms": 12}
+    assert len(pairs) == len(set(pairs)) == 35
+    assert counts == {"ratios": 44, "contract": 0, "closed_form": 0}
 
 
 def test_grid_check_of_the_distinct_factors_keeps_every_bit():

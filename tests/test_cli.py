@@ -280,34 +280,27 @@ def test_verify_level_one_fifth_exits_zero():
         assert "all relations hold" in out.stdout
 
 
-def test_verify_runs_one_derivation_per_untilted_key(monkeypatch, capsys):
-    # relations run in turn and share the catalog's closed-form cache; a
-    # contraction is derived once per product term with its tilt removed,
-    # and every cache key (family, tf, tg) shifts one of those
-    calls, keys, untilted = [], set(), set()
-    closed_form = algebra.closed_form
-    lookup = algebra.Catalog._single_pair_closed
+def test_verify_derives_each_pair_key_once(monkeypatch, capsys):
+    # relations run in turn and share the catalog's closed-form cache; each
+    # cache key (family, tf, tg) is derived once, straight from its sinh
+    # product, and no pair of the shipped file needs contract or closed_form
+    derived, laurent = [], []
+    pair_closed_form = algebra.pair_closed_form
 
-    def counting_closed_form(*args):
-        calls.append(1)
-        return closed_form(*args)
+    def recording_pair(tf, tg, K):
+        derived.append((K, tf, tg))
+        return pair_closed_form(tf, tg, K)
 
-    def recording_lookup(self, fam, tf, tg):
-        keys.add((id(self), fam, tf, tg))
-        tr = tg.reflected()
-        sinh = {}
-        for beta, e in tf.sinh_factors + tr.sinh_factors:
-            sinh[beta] = sinh.get(beta, 0) + e
-        untilted.add((id(self), fam, tf.coeff * tr.coeff,
-                      tf.hbar_power + tr.hbar_power,
-                      frozenset((b, e) for b, e in sinh.items() if e)))
-        return lookup(self, fam, tf, tg)
+    def laurent_route(*args):
+        laurent.append(args)
+        raise AssertionError("a shipped pair took the Laurent route")
 
-    monkeypatch.setattr(algebra, "closed_form", counting_closed_form)
-    monkeypatch.setattr(algebra.Catalog, "_single_pair_closed", recording_lookup)
+    monkeypatch.setattr(algebra, "pair_closed_form", recording_pair)
+    monkeypatch.setattr(algebra, "contract", laurent_route)
+    monkeypatch.setattr(algebra, "closed_form", laurent_route)
     assert cli.run(["verify", "--k", "2/7"]) == 0
     assert "all relations hold" in capsys.readouterr().out
-    assert len(keys) == 35 and len(calls) == len(untilted) == 12
+    assert len(derived) == len(set(derived)) == 35 and not laurent
 
 
 def test_limit_message_reduces_both_exponents(capsys):

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (bind_shipped, contraction_pairs, gamma_factors, linear_factors,
                       sparse, sparse_mul)
-from coset_forge.algebra import verify_relation
+from coset_forge.algebra import Catalog, verify_relation
 from coset_forge.contraction import (ContractionIntegrand, StructureFunction,
                                      _family_order, closed_form, contract,
                                      exchange_factor, gamma_key, linear_key,
-                                     quad_eval)
+                                     pair_closed_form, quad_eval)
 from coset_forge.dsl import parse_definitions
 from coset_forge.errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
                                 NonTelescoping, OutsideConvergenceStrip,
@@ -498,6 +498,121 @@ def test_symbolic_eq_agrees_with_the_quotient(parts, extra, variant):
     got = _outcome(lambda: x.symbolic_eq(y))
     assert got == _outcome(lambda: (x * y.inverse()).is_one())
     assert got in (True, ValueError) if variant < 2 else got is not None
+
+
+# ---------------------------------------------------------------------------
+# one term pair's closed form straight from its sinh product
+
+def _derivation(derive):
+    """The Gamma and linear factors in order, the constant and the 1/t
+    coefficient a derivation returns, or the type and message it raised."""
+    try:
+        sf, a = derive()
+    except CosetForgeError as exc:
+        return type(exc), str(exc)
+    return list(sf.gammas.items()), list(sf.linears.items()), sf.const, a
+
+
+def _pair_routes(tf, tg, K):
+    """(what the catalog's pair route gives, what closed_form(contract(...))
+    gives) for tf on t > 0 against tg on t < 0 over K."""
+    cat = Catalog(P1)
+    cat.kernels["x"] = K
+
+    def laurent():
+        I = contract(_mode(pos=[tf]), _mode(neg=[tg]), K, P1)
+        return closed_form(I, P1), I.log_divergence_coeff
+
+    return (_derivation(lambda: cat._single_pair_closed("x", tf, tg)),
+            _derivation(laurent))
+
+
+@st.composite
+def _sinh_pairs(draw):
+    """Two grammar terms and a kernel: slopes are multiples of one base
+    slope, 1 (the kernel's first slope) or drawn freely, so products with
+    a numerator slope a multiple of the denominator's, a squared denominator
+    and two denominator slopes all come up, and the kernel's factors cancel
+    some of the terms'."""
+    base = draw(st.fractions(Fraction(1, 4), 3, max_denominator=5))
+    slope = st.one_of(
+        st.builds(lambda m: base * m, st.sampled_from([HALF, ONE, ONE, 2, 3, Fraction(3, 2)])),
+        st.just(ONE), st.fractions(Fraction(1, 6), 6, max_denominator=6))
+
+    def term():
+        return ExpTrigTerm(draw(st.one_of(st.integers(-4, 4),
+                                          st.fractions(-4, 4, max_denominator=3))),
+                           draw(st.sampled_from([1] * 8 + [0, 2])),
+                           draw(st.fractions(-3, 3, max_denominator=6)),
+                           draw(st.fractions(-2, 2, max_denominator=4)),
+                           tuple(draw(st.lists(st.tuples(slope, st.integers(-2, 2)),
+                                               max_size=3))))
+
+    tf, tg = term(), term()
+    return tf, tg, Kernel("x", draw(st.sampled_from([1, -1])), draw(slope))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sinh_pairs())
+def test_pair_closed_form_is_the_laurent_derivation(pair):
+    # the same factors in the same order, constant and 1/t coefficient, or
+    # the same exception with the same message
+    got, want = _pair_routes(*pair)
+    assert got == want
+
+
+# (tf, tg, kernel slope, pair_closed_form takes it, Laurent outcome)
+_PAIR_SHAPES = {
+    # no denominator: Frullani's linear factors
+    "frullani": (ExpTrigTerm(4, 1, Fraction(1, 3)), ExpTrigTerm(-1, 1, HALF, HALF),
+                 HALF, True, "ok"),
+    # sinh(3 x) / sinh(x): the exact quotient's linear factors
+    "quotient": (ExpTrigTerm(1, 1, Fraction(1, 4), 0, ((ONE, -2),)),
+                 ExpTrigTerm(1, 1), Fraction(3), True, "ok"),
+    # sinh(x/2)^2 sinh(3x/2) / sinh(x): Binet's Gamma factors
+    "binet": (ExpTrigTerm(-2, 1, 0, 0, ((HALF, 1), (ONE, -1))),
+              ExpTrigTerm(2, 1, 0, 0, ((HALF, 1), (ONE, -1))), Fraction(3, 2), True, "ok"),
+    # sinh(x) sinh(6x) / (sinh(2x) sinh(3x)): two denominator slopes that
+    # reduce only through the Laurent rational
+    "two slopes": (ExpTrigTerm(1, 1, 0, 0, ((Fraction(2), -1),)),
+                   ExpTrigTerm(1, 1, 0, 0, ((Fraction(3), -1),)), Fraction(6), False, "ok"),
+    # (sinh(2x) / sinh(x))^2 = (2 cosh x)^2: a squared denominator
+    "squared": (ExpTrigTerm(1, 1, 0, 0, ((ONE, -3), (Fraction(2), 1))),
+                ExpTrigTerm(1, 1), Fraction(2), False, "ok"),
+    # sinh(x) sinh(5x)^2 / sinh(5x)^3: gamma = 5 is above 4
+    "gamma above 4": (ExpTrigTerm(1, 1, 0, 0, ((Fraction(5), -3),)),
+                      ExpTrigTerm(1, 1, 0, 0, ((Fraction(5), 1),)), Fraction(5), False, "ok"),
+    # divergence faster than 1/t before the non-integer coefficient 1/3
+    "divergent": (ExpTrigTerm(Fraction(1, 3), 1, 0, 0, ((ONE, -1),)),
+                  ExpTrigTerm(1, 1, 0, 0, ((HALF, -1), (Fraction(3), -1))), HALF, True,
+                  "integrand diverges faster than 1/t at the origin"),
+    # the hbar balance before the non-integer coefficient 1/3
+    "unbalanced": (ExpTrigTerm(Fraction(1, 3), 2, 0, 0, ((ONE, -1),)),
+                   ExpTrigTerm(1, 1), HALF, True, "unbalanced hbar power 1 in contraction"),
+    "non-integer linear": (ExpTrigTerm(Fraction(1, 3), 1, 0, 0, ((ONE, -1),)),
+                           ExpTrigTerm(1, 1, 0, 0, ((HALF, 1),)), Fraction(3, 2), True,
+                           "Frullani family coefficient -1/12 is not an integer"),
+    "non-integer Gamma": (ExpTrigTerm(Fraction(1, 3), 1, 0, 0, ((ONE, -2),)),
+                          ExpTrigTerm(1, 1, 0, 0, ((HALF, 1),)), Fraction(3, 2), True,
+                          "Gamma family coefficient -1/6 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("shape", _PAIR_SHAPES)
+def test_pair_closed_form_takes_one_simple_denominator(shape):
+    # every shape either route derives gives the Laurent route's outcome;
+    # only products with one simple denominator sinh, gamma <= 4, are
+    # derived from the sinh product, the rest go through contract
+    tf, tg, slope, direct, outcome = _PAIR_SHAPES[shape]
+    K = Kernel("x", 1, slope)
+    got, want = _pair_routes(tf, tg, K)
+    assert got == want
+    assert isinstance(want[0], list) if outcome == "ok" else want[1] == outcome
+    try:
+        taken = pair_closed_form(tf, tg, K) is not None
+    except CosetForgeError:
+        taken = True
+    assert taken is direct
 
 
 # ---------------------------------------------------------------------------
