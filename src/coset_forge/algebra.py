@@ -92,8 +92,8 @@ class Catalog:
     def _single_pair_closed(self, fam: str, tf: ExpTrigTerm, tg: ExpTrigTerm):
         """Closed form and 1/t coefficient of <tf(u) tg(v)> over `fam`,
         derived once per catalog straight from the pair's sinh product
-        (pair_closed_form); a product whose denominator is not one simple
-        sinh goes through contract and closed_form."""
+        (pair_closed_form); a product with two or more denominator sinh
+        slopes, or a squared one, goes through contract and closed_form."""
         key = (fam, tf, tg)
         hit = self._cf_cache.get(key)
         if hit is None:

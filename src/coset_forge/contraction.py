@@ -24,10 +24,9 @@ Two evaluation routes are kept deliberately independent:
 The verify path derives each term pair's closed form a third way,
 pair_closed_form: straight from the pair's sinh product, in integers, by
 Frullani's and Binet's integrals (DLMF 5.9), when the product's denominator
-is at most one simple sinh(gamma hbar t) with gamma <= 4.  It gives what
-closed_form gives, and raises what contract and closed_form raise; every
-other product (two denominator slopes, a squared one, gamma > 4) goes
-through contract and closed_form.
+is at most one simple sinh(gamma hbar t).  It gives what closed_form gives,
+and raises what contract and closed_form raise; every other product (two
+denominator slopes, or a squared one) goes through contract and closed_form.
 
 Exchange factors S with A(u)B(v) = S(u-v) B(v)A(u) are differences of two
 contractions; their log divergences must cancel exactly, which is checked
@@ -658,8 +657,16 @@ def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
     balance, divergence faster than 1/t, integer coefficients, coefficients
     summing to zero, and -S1 against the product's t -> 0 limit
     c prod_j beta_j^{e_j}.  Every other shape returns None: two or more
-    denominator slopes, a squared one, or gamma > 4, above which the family
-    order 2b may pass closed_form's cap 8 L deg(den)."""
+    denominator slopes, or a squared one.
+
+    closed_form's cap 8 L deg(den) on the family order does not bind in the
+    Binet case.  On contract's lattice zeta = e^{hbar t/(2L)} the
+    denominator keeps Phi_{4 gamma L}, which a numerator sinh cancels only
+    when its slope is a multiple of gamma (the quotient case), so the family
+    order is 2 gamma L and deg(den) >= phi(4 gamma L).  The cap then fails
+    only if gamma > 4 phi(4 gamma L), that is prod_{p | 2 gamma L} (1 - 1/p)
+    < 1/(16 L), which needs gamma L divisible by every prime below about
+    8000."""
     cf, df, hf, tnf, tdf, ff, _ = tf.ints()
     cg, dg, hg, tng, tdg, fg, odd = tg.ints()
     slope = K.slope_b   # and K.slope_a = 1
@@ -669,8 +676,7 @@ def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
         slopes[beta] = slopes.get(beta, 0) + e
     num = [(beta, e) for beta, e in slopes.items() if e > 0]
     den = [(beta, e) for beta, e in slopes.items() if e < 0]
-    if den and (len(den) > 1 or den[0][1] < -1
-                or den[0][0][0] > 4 * den[0][0][1]):
+    if len(den) > 1 or den and den[0][1] < -1:
         return None
     hpow = hf + hg - 2
     if hpow:

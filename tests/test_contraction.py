@@ -579,9 +579,13 @@ _PAIR_SHAPES = {
     # (sinh(2x) / sinh(x))^2 = (2 cosh x)^2: a squared denominator
     "squared": (ExpTrigTerm(1, 1, 0, 0, ((ONE, -3), (Fraction(2), 1))),
                 ExpTrigTerm(1, 1), Fraction(2), False, "ok"),
-    # sinh(x) sinh(5x)^2 / sinh(5x)^3: gamma = 5 is above 4
-    "gamma above 4": (ExpTrigTerm(1, 1, 0, 0, ((Fraction(5), -3),)),
-                      ExpTrigTerm(1, 1, 0, 0, ((Fraction(5), 1),)), Fraction(5), False, "ok"),
+    # sinh(x) sinh(5x)^2 / sinh(5x)^3: Binet's Gamma factors at gamma = 5
+    "binet gamma 5": (ExpTrigTerm(1, 1, 0, 0, ((Fraction(5), -3),)),
+                      ExpTrigTerm(1, 1, 0, 0, ((Fraction(5), 1),)), Fraction(5), True, "ok"),
+    # sinh(x) sinh(x/3) sinh(3x/4) / sinh(25x/2), tilted: and at gamma = 25/2
+    "binet gamma 25/2": (ExpTrigTerm(4, 1, Fraction(1, 6), 0,
+                                     ((Fraction(1, 3), 1), (Fraction(25, 2), -1))),
+                         ExpTrigTerm(-1, 1, 0, Fraction(1, 4)), Fraction(3, 4), True, "ok"),
     # divergence faster than 1/t before the non-integer coefficient 1/3
     "divergent": (ExpTrigTerm(Fraction(1, 3), 1, 0, 0, ((ONE, -1),)),
                   ExpTrigTerm(1, 1, 0, 0, ((HALF, -1), (Fraction(3), -1))), HALF, True,
@@ -601,8 +605,8 @@ _PAIR_SHAPES = {
 @pytest.mark.parametrize("shape", _PAIR_SHAPES)
 def test_pair_closed_form_takes_one_simple_denominator(shape):
     # every shape either route derives gives the Laurent route's outcome;
-    # only products with one simple denominator sinh, gamma <= 4, are
-    # derived from the sinh product, the rest go through contract
+    # only products with at most one simple denominator sinh are derived
+    # from the sinh product, the rest go through contract
     tf, tg, slope, direct, outcome = _PAIR_SHAPES[shape]
     K = Kernel("x", 1, slope)
     got, want = _pair_routes(tf, tg, K)
