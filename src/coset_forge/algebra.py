@@ -27,12 +27,11 @@ from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
 from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     _read_only, _set, equals as modes_equal, shift_argument)
-from .specfun import check_gamma_argument, log_gamma
 
 __all__ = [
     "Current", "Catalog", "NormalOrderedTerm", "Relation", "ClassicalBraid",
     "VerificationReport", "verify_relation", "ef_commutator_analysis",
-    "classical_limit", "default_grid",
+    "classical_limit",
 ]
 
 
@@ -77,9 +76,8 @@ class Catalog:
         self.params = params
         self.kernels: dict[str, Kernel] = {}
         self.currents: dict[str, Current] = {}
-        # single-pair closed forms under (family, tf, tg), grid check values
+        # single-pair closed forms under (family, tf, tg)
         self._cf_cache: dict = {}
-        self._grid_memo: dict = {}
         # closed_contraction results and exchange ratios, under the
         # branches each reads
         self._products: dict = {}
@@ -179,8 +177,8 @@ class Catalog:
 # ---------------------------------------------------------------------------
 # relations
 
-# bounds the grid residual, the quadrature-only residual and the classical-
-# limit cross-check; the claims are exact, so no input may loosen it
+# bounds the quadrature-only residual and the classical-limit cross-check;
+# the claims are exact, so no input may loosen it
 TOLERANCE = 1e-8
 
 
@@ -223,7 +221,7 @@ class VerificationReport:
                  "poles", "residue_ops", "limit_fit", "notes")
 
     def __init__(self, rel_id: str, kind: str, passed: bool,
-                 symbolic_pass: bool | None, max_rel_err: float,
+                 symbolic_pass: bool | None, max_rel_err: float | None,
                  grid: list[complex] | None = None,
                  residuals: list[float] | None = None,
                  derived_factor: str = "", expected_factor: str = "",
@@ -235,6 +233,7 @@ class VerificationReport:
         self.kind = kind
         self.passed = passed
         self.symbolic_pass = symbolic_pass
+        # None on the symbolic route, whose rows have no numeric residual
         self.max_rel_err = max_rel_err
         # omitted containers start empty, one new container per report
         self.grid = [] if grid is None else grid
@@ -245,146 +244,6 @@ class VerificationReport:
         self.residue_ops = [] if residue_ops is None else residue_ops
         self.limit_fit = {} if limit_fit is None else limit_fit
         self.notes = [] if notes is None else notes
-
-
-def default_grid(params: AlgebraParams, n: int = 25,
-                 lo: float = 0.1, hi: float = 10.0) -> list[complex]:
-    """Deterministic evaluation grid: log-spaced moduli scaled by
-    hbar*max(1,k), phases cycling through the open lower half-plane (all
-    derived factors have their poles and branch points on the axes)."""
-    hbar = params.hbar_float
-    scale = hbar * max(1.0, float(params.k))
-    phases = (-0.45, -1.25, -1.85, -2.65)
-    pts = []
-    for j in range(n):
-        r = lo * (hi / lo) ** (j / max(n - 1, 1)) * scale
-        pts.append(r * cmath.exp(1j * phases[j % len(phases)]))
-    return pts
-
-
-# a ladder segment longer than this is summed from log Gamma values
-_LADDER_MAX = 64
-
-
-def _ladder_log(x: complex, lo: int, hi: int) -> complex:
-    """The sum of log(x + j) over lo <= j < hi, modulo 2 pi i.
-
-    A segment longer than _LADDER_MAX is the quotient Gamma(x + hi) /
-    Gamma(x + mid) over the steps with Re(x + j) >= 0, and (-1)^n
-    Gamma(1 - x - lo) / Gamma(1 - x - mid) over the n steps left of them
-    (DLMF 5.5.1), so log_gamma sees only arguments with Re >= 0 and makes
-    no long recurrence shift of its own."""
-    s = 0j
-    if hi - lo <= _LADDER_MAX:
-        for j in range(lo, hi):
-            s += cmath.log(x + j)
-        return s
-    mid = min(max(lo, math.ceil(-x.real)), hi)
-    if mid < hi:
-        s += log_gamma(x + hi) - log_gamma(x + mid)
-    if lo < mid:
-        s += ((mid - lo) * math.pi * 1j + log_gamma(1 - x - lo)
-              - log_gamma(1 - x - mid))
-    return s
-
-
-def _grid_check(factors: list[StructureFunction], target: StructureFunction,
-                grid: list[complex], hbar: float, memo: dict | None = None
-                ) -> tuple[list[float], float, int]:
-    """Worst |S_f(w) / S_target(w) - 1| over the factors S_f at each grid
-    point, the largest finite one, and the number of points where some
-    factor or the target failed to evaluate.  A failed point stays NaN in
-    the per-point list and is counted, so it cannot drop out of the maximum
-    unnoticed.  Without factors nothing is evaluated.
-
-    Each ratio is summed in logs from the factor's exponents minus the
-    target's, in sorted key order.  The Gamma keys of one recurrence class
-    (same scale, same shift mod 1) are written against the class's lowest
-    argument x in the relation: Gamma(x + J) = Gamma(x) prod_{j<J} (x + j)
-    (DLMF 5.5.1).  So a class whose exponents sum to zero needs no log
-    Gamma value, unless a ladder segment between two members is longer than
-    _LADDER_MAX (see _ladder_log).  Branches do not matter, since every
-    exponent is an integer and the sum is exponentiated.  The lowest
-    argument of every class still passes check_gamma_argument (a pole of
-    any member of the class puts it on a pole too) and every linear log is
-    taken, cancelling factors included, so a point where any function of
-    the relation cannot be evaluated fails.  Each value is taken over the
-    grid at once, a column per key, kept in `memo` under (grid, hbar)."""
-    if not factors:
-        return [0.0] * len(grid), 0.0, 0
-    nan = float("nan")
-    n = len(grid)
-    funcs = [target] + factors
-    try:
-        c_t = cmath.log(target.const.eval(hbar))
-        # per factor: log constant and the (column, integer coefficient)
-        # pairs of its log ratio
-        ratios = [(cmath.log(sf.const.eval(hbar)) - c_t, [])
-                  for sf in factors]
-    except (CosetForgeError, ArithmeticError, ValueError):
-        return [nan] * n, 0.0, n
-    values = {} if memo is None else memo.setdefault((tuple(grid), hbar), {})
-    failed_at = set()
-
-    def column(key, f, xs=grid, skip=()):
-        """(f over xs, the failed indices: f raised or `skip` holds)."""
-        if key not in values:
-            vals, bad = [0j] * n, set(skip)
-            for j, x in enumerate(xs):
-                if j not in bad:
-                    try:
-                        vals[j] = f(x)
-                    except (CosetForgeError, ArithmeticError, ValueError):
-                        bad.add(j)
-            values[key] = vals, bad
-        failed_at.update(values[key][1])
-        return values[key]
-
-    def add(vals, coeffs):
-        for (_, terms), e in zip(ratios, coeffs):
-            if e:
-                terms.append((vals, e))
-
-    for key in sorted(set().union(*(sf.linears for sf in funcs))):
-        r = complex(key[0] / key[2], key[1] / key[2]) * hbar
-        e_t = target.linears.get(key, 0)
-        add(column(("log", key), lambda w: cmath.log(1j * w + r))[0],
-            [sf.linears.get(key, 0) - e_t for sf in factors])
-    members: dict[tuple[int, int, int, int, int], set[int]] = {}
-    for sf in funcs:
-        for sa, sb, sq, an, d in sf.gammas:
-            members.setdefault((sa, sb, sq, an % d, d), set()).add(an // d)
-    for (sa, sb, sq, r, d), js in sorted(members.items()):
-        js = sorted(js)
-        keys = [(sa, sb, sq, r + j * d, d) for j in js]
-        # tails[m]: the exponent difference summed over the members from m
-        # up, the coefficient of log(x + j) for js[m-1] <= j + js[0] < js[m]
-        tails = []
-        for sf in factors:
-            t, tail = 0, []
-            for key in reversed(keys):
-                t += sf.gammas.get(key, 0) - target.gammas.get(key, 0)
-                tail.append(t)
-            tails.append(tail[::-1])
-        ds, a = complex(sa / sq, sb / sq) * hbar, keys[0][3] / d
-        arg = column(("arg", keys[0]),
-                     lambda w: check_gamma_argument(1j * w / ds + a))
-        # the ladder segments [lo, hi) some factor needs, then log Gamma(x)
-        for m in [*range(1, len(js)), 0]:
-            coeffs = [tail[m] for tail in tails]
-            if m and any(coeffs):
-                lo, hi = js[m - 1] - js[0], js[m] - js[0]
-                add(column(("ladder", keys[0], lo, hi),
-                           lambda x: _ladder_log(x, lo, hi), *arg)[0], coeffs)
-            elif any(coeffs):
-                add(column(("lgamma", keys[0]), log_gamma, *arg)[0], coeffs)
-    sums = []
-    for s, terms in ratios:
-        s = [s] * n
-        for vals, e in terms:
-            s = [z + e * v for z, v in zip(s, vals)]
-        sums.append(s)
-    return _log_residuals(sums, failed_at, n)
 
 
 def _log_residuals(sums: list[list[complex]], failed_at: set[int], n: int
@@ -426,45 +285,37 @@ def _compared(report: VerificationReport, target, factors: list):
 
 def _settle(report: VerificationReport, residuals: list[float], worst: float,
             failed: int) -> None:
-    """A row passes when no symbolic check refuted it, its worst residual is
-    within TOLERANCE and every point evaluated."""
+    """A quadrature-only row passes when its worst residual is within
+    TOLERANCE and every point of its line evaluated."""
     report.residuals, report.max_rel_err = residuals, worst
-    report.passed = (report.symbolic_pass is not False and worst <= TOLERANCE
-                     and not failed)
+    report.passed = worst <= TOLERANCE and not failed
     if failed:
         report.notes.append(f"{failed} of {len(residuals)} grid points failed to evaluate")
 
 
-def verify_relation(cat: Catalog, rel: Relation,
-                    grid: list[complex] | None = None) -> VerificationReport:
-    """Check an exchange or shape relation on every term pair (_compared),
-    symbolically (Gamma-multiset identity after normalization) and pointwise
-    on the grid, which defaults to default_grid(cat.params); a factor
-    raw-equal to an earlier one is checked once.  The first pair's factor
-    is reported."""
+def verify_relation(cat: Catalog, rel: Relation) -> VerificationReport:
+    """Check an exchange or shape relation on every term pair (_compared) by
+    the Gamma-multiset identity after normalization, which is exact: the row
+    passes when it holds, and has no numeric residual.  The first pair's
+    factor is reported."""
     a, b = cat[rel.pair[0]], cat[rel.pair[1]]
     try:
         factors = cat.pair_exchange(a, b, rotate=rel.rotate)
     except NonTelescoping:
         return _verify_numeric_only(cat, rel)
-    report = VerificationReport(rel.rel_id, rel.kind, False, None, float("nan"),
+    report = VerificationReport(rel.rel_id, rel.kind, False, None, None,
                                 derived_factor=factors[0].describe())
     compared = _compared(report, rel.target, factors)
     if compared is None:
         return report
     target, checked = compared
-    report.grid = default_grid(cat.params) if grid is None else grid
     if rel.kind == "exchange":
         # describe() is the repr of the normalized form
         same = factors[0].normalize().raw_eq(target.normalize())
         report.expected_factor = (report.derived_factor if same
                                   else target.describe())
-    # raw-equal factors give equal residuals: each is checked once
-    checked = [sf for i, sf in enumerate(checked)
-               if not any(sf.raw_eq(prev) for prev in checked[:i])]
-    report.symbolic_pass = all(sf.symbolic_eq(target) for sf in checked)
-    _settle(report, *_grid_check(checked, target, report.grid,
-                                 cat.params.hbar_float, cat._grid_memo))
+    report.passed = report.symbolic_pass = all(
+        sf.symbolic_eq(target) for sf in checked)
     return report
 
 
@@ -474,7 +325,7 @@ def _verify_numeric_only(cat: Catalog, rel: Relation) -> VerificationReport:
     every point of the line must lie in the intersection of the forward strip
     and the reflected reversed strip; an empty intersection (or a rotated
     relation, which has no convergent integral representation) is reported
-    as unverifiable.  Rows are compared in logs, as on the grid."""
+    as unverifiable.  Rows are compared in logs (_log_residuals)."""
     report = VerificationReport(rel.rel_id, rel.kind, False, None, float("nan"))
     report.notes.append("closed form does not telescope; quadrature-only check")
     if rel.rotate != "none":

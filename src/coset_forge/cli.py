@@ -6,7 +6,7 @@
 
 Each subcommand accepts only the options it reads.  The command line picks
 the file, the level and what to run; a relation's Wick rotation is declared
-with it in the file, and the grid and the tolerance are fixed.
+with it in the file, and the tolerance is fixed.
 Exit codes: 0 all checks pass, 1 verification failure (a refuted E-F
 claim included), 2 input error.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
@@ -17,8 +17,8 @@ decreasing values; ``contract`` reads a single value; every other
 subcommand reads the deformation values.
 JSON reports are deterministic: the bytes of json.dumps(payload,
 sort_keys=True, indent=1) plus a newline, every float rendered with 17
-significant digits (lowercase exponent) as a decimal string, grids built
-from fixed rules rather than random draws.
+significant digits (lowercase exponent) as a decimal string, the points of
+a quadrature-only check built from a fixed rule rather than random draws.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ except ImportError:     # an interpreter without the _json accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (ClassicalBraid, VerificationReport, classical_limit,
-                      default_grid, ef_commutator_analysis, verify_relation)
+                      ef_commutator_analysis, verify_relation)
 from .contraction import closed_form, contract, quad_eval
 from .dsl import parse_definitions
 from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
                      NonConvergent, NonFiniteValue, NothingToVerify,
                      ParseError, ResidueMismatch, UnexpectedPole)
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 # the hbar -> 0 sequence of the classical limits, unless --hbar gives one
 LIMIT_HBARS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
 
@@ -127,16 +127,14 @@ def _require_checks(rels, comms) -> None:
             "the definition file declares no relation and no commutator_delta")
 
 
-def _report_to_dict(rep: VerificationReport, grid: list[complex]) -> dict:
-    """The report's row.  Its residuals are at the payload's `grid` unless
-    the row lists its own."""
+def _report_to_dict(rep: VerificationReport) -> dict:
+    """The report's row.  A row with a numeric residual lists it with its
+    points and the residual at each; a row on the symbolic route has none."""
     row = {
         "id": rep.rel_id,
         "kind": rep.kind,
         "pass": rep.passed,
         "symbolic_pass": rep.symbolic_pass,
-        "max_rel_err": _fmt(rep.max_rel_err),
-        "residuals": [_fmt(r) for r in rep.residuals],
         "derived_factor": rep.derived_factor,
         "expected_factor": rep.expected_factor,
         "poles": [
@@ -153,7 +151,9 @@ def _report_to_dict(rep: VerificationReport, grid: list[complex]) -> dict:
         "limit_fit": _limit_fit_to_dict(rep.limit_fit),
         "notes": list(rep.notes),
     }
-    if rep.grid != grid:
+    if rep.max_rel_err is not None:
+        row["max_rel_err"] = _fmt(rep.max_rel_err)
+        row["residuals"] = [_fmt(r) for r in rep.residuals]
         row["grid"] = [_fmt_c(w) for w in rep.grid]
     return row
 
@@ -177,8 +177,7 @@ def _limit_fit_to_dict(fit: dict) -> dict:
 
 
 def _run_relations(cat, rels) -> list[VerificationReport]:
-    grid = default_grid(cat.params)
-    reports = [verify_relation(cat, rel, grid=grid) for rel in rels]
+    reports = [verify_relation(cat, rel) for rel in rels]
     return sorted(reports, key=lambda r: r.rel_id)
 
 
@@ -309,10 +308,11 @@ def _print_report_lines(reports, out):
     for rep in reports:
         mark = "PASS" if rep.passed else "FAIL"
         extra = ""
+        if rep.max_rel_err is not None:
+            extra = f" max_rel_err={_fmt(rep.max_rel_err)}"
         if rep.kind == "classical-limit" and rep.limit_fit:
-            extra = _limit_line(rep.limit_fit)
-        print(f"{mark} {rep.rel_id} kind={rep.kind} "
-              f"max_rel_err={_fmt(rep.max_rel_err)}{extra}", file=out)
+            extra += _limit_line(rep.limit_fit)
+        print(f"{mark} {rep.rel_id} kind={rep.kind}{extra}", file=out)
         for note in rep.notes:
             print(f"     note: {note}", file=out)
 
@@ -479,14 +479,12 @@ def _shape_pairs(rels) -> list[tuple[str, str]]:
 
 
 def _payload(params, hbars, reports) -> dict:
-    grid = default_grid(params)
-    rel_dicts = [_report_to_dict(r, grid) for r in
+    rel_dicts = [_report_to_dict(r) for r in
                  sorted(reports, key=lambda r: (r.kind, r.rel_id))]
     return {
         "schema_version": SCHEMA_VERSION,
         "params": {"k": str(params.k),
                    "hbar": [str(h) for h in hbars]},
-        "grid": [_fmt_c(w) for w in grid],
         "relations": rel_dicts,
         "pass": all(r["pass"] for r in rel_dicts),
     }

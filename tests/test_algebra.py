@@ -5,6 +5,7 @@ import cmath
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,17 +16,15 @@ from conftest import (bind_shipped, contraction_pairs, shipped_commutator,
                       shipped_text)
 from coset_forge import algebra, cli
 from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
-                                 Relation, _classical_readout, _grid_check,
-                                 classical_limit,
-                                 default_grid, ef_commutator_analysis,
+                                 Relation, _classical_readout,
+                                 classical_limit, ef_commutator_analysis,
                                  verify_relation)
 from coset_forge.contraction import StructureFunction, closed_form, contract
 from coset_forge.dsl import parse_definitions
-from coset_forge.errors import CosetForgeError, ExcludedLevel, NonConvergent
+from coset_forge.errors import ExcludedLevel, NonConvergent
 from coset_forge.exact import GR, ExactConst
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                                equals as modes_equal)
-from coset_forge.specfun import log_gamma
 
 K2 = AlgebraParams(Fraction(2))
 HALF = Fraction(1, 2)
@@ -96,9 +95,10 @@ def test_shipped_relations_all_levels(k):
     assert len(rels) == 25
     for rel in rels.values():
         rep = verify_relation(cat, rel)
-        assert rep.passed, (k, rel.rel_id, rep.symbolic_pass, rep.max_rel_err)
+        assert rep.passed, (k, rel.rel_id, rep.symbolic_pass)
         assert rep.symbolic_pass
-        assert rep.max_rel_err <= 1e-8
+        # an exact verdict: no numeric residual and no grid
+        assert rep.max_rel_err is None and rep.grid == rep.residuals == []
 
 
 def test_drinfeld_gamma_cancellation_is_exact():
@@ -120,8 +120,7 @@ def test_verify_relation_rejects_perturbed_factor():
                    rotate="global")
     rep = verify_relation(cat, bad)
     assert not rep.passed
-    assert not rep.symbolic_pass
-    assert rep.max_rel_err > 1e-3
+    assert rep.symbolic_pass is False
 
 
 def test_relation_asymptotic_normalization():
@@ -353,19 +352,11 @@ def test_catalog_contraction_pair_count():
     assert not any(label.startswith("H_minus[") for label in labels)
 
 
-def test_default_grid_properties():
-    grid = default_grid(K2, n=25)
-    assert len(grid) == 25
-    assert all(w.imag < 0 for w in grid)
-    assert grid == default_grid(K2, n=25)  # deterministic
-
-
 @settings(max_examples=12, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12),
-       st.sampled_from([Fraction(1), HALF, Fraction(3, 7)]), st.integers(1, 60))
-def test_grid_points_stay_off_the_axes_that_hold_the_poles(p, q, hbar, n):
-    # every derived linear factor (iw + rho*hbar) has rho real or imaginary,
-    # so its pole lies on an axis; every grid point keeps away from both
+       st.sampled_from([Fraction(1), HALF, Fraction(3, 7)]))
+def test_every_linear_factor_has_its_pole_on_an_axis(p, q, hbar):
+    # every derived linear factor (iw + rho*hbar) has rho real or imaginary
     k = Fraction(p, q)
     params, cat, rels, _ = bind_shipped(k, hbar)
     for rel in rels.values():
@@ -374,15 +365,6 @@ def test_grid_points_stay_off_the_axes_that_hold_the_poles(p, q, hbar, n):
                                         rotate):
                 for a, b, _ in [*sf.linears, *sf.normalize().linears]:
                     assert a == 0 or b == 0, (rel.rel_id, rotate, sf)
-    gap = 1e-3 * float(hbar) * max(1.0, float(k))
-    for w in default_grid(params, n):
-        assert abs(w.real) > gap and abs(w.imag) > gap
-
-
-def test_verify_relation_defaults_to_the_default_grid():
-    _, cat, rels, _ = bind_shipped(Fraction(5, 12))
-    for rel_id in ("E_E", "psi_psi"):      # exchange, shape
-        assert verify_relation(cat, rels[rel_id]).grid == default_grid(cat.params)
 
 
 def _per_family_exchange(cat, ta, tb, rotated):
@@ -493,49 +475,6 @@ def test_immutable_records_reject_assignment():
     assert {term: 0, twin: 1} == {term: 1}
 
 
-def _grid_check_per_factor(factors, target, grid, hbar):
-    """The direct route, kept as the reference for _grid_check: every factor
-    and the target evaluated through StructureFunction.eval at every point,
-    the residual |S_f - S_target| / |S_target|."""
-    worst_at = [0.0] * len(grid)
-    for sf in factors:
-        for j, w in enumerate(grid):
-            try:
-                a = sf.eval(w, hbar)
-                b = target.eval(w, hbar)
-            except (CosetForgeError, ArithmeticError, ValueError):
-                worst_at[j] = float("nan")
-                continue
-            r = abs(a - b) / max(abs(b), 1e-300)
-            if r > worst_at[j]:
-                worst_at[j] = r
-    failed = sum(1 for r in worst_at if math.isnan(r))
-    worst = max((r for r in worst_at if not math.isnan(r)), default=0.0)
-    return worst_at, worst, failed
-
-
-def test_grid_check_matches_the_per_factor_loop():
-    cat = catalog(Fraction(5, 2))
-    factors = cat.pair_exchange(cat["psi"], cat["psi"])
-    # (iw + 3h/10) vanishes at w = 3i/10 and (iw + h/2) at w = i/2, so the
-    # target fails at one point and the added factor at another; some of
-    # the derived factors fail at w = i (the target too) and at w = 3i
-    target = factors[0] * StructureFunction.from_linear(GR.of(Fraction(3, 10)), 1)
-    fails = StructureFunction.from_linear(GR.of(HALF), 1)
-    grid = default_grid(cat.params) + [1j, 3j, 0.5j, 0.3j]
-    failed = []
-    for fs in (factors, factors + [fails], [fails] + factors, [fails], []):
-        got = _grid_check(fs, target, grid, 1.0)
-        want = _grid_check_per_factor(fs, target, grid, 1.0)
-        # the ratio is summed in logs, so the two routes round differently
-        assert [math.isnan(r) for r in got[0]] == [math.isnan(r) for r in want[0]]
-        for g, r in zip(got[0] + [got[1]], want[0] + [want[1]]):
-            assert math.isnan(r) or abs(g - r) <= 1e-12 * r
-        assert got[2] == want[2]
-        failed.append(got[2])
-    assert failed == [3, 4, 4, 3, 0]
-
-
 def _with_target(rel, gammas=None, linears=None):
     """rel with its target replaced by one with the given Gamma or linear
     factors, constant kept."""
@@ -546,114 +485,76 @@ def _with_target(rel, gammas=None, linears=None):
     return Relation(rel.rel_id, rel.kind, rel.pair, target, rotate=rel.rotate)
 
 
-@pytest.fixture
-def log_gamma_calls(monkeypatch):
-    """The arguments of every log_gamma call the grid check makes."""
-    calls = []
-
-    def counting_log_gamma(z):
-        calls.append(z)
-        return log_gamma(z)
-
-    monkeypatch.setattr(algebra, "log_gamma", counting_log_gamma)
-    return calls
-
-
-def test_grid_check_fails_every_point_of_a_wrong_target(log_gamma_calls):
-    # a catalog of its own: no earlier check has filled its grid memo
-    _, cat, rels, _ = bind_shipped.__wrapped__(3)
+def test_a_wrong_target_fails_its_row():
+    _, cat, rels, _ = bind_shipped(3)
     C, E = rels["C_p_C_p"], rels["E_E"]
     t = C.target
     key, e = sorted(t.gammas.items())[0]
     sa, sb, sq, n, d = key
-    # the shift raised by one stays in its recurrence class, which then
-    # still balances: the ratio is a ladder step, with no log Gamma
+    # one Gamma shift raised by one (the same recurrence class), one Gamma
+    # factor left out, one linear constant raised by one
     raised = {k: v for k, v in t.gammas.items() if k != key}
     raised[(sa, sb, sq, n + d, d)] = e
-    # without the factor its class does not balance: log Gamma is needed
     missing = {k: v for k, v in t.gammas.items() if k != key}
     te = E.target
     (a, b, q), el = sorted(te.linears.items())[0]
     shifted = {k: v for k, v in te.linears.items() if k != (a, b, q)}
-    shifted[(a + q, b, q)] = el        # rho raised by one
+    shifted[(a + q, b, q)] = el
     assert verify_relation(cat, C).passed and verify_relation(cat, E).passed
-    for rel, log_gammas in ((_with_target(C, gammas=raised), False),
-                            (_with_target(E, linears=shifted), False),
-                            (_with_target(C, gammas=missing), True)):
-        log_gamma_calls.clear()
+    for rel in (_with_target(C, gammas=raised), _with_target(C, gammas=missing),
+                _with_target(E, linears=shifted)):
         rep = verify_relation(cat, rel)
         assert rep.symbolic_pass is False and not rep.passed
-        assert len(rep.residuals) == 25
-        assert all(r > 1e-3 for r in rep.residuals)
-        assert bool(log_gamma_calls) is log_gammas
+        assert rep.max_rel_err is None and rep.residuals == []
 
 
-def test_grid_check_fails_a_point_on_a_pole_of_any_member():
-    # Gamma(x + 3) = Gamma(x) x (x + 1) (x + 2) with x = iw/h: the factor's
-    # Gamma(x + 3) is not the lowest member of its class, and at w = 4i it
-    # sits on the pole -1 (the lowest, Gamma(x), on -4)
-    f = StructureFunction.from_gamma(1, 3)
-    t = StructureFunction.from_gamma(1, 0)
-    for rho in (0, 1, 2):
-        t = t * StructureFunction.from_linear(rho)
-    grid = [0.7 - 0.4j, 4j, 1.3 - 2.2j]
-    residuals, worst, failed = _grid_check([f], t, grid, 1.0)
-    assert [math.isnan(r) for r in residuals] == [False, True, False]
-    assert failed == 1 and worst < 1e-13
-    # a factor with no Gamma key on a pole fails the point all the same
-    residuals, _, failed = _grid_check([t], f, grid, 1.0)
-    assert math.isnan(residuals[1]) and failed == 1
+def _closing(text, start):
+    """The index just past the parenthesis that closes the first one at or
+    after `start`."""
+    depth, i = 0, text.index("(", start)
+    while True:
+        depth += {"(": 1, ")": -1}.get(text[i], 0)
+        i += 1
+        if not depth:
+            return i
 
 
-def test_grid_check_fails_a_point_on_a_cancelling_key():
-    # both functions carry Gamma(iw/(2h) - 1) and (iw + h), which
-    # cancel from the ratio; the point w = -2i puts the Gamma argument on
-    # 0, w = i the linear one
-    common = (StructureFunction.from_gamma(2, -1)
-              * StructureFunction.from_linear(1))
-    f = common * StructureFunction.from_gamma(1, Fraction(3, 2))
-    t = (common * StructureFunction.from_gamma(1, HALF)
-         * StructureFunction.from_linear(HALF))
-    grid = [0.5 - 0.3j, -2j, 1j, 2 - 1j]
-    residuals, worst, failed = _grid_check([f], t, grid, 1.0)
-    assert [math.isnan(r) for r in residuals] == [False, True, True, False]
-    assert failed == 2 and worst < 1e-13
+def _exchange_mutants(text):
+    """(row, text with one number of that row raised by one), for each
+    linear constant c of (w +- c*hbar) or (iw +- c*hbar) and each Gamma
+    offset a of Gamma(x@s +- a) in every exchange row of `text`."""
+    out = []
+    for rel in re.finditer(r"^relation (\w+) :(.*?);", text, re.M | re.S):
+        if rel.group(2).startswith(" shape "):
+            continue
+        for site in re.finditer(r"\(i?w [+-] |Gamma\(", rel.group(2)):
+            start = rel.start(2) + site.start()
+            end = _closing(text, start)
+            if site.group().startswith("Gamma"):
+                raised = text[start:end - 1] + " + 1)"
+            else:
+                head = start + len(site.group())
+                assert text.endswith("*hbar)", 0, end), text[start:end]
+                raised = f"{text[start:head]}({text[head:end - 6]} + 1)*hbar)"
+            out.append((rel.group(1), text[:start] + raised + text[end:]))
+    return out
 
 
-@pytest.mark.parametrize("x", [0.3 - 40j, -130.7 - 3j, -70.2 + 0.5j,
-                               45.5 + 2j, -300.25 - 0.01j])
-def test_long_ladder_segment_matches_its_logs(x):
-    # right of the imaginary axis, across it and left of it
-    lo, hi = 3, 3 + 2 * algebra._LADDER_MAX + 17
-    direct = sum((cmath.log(x + j) for j in range(lo, hi)), 0j)
-    assert abs(cmath.exp(algebra._ladder_log(x, lo, hi) - direct) - 1) < 1e-11
-    short = algebra._ladder_log(x, lo, lo + algebra._LADDER_MAX)
-    assert short == sum((cmath.log(x + j)
-                         for j in range(lo, lo + algebra._LADDER_MAX)), 0j)
-
-
-def test_grid_check_at_a_large_denominator(log_gamma_calls):
-    # at k = 1/100 the shifts 1 +- 100 of C_p_C_p's target share a class
-    # with 200 steps between them: the ladder is summed from log Gamma values
-    _, cat, rels, _ = bind_shipped.__wrapped__(Fraction(1, 100))
-    rep = verify_relation(cat, rels["C_p_C_p"])
-    assert rep.passed and log_gamma_calls and rep.max_rel_err < 1e-10
-
-
-def test_grid_check_memo_changes_no_residual():
-    # columns kept from one call serve the next: every list, NaN positions
-    # included, is the one a fresh call gives
-    cat = catalog(Fraction(5, 2))
-    factors = cat.pair_exchange(cat["psi"], cat["psi"])
-    target = factors[0] * StructureFunction.from_linear(GR.of(Fraction(3, 10)), 1)
-    fails = StructureFunction.from_linear(GR.of(HALF), 1)
-    grid = default_grid(cat.params) + [1j, 3j, 0.5j, 0.3j]
-    memo = {}
-    for fs in (factors, factors + [fails], [fails] + factors, [fails], []) * 2:
-        shared = _grid_check(fs, target, grid, 1.0, memo)
-        fresh = _grid_check(fs, target, grid, 1.0)
-        assert repr(shared) == repr(fresh)
-    assert len(memo) == 1 and memo[tuple(grid), 1.0]
+@pytest.mark.parametrize("k", [Fraction(5, 12), Fraction(3)], ids=str)
+def test_each_raised_number_fails_exactly_its_own_row(k):
+    # every known-answer control is refuted by the exact identity alone:
+    # no mutant needs a numeric residual to fail
+    mutants = _exchange_mutants(shipped_text())
+    assert len(mutants) == 64
+    assert len({row for row, _ in mutants}) == 20
+    for row, text in mutants:
+        _, cat, rels, _, _ = parse_definitions(text).bind(k, None)
+        failed = {}
+        for rel in rels:
+            rep = verify_relation(cat, rel)
+            if not rep.passed:
+                failed[rel.rel_id] = rep.symbolic_pass
+        assert failed == {row: False}, (row, failed)
 
 
 _LEVELS = random.Random(33).sample(
@@ -688,8 +589,8 @@ _ROW_LEVELS = [str(k) for k in random.Random(35).sample(
 
 @pytest.mark.parametrize("k", ["3", "5/12", "1/16", *_ROW_LEVELS])
 def test_single_relation_row_matches_the_full_run(k, tmp_path, capsys):
-    # a catalog keeps products, exchange ratios and grid values across its
-    # relations: none may answer for another relation
+    # a catalog keeps products and exchange ratios across its relations:
+    # none may answer for another relation
     full = tmp_path / "all.json"
     assert cli.run(["verify", "--k", k, "--json", str(full)]) == 0
     rows = {r["id"]: r for r in json.loads(full.read_text())["relations"]}
@@ -776,28 +677,10 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
     assert counts == {"ratios": 44, "contract": 0, "closed_form": 0}
 
 
-def test_grid_check_of_the_distinct_factors_keeps_every_bit():
-    # E_E at 5/12 has four term-pair factors; the first and the last are
-    # raw-equal.  The middle two carry Gamma factors, and the last grid point
-    # puts the argument of the first of them on the pole -1 (hbar = 1)
-    _, cat, rels, _ = bind_shipped(Fraction(5, 12))
-    rel = rels["E_E"]
-    factors = cat.pair_exchange(cat["E"], cat["E"], rotate=rel.rotate)
-    assert [f.raw_eq(factors[0]) for f in factors] == [True, False, False, True]
-    assert not factors[1].raw_eq(factors[2])
-    (sa, sb, sq, n, d), _ = sorted(factors[1].gammas.items())[0]
-    pole = (-1 - n / d) * complex(sa / sq, sb / sq) / 1j
-    grid = default_grid(cat.params) + [pole]
-    got = _grid_check(factors[:3], rel.target, grid, 1.0)
-    assert repr(got) == repr(_grid_check(factors, rel.target, grid, 1.0))
-    residuals, worst, failed = got
-    assert math.isnan(residuals[-1]) and failed == 1 and 0 < worst < 1e-12
-
-
-def test_verify_relation_checks_each_factor_that_is_not_raw_equal(monkeypatch):
+def test_verify_relation_checks_every_factor(monkeypatch):
     # E_E's first factor at 5/12, then copies changed in one linear factor,
     # in one Gamma factor or in the constant only, then the first again:
-    # the row reads as the grid check of the whole list
+    # the one changed factor fails the row
     _, cat, rels, _ = bind_shipped(Fraction(5, 12))
     rel = rels["E_E"]
     f = cat.pair_exchange(cat["E"], cat["E"], rotate=rel.rotate)[0]
@@ -805,13 +688,80 @@ def test_verify_relation_checks_each_factor_that_is_not_raw_equal(monkeypatch):
                 f * StructureFunction.from_gamma(GR(0, 1), Fraction(1, 2)),
                 StructureFunction(f.gammas, f.linears,
                                   f.const.times_base(GR(2), 0, 1))]
-    for changed in variants:
-        factors = [f, changed, f]
+    for factors in ([f, f, f], *([f, changed, f] for changed in variants)):
         monkeypatch.setattr(cat, "pair_exchange", lambda a, b, rotate: factors)
         rep = verify_relation(cat, rel)
-        want = _grid_check(factors, rel.target, rep.grid, 1.0)
-        assert repr((rep.residuals, rep.max_rel_err)) == repr(want[:2])
-        assert not rep.passed and rep.symbolic_pass is False
+        assert rep.passed is rep.symbolic_pass is (factors[1] is f)
+
+
+
+@pytest.mark.parametrize("k", ["3", "5/12", "1/16", "997/1000"])
+def test_the_symbolic_route_evaluates_nothing_in_floats(k, monkeypatch):
+    # a fresh catalog derives every factor while no structure function,
+    # constant or integral can be evaluated in floats: each shipped exchange
+    # and shape row is decided by the exact identity alone
+    _, cat, rels, _ = bind_shipped.__wrapped__(Fraction(k))
+
+    def refuse(*args):
+        raise AssertionError("a float evaluation on the symbolic route")
+
+    for owner, name in ((StructureFunction, "eval"),
+                        (StructureFunction, "log_eval"),
+                        (ExactConst, "eval"), (algebra, "quad_eval")):
+        monkeypatch.setattr(owner, name, refuse)
+    for rel in rels.values():
+        rep = verify_relation(cat, rel)
+        assert rep.passed is rep.symbolic_pass is True, (k, rel.rel_id)
+        assert rep.max_rel_err is None
+
+
+def test_log_residuals_keep_the_worst_ratio_at_each_point():
+    # two checked factors on three points: each point's residual is the
+    # larger |ratio - 1| of the two, the ratios given as logs
+    sums = [[cmath.log(1.5), 0j, cmath.log(0.9)],
+            [cmath.log(1.25), cmath.log(1j), 0j]]
+    residuals, worst, failed = algebra._log_residuals(sums, set(), 3)
+    for r, want in zip(residuals, [0.5, abs(1j - 1), 0.1]):
+        assert abs(r - want) < 1e-15
+    assert worst == max(residuals) and failed == 0
+    # nothing checked: every point agrees
+    assert algebra._log_residuals([], set(), 2) == ([0.0, 0.0], 0.0, 0)
+
+
+def test_log_residuals_fail_a_point_that_did_not_evaluate():
+    # a point the caller could not evaluate, one whose log ratio is NaN and
+    # one whose ratio has no exponential are NaN, counted, and not the worst
+    nan, inf = float("nan"), float("inf")
+    sums = [[cmath.log(1.5), 0j, complex(nan, 0), complex(0, inf)],
+            [0j, cmath.log(1.25), 0j, 0j]]
+    residuals, worst, failed = algebra._log_residuals(sums, {0}, 4)
+    assert [math.isnan(r) for r in residuals] == [True, False, True, True]
+    assert worst == residuals[1] and failed == 3
+
+
+def test_log_residuals_read_a_ratio_beyond_the_float_range_as_infinite():
+    # exp(800) overflows: the point evaluated, and its residual is infinite
+    residuals, worst, failed = algebra._log_residuals(
+        [[complex(800, 0), 0j]], set(), 2)
+    assert residuals == [math.inf, 0.0] and worst == math.inf and failed == 0
+
+
+def test_settle_passes_within_the_tolerance_at_every_point(monkeypatch):
+    def settled(residuals, worst, failed):
+        rep = algebra.VerificationReport("r", "exchange", False, None,
+                                         float("nan"))
+        algebra._settle(rep, residuals, worst, failed)
+        assert rep.residuals is residuals
+        return rep.passed, rep.max_rel_err, rep.notes
+
+    tol = algebra.TOLERANCE
+    assert settled([tol, 0.0], tol, 0) == (True, tol, [])
+    assert settled([2 * tol, 0.0], 2 * tol, 0) == (False, 2 * tol, [])
+    assert settled([0.0, float("nan"), 0.0], 0.0, 1) == (
+        False, 0.0, ["1 of 3 grid points failed to evaluate"])
+    # the tolerance is read at call time
+    monkeypatch.setattr(algebra, "TOLERANCE", 4 * tol)
+    assert settled([2 * tol, 0.0], 2 * tol, 0)[0] is True
 
 
 def test_a_divergence_mismatch_is_raised_on_every_call():

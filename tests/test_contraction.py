@@ -321,8 +321,8 @@ def test_gamma_factors_are_the_sparse_product_terms(k):
         assert {key: GR.of(d) for key, d in sf.gammas.items()} == want, label
         rev = _reversed_copy(sf)
         for w in (0.3 + 0.2j, -1.7 + 0.5j):
-            assert _same(_outcome(lambda: rev.log_eval(w, 1.0)),
-                         _outcome(lambda: sf.log_eval(w, 1.0))), label
+            assert _same(_value_or_error(lambda: rev.log_eval(w, 1.0)),
+                         _value_or_error(lambda: sf.log_eval(w, 1.0))), label
         checked += 1
     assert checked
 
@@ -1160,10 +1160,12 @@ def _reversed_copy(sf):
                              dict(reversed(sf.linears.items())), const)
 
 
-def _outcome(fn):
+def _value_or_error(fn):
+    """fn's value, or the type of whatever it raised: the same failure
+    must surface on both routes."""
     try:
         return fn()
-    except Exception as exc:  # the same failure must surface on both routes
+    except Exception as exc:
         return type(exc)
 
 
@@ -1200,15 +1202,15 @@ def test_value_depends_only_on_the_factor_multisets(sfs, points, hbar):
     sfs = sfs + [sfs[0] * sfs[-1]]  # and a product of two of them
     for sf in sfs:
         rev = _reversed_copy(sf)
-        assert _same(_outcome(lambda: rev.const.eval(hbar)),
-                     _outcome(lambda: sf.const.eval(hbar)))
+        assert _same(_value_or_error(lambda: rev.const.eval(hbar)),
+                     _value_or_error(lambda: sf.const.eval(hbar)))
         for w in points + [-w for w in points] + [w.conjugate() for w in points]:
-            ref = _outcome(lambda: _reference_log_eval(sf, w, hbar))
+            ref = _value_or_error(lambda: _reference_log_eval(sf, w, hbar))
             for f in (sf, rev):
-                assert _same(_outcome(lambda: f.log_eval(w, hbar)), ref)
+                assert _same(_value_or_error(lambda: f.log_eval(w, hbar)), ref)
                 if isinstance(ref, complex):
-                    assert _same(_outcome(lambda: f.eval(w, hbar)),
-                                 _outcome(lambda: cmath.exp(ref)))
+                    assert _same(_value_or_error(lambda: f.eval(w, hbar)),
+                                 _value_or_error(lambda: cmath.exp(ref)))
 
 
 def test_gamma_pole_raises():
@@ -1221,9 +1223,9 @@ def test_gamma_pole_raises():
 
 
 def test_used_and_fresh_catalog_verify_alike():
-    # a catalog keeps exact closed forms between relations and no float
-    # state: a relation checked after all the others reports the same
-    # residuals, bit for bit, as on a freshly bound catalog
+    # a catalog keeps exact closed forms between relations: a relation
+    # checked after all the others reports what it reports on a freshly
+    # bound catalog
     text = (importlib.resources.files("coset_forge") / "data" / "paper.alg").read_text()
     _, cat, rels, _, _ = parse_definitions(text).bind(Fraction(2), [Fraction(1)])
     for rel in rels:
@@ -1233,20 +1235,22 @@ def test_used_and_fresh_catalog_verify_alike():
     _, fresh, _, _, _ = parse_definitions(text).bind(Fraction(2), [Fraction(1)])
     again = verify_relation(fresh, rel)
     assert used.passed and again.passed
-    assert repr(used.residuals) == repr(again.residuals)
+    assert ((used.derived_factor, used.expected_factor, used.notes)
+            == (again.derived_factor, again.expected_factor, again.notes))
 
 
-def test_grid_point_on_gamma_pole_fails_the_relation():
+def test_a_gamma_pole_is_no_fault_of_the_relation():
     # at k = 3, C_p_C_p carries Gamma(iw/(3h) + 1/3) and Gamma(iw/(3h) + 2/3):
-    # w = 4i and w = 5i put their arguments exactly on -1
+    # w = 4i and w = 5i put their arguments exactly on -1, where the factor
+    # has no value; the relation is an identity of functions and holds
     text = (importlib.resources.files("coset_forge") / "data" / "paper.alg").read_text()
     _, cat, rels, _, _ = parse_definitions(text).bind(Fraction(3), [Fraction(1)])
-    grid = [0.5 + 0.5j, 4j, 5j, 1.5 - 0.2j]
     for rel_id in ("C_p_C_p", "psi_psi"):       # exchange, shape
         rel = next(r for r in rels if r.rel_id == rel_id)
-        rep = verify_relation(cat, rel, grid=grid)
-        assert rep.symbolic_pass and not rep.passed
-        assert [math.isnan(r) for r in rep.residuals] == [False, True, True, False]
-        assert rep.max_rel_err < 1e-12
-        assert rep.notes[-1] == "2 of 4 grid points failed to evaluate"
-        assert verify_relation(cat, rel, grid=grid[::3]).passed
+        sf = cat.pair_exchange(cat[rel.pair[0]], cat[rel.pair[1]])[-1]
+        for w in (4j, 5j):
+            with pytest.raises(PoleAtNonPositiveInteger):
+                sf.eval(w, 1.0)
+        rep = verify_relation(cat, rel)
+        assert rep.passed and rep.symbolic_pass
+        assert rep.max_rel_err is None and rep.notes == []

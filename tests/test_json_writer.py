@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coset_forge import cli
-from coset_forge.algebra import VerificationReport, default_grid
+from coset_forge.algebra import VerificationReport
 from coset_forge.modes import AlgebraParams
 
 
@@ -82,34 +83,29 @@ def test_real_payloads_match_json_dumps(argv, monkeypatch, capsys):
 
 
 def _mixed_reports():
-    """Reports sharing one grid, a second grid of the same length, the
-    10-point shape of the quadrature-only route with a failed point, and
-    commutator rows with empty grids."""
+    """Rows of the symbolic route, the 10-point line of the quadrature-only
+    route with a failed point, commutator rows and a classical-limit row."""
     params = AlgebraParams(Fraction(5, 16), Fraction(1, 2))
-    shared = default_grid(params)
-    other = default_grid(params, lo=0.2, hi=5.0)
     h, mid = 0.5, -0.75
     quad = [complex(-2.0 * h + 4.0 * h * j / 9, mid) for j in range(10)]
     nan = float("nan")
-
-    def row(rel_id, grid, residuals, kind="exchange"):
-        return VerificationReport(rel_id, kind, True, True,
-                                  max(residuals), grid=grid,
-                                  residuals=residuals)
-
-    reports = [row(f"s{i}", shared, [1e-15 * (i + j) for j in range(25)])
+    reports = [VerificationReport(f"s{i}", "exchange", i != 2, i != 2, None,
+                                  derived_factor="(iw + 1/2*hbar)")
                for i in range(4)]
-    reports.append(row("other", other, [2e-16 * j for j in range(25)], "shape"))
+    reports.append(VerificationReport("one", "shape", False, None, None,
+                                      notes=["one term pair: a shape "
+                                             "relation compares nothing"]))
     failed = [3e-10] * 10
     failed[3] = nan
     reports.append(VerificationReport(
         "quad", "exchange", False, None, nan, grid=quad, residuals=failed,
         notes=["closed form does not telescope; quadrature-only check"]))
-    reports.append(row("s_last", shared, [0.0] * 25))
     for name in ("[E,F]", "[F,E]"):
         reports.append(VerificationReport(
             name, "commutator-delta", True, None, 0.0,
             poles=[{"w_exact": complex(0, -1.25), "pairs": [(0, 0)]}]))
+    reports.append(VerificationReport("limit[a,b;ab=1]", "classical-limit",
+                                      True, True, 2.5e-14))
     return params, reports
 
 
@@ -119,46 +115,34 @@ def test_mixed_payload_matches_json_dumps():
     text = cli._to_json(payload)
     assert text == reference(payload)
     report = json.loads(text)
-
-    def points(grid):
-        return [{"re": format(w.real, ".17g"), "im": format(w.imag, ".17g")}
-                for w in grid]
-
-    # the report grid is written once; a row lists its own grid only when
-    # its residuals are at other points
-    assert report["grid"] == points(default_grid(params))
+    assert set(report) == {"schema_version", "params", "relations", "pass"}
     rows = {r["id"]: r for r in report["relations"]}
-    for rel_id in ("s0", "s1", "s2", "s3", "s_last"):
-        assert "grid" not in rows[rel_id]
-    reps = {r.rel_id: r for r in reports}
-    assert rows["quad"]["grid"] == points(reps["quad"].grid)
-    assert len(rows["quad"]["grid"]) == 10
+    numeric = {"max_rel_err", "residuals", "grid"}
+    # a row on the symbolic route has no numeric residual and no points
+    for rel_id in ("s0", "s1", "s2", "s3", "one"):
+        assert not numeric & set(rows[rel_id])
+    quad = reports[5]
+    assert rows["quad"]["grid"] == [
+        {"re": format(w.real, ".17g"), "im": format(w.imag, ".17g")}
+        for w in quad.grid]
     assert rows["quad"]["residuals"][3] == "nan"
-    assert rows["other"]["grid"] == points(reps["other"].grid)
-    assert rows["[E,F]"]["grid"] == rows["[F,E]"]["grid"] == []
-    for row in rows.values():
-        assert len(row["residuals"]) == len(row.get("grid", report["grid"]))
+    assert rows["quad"]["max_rel_err"] == "nan"
+    for rel_id in ("[E,F]", "[F,E]", "limit[a,b;ab=1]"):
+        assert rows[rel_id]["grid"] == rows[rel_id]["residuals"] == []
+    assert rows["[E,F]"]["max_rel_err"] == "0"
+    assert rows["limit[a,b;ab=1]"]["max_rel_err"] == "2.5000000000000001e-14"
 
 
-def test_verify_formats_each_grid_point_once(monkeypatch, capsys):
-    # the shipped catalog's relations share one 25-point grid: formatted
-    # 25 times, not once per relation and point
-    calls, seen = [], []
-    fmt_c, payload = cli._fmt_c, cli._payload
-
-    def counting_fmt_c(z):
-        calls.append(z)
-        return fmt_c(z)
-
-    def recording_payload(params, hbars, reports):
-        seen.extend(reports)
-        return payload(params, hbars, reports)
-
-    monkeypatch.setattr(cli, "_fmt_c", counting_fmt_c)
-    monkeypatch.setattr(cli, "_payload", recording_payload)
-    assert cli.run(["verify", "--json", "-"]) == 0
-    capsys.readouterr()
-    points = {w for rep in seen for w in rep.grid}
-    assert len(points) == 25
-    assert sum(len(rep.grid) for rep in seen) == 625
-    assert len([z for z in calls if z in points]) == 25
+def test_text_lines_print_a_residual_only_where_a_row_has_one(capsys):
+    _, reports = _mixed_reports()
+    cli._print_report_lines(reports, sys.stdout)
+    lines = [x for x in capsys.readouterr().out.splitlines()
+             if not x.startswith("     note:")]
+    assert lines == [
+        "PASS s0 kind=exchange", "PASS s1 kind=exchange",
+        "FAIL s2 kind=exchange", "PASS s3 kind=exchange",
+        "FAIL one kind=shape", "FAIL quad kind=exchange max_rel_err=nan",
+        "PASS [E,F] kind=commutator-delta max_rel_err=0",
+        "PASS [F,E] kind=commutator-delta max_rel_err=0",
+        "PASS limit[a,b;ab=1] kind=classical-limit "
+        "max_rel_err=2.5000000000000001e-14"]
