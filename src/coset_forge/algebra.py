@@ -26,7 +26,8 @@ from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
                      NonTelescoping, ResidueMismatch, UnexpectedPole)
 from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
-                    _read_only, _set, equals as modes_equal, shift_argument)
+                    _read_only, _set, equals as modes_equal, monomial_tilts,
+                    shift_argument)
 
 __all__ = [
     "Current", "Catalog", "NormalOrderedTerm", "Relation", "ClassicalBraid",
@@ -488,14 +489,14 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                 f"{[h[0] for h in holders]} give different vertex operators")
             continue
         # compare with the shifted U(1) exponent
+        zero_fams = {fam for fam in cat.kernels if exps[fam].is_zero()}
         matches = []
         for tname, tshift in residue_targets:
             tcur = cat[tname]
             tfam = tcur.terms[0].families()[0]
             texp = shift_argument(tcur.exponent(tfam), tshift)
-            same = all(
-                modes_equal(exps[fam], texp if fam == tfam else zero)
-                for fam in cat.kernels)
+            same = all(modes_equal(exps[fam], texp) if fam == tfam
+                       else fam in zero_fams for fam in cat.kernels)
             if same:
                 matches.append({"target": tname, "shift": str(tshift)})
         derived_shift = _derive_u1_shift(cat, exps[u1_family],
@@ -507,8 +508,7 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
             "matches": matches,
             "derived_u1_shift": None if derived_shift is None else str(derived_shift),
             "sector_exponents_vanish": all(
-                exps[f].canonical()[1:] == ({}, {})
-                for f in cat.kernels if f != u1_family),
+                f in zero_fams for f in cat.kernels if f != u1_family),
         }
         scalars[p] = (scalar_gr, hpow)
         report.residue_ops.append(entry)
@@ -543,17 +543,12 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
 def _derive_u1_shift(cat: Catalog, cexp: ModeFunction,
                      target_names: list[str]) -> Fraction | None:
     """If the residue exponent equals a shifted U(1) exponent, return the
-    shift, read off the canonical form (a monomial in zeta on one branch)."""
-    lat, pos, neg = cexp.canonical()
-    cands = set()
-    for branch in (pos, neg):
-        for lr in branch.values():
-            if len(lr.num.coeffs) == 1 and not lr.factors:
-                cands.add(Fraction(lr.num.lo, 2 * lat))
+    shift, read off a branch of cexp that is one exponential."""
+    cands = sorted(monomial_tilts(cexp))
     for name in target_names:
         cur = cat[name]
         base = cur.exponent(cur.terms[0].families()[0])
-        for cand in sorted(cands):
+        for cand in cands:
             if modes_equal(cexp, shift_argument(base, cand)):
                 return cand
     return None

@@ -44,7 +44,8 @@ from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _raw,
                     as_fraction, merge)
-from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction
+from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
+                    times_binomial)
 from .specfun import log_gamma
 
 # numpy is imported inside _IntegrandEvaluator and _node_table, its only
@@ -712,11 +713,7 @@ def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
                     quotient[x + i] = quotient.get(x + i, 0) + c
             poly, den = quotient, []
     for b, e in ints:
-        for _ in range(e):
-            times = {x: -c for x, c in poly.items()}
-            for x, c in poly.items():
-                times[x + 2 * b] = times.get(x + 2 * b, 0) + c
-            poly = times
+        poly = times_binomial(poly, 2 * b, e)
     terms = sorted((x, c * cn) for x, c in poly.items() if c)
     div = cd << s
     if not den:

@@ -6,12 +6,12 @@ Terms live in a small grammar: rational coefficients times an
 integer power of hbar, exponential tilts e^{alpha*hbar*t}, spectral phases
 e^{-i(u + i*gamma*hbar)t}, and integer powers of sinh(beta*hbar*t).
 
-Equality is decided through a canonical form: each branch embeds into the
-field of Laurent rationals in zeta = e^{hbar*t/(2L)}, L the lcm of all slope
-and shift denominators.  Two mode functions are equal iff their reduced
-Laurent rationals coincide on a common lattice, which is sound and complete
-for this grammar (a rational function of zeta vanishing on an interval of
-the positive axis vanishes identically).
+Equality is decided in integers: per branch, f - g times the common
+denominator D = prod sinh(beta*hbar*t)^m is expanded as a sparse sum of
+exponentials e^{x*hbar*t/L}, L the lcm of all slope and tilt denominators,
+and f equals g iff it is empty, which is sound and complete (exponentials
+of distinct real rates are linearly independent).  The canonical form, a
+Laurent rational in zeta = e^{hbar*t/(2L)}, is left for `catalog` to print.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .exact import LaurentRational, as_fraction, binomial_quotient
 
 __all__ = [
     "AlgebraParams", "Kernel", "ExpTrigTerm", "ModeFunction",
-    "shift_argument", "equals",
+    "shift_argument", "equals", "monomial_tilts", "times_binomial",
 ]
 
 
@@ -241,6 +241,10 @@ class ModeFunction:
     def is_structurally_zero(self) -> bool:
         return not self.positive_branch and not self.negative_branch
 
+    def is_zero(self) -> bool:
+        """Whether both branches sum to zero."""
+        return _vanishes(self.positive_branch) and _vanishes(self.negative_branch)
+
     def __add__(self, other: "ModeFunction") -> "ModeFunction":
         if other.is_structurally_zero():
             return self
@@ -263,29 +267,20 @@ class ModeFunction:
         return math.lcm(*(d for t in self.positive_branch + self.negative_branch
                           for d in t.denominators()))
 
-    def canonical(self, lattice: int | None = None):
+    def canonical(self):
         """Canonical form: per branch, {hbar_power: reduced LaurentRational}."""
-        own = self.lattice()
-        if lattice is None:
-            lattice = own
-        elif lattice % own:
-            raise ValueError("requested lattice does not refine this function's lattice")
-        if self._canon is not None and self._canon[0] == lattice:
-            return self._canon
-        branches = []
-        for terms in (self.positive_branch, self.negative_branch):
-            acc: dict[int, LaurentRational] = {}
-            for t in terms:
-                lr = t.laurent(lattice)
-                if lr.is_zero():
-                    continue
-                prev = acc.get(t.hbar_power)
-                acc[t.hbar_power] = lr if prev is None else prev + lr
-            branches.append({p: lr for p, lr in acc.items() if not lr.is_zero()})
-        canon = (lattice, branches[0], branches[1])
-        if lattice == own:
-            self._canon = canon
-        return canon
+        if self._canon is None:
+            lattice, branches = self.lattice(), []
+            for terms in (self.positive_branch, self.negative_branch):
+                acc: dict[int, LaurentRational] = {}
+                for t in terms:
+                    lr = t.laurent(lattice)
+                    prev = acc.get(t.hbar_power)
+                    acc[t.hbar_power] = lr if prev is None else prev + lr
+                branches.append({p: lr for p, lr in acc.items()
+                                 if not lr.is_zero()})
+            self._canon = (lattice, branches[0], branches[1])
+        return self._canon
 
     def eval_branch(self, t: float, hbar: float) -> complex:
         """Numeric value of the branch containing t (u = 0 convention)."""
@@ -312,9 +307,80 @@ def shift_argument(f: ModeFunction, delta) -> ModeFunction:
     return ModeFunction(sh(f.positive_branch), sh(f.negative_branch))
 
 
+def times_binomial(poly: dict[int, int], m: int, e: int) -> dict[int, int]:
+    """poly * (X^m - 1)^e, poly = {x: c} the sparse integer sum of c X^x;
+    coefficients that cancel stay in the map as 0."""
+    for _ in range(e):
+        times = {x: -c for x, c in poly.items()}
+        for x, c in poly.items():
+            times[x + m] = times.get(x + m, 0) + c
+        poly = times
+    return poly
+
+
+def _sinh_product(c: int, x: int, powers) -> dict[int, int]:
+    """c X^x prod (X^b - X^-b)^n over the pairs (b, n) of powers."""
+    poly = {x - sum(b * n for b, n in powers): c}
+    for b, n in powers:
+        poly = times_binomial(poly, 2 * b, n)
+    return poly
+
+
+def _expand(signed) -> tuple[dict[int, dict[int, int]], list, int]:
+    """One branch, the sum of sign * term over the (sign, term) pairs, times
+    D = prod sinh(beta hbar t)^m, m the highest power of sinh(beta hbar t)
+    any term divides by.  With X = e^{hbar t/L}, L the lcm of the tilt and
+    slope denominators, sinh(beta hbar t) = (X^b - X^-b)/2, b = beta L: so
+    returns ({hbar_power: {x: c}}, the pairs (b, m) of D, L), the sum as
+    c X^x over one integer scale that absorbs each term's 2^-n."""
+    L = scale = 1
+    depth: dict[tuple[int, int], int] = {}
+    rows = []
+    for s, t in signed:
+        cn, cd, hpow, tn, td, factors, _ = t.ints()
+        L = math.lcm(L, td, *(bd for (_, bd), _ in factors))
+        scale = math.lcm(scale, cd)
+        for beta, e in factors:
+            if -e > depth.get(beta, 0):
+                depth[beta] = -e
+        rows.append((s * cn, cd, hpow, tn, td, factors, sum(e for _, e in factors)))
+    top = max((row[-1] for row in rows), default=0)
+    sums: dict[int, dict[int, int]] = {}
+    for c, cd, hpow, tn, td, factors, n in rows:
+        powers = dict(depth)
+        for beta, e in factors:
+            powers[beta] = powers.get(beta, 0) + e
+        poly = sums.setdefault(hpow, {})
+        for x, v in _sinh_product(c * (scale // cd) << (top - n), tn * (L // td), [
+                (bn * (L // bd), m) for (bn, bd), m in powers.items() if m]).items():
+            poly[x] = poly.get(x, 0) + v
+    return sums, [(bn * (L // bd), m) for (bn, bd), m in depth.items()], L
+
+
+def _vanishes(plus, minus=()) -> bool:
+    """Whether the terms plus, less the terms minus, of one branch sum to 0."""
+    sums = _expand([(1, t) for t in plus] + [(-1, t) for t in minus])[0]
+    return not any(any(poly.values()) for poly in sums.values())
+
+
 def equals(f: ModeFunction, g: ModeFunction) -> bool:
-    """Exact equality of mode functions via canonical forms on a joint lattice."""
-    joint = math.lcm(f.lattice(), g.lattice())
-    _, fp, fn = f.canonical(joint)
-    _, gp, gn = g.canonical(joint)
-    return fp == gp and fn == gn
+    """Exact equality of mode functions, branch by branch."""
+    return (_vanishes(f.positive_branch, g.positive_branch)
+            and _vanishes(f.negative_branch, g.negative_branch))
+
+
+def monomial_tilts(f: ModeFunction) -> set[Fraction]:
+    """Every alpha such that the terms of one branch of f at one hbar power
+    sum to c e^{alpha hbar t}, c != 0: their sum times D is c X^{alpha L}
+    times D, whose expansion leads with X^{sum b m}."""
+    tilts = set()
+    for branch in (f.positive_branch, f.negative_branch):
+        sums, depth, L = _expand([(1, t) for t in branch])
+        den = {x: d for x, d in _sinh_product(1, 0, depth).items() if d}
+        for poly in sums.values():
+            poly = {x: c for x, c in poly.items() if c}
+            if poly and len(poly) == len(den):
+                a, c = max(poly) - max(den), poly[max(poly)]
+                if all(poly.get(x + a) == c * d for x, d in den.items()):
+                    tilts.add(Fraction(a, L))
+    return tilts

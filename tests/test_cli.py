@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from coset_forge import algebra, cli
+from coset_forge.exact import LaurentRational
+from coset_forge.modes import ExpTrigTerm
 
 
 def run_cli(*args, cwd=None):
@@ -236,6 +238,30 @@ def test_refuted_ef_claim_is_a_fail_row(tmp_path, capsys, mutant, k):
     out = capsys.readouterr().out
     assert "FAIL [E,F] kind=commutator-delta max_rel_err=nan" in out
     assert f"note: {note}" in out
+
+
+@pytest.mark.parametrize("k", ["5/12", "3/16", "997/1000"])
+def test_verify_report_and_poles_build_no_laurent_rational(k, capsys, monkeypatch):
+    # the E-F analysis compares mode functions as integer exponential sums:
+    # with every Laurent rational refused, each command exits 0 and writes
+    # the bytes it writes unrefused (the refused run goes first, so no form
+    # cached by the other is there to be read)
+    def reports():
+        out = []
+        for cmd in ("verify", "report", "poles"):
+            assert cli.run([cmd, "--k", k, "--json", "-"]) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Laurent rational on the verify path")
+
+    monkeypatch.setattr(LaurentRational, "__init__", refuse)
+    monkeypatch.setattr(LaurentRational, "_make", staticmethod(refuse))
+    monkeypatch.setattr(ExpTrigTerm, "laurent", refuse)
+    refused = reports()
+    monkeypatch.undo()
+    assert refused == reports()
 
 
 def test_single_term_pair_shape_relation_fails(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from coset_forge import cli, exact
 from coset_forge.errors import ExcludedLevel
 from coset_forge.exact import GR, LaurentRational
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
-                               equals, shift_argument)
+                               equals, monomial_tilts, shift_argument)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -248,9 +249,9 @@ def test_laurent_matches_expand_and_trial_divide(case):
 
 
 def test_laurent_makes_no_trial_division(monkeypatch):
-    """A verify at k = 3/16 reduces sums by trial division, some of which
-    fail, but a single term only divides exactly: every division by a
-    binomial inside ExpTrigTerm.laurent succeeds."""
+    """The catalog printout at k = 3/16 reduces sums by trial division, some
+    of which fail, but a single term only divides exactly: every division by
+    a binomial inside ExpTrigTerm.laurent succeeds."""
     calls = {"laurent": 0, "inside": 0, "outside": 0}
     depth = [0]
     laurent, over_binomial = ExpTrigTerm.laurent, exact._over_binomial
@@ -272,6 +273,139 @@ def test_laurent_makes_no_trial_division(monkeypatch):
     monkeypatch.setattr(ExpTrigTerm, "laurent", counting_laurent)
     monkeypatch.setattr(exact, "_over_binomial", counting_over_binomial)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(["verify", "--k", "3/16"]) == 0
+        assert cli.run(["catalog", "--k", "3/16"]) == 0
     assert calls["laurent"] > 0 and calls["outside"] > 0
     assert calls["inside"] == 0
+
+
+# ---------------------------------------------------------------------------
+# equals, is_zero and monomial_tilts read integer exponential sums; the
+# oracle is the Laurent comparison they replaced: each branch summed per
+# hbar power into reduced Laurent rationals on the joint lattice.
+
+def _laurent_branches(f, lattice):
+    branches = []
+    for terms in (f.positive_branch, f.negative_branch):
+        acc = {}
+        for t in terms:
+            lr = t.laurent(lattice)
+            acc[t.hbar_power] = acc[t.hbar_power] + lr if t.hbar_power in acc else lr
+        branches.append({p: lr for p, lr in acc.items() if not lr.is_zero()})
+    return branches
+
+
+def _laurent_equals(f, g):
+    joint = math.lcm(f.lattice(), g.lattice())
+    return _laurent_branches(f, joint) == _laurent_branches(g, joint)
+
+
+def _laurent_tilts(f):
+    lat, pos, neg = f.canonical()
+    return {Fraction(lr.num.lo, 2 * lat) for branch in (pos, neg)
+            for lr in branch.values()
+            if len(lr.num.coeffs) == 1 and not lr.factors}
+
+
+_SLOPES = st.sampled_from([HALF, ONE, Fraction(3, 2), Fraction(1, 3)])
+
+
+@st.composite
+def _rich_terms(draw, most=3):
+    return [ExpTrigTerm(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+                        draw(st.integers(0, 2)),
+                        Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3]))),
+                        Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 4]))),
+                        tuple((draw(_SLOPES), draw(st.sampled_from([-2, -1, 1, 2])))
+                              for _ in range(draw(st.integers(0, 2)))))
+            for _ in range(draw(st.integers(0, most)))]
+
+
+def _times_one(term, gamma):
+    """term * sinh(gamma ht)/sinh(gamma ht), as two terms over sinh(gamma ht)."""
+    f = term.sinh_factors + ((gamma, -1),)
+    return [ExpTrigTerm(term.coeff / 2, term.hbar_power, term.shift + gamma,
+                        term.spectral_shift, f),
+            ExpTrigTerm(-term.coeff / 2, term.hbar_power, term.shift - gamma,
+                        term.spectral_shift, f)]
+
+
+def _bare_sinh_power(term):
+    """term with its first positive sinh power p written out as the p + 1
+    exponentials of 2^-p (e^{beta ht} - e^{-beta ht})^p."""
+    j = next((j for j, (_, e) in enumerate(term.sinh_factors) if e > 0), None)
+    if j is None:
+        return [term]
+    beta, p = term.sinh_factors[j]
+    rest = term.sinh_factors[:j] + term.sinh_factors[j + 1:]
+    return [ExpTrigTerm(term.coeff * math.comb(p, i) * (-1) ** i / 2 ** p,
+                        term.hbar_power, term.shift + (p - 2 * i) * beta,
+                        term.spectral_shift, rest)
+            for i in range(p + 1)]
+
+
+@st.composite
+def _rewritten(draw, terms):
+    """The same branch, built another way: terms multiplied by one, sinh
+    powers written out, shifts moved into the spectral shift, a term and its
+    negative added, order permuted."""
+    out = []
+    for t in terms:
+        how = draw(st.sampled_from(["keep", "one", "bare", "spectral"]))
+        if how == "one":
+            out += _times_one(t, draw(_SLOPES))
+        elif how == "bare":
+            out += _bare_sinh_power(t)
+        elif how == "spectral":
+            out.append(ExpTrigTerm(t.coeff, t.hbar_power, 0, t.tilt(), t.sinh_factors))
+        else:
+            out.append(t)
+    for t in draw(_rich_terms(1)):
+        out += [t, ExpTrigTerm(-t.coeff, t.hbar_power, t.shift, t.spectral_shift,
+                               t.sinh_factors)]
+    return draw(st.permutations(out))
+
+
+@st.composite
+def _mode_function_pairs(draw):
+    branches = []
+    for _ in range(2):
+        terms = draw(_rich_terms())
+        if draw(st.booleans()):
+            # a monomial c e^{alpha ht} over sinh(gamma ht), the shape of the
+            # E-F residue exponents
+            mono = ExpTrigTerm(Fraction(draw(st.integers(1, 3))), draw(st.integers(0, 2)),
+                               Fraction(draw(st.integers(-4, 4)), 4))
+            terms = (_times_one(mono, draw(_SLOPES))
+                     if draw(st.booleans()) or not terms else terms + [mono])
+        branches.append(terms)
+    f = ModeFunction(*branches)
+    kind = draw(st.sampled_from(["rewritten", "perturbed", "independent"]))
+    if kind == "independent":
+        g = ModeFunction(draw(_rich_terms()), draw(_rich_terms()))
+    else:
+        g = ModeFunction(draw(_rewritten(branches[0])), draw(_rewritten(branches[1])))
+        if kind == "perturbed":
+            g = g + ModeFunction(draw(_rich_terms(1)), draw(_rich_terms(1)))
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mode_function_pairs())
+# sinh(ht/2)^2 against (e^{ht} - 2 + e^{-ht})/4: the 2^-2 of the square and
+# the bare exponentials' 2^0 must meet on one scale
+@example((ModeFunction([ExpTrigTerm(1, 1, 0, 0, ((HALF, 2),))]),
+          ModeFunction([ExpTrigTerm(Fraction(1, 4), 1, ONE),
+                        ExpTrigTerm(Fraction(-1, 2), 1),
+                        ExpTrigTerm(Fraction(1, 4), 1, -ONE)])))
+# a squared denominator against the same over two denominator slopes
+@example((ModeFunction([ExpTrigTerm(2, 1, HALF, 0, ((ONE, -2), (HALF, 1)))], []),
+          ModeFunction(_times_one(ExpTrigTerm(2, 1, HALF, 0, ((ONE, -2), (HALF, 1))),
+                                  Fraction(1, 3)), [])))
+def test_exponential_sums_decide_as_the_laurent_forms(pair):
+    f, g = pair
+    assert equals(f, g) == _laurent_equals(f, g)
+    assert equals(g, f) == equals(f, g)
+    d = f - g
+    assert d.is_zero() == (d.canonical()[1:] == ({}, {})) == equals(f, g)
+    for h in (f, g, d):
+        assert monomial_tilts(h) == _laurent_tilts(h)
