@@ -458,7 +458,7 @@ def contract(f: ModeFunction, g: ModeFunction, K: Kernel,
                     f"unbalanced hbar power {hpow} in contraction")
             sinh = tuple(list(tf.sinh_factors) + list(tr.sinh_factors)
                          + list(K.sinh_factors()))
-            terms.append(ExpTrigTerm(coeff, 0, tf.tilt() + tr.tilt(), Fraction(0), sinh))
+            terms.append(ExpTrigTerm(coeff, 0, tf.tilt + tr.tilt, sinh))
     lattice = math.lcm(*(d for t in terms for d in t.denominators()))
     total = LaurentRational.zero()
     for t in terms:
@@ -670,7 +670,7 @@ def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
     8000."""
     cf, df, hf, tnf, tdf, ff, _ = tf.ints()
     cg, dg, hg, tng, tdg, fg, odd = tg.ints()
-    slope = K.slope_b   # and K.slope_a = 1
+    slope = K.slope_b
     slopes: dict[tuple[int, int], int] = {}
     for beta, e in ff + fg + (((1, 1), 1),
                               ((slope.numerator, slope.denominator), 1)):

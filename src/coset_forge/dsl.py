@@ -120,13 +120,13 @@ def _binder(k: Fraction):
 # declaration records
 
 class TermDecl:
-    __slots__ = ("coeff", "hbar_power", "shift", "sinh")
+    __slots__ = ("coeff", "hbar_power", "tilt", "sinh")
 
-    def __init__(self, coeff: KVal, hbar_power: int, shift: KVal,
+    def __init__(self, coeff: KVal, hbar_power: int, tilt: KVal,
                  sinh: list[tuple[KVal, int]]):
         self.coeff = coeff
         self.hbar_power = hbar_power
-        self.shift = shift
+        self.tilt = tilt
         self.sinh = sinh
 
 
@@ -284,7 +284,7 @@ def _bind_term(cur: str, t: TermDecl, at, k: Fraction) -> ExpTrigTerm:
         if not v:
             raise ExcludedLevel(f"current {cur!r}: sinh slope ({b!r}) "
                                 f"vanishes at k={k}")
-    return ExpTrigTerm(at(t.coeff), t.hbar_power, at(t.shift), _ZERO, sinh)
+    return ExpTrigTerm(at(t.coeff), t.hbar_power, at(t.tilt), sinh)
 
 
 def _bind_composite(cd: CurrentDecl, cat: Catalog, at) -> Current:
@@ -626,12 +626,12 @@ class _Parser:
     def exponent_term(self, sign: int) -> TermDecl:
         coeff: KVal = Fraction(sign)
         hpow = 0
-        shift: KVal = _ZERO
+        tilt: KVal = _ZERO
         sinh: list[tuple[KVal, int]] = []
         invert = False
 
         def add_factor():
-            nonlocal coeff, hpow, shift
+            nonlocal coeff, hpow, tilt
             mul = -1 if invert else 1
             if self.accept("hbar"):
                 hpow += mul
@@ -653,7 +653,7 @@ class _Parser:
                 else:
                     inner = self.kexpr("h")
                 self.expect("*", "h", "*", "t", ")")
-                shift = self.op("+" if mul > 0 else "-", shift, inner)
+                tilt = self.op("+" if mul > 0 else "-", tilt, inner)
                 return
             if self.accept("sinh"):
                 self.expect("(")
@@ -671,7 +671,7 @@ class _Parser:
             invert = op == "/"
             self.i += 1
             add_factor()
-        return TermDecl(coeff, hpow, shift, sinh)
+        return TermDecl(coeff, hpow, tilt, sinh)
 
     # -- composite expressions -------------------------------------------------
     def composite_expr(self) -> list[CompositeTerm]:

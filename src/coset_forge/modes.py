@@ -3,8 +3,10 @@
 A mode function g(t) is the coefficient of the oscillator a(t) in an
 exponent exp{ integral g(t) a(t) dt }, split into t>0 and t<0 branches.
 Terms live in a small grammar: rational coefficients times an
-integer power of hbar, exponential tilts e^{alpha*hbar*t}, spectral phases
-e^{-i(u + i*gamma*hbar)t}, and integer powers of sinh(beta*hbar*t).
+integer power of hbar, one exponential tilt e^{alpha*hbar*t}, and integer
+powers of sinh(beta*hbar*t), all times the spectral phase e^{-iut}, which
+stays implicit: an argument shift u -> u + i*gamma*hbar adds gamma to the
+tilt of every term.
 
 Equality is decided in integers: per branch, f - g times the common
 denominator D = prod sinh(beta*hbar*t)^m is expanded as a sparse sum of
@@ -81,14 +83,10 @@ class Kernel:
         _set(self, "sign", sign)
         _set(self, "slope_b", slope_b)
 
-    @property
-    def slope_a(self) -> Fraction:
-        return Fraction(1)
-
     def sinh_factors(self) -> tuple[tuple[Fraction, int], ...]:
-        if self.slope_b == self.slope_a:
-            return ((self.slope_a, 2),)
-        return tuple(sorted(((self.slope_a, 1), (self.slope_b, 1))))
+        if self.slope_b == 1:
+            return ((self.slope_b, 2),)
+        return tuple(sorted(((Fraction(1), 1), (self.slope_b, 1))))
 
     def eval_density(self, t: float, hbar: float) -> float:
         return (self.sign * math.sinh(hbar * t)
@@ -104,22 +102,21 @@ def _sinh_exponent(beta: Fraction, lattice: int) -> int:
 
 
 class ExpTrigTerm:
-    """One grammar term:
+    """One grammar term, the coefficient of the spectral phase e^{-iut}:
 
-        coeff * hbar^hbar_power * e^{shift*hbar*t}
-              * prod_j sinh(beta_j*hbar*t)^{e_j} * e^{-i(u + i*spectral_shift*hbar)t}
+        coeff * hbar^hbar_power * e^{tilt*hbar*t} * prod_j sinh(beta_j*hbar*t)^{e_j}
 
-    The coefficient is rational.  Slopes are normalized positive at
+    A declared exp(a*h*t) and an argument shift u -> u + i*g*hbar both
+    multiply the term by an exponential, so both add to its one tilt.  The
+    coefficient is rational.  Slopes are normalized positive at
     construction (sign absorbed into coeff), merged and kept sorted.
     """
 
-    __slots__ = ("coeff", "hbar_power", "shift", "spectral_shift",
-                 "sinh_factors", "_hash", "_ints")
+    __slots__ = ("coeff", "hbar_power", "tilt", "sinh_factors", "_hash", "_ints")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, coeff: Fraction, hbar_power: int = 1,
-                 shift: Fraction = Fraction(0),
-                 spectral_shift: Fraction = Fraction(0),
+                 tilt: Fraction = Fraction(0),
                  sinh_factors: tuple[tuple[Fraction, int], ...] = ()):
         coeff = as_fraction(coeff)
         merged: dict[Fraction, int] = {}
@@ -135,16 +132,14 @@ class ExpTrigTerm:
             merged[beta] = merged.get(beta, 0) + e
         _set(self, "coeff", coeff)
         _set(self, "hbar_power", hbar_power)
-        _set(self, "shift", as_fraction(shift))
-        _set(self, "spectral_shift", as_fraction(spectral_shift))
+        _set(self, "tilt", as_fraction(tilt))
         _set(self, "sinh_factors",
              tuple(sorted((b, e) for b, e in merged.items() if e)))
         _set(self, "_hash", None)
         _set(self, "_ints", None)
 
     def _key(self):
-        return (self.coeff, self.hbar_power, self.shift, self.spectral_shift,
-                self.sinh_factors)
+        return (self.coeff, self.hbar_power, self.tilt, self.sinh_factors)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -160,8 +155,8 @@ class ExpTrigTerm:
         return h
 
     def __repr__(self):
-        return ("ExpTrigTerm(coeff={!r}, hbar_power={!r}, shift={!r}, "
-                "spectral_shift={!r}, sinh_factors={!r})".format(*self._key()))
+        return ("ExpTrigTerm(coeff={!r}, hbar_power={!r}, tilt={!r}, "
+                "sinh_factors={!r})".format(*self._key()))
 
     def ints(self) -> tuple:
         """The term in integers, computed once: (cn, cd, hbar_power, tn, td,
@@ -170,7 +165,7 @@ class ExpTrigTerm:
         and odd the parity of the summed sinh exponents."""
         v = self._ints
         if v is None:
-            c, tau = self.coeff, self.tilt()
+            c, tau = self.coeff, self.tilt
             v = (c.numerator, c.denominator, self.hbar_power, tau.numerator,
                  tau.denominator,
                  tuple(((b.numerator, b.denominator), e)
@@ -179,23 +174,15 @@ class ExpTrigTerm:
             _set(self, "_ints", v)
         return v
 
-    def tilt(self) -> Fraction:
-        """Net exponential tilt (shift + spectral shift), in hbar*t units."""
-        return self.shift + self.spectral_shift
-
     def denominators(self):
-        yield self.shift.denominator
-        yield self.spectral_shift.denominator
+        yield self.tilt.denominator
         for beta, _ in self.sinh_factors:
             yield beta.denominator
 
     def laurent(self, lattice: int) -> LaurentRational:
-        # e = (shift + spectral_shift) * 2 * lattice, in integers
-        s, t = self.shift, self.spectral_shift
-        e, r = divmod((s.numerator * t.denominator + t.numerator * s.denominator)
-                      * 2 * lattice, s.denominator * t.denominator)
+        e, r = divmod(self.tilt.numerator * 2 * lattice, self.tilt.denominator)
         if r:
-            raise NonMeromorphicProduct(f"tilt {self.tilt()} not on lattice 1/{lattice}")
+            raise NonMeromorphicProduct(f"tilt {self.tilt} not on lattice 1/{lattice}")
         # sinh(beta*hbar*t)^p = 2^-p zeta^{-n p} (zeta^{2n} - 1)^p
         powers = []
         twos = 0
@@ -212,13 +199,12 @@ class ExpTrigTerm:
         for _, e in self.sinh_factors:
             if e % 2:
                 coeff = -coeff
-        return ExpTrigTerm(coeff, self.hbar_power, -self.shift,
-                           -self.spectral_shift, self.sinh_factors)
+        return ExpTrigTerm(coeff, self.hbar_power, -self.tilt, self.sinh_factors)
 
     def eval(self, t: float, hbar: float) -> float:
         """Numeric value at real t, spectral phase e^{-iut} omitted (u = 0)."""
         v = float(self.coeff) * hbar ** self.hbar_power
-        v *= math.exp(float(self.tilt()) * hbar * t)
+        v *= math.exp(float(self.tilt) * hbar * t)
         for beta, e in self.sinh_factors:
             v *= math.sinh(float(beta) * hbar * t) ** e
         return v
@@ -227,12 +213,11 @@ class ExpTrigTerm:
 class ModeFunction:
     """Exponent coefficient function with separate t>0 and t<0 branches."""
 
-    __slots__ = ("positive_branch", "negative_branch", "_canon")
+    __slots__ = ("positive_branch", "negative_branch")
 
     def __init__(self, positive_branch=(), negative_branch=()):
         self.positive_branch = tuple(positive_branch)
         self.negative_branch = tuple(negative_branch)
-        self._canon = None
 
     @staticmethod
     def zero() -> "ModeFunction":
@@ -255,8 +240,7 @@ class ModeFunction:
 
     def __neg__(self) -> "ModeFunction":
         def neg(terms):
-            return tuple(ExpTrigTerm(-t.coeff, t.hbar_power, t.shift,
-                                     t.spectral_shift, t.sinh_factors)
+            return tuple(ExpTrigTerm(-t.coeff, t.hbar_power, t.tilt, t.sinh_factors)
                          for t in terms)
         return ModeFunction(neg(self.positive_branch), neg(self.negative_branch))
 
@@ -269,18 +253,15 @@ class ModeFunction:
 
     def canonical(self):
         """Canonical form: per branch, {hbar_power: reduced LaurentRational}."""
-        if self._canon is None:
-            lattice, branches = self.lattice(), []
-            for terms in (self.positive_branch, self.negative_branch):
-                acc: dict[int, LaurentRational] = {}
-                for t in terms:
-                    lr = t.laurent(lattice)
-                    prev = acc.get(t.hbar_power)
-                    acc[t.hbar_power] = lr if prev is None else prev + lr
-                branches.append({p: lr for p, lr in acc.items()
-                                 if not lr.is_zero()})
-            self._canon = (lattice, branches[0], branches[1])
-        return self._canon
+        lattice, branches = self.lattice(), []
+        for terms in (self.positive_branch, self.negative_branch):
+            acc: dict[int, LaurentRational] = {}
+            for t in terms:
+                lr = t.laurent(lattice)
+                prev = acc.get(t.hbar_power)
+                acc[t.hbar_power] = lr if prev is None else prev + lr
+            branches.append({p: lr for p, lr in acc.items() if not lr.is_zero()})
+        return lattice, branches[0], branches[1]
 
     def eval_branch(self, t: float, hbar: float) -> complex:
         """Numeric value of the branch containing t (u = 0 convention)."""
@@ -301,8 +282,7 @@ def shift_argument(f: ModeFunction, delta) -> ModeFunction:
     if delta == 0:
         return f
     def sh(terms):
-        return tuple(ExpTrigTerm(t.coeff, t.hbar_power, t.shift,
-                                 t.spectral_shift + delta, t.sinh_factors)
+        return tuple(ExpTrigTerm(t.coeff, t.hbar_power, t.tilt + delta, t.sinh_factors)
                      for t in terms)
     return ModeFunction(sh(f.positive_branch), sh(f.negative_branch))
 

@@ -1,6 +1,7 @@
 """Shared helpers: the shipped `paper.alg` bound once per (k, hbar), the
-analysis of its declared E-F commutator, the contraction pairs of a bound
-catalog, and sparse Laurent polynomials
+analysis of its declared E-F commutator, two files that declare one
+function two ways, the contraction pairs of a bound catalog, and sparse
+Laurent polynomials
 ({exponent: GR}) as references for the dense `LaurentPoly`.
 
 Import them with `from conftest import ...`; pytest puts this directory on
@@ -42,6 +43,32 @@ def shipped_commutator(k, hbar=1):
     declaration, bound at level k and deformation hbar."""
     _, cat, _, (cm,) = bind_shipped(k, hbar)
     return ef_commutator_analysis(cat, *cm["pair"], cm["poles"], cm["residues"])
+
+
+# twin files: Y is X shifted by 1/3 in one and the same function declared
+# with its tilt 1/6 + 1/3 in the other; the relation holds in both
+_TWIN_SHIFTED = """\
+params { k = 1; hbar = 1; }
+kernel p { sign = +1; slope = 1/2; }
+current X on p {
+  pos: 1 * hbar * exp((1/6)*h*t) / sinh(1*h*t);
+  neg: 1 * hbar * exp((1/6)*h*t) / sinh(1*h*t);
+}
+current Y = X@(1/3);
+relation y_y : Y(u) Y(v) == Gamma(-x@2 + 1/4) * Gamma(-x@2 + 3/4)^-1
+    * Gamma(x@2 + 1/4)^-1 * Gamma(x@2 + 3/4) * Y(v) Y(u);
+"""
+
+
+def tilt_twins() -> tuple[str, str]:
+    """The texts of the twin files (shifted, declared)."""
+    declared = _TWIN_SHIFTED.replace("current Y = X@(1/3);", """\
+current Y on p {
+  pos: 1 * hbar * exp((1/2)*h*t) / sinh(1*h*t);
+  neg: 1 * hbar * exp((1/2)*h*t) / sinh(1*h*t);
+}""")
+    assert declared != _TWIN_SHIFTED
+    return _TWIN_SHIFTED, declared
 
 
 def contraction_pairs(cat):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bind_shipped, contraction_pairs, shipped_commutator,
-                      shipped_text)
+                      shipped_text, tilt_twins)
 from coset_forge import algebra, cli
 from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
                                  Relation, _classical_readout,
@@ -53,11 +53,11 @@ def test_catalog_printed_exponents():
     cat = catalog(k)
     cp = cat["C_plus"].exponent("chat")
     expect = ModeFunction(
-        [ExpTrigTerm(-1, 1, -k / 4, 0, ((k / 2, -1),))],
-        [ExpTrigTerm(-1, 1, k / 4, 0, ((k / 2, -1),))])
+        [ExpTrigTerm(-1, 1, -k / 4, ((k / 2, -1),))],
+        [ExpTrigTerm(-1, 1, k / 4, ((k / 2, -1),))])
     assert modes_equal(cp, expect)
     hp = cat["H_plus"].exponent("chat")
-    assert modes_equal(hp, ModeFunction([ExpTrigTerm(2, 1, 0, 0, ())], []))
+    assert modes_equal(hp, ModeFunction([ExpTrigTerm(2, 1, 0, ())], []))
     assert not cat["H_minus"].exponent("chat").positive_branch
 
 
@@ -432,8 +432,8 @@ def test_quadrature_only_fallback_for_nontelescoping_relations():
     sq = ((Fraction(1, 2), 2), (Fraction(1), -2))
 
     def mf():
-        return ModeFunction([ExpTrigTerm(1, 1, 0, 0, sq)],
-                            [ExpTrigTerm(1, 1, 0, 0, sq)])
+        return ModeFunction([ExpTrigTerm(1, 1, 0, sq)],
+                            [ExpTrigTerm(1, 1, 0, sq)])
 
     cat.currents["X"] = Current(
         "X", (NormalOrderedTerm(1, 0, {"p": mf(), "m": mf()}),))
@@ -449,7 +449,7 @@ def test_quadrature_only_fallback_for_nontelescoping_relations():
 
 
 def test_immutable_records_reject_assignment():
-    term = ExpTrigTerm(2, 1, HALF, 0, ((HALF, 1),))
+    term = ExpTrigTerm(2, 1, HALF, ((HALF, 1),))
     not_term = NormalOrderedTerm(1, 0, {"a": ModeFunction([term])})
     records = [
         (term, "coeff", Fraction(3)), (term, "_hash", 0),
@@ -470,7 +470,7 @@ def test_immutable_records_reject_assignment():
             obj.extra = value
         assert getattr(obj, name) is before
     # equal terms stay equal and hash alike, the cached hash included
-    twin = ExpTrigTerm(-2, 1, "1/2", Fraction(0), ((-HALF, 1),))
+    twin = ExpTrigTerm(-2, 1, "1/2", ((-HALF, 1),))
     assert hash(term) == hash(twin) and term == twin and term is not twin
     assert {term: 0, twin: 1} == {term: 1}
 
@@ -579,6 +579,26 @@ def test_cached_closed_forms_are_the_direct_derivation(k):
         assert list(sf.gammas.items()) == list(ref.gammas.items())
         assert list(sf.linears.items()) == list(ref.linears.items())
         assert sf.const == ref.const and a == I.log_divergence_coeff
+
+
+def test_a_shifted_term_and_its_declared_twin_share_one_closed_form(monkeypatch):
+    # X@(1/3) and exp((1/2)*h*t) are one function: one cache key, derived once
+    calls = []
+    pair_closed_form = algebra.pair_closed_form
+
+    def recording_pair(tf, tg, K):
+        calls.append((tf, tg))
+        return pair_closed_form(tf, tg, K)
+
+    monkeypatch.setattr(algebra, "pair_closed_form", recording_pair)
+    shifted, declared = tilt_twins()
+    _, cat, _, _, _ = parse_definitions(shifted).bind(None, None)
+    _, twin, _, _, _ = parse_definitions(declared).bind(None, None)
+    y, z = cat["Y"].exponent("p"), twin["Y"].exponent("p")
+    forms = [cat._single_pair_closed("p", a.positive_branch[0], b.negative_branch[0])
+             for a in (y, z) for b in (y, z)]
+    assert all(form is forms[0] for form in forms)
+    assert len(calls) == 1 and len(cat._cf_cache) == 1
 
 
 # eight levels p/q with q <= 16, drawn by seed alone
@@ -774,10 +794,10 @@ def test_a_divergence_mismatch_is_raised_on_every_call():
     k = Fraction(2)
     cat = Catalog(AlgebraParams(k))
     cat.kernels = {"c": Kernel("c", 1, k / 2)}
-    x = ModeFunction([ExpTrigTerm(2, 1, 0, 0, ())],
-                     [ExpTrigTerm(1, 1, 0, 0, ((k / 2, -1),))])
-    y = ModeFunction([ExpTrigTerm(1, 1, 0, 0, ((k / 2, -1),))],
-                     [ExpTrigTerm(-2, 1, 0, 0, ())])
+    x = ModeFunction([ExpTrigTerm(2, 1, 0, ())],
+                     [ExpTrigTerm(1, 1, 0, ((k / 2, -1),))])
+    y = ModeFunction([ExpTrigTerm(1, 1, 0, ((k / 2, -1),))],
+                     [ExpTrigTerm(-2, 1, 0, ())])
     for name, mf in (("X", x), ("Y", y)):
         cat.currents[name] = Current(name, (NormalOrderedTerm(1, 0, {"c": mf}),))
     for rotate in ("none", "global", "none"):

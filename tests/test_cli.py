@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import tilt_twins
 from coset_forge import algebra, cli
 from coset_forge.exact import LaurentRational
 from coset_forge.modes import ExpTrigTerm
@@ -337,6 +338,21 @@ def test_limit_message_reduces_both_exponents(capsys):
     assert cli.run(["limit", "--pair", "C_plus,C_plus", "--k", "5/12"]) == 1
     assert ("note: the factor tends to [w/(-w)]^-4/5, the braid is "
             "[w/(-w)]^4/5 (exponents modulo 2)") in capsys.readouterr().out
+
+
+def test_a_shifted_current_prints_and_verifies_as_its_declared_twin(tmp_path, capsys):
+    # X@(1/3) adds 1/3 to the tilt 1/6 of X: Y's catalog lines and the
+    # verify report are those of Y declared with exp((1/2)*h*t)
+    outs = []
+    for name, text in zip(("shifted", "declared"), tilt_twins()):
+        src = tmp_path / f"{name}.alg"
+        src.write_text(text)
+        assert cli.run(["catalog", str(src)]) == 0
+        y_lines = capsys.readouterr().out.split("current Y:")[1]
+        assert cli.run(["verify", str(src), "--json", "-"]) == 0
+        outs.append((y_lines, capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    assert "zeta = exp(h t/4)" in outs[0][0]
 
 
 # X lives on two opposite-sign kernels with equal shapes: the closed form

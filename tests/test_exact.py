@@ -240,13 +240,13 @@ def test_term_coefficient_is_rational(coeff):
     # grammar terms are rational: a Gaussian rational, even a real one, or a
     # float is refused when the term is built
     with pytest.raises(TypeError, match="Fraction"):
-        ExpTrigTerm(coeff, 1, 0, 0, ((Fraction(1), -1),))
+        ExpTrigTerm(coeff, 1, 0, ((Fraction(1), -1),))
     with pytest.raises(TypeError, match="Fraction"):
         NormalOrderedTerm(coeff, 0, {})
 
 
 def test_term_coefficients_are_fractions():
-    t = ExpTrigTerm(3, 1, 0, 0, ((Fraction(-1), 1),))
+    t = ExpTrigTerm(3, 1, 0, ((Fraction(-1), 1),))
     assert type(t.coeff) is Fraction and t.coeff == -3
     assert type(NormalOrderedTerm(2, 0, {}).coeff) is Fraction
     assert binomial_quotient(Fraction(3, 2), 1, [(2, -1)]) == LaurentRational(
@@ -254,7 +254,7 @@ def test_term_coefficients_are_fractions():
     # zeta = e^{t/2}: -3 sinh(t) = -3/2 zeta^-2 (zeta^4 - 1), and
     # 3 sinh(t)^-2 = 12 zeta^4 (zeta^4 - 1)^-2, its 2^2 exact
     assert t.laurent(1) == binomial_quotient(Fraction(-3, 2), -2, [(4, 1)])
-    assert ExpTrigTerm(3, 1, 0, 0, ((Fraction(1), -2),)).laurent(1) == \
+    assert ExpTrigTerm(3, 1, 0, ((Fraction(1), -2),)).laurent(1) == \
         binomial_quotient(Fraction(12), 4, [(4, -2)])
 
 
@@ -286,13 +286,12 @@ def test_exp_trig_term_hash_equal_for_equal_terms():
     half = Fraction(1, 2)
     # a negative slope with odd exponent moves its sign into the coefficient;
     # repeated slopes merge
-    a = ExpTrigTerm(-1, 1, half, 0, ((-half, 1), (Fraction(1), -1)))
-    b = ExpTrigTerm(1, 1, "1/2", Fraction(0), ((Fraction(1), -1), (half, 1)))
-    c = ExpTrigTerm(2, 1, 0, 0, ((half, 1), (half, 1)))
-    d = ExpTrigTerm(Fraction(2), 1, Fraction(0), 0, ((half, 2),))
+    a = ExpTrigTerm(-1, 1, half, ((-half, 1), (Fraction(1), -1)))
+    b = ExpTrigTerm(1, 1, "1/2", ((Fraction(1), -1), (half, 1)))
+    c = ExpTrigTerm(2, 1, 0, ((half, 1), (half, 1)))
+    d = ExpTrigTerm(Fraction(2), 1, Fraction(0), ((half, 2),))
     for x, y in ((a, b), (c, d)):
         assert x == y and x is not y
         assert hash(x) == hash(y)
-        assert hash(x) == hash((x.coeff, x.hbar_power, x.shift,
-                                x.spectral_shift, x.sinh_factors))
+        assert hash(x) == hash((x.coeff, x.hbar_power, x.tilt, x.sinh_factors))
     assert len({a: 0, b: 1, c: 2, d: 3}) == 2
