@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import sys
@@ -329,6 +330,8 @@ def _limit_line(fit: dict) -> str:
 # subcommands
 
 def cmd_catalog(args) -> int:
+    """Each bound current's terms, and under each term one line per grammar
+    term of each exponent branch, in the `.alg` exponent grammar."""
     params, cat, rels, comms, hbars = _bind_session(args)
     print(f"level k = {params.k}, hbar = {', '.join(str(h) for h in hbars)}")
     for name in sorted(cat.currents):
@@ -340,11 +343,10 @@ def cmd_catalog(args) -> int:
                 pref += f"*hbar^{term.hbar_power}"
             print(f"  term {i}: prefactor {pref}")
             for fam, mf in sorted(term.exponents.items()):
-                lat, pos, neg = mf.canonical()
-                for label, branch in (("t>0", pos), ("t<0", neg)):
-                    for hpow, lr in sorted(branch.items()):
-                        print(f"    {fam} {label}: hbar^{hpow} * [{lr!r}], "
-                              f"zeta = exp(h t/{2 * lat})")
+                for label, branch in (("t>0", mf.positive_branch),
+                                      ("t<0", mf.negative_branch)):
+                    for t in branch:
+                        print(f"    {fam} {label}: {t!r}")
     return 0
 
 
@@ -490,33 +492,10 @@ def _payload(params, hbars, reports) -> dict:
     }
 
 
-class _Fallback(Exception):
-    """Raised where a parser built for `argv` would print help or an error."""
-
-
-class _InvokedParser(argparse.ArgumentParser):
-    """A parser with only the subcommands its argv names.  Where it would
-    print help or an error, the full parser parses the same arguments, so
-    every message, usage line and exit code is the full parser's."""
-
-    def parse_args(self, args=None, namespace=None):
-        try:
-            return super().parse_args(args, namespace)
-        except _Fallback:
-            pass
-        return build_parser().parse_args(args, namespace)
-
-    def print_help(self, file=None):
-        raise _Fallback
-
-    def error(self, message):
-        raise _Fallback
-
-
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Given `argv`, only the subcommands it names
-    are built; help, usage and errors come from the full parser."""
-    ap = (argparse.ArgumentParser if argv is None else _InvokedParser)(
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
+    ap = argparse.ArgumentParser(
         prog="coset-forge",
         description="verify the deformed coset vertex-operator relations")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -525,8 +504,6 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
                 hbar_help="override hbar values, comma-separated rationals",
                 writes_json=True):
         # how a relation is checked is declared in the file, not here
-        if argv is not None and name not in argv:
-            return None
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
         p.add_argument("file", nargs="?", default=None,
@@ -542,31 +519,27 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     p = session("contract", cmd_contract, "quadrature vs closed form for a pair",
                 hbar_help="override the hbar value, a single rational")
-    if p:
-        # a tuple metavar breaks argparse's usage message for a missing pair
-        p.add_argument("currents", nargs=2, metavar="CURRENT")
-        p.add_argument("--at", default=None, metavar="RE,IM")
+    # a tuple metavar breaks argparse's usage message for a missing pair
+    p.add_argument("currents", nargs=2, metavar="CURRENT")
+    p.add_argument("--at", default=None, metavar="RE,IM")
 
     p = session("verify", cmd_verify, "verify declared relations")
-    if p:
-        p.add_argument("--relation", default=None,
-                       help="verify a single relation; by default every one")
+    p.add_argument("--relation", default=None,
+                   help="verify a single relation; by default every one")
 
     session("poles", cmd_poles, "ordering-difference pole/residue analysis")
 
     p = session("limit", cmd_limit, "exact classical limits of the shape pairs",
                 hbar_help="the hbar -> 0 sequence, at least 3 strictly "
                           "decreasing rationals")
-    if p:
-        p.add_argument("--pair", default=None, metavar="A,B")
+    p.add_argument("--pair", default=None, metavar="A,B")
 
     session("report", cmd_report, "full verification run as JSON")
     return ap
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

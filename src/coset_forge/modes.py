@@ -13,7 +13,8 @@ denominator D = prod sinh(beta*hbar*t)^m is expanded as a sparse sum of
 exponentials e^{x*hbar*t/L}, L the lcm of all slope and tilt denominators,
 and f equals g iff it is empty, which is sound and complete (exponentials
 of distinct real rates are linearly independent).  The canonical form, a
-Laurent rational in zeta = e^{hbar*t/(2L)}, is left for `catalog` to print.
+Laurent rational in zeta = e^{hbar*t/(2L)}, is read only by the tests, as
+the reference these sums replaced; a term prints in the `.alg` grammar.
 """
 
 from __future__ import annotations
@@ -155,8 +156,14 @@ class ExpTrigTerm:
         return h
 
     def __repr__(self):
-        return ("ExpTrigTerm(coeff={!r}, hbar_power={!r}, tilt={!r}, "
-                "sinh_factors={!r})".format(*self._key()))
+        """The term in the `.alg` exponent grammar, which parses back to it."""
+        p = self.hbar_power
+        text = f"({self.coeff})" + " * hbar" * max(p, 0) + " / hbar" * max(-p, 0)
+        if self.tilt:
+            text += f" * exp(({self.tilt})*h*t)"
+        for beta, e in self.sinh_factors:
+            text += f" * sinh(({beta})*h*t)" + (f"^{e}" if e != 1 else "")
+        return text
 
     def ints(self) -> tuple:
         """The term in integers, computed once: (cn, cd, hbar_power, tn, td,

@@ -5,11 +5,13 @@ import importlib.resources
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from conftest import tilt_twins
 from coset_forge import algebra, cli
+from coset_forge.dsl import parse_definitions
 from coset_forge.exact import LaurentRational
 from coset_forge.modes import ExpTrigTerm
 
@@ -242,15 +244,18 @@ def test_refuted_ef_claim_is_a_fail_row(tmp_path, capsys, mutant, k):
 
 
 @pytest.mark.parametrize("k", ["5/12", "3/16", "997/1000"])
-def test_verify_report_and_poles_build_no_laurent_rational(k, capsys, monkeypatch):
-    # the E-F analysis compares mode functions as integer exponential sums:
-    # with every Laurent rational refused, each command exits 0 and writes
-    # the bytes it writes unrefused (the refused run goes first, so no form
-    # cached by the other is there to be read)
+def test_verify_report_poles_and_catalog_build_no_laurent_rational(
+        k, capsys, monkeypatch):
+    # the E-F analysis compares mode functions as integer exponential sums,
+    # and catalog prints the bound terms: with every Laurent rational
+    # refused, each command exits 0 and writes the bytes it writes unrefused
+    # (the refused run goes first, so no form cached by the other is there
+    # to be read)
     def reports():
         out = []
-        for cmd in ("verify", "report", "poles"):
-            assert cli.run([cmd, "--k", k, "--json", "-"]) == 0
+        for argv in (["verify", "--json", "-"], ["report", "--json", "-"],
+                     ["poles", "--json", "-"], ["catalog"]):
+            assert cli.run([*argv, "--k", k]) == 0
             out.append(capsys.readouterr().out)
         return out
 
@@ -352,7 +357,51 @@ def test_a_shifted_current_prints_and_verifies_as_its_declared_twin(tmp_path, ca
         assert cli.run(["verify", str(src), "--json", "-"]) == 0
         outs.append((y_lines, capsys.readouterr().out))
     assert outs[0] == outs[1]
-    assert "zeta = exp(h t/4)" in outs[0][0]
+    assert "p t>0: (1) * hbar * exp((1/2)*h*t) * sinh((1)*h*t)^-1\n" in outs[0][0]
+
+
+@pytest.mark.parametrize("k", ["5/12", "997/1000"])
+def test_catalog_lines_parse_back_to_the_terms_they_print(k, capsys):
+    # each t>0/t<0 line is one bound term in the file's exponent grammar:
+    # declared as the only term of a primitive current, it binds to itself
+    assert cli.run(["catalog", "--k", k]) == 0
+    lines = [line.split(": ", 1)[1]
+             for line in capsys.readouterr().out.splitlines()
+             if line.split(":")[0].endswith(("t>0", "t<0"))]
+    _, shipped, _, _, _ = parse_definitions(shipped_text()).bind(Fraction(k))
+    printed = [t for name in sorted(shipped.currents)
+               for term in shipped[name].terms
+               for _, mf in sorted(term.exponents.items())
+               for t in mf.positive_branch + mf.negative_branch]
+    assert len(lines) == len(printed) > 40
+    for text, want in zip(lines, printed):
+        _, cat, _, _, _ = parse_definitions(
+            "params { k = 1; hbar = 1; }\n"
+            "kernel p { sign = +1; slope = 1; }\n"
+            f"current T on p {{ pos: {text}; }}\n").bind()
+        [term] = cat["T"].terms
+        assert term.exponents["p"].positive_branch == (want,)
+
+
+def test_two_runs_build_one_parser(monkeypatch, capsys):
+    # the parser is built once per process, with every subcommand, and
+    # parses each later command line
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.run(["verify", "--relation", "E_E"]) == 0
+    first = len(built)
+    assert cli.run(["catalog", "--k", "5/12"]) == 0
+    assert "PASS E_E" in capsys.readouterr().out
+    # the program's parser and one per subcommand
+    assert first == len(built) == 7
+    assert built.count("coset-forge") == 1
 
 
 # X lives on two opposite-sign kernels with equal shapes: the closed form
@@ -806,12 +855,13 @@ def test_zero_gamma_scale_is_an_input_error(tmp_path, capsys, command, new, kind
     ["report", "--json"], ["-h", "verify"]] + [
     [command, "--help"] for command in
     ("catalog", "contract", "verify", "poles", "limit", "report")])
-def test_parser_for_the_invoked_command_answers_as_the_full_one(
+def test_help_usage_and_errors_are_the_full_parsers(
         argv, capsys, monkeypatch, tmp_path):
-    # build_parser(argv) builds only the subcommands argv names; help,
-    # usage and errors read as from the full parser.  run(argv) is compared,
-    # since a Python before 3.12 reads "extra" as verify's file argument,
-    # which then cannot be opened
+    # run(argv) parses with the parser it keeps for the process, which has
+    # been used before: it exits 0 or 2 with the help, usage and error text
+    # of a freshly built full parser.  run(argv) is compared, since a Python
+    # before 3.12 reads "extra" as verify's file argument, which then cannot
+    # be opened
     monkeypatch.chdir(tmp_path)
 
     def answer():
@@ -821,11 +871,11 @@ def test_parser_for_the_invoked_command_answers_as_the_full_one(
             code = exc.code
         return code, capsys.readouterr()
 
-    invoked = answer()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
-    assert answer() == invoked
-    assert invoked[0] in (0, 2)
+    kept = answer()
+    assert answer() == kept
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert answer() == kept
+    assert kept[0] in (0, 2)
 
 
 @pytest.mark.parametrize("argv, built", [
@@ -834,8 +884,16 @@ def test_parser_for_the_invoked_command_answers_as_the_full_one(
     (["catalog", "verify"], ["catalog", "verify"]),
     (["limit", "--pair", "psi,psi", "--hbar", "1/10,1/100,1/1000"], ["limit"])])
 def test_parser_for_the_invoked_command_parses_as_the_full_one(argv, built):
-    parser = cli.build_parser(argv)
+    # `built` are the subcommand names in argv: the first is the command,
+    # a later one an argument.  The kept parser has all six subcommands and,
+    # used twice, parses argv as a freshly built one does
+    parser = cli.build_parser()
     [sub] = [a for a in parser._actions
              if isinstance(a, argparse._SubParsersAction)]
-    assert sorted(sub.choices) == built
-    assert vars(parser.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert sorted(sub.choices) == [
+        "catalog", "contract", "limit", "poles", "report", "verify"]
+    parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    assert args == vars(cli.build_parser.__wrapped__().parse_args(argv))
+    assert args["command"] == built[0]
+    assert all(name in argv for name in built)

@@ -1,8 +1,6 @@
 """Mode-function algebra: canonical forms, argument shifts, kernels."""
 
 import cmath
-import contextlib
-import io
 import math
 import random
 from fractions import Fraction
@@ -11,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, sparse, sparse_mul
-from coset_forge import cli, exact
+from conftest import bind_shipped, dense, sparse, sparse_mul
+from coset_forge import exact
 from coset_forge.errors import ExcludedLevel
 from coset_forge.exact import GR, LaurentRational
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
@@ -194,7 +192,6 @@ def test_pointwise_soundness_random_sweep():
 def test_screened_plus_screened_equals_u1_exponents():
     # the pair identity behind the ordering-difference residues:
     # C+(u) + C-(u + i(k/2)h) == H+(u + i(k/4)h) and the mirrored one
-    from conftest import bind_shipped
     for k in (Fraction(2), Fraction(3), Fraction(5, 2)):
         _, cat, _, _ = bind_shipped(k)
         cp = cat["C_plus"].exponent("chat")
@@ -262,9 +259,10 @@ def test_laurent_matches_expand_and_trial_divide(case):
 
 
 def test_laurent_makes_no_trial_division(monkeypatch):
-    """The catalog printout at k = 3/16 reduces sums by trial division, some
-    of which fail, but a single term only divides exactly: every division by
-    a binomial inside ExpTrigTerm.laurent succeeds."""
+    """The canonical forms of the k = 3/16 catalog's mode functions reduce
+    sums by trial division, some of which fail, but a single term only
+    divides exactly: every division by a binomial inside ExpTrigTerm.laurent
+    succeeds."""
     calls = {"laurent": 0, "inside": 0, "outside": 0}
     depth = [0]
     laurent, over_binomial = ExpTrigTerm.laurent, exact._over_binomial
@@ -285,8 +283,11 @@ def test_laurent_makes_no_trial_division(monkeypatch):
 
     monkeypatch.setattr(ExpTrigTerm, "laurent", counting_laurent)
     monkeypatch.setattr(exact, "_over_binomial", counting_over_binomial)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(["catalog", "--k", "3/16"]) == 0
+    _, cat, _, _ = bind_shipped(Fraction(3, 16))
+    for cur in cat.currents.values():
+        for term in cur.terms:
+            for mf in term.exponents.values():
+                mf.canonical()
     assert calls["laurent"] > 0 and calls["outside"] > 0
     assert calls["inside"] == 0
 
