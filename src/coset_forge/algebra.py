@@ -20,8 +20,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .contraction import (StructureFunction, closed_form, contract,
-                          pair_closed_form, quad_eval)
+from .contraction import StructureFunction, contract, pair_closed_form, quad_eval
 from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
                      NonTelescoping, ResidueMismatch, UnexpectedPole)
 from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
@@ -90,19 +89,12 @@ class Catalog:
     # -- structure-function machinery --------------------------------------
     def _single_pair_closed(self, fam: str, tf: ExpTrigTerm, tg: ExpTrigTerm):
         """Closed form and 1/t coefficient of <tf(u) tg(v)> over `fam`,
-        derived once per catalog straight from the pair's sinh product
-        (pair_closed_form); a product with two or more denominator sinh
-        slopes, or a squared one, goes through contract and closed_form."""
+        derived once per catalog straight from the pair's sinh product by
+        the pair rule (pair_closed_form), whatever its shape."""
         key = (fam, tf, tg)
         hit = self._cf_cache.get(key)
         if hit is None:
-            K = self.kernels[fam]
-            hit = pair_closed_form(tf, tg, K)
-            if hit is None:
-                I = contract(ModeFunction([tf], []), ModeFunction([], [tg]),
-                             K, self.params)
-                hit = closed_form(I, self.params), I.log_divergence_coeff
-            self._cf_cache[key] = hit
+            hit = self._cf_cache[key] = pair_closed_form(tf, tg, self.kernels[fam])
         return hit
 
     def closed_contraction(self, fam: str, f: ModeFunction, g: ModeFunction

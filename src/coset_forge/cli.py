@@ -465,7 +465,7 @@ def cmd_report(args) -> int:
     reports = _run_relations(cat, rels)
     reports += _run_commutators(cat, comms)
     reports += _run_limits(cat, LIMIT_HBARS, _shape_pairs(rels))
-    return _finish(args.json or "-", params, hbars, reports)
+    return _finish(args.json, params, hbars, reports)
 
 
 def _finish(path, params, hbars, reports) -> int:
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "decreasing rationals")
     p.add_argument("--pair", default=None, metavar="A,B")
 
-    session("report", cmd_report, "full verification run as JSON")
+    session("report", cmd_report, "full verification run as JSON").set_defaults(json="-")
     return ap
 
 

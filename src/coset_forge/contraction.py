@@ -23,10 +23,9 @@ Two evaluation routes are kept deliberately independent:
 
 The verify path derives each term pair's closed form a third way,
 pair_closed_form: straight from the pair's sinh product, in integers, by
-Frullani's and Binet's integrals (DLMF 5.9), when the product's denominator
-is at most one simple sinh(gamma hbar t).  It gives what closed_form gives,
-and raises what contract and closed_form raise; every other product (two
-denominator slopes, or a squared one) goes through contract and closed_form.
+Frullani's and Binet's integrals (DLMF 5.9), the product's counts of each
+cyclotomic factor deciding which.  It gives what closed_form gives, and
+raises what contract and closed_form raise, for every product.
 
 Exchange factors S with A(u)B(v) = S(u-v) B(v)A(u) are differences of two
 contractions; their log divergences must cancel exactly, which is checked
@@ -42,8 +41,8 @@ from fractions import Fraction
 
 from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
                      OutsideConvergenceStrip, QuadratureNonConvergent)
-from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _raw,
-                    as_fraction, merge)
+from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _divisors,
+                    _over_binomial, _phi_binomials, _raw, as_fraction, merge)
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     times_binomial)
 from .specfun import log_gamma
@@ -583,8 +582,7 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     # denominator must divide zeta^{2M} - 1 for the family order M
     M = _family_order(R, L)
     if M is None:
-        raise NonTelescoping(
-            "family order exceeds the cap; families do not reduce to Gamma factors")
+        raise NonTelescoping(_OVER_CAP)
     # every order d divides 2M and den is squarefree, so den divides
     # zeta^{2M} - 1: R = N q zeta^{-2M} / (1 - zeta^{-2M}), q an integer
     # polynomial
@@ -614,6 +612,11 @@ def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunc
     return out
 
 
+_REPEATED_ROOTS = ("denominator has repeated roots (cyclotomic factor of order "
+                   "{}, multiplicity {}); families do not reduce to Gamma factors")
+_OVER_CAP = "family order exceeds the cap; families do not reduce to Gamma factors"
+
+
 def _as_int(a: int, q: int, what: str) -> int:
     """The coefficient a/q as an integer."""
     if a % q:
@@ -629,114 +632,117 @@ def _family_order(R: LaurentRational, L: int) -> int | None:
     8*L*deg(den)."""
     repeated = [(d, m) for d, m in R.factors.items() if m > 1]
     if repeated:
-        d, m = min(repeated)
-        raise NonTelescoping(
-            f"denominator has repeated roots (cyclotomic factor of order "
-            f"{d}, multiplicity {m}); families do not reduce to Gamma factors")
+        raise NonTelescoping(_REPEATED_ROOTS.format(*min(repeated)))
     order = math.lcm(*R.factors)
     M = order if order % 2 else order // 2
     return M if M <= 8 * L * max(1, R.den_degree()) else None
 
 
 def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
-                     ) -> tuple[StructureFunction, Fraction] | None:
+                     ) -> tuple[StructureFunction, Fraction]:
     """closed_form(I) and I.log_divergence_coeff, I the contraction of tf on
     t > 0 against tg on t < 0 over K, straight from the merged product
     c e^{tau hbar t} prod_j sinh(beta_j hbar t)^{e_j}, in integers.
 
     On the product's lattice L, with X = e^{hbar t/L} and b_j = beta_j L,
-    sinh(beta_j hbar t) = X^{-b_j} (X^{2 b_j} - 1)/2 (DLMF 5.9):
-      * no denominator sinh: the product is sum_x n_x X^x, and Frullani's
-        integral gives prod_x (iw - x hbar/L)^{-n_x};
-      * one denominator sinh(gamma hbar t)^1 with a numerator slope an
-        integer multiple of gamma: the same for the exact quotient;
-      * one denominator sinh(gamma hbar t)^1 otherwise, b = gamma L: the
-        product is P(X) / (X^{2b} - 1), P = sum_x d_x X^x, and Binet's
-        integral gives prod_x Gamma(iw/(2 gamma hbar) + (2b - x)/(2b))^{d_x}
-        times (2 gamma hbar)^{S1}, S1 = sum_x d_x (2b - x)/(2b).
+    sinh(beta_j hbar t) = X^{-b_j} (X^{2 b_j} - 1)/2 (DLMF 5.9), and
+    X^n - 1 is the product of the cyclotomic Phi_d(X) over d | n: so the
+    product holds Phi_d to the power c_d = sum_j e_j [d | 2 b_j], which is
+    negative only at divisors of a denominator's 2 b_j, the only d read.
+      * every c_d >= 0: the product is a polynomial sum_x n_x X^x, and
+        Frullani's integral gives prod_x (iw - x hbar/L)^{-n_x};
+      * some c_d <= -2: a repeated root, NonTelescoping naming the least
+        repeated factor as closed_form does, by its order on
+        zeta = X^{1/2}: d for odd d, 2d for even d;
+      * otherwise, M = lcm{d : c_d = -1}: the product is P(X) / (X^M - 1),
+        P = sum_x d_x X^x, and Binet's integral gives
+        prod_x Gamma(iw L/(M hbar) + (M - x)/M)^{d_x} (M hbar/L)^{S1},
+        S1 = sum_x d_x (M - x)/M; M is closed_form's family order, held
+        to its cap 8 L deg(den), deg(den) = 2 sum phi(d) on zeta.
     The checks are closed_form's and contract's, in their order: hbar
-    balance, divergence faster than 1/t, integer coefficients, coefficients
-    summing to zero, and -S1 against the product's t -> 0 limit
-    c prod_j beta_j^{e_j}.  Every other shape returns None: two or more
-    denominator slopes, or a squared one.
-
-    closed_form's cap 8 L deg(den) on the family order does not bind in the
-    Binet case.  On contract's lattice zeta = e^{hbar t/(2L)} the
-    denominator keeps Phi_{4 gamma L}, which a numerator sinh cancels only
-    when its slope is a multiple of gamma (the quotient case), so the family
-    order is 2 gamma L and deg(den) >= phi(4 gamma L).  The cap then fails
-    only if gamma > 4 phi(4 gamma L), that is prod_{p | 2 gamma L} (1 - 1/p)
-    < 1/(16 L), which needs gamma L divisible by every prime below about
-    8000."""
+    balance, divergence faster than 1/t, repeated roots, the cap, integer
+    coefficients, coefficients summing to zero, and -S1 against the
+    product's t -> 0 limit c prod_j beta_j^{e_j}."""
     cf, df, hf, tnf, tdf, ff, _ = tf.ints()
     cg, dg, hg, tng, tdg, fg, odd = tg.ints()
+    if hf + hg != 2:
+        raise IllPosedContraction(f"unbalanced hbar power {hf + hg - 2} in contraction")
+    # tg reflected: t -> -t flips the tilt and each odd sinh power
+    cn, cd = cf * cg * K.sign * (-1 if odd else 1), df * dg
+    if not cn:
+        return StructureFunction.one(), Fraction(0)
     slope = K.slope_b
     slopes: dict[tuple[int, int], int] = {}
     for beta, e in ff + fg + (((1, 1), 1),
                               ((slope.numerator, slope.denominator), 1)):
         slopes[beta] = slopes.get(beta, 0) + e
-    num = [(beta, e) for beta, e in slopes.items() if e > 0]
-    den = [(beta, e) for beta, e in slopes.items() if e < 0]
-    if len(den) > 1 or den and den[0][1] < -1:
-        return None
-    hpow = hf + hg - 2
-    if hpow:
-        raise IllPosedContraction(f"unbalanced hbar power {hpow} in contraction")
-    # tg reflected: t -> -t flips the tilt and each odd sinh power
-    cn, cd = cf * cg * K.sign * (-1 if odd else 1), df * dg
-    if not cn:
-        return StructureFunction.one(), Fraction(0)
-    s = sum(e for _, e in num + den)
+    factors = [(beta, e) for beta, e in slopes.items() if e]
+    s = sum(e for _, e in factors)
     if s < 0:
         raise IllPosedContraction("integrand diverges faster than 1/t at the origin")
     tn, td = tnf * tdg - tng * tdf, tdf * tdg
     g = math.gcd(tn, td)
     tn, td = tn // g, td // g
-    L = math.lcm(td, *(bd for (_, bd), _ in num + den))
-    ints = [(bn * (L // bd), e) for (bn, bd), e in num + den]
-    # the t -> 0 limit c prod_j beta_j^{e_j}, and prod_j b_j^{e_j} when
-    # sum_j e_j = 0
+    L = math.lcm(td, *(bd for (_, bd), _ in factors))
+    # (2 b_j, e_j); the t -> 0 limit c prod_j beta_j^{e_j} is
+    # c prod_j (2 b_j)^{e_j} when sum_j e_j = 0, else 0
+    ints = [(2 * bn * (L // bd), e) for (bn, bd), e in factors]
     limit = Fraction(0) if s else Fraction(
         cn * math.prod(b ** e for b, e in ints if e > 0),
         cd * math.prod(b ** -e for b, e in ints if e < 0))
-    poly = {tn * (L // td) - sum(b * e for b, e in ints): 1}
-    if den:
-        b_den = ints.pop()[0]
-        j = next((j for j, (b, _) in enumerate(ints) if b % b_den == 0), None)
-        if j is not None:
-            # (X^{2b} - 1) / (X^{2 b_den} - 1) = sum_{i<r} X^{2 b_den i}
-            b, e = ints[j]
-            ints[j] = b, e - 1
-            quotient: dict[int, int] = {}
-            for x, c in poly.items():
-                for i in range(0, 2 * b, 2 * b_den):
-                    quotient[x + i] = quotient.get(x + i, 0) + c
-            poly, den = quotient, []
+    counts = {d: 0 for b, e in ints if e < 0 for d in _divisors(b)}
     for b, e in ints:
-        poly = times_binomial(poly, 2 * b, e)
-    terms = sorted((x, c * cn) for x, c in poly.items() if c)
+        for d in counts:
+            if b % d == 0:
+                counts[d] += e
+    repeated = [(d if d % 2 else 2 * d, -c) for d, c in counts.items() if c < -1]
+    if repeated:
+        raise NonTelescoping(_REPEATED_ROOTS.format(*min(repeated)))
+    ones = [d for d, c in counts.items() if c == -1]
+    M = math.lcm(*ones) if ones else 0
+    # closed_form's cap M <= 8 L deg(den), deg(den) = 2 sum phi(d) >= 2
+    if M > 16 * L and M > 16 * L * sum(j * mu for d in ones for j, mu in _phi_binomials(d)):
+        raise NonTelescoping(_OVER_CAP)
+    exps = dict(ints)
+    if M:
+        exps[M] = exps.get(M, 0) + 1
+    # c X^x0 times the numerator's binomials, X^M - 1 among them, sparse;
+    # dense only to divide by a binomial that X^M - 1 does not cancel
+    poly = {tn * (L // td) - sum(b * e for b, e in ints) // 2: cn}
+    for b, e in exps.items():
+        poly = times_binomial(poly, b, max(e, 0))
+    over = [b for b, e in exps.items() for _ in range(-e)]
+    if over:
+        lo = min(poly)
+        p = [0] * (max(poly) - lo + 1)
+        for x, c in poly.items():
+            p[x - lo] = c
+        for b in over:
+            p = _over_binomial(p, b)
+        terms = [(lo + i, c) for i, c in enumerate(p) if c]
+    else:
+        terms = sorted((x, c) for x, c in poly.items() if c)
     div = cd << s
-    if not den:
+    if not M:
         linears: dict[tuple[int, int, int], int] = {}
         for x, c in terms:
             g = math.gcd(x, L)
             linears[-x // g, 0, L // g] = -_as_int(c, div, "Frullani family coefficient")
         return StructureFunction(linears=linears), limit
-    two_b = 2 * b_den
-    g = math.gcd(two_b, L)
-    sa, sq = two_b // g, L // g
+    g = math.gcd(M, L)
+    sa, sq = M // g, L // g
     gammas: dict[tuple[int, int, int, int, int], int] = {}
-    dsum = s1n = 0      # S1 = s1n / (2b)
+    dsum = s1n = 0      # S1 = s1n / M
     for x, c in terms:
         d = _as_int(c, div, "Gamma family coefficient")
-        n = two_b - x
-        g = math.gcd(n, two_b)
-        gammas[sa, 0, sq, n // g, two_b // g] = d
+        n = M - x
+        g = math.gcd(n, M)
+        gammas[sa, 0, sq, n // g, M // g] = d
         dsum += d
         s1n += d * n
     if dsum:
         raise IllPosedContraction("family coefficients do not sum to zero")
-    s1 = Fraction(s1n, two_b)
+    s1 = Fraction(s1n, M)
     if -s1 != limit:
         raise IllPosedContraction(
             f"divergence bookkeeping mismatch: {-s1} vs {limit}")

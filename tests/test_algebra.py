@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (bind_shipped, contraction_pairs, shipped_commutator,
                       shipped_text, tilt_twins)
-from coset_forge import algebra, cli
+from coset_forge import algebra, cli, contraction
 from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
                                  Relation, _classical_readout,
                                  classical_limit, ef_commutator_analysis,
@@ -633,7 +633,7 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
     # 52 distinct (family, t>0 branch, t<0 branch) keys (168 calls if none
     # were kept); each distinct one is derived once, from the 35 pair closed
     # forms of the level, each derived once from its sinh product with no
-    # contract or closed_form call
+    # contract or closed_form call (algebra binds contract alone)
     Catalog = algebra.Catalog
     products, ratio_keys, pairs = {}, [], []
     counts = {"ratios": 0, "contract": 0, "closed_form": 0}
@@ -687,7 +687,7 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
     counting(StructureFunction, "negate_w", negate_w)
     counting(algebra, "pair_closed_form", pair_closed_form)
     counting(algebra, "contract", laurent_route("contract"))
-    counting(algebra, "closed_form", laurent_route("closed_form"))
+    counting(contraction, "closed_form", laurent_route("closed_form"))
     assert cli.run(["verify", "--k", "2/7", "--json",
                     str(tmp_path / "v.json")]) == 0
     assert len(products) == 52

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import tilt_twins
-from coset_forge import algebra, cli
+from coset_forge import algebra, cli, contraction
 from coset_forge.dsl import parse_definitions
 from coset_forge.exact import LaurentRational
 from coset_forge.modes import ExpTrigTerm
@@ -56,6 +56,21 @@ def test_parse_error_exits_two(tmp_path):
     out = run_cli("verify", str(bad))
     assert out.returncode == 2
     assert "parse error" in out.stderr
+
+
+def test_report_prints_its_error_object_on_stdout(tmp_path, capsys):
+    # report writes to stdout unless --json names a file, its error object
+    # too: with and without --json - the same bytes
+    bad = tmp_path / "broken.alg"
+    bad.write_text("params { k = 2; hbar = 1;\n")
+    outs = []
+    for argv in (["report", str(bad)], ["report", str(bad), "--json", "-"]):
+        assert cli.run(argv) == 2
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    error = json.loads(outs[0].out)["error"]
+    assert error["kind"] == "parse" and error["message"].startswith("parse error at 2:1:")
+    assert outs[0].err == f"error: {error['message']}\n"
 
 
 @pytest.mark.parametrize("literal, col, char", [
@@ -316,10 +331,37 @@ def test_verify_level_one_fifth_exits_zero():
         assert "all relations hold" in out.stdout
 
 
-def test_verify_derives_each_pair_key_once(monkeypatch, capsys):
+# A's pair sinh(x) sinh(6x) / (sinh(2x) sinh(3x)) has two denominator
+# slopes and B's (sinh(2x) / sinh(x))^2 a squared one; both are polynomials
+# in e^{hbar t}, whose exchange factors are constants
+TWO_SLOPES_ALG = """params { k = 1; hbar = 1; }
+kernel p { sign = +1; slope = 6; }
+kernel q { sign = +1; slope = 2; }
+current A on p {
+  pos: 1 * hbar / sinh(2*h*t);
+  neg: 1 * hbar / sinh(3*h*t);
+}
+current B on q {
+  pos: 1 * hbar * sinh(2*h*t) / sinh(1*h*t)^3;
+  neg: 1 * hbar;
+}
+relation a_a : A(u) A(v) == (-1) * A(v) A(u);
+relation b_b : B(u) B(v) == B(v) B(u);
+"""
+
+
+def _two_slopes_row(rel_id, factor):
+    return {"derived_factor": factor, "expected_factor": factor, "id": rel_id,
+            "kind": "exchange", "limit_fit": {}, "notes": [], "pass": True,
+            "poles": [], "residue_ops": [], "symbolic_pass": True}
+
+
+def test_verify_derives_each_pair_key_once(monkeypatch, capsys, tmp_path):
     # relations run in turn and share the catalog's closed-form cache; each
     # cache key (family, tf, tg) is derived once, straight from its sinh
-    # product, and no pair of the shipped file needs contract or closed_form
+    # product, whatever its denominator: no pair of the shipped file, nor
+    # the two-slope and squared pairs of TWO_SLOPES_ALG, needs contract or
+    # closed_form, which algebra does not import
     derived, laurent = [], []
     pair_closed_form = algebra.pair_closed_form
 
@@ -329,14 +371,27 @@ def test_verify_derives_each_pair_key_once(monkeypatch, capsys):
 
     def laurent_route(*args):
         laurent.append(args)
-        raise AssertionError("a shipped pair took the Laurent route")
+        raise AssertionError("a pair took the Laurent route")
 
+    assert not hasattr(algebra, "closed_form")
     monkeypatch.setattr(algebra, "pair_closed_form", recording_pair)
     monkeypatch.setattr(algebra, "contract", laurent_route)
-    monkeypatch.setattr(algebra, "closed_form", laurent_route)
+    monkeypatch.setattr(contraction, "contract", laurent_route)
+    monkeypatch.setattr(contraction, "closed_form", laurent_route)
     assert cli.run(["verify", "--k", "2/7"]) == 0
     assert "all relations hold" in capsys.readouterr().out
     assert len(derived) == len(set(derived)) == 35 and not laurent
+
+    derived.clear()
+    src = tmp_path / "two_slopes.alg"
+    src.write_text(TWO_SLOPES_ALG)
+    assert cli.run(["verify", str(src), "--json", "-"]) == 0
+    # the bytes the Laurent route wrote for this file
+    assert capsys.readouterr().out == json.dumps({
+        "params": {"hbar": ["1"], "k": "1"}, "pass": True,
+        "relations": [_two_slopes_row("a_a", "i^2"), _two_slopes_row("b_b", "1")],
+        "schema_version": "5"}, sort_keys=True, indent=1) + "\n"
+    assert len(derived) == 2 and not laurent
 
 
 def test_limit_message_reduces_both_exponents(capsys):

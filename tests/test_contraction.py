@@ -14,7 +14,7 @@ from coset_forge.algebra import Catalog, verify_relation
 from coset_forge.contraction import (ContractionIntegrand, StructureFunction,
                                      _family_order, closed_form, contract,
                                      exchange_factor, gamma_key, linear_key,
-                                     pair_closed_form, quad_eval)
+                                     quad_eval)
 from coset_forge.dsl import parse_definitions
 from coset_forge.errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
                                 NonTelescoping, OutsideConvergenceStrip,
@@ -561,62 +561,67 @@ def test_pair_closed_form_is_the_laurent_derivation(pair):
     assert got == want
 
 
-# (tf, tg, kernel slope, pair_closed_form takes it, Laurent outcome)
+# (tf, tg, kernel slope, Laurent outcome)
 _PAIR_SHAPES = {
     # no denominator: Frullani's linear factors
     "frullani": (ExpTrigTerm(4, 1, Fraction(1, 3)), ExpTrigTerm(-1, 1, ONE),
-                 HALF, True, "ok"),
+                 HALF, "ok"),
     # sinh(3 x) / sinh(x): the exact quotient's linear factors
     "quotient": (ExpTrigTerm(1, 1, Fraction(1, 4), ((ONE, -2),)),
-                 ExpTrigTerm(1, 1), Fraction(3), True, "ok"),
+                 ExpTrigTerm(1, 1), Fraction(3), "ok"),
     # sinh(x/2)^2 sinh(3x/2) / sinh(x): Binet's Gamma factors
     "binet": (ExpTrigTerm(-2, 1, 0, ((HALF, 1), (ONE, -1))),
-              ExpTrigTerm(2, 1, 0, ((HALF, 1), (ONE, -1))), Fraction(3, 2), True, "ok"),
-    # sinh(x) sinh(6x) / (sinh(2x) sinh(3x)): two denominator slopes that
-    # reduce only through the Laurent rational
+              ExpTrigTerm(2, 1, 0, ((HALF, 1), (ONE, -1))), Fraction(3, 2), "ok"),
+    # sinh(x) sinh(6x) / (sinh(2x) sinh(3x)): two denominator slopes whose
+    # cyclotomic factors the numerator cancels, a polynomial
     "two slopes": (ExpTrigTerm(1, 1, 0, ((Fraction(2), -1),)),
-                   ExpTrigTerm(1, 1, 0, ((Fraction(3), -1),)), Fraction(6), False, "ok"),
-    # (sinh(2x) / sinh(x))^2 = (2 cosh x)^2: a squared denominator
+                   ExpTrigTerm(1, 1, 0, ((Fraction(3), -1),)), Fraction(6), "ok"),
+    # (sinh(2x) / sinh(x))^2 = (2 cosh x)^2: a squared denominator that
+    # cancels
     "squared": (ExpTrigTerm(1, 1, 0, ((ONE, -3), (Fraction(2), 1))),
-                ExpTrigTerm(1, 1), Fraction(2), False, "ok"),
+                ExpTrigTerm(1, 1), Fraction(2), "ok"),
     # sinh(x) sinh(5x)^2 / sinh(5x)^3: Binet's Gamma factors at gamma = 5
     "binet gamma 5": (ExpTrigTerm(1, 1, 0, ((Fraction(5), -3),)),
-                      ExpTrigTerm(1, 1, 0, ((Fraction(5), 1),)), Fraction(5), True, "ok"),
+                      ExpTrigTerm(1, 1, 0, ((Fraction(5), 1),)), Fraction(5), "ok"),
     # sinh(x) sinh(x/3) sinh(3x/4) / sinh(25x/2), tilted: and at gamma = 25/2
     "binet gamma 25/2": (ExpTrigTerm(4, 1, Fraction(1, 6),
                                      ((Fraction(1, 3), 1), (Fraction(25, 2), -1))),
-                         ExpTrigTerm(-1, 1, Fraction(1, 4)), Fraction(3, 4), True, "ok"),
+                         ExpTrigTerm(-1, 1, Fraction(1, 4)), Fraction(3, 4), "ok"),
+    # sinh(x)^2 / (sinh(101x) sinh(103x)): the family order 101 * 206
+    # exceeds the cap 8 L deg(den) = 6464
+    "cap": (ExpTrigTerm(1, 1, 0, ((Fraction(101), -1),)),
+            ExpTrigTerm(1, 1, 0, ((Fraction(103), -1),)), ONE,
+            "family order exceeds the cap; families do not reduce to Gamma factors"),
+    # sinh(x/2)^5 sinh(x)^-3: Phi_4(X) three times in the denominator,
+    # named by its order 8 on zeta = X^(1/2)
+    "repeated root": (ExpTrigTerm(1, 1, 0, ((HALF, 2), (ONE, -2))),
+                      ExpTrigTerm(1, 1, 0, ((HALF, 2), (ONE, -2))), HALF,
+                      "denominator has repeated roots (cyclotomic factor of order 8, "
+                      "multiplicity 3); families do not reduce to Gamma factors"),
     # divergence faster than 1/t before the non-integer coefficient 1/3
     "divergent": (ExpTrigTerm(Fraction(1, 3), 1, 0, ((ONE, -1),)),
-                  ExpTrigTerm(1, 1, 0, ((HALF, -1), (Fraction(3), -1))), HALF, True,
+                  ExpTrigTerm(1, 1, 0, ((HALF, -1), (Fraction(3), -1))), HALF,
                   "integrand diverges faster than 1/t at the origin"),
     # the hbar balance before the non-integer coefficient 1/3
     "unbalanced": (ExpTrigTerm(Fraction(1, 3), 2, 0, ((ONE, -1),)),
-                   ExpTrigTerm(1, 1), HALF, True, "unbalanced hbar power 1 in contraction"),
+                   ExpTrigTerm(1, 1), HALF, "unbalanced hbar power 1 in contraction"),
     "non-integer linear": (ExpTrigTerm(Fraction(1, 3), 1, 0, ((ONE, -1),)),
-                           ExpTrigTerm(1, 1, 0, ((HALF, 1),)), Fraction(3, 2), True,
+                           ExpTrigTerm(1, 1, 0, ((HALF, 1),)), Fraction(3, 2),
                            "Frullani family coefficient -1/12 is not an integer"),
     "non-integer Gamma": (ExpTrigTerm(Fraction(1, 3), 1, 0, ((ONE, -2),)),
-                          ExpTrigTerm(1, 1, 0, ((HALF, 1),)), Fraction(3, 2), True,
+                          ExpTrigTerm(1, 1, 0, ((HALF, 1),)), Fraction(3, 2),
                           "Gamma family coefficient -1/6 is not an integer"),
 }
 
 
 @pytest.mark.parametrize("shape", _PAIR_SHAPES)
-def test_pair_closed_form_takes_one_simple_denominator(shape):
-    # every shape either route derives gives the Laurent route's outcome;
-    # only products with at most one simple denominator sinh are derived
-    # from the sinh product, the rest go through contract
-    tf, tg, slope, direct, outcome = _PAIR_SHAPES[shape]
-    K = Kernel("x", 1, slope)
-    got, want = _pair_routes(tf, tg, K)
+def test_pair_closed_form_gives_the_laurent_outcome_for_each_shape(shape):
+    # every shape, whatever its denominator, is derived from its sinh
+    # product with the Laurent route's outcome
+    tf, tg, slope, outcome = _PAIR_SHAPES[shape]
+    got, want = _pair_routes(tf, tg, Kernel("x", 1, slope))
     assert got == want
     assert isinstance(want[0], list) if outcome == "ok" else want[1] == outcome
-    try:
-        taken = pair_closed_form(tf, tg, K) is not None
-    except CosetForgeError:
-        taken = True
-    assert taken is direct
 
 
 # ---------------------------------------------------------------------------
