@@ -20,7 +20,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .contraction import StructureFunction, contract, pair_closed_form, quad_eval
+from .contraction import (StructureFunction, contract, pair_closed_form, quad_eval,
+                          require_numpy)
 from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
                      NonTelescoping, ResidueMismatch, UnexpectedPole)
 from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
@@ -361,6 +362,8 @@ def _verify_numeric_only(cat: Catalog, rel: Relation) -> VerificationReport:
             "forward and reversed convergence strips do not overlap; the "
             "relation holds only as analytic continuation")
         return report
+    # a missing numpy fails the run, not each point of the line
+    require_numpy()
     mid = 0.5 * (max(lo, -4.0 * hbar) + min(hi, 4.0 * hbar))
     report.grid = [complex(-2.0 * hbar + 4.0 * hbar * j / 9, mid) for j in range(10)]
     n = len(report.grid)

@@ -39,22 +39,35 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import (DivergenceMismatch, IllPosedContraction, NonTelescoping,
-                     OutsideConvergenceStrip, QuadratureNonConvergent)
+from .errors import (DivergenceMismatch, IllPosedContraction, MissingDependency,
+                     NonTelescoping, OutsideConvergenceStrip,
+                     QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _divisors,
                     _over_binomial, _phi_binomials, _raw, as_fraction, merge)
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     times_binomial)
 from .specfun import log_gamma
 
-# numpy is imported inside _IntegrandEvaluator and _node_table, its only
-# users here: its import is about half of start-up, and the verify path
-# never runs quadrature.
+# numpy is imported only for quadrature (require_numpy, which
+# _IntegrandEvaluator calls first): its import is about half of start-up,
+# and the verify path runs quadrature only for a relation that does not
+# telescope.
 
 __all__ = [
     "StructureFunction", "ContractionIntegrand", "contract", "quad_eval",
-    "closed_form", "pair_closed_form", "exchange_factor",
+    "closed_form", "pair_closed_form", "exchange_factor", "require_numpy",
 ]
+
+
+def require_numpy():
+    """numpy, which quadrature needs; a MissingDependency, not an import
+    error, when it is not installed."""
+    try:
+        import numpy
+    except ModuleNotFoundError as exc:
+        raise MissingDependency(
+            "quadrature needs numpy, which is not installed") from exc
+    return numpy
 
 _MINUS_ONE = GR(-1)
 
@@ -300,14 +313,17 @@ class _IntegrandEvaluator:
                              - a sum G[n:m]
 
     with c_r(w) the series coefficients and three w-free inputs: the weight
-    moments M and G = wgt e^{-t}/t of the level's node table, which every
-    integrand shares, and A = wgt R(zeta(t))/t at the far nodes, kept here.
+    moments M and the window sum of G = wgt e^{-t}/t, kept with the level's
+    node table, which every integrand shares, and A = wgt R(zeta(t))/t at
+    the far nodes, kept here.  R has rational coefficients, so it is taken
+    in real arithmetic; c(w) is one product of a w-free Toeplitz matrix of
+    R's series with the powers of -iw.
     """
 
     SERIES_ORDER = 10
 
     def __init__(self, I: ContractionIntegrand, hbar: float):
-        import numpy as np
+        np = require_numpy()
         self.hbar = hbar
         self.a = float(I.log_divergence_coeff)
         self.eta = hbar / (2.0 * I.lattice)
@@ -320,16 +336,21 @@ class _IntegrandEvaluator:
         # so each is float() of its rational
         nterms, dterms = num.terms(), den.terms()
         self.nexp = np.array([e - self.nshift for e, _ in nterms], dtype=float)
-        self.ncoef = np.array([c / num.q for _, c in nterms], dtype=complex)
+        self.ncoef = np.array([c / num.q for _, c in nterms])
         self.dexp = np.array([e - self.dshift for e, _ in dterms], dtype=float)
-        self.dcoef = np.array([c / den.q for _, c in dterms], dtype=complex)
+        self.dcoef = np.array([c / den.q for _, c in dterms])
         # Taylor coefficients of R(zeta(t)) in powers of (eta t), each the
         # float of its exact value, and g_r = c_r eta^r in powers of t
         self.series = _series_quotient(nterms, num.q, dterms, den.q, self.SERIES_ORDER)
         self.float_series = [complex(c) * self.eta ** r
                              for r, c in enumerate(self.series)]
-        # the w-free factors of series_coeffs: m! and a (-1)^m / m!
-        self.fact = [float(math.factorial(m)) for m in range(self.SERIES_ORDER + 1)]
+        # the w-free factors of series_coeffs: the lower triangular Toeplitz
+        # matrix of g_r, whose row r is the convolution's r-th output, m!
+        # and a (-1)^m / m!
+        order = self.SERIES_ORDER
+        self.toeplitz = np.array([[self.float_series[r - m] if m <= r else 0j
+                                   for m in range(order + 1)] for r in range(order + 1)])
+        self.fact = [float(math.factorial(m)) for m in range(order + 1)]
         self.ref_series = np.array([self.a * ((-1.0) ** m / f)
                                     for m, f in enumerate(self.fact)])
         # per refinement level: A and the node index of its first entry
@@ -349,7 +370,7 @@ class _IntegrandEvaluator:
             n = _series_cutoff(nodes, m, reach)
             far = self._far_weights(j, t, wgt, n, m)
             yield (moments[n].dot(c) + far.dot(np.exp(rate * t[n:m]))
-                   - self.a * g[n:m].sum())
+                   - self.a * _window_sum(j, g, n, m))
 
     def _far_weights(self, j: int, t: np.ndarray, wgt: np.ndarray, n: int,
                      m: int) -> np.ndarray:
@@ -371,26 +392,27 @@ class _IntegrandEvaluator:
 
     def _far(self, t: np.ndarray, wgt: np.ndarray) -> np.ndarray:
         """wgt R(zeta(t)) / t at nodes t away from the origin, in blocks of
-        at most _FAR_ENTRIES node x term entries; each node is summed alone."""
+        at most _FAR_ENTRIES node x term entries; each node is summed alone.
+        R is real, so it is taken in real arithmetic and made complex once,
+        for the dot products it meets."""
         import numpy as np
         step = max(1, _FAR_ENTRIES // max(len(self.nexp), len(self.dexp)))
-        r = np.empty(len(t), dtype=complex)
+        r = np.empty(len(t))
         for i in range(0, len(t), step):
             lz = self.eta * t[i:i + step]
-            numv = (self.ncoef[None, :] * np.exp(np.outer(lz, self.nexp))).sum(axis=1)
-            denv = (self.dcoef[None, :] * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
+            numv = (self.ncoef * np.exp(np.outer(lz, self.nexp))).sum(axis=1)
+            denv = (self.dcoef * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
             r[i:i + step] = numv / denv
-        return wgt * r / t
+        return (wgt * r / t).astype(complex)
 
     def series_coeffs(self, w: complex) -> np.ndarray:
         """Taylor coefficients of R(zeta(t)) e^{-iwt} - a e^{-t} in powers of
         t, whose quotient by t is the integrand h(t) near the origin: the
-        product of the series of R(zeta(t)) and e^{-iwt}, less that of
-        a e^{-t}."""
-        import numpy as np
+        product of the series of R(zeta(t)) and e^{-iwt}, as the Toeplitz
+        matrix of the one times the coefficients of the other, less the
+        series of a e^{-t}."""
         x = -1j * w
-        em = [x ** m / f for m, f in enumerate(self.fact)]
-        return np.convolve(self.float_series, em)[:self.SERIES_ORDER + 1] - self.ref_series
+        return self.toeplitz.dot([x ** m / f for m, f in enumerate(self.fact)]) - self.ref_series
 
 
 def _series_cutoff(nodes: list[float], m: int, reach: float) -> int:
@@ -473,8 +495,11 @@ _DE_MAX_LEVEL = 8  # offset levels after the base grid: at most 2,978-3,648
 _DE_TOL = 1e-10  # error estimate at which refinement stops
 _FAR_ENTRIES = 1 << 18  # bounds the temporaries of _IntegrandEvaluator._far
 _DE_S_LO = -math.asinh(2.0 * 42.0 / math.pi)  # t ~ e^{-42}, weight kills the rest
-# per refinement level, shared by every integrand: the table _node_table builds
+# per refinement level, shared by every integrand: the table _node_table
+# builds, and the window sums of its G, {(n, m): sum G[n:m]}
 _TABLES: list = [None] * (_DE_MAX_LEVEL + 1)
+_WINDOWS: list[dict] = [{} for _ in range(_DE_MAX_LEVEL + 1)]
+_KEPT = 1024  # node counts, and window sums, a level keeps at most
 
 
 def _node_table(j: int, s_hi: float):
@@ -510,10 +535,25 @@ def _node_table(j: int, s_hi: float):
             np.cumsum(wgt[:k, None] * powers, axis=0, out=moments[1:])
             table = _TABLES[j] = (t, wgt, t.tolist(), counts, moments,
                                   wgt * np.exp(-t) / t)
-        if len(counts) >= 1024:  # bounded: a forgotten s_hi costs an arange
+            _WINDOWS[j].clear()
+        if len(counts) >= _KEPT:  # bounded: a forgotten s_hi costs an arange
             counts.clear()
         counts[s_hi] = m
     return table, m
+
+
+def _window_sum(j: int, g: np.ndarray, n: int, m: int) -> float:
+    """G[n:m].sum() of level j, its table's G being g, taken once per window
+    and kept until the table is rebuilt.  Strip points share few windows, so
+    nearly every level sum finds its window kept; a difference of prefix
+    sums would lose digits to cancellation."""
+    sums = _WINDOWS[j]
+    s = sums.get((n, m))
+    if s is None:
+        if len(sums) >= _KEPT:  # bounded as the node counts are
+            sums.clear()
+        s = sums[n, m] = g[n:m].sum()
+    return s
 
 
 def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams) -> complex:

@@ -30,6 +30,11 @@ class QuadratureNonConvergent(CosetForgeError):
     pass
 
 
+class MissingDependency(CosetForgeError):
+    """An optional package a command needs is not installed: numpy, for
+    quadrature."""
+
+
 class NonTelescoping(CosetForgeError):
     """Series families of a contraction do not reduce to Gamma factors."""
 

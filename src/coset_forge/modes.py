@@ -139,6 +139,19 @@ class ExpTrigTerm:
         _set(self, "_hash", None)
         _set(self, "_ints", None)
 
+    def _with(self, coeff: Fraction, tilt: Fraction) -> "ExpTrigTerm":
+        """This term with another coefficient and tilt, both Fractions: its
+        slopes are already positive, merged and sorted, so the new term is
+        built from its fields rather than through __init__."""
+        term = object.__new__(ExpTrigTerm)
+        _set(term, "coeff", coeff)
+        _set(term, "hbar_power", self.hbar_power)
+        _set(term, "tilt", tilt)
+        _set(term, "sinh_factors", self.sinh_factors)
+        _set(term, "_hash", None)
+        _set(term, "_ints", None)
+        return term
+
     def _key(self):
         return (self.coeff, self.hbar_power, self.tilt, self.sinh_factors)
 
@@ -206,7 +219,7 @@ class ExpTrigTerm:
         for _, e in self.sinh_factors:
             if e % 2:
                 coeff = -coeff
-        return ExpTrigTerm(coeff, self.hbar_power, -self.tilt, self.sinh_factors)
+        return self._with(coeff, -self.tilt)
 
     def eval(self, t: float, hbar: float) -> float:
         """Numeric value at real t, spectral phase e^{-iut} omitted (u = 0)."""
@@ -247,8 +260,7 @@ class ModeFunction:
 
     def __neg__(self) -> "ModeFunction":
         def neg(terms):
-            return tuple(ExpTrigTerm(-t.coeff, t.hbar_power, t.tilt, t.sinh_factors)
-                         for t in terms)
+            return tuple(t._with(-t.coeff, t.tilt) for t in terms)
         return ModeFunction(neg(self.positive_branch), neg(self.negative_branch))
 
     def __sub__(self, other):
@@ -289,8 +301,7 @@ def shift_argument(f: ModeFunction, delta) -> ModeFunction:
     if delta == 0:
         return f
     def sh(terms):
-        return tuple(ExpTrigTerm(t.coeff, t.hbar_power, t.tilt + delta, t.sinh_factors)
-                     for t in terms)
+        return tuple(t._with(t.coeff, t.tilt + delta) for t in terms)
     return ModeFunction(sh(f.positive_branch), sh(f.negative_branch))
 
 

@@ -1142,6 +1142,110 @@ def test_quadrature_keeps_one_node_table_per_level(monkeypatch):
     assert 0 < len(tables[1][3]) <= 1024
 
 
+def test_quadrature_takes_each_window_sum_once_per_level_and_window(monkeypatch):
+    import numpy as np
+    from coset_forge import contraction
+
+    taken, asked = [], []
+
+    class Counted(np.ndarray):
+        def sum(self, *args, **kwargs):
+            taken.append(len(self))
+            return super().sum(*args, **kwargs)
+
+    window_sum = contraction._window_sum
+
+    def recorded(j, g, n, m):
+        asked.append((j, n, m))
+        return window_sum(j, g, n, m)
+
+    monkeypatch.setattr(contraction, "_TABLES", [None] * 9)
+    monkeypatch.setattr(contraction, "_WINDOWS", [{} for _ in range(9)])
+    monkeypatch.setattr(contraction, "_window_sum", recorded)
+    cases = {label: (I, params) for label, I, params in _quadrature_cases()}
+    integrands = [cases[label] for label in ("B_plus[0].beta_minus[0].bhat@2,1",
+                                             "C_plus[0].C_plus[0].chat@2,1")]
+    points = {}
+    for I, params in integrands:
+        bound = max(0.0, I.strip_bound(params.hbar_float))
+        points[id(I)] = [complex(-4.0 + 8.0 * j / 19, -(bound + 0.6 + 0.18 * (j % 5)))
+                         for j in range(20)]
+    # the tables as long as any point asks, so none is rebuilt below; then
+    # G counts its sums
+    top = max(_s_hi(I, w, params) for I, params in integrands for w in points[id(I)])
+    for j in range(9):
+        contraction._node_table(j, top)
+        t, wgt, nodes, counts, moments, g = contraction._TABLES[j]
+        contraction._TABLES[j] = (t, wgt, nodes, counts, moments, g.view(Counted))
+    for I, params in integrands:
+        _values(ContractionIntegrand(I.lattice, I.rational), points[id(I)], params)
+    # once per level and window, however many points and integrands ask
+    windows = set(asked)
+    assert len(taken) == len(windows) < len(asked)
+    # the second integrand, and a second pass, find every window kept
+    del taken[:], asked[:]
+    for I, params in integrands:
+        _values(ContractionIntegrand(I.lattice, I.rational), points[id(I)], params)
+    assert not taken and set(asked) == windows
+    # each the sum of its window, bit for bit
+    for j, n, m in windows:
+        g = np.asarray(contraction._TABLES[j][5])
+        kept = contraction._WINDOWS[j][n, m]
+        assert kept.tobytes() == g[n:m].sum().tobytes(), (j, n, m)
+    # a level keeps a bounded number of them, however many windows come
+    g = contraction._TABLES[1][5]
+    for i in range(1100):
+        window_sum(1, g, i % 50, 60 + i)
+    assert 0 < len(contraction._WINDOWS[1]) <= 1024
+    # and a rebuilt table drops its level's sums
+    contraction._node_table(1, top + 0.5)
+    assert not contraction._WINDOWS[1] and contraction._WINDOWS[0]
+
+
+def _convolution_coeffs(self, w):
+    """series_coeffs as it stood, by np.convolve of the two series."""
+    import numpy as np
+    x = -1j * w
+    em = [x ** m / f for m, f in enumerate(self.fact)]
+    return np.convolve(self.float_series, em)[:self.SERIES_ORDER + 1] - self.ref_series
+
+
+def test_quadrature_series_matrix_product_is_the_convolution(monkeypatch):
+    import numpy as np
+    from coset_forge import contraction
+
+    points = []
+    for label, I, params in _quadrature_cases():
+        if I.is_zero():
+            continue
+        base = max(0.0, I.strip_bound(params.hbar_float))
+        points += [(label, I, params, w) for w in (
+            complex(0.0, -(base + 0.3)), complex(-1.7, -(base + 0.75)),
+            complex(40.0, -(base + 2.0)), complex(-0.2, -(base + 25.0)))]
+    points += _extreme_points()
+    evaluator = contraction._IntegrandEvaluator
+    product = evaluator.series_coeffs
+    got, want = [], []
+    for coeffs, out in ((product, got), (_convolution_coeffs, want)):
+        monkeypatch.setattr(evaluator, "series_coeffs", coeffs)
+        for label, I, params, w in points:
+            out.append(_values(ContractionIntegrand(I.lattice, I.rational), [w],
+                               params)[w])
+    capped = 0
+    for (label, I, params, w), a, b in zip(points, got, want):
+        if a.startswith("error estimate"):
+            # the node cap, at about the same error estimate
+            assert abs(_estimate(a)[0] - _estimate(b)[0]) <= 1e-6 * _estimate(b)[0]
+            capped += 1
+            continue
+        assert abs(complex(a) - complex(b)) <= 1e-13, (label, w)
+        # the coefficients themselves, to a few ulps of the largest
+        ev = I.evaluator(params.hbar_float)
+        c, ref = product(ev, w), _convolution_coeffs(ev, w)
+        assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max(), (label, w)
+    assert capped == 1
+
+
 # ---------------------------------------------------------------------------
 # evaluation order
 

@@ -150,6 +150,36 @@ def test_shift_respects_equality(f, gamma):
     assert equals(shift_argument(f, gamma), shift_argument(g, gamma))
 
 
+def _rebuilt(term, coeff, tilt):
+    """The term with coeff and tilt, built through ExpTrigTerm.__init__."""
+    return ExpTrigTerm(coeff, term.hbar_power, tilt, term.sinh_factors)
+
+
+def _same_terms(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.ints() == b.ints()
+        assert all(type(getattr(a, f)) is type(getattr(b, f))
+                   for f in ("coeff", "hbar_power", "tilt", "sinh_factors"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_mode_functions(),
+       st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 4])))
+def test_shift_negation_and_reflection_keep_the_terms_init_builds(f, gamma):
+    # shift_argument, negation and reflection change only a coefficient or
+    # the tilt, so they build each term from the old term's fields: the
+    # terms compare, hash and print as those __init__ builds
+    terms = f.positive_branch
+    shifted = shift_argument(f, gamma).positive_branch
+    _same_terms(shifted, [_rebuilt(t, t.coeff, t.tilt + gamma) for t in terms])
+    _same_terms((-f).positive_branch, [_rebuilt(t, -t.coeff, t.tilt) for t in terms])
+    _same_terms([t.reflected() for t in terms],
+                [_rebuilt(t, -t.coeff if sum(e for _, e in t.sinh_factors) % 2 else t.coeff,
+                          -t.tilt) for t in terms])
+
+
 def test_kernel_numerator_even_density_odd():
     k = Fraction(5, 2)
     for fam, sign, slope in (("c", 1, k / 2), ("b", -1, k / 2),

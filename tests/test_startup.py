@@ -1,7 +1,8 @@
 """Start-up cost: numpy is imported only for quadrature (`contract`, and
 `verify` for a relation that does not telescope), so neither `verify`,
-`report` nor `limit` load it; neither dataclasses nor json is imported by
-any command, and the shipped catalog is read without importlib.resources."""
+`report` nor `limit` load it, and without it quadrature is one typed
+error; neither dataclasses nor json is imported by any command, and the
+shipped catalog is read without importlib.resources."""
 
 import os
 import pathlib
@@ -56,6 +57,41 @@ assert rc == 0, rc
 assert "numpy" in sys.modules, "quadrature ran without numpy"
 """
 
+# quadrature with numpy blocked: each command exits 2 with one typed error,
+# written to --json; the quadrature-only verify row stops before its first
+# grid point rather than failing every point
+QUADRATURE_WITHOUT_NUMPY = """\
+import json, sys
+sys.modules["numpy"] = None
+import coset_forge.cli as cli
+out = sys.argv[1]
+for argv in (["contract", "Lambda_plus", "Lambda_minus", "--k", "2"],
+             ["verify", sys.argv[2]]):
+    assert cli.run(argv + ["--json", out]) == 2, argv
+    with open(out, encoding="utf-8") as f:
+        error = json.load(f)["error"]
+    assert error == {"kind": "MissingDependency", "message":
+                     "quadrature needs numpy, which is not installed"}, (argv, error)
+"""
+
+# a relation whose closed form does not telescope, so verify checks it by
+# quadrature alone
+XX_ALG = """\
+params { k = 1; hbar = 1; }
+kernel p { sign = +1; slope = 1/2; }
+kernel m { sign = -1; slope = 1/2; }
+current Xp on p {
+  pos: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+  neg: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+}
+current Xm on m {
+  pos: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+  neg: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+}
+current X = Xp * Xm;
+relation xx_false : (iw + 1*hbar) * X(u) X(v) == X(v) X(u);
+"""
+
 
 def _python(script, *args, flags=()):
     return subprocess.run(
@@ -98,3 +134,12 @@ def test_contract_imports_numpy_and_keeps_its_output():
         "  closed form  value  = (0.9114583333333336+0j)",
         "  closed form  = (iw+-1h)^-2 * (iw+-2h)^1 * (iw+0h)^2 * (iw+1h)^-2 "
         "* (iw+2h)^1"]
+
+
+def test_quadrature_without_numpy_is_one_typed_error(tmp_path):
+    alg = tmp_path / "xx.alg"
+    alg.write_text(XX_ALG, encoding="utf-8")
+    out = _python(QUADRATURE_WITHOUT_NUMPY, str(tmp_path / "error.json"), str(alg))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.count("error: quadrature needs numpy") == 2
+    assert "Traceback" not in out.stderr
