@@ -21,11 +21,15 @@ Two evaluation routes are kept deliberately independent:
     exactly.  The Gamma arguments are x_j = iw/(s hbar) + shift with exact
     rational scale s and shift.
 
-The verify path derives each term pair's closed form a third way,
-pair_closed_form: straight from the pair's sinh product, in integers, by
-Frullani's and Binet's integrals (DLMF 5.9), the product's counts of each
-cyclotomic factor deciding which.  It gives what closed_form gives, and
-raises what contract and closed_form raise, for every product.
+The verify path derives each term pair's closed form with pair_closed_form,
+straight from the pair's sinh product in integers, with no Laurent
+rational: its counts of each cyclotomic factor are the denominator.  The
+two exact routes share their last two steps.  _family_order decides from
+the denominator's cyclotomic factors whether the families telescope, and
+at which family order M; _integrated turns the families into Frullani's
+linear factors or Binet's Gamma factors (DLMF 5.9).  The reductions to
+those families stay apart, so the pair rule's agreement with closed_form
+on every product, exceptions included, still checks one against the other.
 
 Exchange factors S with A(u)B(v) = S(u-v) B(v)A(u) are differences of two
 contractions; their log divergences must cancel exactly, which is checked
@@ -40,7 +44,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import (DivergenceMismatch, IllPosedContraction, MissingDependency,
-                     NonTelescoping, OutsideConvergenceStrip,
+                     NonFiniteValue, NonTelescoping, OutsideConvergenceStrip,
                      QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _divisors,
                     _over_binomial, _phi_binomials, _raw, as_fraction, merge)
@@ -410,9 +414,16 @@ class _IntegrandEvaluator:
         t, whose quotient by t is the integrand h(t) near the origin: the
         product of the series of R(zeta(t)) and e^{-iwt}, as the Toeplitz
         matrix of the one times the coefficients of the other, less the
-        series of a e^{-t}."""
+        series of a e^{-t}.  Powers of -iw beyond the float range raise
+        NonFiniteValue."""
         x = -1j * w
-        return self.toeplitz.dot([x ** m / f for m, f in enumerate(self.fact)]) - self.ref_series
+        try:
+            powers = [x ** m / f for m, f in enumerate(self.fact)]
+            if cmath.isfinite(powers[-1]):  # |x^m| grows with m once |x| >= 1
+                return self.toeplitz.dot(powers) - self.ref_series
+        except OverflowError:
+            pass
+        raise NonFiniteValue(f"the small-t series overflows at w = {w}")
 
 
 def _series_cutoff(nodes: list[float], m: int, reach: float) -> int:
@@ -584,7 +595,7 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams) -> com
         prev, total = total, new
         if err <= max(_DE_TOL * 0.1, 1e-14 * (1.0 + abs(new))):
             return complex(total)
-    if abs(total - prev) > _DE_TOL * (1.0 + abs(total)):
+    if not abs(total - prev) <= _DE_TOL * (1.0 + abs(total)):  # NaN fails too
         raise QuadratureNonConvergent(
             f"error estimate {abs(total - prev):.2e} above {_DE_TOL:.1e} at node cap, "
             f"w = {w}, strip bound {bound}")
@@ -595,66 +606,16 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams) -> com
 # closed form
 
 def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunction:
-    """Exact structure function with exp(closed_form) = exp(quad_eval).
-
-    Pure exponential families reduce by Frullani to linear factors.  A
-    squarefree cyclotomic denominator divides zeta^{2M} - 1 for the family
-    order M; the quotient, found by exact integer division, turns the
-    integrand into families over the single factor 1 - zeta^{-2M}, which
-    reduce to Gamma factors with the exact regularization constant
-    D^{sum d_j x_j}.  Denominators with repeated roots do not telescope and
-    raise NonTelescoping.
-    """
+    """Exact structure function with exp(closed_form) = exp(quad_eval): the
+    denominator's family order M (_family_order), then the numerator, times
+    the exact integer quotient q = (zeta^{2M} - 1) / den for M > 0, over
+    zeta^{2M} - 1 on zeta's lattice 2L (_integrated)."""
     if I.is_zero():
         return StructureFunction.one()
     R, L = I.rational, I.lattice
-    num = R.num
-    if not R.factors:
-        # denominator 1: purely exponential families
-        linears: dict[tuple[int, int, int], int] = {}
-        for m, a in num.terms():
-            e = _as_int(a, num.q, "Frullani family coefficient")
-            # rho = -m/(2L)
-            g = math.gcd(m, 2 * L)
-            merge(linears, (-m // g, 0, 2 * L // g), -e)
-        return StructureFunction(linears=linears)
-
-    # denominator must divide zeta^{2M} - 1 for the family order M
-    M = _family_order(R, L)
-    if M is None:
-        raise NonTelescoping(_OVER_CAP)
-    # every order d divides 2M and den is squarefree, so den divides
-    # zeta^{2M} - 1: R = N q zeta^{-2M} / (1 - zeta^{-2M}), q an integer
-    # polynomial
-    pnum = num * R.cofactor(2 * M)
-    scale = GR(Fraction(M, L))
-    sa, sq = scale.a, scale.q
-    gammas: dict[tuple[int, int, int, int, int], int] = {}
-    dsum = 0
-    s1n = 0          # S1 = s1n / (2M)
-    for m, a in pnum.terms():
-        d = _as_int(a, pnum.q, "Gamma family coefficient")
-        # term d zeta^{m-2M} = d e^{(m-2M) eta t}: x = iw/D - (m-2M)/(2M)
-        n = 2 * M - m
-        g = math.gcd(n, 2 * M)
-        gammas[sa, 0, sq, n // g, 2 * M // g] = d
-        dsum += d
-        s1n -= d * (m - 2 * M)
-    if dsum:
-        raise IllPosedContraction("family coefficients do not sum to zero")
-    # regularization constant D^{S1} with D = scale * hbar
-    s1 = Fraction(s1n, 2 * M)
-    out = StructureFunction(gammas, const=ExactConst.one().times_base(scale, 1, s1))
-    # internal consistency: -S1 must equal the 1/t coefficient
-    if -s1 != I.log_divergence_coeff:
-        raise IllPosedContraction(
-            f"divergence bookkeeping mismatch: {-s1} vs {I.log_divergence_coeff}")
-    return out
-
-
-_REPEATED_ROOTS = ("denominator has repeated roots (cyclotomic factor of order "
-                   "{}, multiplicity {}); families do not reduce to Gamma factors")
-_OVER_CAP = "family order exceeds the cap; families do not reduce to Gamma factors"
+    M = _family_order(R.factors, L)
+    pnum = R.num * R.cofactor(2 * M) if M else R.num
+    return _integrated(pnum.terms(), pnum.q, 2 * L, 2 * M, I.log_divergence_coeff)
 
 
 def _as_int(a: int, q: int, what: str) -> int:
@@ -664,18 +625,63 @@ def _as_int(a: int, q: int, what: str) -> int:
     return a // q
 
 
-def _family_order(R: LaurentRational, L: int) -> int | None:
-    """Smallest M with den | (zeta^{2M} - 1), read off the cyclotomic factors
-    of the denominator: a repeated factor raises NonTelescoping at once,
+def _family_order(factors: dict[int, int], L: int) -> int:
+    """Smallest M with den | (zeta^{2M} - 1), zeta = e^{hbar t/(2L)}, read
+    off the denominator's cyclotomic factors {order on zeta: multiplicity}:
+    0 for no factor.  A repeated factor raises NonTelescoping at once,
     naming the repeated factor of least order; otherwise M is the least M
-    with lcm(d) | 2M over the factor orders d.  None if M exceeds the cap
-    8*L*deg(den)."""
-    repeated = [(d, m) for d, m in R.factors.items() if m > 1]
-    if repeated:
-        raise NonTelescoping(_REPEATED_ROOTS.format(*min(repeated)))
-    order = math.lcm(*R.factors)
+    with lcm(d) | 2M over the factor orders d, and one past the cap
+    8*L*deg(den) raises NonTelescoping too."""
+    if not factors:
+        return 0
+    if max(factors.values()) > 1:
+        raise NonTelescoping(
+            "denominator has repeated roots (cyclotomic factor of order {}, multiplicity "
+            "{}); families do not reduce to Gamma factors".format(
+                *min((d, m) for d, m in factors.items() if m > 1)))
+    order = math.lcm(*factors)
     M = order if order % 2 else order // 2
-    return M if M <= 8 * L * max(1, R.den_degree()) else None
+    # deg(den) = sum phi(d) >= 1, each factor simple: the degree is summed
+    # only for an M the cap could refuse
+    if M > 8 * L and M > 8 * L * sum(j * mu for d in factors for j, mu in _phi_binomials(d)):
+        raise NonTelescoping(
+            "family order exceeds the cap; families do not reduce to Gamma factors")
+    return M
+
+
+def _integrated(terms: list[tuple[int, int]], div: int, L: int, M: int,
+                limit: Fraction) -> StructureFunction:
+    """The Frullani-regularized integral of P(X) e^{-iwt} / t over (0, inf)
+    for M = 0, and of P(X) e^{-iwt} / (t (X^M - 1)) for M > 0, with
+    X = e^{hbar t/L} and P = sum_x c_x X^x / div given by its terms (x, c_x),
+    each c_x / div an integer (DLMF 5.9):
+      * M = 0, Frullani's integral: prod_x (iw - x hbar/L)^{-c_x/div};
+      * M > 0, Binet's: prod_x Gamma(iw L/(M hbar) + (M - x)/M)^{d_x}
+        (M hbar/L)^{S1}, d_x = c_x / div, S1 = sum_x d_x (M - x)/M; the d_x
+        must sum to zero and -S1 must be limit, the 1/t coefficient."""
+    if not M:
+        linears: dict[tuple[int, int, int], int] = {}
+        for x, c in terms:
+            g = math.gcd(x, L)
+            linears[-x // g, 0, L // g] = -_as_int(c, div, "Frullani family coefficient")
+        return StructureFunction(linears=linears)
+    g = math.gcd(M, L)
+    sa, sq = M // g, L // g
+    gammas: dict[tuple[int, int, int, int, int], int] = {}
+    dsum = s1n = 0      # S1 = s1n / M
+    for x, c in terms:
+        d = _as_int(c, div, "Gamma family coefficient")
+        n = M - x
+        g = math.gcd(n, M)
+        gammas[sa, 0, sq, n // g, M // g] = d
+        dsum += d
+        s1n += d * n
+    if dsum:
+        raise IllPosedContraction("family coefficients do not sum to zero")
+    s1 = Fraction(s1n, M)
+    if -s1 != limit:
+        raise IllPosedContraction(f"divergence bookkeeping mismatch: {-s1} vs {limit}")
+    return StructureFunction(gammas, const=ExactConst.one().times_base(_raw(sa, 0, sq), 1, s1))
 
 
 def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
@@ -685,24 +691,13 @@ def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
     c e^{tau hbar t} prod_j sinh(beta_j hbar t)^{e_j}, in integers.
 
     On the product's lattice L, with X = e^{hbar t/L} and b_j = beta_j L,
-    sinh(beta_j hbar t) = X^{-b_j} (X^{2 b_j} - 1)/2 (DLMF 5.9), and
-    X^n - 1 is the product of the cyclotomic Phi_d(X) over d | n: so the
-    product holds Phi_d to the power c_d = sum_j e_j [d | 2 b_j], which is
-    negative only at divisors of a denominator's 2 b_j, the only d read.
-      * every c_d >= 0: the product is a polynomial sum_x n_x X^x, and
-        Frullani's integral gives prod_x (iw - x hbar/L)^{-n_x};
-      * some c_d <= -2: a repeated root, NonTelescoping naming the least
-        repeated factor as closed_form does, by its order on
-        zeta = X^{1/2}: d for odd d, 2d for even d;
-      * otherwise, M = lcm{d : c_d = -1}: the product is P(X) / (X^M - 1),
-        P = sum_x d_x X^x, and Binet's integral gives
-        prod_x Gamma(iw L/(M hbar) + (M - x)/M)^{d_x} (M hbar/L)^{S1},
-        S1 = sum_x d_x (M - x)/M; M is closed_form's family order, held
-        to its cap 8 L deg(den), deg(den) = 2 sum phi(d) on zeta.
-    The checks are closed_form's and contract's, in their order: hbar
-    balance, divergence faster than 1/t, repeated roots, the cap, integer
-    coefficients, coefficients summing to zero, and -S1 against the
-    product's t -> 0 limit c prod_j beta_j^{e_j}."""
+    sinh(beta_j hbar t) = X^{-b_j} (X^{2 b_j} - 1)/2, and X^n - 1 is the
+    product of the cyclotomic Phi_d(X) over d | n: the product holds Phi_d
+    to the power c_d = sum_j e_j [d | 2 b_j], read only at divisors of a
+    denominator's 2 b_j.  The Phi_d with c_d < 0 are the denominator for
+    _family_order, and P(X) / (X^M - 1) the families for _integrated, with
+    the t -> 0 limit c prod_j beta_j^{e_j}; the checks are closed_form's
+    and contract's, in their order."""
     cf, df, hf, tnf, tdf, ff, _ = tf.ints()
     cg, dg, hg, tng, tdg, fg, odd = tg.ints()
     if hf + hg != 2:
@@ -735,14 +730,14 @@ def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
         for d in counts:
             if b % d == 0:
                 counts[d] += e
-    repeated = [(d if d % 2 else 2 * d, -c) for d, c in counts.items() if c < -1]
-    if repeated:
-        raise NonTelescoping(_REPEATED_ROOTS.format(*min(repeated)))
-    ones = [d for d, c in counts.items() if c == -1]
-    M = math.lcm(*ones) if ones else 0
-    # closed_form's cap M <= 8 L deg(den), deg(den) = 2 sum phi(d) >= 2
-    if M > 16 * L and M > 16 * L * sum(j * mu for d in ones for j, mu in _phi_binomials(d)):
-        raise NonTelescoping(_OVER_CAP)
+    # on zeta = X^{1/2}: Phi_d(X) = Phi_2d(zeta), times Phi_d(zeta) for odd d
+    den: dict[int, int] = {}
+    for d, c in counts.items():
+        if c < 0:
+            den[2 * d] = -c
+            if d % 2:
+                den[d] = -c
+    M = _family_order(den, L)
     exps = dict(ints)
     if M:
         exps[M] = exps.get(M, 0) + 1
@@ -762,32 +757,7 @@ def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
         terms = [(lo + i, c) for i, c in enumerate(p) if c]
     else:
         terms = sorted((x, c) for x, c in poly.items() if c)
-    div = cd << s
-    if not M:
-        linears: dict[tuple[int, int, int], int] = {}
-        for x, c in terms:
-            g = math.gcd(x, L)
-            linears[-x // g, 0, L // g] = -_as_int(c, div, "Frullani family coefficient")
-        return StructureFunction(linears=linears), limit
-    g = math.gcd(M, L)
-    sa, sq = M // g, L // g
-    gammas: dict[tuple[int, int, int, int, int], int] = {}
-    dsum = s1n = 0      # S1 = s1n / M
-    for x, c in terms:
-        d = _as_int(c, div, "Gamma family coefficient")
-        n = M - x
-        g = math.gcd(n, M)
-        gammas[sa, 0, sq, n // g, M // g] = d
-        dsum += d
-        s1n += d * n
-    if dsum:
-        raise IllPosedContraction("family coefficients do not sum to zero")
-    s1 = Fraction(s1n, M)
-    if -s1 != limit:
-        raise IllPosedContraction(
-            f"divergence bookkeeping mismatch: {-s1} vs {limit}")
-    return (StructureFunction(gammas, const=ExactConst.one().times_base(
-        _raw(sa, 0, sq), 1, s1)), limit)
+    return _integrated(terms, cd << s, L, M, limit), limit
 
 
 # ---------------------------------------------------------------------------

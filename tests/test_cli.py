@@ -811,6 +811,19 @@ def test_contract_value_that_overflows_is_a_typed_error(capsys):
     assert err == f"error: {error['message']}\n"
 
 
+@pytest.mark.parametrize("at", ["1e200,-5", "0,-1e300", "1e308,-1e308"])
+def test_contract_at_an_extreme_strip_point_is_a_typed_error(at, capsys):
+    # finite points inside the strip where the powers of -iw in the small-t
+    # series overflow: in Python's complex power, or to NaN
+    assert cli.run(["contract", "H_plus", "H_minus", "--k", "2", "--at", at,
+                    "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    w = complex(*(float(x) for x in at.split(",")))
+    assert json.loads(out)["error"] == {
+        "kind": "NonFiniteValue", "message": f"the small-t series overflows at w = {w}"}
+    assert err == f"error: the small-t series overflows at w = {w}\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "report", "poles"])
 @pytest.mark.parametrize("text", [
     "",
