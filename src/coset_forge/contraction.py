@@ -39,6 +39,7 @@ symbolically.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -90,7 +91,7 @@ class StructureFunction:
     """Product of integer powers of linear factors (iw + rho*hbar), Gamma
     factors and an exact constant; never changed, so normalize() keeps one."""
 
-    __slots__ = ("gammas", "linears", "const", "_normal")
+    __slots__ = ("gammas", "linears", "const", "_normal", "_bound")
 
     def __init__(self, gammas=None, linears=None, const=None):
         # gammas: {(a, b, q, n, d): int exponent} for Gamma(iw/(s*hbar) + n/d)
@@ -102,6 +103,7 @@ class StructureFunction:
         self.linears: dict[tuple[int, int, int], int] = dict(linears or {})
         self.const: ExactConst = const if const is not None else ExactConst.one()
         self._normal: StructureFunction | None = None
+        self._bound: tuple | None = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -213,12 +215,28 @@ class StructureFunction:
         """log S(w) at hbar.  The Gamma factors and then the linear factors
         are summed in sorted key order, so the value depends only on the
         factor multisets."""
-        s = cmath.log(self.const.eval(hbar))
-        for (sa, sb, sq, n, d), e in sorted(self.gammas.items()):
-            s += e * log_gamma(1j * w / (complex(sa / sq, sb / sq) * hbar) + n / d)
-        for (a, b, q), e in sorted(self.linears.items()):
-            s += e * cmath.log(1j * w + complex(a / q, b / q) * hbar)
+        _, s, gammas, linears = self._bind(hbar)
+        iw = 1j * w
+        for e, scale, shift in gammas:
+            s += e * log_gamma(iw / scale + shift)
+        for e, rho in linears:
+            s += e * cmath.log(iw + rho)
         return s
+
+    def _bind(self, hbar: float) -> tuple:
+        """What log_eval needs at hbar before w comes in: hbar, the log of
+        the constant, (e, scale*hbar, shift) for each Gamma factor and
+        (e, rho*hbar) for each linear factor, in sorted key order.  Kept for
+        the last hbar asked."""
+        bound = self._bound
+        if bound is None or bound[0] != hbar:
+            bound = self._bound = (
+                hbar, cmath.log(self.const.eval(hbar)),
+                [(e, complex(sa / sq, sb / sq) * hbar, n / d)
+                 for (sa, sb, sq, n, d), e in sorted(self.gammas.items())],
+                [(e, complex(a / q, b / q) * hbar)
+                 for (a, b, q), e in sorted(self.linears.items())])
+        return bound
 
     def eval(self, w: complex, hbar: float) -> complex:
         return cmath.exp(self.log_eval(w, hbar))
@@ -344,16 +362,22 @@ class _IntegrandEvaluator:
         self.dexp = np.array([e - self.dshift for e, _ in dterms], dtype=float)
         self.dcoef = np.array([c / den.q for _, c in dterms])
         # Taylor coefficients of R(zeta(t)) in powers of (eta t), each the
-        # float of its exact value, and g_r = c_r eta^r in powers of t
+        # float of its exact value, and g_r = c_r eta^r in powers of t;
+        # powers of eta beyond the float range raise NonFiniteValue
         self.series = _series_quotient(nterms, num.q, dterms, den.q, self.SERIES_ORDER)
-        self.float_series = [complex(c) * self.eta ** r
-                             for r, c in enumerate(self.series)]
+        try:
+            self.float_series = [complex(c) * self.eta ** r
+                                 for r, c in enumerate(self.series)]
+            finite = all(map(cmath.isfinite, self.float_series))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise NonFiniteValue(f"the small-t series overflows at hbar = {hbar}")
         # the w-free factors of series_coeffs: the lower triangular Toeplitz
         # matrix of g_r, whose row r is the convolution's r-th output, m!
         # and a (-1)^m / m!
         order = self.SERIES_ORDER
-        self.toeplitz = np.array([[self.float_series[r - m] if m <= r else 0j
-                                   for m in range(order + 1)] for r in range(order + 1)])
+        self.toeplitz = np.append(self.float_series, 0j)[_toeplitz_index(order)]
         self.fact = [float(math.factorial(m)) for m in range(order + 1)]
         self.ref_series = np.array([self.a * ((-1.0) ** m / f)
                                     for m, f in enumerate(self.fact)])
@@ -370,9 +394,19 @@ class _IntegrandEvaluator:
         # once for all levels; the constant term cancels exactly
         c = self.series_coeffs(w)[1:]
         for j in range(_DE_MAX_LEVEL + 1):
-            (t, wgt, nodes, _, moments, g), m = _node_table(j, s_hi)
+            # the node count and A read in place where they are known; the
+            # table and A are built, or grown, only on a miss
+            table = _TABLES[j]
+            m = table[3].get(s_hi) if table else None
+            if m is None:
+                table, m = _node_table(j, s_hi)
+            t, wgt, nodes, _, moments, g = table
             n = _series_cutoff(nodes, m, reach)
-            far = self._far_weights(j, t, wgt, n, m)
+            A, first = self._weights[j]
+            if first <= n and m <= first + len(A):
+                far = A[n - first:m - first]
+            else:
+                far = self._far_weights(j, t, wgt, n, m)
             yield (moments[n].dot(c) + far.dot(np.exp(rate * t[n:m]))
                    - self.a * _window_sum(j, g, n, m))
 
@@ -387,9 +421,13 @@ class _IntegrandEvaluator:
         known = first + len(A)
         if not len(A):  # the level's first point
             first = known = n
-        if n < first or m > known:
-            A = np.concatenate((self._far(t[n:first], wgt[n:first]), A,
-                                self._far(t[known:m], wgt[known:m])))
+        blocks = [A]
+        if n < first:
+            blocks.insert(0, self._far(t[n:first], wgt[n:first]))
+        if m > known:
+            blocks.append(self._far(t[known:m], wgt[known:m]))
+        if len(blocks) > 1:
+            A = np.concatenate(blocks)
             first = min(first, n)
             self._weights[j] = A, first
         return A[n - first:m - first]
@@ -404,9 +442,8 @@ class _IntegrandEvaluator:
         r = np.empty(len(t))
         for i in range(0, len(t), step):
             lz = self.eta * t[i:i + step]
-            numv = (self.ncoef * np.exp(np.outer(lz, self.nexp))).sum(axis=1)
-            denv = (self.dcoef * np.exp(np.outer(lz, self.dexp))).sum(axis=1)
-            r[i:i + step] = numv / denv
+            r[i:i + step] = (_branch_sums(lz, self.nexp, self.ncoef)
+                             / _branch_sums(lz, self.dexp, self.dcoef))
         return (wgt * r / t).astype(complex)
 
     def series_coeffs(self, w: complex) -> np.ndarray:
@@ -424,6 +461,31 @@ class _IntegrandEvaluator:
         except OverflowError:
             pass
         raise NonFiniteValue(f"the small-t series overflows at w = {w}")
+
+
+@functools.cache
+def _toeplitz_index(order: int) -> np.ndarray:
+    """Entry [r][m] is r - m for m <= r, else order + 1: indexing the series
+    g_0..g_order with a zero appended by it gives their lower triangular
+    Toeplitz matrix."""
+    import numpy as np
+    r = np.arange(order + 1)
+    return np.where(r[:, None] >= r, r[:, None] - r, order + 1)
+
+
+def _branch_sums(lz: np.ndarray, exps: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] exp(lz exps[k]) at each lz, as the row sums of
+    coefs * exp(outer(lz, exps)).  numpy adds a row of fewer than 8 entries
+    onto 0 in order, left to right, so such a branch is summed term by term,
+    which gives the same bits without the outer product; a longer row numpy
+    sums pairwise, so that form is kept."""
+    import numpy as np
+    if len(exps) >= 8:
+        return (coefs * np.exp(np.outer(lz, exps))).sum(axis=1)
+    s = np.zeros(len(lz))
+    for e, c in zip(exps, coefs):
+        s += c * np.exp(lz * e)
+    return s
 
 
 def _series_cutoff(nodes: list[float], m: int, reach: float) -> int:

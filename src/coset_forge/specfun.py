@@ -53,7 +53,7 @@ def check_gamma_argument(z: complex) -> complex:
     Raises NonFiniteValue for a non-finite z and PoleAtNonPositiveInteger
     within 1e-12 of a pole."""
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise NonFiniteValue(f"non-finite complex value {z}")
     if z.real < 0.5 and abs(z.imag) <= _POLE_TOL:
         r = round(z.real)
@@ -87,10 +87,17 @@ def log_gamma(z: complex) -> complex:
 
     Real negative non-integer arguments are treated as limits from the upper
     half-plane.  Raises PoleAtNonPositiveInteger within 1e-12 of a pole.
+    The argument is checked once: the check is symmetric under conjugation,
+    so the lower half-plane goes through the conjugate unchecked.
     """
     z = check_gamma_argument(z)
     if z.imag < 0.0:
-        return log_gamma(z.conjugate()).conjugate()
+        return _log_gamma_upper(z.conjugate()).conjugate()
+    return _log_gamma_upper(z)
+
+
+def _log_gamma_upper(z: complex) -> complex:
+    """log Gamma at a checked z with Im z >= 0."""
     if z.real >= 0.0:
         return _log_gamma_shifted(z)
     # Reflection for Re z < 0: with Im z >= 0,

@@ -824,6 +824,18 @@ def test_contract_at_an_extreme_strip_point_is_a_typed_error(at, capsys):
     assert err == f"error: the small-t series overflows at w = {w}\n"
 
 
+@pytest.mark.parametrize("pair", [("H_plus", "H_minus"), ("Lambda_plus", "Lambda_minus")])
+def test_contract_at_a_huge_hbar_is_a_typed_error(pair, capsys):
+    # the powers eta^r = (hbar/(2L))^r of the small-t series overflow before
+    # any strip point is taken
+    assert cli.run(["contract", *pair, "--k", "2", "--hbar", "1e40", "--at", "0,-1e41",
+                    "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    message = "the small-t series overflows at hbar = 1e+40"
+    assert json.loads(out)["error"] == {"kind": "NonFiniteValue", "message": message}
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "report", "poles"])
 @pytest.mark.parametrize("text", [
     "",

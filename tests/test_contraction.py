@@ -781,6 +781,16 @@ def _s_hi(I, w, params):
     return math.asinh(max(2.0 * math.log(t_max) / math.pi, 1.0)) + 0.5
 
 
+def _strip_points(I, params):
+    """The benchmark's 20 strip points for integrand I, those of the
+    acceptance suite's quadrature criterion."""
+    hf = params.hbar_float
+    scale = hf * max(1.0, float(params.k))
+    base = max(0.0, I.strip_bound(hf))
+    return [complex((-2.0 + 4.0 * j / 19) * scale,
+                    -(base + (0.3 + 0.45 * (j % 5) / 5) * scale)) for j in range(20)]
+
+
 def _level_nodes(j, s_hi):
     """The nodes and weights of refinement level j up to s_hi, as the
     reference builds them."""
@@ -969,6 +979,8 @@ def test_quadrature_computes_each_far_node_once_per_integrand(monkeypatch):
         del computed[:]
         assert abs(quad_eval(I, w, params) - _reference_quad_eval(I, w, params)[0]) <= 1e-13, w
         new = np.concatenate(computed)
+        # and never on an empty block
+        assert all(len(block) for block in computed), w
         # R is never taken at a node this point sends to the series
         assert new.min() * (abs(w) + ev.scale_hint + 1.0) >= 0.01, w
         if seen:
@@ -986,6 +998,99 @@ def test_quadrature_computes_each_far_node_once_per_integrand(monkeypatch):
     for w in points:
         quad_eval(I, w, params)
     assert not computed
+
+
+def test_quadrature_reads_known_node_counts_and_far_weights_in_place(monkeypatch):
+    from coset_forge import contraction
+
+    missed = []
+    node_table, far_weights = contraction._node_table, contraction._IntegrandEvaluator._far_weights
+
+    def counted_table(j, s_hi):
+        missed.append(("table", j))
+        return node_table(j, s_hi)
+
+    def counted_weights(self, j, *args):
+        missed.append(("weights", j))
+        return far_weights(self, j, *args)
+
+    monkeypatch.setattr(contraction, "_TABLES", [None] * 9)
+    monkeypatch.setattr(contraction, "_node_table", counted_table)
+    monkeypatch.setattr(contraction._IntegrandEvaluator, "_far_weights", counted_weights)
+    cases = {label: (I, params) for label, I, params in _quadrature_cases()}
+    I, params = cases["B_plus[0].beta_minus[0].bhat@2,1"]
+    I = ContractionIntegrand(I.lattice, I.rational)
+    points = _strip_points(I, params)
+    first = _values(I, points, params)
+    # the first point of each level misses both
+    assert {("table", 0), ("weights", 0)} <= set(missed)
+    del missed[:]
+    # a second pass knows every node count and every far weight it asks for
+    assert _values(I, points, params) == first
+    assert not missed
+
+
+def _branch_outer(lz, exps, coefs):
+    """The row sums of coefs * exp(outer(lz, exps)): _far's form for every
+    branch before term-by-term sums."""
+    import numpy as np
+    return (coefs * np.exp(np.outer(lz, exps))).sum(axis=1)
+
+
+def test_quadrature_term_by_term_branch_sums_are_the_outer_row_sums():
+    import numpy as np
+    from coset_forge.contraction import _branch_sums
+    rng = np.random.default_rng(44)
+    checked = set()
+    for terms in range(1, 8):
+        for nodes in (1, 2, 3, 7, 8, 9, 16, 17, 100, 1001):
+            for _ in range(5):
+                # eta t and exponents e - shift <= 0 as _far meets them, and
+                # coefficients over several decades of both signs
+                lz = rng.uniform(0.0, 4.0, nodes) * 10.0 ** rng.integers(-5, 2, nodes)
+                exps = np.sort(rng.integers(-60, 1, terms)).astype(float)
+                coefs = rng.standard_normal(terms) * 10.0 ** rng.integers(-3, 4, terms)
+                got = _branch_sums(lz, exps, coefs)
+                assert got.tobytes() == _branch_outer(lz, exps, coefs).tobytes(), (terms, nodes)
+                checked.add(terms)
+    assert checked == set(range(1, 8))
+
+
+def test_quadrature_far_weights_keep_the_outer_form_from_8_terms(monkeypatch):
+    import numpy as np
+    from coset_forge import contraction
+
+    outer, widths = np.outer, []
+
+    def counted(a, b, *args, **kwargs):
+        widths.append(len(b))
+        return outer(a, b, *args, **kwargs)
+
+    t, wgt = _level_nodes(0, 3.0)
+    far = slice(int(t.searchsorted(0.01)), len(t))
+    t, wgt = t[far], wgt[far]
+    long = set()
+    for k in ("1", "2", "3", "4"):
+        for hbar in ("1", "1/2"):
+            params, cat, _, _ = bind_shipped(k, hbar)
+            for label, _, f, g, K in contraction_pairs(cat):
+                I = contract(f, g, K, params)
+                if I.is_zero():
+                    continue
+                ev = I.evaluator(params.hbar_float)
+                monkeypatch.setattr(np, "outer", counted)
+                del widths[:]
+                got = ev._far(t, wgt)
+                monkeypatch.setattr(np, "outer", outer)
+                # the outer product for a branch of 8 or more terms only
+                assert widths == [n for n in (len(ev.nexp), len(ev.dexp)) if n >= 8], label
+                lz = ev.eta * t
+                r = (_branch_outer(lz, ev.nexp, ev.ncoef)
+                     / _branch_outer(lz, ev.dexp, ev.dcoef))
+                assert got.tobytes() == (wgt * r / t).astype(complex).tobytes(), (label, k)
+                long.update(n for n in (len(ev.nexp), len(ev.dexp)) if n >= 8)
+    # the shipped catalog's 9-term numerators
+    assert 9 in long
 
 
 def _values(I, points, params):
@@ -1351,6 +1456,81 @@ def test_value_depends_only_on_the_factor_multisets(sfs, points, hbar):
                 if isinstance(ref, complex):
                     assert _same(_value_or_error(lambda: f.eval(w, hbar)),
                                  _value_or_error(lambda: cmath.exp(ref)))
+
+
+def _formula_log_eval(sf, w, hbar):
+    """log_eval as the formula reads, every factor taken from the exact data
+    at each call: its binding once per hbar must leave these bits."""
+    s = cmath.log(sf.const.eval(hbar))
+    for (sa, sb, sq, n, d), e in sorted(sf.gammas.items()):
+        s += e * log_gamma(1j * w / (complex(sa / sq, sb / sq) * hbar) + n / d)
+    for (a, b, q), e in sorted(sf.linears.items()):
+        s += e * cmath.log(1j * w + complex(a / q, b / q) * hbar)
+    return s
+
+
+def _assert_bound_log_eval_is_the_formula(sf, points, hbar, label):
+    for w in points:
+        got = _value_or_error(lambda: repr(sf.log_eval(w, hbar)))
+        want = _value_or_error(lambda: repr(_formula_log_eval(sf, w, hbar)))
+        assert got == want, (label, w, hbar)
+
+
+def test_bound_log_eval_is_the_formula_on_the_catalog_closed_forms():
+    # the closed form of every contraction term pair at the benchmark's
+    # levels, at its 20 strip points
+    checked = 0
+    for k in ("1", "2", "3", "4"):
+        for hbar in ("1", "1/2"):
+            params, cat, _, _ = bind_shipped(k, hbar)
+            for label, _, f, g, K in contraction_pairs(cat):
+                I = contract(f, g, K, params)
+                sf = closed_form(I, params)
+                _assert_bound_log_eval_is_the_formula(
+                    sf, _strip_points(I, params), params.hbar_float, (label, k, hbar))
+                checked += 1
+    assert checked == 8 * 195
+
+
+def test_bound_log_eval_follows_hbar_back_and_forth():
+    # the classical-limit rows evaluate one Wick-rotated factor at a check
+    # hbar and then along a decreasing hbar sequence: each hbar rebinds
+    points = [0.7 - 0.3j, 2.0 + 1.0j, -1.5 + 0.25j, 3j, -0.2 - 4.0j]
+    hbars = [1.0, 0.5, 1.0, 1e-3, 0.5, 1e-3, 0.0625, 1.0]
+    checked = 0
+    for k in ("2", "5/12"):
+        params, cat, rels, _ = bind_shipped(k)
+        for rel in rels.values():
+            a, b = rel.pair
+            for rotate in ("global", "none"):
+                for sf in cat.pair_exchange(cat[a], cat[b], rotate=rotate):
+                    for hbar in hbars:
+                        _assert_bound_log_eval_is_the_formula(sf, points, hbar, (k, a, b))
+                    checked += 1
+    assert checked >= 40
+
+
+def test_bound_log_eval_is_the_formula_on_derived_forms():
+    # forms made from bound ones start unbound and bind their own factors
+    params, cat, _, _ = bind_shipped("3")
+    hf = params.hbar_float
+    forms = []
+    for label, _, f, g, K in contraction_pairs(cat)[::12]:
+        I = contract(f, g, K, params)
+        forms.append((I, closed_form(I, params)))
+    assert any(sf.gammas for _, sf in forms) and any(sf.linears for _, sf in forms)
+    for (I, sf), (_, other) in zip(forms, forms[1:] + forms[:1]):
+        points = _strip_points(I, params)
+        sf.log_eval(points[0], hf)      # bound first
+        derived = {"mul": sf * other, "inverse": sf.inverse(), "negate_w": sf.negate_w(),
+                   "wick_rotate": sf.wick_rotate(), "normalize": sf.normalize()}
+        for name, d in derived.items():
+            for hbar in (hf, 0.5, hf):
+                # negate_w is evaluated at -w, where its closed form's strip is
+                pts = [-w for w in points] if name == "negate_w" else points
+                _assert_bound_log_eval_is_the_formula(d, pts, hbar, name)
+        # and the form itself still gives the formula's bits
+        _assert_bound_log_eval_is_the_formula(sf, points, hf, "source")
 
 
 def test_gamma_pole_raises():

@@ -169,3 +169,43 @@ def test_gamma_ratio_identities():
                            - oracle_log_gamma(1.5 + 0.5j - 1 / 3))
     assert rel_err(via_oracle, frozen) < 1e-13
     assert rel_err(got, frozen) < 1e-12
+
+
+def test_lower_half_plane_is_the_conjugate_bit_for_bit():
+    # both branches (Re z >= 0 shifts, Re z < 0 reflects), near the axis and
+    # far from it
+    for x in (-19.2, -5.4, -1.7, -0.3, 0.0, 0.25, 3.0, 11.5, 250.0):
+        for y in (1e-11, 1e-6, 0.02, 0.4, 7.0, 300.0):
+            z = complex(x, -y)
+            assert repr(log_gamma(z)) == repr(log_gamma(z.conjugate()).conjugate()), z
+
+
+def test_log_gamma_checks_its_argument_once(monkeypatch):
+    checked = []
+    check = specfun.check_gamma_argument
+
+    def counted(z):
+        checked.append(z)
+        return check(z)
+
+    monkeypatch.setattr(specfun, "check_gamma_argument", counted)
+    for z in (0.3 - 2j, -4.5 - 0.1j, 0.3 + 2j, -4.5 + 0.1j, 2.0):
+        del checked[:]
+        log_gamma(z)
+        assert checked == [z], z
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_log_gamma_refuses_from_either_half_plane(sign):
+    inf, nan = math.inf, math.nan
+    for z in (complex(inf, sign), complex(-inf, sign), complex(nan, sign),
+              complex(2.0, sign * inf), complex(-3.0, sign * nan), complex(inf, sign * inf)):
+        with pytest.raises(NonFiniteValue):
+            log_gamma(z)
+    # within 1e-12 of a pole, on either side of the axis
+    for z in (complex(-3.0, sign * 1e-13), complex(0.0, sign * 1e-13),
+              complex(-1.0 + 5e-13, sign * 9e-13), complex(-7.0 - 5e-13, sign * 1e-12)):
+        with pytest.raises(PoleAtNonPositiveInteger):
+            log_gamma(z)
+    # and just beyond it, a value
+    assert cmath.isfinite(log_gamma(complex(-3.0, sign * 2e-12)))
