@@ -24,7 +24,7 @@ from .contraction import (StructureFunction, contract, pair_closed_form, quad_ev
                           require_numpy)
 from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
                      NonTelescoping, ResidueMismatch, UnexpectedPole)
-from .exact import GR, GR_I, GR_ONE, _raw, as_fraction
+from .exact import GR, GR_I, _gr, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     _read_only, _set, equals as modes_equal, monomial_tilts,
                     shift_argument)
@@ -572,15 +572,6 @@ def _bernoulli_numbers() -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in b]
 
 
-def _bernoulli_poly(n: int, a: Fraction) -> Fraction:
-    """B_n(a) = sum_j C(n, j) B_j a^(n-j) (DLMF 24.2.5), summed in integers
-    over the one denominator L*d^n for a = p/d."""
-    den, b = _bernoulli_numbers()
-    p, d = a.numerator, a.denominator
-    return Fraction(sum(math.comb(n, j) * b[j] * p ** (n - j) * d ** j
-                        for j in range(n + 1)), den * d ** n)
-
-
 def _principal(x: Fraction) -> Fraction:
     """x reduced modulo 2 into (-1, 1]: the phase exp(i pi x) on the
     principal branch, in units of pi."""
@@ -612,29 +603,41 @@ def _classical_readout(sf: StructureFunction) -> tuple:
     small terms the series misses are below 1e-20.  Raises NonConvergent
     when the factor has no braid-phase limit."""
     n = sf.normalize()
-    groups: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    # per scale sigma = q/b, its key (q, b) in lowest terms, q > 0: the
+    # shifts an/ad of its Gamma factors and their exponents
+    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for (sa, sb, sq, an, ad), e in n.gammas.items():
         if sa or not sb:
             raise NonConvergent(f"Gamma scale {_raw(sa, sb, sq)!r} is not "
                                 "imaginary: no braid limit on Im w > 0")
-        groups.setdefault(Fraction(sq, sb), []).append((Fraction(an, ad), e))
+        groups.setdefault((sq, sb), []).append((an, ad, e))
     const = n.const
     p_plus = p_minus = Fraction(0)
-    for sigma, group in groups.items():
-        if sum(e for _, e in group):
-            raise NonConvergent(f"Gamma factors of scale 1/({sigma}*i) do not "
-                                "balance: the factor grows like z^z")
-        p = sum(e * a for a, e in group)
-        const = const.times_base(GR(abs(sigma)), -1, p)
-        if sigma > 0:
-            p_plus += p
+    # per scale: q, b, the shifts' common denominator D and the power sums
+    # S_r = sum e p^r, r = 0 .. LIMIT_N_MAX, of the numerators p = a*D
+    sums = []
+    for (sq, sb), group in groups.items():
+        if sum(e for _, _, e in group):
+            raise NonConvergent(f"Gamma factors of scale 1/({Fraction(sq, sb)}*i)"
+                                " do not balance: the factor grows like z^z")
+        big_d = math.lcm(*(ad for _, ad, _ in group))
+        s = [0] * (LIMIT_N_MAX + 1)
+        for an, ad, e in group:
+            x = an * (big_d // ad)
+            for r in range(LIMIT_N_MAX + 1):
+                s[r] += e
+                e *= x
+        sums.append((sq, sb, big_d, s))
+        power = Fraction(s[1], big_d)
+        const = const.times_base(_gr(sq, 0, abs(sb)), -1, power)
+        if sb > 0:
+            p_plus += power
         else:
-            p_minus += p
+            p_minus += power
     # (iw + rho hbar)^e = (iw)^e (1 + t/X)^e with t = -i rho
-    linears = [(e, -GR_I * _raw(*key)) for key, e in n.linears.items()]
-    for e, _ in linears:
-        p_plus += e
-        const = const.times_base(GR_I, 0, e)
+    lin_e = sum(n.linears.values())
+    p_plus += lin_e
+    const = const.times_base(GR_I, 0, lin_e)
     if p_plus + p_minus:
         raise NonConvergent(f"the limit grows like w^{p_plus + p_minus}")
     if const.hb:
@@ -642,17 +645,34 @@ def _classical_readout(sf: StructureFunction) -> tuple:
     if const.pe:
         raise NonConvergent(f"the limit constant {const!r} is not a rational "
                             "phase of modulus 1")
+    # sum_i e_i B_n(p_i/D) = sum_j C(n, j) B_j D^j S_(n-j) / D^n (DLMF
+    # 24.2.5), with B_j = bern[j]/L; over sigma^m = q^m/b^m and n = m + 1,
+    # every scale's sum joins one integer fraction top/bottom.  Each
+    # linear factor adds e t^m: with t = (b - a i)/q = z/Q over the common
+    # denominator Q, the Gaussian integers e z^m are kept as (re, im)
+    den, bern = _bernoulli_numbers()
+    lin_q = math.lcm(*(q for _, _, q in n.linears))
+    zs = [(b * (lin_q // q), -a * (lin_q // q)) for a, b, q in n.linears]
+    terms = [(e, 0) for e in n.linears.values()]
     corrections = []
-    powers = [GR_ONE] * len(linears)
     for m in range(1, LIMIT_N_MAX):
-        g = sum((e * _bernoulli_poly(m + 1, a) / sigma ** m
-                 for sigma, group in groups.items() for a, e in group),
-                Fraction(0)) / (m + 1)
-        powers = [p * t for p, (_, t) in zip(powers, linears)]
-        coeff = sum((e * p for p, (e, _) in zip(powers, linears)), GR(g))
-        corrections.append(coeff * Fraction((-1) ** (m + 1), m))
-    reach = [float(abs(s)) for s in groups] + [
-        1 / abs(complex(t)) for _, t in linears if t] + [1.0]
+        top, bottom = 0, 1
+        for sq, sb, big_d, s in sums:
+            bsum = sum(math.comb(m + 1, j) * bern[j] * big_d ** j * s[m + 1 - j]
+                       for j in range(m + 2) if bern[j])
+            scale = big_d ** (m + 1) * sq ** m
+            top, bottom = top * scale + bsum * sb ** m * bottom, bottom * scale
+        bottom *= den * (m + 1)
+        terms = [(x * u - y * v, x * v + y * u)
+                 for (x, y), (u, v) in zip(terms, zs)]
+        # (-1)^(m+1)/m (top/bottom + sum e z^m/Q^m), the coefficient of X^-m
+        sign, qm = (-1) ** (m + 1), lin_q ** m
+        re = top * qm + bottom * sum(x for x, _ in terms)
+        im = bottom * sum(y for _, y in terms)
+        corrections.append(_gr(sign * re, sign * im, bottom * qm * m))
+    reach = [sq / abs(sb) for sq, sb in groups] + [
+        1 / abs(complex(b / q, -a / q)) for a, b, q in n.linears if a or b
+    ] + [1.0]
     return p_plus, Fraction(const.ph, 2 * const.den), corrections, min(reach) / 8
 
 

@@ -477,7 +477,9 @@ def _finish(path, params, hbars, reports) -> int:
 
 
 def _shape_pairs(rels) -> list[tuple[str, str]]:
-    return [r.pair for r in rels if r.kind == "shape"]
+    """The ordered pair of each shape relation, each once, in declaration
+    order: a pair has one classical limit, however many rows name it."""
+    return list(dict.fromkeys(r.pair for r in rels if r.kind == "shape"))
 
 
 def _payload(params, hbars, reports) -> dict:

@@ -96,6 +96,7 @@ _ARITH = {"+": operator.add, "-": operator.sub,
           "*": operator.mul, "/": operator.truediv}
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 _MINUS_I = GR(_ZERO, Fraction(-1))
 _K = KRat.k()   # shared: KRat arithmetic never changes its operands
 
@@ -316,47 +317,44 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, at) -> Current:
     return Current(cd.name, tuple(out_terms))
 
 
-def _bind_side(rel: str, factors: list[FactorDecl], at,
-               k: Fraction) -> StructureFunction:
-    """The product of one side's factors of relation `rel`: each Gamma or
-    linear factor is merged into its multiset; the scalars, and (-i)^n from
-    each (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant.
-    A scalar or a Gamma scale that vanishes at k excludes the level."""
+def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
+    """The bound relation, its target the right side over the left side, in
+    one pass: each Gamma or linear factor is merged into one multiset, the
+    left side's with negated exponents; the scalars, and (-i)^n from each
+    (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant.  A
+    scalar or a Gamma scale that vanishes at k excludes the level, the left
+    side's first."""
+    rel = rd.name
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     linears: dict[tuple[int, int, int], int] = {}
     const = ExactConst.one()
-    for f in factors:
-        e = f.exponent
-        if f.kind == "scalar":
-            v = at(f.scalar)
-            if not v:
-                raise ExcludedLevel(f"relation {rel!r}: scalar factor "
-                                    f"({f.scalar!r}) vanishes at k={k}")
-            const = const.times_base(GR(v), 0, 1)
-            continue
-        if f.kind == "gamma":
-            scale = at(f.scale)
-            if not scale:
-                raise ExcludedLevel(f"relation {rel!r}: Gamma scale "
-                                    f"({f.scale!r}) vanishes at k={k}")
-            exps = gammas
-            key = gamma_key(GR(scale * f.scale_sign), at(f.shift))
-        else:
-            exps = linears
-            rho = GR(at(f.offset) if f.offset is not None else _ZERO)
-            if f.kind == "w":
-                rho = GR_I * rho
-                const = const.times_base(_MINUS_I, 0, e)
-            key = linear_key(rho)
-        merge(exps, key, e)
-    return StructureFunction(gammas, linears, const)
-
-
-def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
-    """The bound relation, its target the right side over the left side."""
-    left = _bind_side(rd.name, rd.left_factors, at, k)
-    target = _bind_side(rd.name, rd.right_factors, at, k) * left.inverse()
-    return Relation(rd.name, rd.kind, rd.pair, target, rd.rotate)
+    for sign, factors in ((-1, rd.left_factors), (1, rd.right_factors)):
+        for f in factors:
+            e = sign * f.exponent
+            if f.kind == "scalar":
+                v = at(f.scalar)
+                if not v:
+                    raise ExcludedLevel(f"relation {rel!r}: scalar factor "
+                                        f"({f.scalar!r}) vanishes at k={k}")
+                const = const.times_base(GR(v), 0, sign)
+                continue
+            if f.kind == "gamma":
+                scale = at(f.scale)
+                if not scale:
+                    raise ExcludedLevel(f"relation {rel!r}: Gamma scale "
+                                        f"({f.scale!r}) vanishes at k={k}")
+                exps = gammas
+                key = gamma_key(GR(scale * f.scale_sign), at(f.shift))
+            else:
+                exps = linears
+                rho = GR(at(f.offset) if f.offset is not None else _ZERO)
+                if f.kind == "w":
+                    rho = GR_I * rho
+                    const = const.times_base(_MINUS_I, 0, e)
+                key = linear_key(rho)
+            merge(exps, key, e)
+    return Relation(rel, rd.kind, rd.pair,
+                    StructureFunction(gammas, linears, const), rd.rotate)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +366,12 @@ class _Parser:
         self.toks = _words(text)
         self.i = 0
         # the k-expression values built so far, by number text, by operation
-        # and operands, and (KRats) by coefficients: a repeated expression
-        # is folded once and is one object, which DefinitionFile.bind
-        # evaluates once per level
+        # and the identity of its operands, and (KRats) by coefficients: a
+        # repeated expression is folded once and is one object, which
+        # DefinitionFile.bind evaluates once per level
         self.folded: dict = {}
-        self.declared: set[str] = set()     # k, hbar
+        # k, hbar and each commutator_delta pair
+        self.declared: set[str] = set()
         self.primitive: set[str] = set()    # currents declared on a kernel
         # what each kernel and current name declared so far names: kernels
         # and currents share one namespace
@@ -441,12 +440,14 @@ class _Parser:
 
     # -- k-rational expressions -------------------------------------------
     def op(self, sym: str, a: KVal, b: KVal) -> KVal:
-        """a sym b, folded once per distinct operation."""
-        key = (sym, a, b)
-        v = self.folded.get(key)
-        if v is None:
-            v = self.folded[key] = self.intern(_ARITH[sym](a, b))
-        return v
+        """a sym b, folded once per operation on the same two objects.  The
+        entry keeps both operands alive, so no id in a key is reused within
+        the parse, and no Fraction is hashed."""
+        key = (sym, id(a), id(b))
+        entry = self.folded.get(key)
+        if entry is None:
+            entry = self.folded[key] = (self.intern(_ARITH[sym](a, b)), a, b)
+        return entry[0]
 
     def positive(self, what: str) -> KVal:
         """A k-expression; a constant one, k/k included, must be positive."""
@@ -461,10 +462,13 @@ class _Parser:
         return self.op("-", _ZERO, a)
 
     def intern(self, v: KVal) -> KVal:
-        """v, or the KRat with its coefficients that was built first."""
+        """v, or the KRat with its coefficients that was built first, keyed
+        by integer (exponent, numerator, denominator) triples."""
         if isinstance(v, KRat):
             v = self.folded.setdefault(
-                (frozenset(v.num.items()), frozenset(v.den.items())), v)
+                (frozenset((e, c.numerator, c.denominator) for e, c in v.num.items()),
+                 frozenset((e, c.numerator, c.denominator) for e, c in v.den.items())),
+                v)
         return v
 
     def kexpr(self, stop: str | None = None) -> KVal:
@@ -542,7 +546,9 @@ class _Parser:
                     raise DuplicateName(f"relation {rd.name!r} declared twice")
                 relations.append(rd)
             elif self.accept("commutator_delta"):
-                commutators.append(self.commutator_block())
+                cm = self.commutator_block()
+                self.declare(f"commutator_delta {cm.name_a} {cm.name_b}")
+                commutators.append(cm)
             else:
                 self.error({"'params'", "'kernel'", "'current'", "'relation'",
                             "'commutator_delta'"})
@@ -624,7 +630,7 @@ class _Parser:
         return terms
 
     def exponent_term(self, sign: int) -> TermDecl:
-        coeff: KVal = Fraction(sign)
+        coeff: KVal = _ONE if sign > 0 else _MINUS_ONE
         hpow = 0
         tilt: KVal = _ZERO
         sinh: list[tuple[KVal, int]] = []
@@ -730,7 +736,7 @@ class _Parser:
                                      -d.hbar_power, [])]
             factors.append(nxt)
 
-        out = [CompositeTerm(Fraction(sign), 0, [])]
+        out = [CompositeTerm(_ONE if sign > 0 else _MINUS_ONE, 0, [])]
         for fac in factors:
             nxt = []
             for left in out:

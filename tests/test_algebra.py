@@ -2,6 +2,7 @@
 classical limits."""
 
 import cmath
+import functools
 import json
 import math
 import random
@@ -19,10 +20,11 @@ from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
                                  Relation, _classical_readout,
                                  classical_limit, ef_commutator_analysis,
                                  verify_relation)
-from coset_forge.contraction import StructureFunction, closed_form, contract
+from coset_forge.contraction import (StructureFunction, closed_form, contract,
+                                     gamma_key, linear_key)
 from coset_forge.dsl import parse_definitions
 from coset_forge.errors import ExcludedLevel, NonConvergent
-from coset_forge.exact import GR, ExactConst
+from coset_forge.exact import GR, ExactConst, merge
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                                equals as modes_equal)
 
@@ -340,6 +342,140 @@ def test_classical_readout_finds_the_first_power_law_term():
 def test_classical_readout_refuses_a_factor_without_braid_limit(sf, message):
     with pytest.raises(NonConvergent, match=message):
         _classical_readout(sf)
+
+
+@functools.cache
+def _fraction_bernoulli() -> tuple[int, list[int]]:
+    """(L, [L*B_0, ..., L*B_N]): the Bernoulli numbers, B_1 = -1/2, over
+    their least common denominator L, N = LIMIT_N_MAX."""
+    b = [Fraction(1)]
+    for m in range(1, algebra.LIMIT_N_MAX + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    den = math.lcm(*(x.denominator for x in b))
+    return den, [x.numerator * (den // x.denominator) for x in b]
+
+
+def _fraction_bernoulli_poly(n: int, a: Fraction) -> Fraction:
+    """B_n(a) = sum_j C(n, j) B_j a^(n-j) (DLMF 24.2.5), over L*d^n for
+    a = p/d."""
+    den, b = _fraction_bernoulli()
+    p, d = a.numerator, a.denominator
+    return Fraction(sum(math.comb(n, j) * b[j] * p ** (n - j) * d ** j
+                        for j in range(n + 1)), den * d ** n)
+
+
+def _fraction_readout(sf: StructureFunction) -> tuple:
+    """The classical read-out one Fraction at a time: B_n(a) of every shift
+    a, each over sigma^m, and each linear factor's series e t^m in Gaussian
+    rationals.  The oracle for _classical_readout's integer power sums."""
+    n = sf.normalize()
+    groups: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    for (sa, sb, sq, an, ad), e in n.gammas.items():
+        if sa or not sb:
+            raise NonConvergent(f"Gamma scale {GR(Fraction(sa, sq), Fraction(sb, sq))!r}"
+                                " is not imaginary: no braid limit on Im w > 0")
+        groups.setdefault(Fraction(sq, sb), []).append((Fraction(an, ad), e))
+    const = n.const
+    p_plus = p_minus = Fraction(0)
+    for sigma, group in groups.items():
+        if sum(e for _, e in group):
+            raise NonConvergent(f"Gamma factors of scale 1/({sigma}*i) do not "
+                                "balance: the factor grows like z^z")
+        p = sum(e * a for a, e in group)
+        const = const.times_base(GR(abs(sigma)), -1, p)
+        if sigma > 0:
+            p_plus += p
+        else:
+            p_minus += p
+    linears = [(e, -GR(0, 1) * GR(Fraction(a, q), Fraction(b, q)))
+               for (a, b, q), e in n.linears.items()]
+    for e, _ in linears:
+        p_plus += e
+        const = const.times_base(GR(0, 1), 0, e)
+    if p_plus + p_minus:
+        raise NonConvergent(f"the limit grows like w^{p_plus + p_minus}")
+    if const.hb:
+        raise NonConvergent(f"the limit carries hbar^{const.hbar_pow}")
+    if const.pe:
+        raise NonConvergent(f"the limit constant {const!r} is not a rational "
+                            "phase of modulus 1")
+    corrections = []
+    powers = [GR(1)] * len(linears)
+    for m in range(1, algebra.LIMIT_N_MAX):
+        g = sum((e * _fraction_bernoulli_poly(m + 1, a) / sigma ** m
+                 for sigma, group in groups.items() for a, e in group),
+                Fraction(0)) / (m + 1)
+        powers = [p * t for p, (_, t) in zip(powers, linears)]
+        coeff = sum((e * p for p, (e, _) in zip(powers, linears)), GR(g))
+        corrections.append(coeff * Fraction((-1) ** (m + 1), m))
+    reach = [float(abs(s)) for s in groups] + [
+        1 / abs(complex(t)) for _, t in linears if t] + [1.0]
+    return p_plus, Fraction(const.ph, 2 * const.den), corrections, min(reach) / 8
+
+
+@pytest.mark.parametrize("k", ["1", "3/2", "2", "5/2", "3", "7/2", "4", "5/12",
+                               "2/7", "13/16"])
+def test_readout_of_each_shipped_shape_factor_is_the_fraction_readout(k):
+    _, cat, rels, _ = bind_shipped(Fraction(k))
+    pairs = [r.pair for r in rels.values() if r.kind == "shape"]
+    assert len(pairs) == 3
+    for a, b in pairs:
+        sf = cat.pair_exchange(cat[a], cat[b], rotate="global")[0]
+        got = _classical_readout(sf)
+        assert got == _fraction_readout(sf)
+        assert type(got[0]) is Fraction and type(got[1]) is Fraction
+        assert all(type(c) is GR for c in got[2])
+
+
+def _seeded_scale_groups(rng: random.Random):
+    """A factor with a braid limit: 1-3 imaginary scales i/sigma, sigma =
+    +-q/b, each a balanced set of Gamma(sigma X + p/d)^e with |p| <= 30,
+    d <= 17 and e in +-1..3; 0-2 linear factors; a closing ratio
+    Gamma(sigma X + c)/Gamma(sigma X) on the first scale, c in [0, 1), and
+    (iw)^N, which bring the power of w to 0; and the constant that cancels
+    every prime and hbar power of the limit, times a random phase."""
+    exps = [-3, -2, -1, 1, 2, 3]
+    gammas, linears = {}, {}
+    sigmas = list(dict.fromkeys(
+        Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        for _ in range(rng.randint(1, 3))))
+    powers = {}
+    for sigma in sigmas:
+        factors = [(Fraction(rng.randint(-30, 30), rng.randint(1, 17)), rng.choice(exps))
+                   for _ in range(rng.randint(1, 3))]
+        rest = -sum(e for _, e in factors)
+        while rest:
+            e = max(-3, min(3, rest))
+            factors.append((Fraction(rng.randint(-30, 30), rng.randint(1, 17)), e))
+            rest -= e
+        for a, e in factors:
+            merge(gammas, gamma_key(GR(0, 1 / sigma), a), e)
+        powers[sigma] = sum(e * a for a, e in factors)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        rho = GR(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                 Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        merge(linears, linear_key(rho), rng.choice(exps))
+    total = sum(powers.values()) + sum(linears.values())
+    c = -total % 1
+    first = GR(0, 1 / sigmas[0])
+    merge(gammas, gamma_key(first, c), 1)
+    merge(gammas, gamma_key(first, Fraction(0)), -1)
+    merge(linears, linear_key(GR(0)), -int(total + c))
+    powers[sigmas[0]] += c
+    const = ExactConst.one()
+    for sigma, p in powers.items():
+        const = const.times_base(GR(abs(sigma)), -1, -p)
+    const = const.times_base(GR(0, 1), 0, Fraction(rng.randint(-12, 12),
+                                                    rng.randint(1, 7)))
+    return StructureFunction(gammas, linears, const)
+
+
+def test_readout_of_seeded_scale_groups_is_the_fraction_readout():
+    rng = random.Random(4501)
+    for _ in range(3000):
+        sf = _seeded_scale_groups(rng)
+        want = _fraction_readout(sf)
+        assert _classical_readout(sf) == want
 
 
 def test_catalog_contraction_pair_count():

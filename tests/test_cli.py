@@ -695,6 +695,52 @@ def test_residue_targets_are_primitive_currents(tmp_path, capsys, target, extra)
     assert err == f"error: {message}\n"
 
 
+def test_a_repeated_commutator_delta_exits_two(tmp_path, capsys):
+    text = shipped_text()
+    src = tmp_path / "twice.alg"
+    src.write_text(text + text[text.index("commutator_delta E F"):])
+    assert cli.run(["verify", str(src), "--k", "3", "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    message = "commutator_delta E F declared twice"
+    assert json.loads(out)["error"] == {"kind": "DuplicateName",
+                                        "message": message}
+    assert err == f"error: {message}\n"
+
+
+def test_a_shape_pair_has_one_limit_row(tmp_path):
+    # a second shape relation on psi, psi is a row of its own; the pair's
+    # classical limit is one row, as in the shipped file
+    src = tmp_path / "again.alg"
+    src.write_text(shipped_text()
+                   + "relation psi_psi_again : shape psi(u) psi(v);\n")
+    rows = {}
+    for name, argv in (("shipped", []), ("again", [str(src)])):
+        for command in ("report", "limit"):
+            dest = tmp_path / f"{name}_{command}.json"
+            assert cli.run([command, *argv, "--k", "3", "--json", str(dest)]) == 0
+            rows[name, command] = json.loads(dest.read_text())["relations"]
+    ids = [r["id"] for r in rows["again", "report"]]
+    assert len(ids) == len(set(ids)) == 30
+    assert "psi_psi_again" in ids
+    for command in ("report", "limit"):
+        limits = [r for r in rows["again", command] if r["kind"] == "classical-limit"]
+        assert [r["id"] for r in limits] == [
+            "limit[psi,psi;ab=1]", "limit[psi,psi_dag;ab=-1]",
+            "limit[psi_dag,psi_dag;ab=1]"]
+        assert limits == [r for r in rows["shipped", command]
+                          if r["kind"] == "classical-limit"]
+
+
+def test_shape_pairs_are_each_ordered_pair_once_in_declaration_order():
+    def shape(pair):
+        return algebra.Relation("_".join(pair), "shape", pair, None)
+
+    rels = [shape(("psi_dag", "psi")), shape(("psi", "psi")),
+            shape(("psi_dag", "psi")), shape(("psi", "psi_dag"))]
+    assert cli._shape_pairs(rels) == [("psi_dag", "psi"), ("psi", "psi"),
+                                      ("psi", "psi_dag")]
+
+
 @pytest.mark.parametrize("missing", [False, True])
 def test_unwritable_json_path_exits_two(tmp_path, capsys, missing):
     # a directory, or a file in a directory that does not exist: the error

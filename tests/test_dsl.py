@@ -369,6 +369,50 @@ def test_gamma_scale_vanishing_at_the_bound_level():
     assert rels[0].target.gammas == {(1, 0, 1, 1, 1): -1}
 
 
+@pytest.mark.parametrize("left, right, named", [
+    ("(k - 2)", "(2*k - 4)", r"scalar factor \(-2 \+ 1\*k\)"),
+    ("Gamma(x@(k-2) + 1)", "(2*k - 4)", r"Gamma scale \(-2 \+ 1\*k\)"),
+    ("(k - 2)", "Gamma(x@(2*k-4) + 1)", r"scalar factor \(-2 \+ 1\*k\)"),
+])
+def test_the_left_side_is_bound_first(left, right, named):
+    # both sides vanish at k = 2; the relation binds in one pass over the
+    # left side and then the right, so the left side's factor is named
+    df = parse_definitions(
+        _KAX + f"relation r : {left} * X(u) X(v) == {right} * X(v) X(u);\n")
+    with pytest.raises(ExcludedLevel, match=f"^relation 'r': {named} vanishes at k=2$"):
+        df.bind()
+
+
+def test_a_repeated_commutator_delta_is_refused():
+    text = shipped_text()
+    block = text[text.index("commutator_delta E F"):]
+    assert block.endswith("}\n") and block.count("commutator_delta") == 1
+    with pytest.raises(DuplicateName, match="^commutator_delta E F declared twice$"):
+        parse_definitions(text + block)
+    # the reversed pair is another declaration
+    df = parse_definitions(text + block.replace("commutator_delta E F",
+                                                "commutator_delta F E"))
+    assert [(c.name_a, c.name_b) for c in df.commutators] == [("E", "F"), ("F", "E")]
+
+
+def test_parsing_the_shipped_file_hashes_no_fraction(monkeypatch):
+    # constants fold under the identity of their operands and KRats intern
+    # by integer coefficients, so no Fraction is hashed
+    text = shipped_text()
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert {Fraction(1, 3): 0} and len(calls) == 1
+    calls.clear()
+    parse_definitions(text)
+    assert calls == []
+
+
 def _diagnosed(text, at):
     """(found, line, col) of the ParseError raised at token `at` of `text`."""
     parser = dsl._Parser(text)
@@ -538,7 +582,8 @@ def _factor_product(factors, k):
 @pytest.mark.parametrize("k", [Fraction(2), Fraction(5, 2), Fraction(2, 9)])
 def test_bound_sides_equal_the_factor_products(k):
     # same factor multisets, same exact constant: every value and residual
-    # is that of the product chain
+    # is that of the product chain.  A relation binds both sides in one
+    # pass; each side alone is bound as the right side of an empty left
     text = shipped_text() + (
         "relation extra : 3 * (w + 2*hbar)^-2 * (iw - k*hbar)^3"
         " * Gamma(x@2 + 1)^2 * Gamma(-x@k + 1/2) * Gamma(x@2 + 1)^-2"
@@ -548,11 +593,16 @@ def test_bound_sides_equal_the_factor_products(k):
     _, _, rels, _, _ = df.bind(k, [Fraction(1)])
     assert len(rels) == len(df.relations)
     at = dsl._binder(k)
+
+    def bound(rd, factors):
+        one_side = dsl.RelationDecl(rd.name, rd.kind, rd.pair, [], factors)
+        return dsl._bind_relation(one_side, at, k).target
+
     for rd, rel in zip(df.relations, rels):
         left, right = (_factor_product(f, k)
                        for f in (rd.left_factors, rd.right_factors))
-        for got, want in ((dsl._bind_side(rd.name, rd.left_factors, at, k), left),
-                          (dsl._bind_side(rd.name, rd.right_factors, at, k), right),
+        for got, want in ((bound(rd, rd.left_factors), left),
+                          (bound(rd, rd.right_factors), right),
                           (rel.target, right * left.inverse())):
             assert got.gammas == want.gammas
             assert got.linears == want.linears
