@@ -107,14 +107,11 @@ class Catalog:
         key = (fam, f.positive_branch, g.negative_branch)
         hit = self._products.get(key)
         if hit is None:
-            sf = StructureFunction.one()
-            a = Fraction(0)
-            for tf in f.positive_branch:
-                for tg in g.negative_branch:
-                    s, ai = self._single_pair_closed(fam, tf, tg)
-                    sf = sf * s
-                    a += ai
-            hit = self._products[key] = (sf, a)
+            pairs = [self._single_pair_closed(fam, tf, tg)
+                     for tf in f.positive_branch for tg in g.negative_branch]
+            hit = self._products[key] = (
+                StructureFunction.product([s for s, _ in pairs]),
+                sum((a for _, a in pairs), Fraction(0)))
         return hit
 
     def _exchange_ratio(self, fam: str, fa: ModeFunction, fb: ModeFunction
@@ -131,7 +128,7 @@ class Catalog:
             if a_f != a_r:
                 raise DivergenceMismatch(
                     f"family {fam}: 1/t coefficients {a_f} vs {a_r}")
-            ratio = self._ratios[key] = s_f * s_r.negate_w().inverse()
+            ratio = self._ratios[key] = StructureFunction.exchange(s_f, s_r)
         return ratio
 
     def shared_families(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm):
@@ -153,19 +150,18 @@ class Catalog:
         out = []
         for ta in a.terms:
             for tb in b.terms:
-                total = StructureFunction.one()
-                for fam, fa, fb in self.shared_families(ta, tb):
-                    total = total * self._exchange_ratio(fam, fa, fb)
+                total = StructureFunction.product(
+                    [self._exchange_ratio(fam, fa, fb)
+                     for fam, fa, fb in self.shared_families(ta, tb)])
                 out.append(total.wick_rotate() if rotate == "global" else total)
         return out
 
     def forward_structure(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm
                           ) -> StructureFunction:
         """Product over families of exp<A_term(u) B_term(v)> closed forms."""
-        sf = StructureFunction.one()
-        for fam, fa, fb in self.shared_families(ta, tb):
-            sf = sf * self.closed_contraction(fam, fa, fb)[0]
-        return sf
+        return StructureFunction.product(
+            [self.closed_contraction(fam, fa, fb)[0]
+             for fam, fa, fb in self.shared_families(ta, tb)])
 
 
 # ---------------------------------------------------------------------------

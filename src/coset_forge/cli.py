@@ -494,6 +494,19 @@ def _payload(params, hbars, reports) -> dict:
     }
 
 
+class _Once(argparse.Action):
+    """Store an option's value, as argparse's default action does, and note
+    the option in the namespace's `repeated` list when it was given before:
+    run() refuses a repeat rather than let the last value win."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given", set())
+        if self.dest in given:
+            vars(namespace).setdefault("repeated", []).append(self.option_strings[0])
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -510,10 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("file", nargs="?", default=None,
                        help="definition file (.alg); defaults to the shipped catalog")
-        p.add_argument("--k", default=None, help="override the level (rational)")
-        p.add_argument("--hbar", default=None, help=hbar_help)
+        p.add_argument("--k", default=None, action=_Once,
+                       help="override the level (rational)")
+        p.add_argument("--hbar", default=None, action=_Once, help=hbar_help)
         if writes_json:
-            p.add_argument("--json", default=None, metavar="PATH")
+            p.add_argument("--json", default=None, action=_Once, metavar="PATH")
         return p
 
     session("catalog", cmd_catalog, "print the bound current catalog",
@@ -523,10 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
                 hbar_help="override the hbar value, a single rational")
     # a tuple metavar breaks argparse's usage message for a missing pair
     p.add_argument("currents", nargs=2, metavar="CURRENT")
-    p.add_argument("--at", default=None, metavar="RE,IM")
+    p.add_argument("--at", default=None, action=_Once, metavar="RE,IM")
 
     p = session("verify", cmd_verify, "verify declared relations")
-    p.add_argument("--relation", default=None,
+    p.add_argument("--relation", default=None, action=_Once,
                    help="verify a single relation; by default every one")
 
     session("poles", cmd_poles, "ordering-difference pole/residue analysis")
@@ -534,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = session("limit", cmd_limit, "exact classical limits of the shape pairs",
                 hbar_help="the hbar -> 0 sequence, at least 3 strictly "
                           "decreasing rationals")
-    p.add_argument("--pair", default=None, metavar="A,B")
+    p.add_argument("--pair", default=None, action=_Once, metavar="A,B")
 
     session("report", cmd_report, "full verification run as JSON").set_defaults(json="-")
     return ap
@@ -543,6 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        repeated = getattr(args, "repeated", None)
+        if repeated:
+            if "--json" in repeated:    # neither path is the report's
+                args.json = None
+            raise InvalidOption(f"{repeated[0]} given more than once")
         return args.fn(args)
     except ParseError as exc:
         _fail(args, "parse", exc)

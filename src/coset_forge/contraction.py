@@ -48,7 +48,8 @@ from .errors import (DivergenceMismatch, IllPosedContraction, MissingDependency,
                      NonFiniteValue, NonTelescoping, OutsideConvergenceStrip,
                      QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _divisors,
-                    _over_binomial, _phi_binomials, _raw, as_fraction, merge)
+                    _over_binomial, _phi_binomials, _raw, _unit_factors,
+                    as_fraction, merge)
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     times_binomial)
 from .specfun import log_gamma
@@ -105,6 +106,15 @@ class StructureFunction:
         self._normal: StructureFunction | None = None
         self._bound: tuple | None = None
 
+    @staticmethod
+    def _made(gammas: dict, linears: dict, const: ExactConst) -> "StructureFunction":
+        """The function with these factors, keeping the dicts it is given:
+        for dicts just built, which no one else holds."""
+        sf = object.__new__(StructureFunction)
+        sf.gammas, sf.linears, sf.const = gammas, linears, const
+        sf._normal = sf._bound = None
+        return sf
+
     # -- constructors -----------------------------------------------------
     @staticmethod
     def one() -> "StructureFunction":
@@ -119,6 +129,41 @@ class StructureFunction:
         return StructureFunction(gammas={gamma_key(GR.of(scale), as_fraction(shift)):
                                          exponent})
 
+    @staticmethod
+    def product(factors) -> "StructureFunction":
+        """The product of `factors` in one pass, merged in their order: the
+        factor itself when there is one, 1 when there is none."""
+        if len(factors) == 1:
+            return factors[0]
+        g: dict[tuple[int, int, int, int, int], int] = {}
+        l: dict[tuple[int, int, int], int] = {}
+        const = ExactConst.one()
+        for sf in factors:
+            for key, e in sf.gammas.items():
+                merge(g, key, e)
+            for key, e in sf.linears.items():
+                merge(l, key, e)
+            const = const.times(sf.const)
+        return StructureFunction._made(g, l, const)
+
+    @staticmethod
+    def exchange(s_f: "StructureFunction", s_r: "StructureFunction"
+                 ) -> "StructureFunction":
+        """S_f(w) / S_r(-w) in one pass, the exchange factor of the two
+        orderings' closed forms: S_f's factors, then S_r's with w and the
+        exponent negated; (i(-w) + rho*hbar) = -(iw - rho*hbar) gives S_r's
+        constant a sign for an odd total linear exponent."""
+        g = dict(s_f.gammas)
+        for (a, b, q, n, d), e in s_r.gammas.items():
+            merge(g, (-a, -b, q, n, d), -e)
+        l = dict(s_f.linears)
+        for (a, b, q), e in s_r.linears.items():
+            merge(l, (-a, -b, q), -e)
+        c = s_r.const
+        if sum(s_r.linears.values()) % 2:
+            c = c.times_base(_MINUS_ONE, 0, 1)
+        return StructureFunction._made(g, l, s_f.const.times(c.inverse()))
+
     # -- algebra -----------------------------------------------------------
     def __mul__(self, other: "StructureFunction") -> "StructureFunction":
         g = dict(self.gammas)
@@ -127,12 +172,12 @@ class StructureFunction:
         l = dict(self.linears)
         for key, e in other.linears.items():
             merge(l, key, e)
-        return StructureFunction(g, l, self.const.times(other.const))
+        return StructureFunction._made(g, l, self.const.times(other.const))
 
     def inverse(self) -> "StructureFunction":
-        return StructureFunction({k: -e for k, e in self.gammas.items()},
-                                 {k: -e for k, e in self.linears.items()},
-                                 self.const.inverse())
+        return StructureFunction._made({k: -e for k, e in self.gammas.items()},
+                                       {k: -e for k, e in self.linears.items()},
+                                       self.const.inverse())
 
     def negate_w(self) -> "StructureFunction":
         """Re-express the same function with w replaced by -w."""
@@ -148,7 +193,7 @@ class StructureFunction:
             l[key] = l.get(key, 0) + e
             odd += e % 2
         c = self.const.times_base(_MINUS_ONE, 0, 1) if odd % 2 else self.const
-        return StructureFunction(g, l, c)
+        return StructureFunction._made(g, l, c)
 
     def wick_rotate(self) -> "StructureFunction":
         """Substitute hbar -> -i hbar."""
@@ -160,7 +205,7 @@ class StructureFunction:
         for (a, b, q), e in self.linears.items():
             key = (b, -a, q)
             l[key] = l.get(key, 0) + e
-        return StructureFunction(g, l, self.const.wick_rotate())
+        return StructureFunction._made(g, l, self.const.wick_rotate())
 
     # -- canonical form ----------------------------------------------------
     def normalize(self) -> "StructureFunction":
@@ -169,25 +214,37 @@ class StructureFunction:
         Within each (scale, shift mod 1) class the factor is reduced to the
         representative shift in [0,1); an integer offset n is emitted as one
         linear factor (iw + q*scale*hbar) per unit step and the exact
-        constant (scale*hbar)^{-n}, multiplied in once per Gamma factor.
+        constant (scale*hbar)^{-n}, multiplied in once per scale with the
+        summed power.  A scale the constant cannot hold (not i^j times a
+        positive rational) raises ValueError once it has an integer offset.
         """
         if self._normal is not None:
             return self._normal
         gammas: dict[tuple[int, int, int, int, int], int] = {}
         linears = dict(self.linears)
-        const = self.const
+        # per scale with an integer offset: the summed power n*e
+        powers: dict[tuple[int, int, int], int] = {}
         for (sa, sb, sq, an, d), e in self.gammas.items():
             # shift an/d = n + rn/d with rn/d in [0, 1), still in lowest terms
             n, rn = divmod(an, d)
             merge(gammas, (sa, sb, sq, rn, d), e)
+            if not n * e:   # no step, and no power of the scale to check
+                continue
             sign = 1 if n > 0 else -1
             for j in (range(0, n) if n > 0 else range(n, 0)):
                 # rho = s * (rn + j*d)/d, in lowest terms
                 x = rn + j * d
                 g = math.gcd(sa * x, sb * x, sq * d)
                 merge(linears, (sa * x // g, sb * x // g, sq * d // g), sign * e)
-            const = const.times_base(_raw(sa, sb, sq), 1, -n * e)
-        self._normal = StructureFunction(
+            scale = (sa, sb, sq)
+            powers[scale] = powers.get(scale, 0) + n * e
+        const = self.const
+        for scale, p in powers.items():
+            if p:
+                const = const.times_base(_raw(*scale), 1, -p)
+            else:
+                _unit_factors(*scale)   # refuses the scale as times_base would
+        self._normal = StructureFunction._made(
             gammas, {k: v for k, v in linears.items() if v}, const)
         return self._normal
 
@@ -726,7 +783,7 @@ def _integrated(terms: list[tuple[int, int]], div: int, L: int, M: int,
         for x, c in terms:
             g = math.gcd(x, L)
             linears[-x // g, 0, L // g] = -_as_int(c, div, "Frullani family coefficient")
-        return StructureFunction(linears=linears)
+        return StructureFunction._made({}, linears, ExactConst.one())
     g = math.gcd(M, L)
     sa, sq = M // g, L // g
     gammas: dict[tuple[int, int, int, int, int], int] = {}
@@ -743,7 +800,8 @@ def _integrated(terms: list[tuple[int, int]], div: int, L: int, M: int,
     s1 = Fraction(s1n, M)
     if -s1 != limit:
         raise IllPosedContraction(f"divergence bookkeeping mismatch: {-s1} vs {limit}")
-    return StructureFunction(gammas, const=ExactConst.one().times_base(_raw(sa, 0, sq), 1, s1))
+    return StructureFunction._made(
+        gammas, {}, ExactConst.one().times_base(_raw(sa, 0, sq), 1, s1))
 
 
 def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
@@ -839,4 +897,4 @@ def exchange_factor(f: ModeFunction, g: ModeFunction, K: Kernel,
     s_r = closed_form(rev, params)
     # returned unreduced: the raw Gamma multiset is meaningful on its own
     # (golden-factor comparisons); callers normalize when cancelling.
-    return s_f * s_r.negate_w().inverse()
+    return StructureFunction.exchange(s_f, s_r)

@@ -21,10 +21,10 @@ import re
 from fractions import Fraction
 
 from .algebra import Catalog, Current, NormalOrderedTerm, Relation
-from .contraction import StructureFunction, gamma_key, linear_key
+from .contraction import StructureFunction
 from .errors import (DuplicateName, ExcludedLevel, InvalidOption, ParseError,
                      UndeclaredName)
-from .exact import GR, GR_I, ExactConst, KRat, merge
+from .exact import ExactConst, KRat, _raw, merge
 from .modes import AlgebraParams, ExpTrigTerm, Kernel, ModeFunction, shift_argument
 
 __all__ = ["parse_definitions", "DefinitionFile"]
@@ -97,7 +97,7 @@ _ARITH = {"+": operator.add, "-": operator.sub,
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
-_MINUS_I = GR(_ZERO, Fraction(-1))
+_MINUS_I = _raw(0, -1, 1)
 _K = KRat.k()   # shared: KRat arithmetic never changes its operands
 
 
@@ -319,15 +319,17 @@ def _bind_composite(cd: CurrentDecl, cat: Catalog, at) -> Current:
 
 def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
     """The bound relation, its target the right side over the left side, in
-    one pass: each Gamma or linear factor is merged into one multiset, the
-    left side's with negated exponents; the scalars, and (-i)^n from each
-    (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n, multiply one constant.  A
-    scalar or a Gamma scale that vanishes at k excludes the level, the left
-    side's first."""
+    one pass: each Gamma or linear factor is merged into one multiset under
+    the key its bound values' numerators and denominators make, the left
+    side's with negated exponents; the scalars multiply one constant, and
+    (-i)^n from each (w + a*hbar)^n = ((iw + i*a*hbar) * -i)^n joins it once,
+    as (-i) to the summed n.  A scalar or a Gamma scale that vanishes at k
+    excludes the level, the left side's first."""
     rel = rd.name
     gammas: dict[tuple[int, int, int, int, int], int] = {}
     linears: dict[tuple[int, int, int], int] = {}
     const = ExactConst.one()
+    w_power = 0
     for sign, factors in ((-1, rd.left_factors), (1, rd.right_factors)):
         for f in factors:
             e = sign * f.exponent
@@ -336,25 +338,26 @@ def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
                 if not v:
                     raise ExcludedLevel(f"relation {rel!r}: scalar factor "
                                         f"({f.scalar!r}) vanishes at k={k}")
-                const = const.times_base(GR(v), 0, sign)
-                continue
-            if f.kind == "gamma":
+                const = const.times_base(_raw(v.numerator, 0, v.denominator), 0, sign)
+            elif f.kind == "gamma":
                 scale = at(f.scale)
                 if not scale:
                     raise ExcludedLevel(f"relation {rel!r}: Gamma scale "
                                         f"({f.scale!r}) vanishes at k={k}")
-                exps = gammas
-                key = gamma_key(GR(scale * f.scale_sign), at(f.shift))
+                shift = at(f.shift)
+                merge(gammas, (scale.numerator * f.scale_sign, 0, scale.denominator,
+                               shift.numerator, shift.denominator), e)
             else:
-                exps = linears
-                rho = GR(at(f.offset) if f.offset is not None else _ZERO)
-                if f.kind == "w":
-                    rho = GR_I * rho
-                    const = const.times_base(_MINUS_I, 0, e)
-                key = linear_key(rho)
-            merge(exps, key, e)
+                rho = at(f.offset) if f.offset is not None else _ZERO
+                if f.kind == "w":    # iw + i*rho*hbar
+                    w_power += e
+                    key = (0, rho.numerator, rho.denominator)
+                else:
+                    key = (rho.numerator, 0, rho.denominator)
+                merge(linears, key, e)
+    const = const.times_base(_MINUS_I, 0, w_power)
     return Relation(rel, rd.kind, rd.pair,
-                    StructureFunction(gammas, linears, const), rd.rotate)
+                    StructureFunction._made(gammas, linears, const), rd.rotate)
 
 
 # ---------------------------------------------------------------------------

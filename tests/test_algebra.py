@@ -540,6 +540,37 @@ def test_pair_exchange_is_the_per_family_product(k):
         cat.pair_exchange(cat["E"], cat["F"], rotate="bogus")
 
 
+@pytest.mark.parametrize("k", ["5/2", "5/12", "2/7", "13/16"])
+def test_one_pass_ratios_and_products_are_the_operator_chains(k):
+    # every family of every term pair of every ordered pair of shipped
+    # currents: closed_contraction's product is the chain of products of
+    # its pair closed forms, and the exchange ratio is S_f * S_r(-w)^-1
+    # built by negate_w, inverse and a product
+    cat = catalog(Fraction(k))
+    checked = 0
+    for ca in cat.currents.values():
+        for cb in cat.currents.values():
+            for ta in ca.terms:
+                for tb in cb.terms:
+                    for fam, fa, fb in cat.shared_families(ta, tb):
+                        s_f = cat.closed_contraction(fam, fa, fb)[0]
+                        s_r = cat.closed_contraction(fam, fb, fa)[0]
+                        chain = StructureFunction.one()
+                        for tf in fa.positive_branch:
+                            for tg in fb.negative_branch:
+                                chain = chain * cat._single_pair_closed(fam, tf, tg)[0]
+                        pairs = [(s_f, chain),
+                                 (cat._exchange_ratio(fam, fa, fb),
+                                  s_f * s_r.negate_w().inverse())]
+                        for got, want in pairs:
+                            assert got.gammas == want.gammas, (k, fam)
+                            assert got.linears == want.linears, (k, fam)
+                            assert got.const == want.const, (k, fam)
+                            assert got.describe() == want.describe(), (k, fam)
+                        checked += 1
+    assert checked > 100
+
+
 def test_bilinearity_consistency():
     # verifying the composite relation gives the same verdict as checking the
     # shared factor on each term pair separately
@@ -803,10 +834,10 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
         finally:
             inside.pop()
 
-    def negate_w(f, sf):
-        # a ratio is S_f * S_r(-w)^-1: one negate_w per derived ratio
+    def exchange(f, s_f, s_r):
+        # a ratio S_f(w) / S_r(-w) is derived by one StructureFunction.exchange
         counts["ratios"] += bool(inside)
-        return f(sf)
+        return f(s_f, s_r)
 
     def pair_closed_form(f, tf, tg, K):
         pairs.append((K, tf, tg))
@@ -820,7 +851,8 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
 
     counting(Catalog, "closed_contraction", closed_contraction)
     counting(Catalog, "pair_exchange", pair_exchange)
-    counting(StructureFunction, "negate_w", negate_w)
+    monkeypatch.setattr(StructureFunction, "exchange", staticmethod(
+        lambda s_f, s_r, f=StructureFunction.exchange: exchange(f, s_f, s_r)))
     counting(algebra, "pair_closed_form", pair_closed_form)
     counting(algebra, "contract", laurent_route("contract"))
     counting(contraction, "closed_form", laurent_route("closed_form"))

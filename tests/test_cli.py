@@ -1023,3 +1023,57 @@ def test_parser_for_the_invoked_command_parses_as_the_full_one(argv, built):
     assert args == vars(cli.build_parser.__wrapped__().parse_args(argv))
     assert args["command"] == built[0]
     assert all(name in argv for name in built)
+
+
+# two values for each option; every option of every subcommand is refused
+# when it is given twice, rather than keeping its last value
+_TWICE = {"--k": ("2", "5/12"), "--hbar": ("1", "1/2"),
+          "--relation": ("E_E", "F_F"), "--pair": ("psi,psi", "E,E"),
+          "--at": ("0,-5", "1,-5")}
+_LEAD = {"contract": ["Lambda_plus", "Lambda_minus"]}
+
+
+def _options():
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return [(name, a.option_strings[0]) for name, parser in sub.choices.items()
+            for a in parser._actions if a.option_strings and a.dest != "help"]
+
+
+def test_every_option_has_a_repeat_case():
+    options = _options()
+    assert {opt for _, opt in options} == set(_TWICE) | {"--json"}
+    assert len(options) == 20
+
+
+@pytest.mark.parametrize("command, option",
+                         [c for c in _options() if c[1] != "--json"])
+def test_a_repeated_option_exits_two(command, option, capsys):
+    first, second = _TWICE[option]
+    argv = [command, *_LEAD.get(command, []), option, first, option, second]
+    message = f"{option} given more than once"
+    writes_json = (command, "--json") in _options()
+    assert cli.run(argv + (["--json", "-"] if writes_json else [])) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    if writes_json:
+        assert json.loads(out)["error"] == {"kind": "InvalidOption", "message": message}
+    else:
+        assert out == ""
+    assert "PASS" not in out + err
+
+
+@pytest.mark.parametrize("command", sorted({c for c, o in _options() if o == "--json"}))
+def test_a_repeated_json_writes_to_neither_path(command, tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = [command, *_LEAD.get(command, []), "--json", str(a), "--json", str(b)]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --json given more than once\n")
+    assert list(tmp_path.iterdir()) == []
+    # the refusal names the first repeated option; the error object goes
+    # to the one --json given
+    assert cli.run(["verify", "--json", "-", "--hbar", "1", "--k", "2", "--hbar", "2",
+                    "--k", "3"]) == 2
+    out, _ = capsys.readouterr()
+    assert json.loads(out)["error"]["message"] == "--hbar given more than once"

@@ -3,6 +3,7 @@
 import cmath
 import importlib.resources
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -418,7 +419,8 @@ def test_normalize_shifts_negative_whole_and_across_zero():
 
 def test_normalize_steps_each_constant_once(monkeypatch):
     # Gamma(x + n) = Gamma(x) prod (x + j): |n| linear factors, but the
-    # constant (scale*hbar)^-n is one multiplication per Gamma key
+    # constant (scale*hbar)^-n is one multiplication per scale, by the
+    # summed power, and none for a scale whose powers sum to zero
     calls = []
     times_base = ExactConst.times_base
 
@@ -430,11 +432,106 @@ def test_normalize_steps_each_constant_once(monkeypatch):
     sf = (StructureFunction.from_gamma(2, Fraction(-7, 3), 1)
           * StructureFunction.from_gamma(GR(0, 1), Fraction(7, 2), -2)
           * StructureFunction.from_gamma(3, HALF, 1)
-          * StructureFunction.from_gamma(Fraction(1, 3), 1, 4))
+          * StructureFunction.from_gamma(Fraction(1, 3), 1, 4)
+          * StructureFunction.from_gamma(2, Fraction(2, 3), -1)
+          * StructureFunction.from_gamma(GR(0, 1), Fraction(-1, 2), 2)
+          * StructureFunction.from_gamma(5, Fraction(7, 5), 1)
+          * StructureFunction.from_gamma(5, Fraction(-3, 5), 1))
     n = sf.normalize()
-    # the key with no integer part multiplies by the constant to the power 0
-    assert sorted(calls) == [-4, 0, 3, 6]
-    assert sum(abs(e) for e in n.linears.values()) == 3 + 3 * 2 + 1 * 4
+    # scale 2: -3*1 + 0; scale i: 3*-2 + -1*2; scale 3: none; scale 1/3:
+    # 1*4; scale 5: 1*1 + -1*1, which sums to zero
+    assert sorted(calls) == [-4, 3, 8]
+    assert sum(abs(e) for e in n.linears.values()) == 3 + 3 * 2 + 1 * 2 + 1 * 4 + 1 + 1
+
+
+def _per_factor_normalize(sf):
+    """normalize as it was when the constant (scale*hbar)^-n was multiplied
+    in once per Gamma factor: (gammas, linears, const)."""
+    gammas, linears, const = {}, dict(sf.linears), sf.const
+    for (sa, sb, sq, an, d), e in sf.gammas.items():
+        n, rn = divmod(an, d)
+        merge(gammas, (sa, sb, sq, rn, d), e)
+        sign = 1 if n > 0 else -1
+        for j in (range(0, n) if n > 0 else range(n, 0)):
+            x = rn + j * d
+            g = math.gcd(sa * x, sb * x, sq * d)
+            merge(linears, (sa * x // g, sb * x // g, sq * d // g), sign * e)
+        const = const.times_base(GR(Fraction(sa, sq), Fraction(sb, sq)), 1, -n * e)
+    return gammas, {k: v for k, v in linears.items() if v}, const
+
+
+def test_normalize_equals_the_per_factor_constant():
+    # seeded multisets over a few scales each, so scales repeat: real and
+    # imaginary ones, and now and then one off both axes, which the
+    # constant cannot hold; shifts with integer parts -6..6 and exponents
+    # +-1..3.  The constant taken once per scale is the per-factor one, and
+    # a ValueError comes exactly where the per-factor constant raises one,
+    # a scale whose powers sum to zero included
+    rng = random.Random(4601)
+    axis = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    raised = cancelled = 0
+    for _ in range(2500):
+        pool = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.15:
+                a, b = rng.choice([(1, 1), (2, -1), (-3, 2), (1, -1)])
+            else:
+                u, v = rng.choice(axis)
+                p = rng.randint(1, 5)
+                a, b = u * p, v * p
+            q = rng.randint(1, 4)
+            g = math.gcd(a, b, q)
+            pool.append((a // g, b // g, q // g))
+        gammas = {}
+        for _ in range(rng.randint(1, 6)):
+            d = rng.randint(1, 5)
+            shift = Fraction(rng.randint(-6, 6) * d + rng.randint(0, d - 1), d)
+            e = rng.choice([-3, -2, -1, 1, 2, 3])
+            key = (*rng.choice(pool), shift.numerator, shift.denominator)
+            gammas[key] = gammas.get(key, 0) + e
+            if rng.random() < 0.2:
+                # the same scale again, its power n*e cancelled
+                n = math.floor(shift)
+                if n:
+                    back = (shift - n) - n
+                    key = (*key[:3], back.numerator, back.denominator)
+                    gammas[key] = gammas.get(key, 0) + e
+                    cancelled += 1
+        sf = StructureFunction(gammas, {(1, 0, 2): 1},
+                               ExactConst.one().times_base(GR(3), 1, Fraction(1, 2)))
+        try:
+            want = _per_factor_normalize(sf)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError):
+                sf.normalize()
+            continue
+        got = sf.normalize()
+        assert (got.gammas, got.linears, got.const) == want
+    assert raised > 50 and cancelled > 50
+
+
+def test_results_share_no_dict_with_their_operands():
+    g = {(0, 1, 2, 7, 3): 2, (2, 0, 1, -5, 2): -1}
+    l = {(1, 0, 2): 1, (0, -1, 1): -2}
+    c = ExactConst.one().times_base(GR(2), 1, 1)
+    sf = StructureFunction(g, l, c)
+    # the public constructor copies: changing the dicts passed in leaves it
+    g[5, 0, 1, 0, 1] = 1
+    l.clear()
+    assert sf.gammas == {(0, 1, 2, 7, 3): 2, (2, 0, 1, -5, 2): -1}
+    assert sf.linears == {(1, 0, 2): 1, (0, -1, 1): -2}
+    other = StructureFunction({(0, 1, 2, 1, 3): 1}, {(1, 0, 2): -1, (3, 0, 1): 1})
+    product = StructureFunction.product
+    results = [sf * other, sf.inverse(), sf.negate_w(), sf.wick_rotate(),
+               sf.normalize(), StructureFunction.exchange(sf, other),
+               product([sf, other]), product([other, sf, other]), product([])]
+    for r in results:
+        for o in (sf, other):
+            assert r.gammas is not o.gammas and r.linears is not o.linears
+    assert product([sf]) is sf
+    assert product([sf, other]).raw_eq(sf * other)
+    assert product([]).raw_eq(StructureFunction.one())
 
 
 # scales as the derivation makes them: a real or imaginary rational, the
