@@ -360,7 +360,12 @@ def _verify_numeric_only(cat: Catalog, rel: Relation) -> VerificationReport:
         return report
     # a missing numpy fails the run, not each point of the line
     require_numpy()
+    # the overlap's middle in |Im w| <= 4 hbar, that window slid to meet an overlap beyond it
     mid = 0.5 * (max(lo, -4.0 * hbar) + min(hi, 4.0 * hbar))
+    if mid <= lo:
+        mid = 0.5 * (lo + min(hi, lo + 8.0 * hbar))
+    elif mid >= hi:
+        mid = 0.5 * (hi + max(lo, hi - 8.0 * hbar))
     report.grid = [complex(-2.0 * hbar + 4.0 * hbar * j / 9, mid) for j in range(10)]
     n = len(report.grid)
     sums, failed_at = [[0j] * n for _ in checked], set()

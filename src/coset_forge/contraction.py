@@ -9,7 +9,11 @@ one and K the oscillator commutator density.  The integrand always has the
 shape  R(zeta(t)) e^{-iwt} / t  with w = u - v, R an exact Laurent rational
 in zeta = e^{hbar t/(2L)}, and at worst a 1/t singularity at the origin.
 
-Two evaluation routes are kept deliberately independent:
+Every route starts from one product per term pair, c e^{tau hbar t}
+prod_j sinh(beta_j hbar t)^{e_j} in integers (_pair_product: the t<0 term
+reflected, K's factors merged in, the hbar balance checked).  contract sums
+a pair set's products as one Laurent rational (modes.sinh_laurent), which
+two evaluation routes then read independently:
 
   * quad_eval: double-exponential quadrature of the Frullani-regularized
     integrand (the a e^{-t}/t reference term subtracted, a the exact 1/t
@@ -22,14 +26,15 @@ Two evaluation routes are kept deliberately independent:
     rational scale s and shift.
 
 The verify path derives each term pair's closed form with pair_closed_form,
-straight from the pair's sinh product in integers, with no Laurent
-rational: its counts of each cyclotomic factor are the denominator.  The
-two exact routes share their last two steps.  _family_order decides from
-the denominator's cyclotomic factors whether the families telescope, and
-at which family order M; _integrated turns the families into Frullani's
-linear factors or Binet's Gamma factors (DLMF 5.9).  The reductions to
-those families stay apart, so the pair rule's agreement with closed_form
-on every product, exceptions included, still checks one against the other.
+straight from the pair's product, with no Laurent rational: its counts of
+each cyclotomic factor are the denominator.  The two exact routes share
+their last two steps.  _family_order decides from the denominator's
+cyclotomic factors whether the families telescope, and at which family
+order M; _integrated turns the families into Frullani's linear factors or
+Binet's Gamma factors (DLMF 5.9).  The reductions to those families stay
+apart, so the pair rule's agreement with closed_form on every product,
+exceptions included, still checks one against the other; the product
+itself is checked against the terms' and the kernel's own float values.
 
 Exchange factors S with A(u)B(v) = S(u-v) B(v)A(u) are differences of two
 contractions; their log divergences must cancel exactly, which is checked
@@ -51,7 +56,7 @@ from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _divisors,
                     _over_binomial, _phi_binomials, _raw, _unit_factors,
                     as_fraction, merge)
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
-                    times_binomial)
+                    sinh_laurent, times_binomial)
 from .specfun import log_gamma
 
 # numpy is imported only for quadrature (require_numpy, which
@@ -594,27 +599,39 @@ def _series_quotient(nterms: list[tuple[int, int]], qn: int,
 
 def contract(f: ModeFunction, g: ModeFunction, K: Kernel,
              params: AlgebraParams) -> ContractionIntegrand:
-    """Integrand of <A(u) B(v)>: f's t>0 branch against g's t<0 branch
-    reflected, times the commutator density (its 1/(hbar^2 t) divisor is
-    carried implicitly: hbar powers must cancel and the 1/t is part of the
-    integrand shape)."""
-    terms = []
-    for tf in f.positive_branch:
-        for tg in g.negative_branch:
-            tr = tg.reflected()
-            coeff = tf.coeff * tr.coeff * K.sign
-            hpow = tf.hbar_power + tr.hbar_power - 2
-            if hpow != 0:
-                raise IllPosedContraction(
-                    f"unbalanced hbar power {hpow} in contraction")
-            sinh = tuple(list(tf.sinh_factors) + list(tr.sinh_factors)
-                         + list(K.sinh_factors()))
-            terms.append(ExpTrigTerm(coeff, 0, tf.tilt + tr.tilt, sinh))
-    lattice = math.lcm(*(d for t in terms for d in t.denominators()))
+    """Integrand of <A(u) B(v)>: the products (_pair_product) of f's t>0
+    branch against g's t<0 branch, each as a Laurent rational on the lcm
+    lattice of all their tilts and slopes, zero products included, summed."""
+    products = [_pair_product(tf, tg, K)
+                for tf in f.positive_branch for tg in g.negative_branch]
+    lattice = math.lcm(*(d for _, _, _, td, factors in products
+                         for d in (td, *(bd for (_, bd), _ in factors))))
     total = LaurentRational.zero()
-    for t in terms:
-        total = total + t.laurent(lattice)
+    for cn, cd, tn, td, factors in products:
+        total = total + sinh_laurent(cn, cd, tn, td, factors, lattice)
     return ContractionIntegrand(lattice, total)
+
+
+def _pair_product(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel) -> tuple:
+    """The product c e^{tau hbar t} prod_j sinh(beta_j hbar t)^{e_j} of tf
+    on t > 0, tg on t < 0 reflected, and K's density times hbar^2 t, whose
+    hbar^2 the terms must cancel: (cn, cd, tn, td, factors), coefficient
+    cn/cd, tilt tn/td in lowest terms and factors the pairs ((bn, bd), e),
+    e != 0, of each slope bn/bd, in their order in tf, tg and K."""
+    cf, df, hf, tnf, tdf, ff, _ = tf.ints()
+    cg, dg, hg, tng, tdg, fg, odd = tg.ints()
+    if hf + hg != 2:
+        raise IllPosedContraction(f"unbalanced hbar power {hf + hg - 2} in contraction")
+    slope = K.slope_b
+    slopes: dict[tuple[int, int], int] = {}
+    for beta, e in ff + fg + (((1, 1), 1),
+                              ((slope.numerator, slope.denominator), 1)):
+        slopes[beta] = slopes.get(beta, 0) + e
+    # tg reflected: t -> -t flips the tilt and each odd sinh power
+    tn, td = tnf * tdg - tng * tdf, tdf * tdg
+    g = math.gcd(tn, td)
+    return (cf * cg * K.sign * (-1 if odd else 1), df * dg, tn // g, td // g,
+            [(beta, e) for beta, e in slopes.items() if e])
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +824,9 @@ def _integrated(terms: list[tuple[int, int]], div: int, L: int, M: int,
 def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
                      ) -> tuple[StructureFunction, Fraction]:
     """closed_form(I) and I.log_divergence_coeff, I the contraction of tf on
-    t > 0 against tg on t < 0 over K, straight from the merged product
-    c e^{tau hbar t} prod_j sinh(beta_j hbar t)^{e_j}, in integers.
+    t > 0 against tg on t < 0 over K, straight from their merged product
+    c e^{tau hbar t} prod_j sinh(beta_j hbar t)^{e_j} (_pair_product), in
+    integers.
 
     On the product's lattice L, with X = e^{hbar t/L} and b_j = beta_j L,
     sinh(beta_j hbar t) = X^{-b_j} (X^{2 b_j} - 1)/2, and X^n - 1 is the
@@ -818,26 +836,12 @@ def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel
     _family_order, and P(X) / (X^M - 1) the families for _integrated, with
     the t -> 0 limit c prod_j beta_j^{e_j}; the checks are closed_form's
     and contract's, in their order."""
-    cf, df, hf, tnf, tdf, ff, _ = tf.ints()
-    cg, dg, hg, tng, tdg, fg, odd = tg.ints()
-    if hf + hg != 2:
-        raise IllPosedContraction(f"unbalanced hbar power {hf + hg - 2} in contraction")
-    # tg reflected: t -> -t flips the tilt and each odd sinh power
-    cn, cd = cf * cg * K.sign * (-1 if odd else 1), df * dg
+    cn, cd, tn, td, factors = _pair_product(tf, tg, K)
     if not cn:
         return StructureFunction.one(), Fraction(0)
-    slope = K.slope_b
-    slopes: dict[tuple[int, int], int] = {}
-    for beta, e in ff + fg + (((1, 1), 1),
-                              ((slope.numerator, slope.denominator), 1)):
-        slopes[beta] = slopes.get(beta, 0) + e
-    factors = [(beta, e) for beta, e in slopes.items() if e]
     s = sum(e for _, e in factors)
     if s < 0:
         raise IllPosedContraction("integrand diverges faster than 1/t at the origin")
-    tn, td = tnf * tdg - tng * tdf, tdf * tdg
-    g = math.gcd(tn, td)
-    tn, td = tn // g, td // g
     L = math.lcm(td, *(bd for (_, bd), _ in factors))
     # (2 b_j, e_j); the t -> 0 limit c prod_j beta_j^{e_j} is
     # c prod_j (2 b_j)^{e_j} when sum_j e_j = 0, else 0

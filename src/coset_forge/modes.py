@@ -27,7 +27,7 @@ from .exact import LaurentRational, as_fraction, binomial_quotient
 
 __all__ = [
     "AlgebraParams", "Kernel", "ExpTrigTerm", "ModeFunction",
-    "shift_argument", "equals", "monomial_tilts", "times_binomial",
+    "shift_argument", "equals", "monomial_tilts", "times_binomial", "sinh_laurent",
 ]
 
 
@@ -84,22 +84,29 @@ class Kernel:
         _set(self, "sign", sign)
         _set(self, "slope_b", slope_b)
 
-    def sinh_factors(self) -> tuple[tuple[Fraction, int], ...]:
-        if self.slope_b == 1:
-            return ((self.slope_b, 2),)
-        return tuple(sorted(((Fraction(1), 1), (self.slope_b, 1))))
-
     def eval_density(self, t: float, hbar: float) -> float:
         return (self.sign * math.sinh(hbar * t)
                 * math.sinh(float(self.slope_b) * hbar * t) / (hbar * hbar * t))
 
 
-def _sinh_exponent(beta: Fraction, lattice: int) -> int:
-    """n with sinh(beta*hbar*t) = (zeta^n - zeta^-n)/2, zeta = e^{hbar t/(2 lattice)}."""
-    e, r = divmod(beta.numerator * 2 * lattice, beta.denominator)
+def sinh_laurent(cn: int, cd: int, tn: int, td: int, factors,
+                 lattice: int) -> LaurentRational:
+    """(cn/cd) e^{(tn/td) hbar t} prod sinh(beta hbar t)^p over the pairs
+    ((bn, bd), p) of factors, beta = bn/bd, as a Laurent rational in
+    zeta = e^{hbar t/(2 lattice)}: with n = 2 beta lattice,
+    sinh(beta hbar t)^p = 2^-p zeta^{-n p} (zeta^{2n} - 1)^p."""
+    e, r = divmod(tn * 2 * lattice, td)
     if r:
-        raise NonMeromorphicProduct(f"slope {beta} not on lattice 1/{lattice}")
-    return e
+        raise NonMeromorphicProduct(f"tilt {Fraction(tn, td)} not on lattice 1/{lattice}")
+    powers, twos = [], 0
+    for (bn, bd), p in factors:
+        n, r = divmod(bn * 2 * lattice, bd)
+        if r:
+            raise NonMeromorphicProduct(f"slope {Fraction(bn, bd)} not on lattice 1/{lattice}")
+        e -= n * p
+        twos += p
+        powers.append((2 * n, p))
+    return binomial_quotient(Fraction(cn, cd) / Fraction(2) ** twos, e, powers)
 
 
 class ExpTrigTerm:
@@ -200,26 +207,8 @@ class ExpTrigTerm:
             yield beta.denominator
 
     def laurent(self, lattice: int) -> LaurentRational:
-        e, r = divmod(self.tilt.numerator * 2 * lattice, self.tilt.denominator)
-        if r:
-            raise NonMeromorphicProduct(f"tilt {self.tilt} not on lattice 1/{lattice}")
-        # sinh(beta*hbar*t)^p = 2^-p zeta^{-n p} (zeta^{2n} - 1)^p
-        powers = []
-        twos = 0
-        for beta, p in self.sinh_factors:
-            n = _sinh_exponent(beta, lattice)
-            e -= n * p
-            twos += p
-            powers.append((2 * n, p))
-        return binomial_quotient(self.coeff / Fraction(2) ** twos, e, powers)
-
-    def reflected(self) -> "ExpTrigTerm":
-        """The term evaluated at -t, re-expressed for t > 0."""
-        coeff = self.coeff
-        for _, e in self.sinh_factors:
-            if e % 2:
-                coeff = -coeff
-        return self._with(coeff, -self.tilt)
+        cn, cd, _, tn, td, factors, _ = self.ints()
+        return sinh_laurent(cn, cd, tn, td, factors, lattice)
 
     def eval(self, t: float, hbar: float) -> float:
         """Numeric value at real t, spectral phase e^{-iut} omitted (u = 0)."""

@@ -799,11 +799,12 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
     # distinct (family, fa, fb) values, and closed_contraction products over
     # 52 distinct (family, t>0 branch, t<0 branch) keys (168 calls if none
     # were kept); each distinct one is derived once, from the 35 pair closed
-    # forms of the level, each derived once from its sinh product with no
-    # contract or closed_form call (algebra binds contract alone)
+    # forms of the level, each derived once from its sinh product, built by
+    # one _pair_product call, with no contract or closed_form call (algebra
+    # binds contract alone)
     Catalog = algebra.Catalog
     products, ratio_keys, pairs = {}, [], []
-    counts = {"ratios": 0, "contract": 0, "closed_form": 0}
+    counts = {"ratios": 0, "contract": 0, "closed_form": 0, "_pair_product": 0}
     inside = []
 
     def counting(owner, name, wrapper):
@@ -843,7 +844,7 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
         pairs.append((K, tf, tg))
         return f(tf, tg, K)
 
-    def laurent_route(name):
+    def counted(name):
         def wrapper(f, *a):
             counts[name] += 1
             return f(*a)
@@ -854,15 +855,17 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
     monkeypatch.setattr(StructureFunction, "exchange", staticmethod(
         lambda s_f, s_r, f=StructureFunction.exchange: exchange(f, s_f, s_r)))
     counting(algebra, "pair_closed_form", pair_closed_form)
-    counting(algebra, "contract", laurent_route("contract"))
-    counting(contraction, "closed_form", laurent_route("closed_form"))
+    counting(algebra, "contract", counted("contract"))
+    counting(contraction, "closed_form", counted("closed_form"))
+    counting(contraction, "_pair_product", counted("_pair_product"))
     assert cli.run(["verify", "--k", "2/7", "--json",
                     str(tmp_path / "v.json")]) == 0
     assert len(products) == 52
     assert all(len(ids) == 1 for ids in products.values())
     assert len(ratio_keys) == 72 and len(set(ratio_keys)) == 44
     assert len(pairs) == len(set(pairs)) == 35
-    assert counts == {"ratios": 44, "contract": 0, "closed_form": 0}
+    assert counts == {"ratios": 44, "contract": 0, "closed_form": 0,
+                      "_pair_product": 35}
 
 
 def test_verify_relation_checks_every_factor(monkeypatch):

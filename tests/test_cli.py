@@ -3,6 +3,7 @@
 import argparse
 import importlib.resources
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -554,6 +555,37 @@ def test_a_quadrature_point_that_fails_fails_only_its_row(tmp_path, capsys):
         assert [round(9 * x) for x in failed] == [-18, -14, -10, 10, 14, 18]
         assert {w["im"] for w in row["grid"]} == {"0"}
     assert "FAIL xx_true kind=exchange" in err and "FAIL xx_false" in err
+
+
+# X's and Y's opposite tilts put the strip overlap at 5.5 < Im w < 6.5, above
+# the window |Im w| <= 4 hbar the line is first sought in
+_XY_FAR = """\
+params { k = 1; hbar = 1; }
+kernel p { sign = +1; slope = 1/2; }
+current X on p {
+  pos: 1 * hbar * exp((-6)*h*t) * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+  neg: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+}
+current Y on p {
+  pos: 1 * hbar * exp((6)*h*t) * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+  neg: 1 * hbar * sinh((1/2)*h*t)^2 / sinh(1*h*t)^2;
+}
+relation xy : X(u) Y(v) == Y(v) X(u);
+"""
+
+
+def test_the_quadrature_only_line_lies_inside_a_far_strip(tmp_path, capsys):
+    src = tmp_path / "xy.alg"
+    src.write_text(_XY_FAR)
+    # the exchange factor is not 1, so the row fails, on finite residuals
+    assert cli.run(["verify", str(src), "--json", "-"]) == 1
+    [row] = json.loads(capsys.readouterr().out)["relations"]
+    assert row["notes"] == ["closed form does not telescope; quadrature-only check"]
+    # the overlap's middle; the middle of its part in |Im w| <= 4 hbar
+    # would be 4.75, outside it, where no integral converges
+    assert {w["im"] for w in row["grid"]} == {"6"}
+    assert len(row["residuals"]) == 10
+    assert all(math.isfinite(float(r)) for r in row["residuals"])
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -13,7 +13,8 @@ from conftest import (bind_shipped, contraction_pairs, gamma_factors, linear_fac
                       sparse, sparse_mul)
 from coset_forge.algebra import TOLERANCE, Catalog, verify_relation
 from coset_forge.contraction import (ContractionIntegrand, StructureFunction,
-                                     _family_order, closed_form, contract,
+                                     _family_order, _pair_product, closed_form,
+                                     contract,
                                      exchange_factor, gamma_key, linear_key,
                                      pair_closed_form, quad_eval)
 from coset_forge.dsl import parse_definitions
@@ -657,9 +658,33 @@ def _sinh_pairs(draw):
 @given(_sinh_pairs())
 def test_pair_closed_form_is_the_laurent_derivation(pair):
     # the same factors in the same order, constant and 1/t coefficient, or
-    # the same exception with the same message
+    # the same exception with the same message: both routes read the pair's
+    # product from _pair_product (checked against floats below), and each
+    # reduces it to families in its own way
     got, want = _pair_routes(*pair)
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sinh_pairs())
+def test_pair_product_is_the_float_product_of_its_terms(pair):
+    # an oracle that shares no integer with _pair_product: tf's value at t,
+    # tg's at -t and the kernel's density, each taken in floats by its own
+    # eval; the density's 1/t is the integrand's, outside the product
+    tf, tg, K = pair
+    if tf.hbar_power + tg.hbar_power != 2:
+        with pytest.raises(IllPosedContraction, match="^unbalanced hbar power"):
+            _pair_product(tf, tg, K)
+        return
+    cn, cd, tn, td, factors = _pair_product(tf, tg, K)
+    assert td > 0 and math.gcd(tn, td) == 1 and all(e for _, e in factors)
+    for hbar in (1.0, 0.75):
+        for t in (0.05, 0.7, 2.3):
+            got = cn / cd * math.exp(tn / td * hbar * t)
+            for (bn, bd), e in factors:
+                got *= math.sinh(bn / bd * hbar * t) ** e
+            want = tf.eval(t, hbar) * tg.eval(-t, hbar) * K.eval_density(t, hbar)
+            assert abs(got / t - want) <= 1e-12 * abs(want), (pair, hbar, t)
 
 
 @seed(3)
