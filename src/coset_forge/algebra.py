@@ -20,10 +20,10 @@ import functools
 import math
 from fractions import Fraction
 
-from .contraction import (StructureFunction, contract, pair_closed_form, quad_eval,
-                          require_numpy)
-from .errors import (CosetForgeError, DivergenceMismatch, NonConvergent,
-                     NonTelescoping, ResidueMismatch, UnexpectedPole)
+from .contraction import (StructureFunction, closed_form, contract, pair_closed_form,
+                          quad_eval, require_numpy)
+from .errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
+                     NonConvergent, NonTelescoping, ResidueMismatch, UnexpectedPole)
 from .exact import GR, GR_I, _gr, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     _read_only, _set, equals as modes_equal, monomial_tilts,
@@ -102,16 +102,23 @@ class Catalog:
                            ) -> tuple[StructureFunction, Fraction]:
         """exp<f(u) g(v)> over one family as a structure function, assembled
         bilinearly so every sub-contraction keeps its minimal family order
-        (Gamma scale); returns the total 1/t coefficient as well.  It reads
-        only f's t>0 branch and g's t<0 branch, so it is kept under them."""
+        (Gamma scale); returns the total 1/t coefficient as well.  When a
+        term pair refuses, the summed integrand decides: its closed_form and
+        1/t coefficient, which contract prints, or its own refusal, raised
+        and not kept.  It reads only f's t>0 branch and g's t<0 branch, so
+        it is kept under them."""
         key = (fam, f.positive_branch, g.negative_branch)
         hit = self._products.get(key)
         if hit is None:
-            pairs = [self._single_pair_closed(fam, tf, tg)
-                     for tf in f.positive_branch for tg in g.negative_branch]
-            hit = self._products[key] = (
-                StructureFunction.product([s for s, _ in pairs]),
-                sum((a for _, a in pairs), Fraction(0)))
+            try:
+                pairs = [self._single_pair_closed(fam, tf, tg)
+                         for tf in f.positive_branch for tg in g.negative_branch]
+                hit = (StructureFunction.product([s for s, _ in pairs]),
+                       sum((a for _, a in pairs), Fraction(0)))
+            except (NonTelescoping, IllPosedContraction):
+                I = contract(f, g, self.kernels[fam], self.params)
+                hit = closed_form(I, self.params), I.log_divergence_coeff
+            self._products[key] = hit
         return hit
 
     def _exchange_ratio(self, fam: str, fa: ModeFunction, fb: ModeFunction
@@ -411,9 +418,8 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     for ia, ta in enumerate(E.terms):
         for ib, tb in enumerate(F.terms):
             fwd = cat.forward_structure(ta, tb)
-            # exp<F_term(v) E_term(u)> re-expressed as a function of w = u - v
-            rev = cat.forward_structure(tb, ta).negate_w()
-            if not fwd.symbolic_eq(rev):
+            # exchange factor one: exp<F_term(v) E_term(u)> at -w is fwd
+            if not StructureFunction.exchange(fwd, cat.forward_structure(tb, ta)).is_one():
                 raise DivergenceMismatch(
                     f"term pair ({ia},{ib}): orderings are not a common "
                     f"meromorphic function")
@@ -452,7 +458,13 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     # hyperbolic pole w = i p hbar, i.e. v = u - i p hbar.
     ok_residues = True
     scalars = {}
-    u1_family = cat[residue_targets[0][0]].terms[0].families()[0]
+    # each target's (name, shift, family, exponent), resolved once
+    targets = []
+    for tname, tshift in residue_targets:
+        tcur = cat[tname]
+        tfam = tcur.terms[0].families()[0]
+        targets.append((tname, tshift, tfam, tcur.exponent(tfam)))
+    u1_family = targets[0][2]
     zero = ModeFunction.zero()
     for rho in sorted(pole_map, key=lambda r: (r.im, r.re)):
         holders = pole_map[rho]
@@ -487,16 +499,17 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
         # compare with the shifted U(1) exponent
         zero_fams = {fam for fam in cat.kernels if exps[fam].is_zero()}
         matches = []
-        for tname, tshift in residue_targets:
-            tcur = cat[tname]
-            tfam = tcur.terms[0].families()[0]
-            texp = shift_argument(tcur.exponent(tfam), tshift)
-            same = all(modes_equal(exps[fam], texp) if fam == tfam
-                       else fam in zero_fams for fam in cat.kernels)
-            if same:
+        for tname, tshift, tfam, texp in targets:
+            shifted = shift_argument(texp, tshift)
+            if all(modes_equal(exps[fam], shifted) if fam == tfam
+                   else fam in zero_fams for fam in cat.kernels):
                 matches.append({"target": tname, "shift": str(tshift)})
-        derived_shift = _derive_u1_shift(cat, exps[u1_family],
-                                         [t[0] for t in residue_targets])
+        # the shift, read off a branch of the U(1) exponent that is one
+        # exponential, that makes a target's exponent equal it
+        cexp = exps[u1_family]
+        cands = sorted(monomial_tilts(cexp))
+        derived_shift = next((cand for *_, texp in targets for cand in cands
+                              if modes_equal(cexp, shift_argument(texp, cand))), None)
         entry = {
             "pole_w": 1j * complex(rho) * hbar,
             "scalar_gr": repr(scalar_gr),
@@ -534,20 +547,6 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     report.symbolic_pass = ok_residues
     report.passed = found_rhos == expected_rhos and ok_residues
     return report
-
-
-def _derive_u1_shift(cat: Catalog, cexp: ModeFunction,
-                     target_names: list[str]) -> Fraction | None:
-    """If the residue exponent equals a shifted U(1) exponent, return the
-    shift, read off a branch of cexp that is one exponential."""
-    cands = sorted(monomial_tilts(cexp))
-    for name in target_names:
-        cur = cat[name]
-        base = cur.exponent(cur.terms[0].families()[0])
-        for cand in cands:
-            if modes_equal(cexp, shift_argument(base, cand)):
-                return cand
-    return None
 
 
 # ---------------------------------------------------------------------------

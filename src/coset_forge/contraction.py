@@ -27,14 +27,17 @@ two evaluation routes then read independently:
 
 The verify path derives each term pair's closed form with pair_closed_form,
 straight from the pair's product, with no Laurent rational: its counts of
-each cyclotomic factor are the denominator.  The two exact routes share
-their last two steps.  _family_order decides from the denominator's
-cyclotomic factors whether the families telescope, and at which family
-order M; _integrated turns the families into Frullani's linear factors or
-Binet's Gamma factors (DLMF 5.9).  The reductions to those families stay
-apart, so the pair rule's agreement with closed_form on every product,
-exceptions included, still checks one against the other; the product
-itself is checked against the terms' and the kernel's own float values.
+each cyclotomic factor are the denominator.  Where a term pair refuses,
+the family's summed integrand decides: its closed_form, which contract
+prints, so a family derives on both paths or on neither.  The two exact
+routes share their last two steps.  _family_order decides from the
+denominator's cyclotomic factors whether the families telescope, and at
+which family order M; _integrated turns the families into Frullani's
+linear factors or Binet's Gamma factors (DLMF 5.9).  The reductions to
+those families stay apart, so the pair rule's agreement with closed_form
+on every product, exceptions included, still checks one against the
+other; the product itself is checked against the terms' and the kernel's
+own float values.
 
 Exchange factors S with A(u)B(v) = S(u-v) B(v)A(u) are differences of two
 contractions; their log divergences must cancel exactly, which is checked
@@ -53,8 +56,8 @@ from .errors import (DivergenceMismatch, IllPosedContraction, MissingDependency,
                      NonFiniteValue, NonTelescoping, OutsideConvergenceStrip,
                      QuadratureNonConvergent)
 from .exact import (GR, GR_I, GR_ONE, ExactConst, LaurentRational, _divisors,
-                    _over_binomial, _phi_binomials, _raw, _unit_factors,
-                    as_fraction, merge)
+                    _over_binomial, _phi_binomials, _raw, _times_phis,
+                    _unit_factors, as_fraction, merge)
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     sinh_laurent, times_binomial)
 from .specfun import log_gamma
@@ -743,15 +746,20 @@ def quad_eval(I: ContractionIntegrand, w: complex, params: AlgebraParams) -> com
 
 def closed_form(I: ContractionIntegrand, params: AlgebraParams) -> StructureFunction:
     """Exact structure function with exp(closed_form) = exp(quad_eval): the
-    denominator's family order M (_family_order), then the numerator, times
-    the exact integer quotient q = (zeta^{2M} - 1) / den for M > 0, over
-    zeta^{2M} - 1 on zeta's lattice 2L (_integrated)."""
+    denominator's family order M (_family_order), then the numerator over
+    zeta^{2M} - 1 on zeta's lattice 2L (_integrated).  zeta^{2M} - 1 is the
+    product of the Phi_d over d | 2M and den holds some of them once each,
+    so for M > 0 the numerator is multiplied by the others."""
     if I.is_zero():
         return StructureFunction.one()
     R, L = I.rational, I.lattice
     M = _family_order(R.factors, L)
-    pnum = R.num * R.cofactor(2 * M) if M else R.num
-    return _integrated(pnum.terms(), pnum.q, 2 * L, 2 * M, I.log_divergence_coeff)
+    lo, coeffs = R.num.lo, R.num.coeffs
+    if M:
+        coeffs = _times_phis(coeffs, [(d, 1) for d in _divisors(2 * M)
+                                      if d not in R.factors])
+    return _integrated([(lo + j, c) for j, c in enumerate(coeffs) if c], R.num.q,
+                       2 * L, 2 * M, I.log_divergence_coeff)
 
 
 def _as_int(a: int, q: int, what: str) -> int:

@@ -264,16 +264,6 @@ def _times_phis(p: list[int], counts) -> list[int] | None:
     return p
 
 
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    nz = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in nz:
-                out[i + j] += x * y
-    return out
-
-
 class LaurentPoly:
     """Laurent polynomial with rational coefficients held as integers over
     one denominator: coeffs[j] / q at exponent lo + j.
@@ -340,12 +330,6 @@ class LaurentPoly:
                 coeffs[off + j] += x * s
         return LaurentPoly.make(lo, coeffs, q)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.coeffs or not other.coeffs:
-            return _ZERO
-        return LaurentPoly.make(self.lo + other.lo, _conv(self.coeffs, other.coeffs),
-                                self.q * other.q)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -391,9 +375,9 @@ class LaurentRational:
 
     The denominator is carried as the multiset `factors`, {d: multiplicity
     of Phi_d}.  A single grammar term is built reduced by binomial_quotient,
-    which counts the factors and divides nothing; a sum or product built
-    here is reduced by dividing the numerator by each Phi_d while it
-    divides, through the binomials of Phi_d.  Normal form: no factor of the
+    which counts the factors and divides nothing; a sum built here is
+    reduced by dividing the numerator by each Phi_d while it divides,
+    through the binomials of Phi_d.  Normal form: no factor of the
     denominator divides the numerator.  `num` is the numerator and `den`
     the product of the factors, which has minimum exponent 0 and leading
     coefficient 1.
@@ -467,19 +451,6 @@ class LaurentRational:
             (d, m - f.get(d, 0)) for d, m in lcm.items()]), n.q)
                   for n, f in ((self.num, fa), (other.num, fb)))
         return LaurentRational(na + nb, lcm)
-
-    def __mul__(self, other: "LaurentRational") -> "LaurentRational":
-        factors = dict(self.factors)
-        for d, m in other.factors.items():
-            factors[d] = factors.get(d, 0) + m
-        return LaurentRational(self.num * other.num, factors)
-
-    def cofactor(self, n: int) -> LaurentPoly | None:
-        """(zeta^n - 1) / den by exact division through binomials, or None
-        if den does not divide zeta^n - 1."""
-        q = _times_phis([-1] + [0] * (n - 1) + [1],
-                        [(d, -m) for d, m in self.factors.items()])
-        return None if q is None else LaurentPoly(0, q, 1)
 
     def limit_at_one(self) -> Fraction:
         """lim_{zeta->1} of the rational function; raises if it diverges.

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from conftest import (bind_shipped, contraction_pairs, shipped_commutator,
                       shipped_text, tilt_twins)
 from coset_forge import algebra, cli, contraction
-from coset_forge.algebra import (ClassicalBraid, Current, NormalOrderedTerm,
-                                 Relation, _classical_readout,
+from coset_forge.algebra import (Catalog, ClassicalBraid, Current,
+                                 NormalOrderedTerm, Relation, _classical_readout,
                                  classical_limit, ef_commutator_analysis,
                                  verify_relation)
 from coset_forge.contraction import (StructureFunction, closed_form, contract,
                                      gamma_key, linear_key)
 from coset_forge.dsl import parse_definitions
-from coset_forge.errors import ExcludedLevel, NonConvergent
+from coset_forge.errors import CosetForgeError, ExcludedLevel, NonConvergent
 from coset_forge.exact import GR, ExactConst, merge
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                                equals as modes_equal)
@@ -800,8 +800,8 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
     # 52 distinct (family, t>0 branch, t<0 branch) keys (168 calls if none
     # were kept); each distinct one is derived once, from the 35 pair closed
     # forms of the level, each derived once from its sinh product, built by
-    # one _pair_product call, with no contract or closed_form call (algebra
-    # binds contract alone)
+    # one _pair_product call, with no contract or closed_form call: no pair
+    # refuses, so the summed integrand decides nothing
     Catalog = algebra.Catalog
     products, ratio_keys, pairs = {}, [], []
     counts = {"ratios": 0, "contract": 0, "closed_form": 0, "_pair_product": 0}
@@ -856,6 +856,7 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
         lambda s_f, s_r, f=StructureFunction.exchange: exchange(f, s_f, s_r)))
     counting(algebra, "pair_closed_form", pair_closed_form)
     counting(algebra, "contract", counted("contract"))
+    counting(algebra, "closed_form", counted("closed_form"))
     counting(contraction, "closed_form", counted("closed_form"))
     counting(contraction, "_pair_product", counted("_pair_product"))
     assert cli.run(["verify", "--k", "2/7", "--json",
@@ -866,6 +867,59 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
     assert len(pairs) == len(set(pairs)) == 35
     assert counts == {"ratios": 44, "contract": 0, "closed_form": 0,
                       "_pair_product": 35}
+
+
+_DRAW_SLOPES = [Fraction(n, 2) for n in (1, 2, 3, 4)]
+
+
+def _drawn_term(rng):
+    """c hbar e^{(n/2) hbar t}, times sinh(s hbar t)^{+-1} half the time."""
+    sinh = (((rng.choice(_DRAW_SLOPES), rng.choice((-1, 1))),)
+            if rng.random() < 0.5 else ())
+    return ExpTrigTerm(rng.choice((-2, -1, 1, 2)), 1,
+                       Fraction(rng.randint(-4, 4), 2), sinh)
+
+
+def _outcome(fn):
+    try:
+        return "derived", fn()
+    except CosetForgeError as exc:
+        return type(exc).__name__, None
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)])
+def test_a_family_derives_exactly_where_its_summed_integrand_does(shape):
+    # however a branch is split into terms, closed_contraction and
+    # closed_form of the summed integrand (what contract prints) agree: the
+    # same outcome, the same 1/t coefficient, and the same value mod 2 pi i
+    # at two strip points.  Normalized forms are not compared: the pair
+    # rule's Gamma scale can differ from the sum's where the values agree
+    nf, ng = shape
+    rng = random.Random(f"family-{nf}x{ng}")
+    params = AlgebraParams(Fraction(1), Fraction(1))
+    derived = 0
+    for _ in range(3000):
+        cat = Catalog(params)
+        K = cat.kernels["c"] = Kernel("c", rng.choice((1, -1)), rng.choice(_DRAW_SLOPES))
+        f = ModeFunction([_drawn_term(rng) for _ in range(nf)], [])
+        g = ModeFunction([], [_drawn_term(rng) for _ in range(ng)])
+        def summed():
+            I = contract(f, g, K, params)
+            return closed_form(I, params), I.log_divergence_coeff, I.strip_bound(1.0)
+
+        got = _outcome(lambda: cat.closed_contraction("c", f, g))
+        want = _outcome(summed)
+        assert got[0] == want[0], (f, g, K.sign, K.slope_b)
+        if got[1] is None:
+            continue
+        (sf, a), (sf_sum, a_sum, bound) = got[1], want[1]
+        assert a == a_sum
+        for w in (0.37 - (bound + 0.5) * 1j, -0.81 - (bound + 1.3) * 1j):
+            d = sf.log_eval(w, 1.0) - sf_sum.log_eval(w, 1.0)
+            d -= 2j * math.pi * round(d.imag / (2 * math.pi))
+            assert abs(d) <= 1e-12, (f, g, K.sign, K.slope_b, w)
+        derived += 1
+    assert derived
 
 
 def test_verify_relation_checks_every_factor(monkeypatch):

@@ -361,8 +361,8 @@ def test_verify_derives_each_pair_key_once(monkeypatch, capsys, tmp_path):
     # relations run in turn and share the catalog's closed-form cache; each
     # cache key (family, tf, tg) is derived once, straight from its sinh
     # product, whatever its denominator: no pair of the shipped file, nor
-    # the two-slope and squared pairs of TWO_SLOPES_ALG, needs contract or
-    # closed_form, which algebra does not import
+    # the two-slope and squared pairs of TWO_SLOPES_ALG, refuses, so none
+    # reaches contract or closed_form, stubbed where algebra binds them
     derived, laurent = [], []
     pair_closed_form = algebra.pair_closed_form
 
@@ -374,9 +374,9 @@ def test_verify_derives_each_pair_key_once(monkeypatch, capsys, tmp_path):
         laurent.append(args)
         raise AssertionError("a pair took the Laurent route")
 
-    assert not hasattr(algebra, "closed_form")
     monkeypatch.setattr(algebra, "pair_closed_form", recording_pair)
     monkeypatch.setattr(algebra, "contract", laurent_route)
+    monkeypatch.setattr(algebra, "closed_form", laurent_route)
     monkeypatch.setattr(contraction, "contract", laurent_route)
     monkeypatch.setattr(contraction, "closed_form", laurent_route)
     assert cli.run(["verify", "--k", "2/7"]) == 0
@@ -393,6 +393,45 @@ def test_verify_derives_each_pair_key_once(monkeypatch, capsys, tmp_path):
         "relations": [_two_slopes_row("a_a", "i^2"), _two_slopes_row("b_b", "1")],
         "schema_version": "5"}, sort_keys=True, indent=1) + "\n"
     assert len(derived) == 2 and not laurent
+
+
+# X's t>0 branch is 4 * hbar * exp((-1/2)*h*t) in one file and the same
+# function split into two equal terms in the other; alone, each of the
+# split file's term pairs has a Frullani coefficient -1/2 and refuses
+SPLIT_TERMS_ALG = """params { k = 1; hbar = 1; }
+kernel c { sign = +1; slope = 1/2; }
+current X on c {
+  pos: 4 * hbar * exp((-1/2)*h*t);
+}
+current Y on c {
+  neg: -1 * hbar * exp((1/2)*h*t) + 2 * hbar * exp((3/2)*h*t);
+}
+relation x_y : X(u) Y(v) == (iw - (1/2)*hbar) * (iw + (1/2)*hbar)^-3 * (iw + (3/2)*hbar)
+    * (iw + (5/2)*hbar)^3 * (iw + (7/2)*hbar)^-2 * Y(v) X(u);
+"""
+SPLIT_FACTOR = "(iw+-1/2h)^1 * (iw+1/2h)^-3 * (iw+3/2h)^1 * (iw+5/2h)^3 * (iw+7/2h)^-2"
+
+
+def test_a_branch_split_into_terms_verifies_as_contract_derives_it(capsys, tmp_path):
+    # a family whose term pair refuses is decided by its summed integrand,
+    # so both spellings give one symbolic row, whose factor is the closed
+    # form contract prints
+    whole = SPLIT_TERMS_ALG
+    split = whole.replace("pos: 4 * hbar * exp((-1/2)*h*t);",
+                          "pos: 2 * hbar * exp((-1/2)*h*t) + 2 * hbar * exp((-1/2)*h*t);")
+    assert split != whole
+    rows = []
+    for name, text in (("whole", whole), ("split", split)):
+        src = tmp_path / f"{name}.alg"
+        src.write_text(text)
+        assert cli.run(["verify", str(src), "--json", "-"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["relations"]
+        rows.append(row)
+        assert cli.run(["contract", str(src), "X", "Y"]) == 0
+        assert f"  closed form  = {SPLIT_FACTOR}\n" in capsys.readouterr().out
+    assert rows[0] == rows[1]
+    assert rows[0]["symbolic_pass"] is True and rows[0]["notes"] == []
+    assert rows[0]["derived_factor"] == SPLIT_FACTOR
 
 
 def test_limit_message_reduces_both_exponents(capsys):

@@ -1,6 +1,7 @@
 """Contraction integrals: quadrature vs exact closed forms, exchange factors."""
 
 import cmath
+import functools
 import importlib.resources
 import math
 import random
@@ -303,11 +304,35 @@ def test_repeated_factor_named_whatever_the_insertion_order():
             _family_order(R.factors, 4)
 
 
+def _exact_quotient(p, q):
+    """p / q for ascending integer coefficients, q monic, by long division;
+    the remainder must be zero."""
+    p, n = list(p), len(q) - 1
+    out = [0] * (len(p) - n)
+    for i in reversed(range(len(out))):
+        c = out[i] = p[i + n]
+        for j, y in enumerate(q):
+            p[i + j] -= c * y
+    assert not any(p)
+    return out
+
+
+@functools.cache
+def _phi(d):
+    """Phi_d, ascending: z^d - 1 over the Phi_e of the proper divisors e."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _exact_quotient(p, _phi(e))
+    return tuple(p)
+
+
 @pytest.mark.parametrize("k", ["1/7", "2/9", "1/10", "11/16"])
 def test_gamma_factors_are_the_sparse_product_terms(k):
     """closed_form's Gamma factors are the terms of N * (zeta^{2M} - 1)/den,
-    checked against a term-by-term product, and the value of each closed
-    form does not change when its dicts are filled in reversed order."""
+    checked against a term-by-term product with the quotient taken here by
+    long division, and the value of each closed form does not change when
+    its dicts are filled in reversed order."""
     params, cat, _, _ = bind_shipped(k)
     checked = 0
     for label, _, f, g, K in contraction_pairs(cat):
@@ -320,7 +345,12 @@ def test_gamma_factors_are_the_sparse_product_terms(k):
         except CosetForgeError:
             continue
         M = _family_order(R.factors, I.lattice)
-        product = sparse_mul(sparse(R.num), sparse(R.cofactor(2 * M)))
+        cofactor = [-1] + [0] * (2 * M - 1) + [1]
+        for d, m in R.factors.items():
+            for _ in range(m):
+                cofactor = _exact_quotient(cofactor, _phi(d))
+        product = sparse_mul(sparse(R.num),
+                             {e: GR(c) for e, c in enumerate(cofactor) if c})
         scale = GR(Fraction(M, I.lattice))
         want = {gamma_key(scale, Fraction(2 * M - m, 2 * M)): d
                 for m, d in product.items()}

@@ -215,8 +215,7 @@ def test_cyclotomic_arithmetic_matches_gcd_reference(na, ka, nb, kb):
     for got, (num, den) in (
             (a + b, (sparse_add(sparse_mul(na, db), sparse_mul(nb, da)), sparse_mul(da, db))),
             (a + minus_b, (sparse_add(sparse_mul(na, db), sparse_mul(minus_nb, da)),
-                           sparse_mul(da, db))),
-            (a * b, (sparse_mul(na, nb), sparse_mul(da, db)))):
+                           sparse_mul(da, db)))):
         want = ({}, {0: GR_ONE}) if not num else _gcd_normal_form(num, den)
         assert (sparse(got.num), sparse(got.den)) == want
 
