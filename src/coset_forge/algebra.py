@@ -72,6 +72,12 @@ class Current:
 # ---------------------------------------------------------------------------
 # the catalog
 
+def _require_equal_divergence(fam: str, a_f: Fraction, a_r: Fraction) -> None:
+    """Refuse a family whose two orderings' 1/t coefficients differ."""
+    if a_f != a_r:
+        raise DivergenceMismatch(f"family {fam}: 1/t coefficients {a_f} vs {a_r}")
+
+
 class Catalog:
     def __init__(self, params: AlgebraParams):
         self.params = params
@@ -132,9 +138,7 @@ class Catalog:
         if ratio is None:
             s_f, a_f = self.closed_contraction(fam, fa, fb)
             s_r, a_r = self.closed_contraction(fam, fb, fa)
-            if a_f != a_r:
-                raise DivergenceMismatch(
-                    f"family {fam}: 1/t coefficients {a_f} vs {a_r}")
+            _require_equal_divergence(fam, a_f, a_r)
             ratio = self._ratios[key] = StructureFunction.exchange(s_f, s_r)
         return ratio
 
@@ -346,10 +350,8 @@ def _verify_numeric_only(cat: Catalog, rel: Relation) -> VerificationReport:
             for fam, fa, fb in cat.shared_families(ta, tb):
                 fwd = contract(fa, fb, cat.kernels[fam], params)
                 rev = contract(fb, fa, cat.kernels[fam], params)
-                a_f, a_r = fwd.log_divergence_coeff, rev.log_divergence_coeff
-                if a_f != a_r:
-                    raise DivergenceMismatch(
-                        f"family {fam}: 1/t coefficients {a_f} vs {a_r}")
+                _require_equal_divergence(fam, fwd.log_divergence_coeff,
+                                          rev.log_divergence_coeff)
                 if not fwd.is_zero():
                     hi = min(hi, -fwd.strip_bound(hbar))
                 if not rev.is_zero():

@@ -7,8 +7,8 @@
 Each subcommand accepts only the options it reads.  The command line picks
 the file, the level and what to run; a relation's Wick rotation is declared
 with it in the file, and the tolerance is fixed.
-Exit codes: 0 all checks pass, 1 verification failure (a refuted E-F
-claim included), 2 input error.
+Exit codes: 0 all checks pass, 1 verification failure (a claim refused
+by one of REFUSALS included: that row FAILs), 2 input error.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report.
@@ -42,8 +42,9 @@ from .algebra import (ClassicalBraid, VerificationReport, classical_limit,
 from .contraction import closed_form, contract, quad_eval
 from .dsl import parse_definitions
 from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
-                     NonConvergent, NonFiniteValue, NothingToVerify,
-                     ParseError, ResidueMismatch, UnexpectedPole)
+                     NonConvergent, NonFiniteValue, NonTelescoping,
+                     NothingToVerify, ParseError, ResidueMismatch,
+                     UnexpectedPole)
 
 SCHEMA_VERSION = "5"
 # the hbar -> 0 sequence of the classical limits, unless --hbar gives one
@@ -177,44 +178,38 @@ def _limit_fit_to_dict(fit: dict) -> dict:
         "check_errors": [_fmt(e) for e in fit["check_errors"]]}
 
 
+# what refuses a row's claim or leaves it undecidable: that row FAILs and the
+# run goes on.  A missing numpy or an ill-posed contraction ends the run
+REFUSALS = (DivergenceMismatch, NonTelescoping, UnexpectedPole, ResidueMismatch,
+            NonConvergent)
+
+
+def _row(rel_id: str, kind: str, check, *args) -> VerificationReport:
+    """check(*args), or, when it raises one of REFUSALS, the row's FAIL: the
+    error text as its note, no residual and no symbolic verdict."""
+    try:
+        return check(*args)
+    except REFUSALS as exc:
+        return VerificationReport(rel_id, kind, False, None, float("nan"),
+                                  notes=[str(exc)])
+
+
 def _run_relations(cat, rels) -> list[VerificationReport]:
-    reports = [verify_relation(cat, rel) for rel in rels]
+    reports = [_row(rel.rel_id, rel.kind, verify_relation, cat, rel) for rel in rels]
     return sorted(reports, key=lambda r: r.rel_id)
 
 
-def _refuted(rel_id: str, kind: str, exc: CosetForgeError) -> VerificationReport:
-    """The FAIL row of a claim the analysis refuted by raising: the error
-    text as its note, no residual and no symbolic verdict."""
-    return VerificationReport(rel_id, kind, False, None, float("nan"),
-                              notes=[str(exc)])
-
-
 def _run_commutators(cat, comms) -> list[VerificationReport]:
-    out = []
-    for cm in comms:
-        e, f = cm["pair"]
-        try:
-            rep = ef_commutator_analysis(
-                cat, e_name=e, f_name=f,
-                expected_poles=cm["poles"], residue_targets=cm["residues"])
-        except (DivergenceMismatch, UnexpectedPole, ResidueMismatch) as exc:
-            rep = _refuted(f"[{e},{f}]", "commutator-delta", exc)
-        out.append(rep)
-    return out
+    return [_row("[{},{}]".format(*cm["pair"]), "commutator-delta",
+                 ef_commutator_analysis, cat, *cm["pair"], cm["poles"],
+                 cm["residues"]) for cm in comms]
 
 
 def _run_limits(cat, hbars_seq, pairs) -> list[VerificationReport]:
     """The classical limit of each current pair (A, B) in `pairs`."""
-    out = []
-    for a, b in pairs:
-        ab = 1 if a == b else -1
-        braid = ClassicalBraid(1, ab, cat.params.k)
-        try:
-            rep = classical_limit(cat, (a, b), braid, hbars_seq)
-        except NonConvergent as exc:
-            rep = _refuted(f"limit[{a},{b};ab={ab}]", "classical-limit", exc)
-        out.append(rep)
-    return out
+    return [_row(f"limit[{a},{b};ab={ab}]", "classical-limit", classical_limit,
+                 cat, (a, b), ClassicalBraid(1, ab, cat.params.k), hbars_seq)
+            for a, b in pairs for ab in [1 if a == b else -1]]
 
 
 def _to_json(obj) -> str:
@@ -462,9 +457,8 @@ def cmd_limit(args) -> int:
 def cmd_report(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
     _require_checks(rels, comms)
-    reports = _run_relations(cat, rels)
-    reports += _run_commutators(cat, comms)
-    reports += _run_limits(cat, LIMIT_HBARS, _shape_pairs(rels))
+    reports = (_run_relations(cat, rels) + _run_commutators(cat, comms)
+               + _run_limits(cat, LIMIT_HBARS, _shape_pairs(rels)))
     return _finish(args.json, params, hbars, reports)
 
 

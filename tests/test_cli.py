@@ -259,6 +259,89 @@ def test_refuted_ef_claim_is_a_fail_row(tmp_path, capsys, mutant, k):
     assert f"note: {note}" in out
 
 
+def _json_run(capsys, *argv):
+    """The exit code of cli.run(argv) with --json -, and the report it
+    writes to stdout."""
+    code = cli.run([*argv, "--json", "-"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _edited(tmp_path, lineno, old, new) -> str:
+    """The path of the shipped file with `old` on line `lineno` (its one
+    occurrence there) replaced by `new`."""
+    lines = shipped_text().splitlines(keepends=True)
+    assert lines[lineno - 1].count(old) == 1
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    path = tmp_path / "edited.alg"
+    path.write_text("".join(lines))
+    return str(path)
+
+
+# false E-F claims the analysis reports inside its row, with max_rel_err 0:
+# (old text, new text, {k: the note that fails the row})
+EF_ROW_FAILURES = {
+    "pole_moved": ("poles: -(k/2), k/2;", "poles: -(k/2), k/2 + 1;", {
+        "5/12": "pole sets differ: derived ['(-0.20833333333333334+0j)', "
+                "'(0.20833333333333334+0j)'], expected "
+                "['(-0.20833333333333334+0j)', '(1.2083333333333333+0j)']",
+        "3": "pole sets differ: derived ['(-1.5+0j)', '(1.5+0j)'], "
+             "expected ['(-1.5+0j)', '(2.5+0j)']"}),
+    "residue_shifted": ("H_plus @ (k/4)", "H_plus @ (k/4 + 1)", {
+        "5/12": "residue at w=-0.20833333333333334*hbar does not match any "
+                "declared target",
+        "3": "residue at w=-1.5*hbar does not match any declared target"}),
+    "scalar_doubled": ("current psi = (1/hbar) * ( beta_plus@",
+                       "current psi = (1/hbar) * ( 2 * beta_plus@", {
+        "5/12": "residue scalars do not form the +/- pattern",
+        "3": "residue scalars do not form the +/- pattern"}),
+}
+
+
+@pytest.mark.parametrize("k", ["5/12", "3"])
+@pytest.mark.parametrize("mutant", sorted(EF_ROW_FAILURES))
+def test_a_false_ef_claim_fails_its_row_with_its_note(tmp_path, capsys, mutant, k):
+    old, new, notes = EF_ROW_FAILURES[mutant]
+    text = shipped_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "mutant.alg"
+    bad.write_text(text.replace(old, new))
+    code, payload = _json_run(capsys, "poles", str(bad), "--k", k)
+    [row] = payload["relations"]
+    assert code == 1 and row["id"] == "[E,F]"
+    assert row["pass"] is False and row["max_rel_err"] == "0"
+    assert notes[k] in row["notes"]
+
+
+# edits of the shipped file whose checks refuse a claim by raising one of
+# cli.REFUSALS: (line, old text there, new text), the command, the number
+# of rows it writes, and the refused row's id and its one note
+C_PLUS_DOUBLED = (20, "pos: -1 * hbar", "pos: -2 * hbar")
+REFUSED_EDITS = {
+    "relation": (C_PLUS_DOUBLED, ["verify"], 26, "C_p_C_m",
+                 "family chat: 1/t coefficients 48/5 vs 24/5"),
+    "one_relation": (C_PLUS_DOUBLED, ["verify", "--relation", "C_p_C_m"], 1,
+                     "C_p_C_m", "family chat: 1/t coefficients 48/5 vs 24/5"),
+    "commutator": ((14, "slope = k/2", "slope = k/3"), ["poles"], 1, "[E,F]",
+                   "denominator has repeated roots (cyclotomic factor of order "
+                   "15, multiplicity 2); families do not reduce to Gamma factors"),
+    "limit": ((30, "pos: -1 * hbar", "pos: -2 * hbar"), ["limit"], 3,
+              "limit[psi,psi_dag;ab=-1]",
+              "family bhat: 1/t coefficients -48/5 vs -24/5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_EDITS))
+def test_a_refused_claim_fails_its_row_and_the_run_goes_on(case, tmp_path, capsys):
+    edit, argv, n_rows, rel_id, note = REFUSED_EDITS[case]
+    code, payload = _json_run(capsys, argv[0], _edited(tmp_path, *edit),
+                              "--k", "5/12", *argv[1:])
+    rows = {r["id"]: r for r in payload["relations"]}
+    assert code == 1 and len(rows) == n_rows
+    row = rows[rel_id]
+    assert row["pass"] is False and row["symbolic_pass"] is None
+    assert row["max_rel_err"] == "nan" and row["notes"] == [note]
+
+
 @pytest.mark.parametrize("k", ["5/12", "3/16", "997/1000"])
 def test_verify_report_poles_and_catalog_build_no_laurent_rational(
         k, capsys, monkeypatch):
