@@ -167,13 +167,6 @@ class Catalog:
                 out.append(total.wick_rotate() if rotate == "global" else total)
         return out
 
-    def forward_structure(self, ta: NormalOrderedTerm, tb: NormalOrderedTerm
-                          ) -> StructureFunction:
-        """Product over families of exp<A_term(u) B_term(v)> closed forms."""
-        return StructureFunction.product(
-            [self.closed_contraction(fam, fa, fb)[0]
-             for fam, fa, fb in self.shared_families(ta, tb)])
-
 
 # ---------------------------------------------------------------------------
 # relations
@@ -400,31 +393,33 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     against the pole positions (in hbar units) and the (current, argument
     shift) residue targets of a bound `commutator_delta` declaration.
 
-    For each term pair the forward and reversed contraction exponentials must
-    be the same meromorphic function (exchange factor one); the commutator is
-    then carried entirely by the boundary-value jump across its poles.  Every
-    pole is read exactly off a linear factor of the rotated closed forms,
-    which have no Gamma factors, and compared with the declared pole set;
-    residue operators are assembled symbolically and compared with the
-    shifted U(1) exponents.  The row has no numeric residual: its
-    max_rel_err is 0.
+    Both orderings must be one meromorphic function by the exchange rows'
+    rule (Catalog.pair_exchange): each family's two orderings have equal 1/t
+    coefficients and each term pair's exchange factor is one.  The
+    commutator is then carried entirely by the boundary-value jump across
+    its poles.  Every pole is read exactly off a linear factor of the
+    rotated closed forms, which have no Gamma factors, and compared with the
+    declared pole set; residue operators are assembled symbolically and
+    compared with the shifted U(1) exponents.  The row has no numeric
+    residual: its max_rel_err is 0.
     """
-    params = cat.params
-    k, hbar = params.k, params.hbar_float
+    k, hbar = cat.params.k, cat.params.hbar_float
     E, F = cat[e_name], cat[f_name]
 
     report = VerificationReport(f"[{e_name},{f_name}]", "commutator-delta",
                                 False, None, 0.0)
 
+    # per term pair whose exchange factor is one: exp<E_term(u) F_term(v)>,
+    # the product over families, rotated
     pair_data = []
+    exchange = iter(cat.pair_exchange(E, F))
     for ia, ta in enumerate(E.terms):
         for ib, tb in enumerate(F.terms):
-            fwd = cat.forward_structure(ta, tb)
-            # exchange factor one: exp<F_term(v) E_term(u)> at -w is fwd
-            if not StructureFunction.exchange(fwd, cat.forward_structure(tb, ta)).is_one():
-                raise DivergenceMismatch(
-                    f"term pair ({ia},{ib}): orderings are not a common "
-                    f"meromorphic function")
+            if not next(exchange).is_one():
+                raise DivergenceMismatch(f"term pair ({ia},{ib}): orderings are not "
+                                         "a common meromorphic function")
+            fwd = StructureFunction.product(
+                [cat.closed_contraction(*x)[0] for x in cat.shared_families(ta, tb)])
             pair_data.append(((ia, ib), ta, tb, fwd.wick_rotate().normalize()))
 
     # exact pole set: every negative-exponent linear factor
@@ -441,11 +436,8 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                                      f"pair {key}: pole order {-e}")
             pole_map.setdefault(rho, []).append((key, ta, tb, rot))
 
-    expected_rhos = set()
-    for p in expected_poles:
-        # pole at w = p*hbar corresponds to linear factor iw + rho*hbar, rho = -i p... :
-        # iw0 = i p hbar => rho = -(i p)
-        expected_rhos.add(GR(Fraction(0), -as_fraction(p)))
+    # a pole at w = p*hbar is the linear factor iw + rho*hbar, rho = -i p
+    expected_rhos = {GR(Fraction(0), -as_fraction(p)) for p in expected_poles}
     found_rhos = set(pole_map)
     if found_rhos != expected_rhos:
         got = sorted(str(1j * complex(r)) for r in found_rhos)
@@ -690,13 +682,22 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
     times the correction series at the points _LIMIT_CHECK_W and one
     moderate hbar, within TOLERANCE.  The error against the braid at
     _LIMIT_BRAID_W along `hbar_sequence` is reported as well.  Raises
-    NonConvergent when the limit is not the braid or the cross-check fails.
+    NonConvergent when the pair's term pairs have different factors, the
+    limit is not the braid or the cross-check fails.
     """
     if len(hbar_sequence) < 3 or any(
             b <= a for a, b in zip(hbar_sequence[1:], hbar_sequence)):
         raise ValueError("need >= 3 strictly decreasing hbar values")
     a, b = rel_pair
-    sf = cat.pair_exchange(cat[a], cat[b], rotate="global")[0]
+    # one limit needs one factor: every term pair's is held to the first, as
+    # a shape row holds it
+    sf, *others = cat.pair_exchange(cat[a], cat[b], rotate="global")
+    n_b = len(cat[b].terms)
+    for i, other in enumerate(others, 1):
+        if not other.symbolic_eq(sf):
+            raise NonConvergent(
+                f"term pairs (0,0) and ({i // n_b},{i % n_b}) have different "
+                "exchange factors: the pair has no single limit")
     power, phase, corrections, hbar_check = _classical_readout(sf)
     exponent = _principal(power + phase)
     if exponent != _principal(braid.exponent):

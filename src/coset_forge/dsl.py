@@ -247,16 +247,15 @@ class DefinitionFile:
                  else [at(h) for h in self.hbars]) or [_ONE]
         for h in self.hbars if hbar_override is None else ():
             if at(h) <= 0:
-                raise ExcludedLevel(f"params: hbar ({h!r}) is not positive "
-                                    f"at k={kval}")
+                _exclude("params", "hbar", h, "is not positive", kval)
         # AlgebraParams holds the first; the report lists them all
         params = AlgebraParams(kval, hbars[0])
         cat = Catalog(params)
         for kd in self.kernels:
             slope = at(kd.slope)
             if slope <= 0:
-                raise ExcludedLevel(f"kernel {kd.name!r}: slope ({kd.slope!r}) "
-                                    f"is not positive at k={kval}")
+                _exclude(f"kernel {kd.name!r}", "slope", kd.slope,
+                         "is not positive", kval)
             cat.kernels[kd.name] = Kernel(kd.name, kd.sign, slope)
         for cd in self.currents:
             if cd.composite is None:
@@ -279,12 +278,17 @@ class DefinitionFile:
 
 # binding helpers -------------------------------------------------------------
 
+def _exclude(where: str, what: str, expr: KVal, fails: str, k: Fraction):
+    """Refuse level k: `what` of the declaration `where`, the k-expression
+    `expr`, `fails` there."""
+    raise ExcludedLevel(f"{where}: {what} ({expr!r}) {fails} at k={k}")
+
+
 def _bind_term(cur: str, t: TermDecl, at, k: Fraction) -> ExpTrigTerm:
     sinh = tuple((at(b), e) for b, e in t.sinh)
     for (b, _), (v, _) in zip(t.sinh, sinh):
         if not v:
-            raise ExcludedLevel(f"current {cur!r}: sinh slope ({b!r}) "
-                                f"vanishes at k={k}")
+            _exclude(f"current {cur!r}", "sinh slope", b, "vanishes", k)
     return ExpTrigTerm(at(t.coeff), t.hbar_power, at(t.tilt), sinh)
 
 
@@ -336,14 +340,13 @@ def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
             if f.kind == "scalar":
                 v = at(f.scalar)
                 if not v:
-                    raise ExcludedLevel(f"relation {rel!r}: scalar factor "
-                                        f"({f.scalar!r}) vanishes at k={k}")
+                    _exclude(f"relation {rel!r}", "scalar factor", f.scalar,
+                             "vanishes", k)
                 const = const.times_base(_raw(v.numerator, 0, v.denominator), 0, sign)
             elif f.kind == "gamma":
                 scale = at(f.scale)
                 if not scale:
-                    raise ExcludedLevel(f"relation {rel!r}: Gamma scale "
-                                        f"({f.scale!r}) vanishes at k={k}")
+                    _exclude(f"relation {rel!r}", "Gamma scale", f.scale, "vanishes", k)
                 shift = at(f.shift)
                 merge(gammas, (scale.numerator * f.scale_sign, 0, scale.denominator,
                                shift.numerator, shift.denominator), e)
@@ -373,28 +376,24 @@ class _Parser:
         # repeated expression is folded once and is one object, which
         # DefinitionFile.bind evaluates once per level
         self.folded: dict = {}
-        # k, hbar and each commutator_delta pair
-        self.declared: set[str] = set()
+        # every declaration made so far, by (namespace, name), to its kind:
+        # kernels and currents share one namespace, relations have their
+        # own, and k, hbar and each commutator_delta pair are named by kind
+        self.declared: dict[tuple[str, str | None], str] = {}
         self.primitive: set[str] = set()    # currents declared on a kernel
-        # what each kernel and current name declared so far names: kernels
-        # and currents share one namespace
-        self.kinds: dict[str, str] = {}
 
-    def declare(self, what: str) -> None:
-        """Record a declaration that a file makes at most once."""
-        if what in self.declared:
-            raise DuplicateName(f"{what} declared twice")
-        self.declared.add(what)
-
-    def define(self, kind: str, name: str) -> None:
-        """Record the kernel or current `name`, once declared in full."""
-        if name in self.kinds:
-            raise DuplicateName(f"{kind} {name!r} declared twice")
-        self.kinds[name] = kind
+    def declare(self, kind: str, name: str | None = None) -> None:
+        """Record a declaration that a file makes at most once: the kernel,
+        current or relation `name`, once declared in full, or `kind` itself."""
+        key = ("current" if kind == "kernel" else kind, name)
+        if key in self.declared:
+            raise DuplicateName(f"{kind} declared twice" if name is None
+                                else f"{kind} {name!r} declared twice")
+        self.declared[key] = kind
 
     def known(self, name: str, kind: str = "current") -> str:
         """`name`, which must name a `kind` declared before its use."""
-        if self.kinds.get(name) != kind:
+        if self.declared.get(("current", name)) != kind:
             raise UndeclaredName(f"{kind} {name!r} not declared before use")
         return name
 
@@ -537,16 +536,15 @@ class _Parser:
                 k, hbars = self.params_block(k, hbars)
             elif self.accept("kernel"):
                 kd = self.kernel_block()
-                self.define("kernel", kd.name)
+                self.declare("kernel", kd.name)
                 kernels.append(kd)
             elif self.accept("current"):
                 cd = self.current_block()
-                self.define("current", cd.name)
+                self.declare("current", cd.name)
                 currents.append(cd)
             elif self.accept("relation"):
                 rd = self.relation_block()
-                if any(r.name == rd.name for r in relations):
-                    raise DuplicateName(f"relation {rd.name!r} declared twice")
+                self.declare("relation", rd.name)
                 relations.append(rd)
             elif self.accept("commutator_delta"):
                 cm = self.commutator_block()

@@ -302,6 +302,51 @@ def test_classical_limit_cross_check_is_held_to_the_tolerance(monkeypatch):
     assert rep.passed and rep.max_rel_err == 0.0
 
 
+SHIPPED_CURRENTS = [cd.name for cd in parse_definitions(shipped_text()).currents]
+SHAPE_PAIRS = (("psi", "psi"), ("psi", "psi_dag"), ("psi_dag", "psi_dag"))
+# off the real axis, where the rotated factors' poles lie
+_TERM_PAIR_W = (0.37 + 1.3j, -0.61 + 2.2j)
+
+
+def _term_pairs_differ(cat, a, b) -> bool:
+    """Whether some term pair's globally rotated exchange factor of A(u) B(v)
+    differs from the first's in value at two points: a check by numbers of
+    what classical_limit decides by normal forms."""
+    first, *others = cat.pair_exchange(cat[a], cat[b], rotate="global")
+    return any(abs(cmath.exp(sf.log_eval(w, 1.0) - first.log_eval(w, 1.0)) - 1) > 1e-9
+               for sf in others for w in _TERM_PAIR_W)
+
+
+@pytest.mark.parametrize("k", [Fraction(3), Fraction(5, 12)])
+@pytest.mark.parametrize("a, b", [(a, b) for a in SHIPPED_CURRENTS
+                                  for b in SHIPPED_CURRENTS])
+def test_a_limit_is_refused_exactly_when_term_pairs_differ(k, a, b):
+    # one limit needs one exchange factor: a pair whose term pairs' factors
+    # differ has none, whatever the first one's limit would be
+    cat = catalog(k)
+    braid = ClassicalBraid(1, 1 if a == b else -1, k)
+    if _term_pairs_differ(cat, a, b):
+        assert (a, b) not in SHAPE_PAIRS
+        with pytest.raises(NonConvergent, match=r"^term pairs \(0,0\) and \(\d+,\d+\) "
+                           "have different exchange factors: the pair has no "
+                           "single limit$"):
+            classical_limit(cat, (a, b), braid, SEQ)
+        return
+    try:
+        rep = classical_limit(cat, (a, b), braid, SEQ)
+    except NonConvergent as exc:
+        assert "term pairs" not in str(exc)
+    else:
+        assert rep.passed
+
+
+@pytest.mark.parametrize("k", [Fraction(3), Fraction(5, 12)])
+def test_48_ordered_pairs_have_no_single_exchange_factor(k):
+    cat = catalog(k)
+    assert sum(_term_pairs_differ(cat, a, b) for a in SHIPPED_CURRENTS
+               for b in SHIPPED_CURRENTS) == 48
+
+
 def _gamma(sigma, shift, e):
     """Gamma(sigma*w/hbar + shift)^e, i.e. the scale i/sigma."""
     return StructureFunction.from_gamma(GR(0, 1 / Fraction(sigma)), shift, e)
@@ -795,9 +840,10 @@ def test_single_relation_row_matches_the_full_run(k, tmp_path, capsys):
 
 def test_a_verify_session_derives_each_product_and_ratio_once(
         monkeypatch, tmp_path):
-    # at k = 2/7 a verify session needs 72 family exchange ratios over 44
-    # distinct (family, fa, fb) values, and closed_contraction products over
-    # 52 distinct (family, t>0 branch, t<0 branch) keys (168 calls if none
+    # at k = 2/7 a verify session needs 84 family exchange ratios (72 for
+    # the relation rows, 12 for [E,F]'s four term pairs) over 44 distinct
+    # (family, fa, fb) values, and closed_contraction products over
+    # 52 distinct (family, t>0 branch, t<0 branch) keys (180 calls if none
     # were kept); each distinct one is derived once, from the 35 pair closed
     # forms of the level, each derived once from its sinh product, built by
     # one _pair_product call, with no contract or closed_form call: no pair
@@ -863,7 +909,7 @@ def test_a_verify_session_derives_each_product_and_ratio_once(
                     str(tmp_path / "v.json")]) == 0
     assert len(products) == 52
     assert all(len(ids) == 1 for ids in products.values())
-    assert len(ratio_keys) == 72 and len(set(ratio_keys)) == 44
+    assert len(ratio_keys) == 84 and len(set(ratio_keys)) == 44
     assert len(pairs) == len(set(pairs)) == 35
     assert counts == {"ratios": 44, "contract": 0, "closed_form": 0,
                       "_pair_product": 35}

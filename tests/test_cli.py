@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import tilt_twins
+from paper_edits import seeded_edit
 from coset_forge import algebra, cli, contraction
 from coset_forge.dsl import parse_definitions
 from coset_forge.exact import LaurentRational
@@ -340,6 +341,45 @@ def test_a_refused_claim_fails_its_row_and_the_run_goes_on(case, tmp_path, capsy
     row = rows[rel_id]
     assert row["pass"] is False and row["symbolic_pass"] is None
     assert row["max_rel_err"] == "nan" and row["notes"] == [note]
+
+
+@pytest.mark.parametrize("k, note", [
+    ("5/12", "family chat: 1/t coefficients 48/5 vs 24/5"),
+    ("3", "family chat: 1/t coefficients 4/3 vs 2/3")])
+def test_ef_refuses_unequal_orderings_as_the_exchange_rows_do(
+        tmp_path, capsys, k, note):
+    # C_plus's t>0 coefficient doubled: [E,F] reads each term pair's
+    # exchange factor by the exchange rows' rule, so it names the family
+    # and its 1/t coefficients exactly as C_p_C_m does
+    code, payload = _json_run(capsys, "verify", _edited(tmp_path, *C_PLUS_DOUBLED),
+                              "--k", k)
+    rows = {r["id"]: r for r in payload["relations"]}
+    assert code == 1
+    assert rows["[E,F]"]["notes"] == rows["C_p_C_m"]["notes"] == [note]
+
+
+def test_ef_refuses_orderings_that_are_not_one_function(tmp_path, capsys):
+    # seed 0 of the seeded edits (line 49, 2 *2): every family's 1/t
+    # coefficients agree, but term pair (0,1)'s exchange factor is not one
+    text, where = seeded_edit(shipped_text(), 0)
+    assert where.startswith("seed 0, line 49: 2 *2")
+    path = tmp_path / "seed0.alg"
+    path.write_text(text)
+    code, payload = _json_run(capsys, "poles", str(path), "--k", "5/12")
+    [row] = payload["relations"]
+    assert code == 1 and row["pass"] is False
+    assert row["notes"] == ["term pair (0,1): orderings are not a common "
+                            "meromorphic function"]
+
+
+def test_a_pair_without_one_exchange_factor_has_no_limit(capsys):
+    # B_plus against psi_dag's two terms: two different exchange factors,
+    # so no one limit, whatever the first term pair's factor tends to
+    code, payload = _json_run(capsys, "limit", "--pair", "B_plus,psi_dag", "--k", "3")
+    [row] = payload["relations"]
+    assert code == 1 and row["pass"] is False and row["max_rel_err"] == "nan"
+    assert row["notes"] == ["term pairs (0,0) and (0,1) have different exchange "
+                            "factors: the pair has no single limit"]
 
 
 @pytest.mark.parametrize("k", ["5/12", "3/16", "997/1000"])

@@ -338,6 +338,28 @@ def test_params_are_declared_once(text, what):
         parse_definitions(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    # kernels and currents share one namespace; the second declaration's
+    # kind is named
+    (_KA + "current a on a { pos: 1 * hbar; }\n", "current 'a' declared twice"),
+    (_KAX + "kernel X { sign = +1; slope = 1; }\n", "kernel 'X' declared twice"),
+    (_KAX + "current X = X@(1);\n", "current 'X' declared twice"),
+    (_KAX + "relation r : shape X(u) X(v);\nrelation r : shape X(u) X(v);\n",
+     "relation 'r' declared twice"),
+])
+def test_a_name_is_declared_once_in_its_namespace(text, message):
+    with pytest.raises(DuplicateName, match=f"^{message}$"):
+        parse_definitions(text)
+
+
+def test_a_relation_may_share_a_current_name():
+    # relations keep a namespace of their own
+    df = parse_definitions(_KAX + "relation X : shape X(u) X(v);\n"
+                           "relation a : shape X(u) X(v);\n")
+    assert [r.name for r in df.relations] == ["X", "a"]
+    assert [c.name for c in df.currents] == ["X"]
+
+
 def test_each_distinct_k_expression_is_bound_once(monkeypatch):
     # the shipped file repeats k/4, (k+2)/4, 1 + 1/k and others many times
     df = parse_definitions(shipped_text())
