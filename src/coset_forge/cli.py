@@ -8,7 +8,8 @@ Each subcommand accepts only the options it reads.  The command line picks
 the file, the level and what to run; a relation's Wick rotation is declared
 with it in the file, and the tolerance is fixed.
 Exit codes: 0 all checks pass, 1 verification failure (a claim refused
-by one of REFUSALS included: that row FAILs), 2 input error.
+by one of REFUSALS included: that row FAILs), 2 input error: a
+CosetForgeError or an OSError; any other exception is a defect, raised.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report.
@@ -40,7 +41,7 @@ except ImportError:     # an interpreter without the _json accelerator
 from .algebra import (ClassicalBraid, VerificationReport, classical_limit,
                       ef_commutator_analysis, verify_relation)
 from .contraction import closed_form, contract, quad_eval
-from .dsl import parse_definitions
+from .dsl import float_sized, parse_definitions
 from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
                      NonConvergent, NonFiniteValue, NonTelescoping,
                      NothingToVerify, ParseError, ResidueMismatch,
@@ -60,10 +61,24 @@ def _fmt_c(z: complex) -> dict:
 
 
 def _load(path: str | None):
+    """The file's text with text mode's universal newlines; a file that is
+    not UTF-8 is a parse error at its first bad byte, placed as the parser
+    places a token (1-based line, column in characters)."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "paper.alg")
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    found = None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = data[:exc.start].decode("utf-8")
+        found = f"byte 0x{data[exc.start]:02x}"
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if found:
+        raise ParseError(text.count("\n") + 1, len(text) - text.rfind("\n"),
+                         {"UTF-8 text"}, found)
+    return text
 
 
 def _parse_rational(flag: str, text: str) -> Fraction:
@@ -71,10 +86,9 @@ def _parse_rational(flag: str, text: str) -> Fraction:
     as every later float evaluation needs."""
     try:
         x = Fraction(text)
-        nonzero = float(x) != 0.0
-    except (ValueError, ZeroDivisionError, OverflowError):
-        nonzero = False
-    if not nonzero:
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or not float_sized(x):
         raise InvalidOption(
             f"{flag} must be a rational, nonzero and finite as a float, "
             f"got {text!r}")
@@ -560,7 +574,7 @@ def run(argv=None) -> int:
     except ParseError as exc:
         _fail(args, "parse", exc)
         return 2
-    except (CosetForgeError, OSError, ValueError) as exc:
+    except (CosetForgeError, OSError) as exc:
         _fail(args, type(exc).__name__, exc)
         return 2
 

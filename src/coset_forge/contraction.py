@@ -103,6 +103,9 @@ class StructureFunction:
     __slots__ = ("gammas", "linears", "const", "_normal", "_bound")
 
     def __init__(self, gammas=None, linears=None, const=None):
+        # the function owns compact copies of its two maps: a map that lost
+        # keys in a merge is rebuilt at its size, so no stored factor keeps
+        # the table it grew to
         # gammas: {(a, b, q, n, d): int exponent} for Gamma(iw/(s*hbar) + n/d)
         # with scale s = (a + b*i)/q, the fields of a GR, and n/d in lowest
         # terms, d > 0: plain integers, so a merge hashes them in C
@@ -113,15 +116,6 @@ class StructureFunction:
         self.const: ExactConst = const if const is not None else ExactConst.one()
         self._normal: StructureFunction | None = None
         self._bound: tuple | None = None
-
-    @staticmethod
-    def _made(gammas: dict, linears: dict, const: ExactConst) -> "StructureFunction":
-        """The function with these factors, keeping the dicts it is given:
-        for dicts just built, which no one else holds."""
-        sf = object.__new__(StructureFunction)
-        sf.gammas, sf.linears, sf.const = gammas, linears, const
-        sf._normal = sf._bound = None
-        return sf
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -152,7 +146,7 @@ class StructureFunction:
             for key, e in sf.linears.items():
                 merge(l, key, e)
             const = const.times(sf.const)
-        return StructureFunction._made(g, l, const)
+        return StructureFunction(g, l, const)
 
     @staticmethod
     def exchange(s_f: "StructureFunction", s_r: "StructureFunction"
@@ -170,7 +164,7 @@ class StructureFunction:
         c = s_r.const
         if sum(s_r.linears.values()) % 2:
             c = c.times_base(_MINUS_ONE, 0, 1)
-        return StructureFunction._made(g, l, s_f.const.times(c.inverse()))
+        return StructureFunction(g, l, s_f.const.times(c.inverse()))
 
     # -- algebra -----------------------------------------------------------
     def __mul__(self, other: "StructureFunction") -> "StructureFunction":
@@ -180,40 +174,31 @@ class StructureFunction:
         l = dict(self.linears)
         for key, e in other.linears.items():
             merge(l, key, e)
-        return StructureFunction._made(g, l, self.const.times(other.const))
+        return StructureFunction(g, l, self.const.times(other.const))
 
     def inverse(self) -> "StructureFunction":
-        return StructureFunction._made({k: -e for k, e in self.gammas.items()},
-                                       {k: -e for k, e in self.linears.items()},
-                                       self.const.inverse())
+        return StructureFunction({k: -e for k, e in self.gammas.items()},
+                                 {k: -e for k, e in self.linears.items()},
+                                 self.const.inverse())
 
     def negate_w(self) -> "StructureFunction":
-        """Re-express the same function with w replaced by -w."""
-        g = {}
-        for (a, b, q, n, d), e in self.gammas.items():
-            key = (-a, -b, q, n, d)
-            g[key] = g.get(key, 0) + e
-        l = {}
-        odd = 0
-        for (a, b, q), e in self.linears.items():
-            # (i(-w) + rho*hbar) = -(iw - rho*hbar)
-            key = (-a, -b, q)
-            l[key] = l.get(key, 0) + e
-            odd += e % 2
-        c = self.const.times_base(_MINUS_ONE, 0, 1) if odd % 2 else self.const
-        return StructureFunction._made(g, l, c)
+        """Re-express the same function with w replaced by -w: each key maps
+        to its own, and (i(-w) + rho*hbar) = -(iw - rho*hbar) gives the
+        constant a sign for an odd total linear exponent."""
+        c = self.const
+        if sum(self.linears.values()) % 2:
+            c = c.times_base(_MINUS_ONE, 0, 1)
+        return StructureFunction(
+            {(-a, -b, q, n, d): e for (a, b, q, n, d), e in self.gammas.items()},
+            {(-a, -b, q): e for (a, b, q), e in self.linears.items()}, c)
 
     def wick_rotate(self) -> "StructureFunction":
-        """Substitute hbar -> -i hbar."""
-        g = {}
-        for (a, b, q, n, d), e in self.gammas.items():
-            key = (b, -a, q, n, d)          # (a + b*i) * -i = b - a*i
-            g[key] = g.get(key, 0) + e
-        l = {}
-        for (a, b, q), e in self.linears.items():
-            key = (b, -a, q)
-            l[key] = l.get(key, 0) + e
-        return StructureFunction._made(g, l, self.const.wick_rotate())
+        """Substitute hbar -> -i hbar: (a + b*i) * -i = b - a*i, each key to
+        its own."""
+        return StructureFunction(
+            {(b, -a, q, n, d): e for (a, b, q, n, d), e in self.gammas.items()},
+            {(b, -a, q): e for (a, b, q), e in self.linears.items()},
+            self.const.wick_rotate())
 
     # -- canonical form ----------------------------------------------------
     def normalize(self) -> "StructureFunction":
@@ -252,7 +237,7 @@ class StructureFunction:
                 const = const.times_base(_raw(*scale), 1, -p)
             else:
                 _unit_factors(*scale)   # refuses the scale as times_base would
-        self._normal = StructureFunction._made(
+        self._normal = StructureFunction(
             gammas, {k: v for k, v in linears.items() if v}, const)
         return self._normal
 
@@ -808,7 +793,7 @@ def _integrated(terms: list[tuple[int, int]], div: int, L: int, M: int,
         for x, c in terms:
             g = math.gcd(x, L)
             linears[-x // g, 0, L // g] = -_as_int(c, div, "Frullani family coefficient")
-        return StructureFunction._made({}, linears, ExactConst.one())
+        return StructureFunction(linears=linears)
     g = math.gcd(M, L)
     sa, sq = M // g, L // g
     gammas: dict[tuple[int, int, int, int, int], int] = {}
@@ -825,8 +810,8 @@ def _integrated(terms: list[tuple[int, int]], div: int, L: int, M: int,
     s1 = Fraction(s1n, M)
     if -s1 != limit:
         raise IllPosedContraction(f"divergence bookkeeping mismatch: {-s1} vs {limit}")
-    return StructureFunction._made(
-        gammas, {}, ExactConst.one().times_base(_raw(sa, 0, sq), 1, s1))
+    return StructureFunction(
+        gammas, const=ExactConst.one().times_base(_raw(sa, 0, sq), 1, s1))
 
 
 def pair_closed_form(tf: ExpTrigTerm, tg: ExpTrigTerm, K: Kernel

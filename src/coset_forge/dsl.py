@@ -245,9 +245,12 @@ class DefinitionFile:
                 raise InvalidOption(f"hbar override {h} is not positive")
         hbars = (hbar_override if hbar_override is not None
                  else [at(h) for h in self.hbars]) or [_ONE]
-        for h in self.hbars if hbar_override is None else ():
-            if at(h) <= 0:
+        for h, v in zip(self.hbars, hbars) if hbar_override is None else ():
+            if v <= 0:
                 _exclude("params", "hbar", h, "is not positive", kval)
+            if not float_sized(v):
+                _exclude("params", "hbar", h, "is not nonzero and finite as a float",
+                         kval)
         # AlgebraParams holds the first; the report lists them all
         params = AlgebraParams(kval, hbars[0])
         cat = Catalog(params)
@@ -277,6 +280,15 @@ class DefinitionFile:
 
 
 # binding helpers -------------------------------------------------------------
+
+def float_sized(x: Fraction) -> bool:
+    """x's float is nonzero and finite, as every float evaluation of k and
+    hbar needs: the rule for --k and --hbar and for the file's k and hbar."""
+    try:
+        return float(x) != 0.0
+    except OverflowError:
+        return False
+
 
 def _exclude(where: str, what: str, expr: KVal, fails: str, k: Fraction):
     """Refuse level k: `what` of the declaration `where`, the k-expression
@@ -360,7 +372,7 @@ def _bind_relation(rd: RelationDecl, at, k: Fraction) -> Relation:
                 merge(linears, key, e)
     const = const.times_base(_MINUS_I, 0, w_power)
     return Relation(rel, rd.kind, rd.pair,
-                    StructureFunction._made(gammas, linears, const), rd.rotate)
+                    StructureFunction(gammas, linears, const), rd.rotate)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +470,15 @@ class _Parser:
         c = v.as_constant() if isinstance(v, KRat) else v
         if not v or c is not None and c < 0:
             self.error({f"positive {what}"}, at)
+        return v
+
+    def hbar(self) -> KVal:
+        """An hbar value: a positive k-expression; a constant one must also
+        be nonzero and finite as a float, as an --hbar value must."""
+        at = self.i
+        v = self.positive("hbar")
+        if not isinstance(v, KRat) and not float_sized(v):
+            self.error({"hbar nonzero and finite as a float"}, at)
         return v
 
     def neg(self, a: KVal) -> KVal:
@@ -566,13 +587,15 @@ class _Parser:
                 if isinstance(k, KRat):
                     # the level is what k stands for everywhere else
                     self.error({"constant level"}, at)
+                if not float_sized(k):
+                    self.error({"level nonzero and finite as a float"}, at)
                 self.expect(";")
                 self.declare("k")
             elif self.accept("hbar"):
                 self.expect("=")
-                hbars = [self.positive("hbar")]
+                hbars = [self.hbar()]
                 while self.accept(","):
-                    hbars.append(self.positive("hbar"))
+                    hbars.append(self.hbar())
                 self.expect(";")
                 self.declare("hbar")
             else:

@@ -868,6 +868,61 @@ def test_declared_hbar_must_be_positive_in_every_position(tmp_path, capsys, hbar
     assert err == f"error: {message}\n"
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("old, new, kind, head", [
+    # a constant is refused where it stands, as --k and --hbar are
+    ("hbar = 1, 1/2;", f"hbar = {_HUGE};", "parse",
+     "parse error at 11:10: expected hbar nonzero and finite as a float"),
+    ("hbar = 1, 1/2;", f"hbar = 1/{_HUGE};", "parse",
+     "parse error at 11:10: expected hbar nonzero and finite as a float"),
+    ("k = 2;", f"k = {_HUGE};", "parse",
+     "parse error at 10:7: expected level nonzero and finite as a float"),
+    ("k = 2;", f"k = 1/{_HUGE};", "parse",
+     "parse error at 10:7: expected level nonzero and finite as a float"),
+    # one that involves k at the bound level, naming the entry
+    ("hbar = 1, 1/2;", f"hbar = 1, k/{_HUGE};", "ExcludedLevel", "params: hbar ("),
+])
+@pytest.mark.parametrize("command", [["verify"], ["poles"], ["limit"],
+                                     ["contract", "C_plus", "C_minus"]])
+def test_declared_k_and_hbar_must_be_nonzero_and_finite_as_floats(
+        tmp_path, capsys, old, new, kind, head, command):
+    src = tmp_path / "params.alg"
+    src.write_text(shipped_text().replace(old, new, 1))
+    assert cli.run([command[0], str(src), *command[1:], "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["kind"] == kind and error["message"].startswith(head)
+    assert err == f"error: {error['message']}\n"
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    # Latin-1 e-acute in a comment: placed by line and column in characters,
+    # over CRLF line ends as over LF ones
+    text = shipped_text().replace("\n\n", "\n# café é\n\n", 1)
+    line = text[:text.index("é")].count("\n") + 1
+    message = f"parse error at {line}:6: expected UTF-8 text, found 'byte 0xe9'"
+    for name, data in (("lf.alg", text), ("crlf.alg", text.replace("\n", "\r\n"))):
+        src = tmp_path / name
+        src.write_bytes(data.encode("latin-1"))
+        assert cli.run(["verify", str(src), "--json", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == {"kind": "parse", "message": message}
+        assert err == f"error: {message}\n"
+
+
+def test_an_engine_value_error_is_not_an_input_error(monkeypatch):
+    # only the program's typed errors and OSError exit 2; anything else is a
+    # defect, which must surface as a traceback
+    def broken(cat, rel):
+        raise ValueError("engine defect")
+
+    monkeypatch.setattr(cli, "verify_relation", broken)
+    with pytest.raises(ValueError, match="^engine defect$"):
+        cli.run(["verify", "--k", "3"])
+
+
 @pytest.mark.parametrize("target, extra", [
     ("E", ""),
     # a composite of one term would be compared on its first family only

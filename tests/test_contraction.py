@@ -5,6 +5,7 @@ import functools
 import importlib.resources
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -563,6 +564,19 @@ def test_results_share_no_dict_with_their_operands():
     assert product([sf]) is sf
     assert product([sf, other]).raw_eq(sf * other)
     assert product([]).raw_eq(StructureFunction.one())
+
+
+def test_maps_whose_keys_cancel_are_stored_compact():
+    # a merge that drops most of its keys leaves a table at its grown size;
+    # the function keeps a copy at the size of what is left
+    a = StructureFunction({(1, 0, j, 1, 2): 1 for j in range(1, 101)},
+                          {(j, 0, 1): 2 for j in range(1, 101)})
+    one_linear = StructureFunction.from_linear(1)
+    for sf in (StructureFunction.product([a, a.inverse(), one_linear]),
+               StructureFunction.exchange(a, a.negate_w())):
+        assert len(sf.gammas) + len(sf.linears) <= 1
+        for m in (sf.gammas, sf.linears):
+            assert sys.getsizeof(m) <= sys.getsizeof(dict(m))
 
 
 # scales as the derivation makes them: a real or imaginary rational, the

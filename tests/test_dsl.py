@@ -327,6 +327,36 @@ def test_declared_level_that_involves_k_is_refused(value):
         (1, 14, {"constant level"}, value[0])
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text, col, expected, found", [
+    (f"params {{ k = {_HUGE}; }}\n", 14, "level", _HUGE),
+    (f"params {{ k = 1/{_HUGE}; }}\n", 14, "level", "1"),
+    (f"params {{ hbar = {_HUGE}; }}\n", 17, "hbar", _HUGE),
+    (f"params {{ hbar = 1, 1/{_HUGE}; }}\n", 20, "hbar", "1"),
+])
+def test_a_constant_level_or_hbar_outside_float_range_is_refused(text, col,
+                                                                 expected, found):
+    # the rule of --k and --hbar: a rational whose float is nonzero and finite
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(text)
+    err = exc.value
+    assert (err.line, err.col, err.expected, err.found) == \
+        (1, col, {f"{expected} nonzero and finite as a float"}, found)
+
+
+@pytest.mark.parametrize("hbar, k", [(f"k*{_HUGE}", None), (f"k/{_HUGE}", None),
+                                     ("k*k*k", Fraction(10 ** 120))])
+def test_an_hbar_with_k_outside_float_range_excludes_the_level(hbar, k):
+    df = parse_definitions(f"params {{ k = 2; hbar = 1, {hbar}; }}\n")
+    with pytest.raises(ExcludedLevel, match=r"^params: hbar \(.*\) is not nonzero "
+                                            r"and finite as a float at k=\d+$"):
+        df.bind(k)
+    # an hbar override replaces the file's values, so none is bound
+    df.bind(k, [Fraction(1)])
+
+
 @pytest.mark.parametrize("text, what", [
     ("params { k = 2; k = 3; }\n", "k"),
     ("params { k = 2; }\nparams { k = 3; }\n", "k"),

@@ -1,6 +1,6 @@
-"""Every seeded single-number edit of the shipped file ends a `verify` or
-`report` run with all its rows, or in an input error: a check that refuses
-its claim fails its own row, never the run."""
+"""Every seeded single-number edit of the shipped file ends a `verify`,
+`report`, `poles` or `limit` run with all its rows, or in an input error: a
+check that refuses its claim fails its own row, never the run."""
 
 import json
 
@@ -11,7 +11,7 @@ from coset_forge import cli
 from paper_edits import seeded_edit
 
 # the rows of a run on the shipped file, whatever an edit fails
-ROWS = {"verify": 26, "report": 29}
+ROWS = {"verify": 26, "report": 29, "poles": 1, "limit": 3}
 # what exit 2 may report for an edited file: errors in the input itself
 INPUT_ERRORS = {"parse", "ExcludedLevel", "VanishingDenominator", "UndeclaredName",
                 "DuplicateName", "InvalidOption", "NothingToVerify"}
