@@ -30,9 +30,8 @@ from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
                     shift_argument)
 
 __all__ = [
-    "Current", "Catalog", "NormalOrderedTerm", "Relation", "ClassicalBraid",
-    "VerificationReport", "verify_relation", "ef_commutator_analysis",
-    "classical_limit",
+    "Current", "Catalog", "NormalOrderedTerm", "Relation", "VerificationReport",
+    "verify_relation", "ef_commutator_analysis", "classical_limit",
 ]
 
 
@@ -188,25 +187,6 @@ class Relation:
         # an exchange row's S_ab, right side over left side; unread by shape
         _set(self, "target", target)
         _set(self, "rotate", rotate)
-
-
-class ClassicalBraid:
-    __slots__ = ("alpha", "beta", "k")
-
-    def __init__(self, alpha: int, beta: int, k: Fraction):
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
-
-    @property
-    def exponent(self) -> Fraction:
-        return Fraction(2 * self.alpha * self.beta) / self.k
-
-    def ratio(self, w: complex) -> complex:
-        """Braiding phase [w / (-w)]^{2 a b / k} on principal branches,
-        evaluated in the upper half-plane."""
-        q = float(self.exponent)
-        return cmath.exp(q * (cmath.log(w) - cmath.log(-w)))
 
 
 class VerificationReport:
@@ -551,8 +531,6 @@ LIMIT_N_MAX = 12
 # points of the numeric cross-check: the unit circle at Im w >= 0.7, away
 # from the real axis, where the Gamma poles and the Stokes lines lie
 _LIMIT_CHECK_W = (cmath.exp(0.25j * math.pi), 1j, cmath.exp(0.75j * math.pi))
-# where the error against the braid is reported along the hbar sequence
-_LIMIT_BRAID_W = 1.0 + 0.002j
 
 
 @functools.cache
@@ -670,24 +648,22 @@ def _classical_readout(sf: StructureFunction) -> tuple:
     return p_plus, Fraction(const.ph, 2 * const.den), corrections, min(reach) / 8
 
 
-def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBraid,
-                    hbar_sequence: list[Fraction]) -> VerificationReport:
-    """Degeneration of the globally rotated exchange factor to the classical
-    braiding phase [w/(-w)]^{2 a b/k} as hbar -> 0.
+def classical_limit(cat: Catalog, rel_pair: tuple[str, str], ab: int
+                    ) -> VerificationReport:
+    """Degeneration of the globally rotated exchange factor of A(u) B(v) to
+    the classical braiding phase [w/(-w)]^{2 ab/k} as hbar -> 0, k the
+    catalog's level.
 
-    The limit is read off the Gamma multiset exactly (_classical_readout):
-    its exponent must equal the braid's modulo 2, the period of the phase,
-    and the first non-zero power-law correction gives the exact order of
-    convergence.  A numeric cross-check compares the factor with its limit
-    times the correction series at the points _LIMIT_CHECK_W and one
-    moderate hbar, within TOLERANCE.  The error against the braid at
-    _LIMIT_BRAID_W along `hbar_sequence` is reported as well.  Raises
-    NonConvergent when the pair's term pairs have different factors, the
-    limit is not the braid or the cross-check fails.
+    Every number of the row comes from the pair's normalized factor.  The
+    limit is read off its Gamma multiset exactly (_classical_readout): its
+    exponent must equal the braid's modulo 2, the period of the phase, and
+    the first non-zero power-law correction gives the exact order of
+    convergence.  A numeric cross-check compares the normalized factor with
+    its limit times the correction series at the points _LIMIT_CHECK_W and
+    one moderate hbar, within TOLERANCE.  Raises NonConvergent when the
+    pair's term pairs have different factors, the limit is not the braid or
+    the cross-check fails.
     """
-    if len(hbar_sequence) < 3 or any(
-            b <= a for a, b in zip(hbar_sequence[1:], hbar_sequence)):
-        raise ValueError("need >= 3 strictly decreasing hbar values")
     a, b = rel_pair
     # one limit needs one factor: every term pair's is held to the first, as
     # a shape row holds it
@@ -700,30 +676,30 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], braid: ClassicalBra
                 "exchange factors: the pair has no single limit")
     power, phase, corrections, hbar_check = _classical_readout(sf)
     exponent = _principal(power + phase)
-    if exponent != _principal(braid.exponent):
+    braid = Fraction(2 * ab) / cat.params.k
+    if exponent != _principal(braid):
         raise NonConvergent(
             f"the factor tends to [w/(-w)]^{exponent}, the braid is "
-            f"[w/(-w)]^{_principal(braid.exponent)} (exponents modulo 2)")
+            f"[w/(-w)]^{_principal(braid)} (exponents modulo 2)")
     order = next((m for m, c in enumerate(corrections, 1) if c), None)
+    # the normalized form the read-out read (normalize keeps it): its value
+    # is the same however the factor is spelled
+    n = sf.normalize()
     check_errs = []
     for wc in _LIMIT_CHECK_W:
         x = wc / hbar_check
         lim = cmath.exp(1j * math.pi * float(power + phase) + sum(
             complex(c) * x ** -m for m, c in enumerate(corrections, 1) if c))
-        check_errs.append(abs(sf.eval(wc, hbar_check) / lim - 1.0))
-    target = braid.ratio(_LIMIT_BRAID_W)
-    errs = [abs(sf.eval(_LIMIT_BRAID_W, float(hb)) / target - 1.0)
-            for hb in hbar_sequence]
-    report = VerificationReport(f"limit[{a},{b};ab={braid.alpha*braid.beta}]",
+        check_errs.append(abs(n.eval(wc, hbar_check) / lim - 1.0))
+    report = VerificationReport(f"limit[{a},{b};ab={ab}]",
                                 "classical-limit", False, None, max(check_errs))
     # a NaN can hide from max(), never from this comparison
     bad = [e for e in check_errs if not e <= TOLERANCE]
     report.limit_fit = {
-        "exponent": exponent, "braid_exponent": braid.exponent,
+        "exponent": exponent, "braid_exponent": braid,
         "x_power": power, "const_phase": phase, "order": order,
         "correction": corrections[order - 1] if order else None,
-        "n_max": LIMIT_N_MAX, "errors": errs, "target": target,
-        "check_hbar": hbar_check, "check_errors": check_errs}
+        "n_max": LIMIT_N_MAX, "check_hbar": hbar_check, "check_errors": check_errs}
     if bad:
         raise NonConvergent(
             f"the factor is {bad[0]:.3g} from its exact limit at "

@@ -13,9 +13,10 @@ CosetForgeError or an OSError; any other exception is a defect, raised.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report.
-``limit`` reads ``--hbar`` as the hbar -> 0 sequence, at least three strictly
-decreasing values; ``contract`` reads a single value; every other
-subcommand reads the deformation values.
+An empty option value is refused, as is an option given twice.
+``contract`` reads a single ``--hbar`` value; ``limit`` reads none, since
+a classical-limit row is a function of the normalized factor and k alone;
+every other subcommand reads the deformation values.
 JSON reports are deterministic: the bytes of json.dumps(payload,
 sort_keys=True, indent=1) plus a newline, every float rendered with 17
 significant digits (lowercase exponent) as a decimal string, the points of
@@ -38,8 +39,8 @@ try:
 except ImportError:     # an interpreter without the _json accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import (ClassicalBraid, VerificationReport, classical_limit,
-                      ef_commutator_analysis, verify_relation)
+from .algebra import (VerificationReport, classical_limit, ef_commutator_analysis,
+                      verify_relation)
 from .contraction import closed_form, contract, quad_eval
 from .dsl import float_sized, parse_definitions
 from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
@@ -47,9 +48,7 @@ from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
                      NothingToVerify, ParseError, ResidueMismatch,
                      UnexpectedPole)
 
-SCHEMA_VERSION = "5"
-# the hbar -> 0 sequence of the classical limits, unless --hbar gives one
-LIMIT_HBARS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
+SCHEMA_VERSION = "6"
 
 
 def _fmt(x: float) -> str:
@@ -131,8 +130,9 @@ def _parse_pair(text: str, currents) -> tuple[str, str]:
 
 def _bind_session(args):
     df = parse_definitions(_load(args.file))
-    k = _parse_rational("--k", args.k) if args.k else None
-    hbars = [_parse_hbar(h) for h in args.hbar.split(",")] if args.hbar else None
+    k = None if args.k is None else _parse_rational("--k", args.k)
+    hbar = getattr(args, "hbar", None)     # limit takes no --hbar
+    hbars = None if hbar is None else [_parse_hbar(h) for h in hbar.split(",")]
     return df.bind(k, hbars)
 
 
@@ -186,8 +186,6 @@ def _limit_fit_to_dict(fit: dict) -> dict:
         "order": None if order is None else str(order),
         "correction": None if order is None else repr(fit["correction"]),
         "n_max": str(fit["n_max"]),
-        "errors": [_fmt(e) for e in fit["errors"]],
-        "target": _fmt_c(fit["target"]),
         "check_hbar": _fmt(fit["check_hbar"]),
         "check_errors": [_fmt(e) for e in fit["check_errors"]]}
 
@@ -219,10 +217,10 @@ def _run_commutators(cat, comms) -> list[VerificationReport]:
                  cm["residues"]) for cm in comms]
 
 
-def _run_limits(cat, hbars_seq, pairs) -> list[VerificationReport]:
+def _run_limits(cat, pairs) -> list[VerificationReport]:
     """The classical limit of each current pair (A, B) in `pairs`."""
     return [_row(f"limit[{a},{b};ab={ab}]", "classical-limit", classical_limit,
-                 cat, (a, b), ClassicalBraid(1, ab, cat.params.k), hbars_seq)
+                 cat, (a, b), ab)
             for a, b in pairs for ab in [1 if a == b else -1]]
 
 
@@ -368,7 +366,7 @@ def _exp(log: complex, fam: str, w: complex) -> complex:
 
 
 def cmd_contract(args) -> int:
-    w = _parse_at(args.at) if args.at else None
+    w = None if args.at is None else _parse_at(args.at)
     if "," in (args.hbar or ""):
         raise InvalidOption(f"--hbar takes one value for contract, got {args.hbar!r}")
     params, cat, rels, comms, hbars = _bind_session(args)
@@ -403,7 +401,7 @@ def cmd_contract(args) -> int:
             "closed_form": desc})
     if not families:
         print("currents share no kernel family; all contractions vanish", file=out)
-    if args.json:
+    if args.json is not None:
         _emit_json(args.json, {
             "schema_version": SCHEMA_VERSION,
             "params": {"k": str(params.k), "hbar": [str(params.hbar)]},
@@ -415,7 +413,7 @@ def cmd_contract(args) -> int:
 def cmd_verify(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
     _require_checks(rels, comms)
-    if args.relation:
+    if args.relation is not None:
         _require_names([args.relation], {r.rel_id for r in rels}.__contains__,
                        "--relation names an unknown relation")
         rels = [r for r in rels if r.rel_id == args.relation]
@@ -448,14 +446,7 @@ def cmd_poles(args) -> int:
 
 def cmd_limit(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
-    seq = LIMIT_HBARS
-    if args.hbar:
-        seq = hbars
-        if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
-            raise InvalidOption(
-                "--hbar is the hbar -> 0 sequence for limit: at least 3 "
-                f"strictly decreasing values, got {args.hbar!r}")
-    if args.pair:
+    if args.pair is not None:
         pairs = [_parse_pair(args.pair, cat.currents)]
     else:
         pairs = _shape_pairs(rels)
@@ -463,23 +454,23 @@ def cmd_limit(args) -> int:
             raise NothingToVerify(
                 "the definition file declares no shape relation; name a pair "
                 "with --pair")
-    reports = _run_limits(cat, seq, pairs)
+    reports = _run_limits(cat, pairs)
     _print_report_lines(reports, _text_stream(args))
-    return _finish(args.json, params, seq, reports)
+    return _finish(args.json, params, hbars, reports)
 
 
 def cmd_report(args) -> int:
     params, cat, rels, comms, hbars = _bind_session(args)
     _require_checks(rels, comms)
     reports = (_run_relations(cat, rels) + _run_commutators(cat, comms)
-               + _run_limits(cat, LIMIT_HBARS, _shape_pairs(rels)))
+               + _run_limits(cat, _shape_pairs(rels)))
     return _finish(args.json, params, hbars, reports)
 
 
 def _finish(path, params, hbars, reports) -> int:
     """The end of a report command: the payload written to `path` when one
     is given; 0 if every row passed, else 1."""
-    if path:
+    if path is not None:
         _emit_json(path, _payload(params, hbars, reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -504,13 +495,17 @@ def _payload(params, hbars, reports) -> dict:
 
 class _Once(argparse.Action):
     """Store an option's value, as argparse's default action does, and note
-    the option in the namespace's `repeated` list when it was given before:
-    run() refuses a repeat rather than let the last value win."""
+    (option, reason) in the namespace's `refused` list when the option was
+    given before or its value is empty: run() refuses it rather than let the
+    last value win or an empty one read as not given."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         given = vars(namespace).setdefault("given", set())
+        refused = vars(namespace).setdefault("refused", [])
         if self.dest in given:
-            vars(namespace).setdefault("repeated", []).append(self.option_strings[0])
+            refused.append((self.option_strings[0], "given more than once"))
+        elif not values:
+            refused.append((self.option_strings[0], "needs a value"))
         given.add(self.dest)
         setattr(namespace, self.dest, values)
 
@@ -526,14 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
     def session(name, fn, summary,
                 hbar_help="override hbar values, comma-separated rationals",
                 writes_json=True):
-        # how a relation is checked is declared in the file, not here
+        # how a relation is checked is declared in the file, not here; a
+        # hbar_help of None leaves out --hbar
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
         p.add_argument("file", nargs="?", default=None,
                        help="definition file (.alg); defaults to the shipped catalog")
         p.add_argument("--k", default=None, action=_Once,
                        help="override the level (rational)")
-        p.add_argument("--hbar", default=None, action=_Once, help=hbar_help)
+        if hbar_help is not None:
+            p.add_argument("--hbar", default=None, action=_Once, help=hbar_help)
         if writes_json:
             p.add_argument("--json", default=None, action=_Once, metavar="PATH")
         return p
@@ -554,8 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     session("poles", cmd_poles, "ordering-difference pole/residue analysis")
 
     p = session("limit", cmd_limit, "exact classical limits of the shape pairs",
-                hbar_help="the hbar -> 0 sequence, at least 3 strictly "
-                          "decreasing rationals")
+                hbar_help=None)
     p.add_argument("--pair", default=None, action=_Once, metavar="A,B")
 
     session("report", cmd_report, "full verification run as JSON").set_defaults(json="-")
@@ -565,11 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        repeated = getattr(args, "repeated", None)
-        if repeated:
-            if "--json" in repeated:    # neither path is the report's
-                args.json = None
-            raise InvalidOption(f"{repeated[0]} given more than once")
+        refused = getattr(args, "refused", None)
+        if refused:
+            if any(flag == "--json" for flag, _ in refused):
+                args.json = None    # no path given is the report's
+            raise InvalidOption("{} {}".format(*refused[0]))
         return args.fn(args)
     except ParseError as exc:
         _fail(args, "parse", exc)
@@ -580,7 +576,7 @@ def run(argv=None) -> int:
 
 
 def _fail(args, kind, exc):
-    if getattr(args, "json", None):
+    if getattr(args, "json", None) is not None:
         try:
             _emit_json(args.json, {
                 "schema_version": SCHEMA_VERSION,

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import (bind_shipped, contraction_pairs, gamma_factors,
                       shipped_commutator)
-from coset_forge.algebra import ClassicalBraid, classical_limit, verify_relation
+from coset_forge.algebra import classical_limit, verify_relation
 from coset_forge.contraction import StructureFunction, closed_form, contract, quad_eval
 from coset_forge.modes import equals as modes_equal, shift_argument
 from test_specfun import oracle_grid, oracle_log_gamma, rel_err
@@ -207,26 +207,18 @@ def test_criterion_6_ordering_difference_structure():
 
 def test_criterion_7_classical_limit():
     t0 = time.time()
-    seq = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
     for k in (Fraction(2), Fraction(3)):
         _, cat, _, _ = bind_shipped(k)
         for pair, ab in ((("psi", "psi"), 1), (("psi", "psi_dag"), -1)):
-            braid = ClassicalBraid(1, ab, k)
-            rep = classical_limit(cat, pair, braid, seq)
+            rep = classical_limit(cat, pair, ab)
             assert rep.passed, (k, pair)
             fit = rep.limit_fit
             # the exact limit is the braiding phase exp(i pi 2ab/k)
-            assert (fit["exponent"] - braid.exponent) % 2 == 0, (k, pair, fit)
+            assert fit["braid_exponent"] == Fraction(2 * ab) / k, (k, pair, fit)
+            assert (fit["exponent"] - fit["braid_exponent"]) % 2 == 0, (k, pair, fit)
             # no power-law correction, or one of order hbar^1 or higher
             assert fit["order"] is None or fit["order"] >= 1, (k, pair, fit)
             assert max(fit["check_errors"]) <= 1e-8, (k, pair, fit)
-            errs = fit["errors"]
-            if max(errs) < 1e-12:
-                # factor equals the braiding phase identically (free-fermion
-                # point); convergence is immediate
-                assert k == 2, (k, pair, errs)
-            else:
-                assert errs[0] > errs[-1], (k, pair, errs)
     _stamp("criterion 7 (degeneration to parafermion braiding)", t0, 30.0)
 
 

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from conftest import (bind_shipped, contraction_pairs, shipped_commutator,
                       shipped_text, tilt_twins)
 from coset_forge import algebra, cli, contraction
-from coset_forge.algebra import (Catalog, ClassicalBraid, Current,
-                                 NormalOrderedTerm, Relation, _classical_readout,
-                                 classical_limit, ef_commutator_analysis,
-                                 verify_relation)
+from coset_forge.algebra import (Catalog, Current, NormalOrderedTerm, Relation,
+                                 _classical_readout, classical_limit,
+                                 ef_commutator_analysis, verify_relation)
 from coset_forge.contraction import (StructureFunction, closed_form, contract,
                                      gamma_key, linear_key)
 from coset_forge.dsl import parse_definitions
@@ -225,7 +224,6 @@ def test_a_pole_held_by_different_vertex_operators_fails():
         "vertex operators"]
 
 
-SEQ = [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
 LIMIT_LEVELS = [Fraction(2), Fraction(3), Fraction(5, 2)]
 PSI_PAIRS = ((("psi", "psi"), 1), (("psi", "psi_dag"), -1))
 
@@ -234,8 +232,7 @@ PSI_PAIRS = ((("psi", "psi"), 1), (("psi", "psi_dag"), -1))
 def test_classical_limit_psi_pairs(k):
     cat = catalog(k)
     for pair, ab in PSI_PAIRS:
-        braid = ClassicalBraid(1, ab, k)
-        rep = classical_limit(cat, pair, braid, SEQ)
+        rep = classical_limit(cat, pair, ab)
         assert rep.passed
         fit = rep.limit_fit
         # the exponent read off the Gamma multiset is 2ab/k, modulo the
@@ -248,57 +245,39 @@ def test_classical_limit_psi_pairs(k):
         assert fit["order"] is None and fit["correction"] is None
         assert max(fit["check_errors"]) <= 1e-8
         assert rep.max_rel_err == max(fit["check_errors"])
-        errs = fit["errors"]
-        sf = cat.pair_exchange(cat[pair[0]], cat[pair[1]], rotate="global")[0]
-        if sf.normalize().gammas:
-            assert errs[0] > errs[-1]
-        else:
-            # the factor is its limit, a constant, identically
-            assert max(errs) < 1e-15
 
 
 def test_classical_limit_at_k2_reads_the_constant():
     # at k = 2 the rotated factor normalizes to the constant -1: the exact
     # route reads the phase pi off it, where the fit had nothing to check
-    rep = classical_limit(catalog(2), ("psi", "psi"),
-                          ClassicalBraid(1, 1, Fraction(2)), SEQ)
+    rep = classical_limit(catalog(2), ("psi", "psi"), 1)
     fit = rep.limit_fit
     assert (fit["x_power"], fit["const_phase"], fit["exponent"]) == (0, 1, 1)
 
 
-def test_classical_limit_requires_decreasing_sequence():
-    cat = catalog(2)
-    braid = ClassicalBraid(1, 1, Fraction(2))
-    with pytest.raises(ValueError):
-        classical_limit(cat, ("psi", "psi"), braid, [Fraction(1, 10)] * 3)
-
-
 @pytest.mark.parametrize("k", LIMIT_LEVELS)
-@pytest.mark.parametrize("mutation", ["flip-ab", "wrong-k"])
+@pytest.mark.parametrize("mutation", ["flip-ab", "double-ab"])
 def test_classical_limit_nonconvergent_raises(k, mutation):
     cat = catalog(k)
     for pair, ab in PSI_PAIRS:
-        if mutation == "flip-ab":
-            wrong = ClassicalBraid(1, -ab, k)
-        else:
-            wrong = ClassicalBraid(1, ab, k + 1)
+        wrong = -ab if mutation == "flip-ab" else 2 * ab
         if mutation == "flip-ab" and k == 2:
             # [w/(-w)]^1 and [w/(-w)]^-1 are the same function, -1 on
             # either half-plane: flipping ab at k = 2 is no mutation
-            assert classical_limit(cat, pair, wrong, SEQ).passed
+            assert classical_limit(cat, pair, wrong).passed
             continue
+        # a doubled ab doubles the braid exponent 2ab/k, which moves it
+        # modulo 2 at every level here, k = 2 included
         with pytest.raises(NonConvergent):
-            classical_limit(cat, pair, wrong, SEQ)
+            classical_limit(cat, pair, wrong)
 
 
 def test_classical_limit_cross_check_is_held_to_the_tolerance(monkeypatch):
     monkeypatch.setattr(algebra, "TOLERANCE", 0.0)
-    braid = ClassicalBraid(1, 1, Fraction(3))
     with pytest.raises(NonConvergent, match="above the tolerance 0$"):
-        classical_limit(catalog(3), ("psi", "psi"), braid, SEQ)
+        classical_limit(catalog(3), ("psi", "psi"), 1)
     # at k = 2 the factor is the constant -1, its limit, to the last bit
-    rep = classical_limit(catalog(2), ("psi", "psi"),
-                          ClassicalBraid(1, 1, Fraction(2)), SEQ)
+    rep = classical_limit(catalog(2), ("psi", "psi"), 1)
     assert rep.passed and rep.max_rel_err == 0.0
 
 
@@ -324,16 +303,16 @@ def test_a_limit_is_refused_exactly_when_term_pairs_differ(k, a, b):
     # one limit needs one exchange factor: a pair whose term pairs' factors
     # differ has none, whatever the first one's limit would be
     cat = catalog(k)
-    braid = ClassicalBraid(1, 1 if a == b else -1, k)
+    ab = 1 if a == b else -1
     if _term_pairs_differ(cat, a, b):
         assert (a, b) not in SHAPE_PAIRS
         with pytest.raises(NonConvergent, match=r"^term pairs \(0,0\) and \(\d+,\d+\) "
                            "have different exchange factors: the pair has no "
                            "single limit$"):
-            classical_limit(cat, (a, b), braid, SEQ)
+            classical_limit(cat, (a, b), ab)
         return
     try:
-        rep = classical_limit(cat, (a, b), braid, SEQ)
+        rep = classical_limit(cat, (a, b), ab)
     except NonConvergent as exc:
         assert "term pairs" not in str(exc)
     else:

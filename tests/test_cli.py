@@ -98,7 +98,7 @@ def test_json_error_object(tmp_path):
     assert out.returncode == 2
     payload = json.loads(dest.read_text())
     assert payload["error"]["kind"] == "parse"
-    assert payload["schema_version"] == "5"
+    assert payload["schema_version"] == "6"
 
 
 @pytest.mark.parametrize("value", ["k + 1", "3*k", "1/k"])
@@ -135,7 +135,7 @@ def test_report_schema_and_roundtrip(tmp_path):
     payload = json.loads(dest.read_text())
     assert set(payload) == {"schema_version", "params", "relations", "pass"}
     assert payload["pass"] is True
-    assert payload["schema_version"] == "5"
+    assert payload["schema_version"] == "6"
     ids = [r["id"] for r in payload["relations"]]
     assert "E_E" in ids and "[E,F]" in ids
     numeric = {"max_rel_err", "residuals", "grid"}
@@ -190,29 +190,6 @@ def test_limit_reports_the_exact_exponent_not_a_fitted_order(tmp_path):
     assert "exponent=2/3 (braid 2/3 mod 2); no power-law term up to n = 12" \
         in out.stdout
     assert "order=" not in out.stdout
-
-
-@pytest.mark.parametrize("hbars", ["1/2", "1/10,1/100", "1/10,1/100,1/100",
-                                   "1/1000,1/100,1/10"])
-def test_limit_hbar_must_be_a_decreasing_sequence(capsys, hbars):
-    # limit reads --hbar as the hbar -> 0 sequence, where every other
-    # subcommand reads deformation values; the error says so and names the flag
-    assert cli.run(["limit", "--k", "2", "--hbar", hbars, "--json", "-"]) == 2
-    out, err = capsys.readouterr()
-    message = ("--hbar is the hbar -> 0 sequence for limit: at least 3 "
-               f"strictly decreasing values, got {hbars!r}")
-    assert json.loads(out)["error"] == {"kind": "InvalidOption",
-                                        "message": message}
-    assert err == f"error: {message}\n"
-
-
-def test_limit_runs_along_the_hbar_sequence(tmp_path):
-    dest = tmp_path / "limit.json"
-    argv = ["limit", "--k", "2", "--hbar", "1/10,1/100,1/1000", "--json", str(dest)]
-    assert cli.run(argv) == 0
-    report = json.loads(dest.read_text())
-    assert report["params"]["hbar"] == ["1/10", "1/100", "1/1000"]
-    assert all(len(r["limit_fit"]["errors"]) == 3 for r in report["relations"])
 
 
 def test_poles_subcommand():
@@ -431,16 +408,6 @@ def test_single_term_pair_shape_relation_fails(tmp_path, capsys):
     assert "limit[C_plus,C_minus;ab=-1]" in capsys.readouterr().out
 
 
-def test_limit_help_names_the_hbar_sequence(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["limit", "--help"])
-    assert exc.value.code == 0
-    out = " ".join(capsys.readouterr().out.split())
-    assert ("--hbar HBAR the hbar -> 0 sequence, at least 3 strictly "
-            "decreasing rationals") in out
-    assert "override hbar values" not in out
-
-
 def test_single_relation_flag():
     out = run_cli("verify", "--relation", "E_E")
     assert out.returncode == 0
@@ -514,7 +481,7 @@ def test_verify_derives_each_pair_key_once(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == json.dumps({
         "params": {"hbar": ["1"], "k": "1"}, "pass": True,
         "relations": [_two_slopes_row("a_a", "i^2"), _two_slopes_row("b_b", "1")],
-        "schema_version": "5"}, sort_keys=True, indent=1) + "\n"
+        "schema_version": "6"}, sort_keys=True, indent=1) + "\n"
     assert len(derived) == 2 and not laurent
 
 
@@ -767,12 +734,12 @@ def test_json_to_stdout_keeps_stdout_pure(argv, line, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify"], ["report"], ["poles"], ["limit"],
     ["contract", "Lambda_plus", "Lambda_minus"]], ids=lambda argv: argv[0])
-def test_every_json_payload_is_schema_5_with_no_shared_grid(argv, capsys):
+def test_every_json_payload_is_the_current_schema_with_no_shared_grid(argv, capsys):
     # no payload has a top-level grid: a row with a line of points carries
     # its own
     assert cli.run([*argv, "--json", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == "5" and "grid" not in payload
+    assert payload["schema_version"] == "6" and "grid" not in payload
 
 
 def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
@@ -783,7 +750,7 @@ def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
     assert cli.run([*argv, "--json", str(dest)]) == 0
     assert capsys.readouterr().out == text
     payload = json.loads(dest.read_text())
-    assert payload["schema_version"] == "5"
+    assert payload["schema_version"] == "6"
     assert payload["params"] == {"k": "2", "hbar": ["1"]}
     assert payload["currents"] == ["Lambda_plus", "Lambda_minus"]
     [row] = payload["families"]
@@ -836,7 +803,6 @@ def test_contract_says_no_shared_family_only_when_none_is_shared(a, b, lines, ca
     ["verify", "--json", "-", "--k", "2", "--hbar", "1,-1"],
     ["report", "--json", "-", "--hbar", "1/2,-3/7"],
     ["report", "--json", "-", "--k", "1e400"],
-    ["limit", "--json", "-", "--hbar", "1/0,1/100,1/1000"],
     ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--k", "1/0"],
     # contract computes at one hbar, so it takes one
     ["contract", "Lambda_plus", "Lambda_minus", "--json", "-", "--hbar", "1,1/2"],
@@ -1021,6 +987,8 @@ def test_catalog_json_path_is_rejected(tmp_path):
     # how a relation is checked is declared in the file, not on the
     # command line, and catalog writes no report
     ["limit", "--tol=1e-6"],
+    # a limit row is a function of the normalized factor and k alone
+    ["limit", "--k", "3", "--hbar", "1/10,1/100,1/1000"],
     ["verify", "--rotate", "c-sector"],
     ["verify", "--grid-n", "10"],
     ["report", "--grid-range", "1,2"],
@@ -1048,7 +1016,8 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
         "contract": session | {"currents", "--at", "--json"},
         "verify": session | {"--relation", "--json"},
         "poles": session | {"--json"},
-        "limit": session | {"--pair", "--json"},
+        # a limit row reads no hbar value
+        "limit": {"file", "--k", "--pair", "--json"},
         "report": session | {"--json"},
     }
     [sub] = [a for a in cli.build_parser()._actions
@@ -1058,7 +1027,7 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
                for a in parser._actions if a.dest != "help"}
         for name, parser in sub.choices.items()}
     assert accepted == expected
-    assert sum(map(len, accepted.values())) == 27
+    assert sum(map(len, accepted.values())) == 26
 
 
 @pytest.mark.parametrize("command", [
@@ -1257,7 +1226,7 @@ def test_help_usage_and_errors_are_the_full_parsers(
     (["verify", "--k", "2", "--relation", "E_E"], ["verify"]),
     (["contract", "C_plus", "C_minus", "--at", "0,-5"], ["contract"]),
     (["catalog", "verify"], ["catalog", "verify"]),
-    (["limit", "--pair", "psi,psi", "--hbar", "1/10,1/100,1/1000"], ["limit"])])
+    (["limit", "--pair", "psi,psi", "--k", "3", "--json", "-"], ["limit"])])
 def test_parser_for_the_invoked_command_parses_as_the_full_one(argv, built):
     # `built` are the subcommand names in argv: the first is the command,
     # a later one an argument.  The kept parser has all six subcommands and,
@@ -1292,7 +1261,7 @@ def _options():
 def test_every_option_has_a_repeat_case():
     options = _options()
     assert {opt for _, opt in options} == set(_TWICE) | {"--json"}
-    assert len(options) == 20
+    assert len(options) == 19
 
 
 @pytest.mark.parametrize("command, option",
@@ -1326,3 +1295,58 @@ def test_a_repeated_json_writes_to_neither_path(command, tmp_path, capsys):
                     "--k", "3"]) == 2
     out, _ = capsys.readouterr()
     assert json.loads(out)["error"]["message"] == "--hbar given more than once"
+
+
+@pytest.mark.parametrize("command, option", _options())
+def test_an_empty_option_value_exits_two(command, option, tmp_path, capsys,
+                                         monkeypatch):
+    # an empty value is refused, never read as "not given": `verify --k ''`
+    # ran at the file's level, `limit --pair ''` ran the shape pairs and
+    # `report --json ''` wrote no report, each with exit 0
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_LEAD.get(command, []), option, ""]
+    message = f"{option} needs a value"
+    # an empty --json is no path: no error object is written anywhere
+    writes_json = option != "--json" and (command, "--json") in _options()
+    assert cli.run(argv + (["--json", "-"] if writes_json else [])) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    if writes_json:
+        assert json.loads(out)["error"] == {"kind": "InvalidOption", "message": message}
+    else:
+        assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+PSI = ("current psi = (1/hbar) * ( beta_plus@((k+2)/4) * Lambda_plus@(k/4)\n"
+       "                         - beta_minus@(-(k+2)/4) * Lambda_minus@(-k/4) )")
+# the same current with its two terms in the other order
+PSI_RESPELLED = (
+    "current psi = (1/hbar) * ( - beta_minus@(-(k+2)/4) * Lambda_minus@(-k/4)\n"
+    "                         + beta_plus@((k+2)/4) * Lambda_plus@(k/4) )")
+
+
+@pytest.mark.parametrize("k", ["3/2", "5/2", "3", "7/2"])
+def test_a_limit_row_does_not_depend_on_how_a_current_is_spelled(k, tmp_path, capsys):
+    # a limit row is a function of the pair's normalized factor and k: the
+    # order in which psi's terms are written changes no byte of it
+    text = shipped_text()
+    assert text.count(PSI) == 1
+    src = tmp_path / "respelled.alg"
+    src.write_text(text.replace(PSI, PSI_RESPELLED))
+
+    def run(*argv):
+        code = cli.run([*argv, "--k", k, "--json", "-"])
+        return code, capsys.readouterr()
+
+    shipped, respelled = run("limit"), run("limit", str(src))
+    assert shipped == respelled and shipped[0] == 0
+
+    def limit_rows(*file):
+        code, (out, _) = run("report", *file)
+        return code, [r for r in json.loads(out)["relations"]
+                      if r["kind"] == "classical-limit"]
+
+    code, rows = limit_rows()
+    assert (code, rows) == limit_rows(str(src))
+    assert len(rows) == 3
