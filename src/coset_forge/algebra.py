@@ -26,8 +26,7 @@ from .errors import (CosetForgeError, DivergenceMismatch, IllPosedContraction,
                      NonConvergent, NonTelescoping, ResidueMismatch, UnexpectedPole)
 from .exact import GR, GR_I, _gr, _raw, as_fraction
 from .modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
-                    _read_only, _set, equals as modes_equal, monomial_tilts,
-                    shift_argument)
+                    _read_only, _set, equals as modes_equal, shift_argument)
 
 __all__ = [
     "Current", "Catalog", "NormalOrderedTerm", "Relation", "VerificationReport",
@@ -367,11 +366,12 @@ def _verify_numeric_only(cat: Catalog, rel: Relation) -> VerificationReport:
 
 def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                            expected_poles: list[Fraction],
-                           residue_targets: list[tuple[str, Fraction]],
+                           residue_targets: list[tuple[str, Fraction, Fraction, int]],
                            ) -> VerificationReport:
     """Pole/residue analysis of the ordering difference of two currents,
-    against the pole positions (in hbar units) and the (current, argument
-    shift) residue targets of a bound `commutator_delta` declaration.
+    against the pole positions (in hbar units) and the declared residues
+    (current, argument shift, scalar, hbar power) of a bound
+    `commutator_delta` declaration.
 
     Both orderings must be one meromorphic function by the exchange rows'
     rule (Catalog.pair_exchange): each family's two orderings have equal 1/t
@@ -379,11 +379,14 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     commutator is then carried entirely by the boundary-value jump across
     its poles.  Every pole is read exactly off a linear factor of the
     rotated closed forms, which have no Gamma factors, and compared with the
-    declared pole set; residue operators are assembled symbolically and
-    compared with the shifted U(1) exponents.  The row has no numeric
+    declared pole set.  Each pole's residue operator is assembled
+    symbolically and matched one to one with the declared residues: its
+    exponents must be one declared current's at its declared shift, and its
+    scalar and hbar power exactly the declared ones; a declared residue no
+    pole or several poles match fails the row.  The row has no numeric
     residual: its max_rel_err is 0.
     """
-    k, hbar = cat.params.k, cat.params.hbar_float
+    hbar = cat.params.hbar_float
     E, F = cat[e_name], cat[f_name]
 
     report = VerificationReport(f"[{e_name},{f_name}]", "commutator-delta",
@@ -431,14 +434,15 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     # the spectral shift is real: rotated pole at w = p hbar corresponds to
     # hyperbolic pole w = i p hbar, i.e. v = u - i p hbar.
     ok_residues = True
-    scalars = {}
-    # each target's (name, shift, family, exponent), resolved once
+    # each declared residue's (name, shift, family, exponent, scalar, hbar
+    # power), resolved once, and the number of poles whose operator it is
     targets = []
-    for tname, tshift in residue_targets:
+    for tname, tshift, tscalar, thpow in residue_targets:
         tcur = cat[tname]
         tfam = tcur.terms[0].families()[0]
-        targets.append((tname, tshift, tfam, tcur.exponent(tfam)))
-    u1_family = targets[0][2]
+        targets.append((tname, tshift, tfam, tcur.exponent(tfam),
+                        GR.of(tscalar), thpow))
+    used = [0] * len(targets)
     zero = ModeFunction.zero()
     for rho in sorted(pole_map, key=lambda r: (r.im, r.re)):
         holders = pole_map[rho]
@@ -463,60 +467,44 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                  + shift_argument(tb.exponents.get(fam, zero), spectral)
                  for fam in cat.kernels} for _, ta, tb, _ in holders]
         exps = held[0]
+        at = f"residue at w={float(p)}*hbar"
         if not all(modes_equal(exps[fam], other[fam])
                    for other in held[1:] for fam in cat.kernels):
             ok_residues = False
-            report.notes.append(
-                f"residue at w={float(p)}*hbar: term pairs "
-                f"{[h[0] for h in holders]} give different vertex operators")
+            report.notes.append(f"{at}: term pairs {[h[0] for h in holders]} "
+                                "give different vertex operators")
             continue
-        # compare with the shifted U(1) exponent
+        # the declared residues whose shifted exponent it is, on their own
+        # family, with every other family's exponent zero
         zero_fams = {fam for fam in cat.kernels if exps[fam].is_zero()}
-        matches = []
-        for tname, tshift, tfam, texp in targets:
-            shifted = shift_argument(texp, tshift)
-            if all(modes_equal(exps[fam], shifted) if fam == tfam
-                   else fam in zero_fams for fam in cat.kernels):
-                matches.append({"target": tname, "shift": str(tshift)})
-        # the shift, read off a branch of the U(1) exponent that is one
-        # exponential, that makes a target's exponent equal it
-        cexp = exps[u1_family]
-        cands = sorted(monomial_tilts(cexp))
-        derived_shift = next((cand for *_, texp in targets for cand in cands
-                              if modes_equal(cexp, shift_argument(texp, cand))), None)
-        entry = {
+        hits = [i for i, (_, tshift, tfam, texp, _, _) in enumerate(targets)
+                if all(modes_equal(exps[fam], shift_argument(texp, tshift))
+                       if fam == tfam else fam in zero_fams for fam in cat.kernels)]
+        for i in hits:
+            used[i] += 1
+        report.residue_ops.append({
             "pole_w": 1j * complex(rho) * hbar,
-            "scalar_gr": repr(scalar_gr),
+            "scalar": repr(scalar_gr),
             "scalar_hbar_power": hpow,
-            "matches": matches,
-            "derived_u1_shift": None if derived_shift is None else str(derived_shift),
-            "sector_exponents_vanish": all(
-                f in zero_fams for f in cat.kernels if f != u1_family),
-        }
-        scalars[p] = (scalar_gr, hpow)
-        report.residue_ops.append(entry)
-        if not matches:
+            "matches": [{"target": targets[i][0], "shift": str(targets[i][1])}
+                        for i in hits]})
+        if len(hits) != 1:
             ok_residues = False
-            report.notes.append(
-                f"residue at w={float(p)}*hbar does not match any declared target")
-
-    mid = [r for r in report.residue_ops
-           if r["derived_u1_shift"] in (str(k / 4), str(-k / 4))]
-    if len(mid) == len(report.residue_ops) and mid:
-        report.notes.append(
-            "residue operators sit at the midpoint (u+v)/2, i.e. argument "
-            f"shifts +/-{k / 4}*hbar; the printed text shifts by +/-{k / 2}*hbar")
-
-    # scalar pattern: opposite residues of magnitude 1/hbar times one global
-    # normalization shared by both poles
-    if len(scalars) == 2:
-        (p1, (g1, h1)), (p2, (g2, h2)) = sorted(scalars.items())
-        if h1 == h2 and (g1 + g2).is_zero():
-            report.notes.append("residue scalars are opposite, common hbar power "
-                                f"{h1}")
-        else:
+            report.notes.append(f"{at} does not match any declared target" if not hits
+                                else f"{at} matches {len(hits)} declared residues")
+            continue
+        tname, *_, tscalar, thpow = targets[hits[0]]
+        if (scalar_gr, hpow) != (tscalar, thpow):
             ok_residues = False
-            report.notes.append("residue scalars do not form the +/- pattern")
+            report.notes.append(f"{at}: scalar {scalar_gr!r}*hbar^{hpow}, declared "
+                                f"{tscalar!r}*hbar^{thpow} for {tname}")
+
+    # one pole to each declared residue
+    for (tname, tshift, *_), n in zip(targets, used):
+        if n != 1:
+            ok_residues = False
+            report.notes.append(f"declared residue {tname} @ ({tshift}) is the "
+                                f"residue of {n} poles, not one")
 
     report.symbolic_pass = ok_residues
     report.passed = found_rhos == expected_rhos and ok_residues

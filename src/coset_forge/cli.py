@@ -11,6 +11,9 @@ Exit codes: 0 all checks pass, 1 verification failure (a claim refused
 by one of REFUSALS included: that row FAILs), 2 input error: a
 CosetForgeError or an OSError; any other exception is a defect, raised.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
+``poles`` prints each pole of a ``commutator_delta`` with its term pairs,
+and each residue with its scalar, hbar power and the declared residues it
+matches.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report.
 An empty option value is refused, as is an option given twice.
@@ -48,7 +51,7 @@ from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
                      NothingToVerify, ParseError, ResidueMismatch,
                      UnexpectedPole)
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 
 def _fmt(x: float) -> str:
@@ -157,13 +160,7 @@ def _report_to_dict(rep: VerificationReport) -> dict:
             {"w_exact": _fmt_c(p["w_exact"]),
              "pairs": [list(x) for x in p["pairs"]]}
             for p in rep.poles],
-        "residue_ops": [
-            {"pole_w": _fmt_c(r["pole_w"]), "scalar": r["scalar_gr"],
-             "scalar_hbar_power": r["scalar_hbar_power"],
-             "matches": r["matches"],
-             "derived_u1_shift": r["derived_u1_shift"],
-             "sector_exponents_vanish": r["sector_exponents_vanish"]}
-            for r in rep.residue_ops],
+        "residue_ops": [dict(r, pole_w=_fmt_c(r["pole_w"])) for r in rep.residue_ops],
         "limit_fit": _limit_fit_to_dict(rep.limit_fit),
         "notes": list(rep.notes),
     }
@@ -438,9 +435,8 @@ def cmd_poles(args) -> int:
             print(f"  pole at w = {p['w_exact']}, term pairs {p['pairs']}",
                   file=out)
         for r in rep.residue_ops:
-            print(f"  residue at w = {r['pole_w']}: scalar {r['scalar_gr']} "
-                  f"* hbar^{r['scalar_hbar_power']}, matches {r['matches']}, "
-                  f"derived shift {r['derived_u1_shift']}", file=out)
+            print(f"  residue at w = {r['pole_w']}: scalar {r['scalar']} "
+                  f"* hbar^{r['scalar_hbar_power']}, matches {r['matches']}", file=out)
     return _finish(args.json, params, hbars, reports)
 
 

@@ -210,7 +210,7 @@ class CommutatorDecl:
     __slots__ = ("name_a", "name_b", "poles", "residues")
 
     def __init__(self, name_a: str, name_b: str, poles: list[KVal],
-                 residues: list[tuple[str, KVal]]):
+                 residues: list[tuple[str, KVal, KVal, int]]):
         self.name_a = name_a
         self.name_b = name_b
         self.poles = poles
@@ -259,6 +259,9 @@ class DefinitionFile:
             if slope <= 0:
                 _exclude(f"kernel {kd.name!r}", "slope", kd.slope,
                          "is not positive", kval)
+            if not float_sized(slope):
+                _exclude(f"kernel {kd.name!r}", "slope", kd.slope,
+                         "is not nonzero and finite as a float", kval)
             cat.kernels[kd.name] = Kernel(kd.name, kd.sign, slope)
         for cd in self.currents:
             if cd.composite is None:
@@ -274,7 +277,7 @@ class DefinitionFile:
         commutators = [
             {"pair": (cm.name_a, cm.name_b),
              "poles": [at(p) for p in cm.poles],
-             "residues": [(n, at(s)) for n, s in cm.residues]}
+             "residues": [(n, at(s), at(c), hp) for n, s, c, hp in cm.residues]}
             for cm in self.commutators]
         return params, cat, relations, commutators, hbars
 
@@ -283,7 +286,8 @@ class DefinitionFile:
 
 def float_sized(x: Fraction) -> bool:
     """x's float is nonzero and finite, as every float evaluation of k and
-    hbar needs: the rule for --k and --hbar and for the file's k and hbar."""
+    hbar needs: the rule for --k and --hbar and for the file's k, hbar and
+    kernel and sinh slopes."""
     try:
         return float(x) != 0.0
     except OverflowError:
@@ -301,6 +305,9 @@ def _bind_term(cur: str, t: TermDecl, at, k: Fraction) -> ExpTrigTerm:
     for (b, _), (v, _) in zip(t.sinh, sinh):
         if not v:
             _exclude(f"current {cur!r}", "sinh slope", b, "vanishes", k)
+        if not float_sized(v):
+            _exclude(f"current {cur!r}", "sinh slope", b,
+                     "is not nonzero and finite as a float", k)
     return ExpTrigTerm(at(t.coeff), t.hbar_power, at(t.tilt), sinh)
 
 
@@ -464,21 +471,20 @@ class _Parser:
         return entry[0]
 
     def positive(self, what: str) -> KVal:
-        """A k-expression; a constant one, k/k included, must be positive."""
+        """A k-expression; a constant one, k/k included, must be positive
+        and, as `finite` asks, nonzero and finite as a float."""
         at = self.i
         v = self.kexpr()
         c = v.as_constant() if isinstance(v, KRat) else v
         if not v or c is not None and c < 0:
             self.error({f"positive {what}"}, at)
-        return v
+        return self.finite(what, v, at)
 
-    def hbar(self) -> KVal:
-        """An hbar value: a positive k-expression; a constant one must also
-        be nonzero and finite as a float, as an --hbar value must."""
-        at = self.i
-        v = self.positive("hbar")
+    def finite(self, what: str, v: KVal, at: int) -> KVal:
+        """v, first token `at`; a constant one must be nonzero and finite
+        as a float, as a --k or --hbar value must."""
         if not isinstance(v, KRat) and not float_sized(v):
-            self.error({"hbar nonzero and finite as a float"}, at)
+            self.error({f"{what} nonzero and finite as a float"}, at)
         return v
 
     def neg(self, a: KVal) -> KVal:
@@ -587,15 +593,14 @@ class _Parser:
                 if isinstance(k, KRat):
                     # the level is what k stands for everywhere else
                     self.error({"constant level"}, at)
-                if not float_sized(k):
-                    self.error({"level nonzero and finite as a float"}, at)
+                self.finite("level", k, at)
                 self.expect(";")
                 self.declare("k")
             elif self.accept("hbar"):
                 self.expect("=")
-                hbars = [self.hbar()]
+                hbars = [self.positive("hbar")]
                 while self.accept(","):
-                    hbars.append(self.hbar())
+                    hbars.append(self.positive("hbar"))
                 self.expect(";")
                 self.declare("hbar")
             else:
@@ -691,6 +696,7 @@ class _Parser:
                 beta = self.kexpr("h")
                 if not beta:
                     self.error({"nonzero slope"}, at)
+                self.finite("slope", beta, at)
                 self.expect("*", "h", "*", "t", ")")
                 sinh.append((beta, mul * self.exponent()))
                 return
@@ -882,8 +888,15 @@ class _Parser:
                 raise UndeclaredName(f"commutator_delta {a} {b}: residue target "
                                      f"{nm!r} is not declared on a kernel")
             self.expect("@", "(")
-            residues.append((nm, self.kexpr()))
-            self.expect(")")
+            shift = self.kexpr()
+            self.expect(")", "*")
+            scalar, hpow = self.kterm("hbar"), 0
+            # a k-term halts only before `* hbar` or `/ hbar`
+            if self.toks[self.i] in ("*", "/"):
+                inverse = self.toks[self.i] == "/"
+                self.i += 2
+                hpow = -self.exponent() if inverse else self.exponent()
+            residues.append((nm, shift, scalar, hpow))
             if not self.accept(","):
                 break
         self.expect(";", "}")

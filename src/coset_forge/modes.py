@@ -27,7 +27,7 @@ from .exact import LaurentRational, as_fraction, binomial_quotient
 
 __all__ = [
     "AlgebraParams", "Kernel", "ExpTrigTerm", "ModeFunction",
-    "shift_argument", "equals", "monomial_tilts", "times_binomial", "sinh_laurent",
+    "shift_argument", "equals", "times_binomial", "sinh_laurent",
 ]
 
 
@@ -354,20 +354,3 @@ def equals(f: ModeFunction, g: ModeFunction) -> bool:
     """Exact equality of mode functions, branch by branch."""
     return (_vanishes(f.positive_branch, g.positive_branch)
             and _vanishes(f.negative_branch, g.negative_branch))
-
-
-def monomial_tilts(f: ModeFunction) -> set[Fraction]:
-    """Every alpha such that the terms of one branch of f at one hbar power
-    sum to c e^{alpha hbar t}, c != 0: their sum times D is c X^{alpha L}
-    times D, whose expansion leads with X^{sum b m}."""
-    tilts = set()
-    for branch in (f.positive_branch, f.negative_branch):
-        sums, depth, L = _expand([(1, t) for t in branch])
-        den = {x: d for x, d in _sinh_product(1, 0, depth).items() if d}
-        for poly in sums.values():
-            poly = {x: c for x, c in poly.items() if c}
-            if poly and len(poly) == len(den):
-                a, c = max(poly) - max(den), poly[max(poly)]
-                if all(poly.get(x + a) == c * d for x, d in den.items()):
-                    tilts.add(Fraction(a, L))
-    return tilts

@@ -188,15 +188,13 @@ def test_criterion_6_ordering_difference_structure():
         assert all(abs(p["w_exact"].imag) <= 1e-12 for p in rep.poles)
         assert all(sorted(p) == ["pairs", "w_exact"] for p in rep.poles)
         assert rep.max_rel_err == 0
-        # symbolic residue operators: scalars +-(1/hbar), U(1) exponents
-        # matched exactly by modes equality at the derived arguments
-        for r in rep.residue_ops:
-            assert r["matches"], (k, r)
-            assert r["scalar_hbar_power"] == -1
-            assert r["scalar_gr"] in ("1", "-1")
-            assert r["sector_exponents_vanish"]
-        shifts = sorted(r["derived_u1_shift"] for r in rep.residue_ops)
-        assert shifts == sorted([str(k / 4), str(-k / 4)])
+        # symbolic residue operators: the U(1) exponents at the declared
+        # shifts +-k/4, matched exactly by modes equality, with scalars
+        # -+(1/hbar)
+        assert [(r["matches"], r["scalar"], r["scalar_hbar_power"])
+                for r in rep.residue_ops] == [
+            ([{"target": "H_minus", "shift": str(-k / 4)}], "1", -1),
+            ([{"target": "H_plus", "shift": str(k / 4)}], "-1", -1)], k
         # independent exact identity behind the match
         cp, cm = cat["C_plus"].exponent("chat"), cat["C_minus"].exponent("chat")
         hp = cat["H_plus"].exponent("chat")

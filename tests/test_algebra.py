@@ -153,11 +153,11 @@ def test_ef_commutator_analysis(k):
     # the poles are read off exactly: no numeric residual, no numeric fields
     assert all(sorted(p) == ["pairs", "w_exact"] for p in rep.poles)
     assert rep.max_rel_err == 0
-    shifts = sorted(r["derived_u1_shift"] for r in rep.residue_ops)
-    assert shifts == sorted([str(k / 4), str(-k / 4)])
-    for r in rep.residue_ops:
-        assert r["matches"], r
-        assert r["sector_exponents_vanish"]
+    # each pole's residue is one declared residue, with its scalar
+    assert [(r["matches"], r["scalar"], r["scalar_hbar_power"])
+            for r in rep.residue_ops] == [
+        ([{"target": "H_minus", "shift": str(-k / 4)}], "1", -1),
+        ([{"target": "H_plus", "shift": str(k / 4)}], "-1", -1)]
 
 
 def test_hh_pair_has_empty_pole_set():
@@ -165,9 +165,12 @@ def test_hh_pair_has_empty_pole_set():
     cat = catalog(2)
     rep = ef_commutator_analysis(cat, e_name="H_plus", f_name="H_plus",
                                  expected_poles=[],
-                                 residue_targets=[("H_plus", Fraction(0))])
+                                 residue_targets=[("H_plus", Fraction(0), Fraction(1), 0)])
     assert rep.poles == []
     assert rep.residue_ops == []
+    # a declared residue no pole has fails the row
+    assert not rep.passed
+    assert rep.notes == ["declared residue H_plus @ (0) is the residue of 0 poles, not one"]
 
 
 def test_residue_scalar_pattern():
@@ -175,16 +178,20 @@ def test_residue_scalar_pattern():
     by_pole = {round(r["pole_w"].real, 9): r for r in rep.residue_ops}
     minus = by_pole[-1.0]
     plus = by_pole[1.0]
-    assert minus["scalar_gr"] == "-1" and minus["scalar_hbar_power"] == -1
-    assert plus["scalar_gr"] == "1" and plus["scalar_hbar_power"] == -1
+    assert minus["scalar"] == "-1" and minus["scalar_hbar_power"] == -1
+    assert plus["scalar"] == "1" and plus["scalar_hbar_power"] == -1
 
 
-def _commutator_with_e(e_decl, k):
+def _commutator_with_e(e_decl, k, scalar=1):
     """ef_commutator_analysis of the shipped file with E declared as
-    `e_decl`, bound at level k."""
+    `e_decl` and the residue scalars declared as -scalar and scalar, bound
+    at level k."""
     text = shipped_text()
-    assert "current E = psi * C_plus;" in text
-    text = text.replace("current E = psi * C_plus;", e_decl)
+    residues = "residues: H_plus @ (k/4) * (-1) / hbar, H_minus @ (-k/4) * 1 / hbar;"
+    assert "current E = psi * C_plus;" in text and residues in text
+    text = text.replace("current E = psi * C_plus;", e_decl).replace(
+        residues, f"residues: H_plus @ (k/4) * (-{scalar}) / hbar, "
+                  f"H_minus @ (-k/4) * {scalar} / hbar;")
     _, cat, _, (cm,), _ = parse_definitions(text).bind(Fraction(k))
     return ef_commutator_analysis(cat, *cm["pair"], cm["poles"], cm["residues"])
 
@@ -193,19 +200,17 @@ def _commutator_with_e(e_decl, k):
 def test_a_pole_held_by_equal_term_pairs_is_one_residue_operator(k):
     # psi * C_plus written twice puts two term pairs on each pole; their
     # residues are one vertex operator with the scalars added, as for the
-    # same operator written 2 * psi * C_plus
-    summed = _commutator_with_e("current E = psi * C_plus + psi * C_plus;", k)
-    doubled = _commutator_with_e("current E = 2 * psi * C_plus;", k)
+    # same operator written 2 * psi * C_plus, whose declared scalars double
+    summed = _commutator_with_e("current E = psi * C_plus + psi * C_plus;", k, 2)
+    doubled = _commutator_with_e("current E = 2 * psi * C_plus;", k, 2)
     assert all(len(p["pairs"]) == 2 for p in summed.poles)
     assert all(len(p["pairs"]) == 1 for p in doubled.poles)
     for rep in (summed, doubled):
         assert rep.passed and rep.notes == doubled.notes
-        assert [(r["matches"], r["derived_u1_shift"], r["scalar_gr"],
-                 r["scalar_hbar_power"]) for r in rep.residue_ops] == [
-            ([{"target": "H_minus", "shift": str(-Fraction(k) / 4)}],
-             str(-Fraction(k) / 4), "2", -1),
-            ([{"target": "H_plus", "shift": str(Fraction(k) / 4)}],
-             str(Fraction(k) / 4), "-2", -1)]
+        assert [(r["matches"], r["scalar"], r["scalar_hbar_power"])
+                for r in rep.residue_ops] == [
+            ([{"target": "H_minus", "shift": str(-Fraction(k) / 4)}], "2", -1),
+            ([{"target": "H_plus", "shift": str(Fraction(k) / 4)}], "-2", -1)]
 
 
 def test_a_pole_held_by_different_vertex_operators_fails():
@@ -221,7 +226,9 @@ def test_a_pole_held_by_different_vertex_operators_fails():
         "residue at w=1.0*hbar: term pairs [(1, 1), (3, 1)] give different "
         "vertex operators",
         "residue at w=-1.0*hbar: term pairs [(0, 0), (2, 0)] give different "
-        "vertex operators"]
+        "vertex operators",
+        "declared residue H_plus @ (1/2) is the residue of 0 poles, not one",
+        "declared residue H_minus @ (-1/2) is the residue of 0 poles, not one"]
 
 
 LIMIT_LEVELS = [Fraction(2), Fraction(3), Fraction(5, 2)]

@@ -98,7 +98,7 @@ def test_json_error_object(tmp_path):
     assert out.returncode == 2
     payload = json.loads(dest.read_text())
     assert payload["error"]["kind"] == "parse"
-    assert payload["schema_version"] == "6"
+    assert payload["schema_version"] == "7"
 
 
 @pytest.mark.parametrize("value", ["k + 1", "3*k", "1/k"])
@@ -135,7 +135,7 @@ def test_report_schema_and_roundtrip(tmp_path):
     payload = json.loads(dest.read_text())
     assert set(payload) == {"schema_version", "params", "relations", "pass"}
     assert payload["pass"] is True
-    assert payload["schema_version"] == "6"
+    assert payload["schema_version"] == "7"
     ids = [r["id"] for r in payload["relations"]]
     assert "E_E" in ids and "[E,F]" in ids
     numeric = {"max_rel_err", "residuals", "grid"}
@@ -270,8 +270,33 @@ EF_ROW_FAILURES = {
         "3": "residue at w=-1.5*hbar does not match any declared target"}),
     "scalar_doubled": ("current psi = (1/hbar) * ( beta_plus@",
                        "current psi = (1/hbar) * ( 2 * beta_plus@", {
-        "5/12": "residue scalars do not form the +/- pattern",
-        "3": "residue scalars do not form the +/- pattern"}),
+        "5/12": "residue at w=-0.20833333333333334*hbar: scalar -2*hbar^-1, "
+                "declared -1*hbar^-1 for H_plus",
+        "3": "residue at w=-1.5*hbar: scalar -2*hbar^-1, declared -1*hbar^-1 "
+             "for H_plus"}),
+    # both scalars doubled, or both negated: still opposite, but not the
+    # declared ones
+    "psi_doubled": ("current psi = (1/hbar)", "current psi = (2/hbar)", {
+        "5/12": "residue at w=0.20833333333333334*hbar: scalar 2*hbar^-1, "
+                "declared 1*hbar^-1 for H_minus",
+        "3": "residue at w=1.5*hbar: scalar 2*hbar^-1, declared 1*hbar^-1 "
+             "for H_minus"}),
+    "psi_negated": ("current psi = (1/hbar)", "current psi = (-1/hbar)", {
+        "5/12": "residue at w=0.20833333333333334*hbar: scalar -1*hbar^-1, "
+                "declared 1*hbar^-1 for H_minus",
+        "3": "residue at w=1.5*hbar: scalar -1*hbar^-1, declared 1*hbar^-1 "
+             "for H_minus"}),
+    # poles and declared residues match one to one: a declared residue no
+    # pole has, and a pole that two declared residues name, fail the row
+    "residue_extra": ("H_minus @ (-k/4) * 1 / hbar;",
+                      "H_minus @ (-k/4) * 1 / hbar, H_plus @ (3*k/4) * (-1) / hbar;", {
+        "5/12": "declared residue H_plus @ (5/16) is the residue of 0 poles, not one",
+        "3": "declared residue H_plus @ (9/4) is the residue of 0 poles, not one"}),
+    "residue_twice": ("residues: H_plus @ (k/4) * (-1) / hbar,",
+                      "residues: H_plus @ (k/4) * (-1) / hbar, "
+                      "H_plus @ (k/4) * (-1) / hbar,", {
+        "5/12": "residue at w=-0.20833333333333334*hbar matches 2 declared residues",
+        "3": "residue at w=-1.5*hbar matches 2 declared residues"}),
 }
 
 
@@ -481,7 +506,7 @@ def test_verify_derives_each_pair_key_once(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == json.dumps({
         "params": {"hbar": ["1"], "k": "1"}, "pass": True,
         "relations": [_two_slopes_row("a_a", "i^2"), _two_slopes_row("b_b", "1")],
-        "schema_version": "6"}, sort_keys=True, indent=1) + "\n"
+        "schema_version": "7"}, sort_keys=True, indent=1) + "\n"
     assert len(derived) == 2 and not laurent
 
 
@@ -739,7 +764,7 @@ def test_every_json_payload_is_the_current_schema_with_no_shared_grid(argv, caps
     # its own
     assert cli.run([*argv, "--json", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == "6" and "grid" not in payload
+    assert payload["schema_version"] == "7" and "grid" not in payload
 
 
 def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
@@ -750,7 +775,7 @@ def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
     assert cli.run([*argv, "--json", str(dest)]) == 0
     assert capsys.readouterr().out == text
     payload = json.loads(dest.read_text())
-    assert payload["schema_version"] == "6"
+    assert payload["schema_version"] == "7"
     assert payload["params"] == {"k": "2", "hbar": ["1"]}
     assert payload["currents"] == ["Lambda_plus", "Lambda_minus"]
     [row] = payload["families"]
@@ -895,12 +920,12 @@ def test_an_engine_value_error_is_not_an_input_error(monkeypatch):
     ("H_copy", "current H_copy = H_plus;\n"),
 ])
 def test_residue_targets_are_primitive_currents(tmp_path, capsys, target, extra):
-    old = "  residues: H_plus @ (k/4),"
+    old = "  residues: H_plus @ (k/4) * (-1) / hbar,"
     text = shipped_text()
     assert old in text
     text = text.replace("commutator_delta E F", extra + "commutator_delta E F")
     src = tmp_path / "target.alg"
-    src.write_text(text.replace(old, f"  residues: {target} @ (k/4),"))
+    src.write_text(text.replace(old, f"  residues: {target} @ (k/4) * (-1) / hbar,"))
     assert cli.run(["verify", str(src), "--json", "-"]) == 2
     out, err = capsys.readouterr()
     message = (f"commutator_delta E F: residue target {target!r} is not "
@@ -1155,6 +1180,14 @@ def test_limit_without_a_pair_to_fit_is_refused(tmp_path, capsys):
     ("pos: -2 * hbar * sinh((1/2)*h*t)", "pos: -2 * hbar * sinh((k/2 - 1)*h*t)",
      "ExcludedLevel",
      "current 'Lambda_plus': sinh slope (-1 + 1/2*k) vanishes at k=2"),
+    # or one whose float is infinite or zero there
+    ("slope = (k+2)/2;", f"slope = k*1{'0' * 400};", "ExcludedLevel",
+     f"kernel 'lhat': slope (1{'0' * 400}*k) is not nonzero and finite as a "
+     "float at k=2"),
+    ("pos: -2 * hbar * sinh((1/2)*h*t)",
+     f"pos: -2 * hbar * sinh((k/1{'0' * 400})*h*t)", "ExcludedLevel",
+     f"current 'Lambda_plus': sinh slope (1/1{'0' * 400}*k) is not nonzero "
+     "and finite as a float at k=2"),
 ])
 def test_division_by_zero_is_a_typed_error(tmp_path, capsys, old, new, kind, message):
     text = shipped_text()

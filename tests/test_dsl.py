@@ -195,6 +195,7 @@ def test_hbar_list_parsed():
 _K = "params { k = 2; hbar = 1; }\n"
 _KA = _K + "kernel a { sign = +1; slope = 1; }\n"
 _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
+_HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("text, line, col, expected, found", [
@@ -287,6 +288,19 @@ _KAX = _KA + "current X on a { pos: 1 * hbar; }\n"
     # a character outside the grammar wins over an earlier syntax error
     ("params { k = ; }\nkernel a { sign = +1; slope = 1 $ }\n",
      2, 33, ["token"], "$"),
+    # like k and hbar, a constant kernel or sinh slope must be nonzero and
+    # finite as a float
+    (_K + f"kernel a {{ sign = +1; slope = {_HUGE}; }}\n", 2, 31,
+     ["slope nonzero and finite as a float"], _HUGE),
+    (_K + f"kernel a {{ sign = +1; slope = 1/{_HUGE}; }}\n", 2, 31,
+     ["slope nonzero and finite as a float"], "1"),
+    (_KA + f"current X on a {{ pos: 1 * hbar * sinh({_HUGE}*h*t); }}\n", 3, 39,
+     ["slope nonzero and finite as a float"], _HUGE),
+    (_KA + f"current X on a {{ pos: 1 * hbar * sinh((1/{_HUGE})*h*t); }}\n", 3, 39,
+     ["slope nonzero and finite as a float"], "("),
+    # a declared residue names its scalar: there is no default
+    (_KAX + "commutator_delta X X { poles: 0; residues: X @ (0); }\n",
+     4, 51, ["'*'"], ";"),
 ])
 def test_parse_error_diagnostics_are_pinned(text, line, col, expected, found):
     with pytest.raises(ParseError) as exc:
@@ -327,9 +341,6 @@ def test_declared_level_that_involves_k_is_refused(value):
         (1, 14, {"constant level"}, value[0])
 
 
-_HUGE = "1" + "0" * 400
-
-
 @pytest.mark.parametrize("text, col, expected, found", [
     (f"params {{ k = {_HUGE}; }}\n", 14, "level", _HUGE),
     (f"params {{ k = 1/{_HUGE}; }}\n", 14, "level", "1"),
@@ -355,6 +366,19 @@ def test_an_hbar_with_k_outside_float_range_excludes_the_level(hbar, k):
         df.bind(k)
     # an hbar override replaces the file's values, so none is bound
     df.bind(k, [Fraction(1)])
+
+
+@pytest.mark.parametrize("scalar, value, hbar_power", [
+    ("1", Fraction(1), 0),
+    ("(-1) / hbar", Fraction(-1), -1),
+    ("k/4 * hbar^2", Fraction(3, 4), 2),
+    ("-2 / hbar^-1", Fraction(-2), 1),
+])
+def test_a_declared_residue_binds_its_scalar_and_hbar_power(scalar, value, hbar_power):
+    df = parse_definitions(_KAX + "commutator_delta X X { poles: 0; "
+                                  f"residues: X @ (k/2) * {scalar}; }}\n")
+    _, _, _, [comm], _ = df.bind(Fraction(3))
+    assert comm["residues"] == [("X", Fraction(3, 2), value, hbar_power)]
 
 
 @pytest.mark.parametrize("text, what", [
@@ -595,7 +619,7 @@ def test_k_expressions_bind_to_their_value(expr, k):
     except ZeroDivisionError:
         assume(False)
     df = parse_definitions(_KAX + f"commutator_delta X X {{ poles: {text}; "
-                                  "residues: X @ (0); }\n")
+                                  "residues: X @ (0) * 1; }\n")
     _, _, _, [comm], _ = df.bind(k, [Fraction(1)])
     assert comm["poles"] == [expected]
 

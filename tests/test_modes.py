@@ -14,7 +14,7 @@ from coset_forge import exact
 from coset_forge.errors import ExcludedLevel
 from coset_forge.exact import GR, LaurentRational
 from coset_forge.modes import (AlgebraParams, ExpTrigTerm, Kernel, ModeFunction,
-                               equals, monomial_tilts, shift_argument)
+                               equals, shift_argument)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -320,9 +320,9 @@ def test_laurent_makes_no_trial_division(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# equals, is_zero and monomial_tilts read integer exponential sums; the
-# oracle is the Laurent comparison they replaced: each branch summed per
-# hbar power into reduced Laurent rationals on the joint lattice.
+# equals and is_zero read integer exponential sums; the oracle is the
+# Laurent comparison they replaced: each branch summed per hbar power into
+# reduced Laurent rationals on the joint lattice.
 
 def _laurent_branches(f, lattice):
     branches = []
@@ -338,13 +338,6 @@ def _laurent_branches(f, lattice):
 def _laurent_equals(f, g):
     joint = math.lcm(f.lattice(), g.lattice())
     return _laurent_branches(f, joint) == _laurent_branches(g, joint)
-
-
-def _laurent_tilts(f):
-    lat, pos, neg = f.canonical()
-    return {Fraction(lr.num.lo, 2 * lat) for branch in (pos, neg)
-            for lr in branch.values()
-            if len(lr.num.coeffs) == 1 and not lr.factors}
 
 
 _SLOPES = st.sampled_from([HALF, ONE, Fraction(3, 2), Fraction(1, 3)])
@@ -445,5 +438,3 @@ def test_exponential_sums_decide_as_the_laurent_forms(pair):
     assert equals(g, f) == equals(f, g)
     d = f - g
     assert d.is_zero() == (d.canonical()[1:] == ({}, {})) == equals(f, g)
-    for h in (f, g, d):
-        assert monomial_tilts(h) == _laurent_tilts(h)

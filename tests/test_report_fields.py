@@ -3,10 +3,9 @@
 `tests/data/report_fields.json` holds, for each level and hbar below and
 each of the two commands, every report row's id, kind, pass and
 symbolic_pass flags, derived and expected factor strings, the term pairs of
-each pole and the exact residue data (scalar, its hbar power, the matched
-targets, the derived U(1) shift and the sector flag), and the report's
-overall pass flag.  These all come from the exact layer, so they must not
-change when it is reworked.  Grids, residuals, errors, pole positions and
+each pole and the exact residue data (scalar, its hbar power and the
+matched targets), and the report's overall pass flag.  These all come
+from the exact layer, so they must not change when it is reworked.  Grids, residuals, errors, pole positions and
 notes are floats or carry floats, which libm may round differently on
 another runner; they stay out.
 
