@@ -191,22 +191,21 @@ class Relation:
 class VerificationReport:
     __slots__ = ("rel_id", "kind", "passed", "symbolic_pass", "max_rel_err",
                  "grid", "residuals", "derived_factor", "expected_factor",
-                 "poles", "residue_ops", "limit_fit", "notes")
+                 "poles", "limit_fit", "notes")
 
     def __init__(self, rel_id: str, kind: str, passed: bool,
-                 symbolic_pass: bool | None, max_rel_err: float | None,
+                 symbolic_pass: bool | None, max_rel_err: float | None = None,
                  grid: list[complex] | None = None,
                  residuals: list[float] | None = None,
                  derived_factor: str = "", expected_factor: str = "",
                  poles: list[dict] | None = None,
-                 residue_ops: list[dict] | None = None,
                  limit_fit: dict | None = None,
                  notes: list[str] | None = None):
         self.rel_id = rel_id
         self.kind = kind
         self.passed = passed
         self.symbolic_pass = symbolic_pass
-        # None on the symbolic route, whose rows have no numeric residual
+        # set by the quadrature-only route alone; every other row is exact
         self.max_rel_err = max_rel_err
         # omitted containers start empty, one new container per report
         self.grid = [] if grid is None else grid
@@ -214,7 +213,6 @@ class VerificationReport:
         self.derived_factor = derived_factor
         self.expected_factor = expected_factor
         self.poles = [] if poles is None else poles
-        self.residue_ops = [] if residue_ops is None else residue_ops
         self.limit_fit = {} if limit_fit is None else limit_fit
         self.notes = [] if notes is None else notes
 
@@ -276,7 +274,7 @@ def verify_relation(cat: Catalog, rel: Relation) -> VerificationReport:
         factors = cat.pair_exchange(a, b, rotate=rel.rotate)
     except NonTelescoping:
         return _verify_numeric_only(cat, rel)
-    report = VerificationReport(rel.rel_id, rel.kind, False, None, None,
+    report = VerificationReport(rel.rel_id, rel.kind, False, None,
                                 derived_factor=factors[0].describe())
     compared = _compared(report, rel.target, factors)
     if compared is None:
@@ -383,14 +381,13 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     symbolically and matched one to one with the declared residues: its
     exponents must be one declared current's at its declared shift, and its
     scalar and hbar power exactly the declared ones; a declared residue no
-    pole or several poles match fails the row.  The row has no numeric
-    residual: its max_rel_err is 0.
+    pole or several poles match fails the row.  The row reads no hbar: a
+    pole entry holds its position in hbar units exactly, with its residue.
     """
-    hbar = cat.params.hbar_float
     E, F = cat[e_name], cat[f_name]
 
     report = VerificationReport(f"[{e_name},{f_name}]", "commutator-delta",
-                                False, None, 0.0)
+                                False, None)
 
     # per term pair whose exchange factor is one: exp<E_term(u) F_term(v)>,
     # the product over families, rotated
@@ -405,7 +402,8 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                 [cat.closed_contraction(*x)[0] for x in cat.shared_families(ta, tb)])
             pair_data.append(((ia, ib), ta, tb, fwd.wick_rotate().normalize()))
 
-    # exact pole set: every negative-exponent linear factor
+    # exact pole set: every negative-exponent linear factor.  A pole at
+    # w = p*hbar is the linear factor iw + rho*hbar, rho = -i p, so p = i rho
     pole_map: dict[GR, list] = {}
     for key, ta, tb, rot in pair_data:
         if rot.gammas:
@@ -415,20 +413,15 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                 continue
             rho = _raw(*fields)
             if e < -1:
-                raise UnexpectedPole(1j * complex(rho) * hbar,
-                                     f"pair {key}: pole order {-e}")
+                raise UnexpectedPole(f"{GR_I * rho!r}*hbar", f"pair {key}: pole order {-e}")
             pole_map.setdefault(rho, []).append((key, ta, tb, rot))
 
-    # a pole at w = p*hbar is the linear factor iw + rho*hbar, rho = -i p
     expected_rhos = {GR(Fraction(0), -as_fraction(p)) for p in expected_poles}
     found_rhos = set(pole_map)
     if found_rhos != expected_rhos:
-        got = sorted(str(1j * complex(r)) for r in found_rhos)
-        want = sorted(str(1j * complex(r)) for r in expected_rhos)
+        got, want = ([repr(GR_I * r) for r in sorted(rhos, key=lambda r: (-r.im, r.re))]
+                     for rhos in (found_rhos, expected_rhos))
         report.notes.append(f"pole sets differ: derived {got}, expected {want}")
-    for rho, holders in sorted(pole_map.items(), key=lambda kv: repr(kv[0])):
-        report.poles.append({"w_exact": 1j * complex(rho) * hbar,
-                             "pairs": [h[0] for h in holders]})
 
     # residue operators, assembled in the hyperbolic parametrization where
     # the spectral shift is real: rotated pole at w = p hbar corresponds to
@@ -446,8 +439,8 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     zero = ModeFunction.zero()
     for rho in sorted(pole_map, key=lambda r: (r.im, r.re)):
         holders = pole_map[rho]
-        p = -rho.im  # rotated pole position in hbar units (rho = -i p)
-        spectral = -p  # e^{ipt} with p = i*p_hyp... v = u - i p hbar shifts by -p
+        w = GR_I * rho  # the rotated pole position in hbar units
+        spectral = -w.re  # v = u - i p hbar shifts F's argument by -p
         scalar_gr = GR(Fraction(0))
         hpow = None
         for key, ta, tb, rot in holders:
@@ -467,11 +460,14 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                  + shift_argument(tb.exponents.get(fam, zero), spectral)
                  for fam in cat.kernels} for _, ta, tb, _ in holders]
         exps = held[0]
-        at = f"residue at w={float(p)}*hbar"
+        pole = {"w_over_hbar": repr(w), "pairs": [h[0] for h in holders],
+                "scalar": repr(scalar_gr), "scalar_hbar_power": hpow, "matches": []}
+        report.poles.append(pole)
+        at = f"residue at w={w!r}*hbar"
         if not all(modes_equal(exps[fam], other[fam])
                    for other in held[1:] for fam in cat.kernels):
             ok_residues = False
-            report.notes.append(f"{at}: term pairs {[h[0] for h in holders]} "
+            report.notes.append(f"{at}: term pairs {pole['pairs']} "
                                 "give different vertex operators")
             continue
         # the declared residues whose shifted exponent it is, on their own
@@ -482,12 +478,8 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
                        if fam == tfam else fam in zero_fams for fam in cat.kernels)]
         for i in hits:
             used[i] += 1
-        report.residue_ops.append({
-            "pole_w": 1j * complex(rho) * hbar,
-            "scalar": repr(scalar_gr),
-            "scalar_hbar_power": hpow,
-            "matches": [{"target": targets[i][0], "shift": str(targets[i][1])}
-                        for i in hits]})
+        pole["matches"] = [{"target": targets[i][0], "shift": str(targets[i][1])}
+                           for i in hits]
         if len(hits) != 1:
             ok_residues = False
             report.notes.append(f"{at} does not match any declared target" if not hits
@@ -680,7 +672,7 @@ def classical_limit(cat: Catalog, rel_pair: tuple[str, str], ab: int
             complex(c) * x ** -m for m, c in enumerate(corrections, 1) if c))
         check_errs.append(abs(n.eval(wc, hbar_check) / lim - 1.0))
     report = VerificationReport(f"limit[{a},{b};ab={ab}]",
-                                "classical-limit", False, None, max(check_errs))
+                                "classical-limit", False, None)
     # a NaN can hide from max(), never from this comparison
     bad = [e for e in check_errs if not e <= TOLERANCE]
     report.limit_fit = {

@@ -11,9 +11,9 @@ Exit codes: 0 all checks pass, 1 verification failure (a claim refused
 by one of REFUSALS included: that row FAILs), 2 input error: a
 CosetForgeError or an OSError; any other exception is a defect, raised.
 ``verify``, ``report`` and ``limit`` refuse a run that would check nothing.
-``poles`` prints each pole of a ``commutator_delta`` with its term pairs,
-and each residue with its scalar, hbar power and the declared residues it
-matches.
+``poles`` prints one line per pole of a ``commutator_delta``: its exact
+position in units of hbar, its term pairs, and its residue's scalar, hbar
+power and the declared residues it matches.
 With ``--json -`` the report is the only thing written to stdout; the
 human-readable lines go to stderr.  ``catalog`` writes no report.
 An empty option value is refused, as is an option given twice.
@@ -51,7 +51,7 @@ from .errors import (CosetForgeError, DivergenceMismatch, InvalidOption,
                      NothingToVerify, ParseError, ResidueMismatch,
                      UnexpectedPole)
 
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 
 
 def _fmt(x: float) -> str:
@@ -147,8 +147,8 @@ def _require_checks(rels, comms) -> None:
 
 
 def _report_to_dict(rep: VerificationReport) -> dict:
-    """The report's row.  A row with a numeric residual lists it with its
-    points and the residual at each; a row on the symbolic route has none."""
+    """The report's row.  Only a quadrature-only row lists its worst
+    residual, its points and the residual at each; pole entries are exact."""
     row = {
         "id": rep.rel_id,
         "kind": rep.kind,
@@ -156,11 +156,7 @@ def _report_to_dict(rep: VerificationReport) -> dict:
         "symbolic_pass": rep.symbolic_pass,
         "derived_factor": rep.derived_factor,
         "expected_factor": rep.expected_factor,
-        "poles": [
-            {"w_exact": _fmt_c(p["w_exact"]),
-             "pairs": [list(x) for x in p["pairs"]]}
-            for p in rep.poles],
-        "residue_ops": [dict(r, pole_w=_fmt_c(r["pole_w"])) for r in rep.residue_ops],
+        "poles": rep.poles,
         "limit_fit": _limit_fit_to_dict(rep.limit_fit),
         "notes": list(rep.notes),
     }
@@ -195,12 +191,11 @@ REFUSALS = (DivergenceMismatch, NonTelescoping, UnexpectedPole, ResidueMismatch,
 
 def _row(rel_id: str, kind: str, check, *args) -> VerificationReport:
     """check(*args), or, when it raises one of REFUSALS, the row's FAIL: the
-    error text as its note, no residual and no symbolic verdict."""
+    error text as its note and no symbolic verdict."""
     try:
         return check(*args)
     except REFUSALS as exc:
-        return VerificationReport(rel_id, kind, False, None, float("nan"),
-                                  notes=[str(exc)])
+        return VerificationReport(rel_id, kind, False, None, notes=[str(exc)])
 
 
 def _run_relations(cat, rels) -> list[VerificationReport]:
@@ -432,11 +427,9 @@ def cmd_poles(args) -> int:
     for rep in reports:
         _print_report_lines([rep], out)
         for p in rep.poles:
-            print(f"  pole at w = {p['w_exact']}, term pairs {p['pairs']}",
-                  file=out)
-        for r in rep.residue_ops:
-            print(f"  residue at w = {r['pole_w']}: scalar {r['scalar']} "
-                  f"* hbar^{r['scalar_hbar_power']}, matches {r['matches']}", file=out)
+            print(f"  pole at w = {p['w_over_hbar']}*hbar, term pairs {p['pairs']}: "
+                  f"residue scalar {p['scalar']} * hbar^{p['scalar_hbar_power']}, "
+                  f"matches {p['matches']}", file=out)
     return _finish(args.json, params, hbars, reports)
 
 

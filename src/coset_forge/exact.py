@@ -171,7 +171,6 @@ def _gr(a: int, b: int, q: int) -> GR:
     return _raw(a, b, q)
 
 
-GR_ZERO = _raw(0, 0, 1)
 GR_ONE = _raw(1, 0, 1)
 GR_I = _raw(0, 1, 1)
 

@@ -177,22 +177,19 @@ def test_criterion_5_rational_relations_gamma_emptiness():
 def test_criterion_6_ordering_difference_structure():
     t0 = time.time()
     for k in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        params, cat, _, _ = bind_shipped(k)
+        _, cat, _, _ = bind_shipped(k)
         rep = shipped_commutator(k)
         assert rep.passed, (k, rep.notes)
-        hbar = params.hbar_float
-        ws = sorted(p["w_exact"].real for p in rep.poles)
-        assert len(rep.poles) == 2
-        assert abs(ws[0] + float(k / 2) * hbar) <= 1e-6 * hbar
-        assert abs(ws[1] - float(k / 2) * hbar) <= 1e-6 * hbar
-        assert all(abs(p["w_exact"].imag) <= 1e-12 for p in rep.poles)
-        assert all(sorted(p) == ["pairs", "w_exact"] for p in rep.poles)
-        assert rep.max_rel_err == 0
+        # poles at +-(k/2) hbar, exactly, in units of hbar
+        assert [p["w_over_hbar"] for p in rep.poles] == [str(k / 2), str(-k / 2)]
+        assert all(sorted(p) == ["matches", "pairs", "scalar", "scalar_hbar_power",
+                                 "w_over_hbar"] for p in rep.poles)
+        assert rep.max_rel_err is None
         # symbolic residue operators: the U(1) exponents at the declared
         # shifts +-k/4, matched exactly by modes equality, with scalars
         # -+(1/hbar)
-        assert [(r["matches"], r["scalar"], r["scalar_hbar_power"])
-                for r in rep.residue_ops] == [
+        assert [(p["matches"], p["scalar"], p["scalar_hbar_power"])
+                for p in rep.poles] == [
             ([{"target": "H_minus", "shift": str(-k / 4)}], "1", -1),
             ([{"target": "H_plus", "shift": str(k / 4)}], "-1", -1)], k
         # independent exact identity behind the match

@@ -146,16 +146,15 @@ def test_hh_commutation_factor_is_one():
 def test_ef_commutator_analysis(k):
     rep = shipped_commutator(k)
     assert rep.passed
-    hbar = 1.0
-    got = sorted(p["w_exact"].real for p in rep.poles)
-    assert abs(got[0] + float(k) / 2 * hbar) < 1e-12
-    assert abs(got[1] - float(k) / 2 * hbar) < 1e-12
-    # the poles are read off exactly: no numeric residual, no numeric fields
-    assert all(sorted(p) == ["pairs", "w_exact"] for p in rep.poles)
-    assert rep.max_rel_err == 0
+    # the poles are read off exactly, in units of hbar: no numeric residual,
+    # no float fields
+    assert [p["w_over_hbar"] for p in rep.poles] == [str(k / 2), str(-k / 2)]
+    assert all(sorted(p) == ["matches", "pairs", "scalar", "scalar_hbar_power",
+                             "w_over_hbar"] for p in rep.poles)
+    assert rep.max_rel_err is None
     # each pole's residue is one declared residue, with its scalar
-    assert [(r["matches"], r["scalar"], r["scalar_hbar_power"])
-            for r in rep.residue_ops] == [
+    assert [(p["matches"], p["scalar"], p["scalar_hbar_power"])
+            for p in rep.poles] == [
         ([{"target": "H_minus", "shift": str(-k / 4)}], "1", -1),
         ([{"target": "H_plus", "shift": str(k / 4)}], "-1", -1)]
 
@@ -167,7 +166,6 @@ def test_hh_pair_has_empty_pole_set():
                                  expected_poles=[],
                                  residue_targets=[("H_plus", Fraction(0), Fraction(1), 0)])
     assert rep.poles == []
-    assert rep.residue_ops == []
     # a declared residue no pole has fails the row
     assert not rep.passed
     assert rep.notes == ["declared residue H_plus @ (0) is the residue of 0 poles, not one"]
@@ -175,9 +173,9 @@ def test_hh_pair_has_empty_pole_set():
 
 def test_residue_scalar_pattern():
     rep = shipped_commutator(2)
-    by_pole = {round(r["pole_w"].real, 9): r for r in rep.residue_ops}
-    minus = by_pole[-1.0]
-    plus = by_pole[1.0]
+    by_pole = {p["w_over_hbar"]: p for p in rep.poles}
+    minus = by_pole["-1"]
+    plus = by_pole["1"]
     assert minus["scalar"] == "-1" and minus["scalar_hbar_power"] == -1
     assert plus["scalar"] == "1" and plus["scalar_hbar_power"] == -1
 
@@ -207,8 +205,8 @@ def test_a_pole_held_by_equal_term_pairs_is_one_residue_operator(k):
     assert all(len(p["pairs"]) == 1 for p in doubled.poles)
     for rep in (summed, doubled):
         assert rep.passed and rep.notes == doubled.notes
-        assert [(r["matches"], r["scalar"], r["scalar_hbar_power"])
-                for r in rep.residue_ops] == [
+        assert [(p["matches"], p["scalar"], p["scalar_hbar_power"])
+                for p in rep.poles] == [
             ([{"target": "H_minus", "shift": str(-Fraction(k) / 4)}], "2", -1),
             ([{"target": "H_plus", "shift": str(Fraction(k) / 4)}], "-2", -1)]
 
@@ -221,11 +219,13 @@ def test_a_pole_held_by_different_vertex_operators_fails():
         "current Z on z { pos: 2 * hbar * exp(-i*u*t); }\n"
         "current E = psi * C_plus + psi * C_plus * Z;", 2)
     assert not rep.passed
-    assert rep.residue_ops == []
+    # each pole is listed with its term pairs, and matches no declared residue
+    assert [(p["w_over_hbar"], p["pairs"], p["matches"]) for p in rep.poles] == [
+        ("1", [(1, 1), (3, 1)], []), ("-1", [(0, 0), (2, 0)], [])]
     assert rep.notes == [
-        "residue at w=1.0*hbar: term pairs [(1, 1), (3, 1)] give different "
+        "residue at w=1*hbar: term pairs [(1, 1), (3, 1)] give different "
         "vertex operators",
-        "residue at w=-1.0*hbar: term pairs [(0, 0), (2, 0)] give different "
+        "residue at w=-1*hbar: term pairs [(0, 0), (2, 0)] give different "
         "vertex operators",
         "declared residue H_plus @ (1/2) is the residue of 0 poles, not one",
         "declared residue H_minus @ (-1/2) is the residue of 0 poles, not one"]
@@ -251,7 +251,8 @@ def test_classical_limit_psi_pairs(k):
         # reflection-paired Gamma factors: the B_n terms cancel at every n
         assert fit["order"] is None and fit["correction"] is None
         assert max(fit["check_errors"]) <= 1e-8
-        assert rep.max_rel_err == max(fit["check_errors"])
+        # an exact row: its cross-check errors live in limit_fit alone
+        assert rep.max_rel_err is None
 
 
 def test_classical_limit_at_k2_reads_the_constant():
@@ -285,7 +286,7 @@ def test_classical_limit_cross_check_is_held_to_the_tolerance(monkeypatch):
         classical_limit(catalog(3), ("psi", "psi"), 1)
     # at k = 2 the factor is the constant -1, its limit, to the last bit
     rep = classical_limit(catalog(2), ("psi", "psi"), 1)
-    assert rep.passed and rep.max_rel_err == 0.0
+    assert rep.passed and rep.limit_fit["check_errors"] == [0.0] * 3
 
 
 SHIPPED_CURRENTS = [cd.name for cd in parse_definitions(shipped_text()).currents]

@@ -98,7 +98,7 @@ def test_json_error_object(tmp_path):
     assert out.returncode == 2
     payload = json.loads(dest.read_text())
     assert payload["error"]["kind"] == "parse"
-    assert payload["schema_version"] == "7"
+    assert payload["schema_version"] == "8"
 
 
 @pytest.mark.parametrize("value", ["k + 1", "3*k", "1/k"])
@@ -135,18 +135,19 @@ def test_report_schema_and_roundtrip(tmp_path):
     payload = json.loads(dest.read_text())
     assert set(payload) == {"schema_version", "params", "relations", "pass"}
     assert payload["pass"] is True
-    assert payload["schema_version"] == "7"
+    assert payload["schema_version"] == "8"
     ids = [r["id"] for r in payload["relations"]]
     assert "E_E" in ids and "[E,F]" in ids
     numeric = {"max_rel_err", "residuals", "grid"}
     for rel in payload["relations"]:
         assert isinstance(rel["pass"], bool)
-        if rel["kind"] in ("exchange", "shape"):
-            # the symbolic route: an exact verdict, no numeric fields
-            assert not numeric & set(rel), rel["id"]
-        else:
-            assert isinstance(rel["max_rel_err"], str)  # 17-digit decimal string
-            assert rel["residuals"] == rel["grid"] == []
+        # no row of the shipped file is quadrature-only: every verdict is
+        # exact, with no numeric fields
+        assert not numeric & set(rel), rel["id"]
+        if rel["kind"] == "classical-limit":
+            # the cross-check's errors, 17-digit decimal strings
+            errors = rel["limit_fit"]["check_errors"]
+            assert len(errors) == 3 and all(isinstance(e, str) for e in errors)
     # re-serialize: stable
     assert json.loads(json.dumps(payload, sort_keys=True)) == payload
 
@@ -195,8 +196,12 @@ def test_limit_reports_the_exact_exponent_not_a_fitted_order(tmp_path):
 def test_poles_subcommand():
     out = run_cli("poles")
     assert out.returncode == 0
-    assert "residue at" in out.stdout
-    assert "pole at w = (1+0j), term pairs [(1, 1)]" in out.stdout
+    # one line per pole: its exact position, term pairs and residue
+    assert out.stdout.splitlines()[1:] == [
+        "  pole at w = 1*hbar, term pairs [(1, 1)]: residue scalar 1 * hbar^-1, "
+        "matches [{'target': 'H_minus', 'shift': '-1/2'}]",
+        "  pole at w = -1*hbar, term pairs [(0, 0)]: residue scalar -1 * hbar^-1, "
+        "matches [{'target': 'H_plus', 'shift': '1/2'}]"]
     assert "numeric" not in out.stdout
 
 
@@ -228,12 +233,12 @@ def test_refuted_ef_claim_is_a_fail_row(tmp_path, capsys, mutant, k):
     assert len(rows) == 26
     ef = rows["[E,F]"]
     assert ef["pass"] is False and ef["symbolic_pass"] is None
-    assert ef["max_rel_err"] == "nan" and ef["poles"] == []
+    assert not {"max_rel_err", "residuals", "grid"} & set(ef) and ef["poles"] == []
     [note] = ef["notes"]
     assert note.startswith(pair)
     assert cli.run(["poles", str(bad), "--k", k]) == 1
     out = capsys.readouterr().out
-    assert "FAIL [E,F] kind=commutator-delta max_rel_err=nan" in out
+    assert "FAIL [E,F] kind=commutator-delta\n" in out
     assert f"note: {note}" in out
 
 
@@ -255,36 +260,34 @@ def _edited(tmp_path, lineno, old, new) -> str:
     return str(path)
 
 
-# false E-F claims the analysis reports inside its row, with max_rel_err 0:
-# (old text, new text, {k: the note that fails the row})
+# false E-F claims the analysis reports inside its row, which has no numeric
+# fields: (old text, new text, {k: the note that fails the row})
 EF_ROW_FAILURES = {
     "pole_moved": ("poles: -(k/2), k/2;", "poles: -(k/2), k/2 + 1;", {
-        "5/12": "pole sets differ: derived ['(-0.20833333333333334+0j)', "
-                "'(0.20833333333333334+0j)'], expected "
-                "['(-0.20833333333333334+0j)', '(1.2083333333333333+0j)']",
-        "3": "pole sets differ: derived ['(-1.5+0j)', '(1.5+0j)'], "
-             "expected ['(-1.5+0j)', '(2.5+0j)']"}),
+        "5/12": "pole sets differ: derived ['-5/24', '5/24'], "
+                "expected ['-5/24', '29/24']",
+        "3": "pole sets differ: derived ['-3/2', '3/2'], "
+             "expected ['-3/2', '5/2']"}),
     "residue_shifted": ("H_plus @ (k/4)", "H_plus @ (k/4 + 1)", {
-        "5/12": "residue at w=-0.20833333333333334*hbar does not match any "
-                "declared target",
-        "3": "residue at w=-1.5*hbar does not match any declared target"}),
+        "5/12": "residue at w=-5/24*hbar does not match any declared target",
+        "3": "residue at w=-3/2*hbar does not match any declared target"}),
     "scalar_doubled": ("current psi = (1/hbar) * ( beta_plus@",
                        "current psi = (1/hbar) * ( 2 * beta_plus@", {
-        "5/12": "residue at w=-0.20833333333333334*hbar: scalar -2*hbar^-1, "
+        "5/12": "residue at w=-5/24*hbar: scalar -2*hbar^-1, "
                 "declared -1*hbar^-1 for H_plus",
-        "3": "residue at w=-1.5*hbar: scalar -2*hbar^-1, declared -1*hbar^-1 "
+        "3": "residue at w=-3/2*hbar: scalar -2*hbar^-1, declared -1*hbar^-1 "
              "for H_plus"}),
     # both scalars doubled, or both negated: still opposite, but not the
     # declared ones
     "psi_doubled": ("current psi = (1/hbar)", "current psi = (2/hbar)", {
-        "5/12": "residue at w=0.20833333333333334*hbar: scalar 2*hbar^-1, "
+        "5/12": "residue at w=5/24*hbar: scalar 2*hbar^-1, "
                 "declared 1*hbar^-1 for H_minus",
-        "3": "residue at w=1.5*hbar: scalar 2*hbar^-1, declared 1*hbar^-1 "
+        "3": "residue at w=3/2*hbar: scalar 2*hbar^-1, declared 1*hbar^-1 "
              "for H_minus"}),
     "psi_negated": ("current psi = (1/hbar)", "current psi = (-1/hbar)", {
-        "5/12": "residue at w=0.20833333333333334*hbar: scalar -1*hbar^-1, "
+        "5/12": "residue at w=5/24*hbar: scalar -1*hbar^-1, "
                 "declared 1*hbar^-1 for H_minus",
-        "3": "residue at w=1.5*hbar: scalar -1*hbar^-1, declared 1*hbar^-1 "
+        "3": "residue at w=3/2*hbar: scalar -1*hbar^-1, declared 1*hbar^-1 "
              "for H_minus"}),
     # poles and declared residues match one to one: a declared residue no
     # pole has, and a pole that two declared residues name, fail the row
@@ -295,8 +298,8 @@ EF_ROW_FAILURES = {
     "residue_twice": ("residues: H_plus @ (k/4) * (-1) / hbar,",
                       "residues: H_plus @ (k/4) * (-1) / hbar, "
                       "H_plus @ (k/4) * (-1) / hbar,", {
-        "5/12": "residue at w=-0.20833333333333334*hbar matches 2 declared residues",
-        "3": "residue at w=-1.5*hbar matches 2 declared residues"}),
+        "5/12": "residue at w=-5/24*hbar matches 2 declared residues",
+        "3": "residue at w=-3/2*hbar matches 2 declared residues"}),
 }
 
 
@@ -311,7 +314,7 @@ def test_a_false_ef_claim_fails_its_row_with_its_note(tmp_path, capsys, mutant, 
     code, payload = _json_run(capsys, "poles", str(bad), "--k", k)
     [row] = payload["relations"]
     assert code == 1 and row["id"] == "[E,F]"
-    assert row["pass"] is False and row["max_rel_err"] == "0"
+    assert row["pass"] is False and not {"max_rel_err", "residuals", "grid"} & set(row)
     assert notes[k] in row["notes"]
 
 
@@ -342,7 +345,8 @@ def test_a_refused_claim_fails_its_row_and_the_run_goes_on(case, tmp_path, capsy
     assert code == 1 and len(rows) == n_rows
     row = rows[rel_id]
     assert row["pass"] is False and row["symbolic_pass"] is None
-    assert row["max_rel_err"] == "nan" and row["notes"] == [note]
+    assert not {"max_rel_err", "residuals", "grid"} & set(row)
+    assert row["notes"] == [note]
 
 
 @pytest.mark.parametrize("k, note", [
@@ -379,7 +383,8 @@ def test_a_pair_without_one_exchange_factor_has_no_limit(capsys):
     # so no one limit, whatever the first term pair's factor tends to
     code, payload = _json_run(capsys, "limit", "--pair", "B_plus,psi_dag", "--k", "3")
     [row] = payload["relations"]
-    assert code == 1 and row["pass"] is False and row["max_rel_err"] == "nan"
+    assert code == 1 and row["pass"] is False
+    assert not {"max_rel_err", "residuals", "grid"} & set(row)
     assert row["notes"] == ["term pairs (0,0) and (0,1) have different exchange "
                             "factors: the pair has no single limit"]
 
@@ -469,7 +474,7 @@ relation b_b : B(u) B(v) == B(v) B(u);
 def _two_slopes_row(rel_id, factor):
     return {"derived_factor": factor, "expected_factor": factor, "id": rel_id,
             "kind": "exchange", "limit_fit": {}, "notes": [], "pass": True,
-            "poles": [], "residue_ops": [], "symbolic_pass": True}
+            "poles": [], "symbolic_pass": True}
 
 
 def test_verify_derives_each_pair_key_once(monkeypatch, capsys, tmp_path):
@@ -506,7 +511,7 @@ def test_verify_derives_each_pair_key_once(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == json.dumps({
         "params": {"hbar": ["1"], "k": "1"}, "pass": True,
         "relations": [_two_slopes_row("a_a", "i^2"), _two_slopes_row("b_b", "1")],
-        "schema_version": "7"}, sort_keys=True, indent=1) + "\n"
+        "schema_version": "8"}, sort_keys=True, indent=1) + "\n"
     assert len(derived) == 2 and not laurent
 
 
@@ -744,7 +749,7 @@ def test_the_quadrature_only_line_lies_inside_a_far_strip(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, line", [
     (["verify"], "all relations hold"),
-    (["poles"], "residue at"),
+    (["poles"], "pole at w = 1*hbar"),
     (["limit"], "PASS limit[psi,psi"),
 ])
 def test_json_to_stdout_keeps_stdout_pure(argv, line, capsys):
@@ -756,6 +761,23 @@ def test_json_to_stdout_keeps_stdout_pure(argv, line, capsys):
 
 
 
+@pytest.mark.parametrize("k", ["2", "5/12", "3", "13/16"])
+@pytest.mark.parametrize("command", ["verify", "poles", "report"])
+def test_exact_reports_do_not_depend_on_hbar(command, k, capsys):
+    # symbolic, [E,F] and classical-limit rows read no hbar: apart from the
+    # hbar values it echoes, a run at hbar 1 writes what a run at 1/2 writes
+    def run(hbar):
+        code = cli.run([command, "--k", k, "--hbar", hbar, "--json", "-"])
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["params"].pop("hbar") == [hbar]
+        assert out == json.dumps(dict(payload, params=dict(
+            payload["params"], hbar=[hbar])), sort_keys=True, indent=1) + "\n"
+        return code, json.dumps(payload, sort_keys=True, indent=1), err
+
+    assert run("1") == run("1/2")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify"], ["report"], ["poles"], ["limit"],
     ["contract", "Lambda_plus", "Lambda_minus"]], ids=lambda argv: argv[0])
@@ -764,7 +786,7 @@ def test_every_json_payload_is_the_current_schema_with_no_shared_grid(argv, caps
     # its own
     assert cli.run([*argv, "--json", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == "7" and "grid" not in payload
+    assert payload["schema_version"] == "8" and "grid" not in payload
 
 
 def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
@@ -775,7 +797,7 @@ def test_contract_json_file_has_one_row_per_family(tmp_path, capsys):
     assert cli.run([*argv, "--json", str(dest)]) == 0
     assert capsys.readouterr().out == text
     payload = json.loads(dest.read_text())
-    assert payload["schema_version"] == "7"
+    assert payload["schema_version"] == "8"
     assert payload["params"] == {"k": "2", "hbar": ["1"]}
     assert payload["currents"] == ["Lambda_plus", "Lambda_minus"]
     [row] = payload["families"]

@@ -82,6 +82,11 @@ def test_real_payloads_match_json_dumps(argv, monkeypatch, capsys):
     assert capsys.readouterr().out == text + "\n"
 
 
+# a pole entry as the E-F analysis writes it: every field exact
+POLE = {"w_over_hbar": "-5/4", "pairs": [(0, 0)], "scalar": "-1",
+        "scalar_hbar_power": -1, "matches": [{"target": "H_plus", "shift": "5/16"}]}
+
+
 def _mixed_reports():
     """Rows of the symbolic route, the 10-point line of the quadrature-only
     route with a failed point, commutator rows and a classical-limit row."""
@@ -102,10 +107,13 @@ def _mixed_reports():
         notes=["closed form does not telescope; quadrature-only check"]))
     for name in ("[E,F]", "[F,E]"):
         reports.append(VerificationReport(
-            name, "commutator-delta", True, None, 0.0,
-            poles=[{"w_exact": complex(0, -1.25), "pairs": [(0, 0)]}]))
-    reports.append(VerificationReport("limit[a,b;ab=1]", "classical-limit",
-                                      True, True, 2.5e-14))
+            name, "commutator-delta", True, True, poles=[POLE]))
+    third = Fraction(2, 3)
+    reports.append(VerificationReport(
+        "limit[a,b;ab=1]", "classical-limit", True, True, limit_fit={
+            "exponent": third, "braid_exponent": third, "x_power": third,
+            "const_phase": Fraction(0), "order": None, "correction": None,
+            "n_max": 12, "check_hbar": 0.125, "check_errors": [2.5e-14, 0.0, 1e-15]}))
     return params, reports
 
 
@@ -127,10 +135,14 @@ def test_mixed_payload_matches_json_dumps():
         for w in quad.grid]
     assert rows["quad"]["residuals"][3] == "nan"
     assert rows["quad"]["max_rel_err"] == "nan"
+    # an exact row has none either: its pole entries are written as they
+    # are, and a limit row's cross-check errors are in its limit_fit
     for rel_id in ("[E,F]", "[F,E]", "limit[a,b;ab=1]"):
-        assert rows[rel_id]["grid"] == rows[rel_id]["residuals"] == []
-    assert rows["[E,F]"]["max_rel_err"] == "0"
-    assert rows["limit[a,b;ab=1]"]["max_rel_err"] == "2.5000000000000001e-14"
+        assert not numeric & set(rows[rel_id])
+    assert rows["[E,F]"]["poles"] == [dict(POLE, pairs=[[0, 0]])]
+    fit = rows["limit[a,b;ab=1]"]["limit_fit"]
+    assert (fit["check_hbar"], fit["check_errors"]) == (
+        "0.125", ["2.5000000000000001e-14", "0", "1.0000000000000001e-15"])
 
 
 def test_text_lines_print_a_residual_only_where_a_row_has_one(capsys):
@@ -142,7 +154,7 @@ def test_text_lines_print_a_residual_only_where_a_row_has_one(capsys):
         "PASS s0 kind=exchange", "PASS s1 kind=exchange",
         "FAIL s2 kind=exchange", "PASS s3 kind=exchange",
         "FAIL one kind=shape", "FAIL quad kind=exchange max_rel_err=nan",
-        "PASS [E,F] kind=commutator-delta max_rel_err=0",
-        "PASS [F,E] kind=commutator-delta max_rel_err=0",
-        "PASS limit[a,b;ab=1] kind=classical-limit "
-        "max_rel_err=2.5000000000000001e-14"]
+        "PASS [E,F] kind=commutator-delta",
+        "PASS [F,E] kind=commutator-delta",
+        "PASS limit[a,b;ab=1] kind=classical-limit exponent=2/3 (braid 2/3 mod 2); "
+        "no power-law term up to n = 12"]

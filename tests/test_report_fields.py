@@ -2,12 +2,13 @@
 
 `tests/data/report_fields.json` holds, for each level and hbar below and
 each of the two commands, every report row's id, kind, pass and
-symbolic_pass flags, derived and expected factor strings, the term pairs of
-each pole and the exact residue data (scalar, its hbar power and the
-matched targets), and the report's overall pass flag.  These all come
-from the exact layer, so they must not change when it is reworked.  Grids, residuals, errors, pole positions and
-notes are floats or carry floats, which libm may round differently on
-another runner; they stay out.
+symbolic_pass flags, derived and expected factor strings, every pole entry
+whole (its exact position in units of hbar, term pairs, residue scalar, its
+hbar power and the matched targets), and the report's overall pass flag.
+These all come from the exact layer, so they must not change when it is
+reworked.  Grids, residuals, a limit row's cross-check errors and notes
+are floats or carry floats, which libm may round differently on another
+runner; they stay out.
 
 Regenerate (only after reviewing why a field changed) with
 
@@ -36,9 +37,7 @@ def _row(r: dict) -> dict:
         "symbolic_pass": r["symbolic_pass"],
         "derived_factor": r["derived_factor"],
         "expected_factor": r["expected_factor"],
-        "pole_pairs": [p["pairs"] for p in r["poles"]],
-        "residue_ops": [{key: value for key, value in op.items() if key != "pole_w"}
-                        for op in r["residue_ops"]],
+        "poles": r["poles"],
     }
 
 
