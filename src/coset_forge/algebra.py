@@ -419,8 +419,8 @@ def ef_commutator_analysis(cat: Catalog, e_name: str, f_name: str,
     expected_rhos = {GR(Fraction(0), -as_fraction(p)) for p in expected_poles}
     found_rhos = set(pole_map)
     if found_rhos != expected_rhos:
-        got, want = ([repr(GR_I * r) for r in sorted(rhos, key=lambda r: (-r.im, r.re))]
-                     for rhos in (found_rhos, expected_rhos))
+        got = [repr(GR_I * r) for r in sorted(found_rhos, key=lambda r: (r.im, r.re))]
+        want = [repr(GR_I * r) for r in sorted(expected_rhos, key=lambda r: (r.im, r.re))]
         report.notes.append(f"pole sets differ: derived {got}, expected {want}")
 
     # residue operators, assembled in the hyperbolic parametrization where

@@ -264,10 +264,10 @@ def _edited(tmp_path, lineno, old, new) -> str:
 # fields: (old text, new text, {k: the note that fails the row})
 EF_ROW_FAILURES = {
     "pole_moved": ("poles: -(k/2), k/2;", "poles: -(k/2), k/2 + 1;", {
-        "5/12": "pole sets differ: derived ['-5/24', '5/24'], "
-                "expected ['-5/24', '29/24']",
-        "3": "pole sets differ: derived ['-3/2', '3/2'], "
-             "expected ['-3/2', '5/2']"}),
+        "5/12": "pole sets differ: derived ['5/24', '-5/24'], "
+                "expected ['29/24', '-5/24']",
+        "3": "pole sets differ: derived ['3/2', '-3/2'], "
+             "expected ['5/2', '-3/2']"}),
     "residue_shifted": ("H_plus @ (k/4)", "H_plus @ (k/4 + 1)", {
         "5/12": "residue at w=-5/24*hbar does not match any declared target",
         "3": "residue at w=-3/2*hbar does not match any declared target"}),
